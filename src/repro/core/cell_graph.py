@@ -5,11 +5,16 @@ invocations and whose edges say which cell output feeds which cell input
 (§3.1's "cell graph").  Nodes carry their resolved input references —
 either request-provided values or another node's named output — and, in
 real-compute mode, their computed output rows.
+
+A chain of one cell type (an LSTM over a sentence) is stored run-length:
+:meth:`CellGraph.add_run` reserves the node ids and keeps one
+:class:`ChainRun` record; a node object exists only once something asks
+for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cell import CellType
 
@@ -74,17 +79,143 @@ class CellNode:
         return f"<CellNode {self.node_id} type={self.cell_type.name!r}>"
 
 
+class ChainRun:
+    """``steps`` consecutive nodes of one cell type, kept as one record.
+
+    Step ``k`` is node ``first_id + k``.  It reads ``per_step[name][k]`` for
+    each per-step input and, for each carried input ``name``, the previous
+    step's ``carried[name]`` output; step 0 reads ``initial[name]`` instead.
+    Built and validated by :meth:`CellGraph.add_run`.
+    """
+
+    __slots__ = (
+        "first_id",
+        "stop",
+        "cell_type",
+        "carried",
+        "initial",
+        "per_step",
+        "producers",
+        "consumers",
+        "subgraph_id",
+    )
+
+    def __init__(
+        self,
+        first_id: int,
+        steps: int,
+        cell_type: CellType,
+        carried: Dict[str, str],
+        initial: Dict[str, Any],
+        per_step: Dict[str, Sequence[Any]],
+    ):
+        self.first_id = first_id
+        self.stop = first_id + steps  # one past the last node id
+        self.cell_type = cell_type
+        self.carried = carried
+        self.initial = initial
+        self.per_step = per_step
+        # Ids of the nodes step 0 reads from (``initial``'s NodeOutputs,
+        # each once, first-seen order): the run's only in-edges.
+        producers: List[int] = []
+        for ref in initial.values():
+            if isinstance(ref, NodeOutput) and ref.node_id not in producers:
+                producers.append(ref.node_id)
+        self.producers = tuple(producers)
+        # Run node id -> ids of the explicit nodes (or later runs) that
+        # consume its outputs.  The step-to-step edges are implicit.
+        self.consumers: Dict[int, List[int]] = {}
+        # A run is connected and of one cell type, so it lies in one
+        # subgraph; its nodes read their ``subgraph_id`` from here.
+        self.subgraph_id: Optional[int] = None
+
+    @property
+    def steps(self) -> int:
+        return self.stop - self.first_id
+
+    @property
+    def last_id(self) -> int:
+        return self.stop - 1
+
+    def inputs_of(self, node_id: int) -> Dict[str, Any]:
+        """The ``inputs`` dict an explicit node in this position would have."""
+        step = node_id - self.first_id
+        inputs = {
+            name: ValueInput(values[step]) for name, values in self.per_step.items()
+        }
+        if step == 0:
+            inputs.update(self.initial)
+        else:
+            for name, output in self.carried.items():
+                inputs[name] = NodeOutput(node_id - 1, output)
+        return inputs
+
+    def successors(self, node_id: int) -> List[int]:
+        following = [node_id + 1] if node_id + 1 < self.stop else []
+        return following + self.consumers.get(node_id, [])
+
+    def __repr__(self) -> str:
+        return (
+            f"<ChainRun {self.first_id}..{self.last_id} "
+            f"type={self.cell_type.name!r}>"
+        )
+
+
+class RunNode(CellNode):
+    """A node of a :class:`ChainRun`, created when first asked for.
+
+    Scheduling needs a node's identity, cell type and completion flags only,
+    so ``inputs`` stays unset until something reads it (the real-compute
+    gather, ``predecessors()``, a test).  ``subgraph_id`` is the run's: all
+    its nodes lie in one subgraph, whether built before or after the
+    partition."""
+
+    __slots__ = ("run",)
+
+    def __init__(self, node_id: int, run: ChainRun):
+        # Not CellNode.__init__: ``inputs`` must stay unset (see __getattr__).
+        self.node_id = node_id
+        self.cell_type = run.cell_type
+        self.outputs = None
+        self.completed = False
+        self.launched = False
+        self.run = run
+
+    def __getattr__(self, name: str):
+        # Python calls this only when normal lookup fails, which for this
+        # class means the first read of the still-unset ``inputs`` slot.
+        if name != "inputs":
+            raise AttributeError(name)
+        inputs = self.inputs = self.run.inputs_of(self.node_id)
+        return inputs
+
+    @property
+    def subgraph_id(self) -> Optional[int]:
+        return self.run.subgraph_id
+
+    @subgraph_id.setter
+    def subgraph_id(self, value: Optional[int]) -> None:
+        self.run.subgraph_id = value
+
+
 class CellGraph:
     """A growable DAG of cell invocations for one request.
 
     Most models unfold statically at arrival; the dynamic Seq2Seq decoder
     extends the graph while the request runs (see
     :meth:`repro.core.request_processor.RequestProcessor.extend_request`).
+
+    Node ids are dense (``0 .. len(graph) - 1``) in creation order.  Nodes
+    added with :meth:`add_node` are *explicit*: they sit in ``_nodes`` and
+    ``_successors`` from the start.  Nodes of a run enter ``_nodes`` when
+    :meth:`node` first returns them and stay there, because they hold state
+    (``completed``, ``outputs``) that every later lookup must see.
     """
 
     def __init__(self):
         self._nodes: Dict[int, CellNode] = {}
         self._successors: Dict[int, List[int]] = {}
+        self._runs: Tuple[ChainRun, ...] = ()  # ascending first_id
         self._next_id = 0
         # (node_id, output name) pairs whose values form the request result.
         self.result_refs: List[Tuple[int, str]] = []
@@ -99,51 +230,180 @@ class CellGraph:
             raise ValueError(
                 f"node of type {cell_type.name!r} missing inputs: {missing}"
             )
+        nodes = self._nodes
         for ref in inputs.values():
             if isinstance(ref, NodeOutput):
-                if ref.node_id not in self._nodes:
-                    raise ValueError(f"input references unknown node {ref.node_id}")
-                producer = self._nodes[ref.node_id]
-                if ref.output not in producer.cell_type.output_names:
-                    raise ValueError(
-                        f"node {ref.node_id} ({producer.cell_type.name!r}) has "
-                        f"no output {ref.output!r}"
-                    )
+                producer = nodes.get(ref.node_id)
+                if producer is None or ref.output not in producer.cell_type.output_names:
+                    self._check_ref(ref)  # raises, unless it names a run node
             elif not isinstance(ref, ValueInput):
-                raise TypeError(f"inputs must be ValueInput/NodeOutput, got {ref!r}")
+                self._check_ref(ref)
         node = CellNode(self._next_id, cell_type, dict(inputs))
-        self._nodes[node.node_id] = node
+        nodes[node.node_id] = node
         self._successors[node.node_id] = []
         for pred in node.predecessors():
-            self._successors[pred].append(node.node_id)
+            try:
+                self._successors[pred].append(node.node_id)
+            except KeyError:
+                self._link(pred, node.node_id)
         self._next_id += 1
         return node
 
-    def mark_result(self, node: CellNode, output: str) -> None:
-        """Declare ``node.output`` as part of the request's final result."""
-        if output not in node.cell_type.output_names:
+    def add_run(
+        self,
+        cell_type: CellType,
+        steps: int,
+        carried: Dict[str, str],
+        initial: Dict[str, Any],
+        per_step: Dict[str, Sequence[Any]],
+    ) -> ChainRun:
+        """Append a chain of ``steps`` nodes of ``cell_type`` as one record.
+
+        ``carried`` maps an input name to the output of the previous step
+        that feeds it, ``initial`` gives step 0's value for each carried
+        input (ValueInput or NodeOutput, checked as :meth:`add_node` checks
+        them) and ``per_step`` maps each remaining input to a sequence of
+        ``steps`` request-provided values.  Everything is validated here,
+        once; the three mappings are kept by reference, not copied.
+
+        The run is one subgraph.  An explicit node of the same cell type
+        wired to it is not merged into that subgraph (it waits on an
+        external edge instead, as ``extend``-grown nodes do); no model
+        builds such a graph.
+        """
+        if steps < 1:
+            raise ValueError(f"a run needs at least one step, got {steps}")
+        missing = [
+            n for n in cell_type.input_names if n not in carried and n not in per_step
+        ]
+        if missing:
             raise ValueError(
-                f"node {node.node_id} has no output {output!r} "
-                f"(has {node.cell_type.output_names})"
+                f"run of type {cell_type.name!r} missing inputs: {missing}"
             )
-        self.result_refs.append((node.node_id, output))
+        for name, output in carried.items():
+            if name in per_step:
+                raise ValueError(f"run input {name!r} is both carried and per-step")
+            if output not in cell_type.output_names:
+                raise ValueError(
+                    f"run of type {cell_type.name!r} has no output {output!r} to carry"
+                )
+            if name not in initial:
+                raise ValueError(f"carried run input {name!r} has no initial value")
+            self._check_ref(initial[name])
+        extra = [n for n in initial if n not in carried]
+        if extra:
+            raise ValueError(f"initial values for non-carried run inputs {extra}")
+        for name, values in per_step.items():
+            if len(values) != steps:
+                raise ValueError(
+                    f"per-step run input {name!r} has {len(values)} "
+                    f"values for {steps} steps"
+                )
+        run = ChainRun(self._next_id, steps, cell_type, carried, initial, per_step)
+        for producer_id in run.producers:
+            self._link(producer_id, run.first_id)
+        self._runs += (run,)
+        self._next_id = run.stop
+        return run
+
+    def _check_ref(self, ref: Any) -> None:
+        """Raise unless ``ref`` is a ValueInput or names an output that an
+        existing node — explicit, or of a run and possibly not built — has."""
+        if isinstance(ref, NodeOutput):
+            producer_type = self._cell_type_of(ref.node_id)
+            if ref.output not in producer_type.output_names:
+                raise ValueError(
+                    f"node {ref.node_id} ({producer_type.name!r}) has "
+                    f"no output {ref.output!r}"
+                )
+        elif not isinstance(ref, ValueInput):
+            raise TypeError(f"inputs must be ValueInput/NodeOutput, got {ref!r}")
+
+    def _link(self, producer_id: int, consumer_id: int) -> None:
+        """Record that ``consumer_id`` reads an output of ``producer_id``."""
+        successors = self._successors.get(producer_id)
+        if successors is None:  # a run node: the run keeps its out-edges
+            run = self._run_of(producer_id)
+            successors = run.consumers.setdefault(producer_id, [])
+        successors.append(consumer_id)
+
+    def mark_result(self, node: Union[CellNode, int], output: str) -> None:
+        """Declare ``node.output`` as part of the request's final result.
+        ``node`` may be a node id, which leaves a run node unbuilt."""
+        node_id = node if isinstance(node, int) else node.node_id
+        cell_type = self._cell_type_of(node_id)
+        if output not in cell_type.output_names:
+            raise ValueError(
+                f"node {node_id} has no output {output!r} "
+                f"(has {cell_type.output_names})"
+            )
+        self.result_refs.append((node_id, output))
 
     # -- access ------------------------------------------------------------
 
     def node(self, node_id: int) -> CellNode:
-        return self._nodes[node_id]
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            run = self._run_of(node_id)
+            if run is None:
+                raise
+            node = self._nodes[node_id] = RunNode(node_id, run)
+            return node
 
     def nodes(self) -> Iterator[CellNode]:
-        return iter(self._nodes.values())
+        """Every node in id order; builds the run nodes not yet asked for."""
+        if not self._runs:
+            return iter(self._nodes.values())
+        return map(self.node, range(self._next_id))
+
+    def explicit_nodes(self) -> List[CellNode]:
+        """The nodes added with :meth:`add_node`, in id order."""
+        if not self._runs:
+            return list(self._nodes.values())
+        nodes, start = [], 0
+        for run in self._runs:
+            if start < run.first_id:
+                nodes.extend(self._nodes[i] for i in range(start, run.first_id))
+            start = run.stop
+        if start < self._next_id:
+            nodes.extend(self._nodes[i] for i in range(start, self._next_id))
+        return nodes
+
+    def runs(self) -> Sequence[ChainRun]:
+        return self._runs
 
     def successors(self, node_id: int) -> Sequence[int]:
-        return self._successors[node_id]
+        try:
+            return self._successors[node_id]
+        except KeyError:
+            run = self._run_of(node_id)
+            if run is None:
+                raise
+            return run.successors(node_id)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._next_id
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return isinstance(node_id, int) and 0 <= node_id < self._next_id
+
+    def _run_of(self, node_id: int) -> Optional[ChainRun]:
+        # A request has a handful of runs at most; a scan beats bisecting.
+        for run in self._runs:
+            if run.first_id <= node_id < run.stop:
+                return run
+        return None
+
+    def _cell_type_of(self, node_id: int) -> CellType:
+        """Cell type of an existing node, without building a run node."""
+        node = self._nodes.get(node_id)
+        if node is not None:
+            return node.cell_type
+        run = self._run_of(node_id)
+        if run is None:
+            raise ValueError(f"reference to unknown node {node_id}")
+        return run.cell_type
 
     # -- results -----------------------------------------------------------
 
@@ -151,7 +411,7 @@ class CellGraph:
         """Gather the declared result values (real-compute mode)."""
         results = []
         for node_id, output in self.result_refs:
-            node = self._nodes[node_id]
+            node = self.node(node_id)
             if node.outputs is None:
                 raise RuntimeError(
                     f"result node {node_id} has not been executed"
@@ -162,6 +422,8 @@ class CellGraph:
     def cell_type_census(self) -> Dict[str, int]:
         """Node counts per cell type, used by tests and the Fold baseline."""
         census: Dict[str, int] = {}
-        for node in self._nodes.values():
+        for node in self.explicit_nodes():
             census[node.cell_type.name] = census.get(node.cell_type.name, 0) + 1
+        for run in self._runs:
+            census[run.cell_type.name] = census.get(run.cell_type.name, 0) + run.steps
         return census

@@ -162,7 +162,7 @@ class RequestProcessor:
             if subgraph.request.terminal:
                 continue
             graph = subgraph.graph
-            for succ_id in graph.successors(node.node_id):
+            for succ_id in subgraph.dependents(node.node_id):
                 succ = graph.node(succ_id)
                 if succ.subgraph_id == subgraph.subgraph_id:
                     continue  # internal edges are handled by the scheduler

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.cell_graph import CellGraph, CellNode
+from repro.core.cell_graph import CellGraph, CellNode, ChainRun
 
 
 class Subgraph:
@@ -37,11 +37,7 @@ class Subgraph:
         nodes: Sequence[CellNode],
         graph: CellGraph,
     ):
-        self.subgraph_id = subgraph_id
-        self.request = request
-        self.cell_type_name = cell_type_name
-        self.graph = graph
-        self.node_ids = [n.node_id for n in nodes]
+        self.node_ids: Sequence[int] = [n.node_id for n in nodes]
         node_id_set = set(self.node_ids)
         for node in nodes:
             node.subgraph_id = subgraph_id
@@ -63,6 +59,17 @@ class Subgraph:
         self.ready: List[int] = [
             nid for nid in self.node_ids if self._internal_pending[nid] == 0
         ]
+        self._init_scheduling(subgraph_id, request, cell_type_name, graph)
+
+    def _init_scheduling(
+        self, subgraph_id: int, request, cell_type_name: str, graph: CellGraph
+    ) -> None:
+        """State every subgraph has, however it tracks its ready nodes
+        (``node_ids`` and ``_external_edges`` are set by then)."""
+        self.subgraph_id = subgraph_id
+        self.request = request
+        self.cell_type_name = cell_type_name
+        self.graph = graph
         self.unsubmitted = len(self.node_ids)
         self.uncompleted = len(self.node_ids)
         self.pinned: Optional[int] = None
@@ -110,6 +117,11 @@ class Subgraph:
 
     def is_releasable(self) -> bool:
         return self.external_pending == 0 and not self.released
+
+    def dependents(self, nid: int) -> Sequence[int]:
+        """Consumers of our node ``nid`` that may lie in another subgraph
+        (the request processor skips those that turn out to be ours)."""
+        return self.graph.successors(nid)
 
     # -- scheduling bookkeeping (driven by the scheduler) -------------------
 
@@ -208,9 +220,51 @@ class Subgraph:
     def __repr__(self) -> str:
         return (
             f"<Subgraph {self.subgraph_id} type={self.cell_type_name!r} "
-            f"nodes={len(self.node_ids)} ready={len(self.ready)} "
+            f"nodes={len(self.node_ids)} ready={self.ready_count()} "
             f"pinned={self.pinned}>"
         )
+
+
+class RunSubgraph(Subgraph):
+    """The subgraph of a :class:`~repro.core.cell_graph.ChainRun`.
+
+    In a chain the only node that can be ready is the one after the last
+    node handed out, so readiness is a cursor rather than per-node
+    predecessor counts: ``_cursor`` is the id of the ready node, or None
+    while its predecessor has not been submitted (optimistic) or completed
+    (non-optimistic) yet, and once the run is handed out whole.
+    """
+
+    def __init__(self, subgraph_id: int, request, run: ChainRun, graph: CellGraph):
+        self.run = run
+        run.subgraph_id = subgraph_id
+        self.node_ids = range(run.first_id, run.stop)
+        self._external_edges = set()
+        for pred in run.producers:  # only step 0 reads from outside the run
+            if not graph.node(pred).completed:
+                self._external_edges.add((pred, run.first_id))
+        self._cursor: Optional[int] = run.first_id
+        self._init_scheduling(subgraph_id, request, run.cell_type.name, graph)
+
+    def dependents(self, nid: int) -> Sequence[int]:
+        return self.run.consumers.get(nid, ())  # nid + 1 is ours
+
+    def ready_count(self) -> int:
+        return 0 if self._cursor is None else 1
+
+    def take_ready(self, limit: int) -> List[int]:
+        if limit <= 0 or self._cursor is None:
+            return []
+        taken, self._cursor = [self._cursor], None
+        if self.owner is not None:
+            self.owner.on_ready_delta(self, -1)
+        return taken
+
+    def _advance_internal(self, nid: int) -> int:
+        if nid + 1 < self.run.stop:
+            self._cursor = nid + 1
+            return 1
+        return 0
 
 
 def partition_into_subgraphs(
@@ -227,8 +281,18 @@ def partition_into_subgraphs(
     LSTM chain is one subgraph; Seq2Seq yields one encoder and one decoder
     subgraph; a TreeLSTM yields one subgraph per leaf plus one subgraph of
     all internal nodes.
+
+    When the whole graph is partitioned, each
+    :class:`~repro.core.cell_graph.ChainRun` becomes a :class:`RunSubgraph`
+    without a look at its nodes — it is a chain of one cell type by
+    construction — and only the explicit nodes are searched.  Ids follow
+    each subgraph's lowest node id, runs and components alike.
     """
-    pool = list(nodes) if nodes is not None else list(graph.nodes())
+    if nodes is not None:
+        pool, runs = list(nodes), ()
+    else:
+        pool, runs = graph.explicit_nodes(), graph.runs()
+    num_runs, next_run = len(runs), 0
     pool_ids = {n.node_id for n in pool}
     visited = set()
     subgraphs: List[Subgraph] = []
@@ -236,6 +300,10 @@ def partition_into_subgraphs(
     for seed in pool:
         if seed.node_id in visited:
             continue
+        while next_run < num_runs and runs[next_run].first_id < seed.node_id:
+            subgraphs.append(RunSubgraph(next_id, request, runs[next_run], graph))
+            next_id += 1
+            next_run += 1
         component = []
         stack = [seed.node_id]
         visited.add(seed.node_id)
@@ -255,5 +323,8 @@ def partition_into_subgraphs(
         subgraphs.append(
             Subgraph(next_id, request, seed.cell_type.name, component, graph)
         )
+        next_id += 1
+    for run in runs[next_run:]:
+        subgraphs.append(RunSubgraph(next_id, request, run, graph))
         next_id += 1
     return subgraphs

@@ -24,6 +24,8 @@ from repro.tensor.parameters import ParameterStore
 
 LSTM_CELL = "lstm"
 PROJECTION_CELL = "lstm_proj"
+# Each step's h and c inputs are the previous step's h and c outputs.
+_CARRIED_STATE = {"h": "h", "c": "c"}
 
 
 def _normalize_tokens(payload: Any) -> List[int]:
@@ -63,6 +65,10 @@ class LSTMChainModel(Model):
         self.real = real
         self.project_output = project_output
         self.params = ParameterStore(seed=seed)
+        # Every chain starts from the zero state; graphs read these two
+        # inputs and never write them, so all requests share them.
+        zeros = np.zeros(hidden_dim, dtype=np.float32) if real else None
+        self._initial_state = {"h": ValueInput(zeros), "c": ValueInput(zeros)}
 
         if real:
             embed = EmbeddingCell("lstm/embed", vocab_size, self.embed_dim, self.params)
@@ -114,24 +120,20 @@ class LSTMChainModel(Model):
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         tokens = _normalize_tokens(payload)
-        zeros = self._zero_state_row()
-        prev = None
-        for token in tokens:
-            inputs = {"ids": ValueInput(token)}
-            if prev is None:
-                inputs["h"] = ValueInput(zeros)
-                inputs["c"] = ValueInput(zeros)
-            else:
-                inputs["h"] = NodeOutput(prev.node_id, "h")
-                inputs["c"] = NodeOutput(prev.node_id, "c")
-            prev = graph.add_node(self._step_type, inputs)
+        run = graph.add_run(
+            self._step_type,
+            len(tokens),
+            carried=_CARRIED_STATE,
+            initial=self._initial_state,
+            per_step={"ids": tokens},
+        )
         if self._proj_type is not None:
             proj = graph.add_node(
-                self._proj_type, {"h": NodeOutput(prev.node_id, "h")}
+                self._proj_type, {"h": NodeOutput(run.last_id, "h")}
             )
             graph.mark_result(proj, "token")
         else:
-            graph.mark_result(prev, "h")
+            graph.mark_result(run.last_id, "h")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         steps = len(_normalize_tokens(payload))
@@ -164,10 +166,3 @@ class LSTMChainModel(Model):
             logits = h @ self.params.get("lstm/proj/W") + self.params.get("lstm/proj/b")
             return [np.argmax(logits, axis=-1)[0]]
         return [h[0]]
-
-    # -- internals -----------------------------------------------------------
-
-    def _zero_state_row(self):
-        if self.real:
-            return np.zeros(self.hidden_dim, dtype=np.float32)
-        return None

@@ -1,0 +1,332 @@
+"""Differential suite for run-length chains (DESIGN.md, "Run-length chains").
+
+``LSTMChainModel.unfold`` emits one ``ChainRun`` where it used to emit one
+explicit node per token.  The per-token unfold lives on as
+``tests/oracles/explicit_chain.ExplicitChainModel``; everything here runs
+both and demands the same answer:
+
+(a) the graph *view* — ``len``, census, every node's ``inputs``,
+    ``predecessors()``, ``successors()``, ``result_refs`` — and the
+    partition shape;
+(b) whole-run outcome fingerprints across placement policies, GPU counts,
+    the chaos seed matrix (kernel faults, deadlines, device loss) and
+    memory evict-and-restart;
+(c) real-compute results against ``reference_forward``;
+(d) that a simulated chain is unfolded and partitioned without building a
+    single node.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import BatchMakerServer, BatchingConfig
+from repro.core import cell_graph
+from repro.core.cell_graph import CellGraph, NodeOutput
+from repro.core.request import InferenceRequest
+from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
+from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
+from repro.gpu.memory import MemorySpec
+from repro.models import LSTMChainModel
+from repro.policies import bundle_from_names
+
+from tests.chaos_helpers import (
+    assert_invariants,
+    build_server,
+    chaos_seeds,
+    outcome_fingerprint,
+    run_chaos,
+)
+from tests.oracles.explicit_chain import ExplicitChainModel
+
+SEEDS = chaos_seeds()
+
+
+def unfolded(model, payload):
+    graph = CellGraph()
+    model.unfold(graph, payload)
+    request = InferenceRequest(0, payload, 0.0)
+    request.graph = graph
+    return graph, request
+
+
+def ref_view(ref):
+    if isinstance(ref, NodeOutput):
+        return ("node", ref.node_id, ref.output)
+    return ("value", ref.value)
+
+
+def inputs_view(node):
+    return {name: ref_view(ref) for name, ref in node.inputs.items()}
+
+
+# -- (a) graph view -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("project_output", [False, True])
+@pytest.mark.parametrize("payload", [1, 2, 330, [7, 3, 9, 4]])
+def test_graph_view_equals_explicit_chain(payload, project_output):
+    run_graph, _ = unfolded(LSTMChainModel(project_output=project_output), payload)
+    ref_graph, _ = unfolded(ExplicitChainModel(project_output=project_output), payload)
+
+    assert len(run_graph) == len(ref_graph)
+    assert run_graph.cell_type_census() == ref_graph.cell_type_census()
+    assert run_graph.result_refs == ref_graph.result_refs
+    assert len(ref_graph) not in run_graph and len(ref_graph) not in ref_graph
+    # Out of order first: a node built on demand must not depend on its
+    # neighbours having been built.
+    last = len(ref_graph) - 1
+    assert inputs_view(run_graph.node(last)) == inputs_view(ref_graph.node(last))
+    for nid in range(len(ref_graph)):
+        assert nid in run_graph
+        got, want = run_graph.node(nid), ref_graph.node(nid)
+        assert got is run_graph.node(nid), "a node must be built once"
+        assert got.node_id == want.node_id == nid
+        assert got.cell_type.name == want.cell_type.name
+        assert list(got.inputs) == list(want.inputs), "input order"
+        assert inputs_view(got) == inputs_view(want)
+        assert got.predecessors() == want.predecessors()
+        assert list(run_graph.successors(nid)) == list(ref_graph.successors(nid))
+        assert (got.outputs, got.completed, got.launched) == (None, False, False)
+    assert [n.node_id for n in run_graph.nodes()] == list(range(len(ref_graph)))
+    with pytest.raises(KeyError):
+        run_graph.node(len(ref_graph))
+    with pytest.raises(KeyError):
+        run_graph.successors(len(ref_graph))
+
+
+@pytest.mark.parametrize("project_output", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 330])
+def test_partition_shape_equals_explicit_chain(length, project_output):
+    run_graph, run_request = unfolded(
+        LSTMChainModel(project_output=project_output), length
+    )
+    ref_graph, ref_request = unfolded(
+        ExplicitChainModel(project_output=project_output), length
+    )
+    got = partition_into_subgraphs(run_graph, run_request, start_id=5)
+    want = partition_into_subgraphs(ref_graph, ref_request, start_id=5)
+
+    def shape(sg):
+        return (
+            sg.subgraph_id,
+            sg.cell_type_name,
+            list(sg.node_ids),
+            sg.ready_count(),
+            sg.unsubmitted,
+            sg.uncompleted,
+            sg.external_pending,
+            sg.is_releasable(),
+        )
+
+    assert [shape(sg) for sg in got] == [shape(sg) for sg in want]
+    assert isinstance(got[0], RunSubgraph) and got[0].node_ids == range(length)
+    assert not hasattr(got[0], "_internal_pending")
+    for graph in (run_graph, ref_graph):
+        assert [n.subgraph_id for n in graph.nodes()] == [5] * length + (
+            [6] if project_output else []
+        )
+
+
+def test_explicit_pool_over_a_run_still_partitions_generically():
+    """Handing the partitioner the nodes themselves gives the per-node
+    subgraph: the graph view is complete enough for the generic search."""
+    graph, request = unfolded(LSTMChainModel(), 6)
+    (sg,) = partition_into_subgraphs(graph, request, nodes=list(graph.nodes()))
+    assert not isinstance(sg, RunSubgraph)
+    assert sg.node_ids == list(range(6)) and sg.ready_count() == 1
+    for nid in range(6):
+        assert sg.take_ready(4) == [nid]
+        sg.mark_submitted([nid])
+    assert sg.exhausted()
+
+
+# -- (b) outcome fingerprints -----------------------------------------------------
+
+
+def both(run_one):
+    """``run_one(model_cls) -> (server, submitted)`` with the run-length
+    model and with the oracle; returns both servers after the shared checks."""
+    servers = []
+    for model_cls in (LSTMChainModel, ExplicitChainModel):
+        server, submitted = run_one(model_cls)
+        assert_invariants(server, submitted)
+        servers.append(server)
+    run_server, ref_server = servers
+    assert outcome_fingerprint(run_server) == outcome_fingerprint(ref_server)
+    return run_server, ref_server
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2])
+@pytest.mark.parametrize("placement", [None, "unpinned", "fixed"])
+@pytest.mark.parametrize("project_output", [False, True])
+def test_fingerprint_across_placements(project_output, placement, num_gpus):
+    """``unpinned`` is the non-optimistic path: the cursor advances in
+    ``mark_completed_internal``, not at submission."""
+
+    def run_one(model_cls):
+        config = BatchingConfig.with_max_batch(16)
+        server = BatchMakerServer(
+            model_cls(project_output=project_output),
+            config=config,
+            num_gpus=num_gpus,
+            policies=bundle_from_names(config, placement=placement),
+        )
+        return server, run_chaos(server, num_requests=150)
+
+    run_server, _ = both(run_one)
+    assert len(run_server.finished) == 150
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("project_output", [False, True])
+def test_fingerprint_under_fault_storm(project_output, seed):
+    """Kernel faults with retries (``task.entries`` filtered for cancelled
+    requests), deadlines (``evict_request`` on queued run subgraphs) and a
+    device loss (repin), all at once, on two GPUs."""
+
+    def run_one(model_cls):
+        plan = FaultPlan(
+            seed=seed,
+            kernel_failure_rate=0.05,
+            straggler_rate=0.1,
+            straggler_multiplier=8.0,
+            device_failures=[DeviceFailure(8e-3, 0)],
+        )
+        sla = SLAConfig(default_deadline=15e-3, retry=RetryPolicy(max_retries=2))
+        server = build_server(
+            fault_plan=plan,
+            sla=sla,
+            num_gpus=2,
+            max_batch=16,
+            model=model_cls(project_output=project_output),
+        )
+        return server, run_chaos(server, arrival_seed=seed)
+
+    run_server, _ = both(run_one)
+    counters = run_server.fault_counters()
+    assert counters.retries_attempted > 0 and counters.device_failures == 1
+    assert run_server.timed_out and run_server.finished
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fingerprint_under_memory_evict_and_restart(seed):
+    """A tight device budget makes the projection step (a second subgraph
+    of a request already holding state) evict less-advanced chains, which
+    ``restart_request`` re-unfolds from scratch."""
+
+    def run_one(model_cls):
+        config = BatchingConfig.with_max_batch(8)
+        server = BatchMakerServer(
+            model_cls(project_output=True),
+            config=config,
+            num_gpus=1,
+            memory=MemorySpec(capacity=6 * 1024, state_bytes=1024),
+            sla=SLAConfig(retry=RetryPolicy(max_retries=50)),
+            policies=bundle_from_names(config, formation="memory_aware"),
+        )
+        return server, run_chaos(server, rate=4000.0, num_requests=120, arrival_seed=seed)
+
+    run_server, ref_server = both(run_one)
+    evictions = run_server.manager.policies.formation.evictions
+    assert evictions == ref_server.manager.policies.formation.evictions > 0
+    assert run_server.finished
+
+
+# -- (c) real compute -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("project_output", [False, True])
+@pytest.mark.parametrize("placement", [None, "unpinned"])
+def test_real_compute_matches_reference_forward(project_output, placement):
+    rng = np.random.default_rng(3)
+    payloads = [
+        [int(t) for t in rng.integers(0, 50, size=rng.integers(1, 15))]
+        for _ in range(12)
+    ]
+    model = LSTMChainModel(
+        hidden_dim=16, vocab_size=50, embed_dim=8, real=True,
+        project_output=project_output, seed=5,
+    )
+    config = BatchingConfig.with_max_batch(4)
+    server = BatchMakerServer(
+        model,
+        config=config,
+        num_gpus=2,
+        real_compute=True,
+        policies=bundle_from_names(config, placement=placement),
+    )
+    requests = [
+        server.submit(p, arrival_time=i * 1e-4) for i, p in enumerate(payloads)
+    ]
+    server.drain()
+    for request, payload in zip(requests, payloads):
+        np.testing.assert_array_equal(
+            np.asarray(request.result[0]),
+            np.asarray(model.reference_forward(payload)[0]),
+        )
+
+
+# -- (d) nothing is built per cell ------------------------------------------------
+
+
+def test_simulated_chain_builds_no_nodes(monkeypatch):
+    """Unfold + partition of a simulated length-300 chain constructs no
+    node and no input reference (step 0's zero state is the model's, shared
+    by every request); sliding back to per-cell objects fails here, in
+    tier-1, not only in the benchmark ledger."""
+    model = LSTMChainModel()  # before counting: it owns the zero state
+    built = {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+
+    def counting(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (
+        cell_graph.CellNode,
+        cell_graph.RunNode,
+        cell_graph.NodeOutput,
+        cell_graph.ValueInput,
+    ):
+        counting(cls)
+
+    graph, request = unfolded(model, 300)
+    (sg,) = partition_into_subgraphs(graph, request)
+    assert built == {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+    assert len(graph._nodes) == len(graph._successors) == 0
+    assert len(sg.node_ids) == 300 and sg.ready_count() == 1
+
+    # Scheduling builds each node once, with nothing but its flags.
+    (nid,) = sg.take_ready(8)
+    node = graph.node(nid)
+    assert graph.node(nid) is node
+    assert built == {"CellNode": 0, "RunNode": 1, "NodeOutput": 0, "ValueInput": 0}
+
+
+def test_per_request_bytes_do_not_grow_with_length():
+    """The same guard in bytes: beyond the payload-sized token list, a
+    simulated chain costs the same whether it has 30 steps or 3000."""
+    import tracemalloc
+
+    model = LSTMChainModel()
+
+    def request_bytes(length):
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        graph, request = unfolded(model, length)
+        subgraphs = partition_into_subgraphs(graph, request)
+        after = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert len(subgraphs) == 1
+        return after - before
+
+    short, long = request_bytes(30), request_bytes(3000)
+    token_list = 8 * (3000 - 30)  # _normalize_tokens: one pointer per step
+    assert long - short <= token_list + 256, (short, long)
+    assert short < 4096, short

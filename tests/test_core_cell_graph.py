@@ -93,6 +93,150 @@ class TestGraphConstruction:
             graph.collect_results()
 
 
+def add_chain_run(graph, lstm_type, steps, **overrides):
+    spec = dict(
+        carried={"h": "h", "c": "c"},
+        initial={"h": ValueInput(None), "c": ValueInput(None)},
+        per_step={"ids": list(range(steps))},
+    )
+    spec.update(overrides)
+    return graph.add_run(lstm_type, steps, **spec)
+
+
+class TestRuns:
+    """``add_run``: one record for a chain, validated once, nodes built on
+    demand (the graph-view equality with explicit nodes is held by
+    tests/test_chain_runs.py)."""
+
+    def test_run_reserves_dense_ids_without_building_nodes(self, lstm_type):
+        graph = CellGraph()
+        first = graph.add_node(lstm_type, {
+            "ids": ValueInput(0), "h": ValueInput(None), "c": ValueInput(None),
+        })
+        run = add_chain_run(graph, lstm_type, 5)
+        after = graph.add_node(lstm_type, {
+            "ids": ValueInput(0), "h": ValueInput(None), "c": ValueInput(None),
+        })
+        assert (first.node_id, run.first_id, run.last_id, after.node_id) == (0, 1, 5, 6)
+        assert run.steps == 5 and len(graph) == 7
+        assert list(graph._nodes) == [0, 6], "run nodes are not built yet"
+        assert graph.cell_type_census() == {"lstm": 7}
+        assert [n.node_id for n in graph.explicit_nodes()] == [0, 6]
+        assert 5 in graph and 7 not in graph and "x" not in graph
+        assert list(graph._nodes) == [0, 6], "census/len/in build nothing"
+        assert [n.node_id for n in graph.nodes()] == list(range(7))
+
+    def test_node_is_built_once_and_keeps_state(self, lstm_type):
+        graph = CellGraph()
+        add_chain_run(graph, lstm_type, 3)
+        node = graph.node(1)
+        node.completed = True
+        assert graph.node(1) is node and graph.node(1).completed
+        assert node.predecessors() == [0]
+        assert list(graph.successors(1)) == [2]
+        assert list(graph.successors(2)) == []
+        with pytest.raises(KeyError):
+            graph.node(3)
+        with pytest.raises(AttributeError):
+            node.no_such_attribute
+
+    # -- validation through ids that have no node object yet ------------------
+
+    def test_explicit_node_may_consume_an_unbuilt_run_node(self, lstm_type):
+        proj_type = CellType("proj", ("h",), ("token",))
+        graph = CellGraph()
+        run = add_chain_run(graph, lstm_type, 4)
+        proj = graph.add_node(proj_type, {"h": NodeOutput(run.last_id, "h")})
+        mid = graph.add_node(proj_type, {"h": NodeOutput(1, "h")})
+        assert list(graph._nodes) == [proj.node_id, mid.node_id]
+        assert list(graph.successors(run.last_id)) == [proj.node_id]
+        # The implicit step edge comes first, as it would with explicit nodes.
+        assert list(graph.successors(1)) == [2, mid.node_id]
+        assert proj.predecessors() == [run.last_id]
+
+    def test_reference_past_the_run_raises(self, lstm_type):
+        proj_type = CellType("proj", ("h",), ("token",))
+        graph = CellGraph()
+        run = add_chain_run(graph, lstm_type, 4)
+        with pytest.raises(ValueError, match="unknown node"):
+            graph.add_node(proj_type, {"h": NodeOutput(run.last_id + 1, "h")})
+        with pytest.raises(ValueError, match="unknown node"):
+            graph.add_node(proj_type, {"h": NodeOutput(-1, "h")})
+        assert len(graph) == 4
+
+    def test_bad_output_of_an_unbuilt_run_node_raises(self, lstm_type):
+        proj_type = CellType("proj", ("h",), ("token",))
+        graph = CellGraph()
+        run = add_chain_run(graph, lstm_type, 4)
+        with pytest.raises(ValueError, match="no output 'logits'"):
+            graph.add_node(proj_type, {"h": NodeOutput(run.last_id, "logits")})
+        assert len(graph) == 4 and not graph._nodes
+
+    def test_mark_result_takes_a_run_node_id(self, lstm_type):
+        graph = CellGraph()
+        run = add_chain_run(graph, lstm_type, 300)
+        graph.mark_result(run.last_id, "h")
+        assert graph.result_refs == [(299, "h")]
+        assert not graph._nodes, "marking the result built the chain"
+        with pytest.raises(ValueError, match="no output"):
+            graph.mark_result(run.last_id, "bogus")
+        with pytest.raises(ValueError, match="unknown node"):
+            graph.mark_result(300, "h")
+        graph.mark_result(graph.node(0), "c")  # a node object still works
+        assert graph.result_refs == [(299, "h"), (0, "c")]
+        with pytest.raises(RuntimeError, match="not been executed"):
+            graph.collect_results()
+
+    def test_run_initial_may_reference_an_earlier_run(self, lstm_type):
+        graph = CellGraph()
+        encoder = add_chain_run(graph, lstm_type, 3)
+        decoder = add_chain_run(
+            graph,
+            lstm_type,
+            2,
+            initial={
+                "h": NodeOutput(encoder.last_id, "h"),
+                "c": NodeOutput(encoder.last_id, "c"),
+            },
+        )
+        assert list(graph.successors(encoder.last_id)) == [decoder.first_id]
+        assert graph.node(decoder.first_id).predecessors() == [encoder.last_id]
+        assert not graph._successors
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"per_step": {}}, "missing inputs: \\['ids'\\]"),
+            ({"carried": {"h": "h"}, "initial": {"h": ValueInput(None)}}, "missing inputs: \\['c'\\]"),
+            ({"carried": {"h": "h", "c": "cell"}}, "no output 'cell'"),
+            ({"initial": {"h": ValueInput(None)}}, "'c' has no initial value"),
+            (
+                {"initial": {"h": ValueInput(None), "c": ValueInput(None), "ids": ValueInput(0)}},
+                "non-carried run inputs \\['ids'\\]",
+            ),
+            ({"per_step": {"ids": [0, 1]}}, "2 values for 3 steps"),
+            ({"per_step": {"ids": [0, 1, 2], "h": [0, 1, 2]}}, "both carried and per-step"),
+            (
+                {"initial": {"h": NodeOutput(9, "h"), "c": ValueInput(None)}},
+                "unknown node 9",
+            ),
+        ],
+    )
+    def test_run_is_validated_once_up_front(self, lstm_type, overrides, match):
+        graph = CellGraph()
+        with pytest.raises(ValueError, match=match):
+            add_chain_run(graph, lstm_type, 3, **overrides)
+        assert len(graph) == 0 and not graph.runs()
+
+    def test_run_rejects_zero_steps_and_raw_initial_values(self, lstm_type):
+        graph = CellGraph()
+        with pytest.raises(ValueError, match="at least one step"):
+            add_chain_run(graph, lstm_type, 0, per_step={"ids": []})
+        with pytest.raises(TypeError):
+            add_chain_run(graph, lstm_type, 2, per_step={"ids": [0, 1]},
+                          initial={"h": 0.0, "c": ValueInput(None)})
+
+
 class TestPartitioning:
     def _partition(self, model, payload):
         graph = CellGraph()

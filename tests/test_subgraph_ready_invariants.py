@@ -9,16 +9,23 @@ for every cell-type queue:
    ``ready_count()`` over the queued subgraphs, and
 2. the indexed (heap-based) ``FormBatchedTask`` plans exactly what the
    brute-force FIFO scan plans, for every worker, without mutating state.
+
+LSTM chains are run-backed subgraphs (``RunSubgraph``: readiness is a
+cursor, not per-node counts); the same two invariants are asserted for them
+at every step, plus the cursor's own: the ready node, when there is one, is
+the first node not yet submitted.
 """
 
 import random
 
 import pytest
 
+from repro.core.cell_graph import CellGraph
 from repro.core.config import BatchingConfig
 from repro.core.request import InferenceRequest
 from repro.core.request_processor import RequestProcessor
 from repro.core.scheduler import Scheduler
+from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 
@@ -54,6 +61,7 @@ class Harness:
         )
         self.workers = [FakeWorker(i) for i in range(num_workers)]
         self._next_request_id = 0
+        self.run_backed_checks = 0  # queued RunSubgraphs seen by assert_invariants
 
     def add_request(self, payload):
         request = InferenceRequest(self._next_request_id, payload, 0.0)
@@ -75,6 +83,12 @@ class Harness:
     def assert_invariants(self):
         total = 0
         for queue in self.scheduler._queue_list:
+            for sg in queue.subgraphs.values():
+                if isinstance(sg, RunSubgraph):
+                    self.run_backed_checks += 1
+                    assert sg.ready_count() in (0, 1)
+                    if sg.ready_count():
+                        assert sg._cursor == sg.run.stop - sg.unsubmitted
             recount = queue.recount_ready_nodes()
             assert queue.num_ready_nodes() == recount, (
                 f"{queue.cell_type.name}: counter {queue.num_ready_nodes()} "
@@ -98,6 +112,7 @@ class Harness:
 
 MODELS = [
     ("lstm_chain", LSTMChainModel, 4),
+    ("lstm_chain_proj", lambda: LSTMChainModel(project_output=True), 4),
     ("seq2seq", Seq2SeqModel, 16),
     ("tree_lstm", TreeLSTMModel, 4),
 ]
@@ -137,31 +152,69 @@ def test_ready_count_invariants_under_random_interleavings(
         assert guard < 5000, "drain did not converge"
     for queue in harness.scheduler._queue_list:
         assert queue.num_ready_nodes() == 0
+    if isinstance(model, LSTMChainModel):
+        assert harness.run_backed_checks > 100, "chains were not run-backed"
+    else:
+        assert harness.run_backed_checks == 0
+
+
+def _chain_scheduler():
+    model = LSTMChainModel()
+    scheduler = Scheduler(
+        BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
+    )
+    for cell_type in model.cell_types():
+        scheduler.register_cell_type(cell_type)
+    return model, scheduler, scheduler.queue_for("lstm")
+
+
+def _queue_chain(model, scheduler, request_id, length):
+    """Unfold, partition and enqueue one chain; returns (request, subgraph)."""
+    graph = CellGraph()
+    model.unfold(graph, length)
+    request = InferenceRequest(request_id, length, 0.0)
+    request.graph = graph
+    (sg,) = partition_into_subgraphs(graph, request, start_id=request_id)
+    assert isinstance(sg, RunSubgraph)
+    request.subgraphs = {sg.subgraph_id: sg}
+    scheduler.add_subgraph(sg)
+    return request, sg
 
 
 def test_take_ready_notifies_owner_exactly_once():
     """Unit check on the delta protocol: direct take/mark cycles on a chain
     subgraph keep its queue's counter exact."""
-    from repro.core.cell_graph import CellGraph
-    from repro.core.subgraph import partition_into_subgraphs
-
-    model = LSTMChainModel()
-    config = BatchingConfig.with_max_batch(4)
-    scheduler = Scheduler(config, submit=lambda task, worker: None)
-    for cell_type in model.cell_types():
-        scheduler.register_cell_type(cell_type)
-
-    graph = CellGraph()
-    model.unfold(graph, 6)
-    request = InferenceRequest(0, 6, 0.0)
-    request.graph = graph
-    (sg,) = partition_into_subgraphs(graph, request, start_id=0)
-    request.subgraphs = {sg.subgraph_id: sg}
-    scheduler.add_subgraph(sg)
-    queue = scheduler.queue_for(sg.cell_type_name)
+    model, scheduler, queue = _chain_scheduler()
+    _, sg = _queue_chain(model, scheduler, 0, 6)
 
     assert queue.num_ready_nodes() == 1
     taken = sg.take_ready(1)
     assert queue.num_ready_nodes() == 0
     sg.mark_submitted(taken)  # optimistic: successor becomes ready
     assert queue.num_ready_nodes() == 1 == queue.recount_ready_nodes()
+
+
+def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
+    """The same delta protocol on the completion-ordered path (the cursor
+    advances in ``mark_completed_internal``), down to the last node, and
+    when a queued run subgraph is evicted with its ready node untaken."""
+    model, scheduler, queue = _chain_scheduler()
+
+    _, sg = _queue_chain(model, scheduler, 0, 3)
+    sg.optimistic = False
+    for nid in range(3):
+        assert queue.num_ready_nodes() == 1 == queue.recount_ready_nodes()
+        assert sg.take_ready(4) == [nid]
+        sg.mark_submitted([nid])
+        assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+        sg.mark_completed_internal([nid])
+    assert sg.exhausted() and sg.ready_count() == 0
+    assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+    queue.remove(sg)
+
+    request, sg = _queue_chain(model, scheduler, 1, 5)
+    sg.mark_submitted(sg.take_ready(1))
+    assert queue.num_ready_nodes() == 1
+    assert scheduler.evict_request(request) == 1
+    assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+    assert sg.owner is None
