@@ -2,18 +2,18 @@
 """Engine benchmark entry point (repo root aware).
 
 Times scheduler decisions/sec (fast path vs the retained brute-force
-reference) at fixed queue depths, cluster routing decisions/sec per policy
-(indexed fast path vs brute-force scan), the million-request sustained
-routing sweep, and the quick Fig-7 sweep wall-clock (serial vs ``--jobs``),
-then writes ``BENCH_engine.json`` at the repo root.
+reference) at fixed queue depths, the policy / SLO / memory / energy /
+trace / serve micro sections, and the quick Fig-7 sweep wall-clock (serial
+vs ``--jobs``), then writes ``BENCH_engine.json`` at the repo root.
+Cluster routing is measured in context by ``benchmarks/e2e``
+(``cluster_short``), not here.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py            # full run
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
         --check BENCH_engine.json                               # CI gate
-    PYTHONPATH=src python benchmarks/bench_engine.py --only sustained \
-        --sustained-requests 100000 --check BENCH_engine.json   # perf smoke
+    PYTHONPATH=src python benchmarks/bench_engine.py --only slo # one section
     PYTHONPATH=src python benchmarks/bench_engine.py --profile  # cProfile
 
 Equivalent to ``python -m repro.bench`` except the default output path is

@@ -8,21 +8,16 @@ for the repo-root entry point.
 """
 
 from repro.bench.engine import (
-    bench_cluster_routing,
     bench_fig7_quick,
     bench_scheduler,
     check_regression,
     main,
     run_engine_bench,
 )
-from repro.bench.sustained import bench_sustained, bench_sustained_policy
 
 __all__ = [
-    "bench_cluster_routing",
     "bench_fig7_quick",
     "bench_scheduler",
-    "bench_sustained",
-    "bench_sustained_policy",
     "check_regression",
     "main",
     "run_engine_bench",

@@ -10,16 +10,6 @@ Measurements:
   ``FormBatchedTask`` scan walks past them on every decision and the
   tier-selection recounts every subgraph's ready nodes.
 
-* **Cluster routing decisions/sec** per policy, indexed fast path (the
-  event-driven :class:`~repro.cluster.load_index.LoadIndex`) vs the
-  retained brute-force scan (``fast_path=False``), identical decision
-  counts for every policy and both paths, with an inline decision-sequence
-  equality check.
-
-* **Sustained throughput** (:mod:`repro.bench.sustained`): 10^6 requests
-  through an 8-replica pool per routing policy with steady completion
-  churn — end-to-end requests/sec plus p50/p99 decision latency.
-
 * **Memory accounting** (:mod:`repro.gpu.memory` +
   :class:`~repro.policies.memory.MemoryAwareFormation`): raw
   reserve/release pairs/sec on one :class:`MemoryModel`, and the
@@ -43,11 +33,15 @@ Measurements:
   identical-summaries cross-check (the parallel runner must change nothing
   but the wall-clock).
 
+Cluster routing has no section here: ``benchmarks/e2e``'s ``cluster_short``
+workload measures it in context (DESIGN.md §13).
+
 Results are written to ``BENCH_engine.json`` (repo root) so future PRs can
-compare; ``--check`` fails when decisions/sec (or sustained requests/sec)
-regress by more than 2x against a committed baseline file.  ``--profile``
-prints the cProfile top-20 cumulative entries so hot-path hunts don't
-start blind; ``--only`` restricts the run to named sections.
+compare; ``--check`` fails when a section's rate regresses by more than 2x
+against a committed baseline file (sections absent from either side are
+skipped).  ``--profile`` prints the cProfile top-20 cumulative entries so
+hot-path hunts don't start blind; ``--only`` restricts the run to named
+sections.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-BENCH_SCHEMA = 9
+BENCH_SCHEMA = 10
 DEFAULT_DEPTHS = (250, 1000, 4000)
 SMOKE_DEPTHS = (250, 1000)
 # Policy bundles timed by bench_policy_overhead: decision rate of the
@@ -75,9 +69,6 @@ POLICY_VARIANTS = (
 BENCH_WORKERS = 8
 CHAIN_LENGTH = 32
 REGRESSION_FACTOR = 2.0
-# Replica-pool size for the cluster routing bench (the front end's cost
-# per decision grows with the candidate list, so use a biggish pool).
-CLUSTER_BENCH_REPLICAS = 8
 
 
 class _BenchWorker:
@@ -497,134 +488,6 @@ def bench_energy(
     return results
 
 
-def _build_bench_replicas(num_replicas: int, indexed: bool):
-    """Engine-free replicas with a scattered load profile (so the
-    load-aware policies do real min-by-key work and hit the seeded
-    tie-break).  ``indexed`` additionally registers them with a
-    :class:`LoadIndex`, returned alongside."""
-    from repro.cluster.load_index import LoadIndex
-    from repro.cluster.replica import Replica
-    from repro.server import InferenceServer
-    from repro.sim.events import EventLoop
-
-    index = LoadIndex() if indexed else None
-    replicas = []
-    for rid in range(num_replicas):
-        replica = Replica(rid, InferenceServer(EventLoop(), f"bench#{rid}"))
-        # Scattered outstanding counts with deliberate ties.
-        replica.routed = (rid * 7) % 5
-        replica.ewma_latency = 1e-3 * (1 + rid % 3)
-        if index is not None:
-            index.register(replica)
-        replicas.append(replica)
-    return replicas, index
-
-
-def _time_routing(name: str, num_replicas: int, decisions: int, fast: bool):
-    """Exactly ``decisions`` choices through one router; no time cap, so
-    every policy and both paths report over identical decision counts (a
-    prior revision capped on wall-clock mid-run, which made the per-policy
-    decision totals — and thus the JSON — incomparable)."""
-    from repro.cluster.routing import make_router
-    from repro.core.request import InferenceRequest
-
-    lengths = (4, 12, 19, 27, 45, 70, 121, 8)
-    requests = [
-        InferenceRequest(i, lengths[i % len(lengths)], 0.0) for i in range(4096)
-    ]
-    replicas, index = _build_bench_replicas(num_replicas, indexed=fast)
-    router = make_router(name, seed=7, fast_path=fast)
-    if index is not None:
-        router.attach_index(index)
-        candidates = index.routable()
-    else:
-        candidates = replicas
-    n = len(requests)
-    choose = router.choose
-    # Best of 2 passes: routing is stateless w.r.t. these static loads, so
-    # the second pass re-measures the same work and the min damps scheduler
-    # noise out of the speedup ratio.
-    elapsed = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        for i in range(decisions):
-            choose(requests[i % n], candidates)
-        elapsed = min(elapsed, time.perf_counter() - start)
-    rate = decisions / elapsed if elapsed > 0 else 0.0
-    return {
-        "decisions": decisions,
-        "seconds": elapsed,
-        "decisions_per_sec": rate,
-        "us_per_decision": 1e6 / rate if rate > 0 else None,
-    }
-
-
-def _routing_decisions_identical(
-    name: str, num_replicas: int, decisions: int = 4096
-) -> bool:
-    """Fresh routers, fast vs brute, same request stream: the chosen
-    replica ids must match decision for decision."""
-    from repro.cluster.routing import make_router
-    from repro.core.request import InferenceRequest
-
-    lengths = (4, 12, 19, 27, 45, 70, 121, 8)
-    requests = [
-        InferenceRequest(i, lengths[i % len(lengths)], 0.0)
-        for i in range(decisions)
-    ]
-    chosen = []
-    for fast in (True, False):
-        replicas, index = _build_bench_replicas(num_replicas, indexed=fast)
-        router = make_router(name, seed=7, fast_path=fast)
-        if index is not None:
-            router.attach_index(index)
-            candidates = index.routable()
-        else:
-            candidates = replicas
-        chosen.append(
-            [router.choose(request, candidates).replica_id for request in requests]
-        )
-    return chosen[0] == chosen[1]
-
-
-def bench_cluster_routing(
-    num_replicas: int = CLUSTER_BENCH_REPLICAS,
-    max_decisions: int = 200_000,
-) -> Dict[str, Dict]:
-    """Front-end routing decisions/sec, per policy, indexed fast path vs
-    brute-force scan.
-
-    Each policy runs exactly ``max_decisions`` decisions on both paths
-    over the same mixed-length request stream, then a separate pass
-    cross-checks that the two paths choose identical replica sequences.
-    This isolates the router's per-decision cost from replica simulation
-    time; :mod:`repro.bench.sustained` covers the churn regime where the
-    index absorbs load deltas between decisions.
-    """
-    from repro.cluster.routing import ROUTERS
-
-    results: Dict[str, Dict] = {}
-    for name in sorted(ROUTERS):
-        fast = _time_routing(name, num_replicas, max_decisions, fast=True)
-        brute = _time_routing(name, num_replicas, max_decisions, fast=False)
-        speedup = (
-            fast["decisions_per_sec"] / brute["decisions_per_sec"]
-            if brute["decisions_per_sec"]
-            else float("inf")
-        )
-        results[name] = {
-            "num_replicas": num_replicas,
-            "decisions": max_decisions,
-            "fast": fast,
-            "brute_force": brute,
-            "speedup": speedup,
-            "identical_decisions": _routing_decisions_identical(
-                name, num_replicas
-            ),
-        }
-    return results
-
-
 def bench_trace(
     record_events: int = 200_000, num_requests: int = 800, rate: float = 5000.0
 ) -> Dict:
@@ -731,19 +594,15 @@ def _summaries_identical(a: Dict[str, List], b: Dict[str, List]) -> bool:
     )
 
 
-# Section names accepted by --only (fig7 only runs in full mode; sustained
-# is skipped in smoke mode unless asked for explicitly, so the CI engine
-# smoke job stays fast while the dedicated perf job runs it gated).
+# Section names accepted by --only (fig7 only runs in full mode).
 BENCH_SECTIONS = (
     "scheduler",
     "policies",
     "slo",
     "memory",
     "energy",
-    "cluster",
     "trace",
     "serve",
-    "sustained",
     "fig7",
 )
 
@@ -752,10 +611,7 @@ def run_engine_bench(
     smoke: bool = False,
     jobs: int = 2,
     only: Optional[List[str]] = None,
-    sustained_requests: Optional[int] = None,
 ) -> Dict:
-    from repro.bench.sustained import SUSTAINED_REQUESTS, bench_sustained
-
     depths = SMOKE_DEPTHS if smoke else DEFAULT_DEPTHS
     max_decisions = 500 if smoke else 2000
 
@@ -795,10 +651,6 @@ def run_engine_bench(
             decisions=50_000 if smoke else 200_000,
             num_requests=300 if smoke else 800,
         )
-    if wanted("cluster"):
-        bench["cluster"] = bench_cluster_routing(
-            max_decisions=50_000 if smoke else 200_000,
-        )
     if wanted("trace"):
         bench["trace"] = bench_trace(
             record_events=50_000 if smoke else 200_000,
@@ -810,12 +662,6 @@ def run_engine_bench(
         bench["serve"] = bench_serve(
             submit_requests=500 if smoke else 2000,
             http_requests=300 if smoke else 1000,
-        )
-    # The sustained sweep is the expensive section (~30s at 10^6 x 4
-    # policies); smoke mode skips it unless named via --only.
-    if (only is not None and "sustained" in only) or (only is None and not smoke):
-        bench["sustained"] = bench_sustained(
-            num_requests=sustained_requests or SUSTAINED_REQUESTS
         )
     if wanted("fig7") and not smoke:
         bench["fig7_quick"] = bench_fig7_quick(jobs=jobs)
@@ -839,24 +685,6 @@ def check_regression(current: Dict, baseline_path: str) -> List[str]:
             failures.append(
                 f"{name}: fast path {cur_rate:,.0f} decisions/s is more than "
                 f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    for name, entry in baseline.get("cluster", {}).items():
-        if name not in current.get("cluster", {}):
-            continue
-        # Schema 5 nests per-path timings; schema <= 4 baselines put the
-        # (brute-force) rate at the top level.
-        base_rate = entry.get("fast", entry)["decisions_per_sec"]
-        cur_entry = current["cluster"][name]
-        cur_rate = cur_entry.get("fast", cur_entry)["decisions_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"cluster routing {name}: {cur_rate:,.0f} decisions/s is more "
-                f"than {REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-        if cur_entry.get("identical_decisions") is False:
-            failures.append(
-                f"cluster routing {name}: indexed fast path diverged from "
-                "the brute-force decision sequence"
             )
     for name, entry in baseline.get("slo", {}).items():
         if name not in current.get("slo", {}):
@@ -908,16 +736,6 @@ def check_regression(current: Dict, baseline_path: str) -> List[str]:
         if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
             failures.append(
                 f"governor {name}: {cur_rate:,.0f} decisions/s is more than "
-                f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    for name, entry in baseline.get("sustained", {}).items():
-        if name not in current.get("sustained", {}):
-            continue
-        base_rate = entry["requests_per_sec"]
-        cur_rate = current["sustained"][name]["requests_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"sustained {name}: {cur_rate:,.0f} requests/s is more than "
                 f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
             )
     base_serve = baseline.get("serve", {})
@@ -1013,27 +831,6 @@ def _print_report(bench: Dict) -> None:
                 f"energy serving: {serving['overhead_pct']:+.1f}% vs "
                 f"energy-blind run ({serving['run_requests']} requests)"
             )
-    cluster = bench.get("cluster", {})
-    if cluster:
-        replicas = next(iter(cluster.values()))["num_replicas"]
-        for name, entry in cluster.items():
-            identical = "identical" if entry["identical_decisions"] else "DIVERGED"
-            print(
-                f"cluster {name} @{replicas} replicas: "
-                f"fast {entry['fast']['us_per_decision']:.2f} us/dec, "
-                f"brute {entry['brute_force']['us_per_decision']:.2f} us/dec, "
-                f"speedup {entry['speedup']:.1f}x, decisions {identical}"
-            )
-    sustained = bench.get("sustained", {})
-    if sustained:
-        for name, entry in sustained.items():
-            print(
-                f"sustained {name} @{entry['num_replicas']} replicas: "
-                f"{entry['requests_per_sec']:,.0f} req/s over "
-                f"{entry['requests']:,} requests, decision p50 "
-                f"{entry['decision_p50_us']:.2f} us / p99 "
-                f"{entry['decision_p99_us']:.2f} us"
-            )
     trace = bench.get("trace")
     if trace:
         print(
@@ -1098,13 +895,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(from: {', '.join(BENCH_SECTIONS)})",
     )
     parser.add_argument(
-        "--sustained-requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="request count for the sustained sweep (default: 1,000,000)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the top-20 cumulative entries",
@@ -1124,12 +914,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     def run() -> Dict:
-        return run_engine_bench(
-            smoke=args.smoke,
-            jobs=args.jobs,
-            only=only,
-            sustained_requests=args.sustained_requests,
-        )
+        return run_engine_bench(smoke=args.smoke, jobs=args.jobs, only=only)
 
     if args.profile:
         import cProfile

@@ -20,7 +20,6 @@ Entry points:
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.cluster import ClusterServer, build_cluster
 from repro.cluster.faults import ReplicaFailure, normalize_failures
-from repro.cluster.load_index import LoadIndex
 from repro.cluster.metrics import ClusterCounters, ClusterStats, aggregate_fault_counters
 from repro.cluster.replica import ALIVE, DEAD, DRAINING, RETIRED, WARMING, Replica
 from repro.cluster.routing import (
@@ -52,7 +51,6 @@ __all__ = [
     "ClusterStats",
     "LeastOutstandingRouter",
     "LengthBucketedRouter",
-    "LoadIndex",
     "MostFreeMemoryRouter",
     "PredictedDelayRouter",
     "ROUTERS",

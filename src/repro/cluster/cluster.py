@@ -32,7 +32,6 @@ from typing import Any, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.faults import normalize_failures
-from repro.cluster.load_index import LoadIndex
 from repro.cluster.metrics import ClusterCounters, ClusterStats, aggregate_fault_counters
 from repro.cluster.replica import ALIVE, DEAD, DRAINING, RETIRED, WARMING, Replica
 from repro.cluster.routing import make_router
@@ -111,11 +110,6 @@ class ClusterServer(InferenceServer):
             self._class_plan = []
             for rank, cls in enumerate(spec.device_classes):
                 self._class_plan.extend([rank] * int(cls["replicas"]))
-        # Event-driven per-replica load index (DESIGN.md §13): replicas push
-        # deltas, load-aware routers pop the tied minimum instead of
-        # scanning.  ``fast_path=False`` on the router keeps the scan.
-        self.load_index = LoadIndex(now=self.loop.now)
-        self.router.attach_index(self.load_index)
         self.cluster_counters = ClusterCounters()
         # Deterministic (time, action, replica_id) log of scaling/fault
         # lifecycle transitions; fixed-seed runs replay it exactly.
@@ -231,13 +225,12 @@ class ClusterServer(InferenceServer):
             replica.class_rank = class_rank
             replica.latency_scale = float(cls.get("latency_scale", 1.0))
         # Per-replica predictor behind the predicted_delay routing metric —
-        # per replica (not the cluster's) so one completion dirties one
-        # index key.  Left None otherwise: the metric then falls back to
+        # per replica (not the cluster's) so one completion moves one
+        # replica's key.  Left None otherwise: the metric then falls back to
         # projected_delay and the replica's event stream is unchanged.
-        if self.router.metric == "predicted_delay" or self.sla is not None:
+        if self.router.name == "predicted_delay" or self.sla is not None:
             replica.predictor = LatencyPredictor()
         self.replicas.append(replica)
-        self.load_index.register(replica)
         if self.trace_recorder is not None:
             server.attach_trace(self.trace_recorder, replica_id=replica_id)
         return replica
@@ -357,12 +350,9 @@ class ClusterServer(InferenceServer):
 
     def _candidates(self) -> List[Replica]:
         """Routable replicas in replica-id order (creation order — never a
-        dict/set walk).  The common case returns the load index's cached
-        ALIVE pool — the exact list object the router's fast path identity-
-        checks against.  With no ALIVE replica, DRAINING ones still serve
-        rather than dropping traffic below the autoscaler's floor (a
-        different list, so the router falls back to the scan)."""
-        alive = self.load_index.routable()
+        dict/set walk).  With no ALIVE replica, DRAINING ones still serve
+        rather than dropping traffic below the autoscaler's floor."""
+        alive = [r for r in self.replicas if r.state == ALIVE]
         if alive:
             return alive
         return [r for r in self.replicas if r.state == DRAINING]
@@ -627,14 +617,18 @@ class ClusterServer(InferenceServer):
         )
 
     def mean_batch_size(self) -> float:
-        sizes = [
-            replica.server.mean_batch_size()
-            for replica in self.replicas
-            if hasattr(replica.server, "mean_batch_size") and replica.routed
-        ]
-        if not sizes:
-            return 0.0
-        return sum(sizes) / len(sizes)
+        """Fleet cells over fleet tasks, so a task weighs the same whichever
+        replica ran it.  Replicas whose engine keeps no batch-size histogram
+        (the baselines) are skipped."""
+        cells = tasks = 0
+        for replica in self.replicas:
+            manager = getattr(replica.server, "manager", None)
+            if manager is None:
+                continue
+            for batch, count in manager.scheduler.batch_size_counts.items():
+                cells += batch * count
+                tasks += count
+        return cells / tasks if tasks else 0.0
 
     def __repr__(self) -> str:
         states = ", ".join(

@@ -155,14 +155,4 @@ class ClusterStats:
         engine = self.cluster.fault_counters()
         if engine.any_faults():
             lines.append(f"engine faults (aggregated): {engine!r}")
-        index = getattr(self.cluster, "load_index", None)
-        if index is not None and index.stats.queries:
-            stats = index.stats
-            hit_pct = 100.0 * stats.cached_queries / stats.queries
-            lines.append(
-                f"load index: {stats.queries} queries "
-                f"({hit_pct:.0f}% cached), {stats.repairs} repairs, "
-                f"{stats.stale_pops} stale pops, "
-                f"{stats.compactions} compactions"
-            )
         return "\n".join(lines)

@@ -47,9 +47,6 @@ class Replica:
     ):
         self.replica_id = replica_id
         self.server = server
-        # Routing index subscription (repro.cluster.load_index); must exist
-        # before the first ``state`` assignment — the setter notifies it.
-        self._index = None
         self.state = state
         self.created_at = created_at
         self.activated_at: Optional[float] = created_at if state == ALIVE else None
@@ -69,7 +66,7 @@ class Replica:
         self.ewma_latency = 0.0
         # Optional per-replica LatencyPredictor behind the predicted_delay
         # routing metric; per-replica (not cluster-shared) so a completion
-        # dirties one replica's index key, not all of them.  The previous
+        # moves one replica's key, not all of them.  The previous
         # completion instant turns finish times into inter-completion gaps.
         self.predictor = None
         self._last_finish: Optional[float] = None
@@ -83,34 +80,6 @@ class Replica:
         self.latency_scale = 1.0
 
     # -- routing interface ----------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    @state.setter
-    def state(self, value: str) -> None:
-        """Lifecycle transitions flow through here so the routing index
-        sees every entry to / exit from the routable pool (DESIGN.md §13)."""
-        self._state = value
-        if self._index is not None:
-            self._index.on_state(self)
-
-    def attach_index(self, index) -> None:
-        """Subscribe ``index`` to this replica's load deltas.
-
-        Two delta sources feed it: the server's ``load_listener`` fires on
-        every terminal-list append (the outstanding-count events), and — for
-        BatchMaker engines — the manager's ``on_load_changed`` fires on every
-        event that moves the projected queueing delay (batch kicked, task
-        completed/failed/retried, device lost).  ``route``/``observe_latency``
-        push their deltas directly.  Idempotent; one index per replica.
-        """
-        self._index = index
-        self.server.load_listener = lambda: index.touch(self)
-        manager = getattr(self.server, "manager", None)
-        if manager is not None:
-            manager.on_load_changed = lambda: index.touch_projected(self)
 
     @property
     def routable(self) -> bool:
@@ -170,9 +139,7 @@ class Replica:
         without an energy model (no ``EnergySpec`` — every replica ties at
         0.0 and the ``cheapest_energy`` metric is inert, exactly like the
         free-memory metric without a MemorySpec); infinite for an
-        energy-modelled engine with no alive device.  Event-driven: both
-        factors move only on task completion or a batch-boundary DVFS
-        change, and both paths fire ``on_load_changed``."""
+        energy-modelled engine with no alive device."""
         manager = getattr(self.server, "manager", None)
         if manager is None or getattr(manager, "energy_spec", None) is None:
             return 0.0
@@ -213,8 +180,6 @@ class Replica:
                 if self._last_finish is not None:
                     self.predictor.observe_gap(finish_time - self._last_finish)
                 self._last_finish = finish_time
-        if self._index is not None:  # the EWMA feeds the projected-delay key
-            self._index.touch_projected(self)
 
     # -- shadow lifecycle ------------------------------------------------------
 
@@ -226,8 +191,6 @@ class Replica:
         self.shadow_of[shadow.request_id] = logical
         self.routed += 1
         self.server._accept(shadow)
-        if self._index is not None:  # routed moved both load metrics
-            self._index.touch(self)
         return shadow
 
     def orphan_logicals(self):

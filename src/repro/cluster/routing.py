@@ -11,7 +11,8 @@ routing decision sequence bit for bit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+import inspect
+from typing import Any, Callable, Dict, List, Sequence, Type
 
 from repro.cluster.replica import Replica
 from repro.core.request import InferenceRequest
@@ -57,50 +58,16 @@ class RoutingPolicy:
     cursor), but that state must evolve only through ``choose`` calls so
     a fixed workload replays to the same decisions.
 
-    Load-aware policies (``metric`` set) can route off an attached
-    :class:`~repro.cluster.load_index.LoadIndex` instead of re-deriving
-    every candidate's load per decision: when ``fast_path`` is on and the
-    candidate list is exactly the index's routable pool, the tied minimum
-    is popped from the index's lazy heap.  The index computes keys with the
-    same functions the scan calls and enumerates *all* minimisers in the
-    same candidate order, so the decision sequence — tie-breaks included —
-    is bit-identical either way (``fast_path=False`` keeps the scan).
+    A load-aware policy is one key function over :meth:`_best`: every
+    decision reads each candidate's load afresh (DESIGN.md §13 has the
+    measurements behind "routing is a scan").
     """
 
     name = "?"
-    # Load-index metric this policy minimises; None = not load-aware.
-    metric: Optional[str] = None
 
-    def __init__(self, seed: int = 0, fast_path: bool = True):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.fast_path = fast_path
         self.decisions = 0
-        self._index = None
-        self._mindex = None
-        self._stats = None
-        # mix64's whole seed-dependent prefix — pre-mix times the LCG
-        # multiplier plus the increment — hoisted out of the per-decision
-        # path (the 128-bit multiply is the expensive op).  The inlined
-        # tie-break below must stay bit-identical to
-        # ``tie_break(seed, request_id, tied)``
-        # (tests/test_cluster_load_index.py guards the equivalence).
-        self._tie_premix = (
-            ((seed & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15)
-            * 6364136223846793005
-            + 1442695040888963407
-        )
-
-    def attach_index(self, index) -> None:
-        """Route off ``index`` when it covers the candidate list."""
-        self._index = index
-        # None unless this policy is load-aware AND the fast path is on —
-        # a single gate attribute for the inlined hot path.
-        self._mindex = (
-            index.metric_index(self.metric)
-            if (self.metric is not None and self.fast_path)
-            else None
-        )
-        self._stats = index.stats
 
     def choose(
         self, request: InferenceRequest, candidates: List[Replica]
@@ -119,30 +86,13 @@ class RoutingPolicy:
         candidates: List[Replica],
         key: Callable[[Replica], float],
     ) -> Replica:
-        """Min-by-key with the seeded tie-break over all minimisers."""
-        index = self._index
-        if (
-            self.fast_path
-            and index is not None
-            and self.metric is not None
-            and index.covers(candidates)
-        ):
-            tied = index.tied_min(self.metric)
-        else:
-            tied = self._tied_scan(candidates, key)
-        return tie_break(self.seed, request.request_id, tied)
-
-    @staticmethod
-    def _tied_scan(
-        candidates: List[Replica], key: Callable[[Replica], float]
-    ) -> List[Replica]:
-        """Brute-force reference: one key evaluation per candidate, then
-        keep every minimiser (candidate order = replica-id order)."""
+        """Min-by-key with the seeded tie-break over all minimisers: one
+        key evaluation per candidate, then every minimiser in candidate
+        (= replica-id) order goes to :func:`tie_break`."""
         keys = [key(replica) for replica in candidates]
         best = min(keys)
-        return [
-            replica for replica, k in zip(candidates, keys) if k == best
-        ]
+        tied = [replica for replica, k in zip(candidates, keys) if k == best]
+        return tie_break(self.seed, request.request_id, tied)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} seed={self.seed} decisions={self.decisions}>"
@@ -165,26 +115,6 @@ class LeastOutstandingRouter(RoutingPolicy):
     front-end balancer (ties seeded)."""
 
     name = "least_outstanding"
-    metric = "outstanding"
-
-    def choose(self, request, candidates):
-        # Clean-cache hit fully inlined — covers check, tied_min's cached
-        # non-volatile branch, and the mix64 tie-break arithmetic (seed
-        # prefix hoisted into ``_tie_premix``): at ~0.2 us/decision the
-        # Python call chain IS the cost, so the common case makes no
-        # calls at all.  Anything else falls through to the layered path.
-        self.decisions += 1
-        m = self._mindex
-        if m is not None:
-            tied = m.hot
-            if tied is not None and candidates is m.hot_pool:
-                self._stats.cached_queries += 1
-                if len(tied) == 1:
-                    return tied[0]
-                x = (self._tie_premix + request.request_id) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                return tied[x % len(tied)]
-        return self._choose(request, candidates)
 
     def _choose(self, request, candidates):
         return self._best(request, candidates, lambda r: r.outstanding())
@@ -197,23 +127,6 @@ class ShortestQueueRouter(RoutingPolicy):
     few long sequences looks longer than one with many short ones."""
 
     name = "shortest_queue"
-    metric = "projected_delay"
-
-    def choose(self, request, candidates):
-        # Same inlined clean-cache hit as LeastOutstandingRouter; volatile
-        # (clock-decaying) keys always take the full tied_min path.
-        self.decisions += 1
-        m = self._mindex
-        if m is not None:
-            tied = m.hot
-            if tied is not None and candidates is m.hot_pool:
-                self._stats.cached_queries += 1
-                if len(tied) == 1:
-                    return tied[0]
-                x = (self._tie_premix + request.request_id) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                return tied[x % len(tied)]
-        return self._choose(request, candidates)
 
     def _choose(self, request, candidates):
         return self._best(request, candidates, lambda r: r.projected_delay())
@@ -227,23 +140,6 @@ class PredictedDelayRouter(RoutingPolicy):
     completion, so the first decisions match ``shortest_queue``."""
 
     name = "predicted_delay"
-    metric = "predicted_delay"
-
-    def choose(self, request, candidates):
-        # Same inlined clean-cache hit as LeastOutstandingRouter; volatile
-        # (clock-decaying) keys always take the full tied_min path.
-        self.decisions += 1
-        m = self._mindex
-        if m is not None:
-            tied = m.hot
-            if tied is not None and candidates is m.hot_pool:
-                self._stats.cached_queries += 1
-                if len(tied) == 1:
-                    return tied[0]
-                x = (self._tie_premix + request.request_id) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                return tied[x % len(tied)]
-        return self._choose(request, candidates)
 
     def _choose(self, request, candidates):
         return self._best(request, candidates, lambda r: r.predicted_delay())
@@ -259,24 +155,6 @@ class MostFreeMemoryRouter(RoutingPolicy):
     degrades this to uniform routing."""
 
     name = "most_free_memory"
-    metric = "free_memory"
-
-    def choose(self, request, candidates):
-        # Same inlined clean-cache hit as LeastOutstandingRouter; the
-        # free-memory key is event-driven (never volatile), so the cache
-        # holds between reserve/release deltas.
-        self.decisions += 1
-        m = self._mindex
-        if m is not None:
-            tied = m.hot
-            if tied is not None and candidates is m.hot_pool:
-                self._stats.cached_queries += 1
-                if len(tied) == 1:
-                    return tied[0]
-                x = (self._tie_premix + request.request_id) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                return tied[x % len(tied)]
-        return self._choose(request, candidates)
 
     def _choose(self, request, candidates):
         return self._best(request, candidates, lambda r: -r.free_memory())
@@ -293,24 +171,6 @@ class CheapestEnergyRouter(RoutingPolicy):
     routing (the free-memory inertness pattern)."""
 
     name = "cheapest_energy"
-    metric = "energy_cost"
-
-    def choose(self, request, candidates):
-        # Same inlined clean-cache hit as LeastOutstandingRouter; the
-        # energy-cost key is event-driven (never volatile) — both factors
-        # move only on task completion or a batch-boundary DVFS change.
-        self.decisions += 1
-        m = self._mindex
-        if m is not None:
-            tied = m.hot
-            if tied is not None and candidates is m.hot_pool:
-                self._stats.cached_queries += 1
-                if len(tied) == 1:
-                    return tied[0]
-                x = (self._tie_premix + request.request_id) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                return tied[x % len(tied)]
-        return self._choose(request, candidates)
 
     def _choose(self, request, candidates):
         return self._best(request, candidates, lambda r: r.energy_cost())
@@ -329,8 +189,8 @@ class LengthBucketedRouter(RoutingPolicy):
 
     name = "length_bucketed"
 
-    def __init__(self, seed: int = 0, bucket_width: int = 16, fast_path: bool = True):
-        super().__init__(seed, fast_path=fast_path)
+    def __init__(self, seed: int = 0, bucket_width: int = 16):
+        super().__init__(seed)
         if bucket_width < 1:
             raise ValueError("bucket_width must be >= 1")
         self.bucket_width = int(bucket_width)
@@ -359,8 +219,8 @@ class ClassAffinityRouter(RoutingPolicy):
 
     name = "class_affinity"
 
-    def __init__(self, seed: int = 0, bucket_width: int = 16, fast_path: bool = True):
-        super().__init__(seed, fast_path=fast_path)
+    def __init__(self, seed: int = 0, bucket_width: int = 16):
+        super().__init__(seed)
         if bucket_width < 1:
             raise ValueError("bucket_width must be >= 1")
         self.bucket_width = int(bucket_width)
@@ -386,8 +246,17 @@ ROUTERS: Dict[str, Type[RoutingPolicy]] = {
 
 
 def make_router(name: str, seed: int = 0, **params: Any) -> RoutingPolicy:
-    """Instantiate a routing policy by registered name."""
+    """Instantiate a routing policy by registered name.  ``params`` come
+    from spec JSON (``ClusterSpec.router_params``), so a key the policy's
+    constructor does not take is rejected by name here."""
     cls = ROUTERS.get(name)
     if cls is None:
         raise KeyError(f"unknown routing policy {name!r} (have: {sorted(ROUTERS)})")
+    accepted = sorted(set(inspect.signature(cls).parameters) - {"seed"})
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"routing policy {name!r} does not accept router_params "
+            f"{unknown} (accepts: {accepted if accepted else 'none'})"
+        )
     return cls(seed=seed, **params)

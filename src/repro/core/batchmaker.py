@@ -90,11 +90,11 @@ class BatchMakerServer(InferenceServer):
             cost_model=cost_model,
             num_workers=num_gpus,
             real_compute=real_compute,
-            on_request_finished=self._request_finished,
+            on_request_finished=self.finished.append,
             fault_plan=fault_plan,
             sla=sla,
-            on_request_timed_out=self._request_timed_out,
-            on_request_rejected=self._request_rejected,
+            on_request_timed_out=self.timed_out.append,
+            on_request_rejected=self.rejected.append,
             policies=policies,
             memory=memory,
             energy=energy,
@@ -110,26 +110,6 @@ class BatchMakerServer(InferenceServer):
 
     def _accept(self, request: InferenceRequest) -> None:
         self.manager.submit_request(request)
-
-    # -- terminal-list appends (fed to the manager as callbacks) -------------
-    # Kept as methods rather than bound ``list.append``s so a terminal
-    # outcome also fires ``load_listener`` — the outstanding-count delta the
-    # cluster's routing index subscribes to (DESIGN.md §13).
-
-    def _request_finished(self, request: InferenceRequest) -> None:
-        self.finished.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
-
-    def _request_timed_out(self, request: InferenceRequest) -> None:
-        self.timed_out.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
-
-    def _request_rejected(self, request: InferenceRequest) -> None:
-        self.rejected.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
 
     # -- stats used by the experiment harness --------------------------------
 

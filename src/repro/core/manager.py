@@ -96,11 +96,6 @@ class Manager:
         # Running per-node service-time estimate (EWMA) for the projected
         # queueing delay used by load shedding.
         self._node_time_estimate = 0.0
-        # Load-delta hook (repro.cluster.load_index): fired after any event
-        # that can move ``projected_queue_delay`` — admission, batch kicked,
-        # task completed/failed/retried, device lost, cancellation.  None
-        # for a standalone server (one attribute load per event).
-        self.on_load_changed = None
         # Memory budget (repro.gpu.memory); None keeps the time-only device
         # model and skips every byte-accounting branch below.  A memory-aware
         # formation policy may install itself as ``memory_admission`` from
@@ -243,16 +238,6 @@ class Manager:
             )
         self.processor.add_request(request)
         self._poke.kick()
-        self._notify_load()
-
-    def _notify_load(self) -> None:
-        """Tell the subscriber (a cluster's load index) that this engine's
-        projected queueing delay may have moved.  Every call site is an
-        *event* — the only other way the delay changes is device backlog
-        decaying with the clock, which the index handles as volatility
-        (DESIGN.md §13)."""
-        if self.on_load_changed is not None:
-            self.on_load_changed()
 
     # -- SLA: admission control ---------------------------------------------
 
@@ -302,7 +287,6 @@ class Manager:
             subgraph.request.mark_started(self.loop.now())
             subgraph.last_worker = worker.worker_id
         worker.submit(task, extra_cost=extra, fault=self._draw_fault(task))
-        self._notify_load()
 
     def _draw_fault(self, task: BatchedTask):
         if self.fault_plan is None:
@@ -463,7 +447,6 @@ class Manager:
             )
         delay = retry.backoff(request.restarts - 1)
         self.loop.call_after(delay, lambda: self._resubmit_restarted(request))
-        self._notify_load()
         return True
 
     def _resubmit_restarted(self, request: InferenceRequest) -> None:
@@ -474,7 +457,6 @@ class Manager:
             return
         self.processor.add_request(request)
         self._poke.kick()
-        self._notify_load()
 
     # -- worker -> manager ---------------------------------------------------
 
@@ -485,7 +467,6 @@ class Manager:
         self._observe_task(task)
         self.processor.handle_task_completion(task, self.loop.now())
         self._poke_idle_workers()
-        self._notify_load()
 
     def _trace_task_span(self, task: BatchedTask, cat: str, end: float) -> None:
         """One span per task execution, ending at its retire time.  The
@@ -536,7 +517,6 @@ class Manager:
         the failure budget is spent."""
         self.scheduler.task_completed(task)
         self.fault_counters.tasks_failed += 1
-        self._notify_load()
         if self.trace is not None:
             if reason == "device_lost":
                 # The kernel never retired: the device timeline is truncated
@@ -625,7 +605,6 @@ class Manager:
             sg.last_worker = target.worker_id
         self.scheduler.resubmit(task)
         target.submit(task, extra_cost=extra, fault=self._draw_fault(task))
-        self._notify_load()
 
     def _retry_target(self, task: BatchedTask) -> Optional[Worker]:
         """Retry placement (placement policy): by default the original
@@ -663,7 +642,6 @@ class Manager:
             # No devices left: everything still in flight is unservable.
             for request in list(self.processor.live_requests()):
                 self._cancel_request(request, reason="no_devices")
-        self._notify_load()
 
     def _replacement_for(self, dead_worker_id: int) -> Optional[Worker]:
         return self.policies.placement.replacement_for(
@@ -719,7 +697,6 @@ class Manager:
             # never creates newly schedulable work, so the kick stays
             # gated to keep the no-spec path bit-identical.
             self._poke.kick()
-        self._notify_load()
         return True
 
     @staticmethod

@@ -36,11 +36,6 @@ import heapq
 from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-try:  # numpy backs the vectorized queue-selection arrays; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 from repro.core.cell import CellType
 from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.subgraph import Subgraph
@@ -48,52 +43,6 @@ from repro.core.task import BatchedTask
 from repro.policies import PolicyBundle
 from repro.policies.defaults import PaperBatchFormation
 from repro.trace import events as trace_events
-
-
-class QueueArrays:
-    """NumPy mirrors of the per-queue state the tier-selection scan reads.
-
-    One array slot per registered cell-type queue: ready-node totals,
-    running-task counts, max batch sizes, and the queues' (priority, name)
-    descending order precomputed as an index vector.  The scheduler keeps
-    the ``ready``/``running`` entries exact at every mutation (the same
-    counters the scalar scan reads), so the vectorized three-tier selection
-    in :class:`~repro.policies.defaults.PaperQueuePriority` is a pure
-    re-expression of the scalar loop — same winner, every time.
-
-    Only built for fast-path schedulers with at least two queues; a single
-    LSTM-style queue gains nothing from array dispatch.
-    """
-
-    __slots__ = ("queues", "ready", "running", "max_batch", "order")
-
-    def __init__(self, queues: Tuple["CellTypeQueue", ...]):
-        self.queues = queues
-        n = len(queues)
-        self.ready = _np.zeros(n, dtype=_np.int64)
-        self.running = _np.zeros(n, dtype=_np.int64)
-        self.max_batch = _np.array(
-            [q.config.max_batch for q in queues], dtype=_np.int64
-        )
-        # Slot indices sorted by (priority, name) descending: the scalar
-        # tie-break ``max(..., key=(priority, name))`` becomes "first
-        # eligible slot in this order".
-        self.order = _np.array(
-            sorted(
-                range(n),
-                key=lambda i: (
-                    queues[i].config.priority,
-                    queues[i].cell_type.name,
-                ),
-                reverse=True,
-            ),
-            dtype=_np.int64,
-        )
-        for slot, queue in enumerate(queues):
-            queue.slot = slot
-            queue.arrays = self
-            self.ready[slot] = queue._ready_total
-            self.running[slot] = queue.running_tasks
 
 
 class CellTypeQueue:
@@ -122,11 +71,6 @@ class CellTypeQueue:
         self.subgraphs: "OrderedDict[int, Subgraph]" = OrderedDict()
         self.running_tasks = 0
         self._ready_total = 0
-        # Vectorized-selection mirror (set by QueueArrays when the owning
-        # scheduler builds one); every _ready_total / running_tasks change
-        # below is reflected into the arrays so they never go stale.
-        self.arrays: Optional[QueueArrays] = None
-        self.slot = -1
         self._next_seq = 0
         self._heaps: Dict[Optional[int], List[Tuple[int, Subgraph]]] = {}
         self._heap_entries: Dict[Tuple[int, Optional[int]], int] = {}
@@ -148,8 +92,6 @@ class CellTypeQueue:
         self._next_seq += 1
         self.subgraphs[sg.subgraph_id] = sg
         self._ready_total += sg.ready_count()
-        if self.arrays is not None:
-            self.arrays.ready[self.slot] = self._ready_total
         if sg.ready_count() > 0:
             self._register(sg)
 
@@ -157,8 +99,6 @@ class CellTypeQueue:
         """Drop an exhausted subgraph (no nodes left to submit)."""
         self.subgraphs.pop(sg.subgraph_id, None)
         self._ready_total -= sg.ready_count()
-        if self.arrays is not None:
-            self.arrays.ready[self.slot] = self._ready_total
         sg.owner = None
 
     # -- notifications from Subgraph -----------------------------------------
@@ -166,8 +106,6 @@ class CellTypeQueue:
     def on_ready_delta(self, sg: Subgraph, delta: int) -> None:
         """``sg``'s ready count changed by ``delta`` while queued here."""
         self._ready_total += delta
-        if self.arrays is not None:
-            self.arrays.ready[self.slot] = self._ready_total
         if delta > 0 and sg.ready_count() > 0:
             self._register(sg)
         # delta < 0 (or ready now 0): the heap entry goes stale and is
@@ -287,18 +225,6 @@ class Scheduler:
             fast_path=self.fast_path,
         )
         self._queue_list = tuple(self._queues.values())
-        self._rebuild_arrays()
-
-    def _rebuild_arrays(self) -> None:
-        """(Re)build the vectorized-selection mirrors over the registered
-        queues.  Worth it only on the fast path with two or more queues
-        (multi-cell models: seq2seq, attention, tree); a single queue's
-        scalar scan is already one comparison."""
-        for queue in self._queue_list:
-            queue.arrays = None
-            queue.slot = -1
-        if self.fast_path and _np is not None and len(self._queue_list) >= 2:
-            QueueArrays(self._queue_list)
 
     def add_subgraph(self, sg: Subgraph) -> None:
         """Accept a released subgraph into its cell type's queue."""
@@ -374,7 +300,7 @@ class Scheduler:
                 self.policies.formation.on_subgraph_removed(queue, sg)
         task = BatchedTask(self._next_task_id, queue.cell_type, entries)
         self._next_task_id += 1
-        self._adjust_running(queue, 1)
+        queue.running_tasks += 1
         self.tasks_submitted += 1
         self.batch_size_counts[task.batch_size] += 1
         if self.trace is not None:
@@ -425,12 +351,7 @@ class Scheduler:
         toward ``tasks_submitted`` or the batch-size histogram — those
         describe the scheduling policy's decisions, which a retry replays
         rather than makes."""
-        self._adjust_running(self._queues[task.cell_type.name], 1)
-
-    def _adjust_running(self, queue: CellTypeQueue, delta: int) -> None:
-        queue.running_tasks += delta
-        if queue.arrays is not None:
-            queue.arrays.running[queue.slot] = queue.running_tasks
+        self._queues[task.cell_type.name].running_tasks += 1
 
     def repin_queued(self, dead_worker_id: int, replacement: Optional[int]) -> int:
         """A device died: migrate every queued subgraph pinned to it to the
@@ -452,7 +373,7 @@ class Scheduler:
 
     def task_completed(self, task: BatchedTask) -> None:
         queue = self._queues[task.cell_type.name]
-        self._adjust_running(queue, -1)
+        queue.running_tasks -= 1
         if queue.running_tasks < 0:
             raise RuntimeError(
                 f"cell type {task.cell_type.name!r}: running task underflow"

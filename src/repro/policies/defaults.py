@@ -9,11 +9,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-try:  # backs the vectorized tier selection; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 from repro.policies.base import (
     BatchFormationPolicy,
     Plan,
@@ -39,36 +34,6 @@ class PaperQueuePriority(QueuePriorityPolicy):
     def select(
         self, queues: Sequence["CellTypeQueue"]
     ) -> Optional["CellTypeQueue"]:
-        if queues:
-            arrays = getattr(queues[0], "arrays", None)
-            if arrays is not None and arrays.queues is queues:
-                return self._select_vector(queues, arrays)
-        return self.select_reference(queues)
-
-    @staticmethod
-    def _select_vector(queues, arrays) -> Optional["CellTypeQueue"]:
-        """The three tiers over the scheduler's :class:`QueueArrays`
-        mirrors: boolean masks per tier, winner = first masked slot in the
-        precomputed (priority, name)-descending order — the vector form of
-        the scalar ``max`` below, same winner bit for bit."""
-        ready = arrays.ready
-        nonzero = ready > 0
-        if not nonzero.any():
-            return None
-        mask = ready >= arrays.max_batch
-        if not mask.any():
-            mask = nonzero & (arrays.running == 0)
-            if not mask.any():
-                mask = nonzero
-        order = arrays.order
-        return queues[int(order[_np.argmax(mask[order])])]
-
-    @staticmethod
-    def select_reference(
-        queues: Sequence["CellTypeQueue"],
-    ) -> Optional["CellTypeQueue"]:
-        """Scalar reference scan — the oracle the vectorized path is held
-        bit-identical to (``tests/test_scheduler_equivalence.py``)."""
         candidates = [
             q for q in queues if q.num_ready_nodes() >= q.config.max_batch
         ]

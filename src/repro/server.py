@@ -70,11 +70,6 @@ class InferenceServer:
         # nothing (DESIGN.md §12).
         self.trace_recorder = None
         self._trace = None
-        # Load-delta hook (repro.cluster.load_index): called whenever a
-        # request reaches one of this server's terminal lists — the event
-        # that changes the owning replica's outstanding count.  None for a
-        # standalone server (one attribute load per terminal, DESIGN.md §13).
-        self.load_listener = None
 
     # -- to implement --------------------------------------------------------
 
@@ -155,8 +150,6 @@ class InferenceServer:
     def _finish_request(self, request: InferenceRequest) -> None:
         request.mark_finished(self.loop.now())
         self.finished.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
         if self._trace is not None:
             from repro.trace import events as trace_events
 

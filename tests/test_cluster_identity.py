@@ -43,6 +43,18 @@ def test_one_replica_cluster_bit_identical_to_bare_server():
     assert outcome_fingerprint(cluster.replicas[0].server) == outcome_fingerprint(
         bare
     )
+    assert cluster.mean_batch_size() == bare.mean_batch_size() > 1.0
+
+
+def test_mean_batch_size_weighs_tasks_not_replicas():
+    """Fleet cells / fleet tasks: a replica that ran 3 tasks must not count
+    as much as one that ran 3000."""
+    cluster = build_lstm_cluster(num_replicas=2)
+    assert cluster.mean_batch_size() == 0.0  # nothing ran yet
+    idle, busy = (r.server.manager.scheduler for r in cluster.replicas)
+    idle.batch_size_counts[1] = 3
+    busy.batch_size_counts[10] = 3000
+    assert cluster.mean_batch_size() == (3 * 1 + 3000 * 10) / 3003
 
 
 def test_one_replica_cluster_every_router_identical():

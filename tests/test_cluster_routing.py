@@ -1,12 +1,14 @@
 """Routing policies: unit behaviour plus whole-workload properties."""
 
 import pytest
+from tests.chaos_helpers import chaos_seeds
 from tests.cluster_helpers import (
     assert_cluster_invariants,
     build_lstm_cluster,
     run_cluster,
 )
 
+from repro.cluster import AutoscalerConfig
 from repro.cluster.replica import Replica
 from repro.cluster.routing import (
     ROUTERS,
@@ -134,3 +136,95 @@ def test_same_workload_same_policy_identical_decisions(router):
         ]
 
     assert decisions() == decisions()
+
+
+def test_make_router_names_the_unknown_param():
+    """``router_params`` arrive from spec JSON: a key the policy does not
+    take is a ValueError naming the router, the key and what it accepts —
+    not a bare TypeError out of ``__init__``."""
+    with pytest.raises(ValueError) as excinfo:
+        make_router("round_robin", bucket_width=16)
+    message = str(excinfo.value)
+    assert "round_robin" in message
+    assert "bucket_width" in message
+    assert "none" in message  # round_robin accepts no parameters
+
+    with pytest.raises(ValueError) as excinfo:
+        make_router("length_bucketed", bucket_width=16, fast_path=False)
+    message = str(excinfo.value)
+    assert "length_bucketed" in message
+    assert "fast_path" in message
+    assert "accepts: ['bucket_width']" in message
+
+
+# -- the per-decision oracle ------------------------------------------------
+
+LOAD_AWARE = {
+    "least_outstanding": lambda r: r.outstanding(),
+    "shortest_queue": lambda r: r.projected_delay(),
+    "predicted_delay": lambda r: r.predicted_delay(),
+    "most_free_memory": lambda r: -r.free_memory(),
+    "cheapest_energy": lambda r: r.energy_cost(),
+}
+
+
+def _install_oracle(cluster, key):
+    """Wrap ``router.choose``: before every decision, recompute the choice
+    from scratch (the policy's key per candidate, every minimiser in
+    candidate order, the seeded tie-break) and assert the router returns
+    the same replica."""
+    router = cluster.router
+    original = router.choose  # bound method; instance attr shadows it below
+    checked = {"decisions": 0}
+
+    def choose(request, candidates):
+        assert [r.replica_id for r in candidates] == sorted(
+            r.replica_id for r in candidates
+        ), "candidates not in replica-id order"
+        keys = [key(replica) for replica in candidates]
+        best = min(keys)
+        tied = [r for r, k in zip(candidates, keys) if k == best]
+        expected = tie_break(router.seed, request.request_id, tied)
+        actual = original(request, candidates)
+        assert actual is expected, (
+            f"decision {checked['decisions']}: router chose replica "
+            f"{actual.replica_id}, oracle chose {expected.replica_id} "
+            f"(request {request.request_id}, keys {keys})"
+        )
+        checked["decisions"] += 1
+        return actual
+
+    router.choose = choose
+    return checked
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+@pytest.mark.parametrize("policy", sorted(LOAD_AWARE))
+def test_every_decision_matches_brute_force_under_chaos(policy, seed):
+    """Autoscaler churning the pool + a replica dying mid-run: every
+    routing decision (re-routes included) equals an independent
+    from-scratch min + tie-break over the candidates it was given."""
+    cluster = build_lstm_cluster(
+        num_replicas=3,
+        router=policy,
+        seed=seed,
+        autoscaler=AutoscalerConfig(
+            min_replicas=1,
+            max_replicas=4,
+            high_watermark=8.0,
+            low_watermark=1.0,
+            alpha=0.3,
+            warmup=2e-3,
+            cooldown=4e-3,
+        ).to_dict(),
+        replica_failures=[(0.01, 1)],
+    )
+    checked = _install_oracle(cluster, LOAD_AWARE[policy])
+    submitted = run_cluster(cluster, rate=8000.0, num_requests=800)
+    assert_cluster_invariants(cluster, submitted)
+    # Every submission routed at least once (re-routes add more).
+    assert checked["decisions"] >= len(submitted) - (
+        cluster.cluster_counters.cluster_rejections
+        + cluster.cluster_counters.requests_lost
+    )
+    assert checked["decisions"] == cluster.router.decisions

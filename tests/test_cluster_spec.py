@@ -36,6 +36,22 @@ def test_router_params_round_trip():
     assert cluster.router.bucket_width == 32
 
 
+def test_unknown_router_param_in_spec_json_rejected_at_build():
+    """A stored spec carrying a key the router does not take — a
+    ``bucket_width`` on ``round_robin``, or the removed routing
+    ``fast_path`` knob — loads, then fails at build with a ValueError that
+    names the router and the key."""
+    for router, key, value in (
+        ("round_robin", "bucket_width", 32),
+        ("shortest_queue", "fast_path", False),
+    ):
+        stored = lstm_cluster_spec(router=router).to_dict()
+        stored["router_params"] = {key: value}
+        spec = ClusterSpec.from_dict(json.loads(json.dumps(stored)))
+        with pytest.raises(ValueError, match=f"{router}.*{key}"):
+            build_cluster(spec)
+
+
 def test_replica_must_be_server_spec():
     with pytest.raises(TypeError):
         ClusterSpec(replica={"kind": "batchmaker"}, num_replicas=2)

@@ -2,10 +2,9 @@
 stats (DESIGN.md §17).
 
 The routing contract matches every other load-aware policy
-(``tests/test_cluster_load_index.py``): the event-driven index's choice
-must be bit-identical to a from-scratch scan on every decision, and a
-``fast_path=False`` twin cluster must replay the workload to an identical
-fingerprint.  On top of that, heterogeneity itself: class identity and
+(``tests/test_cluster_routing.py``): every decision must equal an
+independent from-scratch min + seeded tie-break over the candidates.
+On top of that, heterogeneity itself: class identity and
 re-calibrated cost models on build, class-affinity length bucketing,
 autoscaler spawns rebalancing toward the declared mix, and the per-class
 ``ClusterStats`` breakdown the replica-mix sweep reads.
@@ -36,7 +35,6 @@ def _cluster(
     v100=2,
     router="cheapest_energy",
     seed=0,
-    fast_path=True,
     bucket_width=32,
     autoscaler=None,
 ):
@@ -48,10 +46,6 @@ def _cluster(
         bucket_width=bucket_width,
         autoscaler=autoscaler,
     )
-    if not fast_path:
-        params = dict(spec.router_params or {})
-        params["fast_path"] = False
-        spec = spec.replace(router_params=params)
     return build_cluster(spec)
 
 
@@ -140,8 +134,8 @@ def test_cheapest_energy_every_decision_matches_brute_force(seed):
         expected = tie_break(router.seed, request.request_id, tied)
         actual = original(request, candidates)
         assert actual is expected, (
-            f"decision {checked['decisions']}: fast path chose "
-            f"{actual.replica_id}, scan chose {expected.replica_id}"
+            f"decision {checked['decisions']}: router chose "
+            f"{actual.replica_id}, oracle chose {expected.replica_id}"
         )
         checked["decisions"] += 1
         return actual
@@ -150,17 +144,6 @@ def test_cheapest_energy_every_decision_matches_brute_force(seed):
     submitted = _run(cluster, arrival_seed=seed)
     assert_cluster_invariants(cluster, submitted)
     assert checked["decisions"] > 0
-
-
-@pytest.mark.parametrize("seed", chaos_seeds())
-def test_cheapest_energy_fast_and_brute_fingerprint_identical(seed):
-    fingerprints = []
-    for fast_path in (True, False):
-        cluster = _cluster(eco=1, v100=2, seed=seed, fast_path=fast_path)
-        submitted = _run(cluster, arrival_seed=seed)
-        assert_cluster_invariants(cluster, submitted)
-        fingerprints.append(_fingerprint(cluster))
-    assert fingerprints[0] == fingerprints[1]
 
 
 def test_cheapest_energy_prefers_low_watt_replicas():
@@ -205,12 +188,10 @@ def test_class_affinity_maps_length_buckets_to_ranks():
     assert all(r.routed > 0 for r in cluster.replicas[1:])
 
 
-def test_class_affinity_is_deterministic_and_fast_path_invariant():
+def test_class_affinity_is_deterministic():
     fingerprints = []
-    for fast_path in (True, False):
-        cluster = _cluster(
-            eco=1, v100=2, router="class_affinity", fast_path=fast_path
-        )
+    for _ in range(2):
+        cluster = _cluster(eco=1, v100=2, router="class_affinity")
         submitted = _run(cluster)
         assert_cluster_invariants(cluster, submitted)
         fingerprints.append(_fingerprint(cluster))
