@@ -283,9 +283,13 @@ class Manager:
         extra = self._migration_cost(task, worker)
         if self.memory_spec is not None:
             self._reserve_for_task(task, worker)
-        for subgraph, _ in task.entries:
-            subgraph.request.mark_started(self.loop.now())
-            subgraph.last_worker = worker.worker_id
+        now = self.loop.now()
+        worker_id = worker.worker_id
+        for subgraph in task.subgraphs():
+            request = subgraph.request
+            if request.start_time is None:
+                request.mark_started(now)
+            subgraph.last_worker = worker_id
         worker.submit(task, extra_cost=extra, fault=self._draw_fault(task))
 
     def _draw_fault(self, task: BatchedTask):
@@ -365,11 +369,7 @@ class Manager:
         if mem is None:
             return
         state_bytes = self.memory_spec.state_bytes
-        seen = set()
-        for sg, _ in task.entries:
-            if sg.subgraph_id in seen:
-                continue
-            seen.add(sg.subgraph_id)
+        for sg in task.subgraphs():
             request = sg.request
             if request.terminal or sg.resident_on == worker.worker_id:
                 continue

@@ -22,9 +22,10 @@ class RequestState(enum.Enum):
 
 
 # States a request can never leave; every request reaches exactly one.
-TERMINAL_STATES = frozenset(
-    {RequestState.FINISHED, RequestState.TIMED_OUT, RequestState.REJECTED}
-)
+_FINISHED = RequestState.FINISHED
+_TIMED_OUT = RequestState.TIMED_OUT
+_REJECTED = RequestState.REJECTED
+TERMINAL_STATES = frozenset({_FINISHED, _TIMED_OUT, _REJECTED})
 
 
 class InferenceRequest:
@@ -88,7 +89,11 @@ class InferenceRequest:
 
     @property
     def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+        # ``TERMINAL_STATES`` by identity: set membership hashes the Enum
+        # through a Python-level ``__hash__``, and this is read per
+        # completed cell.
+        state = self.state
+        return state is _FINISHED or state is _TIMED_OUT or state is _REJECTED
 
     # -- metrics -------------------------------------------------------------
 

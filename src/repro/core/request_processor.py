@@ -48,6 +48,11 @@ class RequestProcessor:
         self._on_release = on_release
         self._on_finished = on_finished
         self._collect_results = collect_results
+        # Static models keep the base class's no-op ``extend``; completion
+        # skips the per-node call for them (checked here, once).
+        from repro.models.base import Model  # models import core: late
+
+        self._model_extends = getattr(type(model), "extend", None) is not Model.extend
         self._next_subgraph_id = 0
         # Live (not fully completed) subgraphs by id, per request.
         self._live_requests: Set[int] = set()
@@ -121,8 +126,14 @@ class RequestProcessor:
         # 1. Mark nodes completed and update per-subgraph counters.  Nodes
         # of cancelled (terminal) requests retire without bookkeeping: the
         # request was written off whole at cancellation time, and nothing
-        # below may resurrect it.
-        for subgraph, node in task.entries:
+        # below may resurrect it.  Nothing this method calls can make a
+        # request terminal before step 4, so the ``live`` entries found
+        # here are the ones every later step works on.
+        live = []
+        nodes_done: Dict[Subgraph, int] = {}  # first-seen order
+        for entry in task.entries:
+            subgraph, node = entry
+            nodes_done[subgraph] = nodes_done.get(subgraph, 0) + 1
             request = subgraph.request
             if request.terminal:
                 continue
@@ -130,16 +141,52 @@ class RequestProcessor:
                 raise RuntimeError(f"node {node.node_id} completed twice")
             node.completed = True
             request.remaining_nodes -= 1
-            self.total_nodes_processed += 1
             affected_requests[request.request_id] = request
-        for subgraph, count in self._per_subgraph(task).items():
+            live.append(entry)
+        self.total_nodes_processed += len(live)
+        for subgraph, count in nodes_done.items():
             subgraph.task_done(count)
 
         # 2. Dynamic unfolding: give the model a chance to grow each graph.
-        for subgraph, node in task.entries:
+        if self._model_extends:
+            self._extend_graphs(live)
+
+        # 3. Propagate completions across subgraph boundaries.  External
+        # edges never cross requests, so skipping terminal requests here
+        # cannot starve anyone else.
+        for subgraph, node in live:
+            node_id = node.node_id
+            dependents = subgraph.dependents(node_id)
+            if dependents:
+                graph = subgraph.graph
+                for succ_id in dependents:
+                    succ = graph.node(succ_id)
+                    if succ.subgraph_id == subgraph.subgraph_id:
+                        continue  # internal edges are handled by the scheduler
+                    succ_sg = subgraph.request.subgraphs[succ.subgraph_id]
+                    if succ_sg.satisfy_external(node_id, succ_id):
+                        self._release(succ_sg)
+            # Non-optimistic (unpinned) mode: internal readiness advances on
+            # completion instead of on submission.
+            if not subgraph.optimistic:
+                subgraph.mark_completed_internal([node_id])
+
+        # 4. Finish requests whose graphs are fully executed.
+        finished = []
+        for request in affected_requests.values():
+            if request.remaining_nodes == 0:
+                if self._collect_results:
+                    request.result = request.graph.collect_results()
+                self._live_requests.discard(request.request_id)
+                finished.append(request)
+                self._on_finished(request)
+        return finished
+
+    def _extend_graphs(self, entries) -> None:
+        """Offer each completed node to the model's ``extend`` hook and
+        partition (and release) what it grew."""
+        for subgraph, node in entries:
             request = subgraph.request
-            if request.terminal:
-                continue
             new_nodes = self.model.extend(subgraph.graph, node, request.payload)
             if new_nodes:
                 request.remaining_nodes += len(new_nodes)
@@ -154,43 +201,6 @@ class RequestProcessor:
                     request.subgraphs[sg.subgraph_id] = sg
                     if sg.is_releasable():
                         self._release(sg)
-
-        # 3. Propagate completions across subgraph boundaries.  External
-        # edges never cross requests, so skipping terminal requests here
-        # cannot starve anyone else.
-        for subgraph, node in task.entries:
-            if subgraph.request.terminal:
-                continue
-            graph = subgraph.graph
-            for succ_id in subgraph.dependents(node.node_id):
-                succ = graph.node(succ_id)
-                if succ.subgraph_id == subgraph.subgraph_id:
-                    continue  # internal edges are handled by the scheduler
-                succ_sg = subgraph.request.subgraphs[succ.subgraph_id]
-                if succ_sg.satisfy_external(node.node_id, succ_id):
-                    self._release(succ_sg)
-            # Non-optimistic (unpinned) mode: internal readiness advances on
-            # completion instead of on submission.
-            if not getattr(subgraph, "optimistic", True):
-                subgraph.mark_completed_internal([node.node_id])
-
-        # 4. Finish requests whose graphs are fully executed.
-        finished = []
-        for request in affected_requests.values():
-            if request.remaining_nodes == 0:
-                if self._collect_results:
-                    request.result = request.graph.collect_results()
-                self._live_requests.discard(request.request_id)
-                finished.append(request)
-                self._on_finished(request)
-        return finished
-
-    @staticmethod
-    def _per_subgraph(task: BatchedTask) -> Dict[Subgraph, int]:
-        counts: Dict[Subgraph, int] = {}
-        for subgraph, _ in task.entries:
-            counts[subgraph] = counts.get(subgraph, 0) + 1
-        return counts
 
     # -- introspection ------------------------------------------------------------
 

@@ -20,10 +20,16 @@ incrementally instead of rescanning:
 * ``num_ready_nodes()`` is a counter read.  Subgraphs report ready-count
   deltas to their owning queue (``on_ready_delta``) whenever nodes are
   taken, submitted, or completed.
-* ``_form_batched_task`` walks *eligible* subgraphs only — those with ready
-  nodes that are unpinned or pinned to the requesting worker — via lazily
-  maintained min-heaps keyed by arrival order, so the scan order is
-  bit-identical to the original full-queue FIFO scan.
+* Batch formation reads *eligible* subgraphs only — those with ready
+  nodes that are unpinned or pinned to the requesting worker — from lists
+  kept sorted by arrival order (:meth:`CellTypeQueue.plan`), so the scan
+  order is bit-identical to the original full-queue FIFO scan.  Planning
+  is a read: nothing is popped, so a plan declined under the min-batch
+  rule needs no undo and a committed one touches the index only when a
+  subgraph's pin or readiness actually changes.
+* Each task is walked once per stage: one ``Subgraph.commit`` per plan
+  member here, one pass per distinct subgraph at submission, two passes
+  over the entries at completion (DESIGN.md §19).
 
 The original O(queue) scans are retained as the brute-force reference
 (``BatchingConfig(fast_path=False)``); the equivalence test in
@@ -32,8 +38,8 @@ The original O(queue) scans are retained as the brute-force reference
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter, OrderedDict
+from bisect import bisect_left
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cell import CellType
@@ -53,13 +59,12 @@ class CellTypeQueue:
 
     * ``_ready_total`` — sum of ``ready_count()`` over queued subgraphs,
       updated by deltas from :meth:`on_ready_delta`.
-    * ``_heaps`` — one lazy min-heap of ``(queue_seq, subgraph)`` entries
-      per *bucket* (``None`` for unpinned, a worker id for pinned), holding
-      every subgraph that may have ready nodes in that bucket.  Entries are
-      never deleted eagerly; staleness is detected when popped by checking
-      the subgraph's live state.  ``_heap_entries`` counts how many entries
-      each subgraph currently has in each bucket's heap so that state
-      transitions never push duplicates.
+    * ``_buckets`` — per *bucket* (``None`` for unpinned, a worker id for
+      pinned) a list of ``(queue_seq, subgraph)`` entries sorted by
+      ``queue_seq``, holding every subgraph that may have ready nodes in
+      that bucket, each at most once.  Entries are never deleted eagerly:
+      :meth:`plan` checks the subgraph's live state (owner, pin, ready
+      count) when it reads an entry and drops the ones it finds stale.
     """
 
     def __init__(
@@ -68,12 +73,11 @@ class CellTypeQueue:
         self.cell_type = cell_type
         self.config = config
         self.fast_path = fast_path
-        self.subgraphs: "OrderedDict[int, Subgraph]" = OrderedDict()
+        self.subgraphs: Dict[int, Subgraph] = {}
         self.running_tasks = 0
         self._ready_total = 0
         self._next_seq = 0
-        self._heaps: Dict[Optional[int], List[Tuple[int, Subgraph]]] = {}
-        self._heap_entries: Dict[Tuple[int, Optional[int]], int] = {}
+        self._buckets: Dict[Optional[int], List[Tuple[int, Subgraph]]] = {}
 
     # -- ready-node accounting ---------------------------------------------
 
@@ -108,8 +112,8 @@ class CellTypeQueue:
         self._ready_total += delta
         if delta > 0 and sg.ready_count() > 0:
             self._register(sg)
-        # delta < 0 (or ready now 0): the heap entry goes stale and is
-        # discarded lazily when popped.
+        # delta < 0 (or ready now 0): the entry goes stale and is dropped
+        # when a plan next reads it.
 
     def on_pin_changed(self, sg: Subgraph) -> None:
         """``sg`` was pinned or unpinned: its eligibility bucket moved."""
@@ -118,66 +122,89 @@ class CellTypeQueue:
         # The entry under the previous bucket is now stale; lazy cleanup.
 
     def _register(self, sg: Subgraph) -> None:
-        """Ensure ``sg`` has an entry in its current bucket's heap."""
-        bucket = sg.pinned
-        key = (sg.subgraph_id, bucket)
-        if self._heap_entries.get(key, 0) == 0:
-            heapq.heappush(
-                self._heaps.setdefault(bucket, []), (sg.queue_seq, sg)
-            )
-            self._heap_entries[key] = 1
+        """Ensure ``sg`` has an entry in its current bucket's list."""
+        entries = self._buckets.get(sg.pinned)
+        if entries is None:
+            entries = self._buckets[sg.pinned] = []
+        seq = sg.queue_seq
+        if not entries or entries[-1][0] < seq:
+            entries.append((seq, sg))
+            return
+        # ``(seq,)`` sorts just before ``(seq, sg)``: the search lands on
+        # the subgraph's own entry if it has one, else where it belongs.
+        at = bisect_left(entries, (seq,))
+        if entries[at][0] != seq:
+            entries.insert(at, (seq, sg))
 
-    def _pop_entry(self, bucket: Optional[int]) -> Optional[Subgraph]:
-        """Pop the heap entry for ``bucket``; caller validates liveness."""
-        heap = self._heaps.get(bucket)
-        if not heap:
-            return None
-        _, sg = heapq.heappop(heap)
-        key = (sg.subgraph_id, bucket)
-        count = self._heap_entries.get(key, 0) - 1
-        if count > 0:
-            self._heap_entries[key] = count
-        else:
-            self._heap_entries.pop(key, None)
-        return sg
+    def drop_bucket(self, worker_id: int) -> None:
+        """Forget the entries kept for ``worker_id`` — a dead device never
+        schedules again, so no plan would ever read (and prune) them."""
+        self._buckets.pop(worker_id, None)
 
-    def _entry_live(self, sg: Subgraph, bucket: Optional[int]) -> bool:
-        return (
-            sg.owner is self
-            and sg.ready_count() > 0
-            and sg.pinned == bucket
-        )
+    def plan(self, worker_id: int, budget: int) -> List[Tuple[Subgraph, int]]:
+        """Algorithm 1's ``FormBatchedTask`` as a read: ``(subgraph,
+        count)`` takes of up to ``budget`` ready nodes, from the subgraphs
+        ``worker_id`` may execute — unpinned, or pinned to it — in arrival
+        order.
 
-    def pop_eligible(self, worker_id: int) -> Optional[Subgraph]:
-        """Pop the first subgraph (by arrival order) with ready nodes that
-        ``worker_id`` may execute: unpinned, or pinned to that worker.
-        Stale heap entries encountered along the way are discarded."""
-        while True:
-            unpinned = self._heaps.get(None)
-            pinned = self._heaps.get(worker_id)
-            have_u = bool(unpinned)
-            have_p = bool(pinned)
-            if not have_u and not have_p:
-                return None
-            if have_u and (not have_p or unpinned[0][0] < pinned[0][0]):
-                bucket = None
+        Merges the unpinned bucket with the worker's own by ``queue_seq``
+        and validates each entry against the subgraph's live state.
+        Nothing observable changes — ``subgraphs``, the ready total and
+        every member are left as they were, so the caller may decline the
+        plan; the only write drops the index entries found stale.
+        """
+        plan: List[Tuple[Subgraph, int]] = []
+        free = self._buckets.get(None) or ()
+        own = self._buckets.get(worker_id) or ()
+        num_free, num_own = len(free), len(own)
+        stale_free: List[int] = []
+        stale_own: List[int] = []
+        i = j = 0
+        while budget > 0:
+            if i < num_free and (j == num_own or free[i][0] < own[j][0]):
+                sg = free[i][1]
+                i += 1
+                live = sg.pinned is None and sg.owner is self
+                ready = sg.ready_count() if live else 0
+                if ready <= 0:
+                    stale_free.append(i - 1)
+                    continue
+            elif j < num_own:
+                sg = own[j][1]
+                j += 1
+                live = sg.pinned == worker_id and sg.owner is self
+                ready = sg.ready_count() if live else 0
+                if ready <= 0:
+                    stale_own.append(j - 1)
+                    continue
             else:
-                bucket = worker_id
-            sg = self._pop_entry(bucket)
-            if sg is not None and self._entry_live(sg, bucket):
-                return sg
-
-    def reinsert(self, sg: Subgraph) -> None:
-        """Put a popped-but-still-eligible subgraph back in its bucket's
-        heap (its ``queue_seq`` restores the original FIFO position)."""
-        if sg.owner is self and sg.ready_count() > 0:
-            self._register(sg)
+                break
+            take = ready if ready < budget else budget
+            plan.append((sg, take))
+            budget -= take
+        if stale_free:
+            _delete_positions(free, stale_free)
+        if stale_own:
+            _delete_positions(own, stale_own)
+        return plan
 
     def __repr__(self) -> str:
         return (
             f"<CellTypeQueue {self.cell_type.name!r} "
             f"subgraphs={len(self.subgraphs)} running={self.running_tasks}>"
         )
+
+
+def _delete_positions(entries: list, positions: List[int]) -> None:
+    """Delete the ascending ``positions`` from ``entries``: one slice per
+    run of neighbours, last run first so earlier positions stay valid."""
+    stop = len(positions)
+    while stop:
+        start = stop - 1
+        while start and positions[start - 1] + 1 == positions[start]:
+            start -= 1
+        del entries[positions[start] : positions[stop - 1] + 1]
+        stop = start
 
 
 class Scheduler:
@@ -251,7 +278,7 @@ class Scheduler:
         num_tasks = 0
         while num_tasks < self.config.max_tasks_to_submit:
             plan = self.policies.formation.form(queue, worker)
-            batch_size = sum(count for _, count in plan)
+            batch_size = sum([count for _, count in plan])
             if batch_size == 0:
                 break
             if batch_size >= queue.config.min_batch or num_tasks == 0:
@@ -280,22 +307,17 @@ class Scheduler:
         worker,
         plan: List[Tuple[Subgraph, int]],
     ) -> None:
-        """Materialise a planned batch: pop the ready nodes, build the task,
-        bind subgraphs to the worker (placement policy), update
-        (optimistic) dependencies, and submit."""
+        """Materialise a planned batch: one ``Subgraph.commit`` per member
+        (take the ready nodes, bind to the worker through the placement
+        policy, update the optimistic dependencies), then build the task
+        and submit."""
         entries = []
+        bind = self.policies.placement.bind
+        worker_id = worker.worker_id
         for sg, count in plan:
-            node_ids = sg.take_ready(count)
-            if len(node_ids) != count:
-                raise RuntimeError(
-                    f"subgraph {sg.subgraph_id}: planned {count} nodes but "
-                    f"only {len(node_ids)} were ready"
-                )
-            for nid in node_ids:
-                entries.append((sg, sg.graph.node(nid)))
-            self.policies.placement.bind(sg, worker.worker_id)
-            sg.mark_submitted(node_ids)
-            if sg.exhausted():
+            for node in sg.commit(count, bind, worker_id):
+                entries.append((sg, node))
+            if sg.unsubmitted == 0:  # exhausted
                 queue.remove(sg)
                 self.policies.formation.on_subgraph_removed(queue, sg)
         task = BatchedTask(self._next_task_id, queue.cell_type, entries)
@@ -324,12 +346,12 @@ class Scheduler:
         subgraphs that is still queued.  Terminal cancellation and the
         memory layer's evict-and-restart (``Manager.restart_request``) both
         come through here.  ``CellTypeQueue.remove`` gives the ready counter
-        back and clears the owner, so the lazy heap entries left behind are
-        recognised as stale and discarded on pop — the fast path stays
-        bit-identical to a brute-force rescan.  The formation policy's
-        ``on_subgraph_removed`` hook fires for each eviction so bundles
-        keeping their own eligibility indexes stay consistent.  Returns how
-        many subgraphs were evicted."""
+        back and clears the owner, so the index entries left behind are
+        recognised as stale and dropped by the next plan that reads them —
+        the fast path stays bit-identical to a brute-force rescan.  The
+        formation policy's ``on_subgraph_removed`` hook fires for each
+        eviction so bundles keeping their own eligibility indexes stay
+        consistent.  Returns how many subgraphs were evicted."""
         evicted = 0
         for sg in request.subgraphs.values():
             owner = sg.owner
@@ -357,7 +379,10 @@ class Scheduler:
         """A device died: migrate every queued subgraph pinned to it to the
         placement policy's choice (``replacement`` under the default
         policies; unpin when None).  O(queued subgraphs), which is fine for
-        the rare device-loss path.  Returns how many moved."""
+        the rare device-loss path.  The dead worker's eligibility bucket
+        goes with it: no plan will read it again, and its entries would
+        keep every subgraph (and request, and graph) once pinned there
+        alive for the life of the server.  Returns how many moved."""
         placement = self.policies.placement
         moved = 0
         for queue in self._queue_list:
@@ -367,6 +392,7 @@ class Scheduler:
                         placement.repin_target(sg, dead_worker_id, replacement)
                     )
                     moved += 1
+            queue.drop_bucket(dead_worker_id)
         return moved
 
     # -- completion ---------------------------------------------------------

@@ -11,9 +11,9 @@ optimistically because tasks pinned to one worker execute in FIFO order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.cell_graph import CellGraph, CellNode, ChainRun
+from repro.core.cell_graph import CellGraph, CellNode, ChainRun, RunNode
 
 
 class Subgraph:
@@ -153,6 +153,25 @@ class Subgraph:
             self.owner.on_ready_delta(self, newly_ready)
         return newly_ready
 
+    def commit(
+        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
+    ) -> Sequence[CellNode]:
+        """Hand ``count`` ready nodes to a task on ``worker_id``: take them,
+        ``bind`` (the placement policy's) this subgraph to the worker and
+        advance the optimistic dependencies.  The scheduler's one call per
+        plan member; returns the nodes taken, in order."""
+        node_ids = self.take_ready(count)
+        if len(node_ids) != count:
+            raise RuntimeError(
+                f"subgraph {self.subgraph_id}: planned {count} nodes but "
+                f"only {len(node_ids)} were ready"
+            )
+        node_of = self.graph.node
+        nodes = [node_of(nid) for nid in node_ids]
+        bind(self, worker_id)
+        self.mark_submitted(node_ids)
+        return nodes
+
     def mark_completed_internal(self, node_ids: Sequence[int]) -> int:
         """Non-optimistic mode: advance internal readiness on completion."""
         if self.optimistic:
@@ -259,6 +278,28 @@ class RunSubgraph(Subgraph):
         if self.owner is not None:
             self.owner.on_ready_delta(self, -1)
         return taken
+
+    def commit(
+        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
+    ) -> Sequence[CellNode]:
+        nid = self._cursor
+        if count != 1 or nid is None:
+            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+        nodes = self.graph._nodes  # CellGraph.node without the miss path
+        node = nodes.get(nid)
+        if node is None:
+            node = nodes[nid] = RunNode(nid, self.run)
+        self.unsubmitted -= 1
+        if self.optimistic and nid + 1 < self.run.stop:
+            # The next step is ready the moment this one is submitted: the
+            # ready count stays 1, so the queue hears nothing but the pin.
+            self._cursor = nid + 1
+        else:
+            self._cursor = None
+            if self.owner is not None:
+                self.owner.on_ready_delta(self, -1)
+        bind(self, worker_id)
+        return (node,)
 
     def _advance_internal(self, nid: int) -> int:
         if nid + 1 < self.run.stop:

@@ -31,14 +31,20 @@ class BatchedTask:
         if not entries:
             raise ValueError("a batched task needs at least one entry")
         for _, node in entries:
-            if node.cell_type.name != cell_type.name:
+            node_type = node.cell_type
+            if node_type is not cell_type and node_type.name != cell_type.name:
                 raise ValueError(
                     f"task {task_id}: node {node.node_id} has type "
-                    f"{node.cell_type.name!r}, expected {cell_type.name!r}"
+                    f"{node_type.name!r}, expected {cell_type.name!r}"
                 )
         self.task_id = task_id
         self.cell_type = cell_type
         self.entries = entries
+        # ``subgraphs()`` and the entries list it was derived from: keyed by
+        # the list's identity, so the failure path's ``task.entries =
+        # filtered`` invalidates the cache without a hook.
+        self._subgraphs: Tuple[Subgraph, ...] = ()
+        self._subgraphs_of: Optional[list] = None
         self.worker_id: Optional[int] = None
         self.submit_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -69,12 +75,17 @@ class BatchedTask:
     def batch_size(self) -> int:
         return len(self.entries)
 
-    def subgraphs(self) -> List[Subgraph]:
+    def subgraphs(self) -> Tuple[Subgraph, ...]:
         """Distinct subgraphs contributing nodes, in first-seen order."""
-        seen: Dict[int, Subgraph] = {}
-        for subgraph, _ in self.entries:
-            seen.setdefault(subgraph.subgraph_id, subgraph)
-        return list(seen.values())
+        entries = self.entries
+        if self._subgraphs_of is not entries:
+            seen: Dict[int, Subgraph] = {}
+            for subgraph, _ in entries:
+                if subgraph.subgraph_id not in seen:
+                    seen[subgraph.subgraph_id] = subgraph
+            self._subgraphs = tuple(seen.values())
+            self._subgraphs_of = entries
+        return self._subgraphs
 
     def nodes_per_subgraph(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}

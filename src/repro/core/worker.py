@@ -87,9 +87,8 @@ class Worker:
             task.execute()
         else:
             task.mark_launched_sim()
-        composition = frozenset(
-            subgraph.subgraph_id for subgraph in task.subgraphs()
-        )
+        subgraphs = task.subgraphs()
+        composition = frozenset([subgraph.subgraph_id for subgraph in subgraphs])
         needs_gather = composition != self._last_composition
         self._last_composition = composition
         if needs_gather:
@@ -112,7 +111,7 @@ class Worker:
             # evenly across the task's distinct member requests.
             task.energy_joules = self.device.energy.charge_task(
                 duration,
-                [sg.request.request_id for sg in task.subgraphs()],
+                [sg.request.request_id for sg in subgraphs],
             )
         self.outstanding += 1
         self._inflight[task.task_id] = task

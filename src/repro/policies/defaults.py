@@ -77,9 +77,10 @@ class PaperBatchFormation(BatchFormationPolicy):
     nodes, unpinned or pinned to the requesting worker) in arrival order,
     taking ready nodes until the maximum batch size is reached.
 
-    ``fast_path=True`` walks the queue's lazy eligibility heaps (O(batch +
-    stale entries)); ``fast_path=False`` is the retained brute-force FIFO
-    scan (O(queue)).  Both produce bit-identical plans.
+    ``fast_path=True`` reads the queue's sorted eligibility lists
+    (:meth:`~repro.core.scheduler.CellTypeQueue.plan`, O(batch + stale
+    entries)); ``fast_path=False`` is the retained brute-force FIFO scan
+    (O(queue)).  Both produce bit-identical plans.
     """
 
     name = "paper"
@@ -90,21 +91,7 @@ class PaperBatchFormation(BatchFormationPolicy):
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
         if not self.fast_path:
             return self._form_reference(queue, worker)
-        plan: Plan = []
-        budget = queue.config.max_batch
-        while budget > 0:
-            sg = queue.pop_eligible(worker.worker_id)
-            if sg is None:
-                break
-            take = min(sg.ready_count(), budget)
-            plan.append((sg, take))
-            budget -= take
-        # Planning must not mutate queue state (the caller may decline the
-        # plan under the min-batch rule), so restore every popped entry;
-        # ``queue_seq`` keys keep the FIFO order intact.
-        for sg, _ in plan:
-            queue.reinsert(sg)
-        return plan
+        return queue.plan(worker.worker_id, queue.config.max_batch)
 
     def _form_reference(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
         """Brute-force reference: full FIFO scan past ineligible subgraphs

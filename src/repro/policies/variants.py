@@ -137,8 +137,8 @@ class NoMixFormation(BatchFormationPolicy):
     name = "no_mix"
 
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        sg = queue.pop_eligible(worker.worker_id)
-        if sg is None:
-            return []
-        queue.reinsert(sg)
+        first = queue.plan(worker.worker_id, 1)
+        if not first:
+            return first
+        sg = first[0][0]
         return [(sg, min(sg.ready_count(), queue.config.max_batch))]

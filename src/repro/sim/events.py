@@ -1,9 +1,10 @@
 """A minimal deterministic event loop.
 
-Events are ``(time, sequence, callback)`` triples kept in a binary heap.  The
+Events sit in a binary heap as ``(time, sequence, event)`` triples.  The
 sequence number breaks ties so that events scheduled at the same virtual time
 fire in scheduling order, which makes every simulation run bit-reproducible
-for a given seed.
+for a given seed; it is unique, so the heap orders the triples by comparing
+floats and ints and never reaches the event object.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class Event:
             self._loop = None
         return True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{state}>"
@@ -87,7 +85,7 @@ class EventLoop:
     def __init__(self, clock: Optional[Clock] = None):
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self._virtual = self.clock.is_virtual()
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         # Count of scheduled, not-yet-run, not-cancelled events; maintained
@@ -120,7 +118,7 @@ class EventLoop:
         event._loop = self
         self._seq += 1
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, event.seq, event))
         return event
 
     def call_after(self, delay: float, callback: Callable[[], Any]) -> Event:
@@ -149,13 +147,14 @@ class EventLoop:
         The chaos suite asserts ``pending() == recount_pending()`` after
         adversarial cancel/fire interleavings, so any future drift in the
         incremental counter is caught immediately."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # -- execution --------------------------------------------------------
 
@@ -167,7 +166,7 @@ class EventLoop:
                 "use run_due() (see repro.serve.bridge.LiveEventLoop)"
             )
         while self._heap:
-            event = heapq.heappop(self._heap)
+            _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue  # already discounted from _live at cancel time
             event.fired = True
@@ -232,14 +231,14 @@ class EventLoop:
         while self._heap:
             if max_events is not None and executed >= max_events:
                 break
-            head = self._heap[0]
-            if head.cancelled:
+            when, _, event = self._heap[0]
+            if event.cancelled:
                 heapq.heappop(self._heap)
                 continue
             now = self.clock.now()
-            if head.time > now:
+            if when > now:
                 break
-            event = heapq.heappop(self._heap)
+            heapq.heappop(self._heap)
             event.fired = True
             event._loop = None
             self._live -= 1

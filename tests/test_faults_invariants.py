@@ -100,6 +100,49 @@ def test_device_loss_with_survivor(seed):
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", SEEDS)
+def test_device_loss_drops_the_victims_eligibility_bucket(seed):
+    """Subgraphs queued on the victim move to the survivor, and the
+    scheduler forgets the dead worker's eligibility bucket — nothing would
+    ever read it again, and its entries would pin every subgraph (request,
+    graph) once listed there in memory for the life of the server."""
+    dead, survivor = 0, 1
+    plan = FaultPlan(seed=seed, device_failures=[DeviceFailure(5e-3, dead)])
+    server = build_server(fault_plan=plan, num_gpus=2)
+    scheduler = server.manager.scheduler
+    repin_queued = scheduler.repin_queued
+    moved = []
+
+    def checked_repin(dead_worker_id, replacement):
+        assert (dead_worker_id, replacement) == (dead, survivor)
+        stranded = [
+            (queue, sg)
+            for queue in scheduler._queue_list
+            for sg in queue.subgraphs.values()
+            if sg.pinned == dead
+        ]
+        count = repin_queued(dead_worker_id, replacement)
+        assert count == len(stranded)
+        for queue in scheduler._queue_list:
+            assert dead not in queue._buckets
+            planned = {sg for sg, _ in queue.plan(survivor, len(queue.subgraphs) + 1)}
+            for owner, sg in stranded:
+                if owner is queue:
+                    assert sg.pinned == survivor
+                    assert (sg in planned) == (sg.ready_count() > 0)
+        moved.extend(sg for _, sg in stranded if sg.ready_count() > 0)
+        return count
+
+    scheduler.repin_queued = checked_repin
+    submitted = run_chaos(server, rate=6000.0, arrival_seed=seed)
+    assert moved, "no subgraph with ready nodes was queued on the victim"
+    assert_invariants(server, submitted)
+    assert len(server.finished) == len(submitted)
+    for queue in scheduler._queue_list:
+        assert dead not in queue._buckets, "the dead worker's bucket came back"
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
 def test_total_device_loss_cancels_everything(seed):
     plan = FaultPlan(
         seed=seed,
