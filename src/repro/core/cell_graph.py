@@ -9,7 +9,9 @@ real-compute mode, their computed output rows.
 A chain of one cell type (an LSTM over a sentence) is stored run-length:
 :meth:`CellGraph.add_run` reserves the node ids and keeps one
 :class:`ChainRun` record; a node object exists only once something asks
-for it.
+for it.  A binary tree of two cell types (a TreeLSTM over a parse tree) is
+stored the same way, as the flat arrays of one :class:`TreeRun`
+(:meth:`CellGraph.add_tree`).
 """
 
 from __future__ import annotations
@@ -137,6 +139,18 @@ class ChainRun:
     def last_id(self) -> int:
         return self.stop - 1
 
+    def cell_type_of(self, node_id: int) -> CellType:
+        return self.cell_type
+
+    def census(self) -> List[Tuple[str, int]]:
+        return [(self.cell_type.name, self.steps)]
+
+    def subgraph_id_of(self, node_id: int) -> Optional[int]:
+        return self.subgraph_id
+
+    def assign_subgraph(self, node_id: int, subgraph_id: Optional[int]) -> None:
+        self.subgraph_id = subgraph_id
+
     def inputs_of(self, node_id: int) -> Dict[str, Any]:
         """The ``inputs`` dict an explicit node in this position would have."""
         step = node_id - self.first_id
@@ -161,21 +175,117 @@ class ChainRun:
         )
 
 
+class TreeRun:
+    """A binary tree of leaf and internal cells, kept as one record.
+
+    Node ``first_id + i`` is a leaf (``left[i] < 0``) of ``leaf_type``
+    reading ``token[i]`` as its ``leaf_input``, or an ``internal_type`` node
+    whose ``left_inputs`` / ``right_inputs`` (input name -> child output
+    name) read from nodes ``first_id + left[i]`` / ``first_id + right[i]``.
+    Children come before parents, so the root is the last node; ``parent``
+    is derived (-1 for the root).  Built and validated by
+    :meth:`CellGraph.add_tree`.
+    """
+
+    __slots__ = (
+        "first_id", "stop", "left", "right", "token", "parent",
+        "leaf_type", "internal_type", "leaf_input", "left_inputs", "right_inputs",
+        "consumers", "subgraph_ids", "internal_subgraph",
+    )
+
+    def __init__(
+        self,
+        first_id: int,
+        leaf_type: CellType,
+        internal_type: CellType,
+        left: Sequence[int],
+        right: Sequence[int],
+        token: Sequence[Any],
+        parent: List[int],
+        leaf_input: str,
+        left_inputs: Dict[str, str],
+        right_inputs: Dict[str, str],
+    ):
+        self.first_id = first_id
+        self.stop = first_id + len(left)  # one past the root's id
+        self.leaf_type = leaf_type
+        self.internal_type = internal_type
+        self.left = left
+        self.right = right
+        self.token = token
+        self.parent = parent
+        self.leaf_input = leaf_input
+        self.left_inputs = left_inputs
+        self.right_inputs = right_inputs
+        # Tree node id -> ids of the explicit nodes (or later runs) that
+        # consume its outputs.  The child-to-parent edges are implicit.
+        self.consumers: Dict[int, List[int]] = {}
+        # Set by the partition: each node's subgraph id (every leaf its
+        # own, the internal nodes one between them) and the subgraph of
+        # the internal nodes, which a completed leaf reports to.
+        self.subgraph_ids: List[Optional[int]] = [None] * len(left)
+        self.internal_subgraph = None
+
+    @property
+    def num_leaves(self) -> int:
+        return (self.stop - self.first_id + 1) // 2  # every parent has two children
+
+    def cell_type_of(self, node_id: int) -> CellType:
+        if self.left[node_id - self.first_id] < 0:
+            return self.leaf_type
+        return self.internal_type
+
+    def census(self) -> List[Tuple[str, int]]:
+        leaves = self.num_leaves
+        census = [(self.leaf_type.name, leaves)]
+        if leaves > 1:
+            census.append((self.internal_type.name, leaves - 1))
+        return census
+
+    def subgraph_id_of(self, node_id: int) -> Optional[int]:
+        return self.subgraph_ids[node_id - self.first_id]
+
+    def assign_subgraph(self, node_id: int, subgraph_id: Optional[int]) -> None:
+        self.subgraph_ids[node_id - self.first_id] = subgraph_id
+
+    def inputs_of(self, node_id: int) -> Dict[str, Any]:
+        """The ``inputs`` dict an explicit node in this position would have."""
+        first = self.first_id
+        index = node_id - first
+        if self.left[index] < 0:
+            return {self.leaf_input: ValueInput(self.token[index])}
+        left, right = first + self.left[index], first + self.right[index]
+        inputs = {
+            name: NodeOutput(left, output) for name, output in self.left_inputs.items()
+        }
+        for name, output in self.right_inputs.items():
+            inputs[name] = NodeOutput(right, output)
+        return inputs
+
+    def successors(self, node_id: int) -> List[int]:
+        parent = self.parent[node_id - self.first_id]
+        following = [self.first_id + parent] if parent >= 0 else []
+        return following + self.consumers.get(node_id, [])
+
+    def __repr__(self) -> str:
+        return f"<TreeRun {self.first_id}..{self.stop - 1} leaves={self.num_leaves}>"
+
+
 class RunNode(CellNode):
-    """A node of a :class:`ChainRun`, created when first asked for.
+    """A node of a :class:`ChainRun` or :class:`TreeRun`, created when
+    first asked for.
 
     Scheduling needs a node's identity, cell type and completion flags only,
     so ``inputs`` stays unset until something reads it (the real-compute
-    gather, ``predecessors()``, a test).  ``subgraph_id`` is the run's: all
-    its nodes lie in one subgraph, whether built before or after the
-    partition."""
+    gather, ``predecessors()``, a test).  ``subgraph_id`` is read from the
+    record, whether the node was built before or after the partition."""
 
     __slots__ = ("run",)
 
-    def __init__(self, node_id: int, run: ChainRun):
+    def __init__(self, node_id: int, run: Union[ChainRun, TreeRun], cell_type: CellType):
         # Not CellNode.__init__: ``inputs`` must stay unset (see __getattr__).
         self.node_id = node_id
-        self.cell_type = run.cell_type
+        self.cell_type = cell_type
         self.outputs = None
         self.completed = False
         self.launched = False
@@ -191,11 +301,11 @@ class RunNode(CellNode):
 
     @property
     def subgraph_id(self) -> Optional[int]:
-        return self.run.subgraph_id
+        return self.run.subgraph_id_of(self.node_id)
 
     @subgraph_id.setter
     def subgraph_id(self, value: Optional[int]) -> None:
-        self.run.subgraph_id = value
+        self.run.assign_subgraph(self.node_id, value)
 
 
 class CellGraph:
@@ -207,15 +317,16 @@ class CellGraph:
 
     Node ids are dense (``0 .. len(graph) - 1``) in creation order.  Nodes
     added with :meth:`add_node` are *explicit*: they sit in ``_nodes`` and
-    ``_successors`` from the start.  Nodes of a run enter ``_nodes`` when
-    :meth:`node` first returns them and stay there, because they hold state
-    (``completed``, ``outputs``) that every later lookup must see.
+    ``_successors`` from the start.  Nodes of a run (a :class:`ChainRun` or
+    a :class:`TreeRun`) enter ``_nodes`` when :meth:`node` first returns
+    them and stay there, because they hold state (``completed``,
+    ``outputs``) that every later lookup must see.
     """
 
     def __init__(self):
         self._nodes: Dict[int, CellNode] = {}
         self._successors: Dict[int, List[int]] = {}
-        self._runs: Tuple[ChainRun, ...] = ()  # ascending first_id
+        self._runs: Tuple[Union[ChainRun, TreeRun], ...] = ()  # ascending first_id
         self._next_id = 0
         # (node_id, output name) pairs whose values form the request result.
         self.result_refs: List[Tuple[int, str]] = []
@@ -306,6 +417,96 @@ class CellGraph:
         self._next_id = run.stop
         return run
 
+    def add_tree(
+        self,
+        leaf_type: CellType,
+        internal_type: CellType,
+        left: Sequence[int],
+        right: Sequence[int],
+        token: Sequence[Any],
+        leaf_input: str,
+        left_inputs: Dict[str, str],
+        right_inputs: Dict[str, str],
+    ) -> TreeRun:
+        """Append a binary tree as one record (see :class:`TreeRun` for the
+        layout): ``left[i]`` / ``right[i]`` are the positions of node
+        ``i``'s children, or negative for a leaf, which reads ``token[i]``.
+
+        Validated here, once, to :meth:`add_node`'s standard — equal array
+        lengths, children before parents, every node but the last the child
+        of exactly one parent, every cell input fed and every child output
+        named one both cell types have; the arrays and mappings are kept by
+        reference, not copied.
+
+        Each leaf is a subgraph of its own and the internal nodes are one
+        more, as the generic partition would have it.
+        """
+        size = len(left)
+        if size < 1 or len(right) != size or len(token) != size:
+            raise ValueError(
+                f"tree arrays must have one common, positive length, got "
+                f"left={size} right={len(right)} token={len(token)}"
+            )
+        missing = [n for n in leaf_type.input_names if n != leaf_input]
+        if missing:
+            raise ValueError(
+                f"tree leaf of type {leaf_type.name!r} missing inputs: {missing}"
+            )
+        missing = [
+            n
+            for n in internal_type.input_names
+            if n not in left_inputs and n not in right_inputs
+        ]
+        if missing:
+            raise ValueError(
+                f"tree node of type {internal_type.name!r} missing inputs: {missing}"
+            )
+        both = [n for n in left_inputs if n in right_inputs]
+        if both:
+            raise ValueError(f"tree inputs {both} read from both children")
+        for output in (*left_inputs.values(), *right_inputs.values()):
+            for child_type in (leaf_type, internal_type):
+                if output not in child_type.output_names:
+                    raise ValueError(
+                        f"tree child of type {child_type.name!r} has no "
+                        f"output {output!r}"
+                    )
+        parent = [-1] * size
+        for index in range(size):
+            lhs, rhs = left[index], right[index]
+            if lhs < 0 and rhs < 0:
+                continue  # a leaf
+            if (
+                not (0 <= lhs < index and 0 <= rhs < index and lhs != rhs)
+                or parent[lhs] >= 0
+                or parent[rhs] >= 0
+            ):
+                raise ValueError(
+                    f"tree node {index} has children ({lhs}, {rhs}): it needs two, "
+                    f"each before it and the child of no other node"
+                )
+            parent[lhs] = parent[rhs] = index
+        if parent.count(-1) != 1:  # the last node can have no parent
+            raise ValueError(
+                f"tree has {parent.count(-1)} roots: every node but the last "
+                f"must be some node's child"
+            )
+        tree = TreeRun(
+            self._next_id,
+            leaf_type,
+            internal_type,
+            left,
+            right,
+            token,
+            parent,
+            leaf_input,
+            left_inputs,
+            right_inputs,
+        )
+        self._runs += (tree,)
+        self._next_id = tree.stop
+        return tree
+
     def _check_ref(self, ref: Any) -> None:
         """Raise unless ``ref`` is a ValueInput or names an output that an
         existing node — explicit, or of a run and possibly not built — has."""
@@ -348,7 +549,9 @@ class CellGraph:
             run = self._run_of(node_id)
             if run is None:
                 raise
-            node = self._nodes[node_id] = RunNode(node_id, run)
+            node = self._nodes[node_id] = RunNode(
+                node_id, run, run.cell_type_of(node_id)
+            )
             return node
 
     def nodes(self) -> Iterator[CellNode]:
@@ -370,7 +573,7 @@ class CellGraph:
             nodes.extend(self._nodes[i] for i in range(start, self._next_id))
         return nodes
 
-    def runs(self) -> Sequence[ChainRun]:
+    def runs(self) -> Sequence[Union[ChainRun, TreeRun]]:
         return self._runs
 
     def successors(self, node_id: int) -> Sequence[int]:
@@ -388,7 +591,7 @@ class CellGraph:
     def __contains__(self, node_id: int) -> bool:
         return isinstance(node_id, int) and 0 <= node_id < self._next_id
 
-    def _run_of(self, node_id: int) -> Optional[ChainRun]:
+    def _run_of(self, node_id: int) -> Union[ChainRun, TreeRun, None]:
         # A request has a handful of runs at most; a scan beats bisecting.
         for run in self._runs:
             if run.first_id <= node_id < run.stop:
@@ -403,7 +606,7 @@ class CellGraph:
         run = self._run_of(node_id)
         if run is None:
             raise ValueError(f"reference to unknown node {node_id}")
-        return run.cell_type
+        return run.cell_type_of(node_id)
 
     # -- results -----------------------------------------------------------
 
@@ -425,5 +628,6 @@ class CellGraph:
         for node in self.explicit_nodes():
             census[node.cell_type.name] = census.get(node.cell_type.name, 0) + 1
         for run in self._runs:
-            census[run.cell_type.name] = census.get(run.cell_type.name, 0) + run.steps
+            for name, count in run.census():
+                census[name] = census.get(name, 0) + count
         return census

@@ -154,18 +154,10 @@ class RequestProcessor:
         # 3. Propagate completions across subgraph boundaries.  External
         # edges never cross requests, so skipping terminal requests here
         # cannot starve anyone else.
+        release = self._release
         for subgraph, node in live:
             node_id = node.node_id
-            dependents = subgraph.dependents(node_id)
-            if dependents:
-                graph = subgraph.graph
-                for succ_id in dependents:
-                    succ = graph.node(succ_id)
-                    if succ.subgraph_id == subgraph.subgraph_id:
-                        continue  # internal edges are handled by the scheduler
-                    succ_sg = subgraph.request.subgraphs[succ.subgraph_id]
-                    if succ_sg.satisfy_external(node_id, succ_id):
-                        self._release(succ_sg)
+            subgraph.propagate(node_id, release)
             # Non-optimistic (unpinned) mode: internal readiness advances on
             # completion instead of on submission.
             if not subgraph.optimistic:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.cell_graph import CellGraph, CellNode, ChainRun, RunNode
+from repro.core.cell_graph import CellGraph, CellNode, ChainRun, RunNode, TreeRun
 
 
 class Subgraph:
@@ -27,7 +27,22 @@ class Subgraph:
     * ``pinned``: worker id this subgraph is currently bound to; set when a
       task containing its nodes is submitted, cleared when ``inflight``
       returns to zero (paper §4.3, last paragraph).
+
+    Slotted: a request has one subgraph per tree leaf, so an instance must
+    not cost a ``__dict__``.  Every attribute anything sets on a subgraph
+    (the manager, the placement policies, the queue) is listed here.
     """
+
+    __slots__ = (
+        "subgraph_id", "request", "cell_type_name", "graph",
+        # How the generic subgraph tracks its nodes (subclasses have their own).
+        "node_ids", "ready", "_internal_pending", "_external_edges",
+        "unsubmitted", "uncompleted", "inflight", "released",
+        "pinned", "sticky", "optimistic", "last_worker",  # placement policies
+        "owner", "queue_seq",  # the CellTypeQueue
+        "resident_on", "resident_bytes",  # the manager's memory accounting
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -59,19 +74,25 @@ class Subgraph:
         self.ready: List[int] = [
             nid for nid in self.node_ids if self._internal_pending[nid] == 0
         ]
-        self._init_scheduling(subgraph_id, request, cell_type_name, graph)
+        self._init_scheduling(
+            subgraph_id, request, cell_type_name, graph, len(self.node_ids)
+        )
 
     def _init_scheduling(
-        self, subgraph_id: int, request, cell_type_name: str, graph: CellGraph
+        self,
+        subgraph_id: int,
+        request,
+        cell_type_name: str,
+        graph: CellGraph,
+        num_nodes: int,
     ) -> None:
-        """State every subgraph has, however it tracks its ready nodes
-        (``node_ids`` and ``_external_edges`` are set by then)."""
+        """State every subgraph has, however it tracks its nodes."""
         self.subgraph_id = subgraph_id
         self.request = request
         self.cell_type_name = cell_type_name
         self.graph = graph
-        self.unsubmitted = len(self.node_ids)
-        self.uncompleted = len(self.node_ids)
+        self.unsubmitted = num_nodes
+        self.uncompleted = num_nodes
         self.pinned: Optional[int] = None
         self.inflight = 0
         # A sticky pin survives the inflight count returning to zero —
@@ -118,10 +139,22 @@ class Subgraph:
     def is_releasable(self) -> bool:
         return self.external_pending == 0 and not self.released
 
-    def dependents(self, nid: int) -> Sequence[int]:
-        """Consumers of our node ``nid`` that may lie in another subgraph
-        (the request processor skips those that turn out to be ours)."""
-        return self.graph.successors(nid)
+    def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
+        """Our node ``nid`` completed: satisfy the external edges it feeds
+        and ``release`` each subgraph that thereby became releasable."""
+        self._satisfy(nid, self.graph.successors(nid), release)
+
+    def _satisfy(
+        self, nid: int, consumers: Sequence[int], release: Callable[[Subgraph], None]
+    ) -> None:
+        graph, subgraphs = self.graph, self.request.subgraphs
+        for succ_id in consumers:
+            succ_sg_id = graph.node(succ_id).subgraph_id
+            if succ_sg_id == self.subgraph_id:
+                continue  # internal edges are handled by the scheduler
+            succ_sg = subgraphs[succ_sg_id]
+            if succ_sg.satisfy_external(nid, succ_id):
+                release(succ_sg)
 
     # -- scheduling bookkeeping (driven by the scheduler) -------------------
 
@@ -238,7 +271,7 @@ class Subgraph:
 
     def __repr__(self) -> str:
         return (
-            f"<Subgraph {self.subgraph_id} type={self.cell_type_name!r} "
+            f"<{type(self).__name__} {self.subgraph_id} type={self.cell_type_name!r} "
             f"nodes={len(self.node_ids)} ready={self.ready_count()} "
             f"pinned={self.pinned}>"
         )
@@ -254,6 +287,8 @@ class RunSubgraph(Subgraph):
     (non-optimistic) yet, and once the run is handed out whole.
     """
 
+    __slots__ = ("run", "_cursor")
+
     def __init__(self, subgraph_id: int, request, run: ChainRun, graph: CellGraph):
         self.run = run
         run.subgraph_id = subgraph_id
@@ -263,10 +298,14 @@ class RunSubgraph(Subgraph):
             if not graph.node(pred).completed:
                 self._external_edges.add((pred, run.first_id))
         self._cursor: Optional[int] = run.first_id
-        self._init_scheduling(subgraph_id, request, run.cell_type.name, graph)
+        self._init_scheduling(
+            subgraph_id, request, run.cell_type.name, graph, run.steps
+        )
 
-    def dependents(self, nid: int) -> Sequence[int]:
-        return self.run.consumers.get(nid, ())  # nid + 1 is ours
+    def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
+        consumers = self.run.consumers.get(nid)  # nid + 1 is ours
+        if consumers:
+            self._satisfy(nid, consumers, release)
 
     def ready_count(self) -> int:
         return 0 if self._cursor is None else 1
@@ -288,7 +327,7 @@ class RunSubgraph(Subgraph):
         nodes = self.graph._nodes  # CellGraph.node without the miss path
         node = nodes.get(nid)
         if node is None:
-            node = nodes[nid] = RunNode(nid, self.run)
+            node = nodes[nid] = RunNode(nid, self.run, self.run.cell_type)
         self.unsubmitted -= 1
         if self.optimistic and nid + 1 < self.run.stop:
             # The next step is ready the moment this one is submitted: the
@@ -308,6 +347,192 @@ class RunSubgraph(Subgraph):
         return 0
 
 
+class LeafSubgraph(Subgraph):
+    """The subgraph of one leaf of a :class:`~repro.core.cell_graph.TreeRun`.
+
+    A leaf reads only its token, so the subgraph is releasable from the
+    start and its whole readiness is one flag: the node is ready until it
+    is handed out.
+    """
+
+    __slots__ = ("tree", "node_id", "_ready")
+
+    def __init__(
+        self, subgraph_id: int, request, tree: TreeRun, node_id: int, graph: CellGraph
+    ):
+        self.tree = tree
+        self.node_id = node_id
+        self._ready = True
+        self._init_scheduling(subgraph_id, request, tree.leaf_type.name, graph, 1)
+
+    @property
+    def node_ids(self) -> Sequence[int]:
+        return (self.node_id,)
+
+    @property
+    def external_pending(self) -> int:
+        return 0
+
+    def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
+        tree = self.tree
+        internal = tree.internal_subgraph  # None: the tree is this one leaf
+        if internal is not None and internal.leaf_completed():
+            release(internal)
+        if tree.consumers:
+            self._satisfy(nid, tree.consumers.get(nid, ()), release)
+
+    def ready_count(self) -> int:
+        return 1 if self._ready else 0
+
+    def take_ready(self, limit: int) -> List[int]:
+        if limit <= 0 or not self._ready:
+            return []
+        self._ready = False
+        if self.owner is not None:
+            self.owner.on_ready_delta(self, -1)
+        return [self.node_id]
+
+    def commit(
+        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
+    ) -> Sequence[CellNode]:
+        if count != 1 or not self._ready:
+            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+        nid = self.node_id
+        nodes = self.graph._nodes  # CellGraph.node without the miss path
+        node = nodes.get(nid)
+        if node is None:
+            node = nodes[nid] = RunNode(nid, self.tree, self.tree.leaf_type)
+        self._ready = False
+        self.unsubmitted -= 1
+        if self.owner is not None:
+            self.owner.on_ready_delta(self, -1)
+        bind(self, worker_id)
+        return (node,)
+
+    def _advance_internal(self, nid: int) -> int:
+        return 0  # the parent lies in the tree's internal subgraph
+
+
+class TreeSubgraph(Subgraph):
+    """The subgraph of all internal nodes of a
+    :class:`~repro.core.cell_graph.TreeRun`.
+
+    Every node has one consumer inside the subgraph, its parent, so
+    internal readiness is a counter per node — children in this subgraph
+    not yet submitted (optimistic) or completed (non-optimistic), indexed
+    by position in the tree — and the external edges, one per leaf, are a
+    count of leaves still to complete: each leaf completes exactly once.
+    """
+
+    __slots__ = ("tree", "_pending", "_leaves_outstanding")
+
+    def __init__(self, subgraph_id: int, request, tree: TreeRun, graph: CellGraph):
+        self.tree = tree
+        # Filled in by ``_tree_subgraphs``, which is walking the tree anyway.
+        self._pending = bytearray(tree.stop - tree.first_id)
+        self.ready: List[int] = []
+        leaves = tree.num_leaves
+        self._leaves_outstanding = leaves
+        self._init_scheduling(
+            subgraph_id, request, tree.internal_type.name, graph, leaves - 1
+        )
+
+    @property
+    def node_ids(self) -> Sequence[int]:
+        first = self.tree.first_id
+        return [first + i for i, child in enumerate(self.tree.left) if child >= 0]
+
+    @property
+    def external_pending(self) -> int:
+        return self._leaves_outstanding
+
+    def leaf_completed(self) -> bool:
+        """One of the tree's leaves completed; True when that was the last
+        and the subgraph has just become releasable."""
+        self._leaves_outstanding -= 1
+        return self._leaves_outstanding == 0 and not self.released
+
+    def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
+        consumers = self.tree.consumers  # the parent is ours
+        if consumers:
+            self._satisfy(nid, consumers.get(nid, ()), release)
+
+    def commit(
+        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
+    ) -> Sequence[CellNode]:
+        ready = self.ready
+        if not 0 < count <= len(ready):
+            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+        taken = ready[:count]
+        del ready[:count]
+        tree, internal_type = self.tree, self.tree.internal_type
+        built = self.graph._nodes  # CellGraph.node without the miss path
+        nodes = []
+        for nid in taken:
+            node = built.get(nid)
+            if node is None:
+                node = built[nid] = RunNode(nid, tree, internal_type)
+            nodes.append(node)
+        self.unsubmitted -= count
+        delta = -count
+        if self.optimistic:
+            for nid in taken:
+                delta += self._advance_internal(nid)
+        # The pin sees the final ready list, so the queue registers this
+        # subgraph at most once; the count then moves without a search.
+        bind(self, worker_id)
+        if delta and self.owner is not None:
+            self.owner.on_ready_delta(self, delta)
+        return nodes
+
+    def _advance_internal(self, nid: int) -> int:
+        tree = self.tree
+        parent = tree.parent[nid - tree.first_id]
+        if parent < 0:
+            return 0
+        pending = self._pending
+        pending[parent] -= 1
+        if pending[parent]:
+            return 0
+        self.ready.append(tree.first_id + parent)
+        return 1
+
+
+def _tree_subgraphs(
+    tree: TreeRun, request, graph: CellGraph, next_id: int
+) -> List[Subgraph]:
+    """The partition of a tree, in lowest-node-id order: one
+    :class:`LeafSubgraph` per leaf and, unless the tree is a single leaf,
+    one :class:`TreeSubgraph` where the first internal node stands."""
+    left, right, first = tree.left, tree.right, tree.first_id
+    subgraph_ids = tree.subgraph_ids
+    subgraphs: List[Subgraph] = []
+    internal = None
+    for index, child in enumerate(left):
+        if child < 0:
+            subgraphs.append(LeafSubgraph(next_id, request, tree, first + index, graph))
+            subgraph_ids[index] = next_id
+            next_id += 1
+            continue
+        if internal is None:
+            internal = tree.internal_subgraph = TreeSubgraph(next_id, request, tree, graph)
+            subgraphs.append(internal)
+            next_id += 1
+        subgraph_ids[index] = internal.subgraph_id
+        internal_children = (left[child] >= 0) + (left[right[index]] >= 0)
+        if internal_children:
+            internal._pending[index] = internal_children
+        else:
+            internal.ready.append(first + index)
+    return subgraphs
+
+
+def _run_subgraphs(run, request, graph: CellGraph, next_id: int) -> List[Subgraph]:
+    if isinstance(run, TreeRun):
+        return _tree_subgraphs(run, request, graph, next_id)
+    return [RunSubgraph(next_id, request, run, graph)]
+
+
 def partition_into_subgraphs(
     graph: CellGraph,
     request,
@@ -325,9 +550,10 @@ def partition_into_subgraphs(
 
     When the whole graph is partitioned, each
     :class:`~repro.core.cell_graph.ChainRun` becomes a :class:`RunSubgraph`
-    without a look at its nodes — it is a chain of one cell type by
+    and each :class:`~repro.core.cell_graph.TreeRun` its leaf and internal
+    subgraphs without a look at their nodes — their shape is known by
     construction — and only the explicit nodes are searched.  Ids follow
-    each subgraph's lowest node id, runs and components alike.
+    each subgraph's lowest node id, records and components alike.
     """
     if nodes is not None:
         pool, runs = list(nodes), ()
@@ -336,14 +562,14 @@ def partition_into_subgraphs(
     num_runs, next_run = len(runs), 0
     pool_ids = {n.node_id for n in pool}
     visited = set()
-    subgraphs: List[Subgraph] = []
-    next_id = start_id
+    subgraphs: List[Subgraph] = []  # the next id is start_id + len(subgraphs)
     for seed in pool:
         if seed.node_id in visited:
             continue
         while next_run < num_runs and runs[next_run].first_id < seed.node_id:
-            subgraphs.append(RunSubgraph(next_id, request, runs[next_run], graph))
-            next_id += 1
+            subgraphs += _run_subgraphs(
+                runs[next_run], request, graph, start_id + len(subgraphs)
+            )
             next_run += 1
         component = []
         stack = [seed.node_id]
@@ -361,11 +587,10 @@ def partition_into_subgraphs(
                     visited.add(other_id)
                     stack.append(other_id)
         component.sort(key=lambda n: n.node_id)
+        subgraph_id = start_id + len(subgraphs)
         subgraphs.append(
-            Subgraph(next_id, request, seed.cell_type.name, component, graph)
+            Subgraph(subgraph_id, request, seed.cell_type.name, component, graph)
         )
-        next_id += 1
     for run in runs[next_run:]:
-        subgraphs.append(RunSubgraph(next_id, request, run, graph))
-        next_id += 1
+        subgraphs += _run_subgraphs(run, request, graph, start_id + len(subgraphs))
     return subgraphs

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cells.tree_lstm import TreeInternalCell, TreeLeafCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph
 from repro.gpu.costmodel import (
     CostModel,
     tree_internal_step_table,
@@ -24,6 +24,10 @@ from repro.tensor.parameters import ParameterStore
 
 LEAF_CELL = "tree_leaf"
 INTERNAL_CELL = "tree_internal"
+
+# An internal cell's inputs: which output of which child feeds each.
+_LEFT_INPUTS = {"h_l": "h", "c_l": "c"}
+_RIGHT_INPUTS = {"h_r": "h", "c_r": "c"}
 
 
 class TreeNodeSpec:
@@ -52,20 +56,29 @@ class TreeNodeSpec:
     def is_leaf(self) -> bool:
         return self.token is not None
 
+    def _shape(self) -> Tuple[int, int]:
+        """(leaves, depth), walked with a stack: a parse tree may be deeper
+        than the interpreter's recursion limit."""
+        leaves = depth = 0
+        stack = [(self, 1)]
+        while stack:
+            spec, level = stack.pop()
+            if spec.token is not None:
+                leaves += 1
+                depth = max(depth, level)
+            else:
+                stack.append((spec.left, level + 1))
+                stack.append((spec.right, level + 1))
+        return leaves, depth
+
     def num_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.num_leaves() + self.right.num_leaves()
+        return self._shape()[0]
 
     def num_nodes(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.num_nodes() + self.right.num_nodes()
+        return 2 * self._shape()[0] - 1  # every internal node has two children
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + max(self.left.depth(), self.right.depth())
+        return self._shape()[1]
 
     @classmethod
     def complete(cls, num_leaves: int, token: int = 0) -> "TreeNodeSpec":
@@ -77,6 +90,34 @@ class TreeNodeSpec:
             return cls(token=token)
         half = num_leaves // 2
         return cls(left=cls.complete(half, token), right=cls.complete(half, token))
+
+
+def flatten_tree(root: TreeNodeSpec) -> Tuple[List[int], List[int], List[Any]]:
+    """``(left, right, token)`` of the tree in post-order — position ``i``
+    holds node ``i``'s child positions (-1 for a leaf) and its token (None
+    for an internal node) — walked with a stack, not by recursion."""
+    left: List[int] = []
+    right: List[int] = []
+    token: List[Any] = []
+    done: List[int] = []  # positions of finished subtrees awaiting a parent
+    stack: List[Optional[TreeNodeSpec]] = [root]
+    while stack:
+        spec = stack.pop()
+        if spec is None:  # both subtrees of an internal node are finished
+            right.append(done.pop())
+            left.append(done.pop())
+            token.append(None)
+        elif spec.token is not None:
+            left.append(-1)
+            right.append(-1)
+            token.append(spec.token)
+        else:
+            stack.append(None)
+            stack.append(spec.right)
+            stack.append(spec.left)
+            continue
+        done.append(len(token) - 1)
+    return left, right, token
 
 
 class TreePayload:
@@ -136,23 +177,18 @@ class TreeLSTMModel(Model):
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         if not isinstance(payload, TreePayload):
             raise TypeError(f"TreeLSTM payload must be TreePayload, got {type(payload)}")
-        root = self._unfold_node(graph, payload.root)
-        graph.mark_result(root, "h")
-
-    def _unfold_node(self, graph: CellGraph, spec: TreeNodeSpec):
-        if spec.is_leaf:
-            return graph.add_node(self._leaf_type, {"ids": ValueInput(spec.token)})
-        left = self._unfold_node(graph, spec.left)
-        right = self._unfold_node(graph, spec.right)
-        return graph.add_node(
+        left, right, token = flatten_tree(payload.root)
+        tree = graph.add_tree(
+            self._leaf_type,
             self._internal_type,
-            {
-                "h_l": NodeOutput(left.node_id, "h"),
-                "c_l": NodeOutput(left.node_id, "c"),
-                "h_r": NodeOutput(right.node_id, "h"),
-                "c_r": NodeOutput(right.node_id, "c"),
-            },
+            left,
+            right,
+            token,
+            leaf_input="ids",
+            left_inputs=_LEFT_INPUTS,
+            right_inputs=_RIGHT_INPUTS,
         )
+        graph.mark_result(tree.stop - 1, "h")
 
     def default_cost_model(self) -> CostModel:
         model = CostModel()

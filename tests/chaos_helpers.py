@@ -53,9 +53,12 @@ def run_chaos(
     arrival_seed: int = 7,
     deadline: Optional[float] = None,
     dataset_seed: int = 1,
+    dataset=None,
 ) -> List:
-    """Submit a fixed-seed workload, drain, return the submitted requests."""
-    dataset = SequenceDataset(seed=dataset_seed)
+    """Submit a fixed-seed workload (chain lengths, unless ``dataset`` says
+    otherwise), drain, return the submitted requests."""
+    if dataset is None:
+        dataset = SequenceDataset(seed=dataset_seed)
     arrivals = PoissonArrivals(rate, seed=arrival_seed)
     submitted = []
     for when in arrivals.times(num_requests):

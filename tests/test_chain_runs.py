@@ -271,12 +271,9 @@ def test_real_compute_matches_reference_forward(project_output, placement):
 # -- (d) nothing is built per cell ------------------------------------------------
 
 
-def test_simulated_chain_builds_no_nodes(monkeypatch):
-    """Unfold + partition of a simulated length-300 chain constructs no
-    node and no input reference (step 0's zero state is the model's, shared
-    by every request); sliding back to per-cell objects fails here, in
-    tier-1, not only in the benchmark ledger."""
-    model = LSTMChainModel()  # before counting: it owns the zero state
+def count_constructions(monkeypatch):
+    """Counts, by class name, of graph objects constructed from now on
+    (shared with ``tests/test_tree_runs.py``)."""
     built = {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
 
     def counting(cls):
@@ -295,6 +292,16 @@ def test_simulated_chain_builds_no_nodes(monkeypatch):
         cell_graph.ValueInput,
     ):
         counting(cls)
+    return built
+
+
+def test_simulated_chain_builds_no_nodes(monkeypatch):
+    """Unfold + partition of a simulated length-300 chain constructs no
+    node and no input reference (step 0's zero state is the model's, shared
+    by every request); sliding back to per-cell objects fails here, in
+    tier-1, not only in the benchmark ledger."""
+    model = LSTMChainModel()  # before counting: it owns the zero state
+    built = count_constructions(monkeypatch)
 
     graph, request = unfolded(model, 300)
     (sg,) = partition_into_subgraphs(graph, request)

@@ -237,6 +237,78 @@ class TestRuns:
                           initial={"h": 0.0, "c": ValueInput(None)})
 
 
+def add_small_tree(graph, **overrides):
+    """((a b) c) at positions 0..4 unless ``overrides`` says otherwise."""
+    spec = dict(
+        leaf_type=CellType("tree_leaf", ("ids",), ("h", "c")),
+        internal_type=CellType("tree_internal", ("h_l", "c_l", "h_r", "c_r"), ("h", "c")),
+        left=[-1, -1, 0, -1, 2],
+        right=[-1, -1, 1, -1, 3],
+        token=[7, 8, None, 9, None],
+        leaf_input="ids",
+        left_inputs={"h_l": "h", "c_l": "c"},
+        right_inputs={"h_r": "h", "c_r": "c"},
+    )
+    spec.update(overrides)
+    return graph.add_tree(**spec)
+
+
+class TestTrees:
+    """``add_tree``: one record for a parse tree, validated once, nodes
+    built on demand (``tests/test_tree_runs.py`` holds the whole view to the
+    per-node oracle)."""
+
+    def test_tree_reserves_dense_ids_after_earlier_nodes(self, lstm_type):
+        graph = CellGraph()
+        add_chain_run(graph, lstm_type, 3)
+        tree = add_small_tree(graph)
+        assert (tree.first_id, tree.stop, tree.num_leaves) == (3, 8, 3)
+        assert len(graph) == 8 and not graph._nodes and len(graph.runs()) == 2
+        assert tree.parent == [2, 2, 4, 4, -1]
+        assert graph.node(7).predecessors() == [5, 6]
+        assert graph.node(5).predecessors() == [3, 4]
+        assert graph.node(6).inputs["ids"].value == 9
+        assert [list(graph.successors(i)) for i in range(3, 8)] == [[5], [5], [7], [7], []]
+        assert graph.cell_type_census() == {"lstm": 3, "tree_leaf": 3, "tree_internal": 2}
+        graph.mark_result(7, "h")
+        with pytest.raises(ValueError, match="no output 'logits'"):
+            graph.mark_result(6, "logits")
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"right": [-1, -1, 1, -1]}, "one common, positive length"),
+            ({"token": [7, 8, None, 9]}, "one common, positive length"),
+            ({"left": [], "right": [], "token": []}, "one common, positive length"),
+            ({"left": [-1, -1, 4, -1, 2]}, "node 2 has children \\(4, 1\\)"),
+            ({"left": [-1, -1, 2, -1, 2]}, "node 2 has children \\(2, 1\\)"),
+            ({"right": [-1, -1, -1, -1, 3]}, "node 2 has children \\(0, -1\\)"),
+            ({"right": [-1, -1, 0, -1, 3]}, "node 2 has children \\(0, 0\\)"),
+            ({"left": [-1, -1, 0, -1, 0]}, "node 4 has children \\(0, 3\\)"),
+            ({"left": [-1, -1, 0, -1, -1], "right": [-1, -1, 1, -1, -1]}, "tree has 3 roots"),
+            (
+                {"left": [-1, -1, 0, -1], "right": [-1, -1, 1, -1], "token": [7, 8, None, 9]},
+                "tree has 2 roots",
+            ),
+            ({"leaf_input": "idz"}, "missing inputs: \\['ids'\\]"),
+            ({"right_inputs": {"h_r": "h"}}, "missing inputs: \\['c_r'\\]"),
+            ({"right_inputs": {"h_r": "h", "c_r": "c", "h_l": "h"}}, "\\['h_l'\\] read from both"),
+            ({"left_inputs": {"h_l": "h", "c_l": "cell"}}, "no output 'cell'"),
+        ],
+    )
+    def test_tree_is_validated_once_up_front(self, overrides, match):
+        graph = CellGraph()
+        with pytest.raises(ValueError, match=match):
+            add_small_tree(graph, **overrides)
+        assert len(graph) == 0 and not graph.runs()
+
+    def test_child_output_must_exist_on_both_cell_types(self):
+        graph = CellGraph()
+        leaf_only = CellType("tree_leaf", ("ids",), ("h", "c", "x"))
+        with pytest.raises(ValueError, match="'tree_internal' has no output 'x'"):
+            add_small_tree(graph, leaf_type=leaf_only, left_inputs={"h_l": "x", "c_l": "c"})
+
+
 class TestPartitioning:
     def _partition(self, model, payload):
         graph = CellGraph()

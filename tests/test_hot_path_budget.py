@@ -2,11 +2,12 @@
 
 The serving loop's cost per executed cell is mostly Python function calls
 (DESIGN.md §19), and their number — unlike a timing — is exact and
-repeatable.  A small seeded ``lstm_chain`` run is counted under
-``sys.setprofile`` (every Python ``call`` and C ``c_call`` inside
-``LoadGenerator.run``) and held to a budget per executed cell, so a change
-that walks a task once more per stage fails here, on any host, before a
-benchmark is run.
+repeatable.  A small seeded ``lstm_chain`` run, and a ``tree_lstm`` one, is
+counted under ``sys.setprofile`` (every Python ``call`` and C ``c_call``
+inside ``LoadGenerator.run``) and held to a budget per executed cell, so a
+change that walks a task once more per stage fails here, on any host,
+before a benchmark is run.  For trees the objects the run leaves behind for
+the cyclic collector to walk are budgeted the same way (DESIGN.md §20).
 """
 
 import gc
@@ -14,7 +15,7 @@ import sys
 
 from repro.core.request import TERMINAL_STATES, InferenceRequest, RequestState
 from repro.registry import build_server, presets
-from repro.workload import LoadGenerator, SequenceDataset
+from repro.workload import LoadGenerator, SequenceDataset, TreeDataset
 
 REQUESTS = 300
 # 1.25x what this run read when the budget was set (28.7 calls per cell;
@@ -22,14 +23,38 @@ REQUESTS = 300
 # run).  Lower it when the path gets shorter; do not raise it without
 # saying in DESIGN.md §19 what the extra calls buy.
 CALLS_PER_CELL_BUDGET = 35.9
+# The same for trees, payload sampling included: 48.9 calls per cell when
+# the budget was set, 92.5 with one explicit node per tree node and
+# dict-backed subgraphs (DESIGN.md §20).
+TREE_CALLS_PER_CELL_BUDGET = 61.2
+# Objects the cyclic collector tracks that a tree run leaves behind, per
+# executed cell, payload trees included: 3.26 when the budget was set (one
+# ``TreeNodeSpec`` and one node per cell, one subgraph per leaf, a task
+# entry), 9.16 before.  Every one of them is walked by each full collection.
+TREE_TRACKED_PER_CELL_BUDGET = 4.1
 
 
-def _count_calls():
-    """(calls, cells) of one seeded run; the server is built outside the
-    counted region, as the ledger's timed region has it."""
-    server = build_server(presets.lstm_batchmaker_spec())
-    generator = LoadGenerator(rate=5000.0, num_requests=REQUESTS, seed=42)
-    dataset = SequenceDataset(seed=43)
+def _lstm_run():
+    return (
+        build_server(presets.lstm_batchmaker_spec()),
+        LoadGenerator(rate=5000.0, num_requests=REQUESTS, seed=42),
+        SequenceDataset(seed=43),
+    )
+
+
+def _tree_run():
+    return (
+        build_server(presets.tree_batchmaker_spec()),
+        LoadGenerator(rate=1500.0, num_requests=REQUESTS, seed=42),
+        TreeDataset(seed=43),
+    )
+
+
+def _count_calls(make_run=_lstm_run):
+    """(calls, cells, tracked objects retained) of one seeded run; the
+    server is built outside the counted region, as the ledger's timed
+    region has it."""
+    server, generator, dataset = make_run()
     calls = 0
 
     def count(frame, event, arg):
@@ -41,27 +66,44 @@ def _count_calls():
     # on it (hypothesis does, once a @given test has run), and those are
     # calls whose number depends on what the process allocated before.
     previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.collect()
     gc.disable()
+    tracked = len(gc.get_objects())
     sys.setprofile(count)
     try:
         generator.run(server, dataset)
     finally:
         sys.setprofile(previous)
+        tracked = len(gc.get_objects()) - tracked
         if collecting:
             gc.enable()
     assert len(server.finished) == REQUESTS
-    return calls, server.stats().nodes_processed
+    return calls, server.stats().nodes_processed, tracked
 
 
 def test_calls_per_cell_within_budget_and_repeatable():
-    calls, cells = _count_calls()
+    calls, cells, _ = _count_calls()
     assert cells > 5000, "the run is too small to mean anything"
     per_cell = calls / cells
     assert per_cell <= CALLS_PER_CELL_BUDGET, (
         f"{calls} calls for {cells} cells = {per_cell:.1f} per cell, "
         f"budget {CALLS_PER_CELL_BUDGET}"
     )
-    assert _count_calls() == (calls, cells), "the count must repeat exactly"
+    assert _count_calls()[:2] == (calls, cells), "the count must repeat exactly"
+
+
+def test_tree_calls_and_tracked_objects_per_cell_within_budget_and_repeatable():
+    calls, cells, tracked = _count_calls(_tree_run)
+    assert cells > 10000, "the run is too small to mean anything"
+    assert calls / cells <= TREE_CALLS_PER_CELL_BUDGET, (
+        f"{calls} calls for {cells} cells = {calls / cells:.1f} per cell, "
+        f"budget {TREE_CALLS_PER_CELL_BUDGET}"
+    )
+    assert tracked / cells <= TREE_TRACKED_PER_CELL_BUDGET, (
+        f"{tracked} collector-tracked objects retained for {cells} cells = "
+        f"{tracked / cells:.2f} per cell, budget {TREE_TRACKED_PER_CELL_BUDGET}"
+    )
+    assert _count_calls(_tree_run) == (calls, cells, tracked), "the counts must repeat exactly"
 
 
 def test_terminal_by_identity_agrees_with_the_state_set():

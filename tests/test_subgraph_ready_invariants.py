@@ -19,21 +19,32 @@ must hold for every cell-type queue:
 LSTM chains are run-backed subgraphs (``RunSubgraph``: readiness is a
 cursor, not per-node counts); the same invariants are asserted for them
 at every step, plus the cursor's own: the ready node, when there is one, is
-the first node not yet submitted.
+the first node not yet submitted.  Parse trees are ``LeafSubgraph`` (one
+flag) and ``TreeSubgraph`` (a pending-children counter per node) objects;
+for them the ready nodes are recomputed from which nodes were handed out
+and which completed, and every ``TreeSubgraph.commit`` may register the
+subgraph in the eligibility index at most once.
 """
 
 import random
 import zlib
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.cell_graph import CellGraph
 from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.request import InferenceRequest
 from repro.core.request_processor import RequestProcessor
-from repro.core.scheduler import Scheduler
-from repro.core.subgraph import RunSubgraph, Subgraph, partition_into_subgraphs
+from repro.core.scheduler import CellTypeQueue, Scheduler
+from repro.core.subgraph import (
+    LeafSubgraph,
+    RunSubgraph,
+    Subgraph,
+    TreeSubgraph,
+    partition_into_subgraphs,
+)
 from repro.core.task import BatchedTask
 from repro.faults import SLAConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
@@ -41,6 +52,7 @@ from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from repro.policies import LazyKickPolicy, PinnedPlacement, UnpinnedPlacement
 from repro.policies.base import BatchFormationPolicy
 from repro.sim.events import EventLoop
+from repro.workload.trees import random_parse_tree
 
 
 class FakeWorker:
@@ -53,7 +65,10 @@ def _payload(model, rng):
         return rng.randint(1, 12)
     if isinstance(model, Seq2SeqModel):
         return {"src": rng.randint(1, 8), "tgt_len": rng.randint(1, 8)}
-    return TreePayload(TreeNodeSpec.complete(2 ** rng.randint(0, 3)))
+    if rng.random() < 0.5:
+        return TreePayload(TreeNodeSpec.complete(2 ** rng.randint(0, 3)))
+    shape_rng = np.random.default_rng(rng.randrange(1 << 30))
+    return random_parse_tree(shape_rng, rng.randint(1, 9))
 
 
 def _observable(queue):
@@ -95,9 +110,8 @@ class Harness:
 
     def __init__(self, model, config, num_workers):
         self.pending = []
-        self.scheduler = Scheduler(
-            config, submit=lambda task, worker: self.pending.append(task)
-        )
+        self.handed_out = set()  # (request id, node id) of every submitted node
+        self.scheduler = Scheduler(config, submit=self._submit)
         self.formation = CheckedFormation(self.scheduler.policies.formation)
         self.scheduler.policies.formation = self.formation
         for cell_type in model.cell_types():
@@ -110,6 +124,7 @@ class Harness:
         self.workers = [FakeWorker(i) for i in range(num_workers)]
         self._next_request_id = 0
         self.run_backed_checks = 0  # queued RunSubgraphs seen by assert_invariants
+        self.tree_backed_checks = 0  # queued Leaf/TreeSubgraphs seen there
         self.declined_plans = 0  # formed by schedule() but not committed
         # A lazy-kick policy over the same queues, with just enough engine
         # behind it to be active: every request arrived at t=0 without a
@@ -125,6 +140,11 @@ class Harness:
             )
         )
         self.lazy_checked = CheckedFormation(self.lazy)
+
+    def _submit(self, task, worker):
+        self.pending.append(task)
+        for sg, node in task.entries:
+            self.handed_out.add((sg.request.request_id, node.node_id))
 
     def add_request(self, payload):
         request = InferenceRequest(self._next_request_id, payload, 0.0)
@@ -179,6 +199,14 @@ class Harness:
                     assert sg.ready_count() in (0, 1)
                     if sg.ready_count():
                         assert sg._cursor == sg.run.stop - sg.unsubmitted
+                elif isinstance(sg, LeafSubgraph):
+                    self.tree_backed_checks += 1
+                    handed_out = (sg.request.request_id, sg.node_id) in self.handed_out
+                    assert sg.ready_count() == sg.unsubmitted == (not handed_out)
+                elif isinstance(sg, TreeSubgraph):
+                    self.tree_backed_checks += 1
+                    assert sorted(sg.ready) == self.expected_tree_ready(sg)
+                    assert sg.external_pending == 0, "queued before its leaves finished"
             recount = queue.recount_ready_nodes()
             assert queue.num_ready_nodes() == recount, (
                 f"{queue.cell_type.name}: counter {queue.num_ready_nodes()} "
@@ -207,6 +235,28 @@ class Harness:
             self.assert_index_invariants(queue)
         assert self.scheduler.total_ready_nodes() == total
 
+    def expected_tree_ready(self, sg):
+        """Brute force: the internal nodes not handed out whose internal
+        children all were (optimistic) or all completed (otherwise)."""
+        tree, request_id = sg.tree, sg.request.request_id
+
+        def holds_parent_back(index):
+            if tree.left[index] < 0:
+                return False  # a leaf gates the release, not readiness
+            node_id = tree.first_id + index
+            if (request_id, node_id) not in self.handed_out:
+                return True
+            return not sg.optimistic and not sg.graph.node(node_id).completed
+
+        return [
+            tree.first_id + index
+            for index, (lhs, rhs) in enumerate(zip(tree.left, tree.right))
+            if lhs >= 0
+            and (request_id, tree.first_id + index) not in self.handed_out
+            and not holds_parent_back(lhs)
+            and not holds_parent_back(rhs)
+        ]
+
     @staticmethod
     def assert_index_invariants(queue):
         for bucket, entries in queue._buckets.items():
@@ -233,8 +283,27 @@ MODELS = [
 @pytest.mark.parametrize("pinning", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ready_count_invariants_under_random_interleavings(
-    name, model_cls, max_batch, pinning, seed
+    name, model_cls, max_batch, pinning, seed, monkeypatch
 ):
+    # A TreeSubgraph commit is one pass: whatever it does to the ready list
+    # and the pin, the eligibility index hears of it at most once.
+    registrations = []
+    register, tree_commit = CellTypeQueue._register, TreeSubgraph.commit
+
+    def counted_register(queue, sg):
+        registrations.append(sg)
+        register(queue, sg)
+
+    def checked_commit(sg, count, bind, worker_id):
+        before = len(registrations)
+        nodes = tree_commit(sg, count, bind, worker_id)
+        assert len(registrations) - before <= 1, "TreeSubgraph.commit registered twice"
+        assert registrations[before:] in ([], [sg])
+        return nodes
+
+    monkeypatch.setattr(CellTypeQueue, "_register", counted_register)
+    monkeypatch.setattr(TreeSubgraph, "commit", checked_commit)
+
     # crc32, not hash(): str hashes change with PYTHONHASHSEED, and a
     # failing interleaving must be replayable.
     rng = random.Random(zlib.crc32(repr((name, pinning, seed)).encode()))
@@ -277,6 +346,10 @@ def test_ready_count_invariants_under_random_interleavings(
         assert harness.run_backed_checks > 100, "chains were not run-backed"
     else:
         assert harness.run_backed_checks == 0
+    if isinstance(model, TreeLSTMModel):
+        assert harness.tree_backed_checks > 500, "trees were not tree-backed"
+    else:
+        assert harness.tree_backed_checks == 0
     assert harness.lazy.holds > 0, "the lazy-kick hold was never exercised"
     if seed != 1:
         assert harness.declined_plans == 0
@@ -426,6 +499,138 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
     _, sg = _queue_chain(model, scheduler, 0, 5)
     with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
         sg.commit(2, PinnedPlacement().bind, 0)
+
+
+# -- TreeSubgraph.commit against the same three-call sequence ------------------
+
+
+def _queue_tree(scheduler, model, request_id, spec, start_id):
+    """Unfold and partition one tree, retire its leaves by hand and enqueue
+    the internal subgraph; returns it."""
+    payload = TreePayload(spec)
+    graph = CellGraph()
+    model.unfold(graph, payload)
+    request = InferenceRequest(request_id, payload, 0.0)
+    request.graph = graph
+    subgraphs = partition_into_subgraphs(graph, request, start_id=start_id)
+    request.subgraphs = {sg.subgraph_id: sg for sg in subgraphs}
+    (internal,) = [sg for sg in subgraphs if isinstance(sg, TreeSubgraph)]
+    released = [internal.leaf_completed() for sg in subgraphs if sg is not internal]
+    assert released == [False] * (len(released) - 1) + [True]
+    scheduler.add_subgraph(internal)
+    return internal
+
+
+def _tree_commit_state(sg, queue):
+    return {
+        "ready": list(sg.ready),
+        "pending": bytes(sg._pending),
+        "unsubmitted": sg.unsubmitted,
+        "inflight": sg.inflight,
+        "pinned": sg.pinned,
+        "queue_total": queue._ready_total,
+        "queue_recount": queue.recount_ready_nodes(),
+        "index": _index_snapshot(queue),
+        "plans": [
+            [(member.subgraph_id, n) for member, n in queue.plan(worker_id, 4)]
+            for worker_id in (0, 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
+@pytest.mark.parametrize("sticky", [False, True])
+def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
+    """``TreeSubgraph.commit`` is ``take_ready`` / ``graph.node`` / ``bind``
+    / ``mark_submitted`` in one pass, not a second behaviour: driven side
+    by side over a whole tree in takes of up to three, with completions in
+    between, both leave the same ready list, counters, pin, queue total,
+    index and plans, and return the same nodes."""
+    placement = placement_cls()
+    worker_id = 1
+    spec = random_parse_tree(np.random.default_rng(4), 14).root
+    twins = []
+    for _ in range(2):
+        model = TreeLSTMModel()
+        scheduler = Scheduler(
+            BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
+        )
+        scheduler.policies.placement = placement
+        for cell_type in model.cell_types():
+            scheduler.register_cell_type(cell_type)
+        _queue_tree(scheduler, model, 0, TreeNodeSpec.complete(4), 0)  # a neighbour
+        sg = _queue_tree(scheduler, model, 1, spec, 10)
+        if sticky:  # what FixedPlacement.on_admit does
+            sg.sticky = True
+            sg.repin(worker_id)
+        assert sg.optimistic is placement.optimistic
+        twins.append((sg, scheduler.queue_for("tree_internal")))
+    (fast_sg, fast_queue), (base_sg, base_queue) = twins
+    assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
+
+    rounds = 0
+    while not fast_sg.exhausted():
+        count = min(fast_sg.ready_count(), 3)
+        assert count > 0, "the tree stalled"
+        fast_nodes = fast_sg.commit(count, placement.bind, worker_id)
+        base_nodes = Subgraph.commit(base_sg, count, placement.bind, worker_id)
+        node_ids = [n.node_id for n in fast_nodes]
+        assert node_ids == [n.node_id for n in base_nodes] and len(node_ids) == count
+        assert all(n is fast_sg.graph.node(n.node_id) for n in fast_nodes)
+        assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
+        rounds += 1
+        if rounds % 2 == 0 or not placement.optimistic:
+            # Retire what is in flight: unpins (unless sticky), and on the
+            # completion-ordered path makes the parents ready.
+            for sg in (fast_sg, base_sg):
+                for _ in range(sg.inflight):
+                    sg.task_done(0)
+                if not placement.optimistic:
+                    sg.mark_completed_internal(node_ids)
+            assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(
+                base_sg, base_queue
+            )
+    assert base_sg.exhausted() and rounds >= 5
+
+    # Nothing is ready any more: both refuse with the scheduler's message.
+    for sg in (fast_sg, base_sg):
+        with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
+            sg.commit(1, placement.bind, worker_id)
+
+
+def test_leaf_commit_and_take_keep_the_counter_exact():
+    """A leaf subgraph is one flag: ``take_ready`` / ``mark_submitted`` and
+    ``commit`` both clear it once, tell the queue once and refuse a second
+    node."""
+    model = TreeLSTMModel()
+    scheduler = Scheduler(BatchingConfig.with_max_batch(4), submit=lambda task, worker: None)
+    for cell_type in model.cell_types():
+        scheduler.register_cell_type(cell_type)
+    queue = scheduler.queue_for("tree_leaf")
+    graph = CellGraph()
+    payload = TreePayload(TreeNodeSpec.complete(4))
+    model.unfold(graph, payload)
+    request = InferenceRequest(0, payload, 0.0)
+    first, second, internal, third, _ = partition_into_subgraphs(graph, request)
+    assert isinstance(first, LeafSubgraph) and isinstance(internal, TreeSubgraph)
+    for sg in (first, second, third):
+        scheduler.add_subgraph(sg)
+    assert queue.num_ready_nodes() == 3 == queue.recount_ready_nodes()
+
+    assert first.take_ready(0) == [] and first.take_ready(4) == [0]
+    assert first.take_ready(4) == [] and first.ready_count() == 0
+    first.mark_submitted([0])
+    assert first.exhausted() and queue.num_ready_nodes() == 2 == queue.recount_ready_nodes()
+
+    with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
+        second.commit(2, PinnedPlacement().bind, 0)
+
+    (node,) = third.commit(1, PinnedPlacement().bind, 0)
+    assert node is graph.node(3) and node.cell_type.name == "tree_leaf"
+    assert third.exhausted() and third.pinned == 0 and third.inflight == 1
+    assert queue.num_ready_nodes() == queue.recount_ready_nodes()
+    with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
+        third.commit(1, PinnedPlacement().bind, 0)
 
 
 def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
