@@ -49,8 +49,7 @@ class BatchMakerServer(InferenceServer):
         Optional :class:`~repro.policies.PolicyBundle` overriding the
         scheduling policies (queue priority, placement, batch formation).
         Defaults to the paper's Algorithm 1 derived from ``config``; an
-        explicit bundle takes precedence over ``config.pinning`` /
-        ``config.fast_path``.
+        explicit bundle takes precedence over ``config.pinning``.
     memory:
         Optional :class:`~repro.gpu.MemorySpec`: per-device byte capacity,
         weight residency and per-subgraph state footprint (DESIGN.md §15).

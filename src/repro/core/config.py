@@ -10,6 +10,17 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 
+def _reject_unknown_keys(what: str, data: Dict, accepted: Sequence[str]) -> None:
+    """Stored specs are typed by hand: a key ``from_dict`` does not read is
+    a typo or a removed option, and loading the default in its place would
+    hide it."""
+    unknown = sorted(set(data) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{what} does not accept {unknown} (accepts: {sorted(accepted)})"
+        )
+
+
 class CellTypeConfig:
     """Per-cell-type knobs.
 
@@ -48,6 +59,7 @@ class CellTypeConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CellTypeConfig":
+        _reject_unknown_keys("CellTypeConfig", data, ("batch_sizes", "priority"))
         return cls(
             batch_sizes=data.get("batch_sizes", cls().batch_sizes),
             priority=data.get("priority", 0),
@@ -90,11 +102,6 @@ class BatchingConfig:
     successive tasks of one subgraph may land on different workers and pay
     the cross-device copy cost (and are serialised by explicit dependency
     rather than stream FIFO order).
-
-    ``fast_path`` selects the scheduler's O(1) incremental ready-node
-    accounting (the default).  Setting it False falls back to the retained
-    brute-force queue scans — same decisions, asymptotically slower — used
-    by the equivalence test and as the benchmark baseline.
     """
 
     def __init__(
@@ -103,7 +110,6 @@ class BatchingConfig:
         per_cell: Optional[Dict[str, CellTypeConfig]] = None,
         max_tasks_to_submit: int = 5,
         pinning: bool = True,
-        fast_path: bool = True,
     ):
         if max_tasks_to_submit < 1:
             raise ValueError("max_tasks_to_submit must be >= 1")
@@ -111,7 +117,6 @@ class BatchingConfig:
         self.per_cell: Dict[str, CellTypeConfig] = dict(per_cell or {})
         self.max_tasks_to_submit = max_tasks_to_submit
         self.pinning = pinning
-        self.fast_path = fast_path
 
     @classmethod
     def with_max_batch(
@@ -121,7 +126,6 @@ class BatchingConfig:
         per_cell_priority: Optional[Dict[str, int]] = None,
         max_tasks_to_submit: int = 5,
         pinning: bool = True,
-        fast_path: bool = True,
     ) -> "BatchingConfig":
         """Convenience constructor: power-of-two Bsizes up to ``max_batch``.
 
@@ -140,7 +144,6 @@ class BatchingConfig:
             per_cell=per_cell,
             max_tasks_to_submit=max_tasks_to_submit,
             pinning=pinning,
-            fast_path=fast_path,
         )
 
     def for_cell(self, cell_name: str) -> CellTypeConfig:
@@ -156,11 +159,15 @@ class BatchingConfig:
             },
             "max_tasks_to_submit": self.max_tasks_to_submit,
             "pinning": self.pinning,
-            "fast_path": self.fast_path,
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchingConfig":
+        _reject_unknown_keys(
+            "BatchingConfig",
+            data,
+            ("default", "per_cell", "max_tasks_to_submit", "pinning"),
+        )
         return cls(
             default=CellTypeConfig.from_dict(data.get("default", {})),
             per_cell={
@@ -169,7 +176,6 @@ class BatchingConfig:
             },
             max_tasks_to_submit=data.get("max_tasks_to_submit", 5),
             pinning=data.get("pinning", True),
-            fast_path=data.get("fast_path", True),
         )
 
     def __eq__(self, other) -> bool:

@@ -31,9 +31,10 @@ incrementally instead of rescanning:
   member here, one pass per distinct subgraph at submission, two passes
   over the entries at completion (DESIGN.md §19).
 
-The original O(queue) scans are retained as the brute-force reference
-(``BatchingConfig(fast_path=False)``); the equivalence test in
-``tests/test_scheduler_equivalence.py`` holds the two bit-identical.
+This is the only scheduler in ``src/``.  The original O(queue) scans — a
+full FIFO scan per batch, a full recount per ready-node read — live in
+``tests/oracles/bruteforce_scheduler.py``; ``tests/test_scheduler_equivalence.py``
+and the interleaving harness hold the two bit-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.subgraph import Subgraph
 from repro.core.task import BatchedTask
 from repro.policies import PolicyBundle
-from repro.policies.defaults import PaperBatchFormation
 from repro.trace import events as trace_events
 
 
@@ -67,12 +67,9 @@ class CellTypeQueue:
       count) when it reads an entry and drops the ones it finds stale.
     """
 
-    def __init__(
-        self, cell_type: CellType, config: CellTypeConfig, fast_path: bool = True
-    ):
+    def __init__(self, cell_type: CellType, config: CellTypeConfig):
         self.cell_type = cell_type
         self.config = config
-        self.fast_path = fast_path
         self.subgraphs: Dict[int, Subgraph] = {}
         self.running_tasks = 0
         self._ready_total = 0
@@ -82,13 +79,7 @@ class CellTypeQueue:
     # -- ready-node accounting ---------------------------------------------
 
     def num_ready_nodes(self) -> int:
-        if self.fast_path:
-            return self._ready_total
-        return self.recount_ready_nodes()
-
-    def recount_ready_nodes(self) -> int:
-        """Brute-force reference: full rescan of the queue."""
-        return sum(sg.ready_count() for sg in self.subgraphs.values())
+        return self._ready_total
 
     def add(self, sg: Subgraph) -> None:
         sg.owner = self
@@ -214,8 +205,8 @@ class Scheduler:
     where a subgraph's work binds — live in a
     :class:`~repro.policies.PolicyBundle`; this class owns the mechanism
     (queues, counters, task construction, accounting).  When no bundle is
-    given, the paper's defaults are derived from ``config`` (pinning and
-    fast-path flags), reproducing the pre-policy-layer engine bit for bit.
+    given, the paper's defaults are derived from ``config`` (the pinning
+    flag), reproducing the pre-policy-layer engine bit for bit.
     """
 
     def __init__(
@@ -225,7 +216,6 @@ class Scheduler:
         policies: Optional[PolicyBundle] = None,
     ):
         self.config = config
-        self.fast_path = getattr(config, "fast_path", True)
         self.policies = (
             policies if policies is not None else PolicyBundle.from_config(config)
         )
@@ -247,9 +237,7 @@ class Scheduler:
         if cell_type.name in self._queues:
             raise ValueError(f"cell type {cell_type.name!r} registered twice")
         self._queues[cell_type.name] = CellTypeQueue(
-            cell_type,
-            self.config.for_cell(cell_type.name),
-            fast_path=self.fast_path,
+            cell_type, self.config.for_cell(cell_type.name)
         )
         self._queue_list = tuple(self._queues.values())
 
@@ -287,19 +275,6 @@ class Scheduler:
             else:
                 break
         return num_tasks
-
-    def _form_batched_task(
-        self, queue: CellTypeQueue, worker
-    ) -> List[Tuple[Subgraph, int]]:
-        """The bundle's ``FormBatchedTask`` (kept as a seam for the
-        invariant tests)."""
-        return self.policies.formation.form(queue, worker)
-
-    def _form_batched_task_reference(
-        self, queue: CellTypeQueue, worker
-    ) -> List[Tuple[Subgraph, int]]:
-        """Brute-force reference plan, regardless of the active bundle."""
-        return PaperBatchFormation(fast_path=False).form(queue, worker)
 
     def _commit(
         self,
@@ -348,7 +323,7 @@ class Scheduler:
         come through here.  ``CellTypeQueue.remove`` gives the ready counter
         back and clears the owner, so the index entries left behind are
         recognised as stale and dropped by the next plan that reads them —
-        the fast path stays bit-identical to a brute-force rescan.  The
+        plans stay bit-identical to a brute-force rescan.  The
         formation policy's ``on_subgraph_removed`` hook fires for each
         eviction so bundles keeping their own eligibility indexes stay
         consistent.  Returns how many subgraphs were evicted."""

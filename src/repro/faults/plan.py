@@ -4,9 +4,10 @@ A :class:`FaultPlan` decides, ahead of time or pseudo-randomly, which
 batched tasks fail or straggle and which devices drop mid-run.  Every
 decision is a pure function of ``(seed, task_id, attempt)`` — *not* of the
 order in which the engine happens to ask — so the same plan yields
-bit-identical fault timestamps under the scheduler's ``fast_path`` on and
-off (which produce the same task stream by PR 1's equivalence guarantee),
-and across retries of unrelated tasks.
+bit-identical fault timestamps under the scheduler and under the
+brute-force scans of ``tests/oracles/bruteforce_scheduler.py`` (which
+produce the same task stream by the equivalence suite), and across retries
+of unrelated tasks.
 
 With the default arguments the plan injects nothing, and a server built
 without a plan skips the hooks entirely: fault injection disabled is

@@ -17,9 +17,9 @@ variants as in E-BATCH) are policy swaps rather than code forks:
 
 :class:`PolicyBundle` groups one of each.  ``PolicyBundle.from_config``
 derives the paper's defaults from a :class:`~repro.core.config.BatchingConfig`
-— with those defaults the engine is bit-identical (fixed seed, fast path
-on or off) to the pre-policy-layer scheduler, which
-``tests/test_policies.py`` fingerprint-checks.
+— with those defaults the engine is bit-identical (fixed seed) to the
+pre-policy-layer scheduler, which ``tests/test_policies.py``
+fingerprint-checks.
 
 Named constructors (``make_priority("flat")`` etc.) back the declarative
 :mod:`repro.registry` specs.
@@ -77,17 +77,9 @@ def make_placement(name: str) -> PlacementPolicy:
     return _make(PLACEMENT_POLICIES, name, "placement")
 
 
-def make_formation(name: str, fast_path: bool = True) -> BatchFormationPolicy:
+def make_formation(name: str) -> BatchFormationPolicy:
     """A fresh batch-formation policy by registry name."""
-    cls = FORMATION_POLICIES.get(name)
-    if cls is None:
-        raise KeyError(
-            f"unknown batch-formation policy {name!r} "
-            f"(have: {sorted(FORMATION_POLICIES)})"
-        )
-    if cls in (PaperBatchFormation, LazyKickPolicy, MemoryAwareFormation):
-        return cls(fast_path=fast_path)
-    return cls()
+    return _make(FORMATION_POLICIES, name, "batch-formation")
 
 
 def _make(registry, name, what):
@@ -106,7 +98,7 @@ def bundle_from_names(
     """A :class:`PolicyBundle` with named overrides over ``config`` defaults.
 
     Unnamed slots take the paper default derived from ``config`` (so a
-    priority-only swap keeps pinning/fast-path behaviour untouched) —
+    priority-only swap keeps the pinning behaviour untouched) —
     this is the hook the ablation experiments and :mod:`repro.registry`
     specs use to express policy swaps declaratively.
     """
@@ -114,13 +106,7 @@ def bundle_from_names(
     return PolicyBundle(
         priority=base.priority if priority is None else make_priority(priority),
         placement=base.placement if placement is None else make_placement(placement),
-        formation=(
-            base.formation
-            if formation is None
-            else make_formation(
-                formation, fast_path=getattr(config, "fast_path", True)
-            )
-        ),
+        formation=base.formation if formation is None else make_formation(formation),
     )
 
 

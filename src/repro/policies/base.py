@@ -164,9 +164,8 @@ class PolicyBundle:
     @classmethod
     def from_config(cls, config) -> "PolicyBundle":
         """The paper's defaults for a :class:`BatchingConfig`: three-tier
-        priority, pinning on/off per ``config.pinning``, FIFO formation on
-        the fast or brute-force path per ``config.fast_path``.  Runs are
-        bit-identical to the pre-policy-layer engine."""
+        priority, pinning on/off per ``config.pinning``, FIFO formation.
+        Runs are bit-identical to the pre-policy-layer engine."""
         from repro.policies.defaults import (
             PaperBatchFormation,
             PaperQueuePriority,
@@ -179,9 +178,7 @@ class PolicyBundle:
             placement=(
                 PinnedPlacement() if config.pinning else UnpinnedPlacement()
             ),
-            formation=PaperBatchFormation(
-                fast_path=getattr(config, "fast_path", True)
-            ),
+            formation=PaperBatchFormation(),
         )
 
     def names(self) -> dict:

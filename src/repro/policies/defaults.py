@@ -77,35 +77,14 @@ class PaperBatchFormation(BatchFormationPolicy):
     nodes, unpinned or pinned to the requesting worker) in arrival order,
     taking ready nodes until the maximum batch size is reached.
 
-    ``fast_path=True`` reads the queue's sorted eligibility lists
+    Reads the queue's sorted eligibility lists
     (:meth:`~repro.core.scheduler.CellTypeQueue.plan`, O(batch + stale
-    entries)); ``fast_path=False`` is the retained brute-force FIFO scan
-    (O(queue)).  Both produce bit-identical plans.
+    entries)).  The full FIFO scan it replaced (O(queue)) is the oracle in
+    ``tests/oracles/bruteforce_scheduler.py``; both produce bit-identical
+    plans.
     """
 
     name = "paper"
 
-    def __init__(self, fast_path: bool = True):
-        self.fast_path = fast_path
-
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        if not self.fast_path:
-            return self._form_reference(queue, worker)
         return queue.plan(worker.worker_id, queue.config.max_batch)
-
-    def _form_reference(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        """Brute-force reference: full FIFO scan past ineligible subgraphs
-        (the pre-optimisation implementation, kept for the equivalence test
-        and as the benchmark baseline)."""
-        plan: Plan = []
-        budget = queue.config.max_batch
-        for sg in queue.subgraphs.values():
-            if budget == 0:
-                break
-            if sg.pinned is not None and sg.pinned != worker.worker_id:
-                continue
-            take = min(sg.ready_count(), budget)
-            if take > 0:
-                plan.append((sg, take))
-                budget -= take
-        return plan

@@ -55,9 +55,8 @@ class MemoryAwareFormation(BatchFormationPolicy):
     #: Re-poke cadence after a wholly-deferred round (see ``_arm_retry``).
     defer_retry = 1e-3
 
-    def __init__(self, fast_path: bool = True):
-        self.fast_path = fast_path
-        self.inner = PaperBatchFormation(fast_path=fast_path)
+    def __init__(self):
+        self.inner = PaperBatchFormation()
         self._manager = None
         self.state_bytes = 0
         self._retry_armed = False

@@ -15,10 +15,9 @@ Patience is additionally capped at ``max_hold`` seconds of cumulative
 added delay per request (anchored to its arrival), so abundant slack is
 spent sparingly instead of burned whole on the first dense batch.
 
-The policy plans through the paper formation (fast or brute-force path),
-so a kicked plan is bit-identical to what the paper policy would have
-formed at that instant; the only new behaviour is *when* the kick
-happens.  Declining a kick returns an empty plan (the scheduler treats it
+The policy plans through the paper formation, so a kicked plan is
+bit-identical to what the paper policy would have formed at that instant;
+the only new behaviour is *when* the kick happens.  Declining a kick returns an empty plan (the scheduler treats it
 as "nothing to submit") and arms a wake-up timer at the earliest slack
 expiry, which re-pokes the idle workers through the manager's coalesced
 dispatch — so a held batch is kicked exactly when its tightest member
@@ -59,13 +58,11 @@ class LazyKickPolicy(BatchFormationPolicy):
 
     def __init__(
         self,
-        fast_path: bool = True,
         margin: Optional[float] = None,
         max_hold: Optional[float] = None,
         predictor: Optional[LatencyPredictor] = None,
     ):
-        self.fast_path = fast_path
-        self.inner = PaperBatchFormation(fast_path=fast_path)
+        self.inner = PaperBatchFormation()
         self.margin = margin
         self.max_hold = max_hold
         self.predictor = predictor

@@ -18,6 +18,10 @@ from repro.faults import FaultPlan, SLAConfig
 from repro.models import LSTMChainModel
 from repro.workload import SequenceDataset
 from repro.workload.arrivals import PoissonArrivals
+from tests.oracles.bruteforce_scheduler import (
+    install_reference_scans,
+    recount_ready_nodes,
+)
 
 
 def chaos_seeds(default: str = "7,23,51") -> List[int]:
@@ -31,19 +35,20 @@ def build_server(
     sla: Optional[SLAConfig] = None,
     num_gpus: int = 1,
     max_batch: int = 64,
-    fast_path: bool = True,
+    reference: bool = False,
     model=None,
     **config_kwargs,
 ) -> BatchMakerServer:
-    return BatchMakerServer(
+    """``reference=True`` schedules by the brute-force scans of
+    ``tests/oracles/bruteforce_scheduler.py``."""
+    server = BatchMakerServer(
         model if model is not None else LSTMChainModel(),
-        config=BatchingConfig.with_max_batch(
-            max_batch, fast_path=fast_path, **config_kwargs
-        ),
+        config=BatchingConfig.with_max_batch(max_batch, **config_kwargs),
         num_gpus=num_gpus,
         fault_plan=fault_plan,
         sla=sla,
     )
+    return install_reference_scans(server) if reference else server
 
 
 def run_chaos(
@@ -74,8 +79,8 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
 
     1. Every submitted request reaches exactly one terminal state and is
        reported in exactly one of finished/timed_out/rejected.
-    2. Nothing leaks: no pending events, no queued subgraphs, and the fast
-       path's incremental ready counters match a brute-force recount.
+    2. Nothing leaks: no pending events, no queued subgraphs, and the
+       incremental ready counters match a brute-force recount.
     3. Engine counters reconcile with per-request outcomes.
     4. A finished request with a deadline met it.
     """
@@ -106,7 +111,7 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
     for queue in scheduler._queues.values():
         assert not queue.subgraphs, f"leaked subgraphs in {queue!r}"
         assert queue.num_ready_nodes() == 0
-        assert queue.recount_ready_nodes() == 0
+        assert recount_ready_nodes(queue) == 0
         assert queue.running_tasks == 0, f"running-task leak in {queue!r}"
     for worker in server.manager.workers:
         assert worker.outstanding == 0, f"in-flight leak on {worker!r}"

@@ -65,3 +65,46 @@ class TestBatchingConfig:
 
     def test_pinning_default_on(self):
         assert BatchingConfig().pinning is True
+
+
+class TestFromDictRejectsUnknownKeys:
+    """``from_dict`` reads stored, hand-edited JSON: a key it does not know
+    is a typo or a removed option, not a request for the default."""
+
+    def test_round_trip_still_exact(self):
+        config = BatchingConfig.with_max_batch(
+            64, per_cell_max={"decoder": 32}, max_tasks_to_submit=3, pinning=False
+        )
+        assert BatchingConfig.from_dict(config.to_dict()) == config
+        assert BatchingConfig.from_dict({}) == BatchingConfig()
+
+    @pytest.mark.parametrize("key", ["max_task_to_submit", "fast_path"])
+    def test_batching_config_names_the_key_and_the_accepted_ones(self, key):
+        stored = BatchingConfig().to_dict()
+        stored[key] = False
+        with pytest.raises(ValueError) as excinfo:
+            BatchingConfig.from_dict(stored)
+        message = str(excinfo.value)
+        assert key in message
+        for accepted in ("default", "per_cell", "max_tasks_to_submit", "pinning"):
+            assert accepted in message
+
+    def test_cell_type_config_names_the_key_and_the_accepted_ones(self):
+        with pytest.raises(ValueError, match="batch_size.*batch_sizes.*priority"):
+            CellTypeConfig.from_dict({"batch_size": [1, 2]})
+
+    def test_nested_cell_blocks_are_checked_too(self):
+        stored = BatchingConfig().to_dict()
+        stored["default"]["prio"] = 1
+        with pytest.raises(ValueError, match="prio"):
+            BatchingConfig.from_dict(stored)
+        stored = BatchingConfig().to_dict()
+        stored["per_cell"] = {"decoder": {"batch_sizes": [1], "max": 4}}
+        with pytest.raises(ValueError, match="max"):
+            BatchingConfig.from_dict(stored)
+
+    def test_the_removed_option_is_rejected_by_the_constructors(self):
+        with pytest.raises(TypeError, match="fast_path"):
+            BatchingConfig(fast_path=False)
+        with pytest.raises(TypeError, match="fast_path"):
+            BatchingConfig.with_max_batch(64, fast_path=False)

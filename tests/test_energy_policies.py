@@ -39,16 +39,20 @@ from .chaos_helpers import (
     outcome_fingerprint,
     run_chaos,
 )
+from .oracles.bruteforce_scheduler import install_reference_scans
 
 
-def _server(energy=None, fast_path=True, num_gpus=2, fault_plan=None):
-    return BatchMakerServer(
+def _server(energy=None, indexed=True, num_gpus=2, fault_plan=None):
+    """``indexed=False`` schedules by the brute-force scans of
+    ``tests/oracles/bruteforce_scheduler.py``."""
+    server = BatchMakerServer(
         LSTMChainModel(),
-        config=BatchingConfig.with_max_batch(64, fast_path=fast_path),
+        config=BatchingConfig.with_max_batch(64),
         num_gpus=num_gpus,
         fault_plan=fault_plan,
         energy=energy,
     )
+    return server if indexed else install_reference_scans(server)
 
 
 def _native_clock_spec(governor="fixed"):
@@ -92,15 +96,15 @@ def _telescope(server):
 # -- 1. bit-identity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
+@pytest.mark.parametrize("indexed", [True, False])
 @pytest.mark.parametrize("seed", chaos_seeds())
-def test_native_clock_spec_is_bit_identical_to_no_spec(seed, fast_path):
+def test_native_clock_spec_is_bit_identical_to_no_spec(seed, indexed):
     """Energy accounting at the native clock is pure observation: same
     terminal outcomes, timestamps, counters and batch compositions as the
     energy-blind engine, for both formation paths and every chaos seed."""
     fingerprints = []
     for energy in (None, _native_clock_spec()):
-        server = _server(energy=energy, fast_path=fast_path)
+        server = _server(energy=energy, indexed=indexed)
         submitted = run_chaos(
             server, rate=4000.0, num_requests=400, arrival_seed=seed
         )
@@ -108,7 +112,7 @@ def test_native_clock_spec_is_bit_identical_to_no_spec(seed, fast_path):
         fingerprints.append(outcome_fingerprint(server))
     assert fingerprints[0] == fingerprints[1], (
         f"energy accounting perturbed the schedule (seed={seed}, "
-        f"fast_path={fast_path})"
+        f"indexed={indexed})"
     )
     # ...and it really was watching, not disabled.
     assert _telescope(server) > 0

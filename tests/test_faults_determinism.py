@@ -32,12 +32,12 @@ def _storm_sla():
     return SLAConfig(default_deadline=40e-3, retry=RetryPolicy(max_retries=2))
 
 
-def _run(seed, fast_path=True):
+def _run(seed, reference=False):
     server = build_server(
         fault_plan=_storm_plan(seed),
         sla=_storm_sla(),
         num_gpus=2,
-        fast_path=fast_path,
+        reference=reference,
     )
     submitted = run_chaos(server, num_requests=250, arrival_seed=7)
     assert_invariants(server, submitted)
@@ -53,8 +53,8 @@ def test_same_seed_bit_identical_across_runs(seed):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_same_seed_bit_identical_across_fast_path(seed):
-    fp_fast = outcome_fingerprint(_run(seed, fast_path=True))
-    fp_ref = outcome_fingerprint(_run(seed, fast_path=False))
+    fp_fast = outcome_fingerprint(_run(seed))
+    fp_ref = outcome_fingerprint(_run(seed, reference=True))
     assert fp_fast == fp_ref
 
 

@@ -193,7 +193,7 @@ def test_fast_path_off_same_invariants(seed):
     bit-identical)."""
     plan = FaultPlan(seed=seed, kernel_failure_rate=0.1, straggler_rate=0.1)
     sla = SLAConfig(default_deadline=50e-3, retry=RetryPolicy(max_retries=2))
-    server = build_server(fault_plan=plan, sla=sla, fast_path=False)
+    server = build_server(fault_plan=plan, sla=sla, reference=True)
     submitted = run_chaos(server, num_requests=200, arrival_seed=seed)
     assert_invariants(server, submitted)
 

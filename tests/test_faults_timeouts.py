@@ -90,16 +90,17 @@ def test_cancellation_unwinds_queued_subgraphs():
 
 
 def test_counters_consistent_after_cancel_fast_vs_reference():
-    """Identical timeout outcomes with fast_path on and off — cancellation
-    plays by the equivalence rules of PR 1."""
+    """Identical timeout outcomes under the scheduler and under the
+    brute-force scans — cancellation plays by the equivalence rules of
+    PR 1."""
     outcomes = {}
-    for fast_path in (True, False):
-        server = build_server(sla=SLAConfig(), fast_path=fast_path)
+    for reference in (False, True):
+        server = build_server(sla=SLAConfig(), reference=reference)
         submitted = run_chaos(
             server, rate=8000.0, num_requests=120, deadline=2e-3
         )
         assert_invariants(server, submitted)
-        outcomes[fast_path] = [
+        outcomes[reference] = [
             (r.request_id, r.state.value, r.terminal_time) for r in submitted
         ]
     assert outcomes[True] == outcomes[False]

@@ -8,13 +8,24 @@ inside ``LoadGenerator.run``) and held to a budget per executed cell, so a
 change that walks a task once more per stage fails here, on any host,
 before a benchmark is run.  For trees the objects the run leaves behind for
 the cyclic collector to walk are budgeted the same way (DESIGN.md §20).
+
+The opt-in subsystems (lazy kick, memory-aware formation, energy
+accounting, tracing) go through the same counter: switched off they must
+fit the plain budget — the guard costs nothing — and switched on a budget
+of their own (DESIGN.md §21; these rows replace the wall-clock ``slo`` /
+``memory`` / ``energy`` / ``trace`` sections of the engine micro-bench).
 """
 
 import gc
 import sys
 
+import pytest
+
 from repro.core.request import TERMINAL_STATES, InferenceRequest, RequestState
+from repro.faults import SLAConfig
+from repro.gpu.memory import MemorySpec
 from repro.registry import build_server, presets
+from repro.trace import TraceRecorder
 from repro.workload import LoadGenerator, SequenceDataset, TreeDataset
 
 REQUESTS = 300
@@ -34,12 +45,58 @@ TREE_CALLS_PER_CELL_BUDGET = 61.2
 TREE_TRACKED_PER_CELL_BUDGET = 4.1
 
 
-def _lstm_run():
+def _lstm_server(formation=None, **runtime):
+    """The ledger's ``lstm_chain`` server; ``formation`` names a swap."""
+    policies = {"formation": formation} if formation else None
+    return build_server(presets.lstm_batchmaker_spec(policies=policies), **runtime)
+
+
+def _lstm_run(make_server=_lstm_server):
     return (
-        build_server(presets.lstm_batchmaker_spec()),
+        make_server(),
         LoadGenerator(rate=5000.0, num_requests=REQUESTS, seed=42),
         SequenceDataset(seed=43),
     )
+
+
+def _traced_server():
+    server = _lstm_server()
+    server.attach_trace(TraceRecorder(server.loop, sample_every=1))
+    return server
+
+
+# Subsystem -> (server with it wired in but switched off, or None where off
+# is the plain server of ``_lstm_run``; server with it on; calls per cell
+# allowed when on = 1.25x what the run read when the row was added: 32.9,
+# 35.4, 29.4 and 31.6 against 28.8 plain; a check that it really was on).
+# The deadline and the device are roomy, so all 300 requests still finish
+# and the cell count is the plain run's.
+OPT_IN = {
+    "lazy_kick": (
+        lambda: _lstm_server("lazy_kick"),
+        lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
+        41.1,
+        lambda server: server.policies.formation.kicks > 0,
+    ),
+    "memory_aware": (
+        lambda: _lstm_server("memory_aware"),
+        lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
+        44.2,
+        lambda server: server.policies.formation.active,
+    ),
+    "energy": (
+        None,
+        lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
+        36.7,
+        lambda server: server.energy_joules() > 0,
+    ),
+    "trace": (
+        None,
+        _traced_server,
+        39.5,
+        lambda server: len(server.trace_recorder) > REQUESTS,
+    ),
+}
 
 
 def _tree_run():
@@ -78,11 +135,11 @@ def _count_calls(make_run=_lstm_run):
         if collecting:
             gc.enable()
     assert len(server.finished) == REQUESTS
-    return calls, server.stats().nodes_processed, tracked
+    return calls, server.stats().nodes_processed, tracked, server
 
 
 def test_calls_per_cell_within_budget_and_repeatable():
-    calls, cells, _ = _count_calls()
+    calls, cells, _, _ = _count_calls()
     assert cells > 5000, "the run is too small to mean anything"
     per_cell = calls / cells
     assert per_cell <= CALLS_PER_CELL_BUDGET, (
@@ -93,7 +150,7 @@ def test_calls_per_cell_within_budget_and_repeatable():
 
 
 def test_tree_calls_and_tracked_objects_per_cell_within_budget_and_repeatable():
-    calls, cells, tracked = _count_calls(_tree_run)
+    calls, cells, tracked, _ = _count_calls(_tree_run)
     assert cells > 10000, "the run is too small to mean anything"
     assert calls / cells <= TREE_CALLS_PER_CELL_BUDGET, (
         f"{calls} calls for {cells} cells = {calls / cells:.1f} per cell, "
@@ -103,7 +160,24 @@ def test_tree_calls_and_tracked_objects_per_cell_within_budget_and_repeatable():
         f"{tracked} collector-tracked objects retained for {cells} cells = "
         f"{tracked / cells:.2f} per cell, budget {TREE_TRACKED_PER_CELL_BUDGET}"
     )
-    assert _count_calls(_tree_run) == (calls, cells, tracked), "the counts must repeat exactly"
+    assert _count_calls(_tree_run)[:3] == (calls, cells, tracked), "the counts must repeat exactly"
+
+
+@pytest.mark.parametrize("subsystem", sorted(OPT_IN))
+def test_opt_in_subsystem_is_free_when_off_and_bounded_when_on(subsystem):
+    make_off, make_on, on_budget, was_on = OPT_IN[subsystem]
+    if make_off is not None:
+        calls, cells, _, _ = _count_calls(lambda: _lstm_run(make_off))
+        assert calls / cells <= CALLS_PER_CELL_BUDGET, (
+            f"{subsystem} switched off: {calls / cells:.1f} calls per cell, "
+            f"the plain budget is {CALLS_PER_CELL_BUDGET}"
+        )
+    calls, cells, _, server = _count_calls(lambda: _lstm_run(make_on))
+    assert was_on(server), f"{subsystem} was meant to be on for this run"
+    assert calls / cells <= on_budget, (
+        f"{subsystem} switched on: {calls} calls for {cells} cells = "
+        f"{calls / cells:.1f} per cell, budget {on_budget}"
+    )
 
 
 def test_terminal_by_identity_agrees_with_the_state_set():

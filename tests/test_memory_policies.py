@@ -40,11 +40,14 @@ from .chaos_helpers import (
     outcome_fingerprint,
     run_chaos,
 )
+from .oracles.bruteforce_scheduler import install_reference_scans
 
 
-def _lstm_server(formation, priority=None, fast_path=True, memory=None):
-    config = BatchingConfig.with_max_batch(32, fast_path=fast_path)
-    return BatchMakerServer(
+def _lstm_server(formation, priority=None, indexed=True, memory=None):
+    """``indexed=False`` schedules by the brute-force scans of
+    ``tests/oracles/bruteforce_scheduler.py``."""
+    config = BatchingConfig.with_max_batch(32)
+    server = BatchMakerServer(
         LSTMChainModel(),
         config=config,
         num_gpus=1,
@@ -53,6 +56,7 @@ def _lstm_server(formation, priority=None, fast_path=True, memory=None):
             config, priority=priority, formation=formation
         ),
     )
+    return server if indexed else install_reference_scans(server)
 
 
 def _dynamic_server(formation, memory, num_gpus=2):
@@ -100,7 +104,7 @@ def _tight_spec(capacity_requests=24, admission_free_requests=None):
 
 
 @pytest.mark.parametrize(
-    "priority, fast_path",
+    "priority, indexed",
     [
         ("paper", True),
         ("paper", False),
@@ -108,19 +112,19 @@ def _tight_spec(capacity_requests=24, admission_free_requests=None):
         ("longest_queue", True),
     ],
 )
-def test_memory_aware_inert_without_spec(priority, fast_path):
+def test_memory_aware_inert_without_spec(priority, indexed):
     """paper vs memory_aware formation, same bundle otherwise, no
     MemorySpec: identical terminal outcomes, timestamps, counters and
     batch sizes."""
     fingerprints = []
     for formation in ("paper", "memory_aware"):
-        server = _lstm_server(formation, priority=priority, fast_path=fast_path)
+        server = _lstm_server(formation, priority=priority, indexed=indexed)
         submitted = run_chaos(server, rate=4000.0, num_requests=400)
         assert_invariants(server, submitted)
         fingerprints.append(outcome_fingerprint(server))
     assert fingerprints[0] == fingerprints[1], (
         f"memory_aware not inert without a MemorySpec (priority={priority}, "
-        f"fast_path={fast_path})"
+        f"indexed={indexed})"
     )
     policy = server.manager.policies.formation
     assert isinstance(policy, MemoryAwareFormation)

@@ -31,6 +31,10 @@ from repro.policies import (
     make_priority,
 )
 from repro.workload import LoadGenerator, Seq2SeqDataset
+from tests.oracles.bruteforce_scheduler import (
+    install_reference_scans,
+    recount_ready_nodes,
+)
 
 
 def _fingerprint(server):
@@ -55,32 +59,37 @@ def _seq2seq_config(**overrides):
     )
 
 
-def _server(config, policies=None):
-    return BatchMakerServer(
+def _server(config, policies=None, indexed=True):
+    """``indexed=False`` schedules by the brute-force scans of
+    ``tests/oracles/bruteforce_scheduler.py``."""
+    server = BatchMakerServer(
         Seq2SeqModel(), config=config, num_gpus=2, policies=policies
     )
+    return server if indexed else install_reference_scans(server)
 
 
 class TestDefaultBundleBitIdentity:
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_explicit_default_bundle_matches_implicit(self, fast_path):
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_explicit_default_bundle_matches_implicit(self, indexed):
         """policies=None and an explicit from_config bundle decide
         identically — the refactor moved code, not behaviour."""
-        config = _seq2seq_config(fast_path=fast_path)
-        implicit = _fingerprint(_server(config))
+        config = _seq2seq_config()
+        implicit = _fingerprint(_server(config, indexed=indexed))
         explicit = _fingerprint(
-            _server(config, policies=PolicyBundle.from_config(config))
+            _server(
+                config, policies=PolicyBundle.from_config(config), indexed=indexed
+            )
         )
         assert implicit == explicit
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_bundle_assembled_by_name_matches(self, fast_path):
-        config = _seq2seq_config(fast_path=fast_path)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_bundle_assembled_by_name_matches(self, indexed):
+        config = _seq2seq_config()
         named = bundle_from_names(
             config, priority="paper", placement="pinned", formation="paper"
         )
-        assert _fingerprint(_server(config)) == _fingerprint(
-            _server(config, policies=named)
+        assert _fingerprint(_server(config, indexed=indexed)) == _fingerprint(
+            _server(config, policies=named, indexed=indexed)
         )
 
     def test_unpinned_swap_matches_pinning_flag(self):
@@ -190,7 +199,7 @@ ALL_BUNDLES = sorted(
 
 class TestEvictionCounterConsistency:
     """Property: after any interleaving of scheduling and eviction, the
-    fast-path ready counter of every queue equals a brute-force recount —
+    incremental ready counter of every queue equals a brute-force recount —
     under every bundled policy combination."""
 
     @pytest.mark.parametrize("priority,placement,formation", ALL_BUNDLES)
@@ -214,7 +223,7 @@ class TestEvictionCounterConsistency:
         for round_robin in range(64):
             if scheduler.schedule(workers[round_robin % len(workers)]) == 0:
                 if all(
-                    q.recount_ready_nodes() == 0
+                    recount_ready_nodes(q) == 0
                     for q in scheduler._queues.values()
                 ):
                     break
@@ -223,4 +232,4 @@ class TestEvictionCounterConsistency:
     @staticmethod
     def _assert_counters_exact(scheduler):
         for queue in scheduler._queues.values():
-            assert queue.num_ready_nodes() == queue.recount_ready_nodes()
+            assert queue.num_ready_nodes() == recount_ready_nodes(queue)

@@ -11,9 +11,17 @@ import json
 import pytest
 
 from repro.baselines import FoldServer, IdealServer, PaddedServer, TimeoutPaddedServer
+from repro.cluster import build_cluster
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.config import CellTypeConfig
-from repro.registry import KINDS, ServerSpec, build_server, make_model, presets
+from repro.registry import (
+    KINDS,
+    ClusterSpec,
+    ServerSpec,
+    build_server,
+    make_model,
+    presets,
+)
 from repro.sim.events import EventLoop
 from repro.workload import LoadGenerator, SequenceDataset
 
@@ -58,7 +66,6 @@ class TestSpecRoundTrip:
             per_cell_priority={"decoder": 1, "encoder": 0},
             max_tasks_to_submit=3,
             pinning=False,
-            fast_path=False,
         )
         assert BatchingConfig.from_dict(config.to_dict()) == config
         assert CellTypeConfig.from_dict(
@@ -83,6 +90,33 @@ class TestBuildServer:
     def test_unknown_runtime_override_rejected(self):
         with pytest.raises(TypeError):
             build_server(presets.lstm_padded_spec(), fault_plan=object())
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ((), "max_task_to_submit"),  # a typo of max_tasks_to_submit
+            ((), "fast_path"),  # the removed scheduler option
+            (("default",), "batch_size"),
+            (("per_cell", "lstm_step"), "prio"),
+        ],
+    )
+    def test_unknown_config_key_in_spec_json_rejected_at_build(self, path, key):
+        """A stored spec whose ``config`` block carries a key nothing reads
+        loads, then fails at build with a ValueError naming the key and the
+        accepted ones — it used to build with the default in its place."""
+        stored = presets.lstm_batchmaker_spec().to_dict()
+        stored["config"]["per_cell"]["lstm_step"] = {"priority": 1}
+        block = stored["config"]
+        for step in path:
+            block = block[step]
+        block[key] = 3
+        spec = ServerSpec.from_dict(json.loads(json.dumps(stored)))
+        with pytest.raises(ValueError, match=f"{key}.*accepts"):
+            build_server(spec)
+        cluster = presets.lstm_cluster_spec().to_dict()
+        cluster["replica"] = stored
+        with pytest.raises(ValueError, match=f"{key}.*accepts"):
+            build_cluster(ClusterSpec.from_dict(json.loads(json.dumps(cluster))))
 
     def test_explicit_loop_is_used(self):
         loop = EventLoop()

@@ -1,15 +1,11 @@
-"""Equivalence of the scheduler's O(1) fast path and the brute-force
-reference.
+"""Equivalence of the scheduler and the brute-force reference.
 
 The incremental ready-count accounting and eligibility indexes must change
 *nothing* about Algorithm 1's decisions: with a fixed seed, a mid-load
-simulation run with ``fast_path=True`` must be bit-identical — same
-``tasks_submitted``, same ``batch_size_counts`` histogram, same
-``RunSummary`` — to one run with the retained O(queue) scans
-(``fast_path=False``).
+simulation run must be bit-identical — same ``tasks_submitted``, same
+``batch_size_counts`` histogram, same ``RunSummary`` — to one run with the
+O(queue) scans of ``tests/oracles/bruteforce_scheduler.py`` installed.
 """
-
-import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
@@ -19,6 +15,7 @@ from repro.workload import (
     SequenceDataset,
     TreeDataset,
 )
+from tests.oracles.bruteforce_scheduler import install_reference_scans
 
 
 def _run(server_factory, dataset, rate, num_requests):
@@ -43,20 +40,25 @@ def _run(server_factory, dataset, rate, num_requests):
 
 
 def _compare(make_server, make_dataset, rate, num_requests):
-    fast = _run(lambda: make_server(True), make_dataset(), rate, num_requests)
-    brute = _run(lambda: make_server(False), make_dataset(), rate, num_requests)
+    fast = _run(make_server, make_dataset(), rate, num_requests)
+    brute = _run(
+        lambda: install_reference_scans(make_server()),
+        make_dataset(),
+        rate,
+        num_requests,
+    )
     assert fast == brute
 
 
 class TestFastPathEquivalence:
     def test_lstm_mid_load_one_gpu(self):
         """Chain LSTM at a rate where the queue holds hundreds of released
-        subgraphs — the regime the fast path exists for."""
+        subgraphs — the regime the eligibility lists exist for."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 LSTMChainModel(),
-                config=BatchingConfig.with_max_batch(512, fast_path=fast_path),
+                config=BatchingConfig.with_max_batch(512),
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 8000, 1500)
@@ -65,13 +67,12 @@ class TestFastPathEquivalence:
         """TreeLSTM on 2 GPUs: exercises pinned-elsewhere skipping, the
         leaf/internal priority split, and exhausted-subgraph removal."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 TreeLSTMModel(),
                 config=BatchingConfig.with_max_batch(
                     64,
                     per_cell_priority={"tree_internal": 1, "tree_leaf": 0},
-                    fast_path=fast_path,
                 ),
                 num_gpus=2,
             )
@@ -82,14 +83,13 @@ class TestFastPathEquivalence:
         """Seq2Seq with per-cell-type max batches and decoder priority:
         exercises the three-tier candidate selection across queues."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 Seq2SeqModel(),
                 config=BatchingConfig.with_max_batch(
                     512,
                     per_cell_max={"decoder": 256},
                     per_cell_priority={"decoder": 1, "encoder": 0},
-                    fast_path=fast_path,
                 ),
                 num_gpus=2,
             )
@@ -100,18 +100,25 @@ class TestFastPathEquivalence:
         """pinning=False flips subgraphs to non-optimistic readiness (deps
         advance on completion) — the counters must track that path too."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 LSTMChainModel(),
-                config=BatchingConfig.with_max_batch(
-                    512, pinning=False, fast_path=fast_path
-                ),
+                config=BatchingConfig.with_max_batch(512, pinning=False),
                 num_gpus=2,
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 5000, 800)
 
-    def test_fast_path_is_the_default(self):
-        assert BatchingConfig().fast_path is True
-        assert BatchingConfig.with_max_batch(512).fast_path is True
-        assert BatchingConfig(fast_path=False).fast_path is False
+    def test_tight_batch_cap_two_gpus(self):
+        """A cap of 4 on a deep queue: nearly every plan is cut off at the
+        cap, so *which* subgraphs make it in — the merge of the unpinned
+        bucket with the worker's own, by arrival order — decides the run."""
+
+        def make_server():
+            return BatchMakerServer(
+                LSTMChainModel(),
+                config=BatchingConfig.with_max_batch(4),
+                num_gpus=2,
+            )
+
+        _compare(make_server, lambda: SequenceDataset(seed=1), 8000, 300)

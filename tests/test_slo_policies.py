@@ -27,11 +27,14 @@ from repro.policies import LazyKickPolicy, bundle_from_names
 from repro.workload import FixedLengthDataset
 
 from .chaos_helpers import assert_invariants, outcome_fingerprint, run_chaos
+from .oracles.bruteforce_scheduler import install_reference_scans
 
 
-def _server(formation, priority=None, fast_path=True, sla=None, max_batch=32):
-    config = BatchingConfig.with_max_batch(max_batch, fast_path=fast_path)
-    return BatchMakerServer(
+def _server(formation, priority=None, indexed=True, sla=None, max_batch=32):
+    """``indexed=False`` schedules by the brute-force scans of
+    ``tests/oracles/bruteforce_scheduler.py``."""
+    config = BatchingConfig.with_max_batch(max_batch)
+    server = BatchMakerServer(
         LSTMChainModel(),
         config=config,
         num_gpus=1,
@@ -40,13 +43,14 @@ def _server(formation, priority=None, fast_path=True, sla=None, max_batch=32):
             config, priority=priority, formation=formation
         ),
     )
+    return server if indexed else install_reference_scans(server)
 
 
 # -- 1. SLA-off bit-identity ----------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "priority, fast_path",
+    "priority, indexed",
     [
         ("paper", True),
         ("paper", False),
@@ -54,18 +58,18 @@ def _server(formation, priority=None, fast_path=True, sla=None, max_batch=32):
         ("longest_queue", True),
     ],
 )
-def test_lazy_kick_inert_without_sla(priority, fast_path):
+def test_lazy_kick_inert_without_sla(priority, indexed):
     """paper vs lazy_kick formation, same bundle otherwise, no SLA:
     identical terminal outcomes, timestamps, counters and batch sizes."""
     fingerprints = []
     for formation in ("paper", "lazy_kick"):
-        server = _server(formation, priority=priority, fast_path=fast_path)
+        server = _server(formation, priority=priority, indexed=indexed)
         submitted = run_chaos(server, rate=4000.0, num_requests=400)
         assert_invariants(server, submitted)
         fingerprints.append(outcome_fingerprint(server))
     assert fingerprints[0] == fingerprints[1], (
         f"lazy_kick not inert without SLA (priority={priority}, "
-        f"fast_path={fast_path})"
+        f"indexed={indexed})"
     )
     # And the policy itself must have stayed dormant: no holds, no wakes.
     policy = server.manager.policies.formation

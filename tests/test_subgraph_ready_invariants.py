@@ -53,6 +53,10 @@ from repro.policies import LazyKickPolicy, PinnedPlacement, UnpinnedPlacement
 from repro.policies.base import BatchFormationPolicy
 from repro.sim.events import EventLoop
 from repro.workload.trees import random_parse_tree
+from tests.oracles.bruteforce_scheduler import (
+    BruteForceFormation,
+    recount_ready_nodes,
+)
 
 
 class FakeWorker:
@@ -207,7 +211,7 @@ class Harness:
                     self.tree_backed_checks += 1
                     assert sorted(sg.ready) == self.expected_tree_ready(sg)
                     assert sg.external_pending == 0, "queued before its leaves finished"
-            recount = queue.recount_ready_nodes()
+            recount = recount_ready_nodes(queue)
             assert queue.num_ready_nodes() == recount, (
                 f"{queue.cell_type.name}: counter {queue.num_ready_nodes()} "
                 f"!= brute-force recount {recount}"
@@ -216,17 +220,15 @@ class Harness:
             total += recount
             self.assert_index_invariants(queue)
             for worker in self.workers:
-                fast = self.scheduler._form_batched_task(queue, worker)
-                reference = self.scheduler._form_batched_task_reference(
-                    queue, worker
-                )
+                fast = self.formation.form(queue, worker)
+                reference = BruteForceFormation().form(queue, worker)
                 assert [(sg.subgraph_id, n) for sg, n in fast] == [
                     (sg.subgraph_id, n) for sg, n in reference
                 ], f"{queue.cell_type.name} plan mismatch for worker {worker.worker_id}"
                 # Planning must be side-effect free (CheckedFormation looks
                 # at every queued subgraph as well).
                 assert queue._ready_total == recount
-                assert queue.recount_ready_nodes() == recount
+                assert recount_ready_nodes(queue) == recount
                 held = self.lazy_checked.form(queue, worker)
                 full = sum(n for _, n in fast) >= queue.config.max_batch
                 assert held == (fast if full else [])
@@ -390,7 +392,7 @@ def test_take_ready_notifies_owner_exactly_once():
     taken = sg.take_ready(1)
     assert queue.num_ready_nodes() == 0
     sg.mark_submitted(taken)  # optimistic: successor becomes ready
-    assert queue.num_ready_nodes() == 1 == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
 
 
 def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
@@ -402,20 +404,20 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
     _, sg = _queue_chain(model, scheduler, 0, 3)
     sg.optimistic = False
     for nid in range(3):
-        assert queue.num_ready_nodes() == 1 == queue.recount_ready_nodes()
+        assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
         assert sg.take_ready(4) == [nid]
         sg.mark_submitted([nid])
-        assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+        assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
         sg.mark_completed_internal([nid])
     assert sg.exhausted() and sg.ready_count() == 0
-    assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
     queue.remove(sg)
 
     request, sg = _queue_chain(model, scheduler, 1, 5)
     sg.mark_submitted(sg.take_ready(1))
     assert queue.num_ready_nodes() == 1
     assert scheduler.evict_request(request) == 1
-    assert queue.num_ready_nodes() == 0 == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
     assert sg.owner is None
 
 
@@ -434,7 +436,7 @@ def _commit_state(sg, queue):
         "inflight": sg.inflight,
         "pinned": sg.pinned,
         "queue_total": queue._ready_total,
-        "queue_recount": queue.recount_ready_nodes(),
+        "queue_recount": recount_ready_nodes(queue),
         "index": _index_snapshot(queue),
         "plans": [
             [(member.subgraph_id, n) for member, n in queue.plan(worker_id, 4)]
@@ -529,7 +531,7 @@ def _tree_commit_state(sg, queue):
         "inflight": sg.inflight,
         "pinned": sg.pinned,
         "queue_total": queue._ready_total,
-        "queue_recount": queue.recount_ready_nodes(),
+        "queue_recount": recount_ready_nodes(queue),
         "index": _index_snapshot(queue),
         "plans": [
             [(member.subgraph_id, n) for member, n in queue.plan(worker_id, 4)]
@@ -615,12 +617,12 @@ def test_leaf_commit_and_take_keep_the_counter_exact():
     assert isinstance(first, LeafSubgraph) and isinstance(internal, TreeSubgraph)
     for sg in (first, second, third):
         scheduler.add_subgraph(sg)
-    assert queue.num_ready_nodes() == 3 == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == 3 == recount_ready_nodes(queue)
 
     assert first.take_ready(0) == [] and first.take_ready(4) == [0]
     assert first.take_ready(4) == [] and first.ready_count() == 0
     first.mark_submitted([0])
-    assert first.exhausted() and queue.num_ready_nodes() == 2 == queue.recount_ready_nodes()
+    assert first.exhausted() and queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
 
     with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
         second.commit(2, PinnedPlacement().bind, 0)
@@ -628,7 +630,7 @@ def test_leaf_commit_and_take_keep_the_counter_exact():
     (node,) = third.commit(1, PinnedPlacement().bind, 0)
     assert node is graph.node(3) and node.cell_type.name == "tree_leaf"
     assert third.exhausted() and third.pinned == 0 and third.inflight == 1
-    assert queue.num_ready_nodes() == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == recount_ready_nodes(queue)
     with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
         third.commit(1, PinnedPlacement().bind, 0)
 
