@@ -133,18 +133,68 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
             )
 
 
-def outcome_fingerprint(server: BatchMakerServer) -> Tuple:
-    """Bit-comparable digest of a run: per-request terminal outcomes (with
-    exact timestamps and retry counts), engine counters, task count."""
+def outcome_fingerprint(server, accounting: bool = True) -> Tuple:
+    """Bit-comparable digest of a run, for one BatchMaker server or a whole
+    cluster of them: per-request terminal outcomes (exact timestamps, retry
+    and restart counts), the order requests reached each terminal list,
+    fault counters, and per engine the batch-size histogram and what every
+    worker executed.  A cluster adds its own counters, scaling timeline and
+    per-replica routing tallies.
+
+    ``accounting`` adds what the memory and energy models booked — joules,
+    clock states, per-device peak reserved bytes.  A test that holds a spec
+    to "pure observation" against a run without it passes False: the books
+    differ there by design, the schedule must not.  ``tests/golden`` hashes
+    the full tuple."""
     statuses = tuple(
-        (r.request_id, r.state.value, r.terminal_time, r.retries)
+        (r.request_id, r.state.value, r.terminal_time, r.retries, r.restarts)
         for r in sorted(
             server.terminal_requests(), key=lambda r: r.request_id
         )
     )
-    return (
+    order = tuple(
+        tuple(r.request_id for r in bucket)
+        for bucket in (server.finished, server.timed_out, server.rejected)
+    )
+    replicas = getattr(server, "replicas", None)
+    engines = [server] if replicas is None else [r.server for r in replicas]
+    digest = (
         statuses,
+        order,
         tuple(sorted(server.fault_counters().as_dict().items())),
         server.tasks_submitted(),
-        tuple(sorted(server.manager.scheduler.batch_size_counts.items())),
+        tuple(_engine_digest(engine, accounting) for engine in engines),
     )
+    if replicas is not None:
+        digest += (
+            tuple(sorted(server.cluster_counters.as_dict().items())),
+            tuple(server.scale_events),
+            tuple((r.replica_id, r.state, r.routed) for r in replicas),
+        )
+    if accounting:
+        digest += (server.energy_joules(),)
+    return digest
+
+
+def _engine_digest(server: BatchMakerServer, accounting: bool) -> Tuple:
+    manager = server.manager
+    workers = tuple(
+        (w.tasks_executed, w.tasks_failed, w.gathers_performed, w.busy_time)
+        for w in manager.workers
+    )
+    digest = (tuple(sorted(manager.scheduler.batch_size_counts.items())), workers)
+    if accounting:
+        digest += tuple(
+            (
+                None if d.memory is None else d.memory.peak_reserved,
+                None
+                if d.energy is None
+                else (
+                    d.energy.active_joules,
+                    d.energy.frequency,
+                    d.energy.frequency_changes,
+                ),
+            )
+            for d in (w.device for w in manager.workers)
+        )
+    return digest

@@ -109,7 +109,7 @@ def test_native_clock_spec_is_bit_identical_to_no_spec(seed, indexed):
             server, rate=4000.0, num_requests=400, arrival_seed=seed
         )
         assert_invariants(server, submitted)
-        fingerprints.append(outcome_fingerprint(server))
+        fingerprints.append(outcome_fingerprint(server, accounting=False))
     assert fingerprints[0] == fingerprints[1], (
         f"energy accounting perturbed the schedule (seed={seed}, "
         f"indexed={indexed})"
@@ -130,7 +130,7 @@ def test_native_clock_bit_identity_survives_fault_storm(seed):
         server = _server(energy=energy, fault_plan=_storm_plan(seed))
         submitted = run_chaos(server, num_requests=300, arrival_seed=seed)
         assert_invariants(server, submitted)
-        fingerprints.append(outcome_fingerprint(server))
+        fingerprints.append(outcome_fingerprint(server, accounting=False))
     assert fingerprints[0] == fingerprints[1]
 
 
