@@ -108,7 +108,7 @@ class Autoscaler:
     def observe(self, now: float) -> None:
         """Fold the current load sample into the EWMA and act on it.
         Called by the cluster after each routing decision."""
-        alive = [r for r in self.cluster.replicas if r.routable]
+        alive = [r for r in self.cluster.replicas if r.state == "alive"]
         if not alive:
             return  # replica failure handling owns this regime
         load = sum(r.outstanding() for r in alive) / len(alive)

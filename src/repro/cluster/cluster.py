@@ -35,7 +35,7 @@ from repro.cluster.faults import normalize_failures
 from repro.cluster.metrics import ClusterCounters, ClusterStats, aggregate_fault_counters
 from repro.cluster.replica import ALIVE, DEAD, DRAINING, RETIRED, WARMING, Replica
 from repro.cluster.routing import make_router
-from repro.core.request import InferenceRequest
+from repro.core.request import InferenceRequest, RequestState
 from repro.faults.sla import SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.policies.predict import LatencyPredictor
@@ -44,6 +44,28 @@ from repro.registry.specs import ClusterSpec
 from repro.server import InferenceServer, ensure_loop
 from repro.sim.events import EventLoop
 from repro.trace import events as trace_events
+
+
+# Reject reason -> the ClusterCounters field that tallies it at arrival.
+_REJECT_COUNTER = {
+    "no_replicas": "cluster_rejections",
+    "sla_reject": "sla_rejections",
+    "memory_reject": "memory_rejections",
+}
+
+
+def _reconciled(attr: str) -> property:
+    """A terminal list of the cluster: stored like the base class's plain
+    list (the setter), reconciled with the replicas on every read."""
+
+    def read(self) -> List[InferenceRequest]:
+        self._reconcile()
+        return getattr(self, attr)
+
+    def store(self, value) -> None:
+        setattr(self, attr, list(value))
+
+    return property(read, store)
 
 
 class ClusterServer(InferenceServer):
@@ -75,41 +97,39 @@ class ClusterServer(InferenceServer):
         name = spec.name or f"Cluster[{spec.router} x{spec.num_replicas}]"
         super().__init__(ensure_loop(loop), name)
         self.spec = spec
-        self.seed = spec.seed
         self.router = make_router(spec.router, seed=spec.seed, **spec.router_params)
         self._replica_runtime = dict(replica_runtime)
-        # Front-door SLO admission (DESIGN.md §14): when the spec carries a
-        # cluster-level SLA, a cluster-wide predictor (fed from observed
-        # logical completions) estimates each arrival's completion time and
-        # sheds the ones that cannot make their deadline.  ``None`` = off:
-        # _accept then runs the exact pre-SLA path.
+        # Front-door admission (DESIGN.md §14, §15): an ordered tuple of
+        # gates, each returning a reject reason or None; the first reason
+        # wins.  A cluster-level SLA arms the SLO gate and the cluster-wide
+        # predictor (fed from logical completions) it reads; a MemorySpec
+        # carrying ``admission_free_bytes`` arms the memory gate.
         self.sla: Optional[SLAConfig] = (
             SLAConfig.from_dict(spec.sla) if spec.sla else None
         )
-        self.predictor: Optional[LatencyPredictor] = (
-            LatencyPredictor() if self.sla is not None else None
-        )
-        # Front-door memory admission (DESIGN.md §15): with a cluster-level
-        # MemorySpec carrying ``admission_free_bytes``, arrivals are shed
-        # while no candidate replica has that much free device memory.
-        # ``None`` (or no threshold) = off: _accept runs the exact prior path.
         self.memory: Optional[MemorySpec] = (
             MemorySpec.from_dict(spec.memory) if spec.memory else None
         )
+        self.predictor: Optional[LatencyPredictor] = None
+        gates = []
+        if self.sla is not None:
+            self.predictor = LatencyPredictor()
+            gates.append(self._sla_gate)
+        if self.memory is not None and self.memory.admission_free_bytes is not None:
+            gates.append(self._memory_gate)
+        self._gates = tuple(gates)
         self.replicas: List[Replica] = []
         self._next_replica_id = 0
         # Heterogeneous fleets (DESIGN.md §17): the initial replica ids'
         # class ranks, expanded from ``device_classes`` in declaration
-        # order; None keeps the exact homogeneous construction path.
-        # Class cost models are built once and shared by the class's
-        # replicas (read-only: the manager derives its own DVFS-scaled
-        # copies).
-        self._class_plan: Optional[List[int]] = None
+        # order (empty for a homogeneous cluster), and the class cost
+        # models, built once and shared read-only by the class's replicas.
+        self._class_plan: List[int] = [
+            rank
+            for rank, cls in enumerate(spec.device_classes or ())
+            for _ in range(int(cls["replicas"]))
+        ]
         self._class_cost_models: dict = {}
-        if spec.device_classes is not None:
-            self._class_plan = []
-            for rank, cls in enumerate(spec.device_classes):
-                self._class_plan.extend([rank] * int(cls["replicas"]))
         self.cluster_counters = ClusterCounters()
         # Deterministic (time, action, replica_id) log of scaling/fault
         # lifecycle transitions; fixed-seed runs replay it exactly.
@@ -141,11 +161,22 @@ class ClusterServer(InferenceServer):
         (replica_id None) and re-attaches every replica's engine to the
         shared recorder under that replica's id, so one buffer holds the
         whole cluster with per-replica lineage."""
-        recorder = self.trace_recorder
         for replica in self.replicas:
             replica.server.attach_trace(
-                recorder,
-                replica_id=replica.replica_id if recorder is not None else None,
+                self.trace_recorder, replica_id=replica.replica_id
+            )
+
+    def _trace_lifecycle(self, name: str, args: dict, request_id=None, since=None) -> None:
+        """A cluster-scope event off the per-arrival path (scaling, replica
+        loss, re-routes): an instant, or a span from ``since`` to now."""
+        trace = self._trace
+        if trace is None:
+            return
+        if since is None:
+            trace.instant(name, trace_events.CLUSTER, request_id=request_id, args=args)
+        else:
+            trace.span(
+                name, trace_events.CLUSTER, since, self.loop.now() - since, args=args
             )
 
     # -- terminal lists: reconciled views -----------------------------------
@@ -154,32 +185,9 @@ class ClusterServer(InferenceServer):
     # outcomes first, so ``finished``/``timed_out``/``rejected`` are always
     # consistent with the replicas' current state.
 
-    @property
-    def finished(self) -> List[InferenceRequest]:
-        self._reconcile()
-        return self._finished
-
-    @finished.setter
-    def finished(self, value) -> None:
-        self._finished = list(value)
-
-    @property
-    def timed_out(self) -> List[InferenceRequest]:
-        self._reconcile()
-        return self._timed_out
-
-    @timed_out.setter
-    def timed_out(self, value) -> None:
-        self._timed_out = list(value)
-
-    @property
-    def rejected(self) -> List[InferenceRequest]:
-        self._reconcile()
-        return self._rejected
-
-    @rejected.setter
-    def rejected(self, value) -> None:
-        self._rejected = list(value)
+    finished = _reconciled("_finished")
+    timed_out = _reconciled("_timed_out")
+    rejected = _reconciled("_rejected")
 
     # -- replica lifecycle ---------------------------------------------------
 
@@ -189,29 +197,26 @@ class ClusterServer(InferenceServer):
         template = self.spec.replica
         base = template.name if template.name is not None else template.kind
         runtime = dict(self._replica_runtime)
-        # Heterogeneous / energy-defaulted build (DESIGN.md §17), gated so
-        # a spec with neither device_classes nor a cluster-level energy
-        # default takes the exact pre-energy path (the bit-identity rule).
         cls = None
         class_rank = 0
-        if self._class_plan is not None:
+        if self.spec.device_classes is not None:
             if replica_id < len(self._class_plan):
                 class_rank = self._class_plan[replica_id]
             else:  # autoscaler spawn: rebalance toward the declared mix
                 class_rank = self._pick_spawn_class()
             cls = self.spec.device_classes[class_rank]
-        if cls is not None or self.spec.energy is not None:
-            # Energy precedence: class energy > cluster default > the
-            # template's own (the default only fills an absent field).
-            energy = cls.get("energy") if cls is not None else None
-            if energy is None and template.energy is None:
-                energy = self.spec.energy
-            if energy is not None:
-                template = template.replace(energy=dict(energy))
-            if cls is not None and "cost_model" not in runtime:
-                cost_model = self._class_cost_model(class_rank)
-                if cost_model is not None:
-                    runtime["cost_model"] = cost_model
+        # Energy precedence (DESIGN.md §17): class energy > cluster default
+        # > the template's own (the default only fills an absent field);
+        # with neither classes nor a default the template is untouched.
+        energy = cls.get("energy") if cls is not None else None
+        if energy is None and template.energy is None:
+            energy = self.spec.energy
+        if energy is not None:
+            template = template.replace(energy=dict(energy))
+        if cls is not None and "cost_model" not in runtime:
+            cost_model = self._class_cost_model(class_rank)
+            if cost_model is not None:
+                runtime["cost_model"] = cost_model
         server = build_server(
             template.replace(name=f"{base}#r{replica_id}"),
             loop=self.loop,
@@ -286,16 +291,12 @@ class ClusterServer(InferenceServer):
         replica = self._add_replica(state=WARMING if warmup > 0 else ALIVE)
         self.cluster_counters.replicas_spawned += 1
         self.scale_events.append((now, "spawn", replica.replica_id))
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REPLICA_SPAWN,
-                trace_events.CLUSTER,
-                args={"replica": replica.replica_id, "warmup": warmup},
-            )
+        self._trace_lifecycle(
+            trace_events.REPLICA_SPAWN,
+            {"replica": replica.replica_id, "warmup": warmup},
+        )
         if warmup > 0:
-            self.loop.call_after(
-                warmup, lambda: self._activate_replica(replica)
-            )
+            self.loop.call_after(warmup, lambda: self._activate_replica(replica))
         else:
             replica.activated_at = now
             self.scale_events.append((now, "activate", replica.replica_id))
@@ -309,21 +310,15 @@ class ClusterServer(InferenceServer):
         self.scale_events.append(
             (self.loop.now(), "activate", replica.replica_id)
         )
-        if self._trace is not None:
-            now = self.loop.now()
-            self._trace.instant(
-                trace_events.REPLICA_ACTIVATE,
-                trace_events.CLUSTER,
-                args={"replica": replica.replica_id},
-            )
-            # The autoscale warm-up window, from build to routable.
-            self._trace.span(
-                trace_events.REPLICA_WARMUP,
-                trace_events.CLUSTER,
-                replica.created_at,
-                now - replica.created_at,
-                args={"replica": replica.replica_id},
-            )
+        self._trace_lifecycle(
+            trace_events.REPLICA_ACTIVATE, {"replica": replica.replica_id}
+        )
+        # The autoscale warm-up window, from build to routable.
+        self._trace_lifecycle(
+            trace_events.REPLICA_WARMUP,
+            {"replica": replica.replica_id},
+            since=replica.created_at,
+        )
 
     def _drain_replica(self, now: float) -> None:
         """Autoscaler scale-down: stop routing to the least-loaded alive
@@ -368,21 +363,13 @@ class ClusterServer(InferenceServer):
                 request_id=request.request_id,
             )
         if not candidates:
-            request.mark_rejected(now, reason="no_replicas")
-            self.cluster_counters.cluster_rejections += 1
-            self._rejected.append(request)
-            if self._trace is not None:
-                self._trace.instant(
-                    trace_events.REQUEST_REJECTED,
-                    trace_events.LIFECYCLE,
-                    request_id=request.request_id,
-                    args={"reason": "no_replicas"},
-                )
+            self._reject(request, "no_replicas")
             return
-        if self.sla is not None and self._sla_reject(request, candidates, now):
-            return
-        if self.memory is not None and self._memory_reject(request, candidates, now):
-            return
+        for gate in self._gates:
+            reason = gate(request, candidates, now)
+            if reason is not None:
+                self._reject(request, reason)
+                return
         replica = self.router.choose(request, candidates)
         shadow = replica.route(request, now)
         if self._trace is not None:
@@ -403,70 +390,56 @@ class ClusterServer(InferenceServer):
 
     # -- admission control ---------------------------------------------------
 
-    def _sla_reject(
+    def _reject(
+        self, request: InferenceRequest, reason: str, counter: Optional[str] = None
+    ) -> None:
+        """The front door's one reject path: terminal REJECTED with
+        ``reason``, counted (by default under the reason's own
+        :class:`ClusterCounters` field), reported, traced."""
+        request.mark_rejected(self.loop.now(), reason=reason)
+        field = counter or _REJECT_COUNTER[reason]
+        counters = self.cluster_counters
+        setattr(counters, field, getattr(counters, field) + 1)
+        self._rejected.append(request)
+        if self._trace is not None:
+            self._trace.instant(
+                trace_events.REQUEST_REJECTED,
+                trace_events.LIFECYCLE,
+                request_id=request.request_id,
+                args={"reason": reason},
+            )
+
+    def _sla_gate(
         self, request: InferenceRequest, candidates: List[Replica], now: float
-    ) -> bool:
-        """Shed ``request`` at the front door when its predicted completion
-        misses its deadline (or the best predicted wait exceeds the SLA's
-        queue-delay bound).  Consumes no router decision, so the routed /
-        decision accounting of admitted traffic is untouched.  Returns True
-        when the request was rejected (terminal, appended to ``rejected``)."""
+    ) -> Optional[str]:
+        """Shed ``request`` when its predicted completion misses its
+        deadline (or the best predicted wait exceeds the SLA's queue-delay
+        bound)."""
         sla = self.sla
         # Predicted completion wait of the best candidate (outstanding x
         # EWMA inter-completion gap — Little's law — once the replica
         # predictors have observations; projected queue delay before).
         best_wait = min(r.predicted_delay() for r in candidates)
-        over = (
-            sla.max_queue_delay is not None and best_wait > sla.max_queue_delay
-        )
-        if not over:
-            if request.deadline is not None:
-                deadline = request.deadline
-            elif sla.default_deadline is not None:
-                deadline = now + sla.default_deadline
-            else:
-                deadline = None
-            if deadline is not None and self.predictor.ready:
-                over = now + best_wait > deadline
-        if not over:
-            return False
-        request.mark_rejected(now, reason="sla_reject")
-        self.cluster_counters.sla_rejections += 1
-        self._rejected.append(request)
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REQUEST_REJECTED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-                args={"reason": "sla_reject"},
-            )
-        return True
+        if sla.max_queue_delay is not None and best_wait > sla.max_queue_delay:
+            return "sla_reject"
+        deadline = request.deadline
+        if deadline is None and sla.default_deadline is not None:
+            deadline = now + sla.default_deadline
+        if deadline is not None and self.predictor.ready:
+            if now + best_wait > deadline:
+                return "sla_reject"
+        return None
 
-    def _memory_reject(
+    def _memory_gate(
         self, request: InferenceRequest, candidates: List[Replica], now: float
-    ) -> bool:
-        """Shed ``request`` at the front door while no candidate replica
-        has ``admission_free_bytes`` of free device memory — routing it
+    ) -> Optional[str]:
+        """Shed ``request`` while no candidate replica has
+        ``admission_free_bytes`` of free device memory — routing it
         anywhere could only trigger evictions the replicas are already
-        working off.  Replicas without a memory model report infinite free
-        bytes, so the check is inert unless the replica spec carries a
-        MemorySpec.  Returns True when the request was rejected."""
-        threshold = self.memory.admission_free_bytes
-        if threshold is None:
-            return False
-        if max(r.free_memory() for r in candidates) >= threshold:
-            return False
-        request.mark_rejected(now, reason="memory_reject")
-        self.cluster_counters.memory_rejections += 1
-        self._rejected.append(request)
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REQUEST_REJECTED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-                args={"reason": "memory_reject"},
-            )
-        return True
+        working off."""
+        if max(r.free_memory() for r in candidates) >= self.memory.admission_free_bytes:
+            return None
+        return "memory_reject"
 
     # -- reconciliation ------------------------------------------------------
 
@@ -481,60 +454,50 @@ class ClusterServer(InferenceServer):
         replica loss, or cancelled during the loss teardown) are skipped."""
         server = replica.server
         buckets = (
-            (server.finished, self._logical_finished),
-            (server.timed_out, self._logical_timed_out),
-            (server.rejected, self._logical_rejected),
+            (server.finished, self._finished),
+            (server.timed_out, self._timed_out),
+            (server.rejected, self._rejected),
         )
-        for index, (bucket, finalize) in enumerate(buckets):
+        for index, (bucket, reported) in enumerate(buckets):
             cursor = replica.cursors[index]
             while cursor < len(bucket):
                 shadow = bucket[cursor]
                 cursor += 1
                 logical = replica.shadow_of.pop(shadow.request_id, None)
                 if logical is not None:
-                    finalize(logical, shadow, replica)
+                    self._copy_outcome(logical, shadow, replica)
+                    reported.append(logical)
             replica.cursors[index] = cursor
 
-    @staticmethod
-    def _copy_progress(logical: InferenceRequest, shadow: InferenceRequest) -> None:
+    def _copy_outcome(self, logical, shadow, replica: Replica) -> None:
+        """A terminal shadow's progress and outcome, onto its logical
+        request; a finish also feeds the latency observers."""
         if shadow.start_time is not None:
             logical.mark_started(shadow.start_time)
         logical.retries += shadow.retries
-
-    def _logical_finished(self, logical, shadow, replica) -> None:
-        self._copy_progress(logical, shadow)
-        logical.result = shadow.result
-        logical.mark_finished(shadow.finish_time)
-        self._finished.append(logical)
-        replica.observe_latency(
-            shadow.finish_time - shadow.arrival_time,
-            finish_time=shadow.finish_time,
-        )
-        if self.predictor is not None:  # the admission predictor
-            self.predictor.observe_request(
-                shadow.finish_time - shadow.arrival_time,
-                shadow.queuing_time,
-                shadow.computation_time,
-            )
-
-    def _logical_timed_out(self, logical, shadow, replica) -> None:
-        self._copy_progress(logical, shadow)
-        logical.mark_timed_out(shadow.terminal_time, reason=shadow.cancel_reason)
-        self._timed_out.append(logical)
-
-    def _logical_rejected(self, logical, shadow, replica) -> None:
-        logical.mark_rejected(shadow.terminal_time, reason=shadow.cancel_reason)
-        self._rejected.append(logical)
+        if shadow.state is RequestState.FINISHED:
+            logical.result = shadow.result
+            logical.mark_finished(shadow.finish_time)
+            latency = shadow.finish_time - shadow.arrival_time
+            replica.observe_latency(latency, finish_time=shadow.finish_time)
+            if self.predictor is not None:  # the admission predictor
+                self.predictor.observe_request(
+                    latency, shadow.queuing_time, shadow.computation_time
+                )
+        elif shadow.state is RequestState.TIMED_OUT:
+            logical.mark_timed_out(shadow.terminal_time, reason=shadow.cancel_reason)
+        else:
+            logical.mark_rejected(shadow.terminal_time, reason=shadow.cancel_reason)
 
     # -- replica loss --------------------------------------------------------
 
     def _replica_failed(self, replica_id: int) -> None:
         """A replica drops out of the cluster fault plan's sky: drain its
         observed outcomes, tear its engine down, re-route its live work."""
-        replica = next(
-            (r for r in self.replicas if r.replica_id == replica_id), None
-        )
-        if replica is None or replica.state in (DEAD, RETIRED):
+        if replica_id >= len(self.replicas):
+            return
+        replica = self.replicas[replica_id]  # ids are list positions
+        if replica.state in (DEAD, RETIRED):
             return
         now = self.loop.now()
         # 1. Outcomes that happened strictly before the loss are real —
@@ -543,12 +506,9 @@ class ClusterServer(InferenceServer):
         replica.state = DEAD
         self.cluster_counters.replicas_lost += 1
         self.scale_events.append((now, "lost", replica.replica_id))
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REPLICA_LOST,
-                trace_events.CLUSTER,
-                args={"replica": replica.replica_id},
-            )
+        self._trace_lifecycle(
+            trace_events.REPLICA_LOST, {"replica": replica.replica_id}
+        )
         # 2. Claim the still-live logical requests (deterministic shadow-id
         #    order) *before* the teardown pushes their shadows into the
         #    replica's timed_out list — reconciliation then skips those
@@ -570,29 +530,18 @@ class ClusterServer(InferenceServer):
                 target = self.router.choose(logical, candidates)
                 shadow = target.route(logical, now)
                 self.cluster_counters.requests_rerouted += 1
-                if self._trace is not None:
-                    self._trace.instant(
-                        trace_events.CLUSTER_REROUTE,
-                        trace_events.CLUSTER,
-                        request_id=logical.request_id,
-                        args={
-                            "logical": logical.request_id,
-                            "replica": target.replica_id,
-                            "shadow": shadow.request_id,
-                            "from": replica.replica_id,
-                        },
-                    )
+                self._trace_lifecycle(
+                    trace_events.CLUSTER_REROUTE,
+                    {
+                        "logical": logical.request_id,
+                        "replica": target.replica_id,
+                        "shadow": shadow.request_id,
+                        "from": replica.replica_id,
+                    },
+                    request_id=logical.request_id,
+                )
             else:
-                logical.mark_rejected(now, reason="no_replicas")
-                self.cluster_counters.requests_lost += 1
-                self._rejected.append(logical)
-                if self._trace is not None:
-                    self._trace.instant(
-                        trace_events.REQUEST_REJECTED,
-                        trace_events.LIFECYCLE,
-                        request_id=logical.request_id,
-                        args={"reason": "no_replicas"},
-                    )
+                self._reject(logical, "no_replicas", counter="requests_lost")
 
     # -- reporting -----------------------------------------------------------
 

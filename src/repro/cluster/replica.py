@@ -81,14 +81,6 @@ class Replica:
 
     # -- routing interface ----------------------------------------------------
 
-    @property
-    def routable(self) -> bool:
-        return self.state == ALIVE
-
-    @property
-    def serving(self) -> bool:
-        return self.state in (ALIVE, DRAINING)
-
     def outstanding(self) -> int:
         """Shadows routed here that are not yet terminal (O(1): every shadow
         ends up in exactly one of the server's terminal lists)."""
@@ -106,51 +98,24 @@ class Replica:
         """
         manager = getattr(self.server, "manager", None)
         if manager is not None:
-            if not any(w.alive for w in manager.workers):
+            if not manager.alive_devices:
                 return float("inf")
             return manager.projected_queue_delay()
         return self.ewma_latency * self.outstanding()
 
     def free_memory(self) -> float:
-        """Free device-memory bytes summed over the engine's alive workers.
-
-        Infinite for engines without a memory model (no ``MemorySpec`` —
-        the ``free_memory`` routing metric and memory admission are then
-        inert: every replica ties at infinity), zero for a memory-modelled
-        engine with no alive device.
-        """
-        manager = getattr(self.server, "manager", None)
-        if manager is None or getattr(manager, "memory_spec", None) is None:
-            return float("inf")
-        total = 0
-        for worker in manager.workers:
-            if not worker.alive:
-                continue
-            memory = worker.device.memory
-            if memory is None:
-                return float("inf")
-            total += memory.free()
-        return float(total)
+        """Free device-memory bytes over the engine's alive workers;
+        infinite for engines without a memory model (every replica then
+        ties and the metric and memory admission are inert)."""
+        memory = getattr(self.server, "memory", None)
+        return float("inf") if memory is None else memory.free_bytes()
 
     def energy_cost(self) -> float:
-        """Estimated marginal joules to serve one cell on this replica:
-        the cheapest alive device's dynamic power times the engine's EWMA
-        per-node service time (power x time = energy).  Zero for engines
-        without an energy model (no ``EnergySpec`` — every replica ties at
-        0.0 and the ``cheapest_energy`` metric is inert, exactly like the
-        free-memory metric without a MemorySpec); infinite for an
-        energy-modelled engine with no alive device."""
-        manager = getattr(self.server, "manager", None)
-        if manager is None or getattr(manager, "energy_spec", None) is None:
-            return 0.0
-        watts = [
-            worker.device.energy.dynamic_watts
-            for worker in manager.workers
-            if worker.alive and worker.device.energy is not None
-        ]
-        if not watts:
-            return float("inf")
-        return min(watts) * manager._node_time_estimate
+        """Estimated marginal joules to serve one cell on this replica
+        (``EnergyAccounting.joules_per_cell``); zero for engines without
+        an energy model, so the ``cheapest_energy`` metric is then inert."""
+        energy = getattr(self.server, "energy", None)
+        return 0.0 if energy is None else energy.joules_per_cell()
 
     def energy_joules(self) -> float:
         """Integrated joules on this replica's engine (0.0 without an

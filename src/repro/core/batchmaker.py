@@ -11,17 +11,27 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import BatchingConfig
 from repro.core.manager import Manager
-from repro.core.request import InferenceRequest
+from repro.core.request import InferenceRequest, RequestState
+from repro.extension import EngineExtension
 from repro.gpu.costmodel import CostModel
+from repro.gpu.energy import EnergyAccounting
+from repro.gpu.memory import MemoryAccounting
 from repro.server import InferenceServer, ensure_loop
 from repro.sim.events import EventLoop
+from repro.trace import events as trace_events
+from repro.trace.tracer import EngineTracer
 
 if TYPE_CHECKING:  # avoids a circular import (models depend on core)
     from repro.models.base import Model
 
 
-class BatchMakerServer(InferenceServer):
+class BatchMakerServer(InferenceServer, EngineExtension):
     """The cellular-batching inference server.
+
+    The server is itself an extension of its engine (DESIGN.md §22): its
+    ``on_terminal`` hook files each request under ``finished`` /
+    ``timed_out`` / ``rejected``; ``memory`` / ``energy`` hold the
+    extension behind the optional subsystem of that name (or None).
 
     Parameters
     ----------
@@ -82,6 +92,8 @@ class BatchMakerServer(InferenceServer):
             cost_model = model.default_cost_model()
         self.model = model
         self.config = config if config is not None else BatchingConfig.with_max_batch(512)
+        self.memory = MemoryAccounting(memory) if memory is not None else None
+        self.energy = EnergyAccounting(energy) if energy is not None else None
         self.manager = Manager(
             loop=self.loop,
             model=model,
@@ -89,25 +101,41 @@ class BatchMakerServer(InferenceServer):
             cost_model=cost_model,
             num_workers=num_gpus,
             real_compute=real_compute,
-            on_request_finished=self.finished.append,
             fault_plan=fault_plan,
             sla=sla,
-            on_request_timed_out=self.timed_out.append,
-            on_request_rejected=self.rejected.append,
             policies=policies,
-            memory=memory,
-            energy=energy,
+            extensions=[e for e in (self.energy, self.memory, self) if e is not None],
         )
         self.policies = self.manager.policies
+        self._tracer = None
         self._autotrace()
 
     def _apply_trace_scope(self, scope) -> None:
-        """Push the scope into the pipeline: the manager records request
-        lifecycle and task spans, the scheduler batch-formation/eviction."""
-        self.manager.trace = scope
-        self.manager.scheduler.trace = scope
+        """(Re)place the engine's tracer extension; the arrival instant
+        is recorded in ``_accept`` below."""
+        if self._tracer is not None:
+            self.manager.uninstall(self._tracer)
+            self._tracer = None
+        if scope is not None:
+            self._tracer = EngineTracer(scope)
+            self.manager.install(self._tracer)
+
+    def on_terminal(self, request: InferenceRequest) -> None:
+        state = request.state
+        if state is RequestState.FINISHED:
+            self.finished.append(request)
+        elif state is RequestState.TIMED_OUT:
+            self.timed_out.append(request)
+        else:
+            self.rejected.append(request)
 
     def _accept(self, request: InferenceRequest) -> None:
+        if self._trace is not None:
+            self._trace.instant(
+                trace_events.REQUEST_ARRIVAL,
+                trace_events.LIFECYCLE,
+                request_id=request.request_id,
+            )
         self.manager.submit_request(request)
 
     # -- stats used by the experiment harness --------------------------------
@@ -131,4 +159,4 @@ class BatchMakerServer(InferenceServer):
 
     def energy_joules(self) -> float:
         """Integrated fleet energy so far (0.0 without an energy spec)."""
-        return self.manager.total_energy_joules()
+        return self.energy.total_joules() if self.energy is not None else 0.0

@@ -56,7 +56,6 @@ class CellNode:
         "outputs",
         "completed",
         "subgraph_id",
-        "launched",
     )
 
     def __init__(self, node_id: int, cell_type: CellType, inputs: Dict[str, Any]):
@@ -65,7 +64,6 @@ class CellNode:
         self.inputs = inputs  # input name -> ValueInput | NodeOutput
         self.outputs: Optional[Dict[str, Any]] = None
         self.completed = False
-        self.launched = False
         self.subgraph_id: Optional[int] = None
 
     def predecessors(self) -> List[int]:
@@ -288,7 +286,6 @@ class RunNode(CellNode):
         self.cell_type = cell_type
         self.outputs = None
         self.completed = False
-        self.launched = False
         self.run = run
 
     def __getattr__(self, name: str):

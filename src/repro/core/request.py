@@ -53,7 +53,6 @@ class InferenceRequest:
 
         # Completion bookkeeping maintained by the request processor.
         self.remaining_nodes = 0
-        self.unfolding_complete = True  # dynamic decoders flip this off
 
         self.result: Optional[List[Any]] = None
 

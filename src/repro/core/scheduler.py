@@ -48,7 +48,6 @@ from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.subgraph import Subgraph
 from repro.core.task import BatchedTask
 from repro.policies import PolicyBundle
-from repro.trace import events as trace_events
 
 
 class CellTypeQueue:
@@ -227,9 +226,6 @@ class Scheduler:
         # Histogram of submitted batch sizes, for the evaluation's
         # "effective batch size" analysis.
         self.batch_size_counts: Counter = Counter()
-        # Tracing scope (repro.trace), pushed down by the owning server's
-        # attach_trace; None = record nothing.
-        self.trace = None
 
     # -- registration -------------------------------------------------------
 
@@ -300,18 +296,6 @@ class Scheduler:
         queue.running_tasks += 1
         self.tasks_submitted += 1
         self.batch_size_counts[task.batch_size] += 1
-        if self.trace is not None:
-            self.trace.instant(
-                trace_events.SCHED_BATCH_FORMED,
-                trace_events.SCHED,
-                device_id=worker.worker_id,
-                task_id=task.task_id,
-                args={
-                    "requests": [sg.request.request_id for sg in task.subgraphs()],
-                    "cell": queue.cell_type.name,
-                    "batch": task.batch_size,
-                },
-            )
         self._submit(task, worker)
 
     # -- failure handling (DESIGN.md §8) -------------------------------------
@@ -319,8 +303,8 @@ class Scheduler:
     def evict_request(self, request) -> int:
         """Unwind a cancelled *or preempted* request: drop every one of its
         subgraphs that is still queued.  Terminal cancellation and the
-        memory layer's evict-and-restart (``Manager.restart_request``) both
-        come through here.  ``CellTypeQueue.remove`` gives the ready counter
+        memory layer's evict-and-restart both come through here
+        (``Manager.evict``).  ``CellTypeQueue.remove`` gives the ready counter
         back and clears the owner, so the index entries left behind are
         recognised as stale and dropped by the next plan that reads them —
         plans stay bit-identical to a brute-force rescan.  The
@@ -334,13 +318,6 @@ class Scheduler:
                 owner.remove(sg)
                 self.policies.formation.on_subgraph_removed(owner, sg)
                 evicted += 1
-        if self.trace is not None:
-            self.trace.instant(
-                trace_events.SCHED_EVICT,
-                trace_events.SCHED,
-                request_id=request.request_id,
-                args={"evicted": evicted},
-            )
         return evicted
 
     def resubmit(self, task: BatchedTask) -> None:

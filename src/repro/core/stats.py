@@ -31,8 +31,9 @@ class ServerStats:
         self.timed_out_requests = len(getattr(server, "timed_out", ()))
         self.rejected_requests = len(getattr(server, "rejected", ()))
         now = manager.loop.now()
-        self.energy_enabled = getattr(manager, "energy_spec", None) is not None
-        self.total_joules = 0.0
+        energy = getattr(server, "energy", None)  # the EnergyAccounting, if any
+        self.energy_enabled = energy is not None
+        self.total_joules = energy.total_joules() if self.energy_enabled else 0.0
         self.workers = []
         for worker in manager.workers:
             busy = worker.device.timeline.busy_time(until=now)
@@ -48,17 +49,10 @@ class ServerStats:
                     else 0.0
                 ),
             }
-            energy = worker.device.energy
-            if energy is not None:
-                window_busy = worker.device.timeline.busy_time(
-                    since=energy.start_time, until=now
-                )
-                joules = energy.integrated_joules(now, window_busy)
-                row["joules"] = joules
-                row["active_joules"] = energy.active_joules
-                row["frequency"] = energy.frequency
-                if worker.alive:
-                    self.total_joules += joules
+            if self.energy_enabled:
+                row["joules"] = energy.device_joules(worker)
+                row["active_joules"] = worker.device.energy.active_joules
+                row["frequency"] = worker.device.energy.frequency
             self.workers.append(row)
         self.latency: Optional[LatencyStats] = None
         if server.finished:

@@ -54,9 +54,6 @@ class BatchedTask:
         # consumed by the critical-path trace attribution).
         self.gather_time = 0.0
         self.migration_time = 0.0
-        # Joules charged for the most recent execution attempt (set by the
-        # worker when the device has an EnergyModel; 0.0 otherwise).
-        self.energy_joules = 0.0
         # Retry bookkeeping: 0 for the original submission, incremented by
         # the manager for each re-submission after a failed execution.
         self.attempt = 0
@@ -126,13 +123,6 @@ class BatchedTask:
                 if node.outputs is None:
                     node.outputs = {}
                 node.outputs[name] = out[i]
-        for _, node in self.entries:
-            node.launched = True
-
-    def mark_launched_sim(self) -> None:
-        """Simulation-only mode: record launch without computing values."""
-        for _, node in self.entries:
-            node.launched = True
 
     def __repr__(self) -> str:
         return (

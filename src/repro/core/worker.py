@@ -85,8 +85,6 @@ class Worker:
         will_fail = fault is not None and fault.kind == KERNEL_FAIL
         if self.real_compute and not will_fail:
             task.execute()
-        else:
-            task.mark_launched_sim()
         subgraphs = task.subgraphs()
         composition = frozenset([subgraph.subgraph_id for subgraph in subgraphs])
         needs_gather = composition != self._last_composition
@@ -109,7 +107,7 @@ class Worker:
             # stragglers and gather/migration copies burn power too, so the
             # final wall duration is the right integrand.  Joules split
             # evenly across the task's distinct member requests.
-            task.energy_joules = self.device.energy.charge_task(
+            self.device.energy.charge_task(
                 duration,
                 [sg.request.request_id for sg in subgraphs],
             )

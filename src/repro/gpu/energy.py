@@ -21,9 +21,13 @@ and core frequency.  This module adds the bookkeeping half of that trade:
     joules telescope to the active total within 1e-9, and integrated energy
     is exactly active + idle.
 
+``EnergyAccounting``
+    The engine extension (DESIGN.md §22) that puts a model and a governor
+    on every device and swaps in the frequency-scaled cost models.
+
 Governors (``GOVERNORS``)
     Pluggable per-worker frequency policies.  Decisions happen only at
-    batch boundaries (``Manager._submit_task``) so the engine stays
+    batch boundaries (the ``on_task_submit`` hook) so the engine stays
     deterministic and the fast path stays bit-identical when energy is off.
     ``fixed`` pins one state; ``race_to_idle`` runs a time-weighted
     utilization EWMA and races at max frequency under load, dropping to
@@ -32,7 +36,7 @@ Governors (``GOVERNORS``)
     energy-optimal stable policy under superlinear dynamic power.
 
 Physics convention: frequencies are relative to the calibrated table
-(1.0 = the table's native clock).  Kernel time scales as 1/f (the manager
+(1.0 = the table's native clock).  Kernel time scales as 1/f (the extension
 swaps in ``LatencyTable.scale(1/f)`` tables, named ``{base}@x{factor}``)
 and dynamic power as f**power_exponent (default cubic, the classical CMOS
 ``C V^2 f`` with voltage tracking frequency).  Net: energy per kernel goes
@@ -43,6 +47,8 @@ is what makes the energy-vs-p99 Pareto frontier in ``fig_energy`` nontrivial.
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+from repro.extension import EngineExtension
 
 DEFAULT_IDLE_WATTS = 50.0
 DEFAULT_ACTIVE_WATTS = 250.0
@@ -448,3 +454,68 @@ def make_governor(name: str, frequencies: Sequence[float], **params):
             f"unknown governor {name!r}; expected one of {sorted(GOVERNORS)}"
         ) from None
     return cls(frequencies, **params)
+
+
+class EnergyAccounting(EngineExtension):
+    """Joule accounting and DVFS for one engine (DESIGN.md §17): every
+    device gets an :class:`EnergyModel` (the worker charges each kernel to
+    it) and a governor.  Governors decide at the batch boundary only, so
+    the schedule stays deterministic; retries reuse the frequency then in
+    effect."""
+
+    def __init__(self, spec: EnergySpec):
+        self.spec = spec
+
+    def attach(self, engine) -> None:
+        self.engine = engine
+        self.governors: Dict[int, object] = {}  # by worker id
+        spec, base = self.spec, engine.cost_model
+        # One scaled cost model per DVFS state: kernel time goes as 1/f
+        # relative to the calibrated table (tables carry ``@x`` names so
+        # traces stay attributable), precomputed so a frequency change is
+        # a pointer swap at the batch boundary.
+        self.cost_models = {
+            f: base if f == 1.0 else base.scaled(1.0 / f) for f in spec.frequencies
+        }
+        now = engine.loop.now()
+        for worker in engine.workers:
+            worker.device.energy = EnergyModel.from_spec(spec, start_time=now)
+            governor = make_governor(
+                spec.governor, spec.frequencies, **spec.governor_params
+            )
+            self.governors[worker.worker_id] = governor
+            self._set_frequency(worker, governor.initial_frequency())
+
+    def on_task_submit(self, task, worker) -> None:
+        if task.attempt:
+            return
+        governor = self.governors[worker.worker_id]
+        frequency = governor.decide(self.engine.loop.now(), worker.busy_time)
+        if frequency != worker.device.energy.frequency:
+            self._set_frequency(worker, frequency)
+
+    def _set_frequency(self, worker, frequency: float) -> None:
+        worker.cost_model = self.cost_models[frequency]
+        worker.device.energy.set_frequency(frequency)
+
+    def device_joules(self, worker) -> float:
+        """Active charges plus idle power of one device's current
+        integration window, at the current sim time."""
+        model, now = worker.device.energy, self.engine.loop.now()
+        busy = worker.device.timeline.busy_time(since=model.start_time, until=now)
+        return model.integrated_joules(now, busy)
+
+    def total_joules(self) -> float:
+        """Integrated energy across the alive devices (a dead board's
+        books were reset with it)."""
+        return sum(self.device_joules(w) for w in self.engine.workers if w.alive)
+
+    def joules_per_cell(self) -> float:
+        """Estimated marginal joules to serve one cell: the cheapest alive
+        device's dynamic power times the engine's EWMA per-node service
+        time (the cluster's ``energy_cost`` metric); infinite with no
+        alive device."""
+        watts = [
+            w.device.energy.dynamic_watts for w in self.engine.workers if w.alive
+        ]
+        return min(watts) * self.engine.node_time_estimate if watts else float("inf")

@@ -23,12 +23,16 @@ zero on every request's terminal state.
 :class:`MemorySpec` is the declarative, JSON-round-trippable description
 (`capacity`, per-subgraph `state_bytes`, per-cell-type `weights`, and the
 front-door `admission_free_bytes` shed threshold) carried on
-``ServerSpec``/``ClusterSpec``.
+``ServerSpec``/``ClusterSpec``; :class:`MemoryAccounting` is the engine
+extension (DESIGN.md §22) that keeps a model on every device in step with
+the request lifecycle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
+
+from repro.extension import EngineExtension
 
 #: Hidden + cell vector at h=1024 fp32 — the natural per-subgraph state
 #: footprint (mirrors ``PlacementPolicy.HIDDEN_STATE_BYTES``).
@@ -218,3 +222,111 @@ class MemoryModel:
             f"({self.weight_bytes} weights, {self.state_reserved} state, "
             f"{len(self._per_request)} requests)>"
         )
+
+
+class MemoryAccounting(EngineExtension):
+    """Per-device byte accounting for one engine (DESIGN.md §15): reserves
+    hidden-state bytes where each subgraph lands, releases them on every
+    terminal state and preemption so the books telescope to zero, and
+    offers the pressure response a memory-aware formation drives,
+    :meth:`restart_request`."""
+
+    def __init__(self, spec: MemorySpec):
+        self.spec = spec
+
+    def attach(self, engine) -> None:
+        self.engine = engine
+        for worker in engine.workers:
+            worker.device.memory = MemoryModel.from_spec(self.spec)
+
+    def free_bytes(self) -> float:
+        """Free bytes summed over the alive devices (the cluster's
+        ``free_memory`` load metric; zero with none alive)."""
+        return float(
+            sum(w.device.memory.free() for w in self.engine.workers if w.alive)
+        )
+
+    def on_task_submit(self, task, worker) -> None:
+        """Reserve state on ``worker`` for every subgraph the task lands
+        there (kicks and retries alike).  A subgraph migrating between
+        devices releases on the old one first; a reservation the device
+        refuses (it would overcommit — possible when a memory-*oblivious*
+        formation planned the batch) OOM-cancels the owning request.  The
+        kernel still runs: the abort happens at launch."""
+        mem = worker.device.memory
+        state_bytes = self.spec.state_bytes
+        for sg in task.subgraphs():
+            request = sg.request
+            if request.terminal or sg.resident_on == worker.worker_id:
+                continue
+            self._release(sg)
+            if mem.reserve(request.request_id, state_bytes):
+                sg.resident_on = worker.worker_id
+                sg.resident_bytes = state_bytes
+            else:
+                self.engine.fault_counters.oom_cancellations += 1
+                self.engine.cancel_request(request, reason="oom")
+
+    def on_terminal(self, request) -> None:
+        for sg in request.subgraphs.values():
+            self._release(sg)
+        # (Compared by value: importing RequestState here would close an
+        # import cycle through repro.core.)
+        if request.state.value == "timed_out":
+            # The freed state can make deferred members fit, and a
+            # cancellation may be the last event alive (the memory-aware
+            # formation triages dead-end members from within a dispatch
+            # round): re-run the dispatch loop or the drain hangs.
+            self.engine.wake()
+
+    def on_device_lost(self, worker) -> None:
+        # The device's model resets wholesale: clear the residency markers
+        # pointing at it, or a later release would underflow against it.
+        for request in self.engine.processor.live_requests():
+            for sg in request.subgraphs.values():
+                if sg.resident_on == worker.worker_id:
+                    sg.resident_on = None
+                    sg.resident_bytes = 0
+
+    def _release(self, sg) -> None:
+        if sg.resident_on is not None:
+            held = self.engine.workers[sg.resident_on].device.memory
+            held.release(sg.request.request_id, sg.resident_bytes)
+            sg.resident_on = None
+            sg.resident_bytes = 0
+
+    def restart_request(self, request) -> bool:
+        """Evict-and-restart: preempt a non-terminal request under memory
+        pressure — release its device state, unwind its queued subgraphs,
+        re-enter it from scratch after the retry policy's backoff
+        (``Manager.reenter_request``).  The caller (the ``memory_aware``
+        formation) guarantees no node is in flight; restarts beyond the
+        retry budget cancel terminally instead (``"oom"``).  Returns True
+        when restarted, False when cancelled."""
+        if request.terminal:
+            return False
+        for sg in request.subgraphs.values():
+            if sg.inflight or sg.uncompleted != sg.unsubmitted:
+                raise ValueError(
+                    f"cannot restart request {request.request_id}: "
+                    f"subgraph {sg.subgraph_id} has nodes in flight"
+                )
+        engine = self.engine
+        if request.restarts >= engine.retry.max_retries:
+            engine.fault_counters.oom_cancellations += 1
+            engine.cancel_request(request, reason="oom")
+            return False
+        request.restarts += 1
+        engine.fault_counters.memory_evictions += 1
+        engine.evict(request)
+        for sg in request.subgraphs.values():
+            self._release(sg)
+        engine.processor.forget(request)
+        request.graph = None
+        request.subgraphs = {}
+        request.remaining_nodes = 0
+        engine.loop.call_after(
+            engine.retry.backoff(request.restarts - 1),
+            lambda: engine.reenter_request(request),
+        )
+        return True

@@ -118,7 +118,11 @@ class PlacementPolicy:
 
 
 class BatchFormationPolicy:
-    """Which ready nodes of the chosen queue form the next batched task."""
+    """Which ready nodes of the chosen queue form the next batched task.
+
+    A policy that needs the engine behind the queues (its clock, SLA,
+    device models, a wake handle) also subclasses
+    :class:`~repro.extension.EngineExtension` and the manager installs it."""
 
     name = "abstract"
 
@@ -131,11 +135,6 @@ class BatchFormationPolicy:
         primitive to build on: it returns the eligible subgraphs in arrival
         order and mutates nothing, so there is no pop to undo."""
         raise NotImplementedError
-
-    def attach_engine(self, manager) -> None:
-        """The owning manager introduces itself (once, at construction).
-        SLA-aware policies that need the clock, the SLA config or a poke
-        handle hook this; the default policies ignore it."""
 
     def on_subgraph_removed(
         self, queue: "CellTypeQueue", sg: "Subgraph"

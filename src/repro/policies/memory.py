@@ -13,20 +13,21 @@ filters each plan against the target device's free bytes:
 * a *growing* request (one already holding state on the device) whose
   next step does not fit may **evict-and-restart** the cheapest victim —
   the live request with the least completed work that has nothing in
-  flight (``Manager.restart_request`` releases its state and resubmits it
-  from scratch after the retry policy's backoff);
+  flight (``MemoryAccounting.restart_request`` releases its state and
+  re-enters it from scratch after the retry policy's backoff);
 * everything else is **deferred**: left queued, retried at the next kick
   (a completion or arrival re-pokes the idle workers);
 * when deferring can never make progress — nothing in flight anywhere,
   no pending event, no eligible device that fits — the member's request
   is OOM-cancelled rather than hung.
 
-Arrivals are shed at the manager's front door (``"memory_shed"``) while
-every alive device's free memory sits below the spec's
-``admission_free_bytes`` threshold.
+Arrivals are shed at the manager's front door (``"memory_shed"``, the
+policy's ``admit`` gate) while every alive device's free memory sits below
+the spec's ``admission_free_bytes`` threshold.
 
-Activation requires both an engine (``attach_engine``) and a
-:class:`~repro.gpu.MemorySpec` on the manager; absent either, ``form``
+The policy is an :class:`~repro.extension.EngineExtension`: the manager
+installs it, and ``attach`` switches it on when the engine carries a
+:class:`~repro.gpu.memory.MemoryAccounting`; absent either, ``form``
 delegates straight to the paper policy and a server running this
 formation is fingerprint-bit-identical to the paper default
 (``tests/test_memory_policies.py``) — the same differential-conformance
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Set
 
+from repro.extension import EngineExtension
+from repro.gpu.memory import MemoryAccounting
 from repro.policies.base import BatchFormationPolicy, Plan
 from repro.policies.defaults import PaperBatchFormation
 
@@ -47,7 +50,7 @@ if TYPE_CHECKING:
     from repro.core.worker import Worker
 
 
-class MemoryAwareFormation(BatchFormationPolicy):
+class MemoryAwareFormation(BatchFormationPolicy, EngineExtension):
     """Plan through the paper formation, then fit the plan to the budget."""
 
     name = "memory_aware"
@@ -58,7 +61,8 @@ class MemoryAwareFormation(BatchFormationPolicy):
     def __init__(self):
         self.inner = PaperBatchFormation()
         self._manager = None
-        self.state_bytes = 0
+        self._memory: Optional[MemoryAccounting] = None
+        self._shed_below: Optional[int] = None  # the admission threshold
         self._retry_armed = False
         # Decision counters (observability + the conformance suite).
         self.deferrals = 0
@@ -68,38 +72,37 @@ class MemoryAwareFormation(BatchFormationPolicy):
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_engine(self, manager) -> None:
-        """Called by the manager at construction.  Memory awareness switches
-        on only when the manager carries a MemorySpec — without one there is
-        no budget to respect and the policy stays a pass-through."""
-        spec = getattr(manager, "memory_spec", None)
-        if spec is None:
+    def attach(self, engine) -> None:
+        """Memory awareness switches on only when the engine accounts
+        device memory — without a budget to respect the policy stays a
+        pass-through."""
+        memory = next(
+            (e for e in engine.extensions if isinstance(e, MemoryAccounting)), None
+        )
+        if memory is None:
             return
-        self._manager = manager
-        self.state_bytes = spec.state_bytes
-        if spec.admission_free_bytes is not None:
-            manager.memory_admission = self
+        self._manager = engine
+        self._memory = memory
+        self._shed_below = memory.spec.admission_free_bytes
 
     @property
     def active(self) -> bool:
         return self._manager is not None
 
-    # -- admission (front door, via Manager.submit_request) -------------------
+    # -- admission (an extension gate of Manager.submit_request) -------------
 
-    def should_shed(self, request: "InferenceRequest") -> bool:
+    def admit(self, request: "InferenceRequest") -> Optional[str]:
         """Shed the arrival while *every* alive device's free memory is
         below the admission threshold — accepting it could only deepen the
         pressure the deferral/eviction machinery is already working off."""
-        manager = self._manager
-        threshold = manager.memory_spec.admission_free_bytes
-        for worker in manager.workers:
-            if not worker.alive:
-                continue
-            mem = worker.device.memory
-            if mem is None or mem.free() >= threshold:
-                return False
+        threshold = self._shed_below
+        if threshold is None:
+            return None
+        for worker in self._manager.workers:
+            if worker.alive and worker.device.memory.free() >= threshold:
+                return None
         self.sheds += 1
-        return True
+        return "memory_shed"
 
     # -- formation -------------------------------------------------------------
 
@@ -109,9 +112,7 @@ class MemoryAwareFormation(BatchFormationPolicy):
         if manager is None or not plan:
             return plan
         mem = worker.device.memory
-        if mem is None:
-            return plan
-        state_bytes = self.state_bytes
+        state_bytes = self._memory.spec.state_bytes
         kept: Plan = []
         kept_ids: Set[int] = set()
         earmarked = 0  # bytes the kept members will newly reserve
@@ -135,7 +136,7 @@ class MemoryAwareFormation(BatchFormationPolicy):
             if mem.holds(request.request_id) + need > mem.capacity - mem.weight_bytes:
                 self.oom_cancels += 1
                 manager.fault_counters.oom_cancellations += 1
-                manager._cancel_request(request, reason="oom")
+                manager.cancel_request(request, reason="oom")
                 continue
             if mem.holds(request.request_id) > 0:
                 # A growing request (dynamic decode mid-flight): evict the
@@ -158,7 +159,7 @@ class MemoryAwareFormation(BatchFormationPolicy):
             if self._progress_impossible(worker, sg, need, bool(kept)):
                 self.oom_cancels += 1
                 manager.fault_counters.oom_cancellations += 1
-                manager._cancel_request(request, reason="oom")
+                manager.cancel_request(request, reason="oom")
                 continue
             self.deferrals += 1
             deferred = True
@@ -189,7 +190,7 @@ class MemoryAwareFormation(BatchFormationPolicy):
 
         def fire() -> None:
             self._retry_armed = False
-            manager._poke.kick()
+            manager.wake()
 
         manager.loop.call_after(self.defer_retry, fire)
 
@@ -201,12 +202,11 @@ class MemoryAwareFormation(BatchFormationPolicy):
         qualify (the thrash-free progress order).  Returns False (leaving
         any already-made evictions in place — their freed bytes still
         relieve pressure) when no victim remains."""
-        manager = self._manager
         while mem.free() < needed_free:
             victim = self._cheapest_victim(mem, protected, max_progress)
             if victim is None:
                 return False
-            if manager.restart_request(victim):
+            if self._memory.restart_request(victim):
                 self.evictions += 1
             # A restart past the retry budget cancelled the victim instead;
             # either way its state is released and the loop re-checks.

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from repro.extension import EngineExtension
 from repro.trace import events as trace_events
 
 BUCKETS = trace_events.BUCKETS
@@ -213,3 +214,22 @@ class LatencyPredictor:
             f"request={self.request_latency * 1e3:.2f}ms "
             f"observed={self.tasks_observed}t/{self.requests_observed}r>"
         )
+
+
+class PredictorFeed(EngineExtension):
+    """Feeds one :class:`LatencyPredictor` from an engine's completed tasks
+    and finished requests; the lazy-kick policy installs one for the
+    predictor its slack computation reads."""
+
+    def __init__(self, predictor: LatencyPredictor):
+        self.predictor = predictor
+
+    def on_task_done(self, task) -> None:
+        if task.duration and task.batch_size:
+            self.predictor.observe_task(task.duration, task.batch_size)
+
+    def on_terminal(self, request) -> None:
+        if request.finish_time is not None:
+            self.predictor.observe_request(
+                request.latency, request.queuing_time, request.computation_time
+            )

@@ -17,17 +17,19 @@ spent sparingly instead of burned whole on the first dense batch.
 
 The policy plans through the paper formation, so a kicked plan is
 bit-identical to what the paper policy would have formed at that instant;
-the only new behaviour is *when* the kick happens.  Declining a kick returns an empty plan (the scheduler treats it
-as "nothing to submit") and arms a wake-up timer at the earliest slack
-expiry, which re-pokes the idle workers through the manager's coalesced
-dispatch — so a held batch is kicked exactly when its tightest member
-runs out of headroom, without polling.
+the only new behaviour is *when* the kick happens.  Declining a kick
+returns an empty plan (the scheduler treats it as "nothing to submit") and
+arms a wake-up timer at the earliest slack expiry, which re-pokes the idle
+workers through the engine's coalesced dispatch (``Manager.wake``) — so a
+held batch is kicked exactly when its tightest member runs out of
+headroom, without polling.
 
-Activation requires both an engine (``attach_engine``, called by the
-manager) and an :class:`~repro.faults.SLAConfig`; absent either, ``form``
-delegates straight to the paper policy, and a server running this
-formation is fingerprint-bit-identical to the paper default
-(``tests/test_slo_policies.py``).
+The policy is an :class:`~repro.extension.EngineExtension`: the manager
+installs it, and ``attach`` switches it on (and installs the feed of its
+predictor) when the engine carries an :class:`~repro.faults.SLAConfig`.
+Without an engine or an SLA, ``form`` delegates straight to the paper
+policy, and a server running this formation is fingerprint-bit-identical
+to the paper default (``tests/test_slo_policies.py``).
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.extension import EngineExtension
 from repro.policies.base import BatchFormationPolicy, Plan
 from repro.policies.defaults import PaperBatchFormation
-from repro.policies.predict import LatencyPredictor
+from repro.policies.predict import LatencyPredictor, PredictorFeed
 
 if TYPE_CHECKING:
     from repro.core.scheduler import CellTypeQueue
@@ -51,7 +54,7 @@ DEFAULT_KICK_MARGIN = 500e-6
 DEFAULT_MAX_HOLD = 1e-3
 
 
-class LazyKickPolicy(BatchFormationPolicy):
+class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
     """Slack-based kick delay over the paper's batch formation."""
 
     name = "lazy_kick"
@@ -81,28 +84,27 @@ class LazyKickPolicy(BatchFormationPolicy):
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_engine(self, manager) -> None:
-        """Called by the manager at construction.  Lazy behaviour switches
-        on only when the manager carries an SLA — without one there are no
-        deadlines to reason about and the policy stays a pass-through."""
-        sla = getattr(manager, "sla", None)
+    def attach(self, engine) -> None:
+        """Lazy behaviour switches on only when the engine carries an SLA —
+        without one there are no deadlines to reason about and the policy
+        stays a pass-through."""
+        sla = engine.sla
         if sla is None:
             return
-        self._manager = manager
+        self._manager = engine
         if self.margin is None:
-            self.margin = getattr(sla, "kick_margin", None)
+            self.margin = sla.kick_margin
             if self.margin is None:
                 self.margin = DEFAULT_KICK_MARGIN
         if self.max_hold is None:
-            self.max_hold = getattr(sla, "max_hold", None)
+            self.max_hold = sla.max_hold
             if self.max_hold is None:
                 self.max_hold = DEFAULT_MAX_HOLD
         if self.predictor is None:
-            self.predictor = getattr(sla, "predictor", None)
-            if self.predictor is None:
-                self.predictor = LatencyPredictor()
-        # The manager feeds the predictor from its task/request events.
-        manager.predictor = self.predictor
+            self.predictor = sla.predictor
+        if self.predictor is None:
+            self.predictor = LatencyPredictor()
+        engine.install(PredictorFeed(self.predictor))
 
     @property
     def active(self) -> bool:
@@ -170,7 +172,7 @@ class LazyKickPolicy(BatchFormationPolicy):
         self._wake_at = math.inf
         self.wakes += 1
         # Coalesced end-of-timestamp dispatch, same as an arrival's poke.
-        self._manager._poke.kick()
+        self._manager.wake()
 
     def __repr__(self) -> str:
         return (

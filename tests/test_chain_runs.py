@@ -86,7 +86,7 @@ def test_graph_view_equals_explicit_chain(payload, project_output):
         assert inputs_view(got) == inputs_view(want)
         assert got.predecessors() == want.predecessors()
         assert list(run_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert (got.outputs, got.completed, got.launched) == (None, False, False)
+        assert (got.outputs, got.completed) == (None, False)
     assert [n.node_id for n in run_graph.nodes()] == list(range(len(ref_graph)))
     with pytest.raises(KeyError):
         run_graph.node(len(ref_graph))

@@ -83,7 +83,6 @@ class TestBatchedTask:
                 }
             )
             np.testing.assert_allclose(node.outputs["h"], expected["h"][0], atol=1e-6)
-            assert node.launched
 
     def test_execute_with_unexecuted_dependency_raises(self):
         params = ParameterStore(seed=0)

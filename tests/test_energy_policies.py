@@ -137,7 +137,7 @@ def test_native_clock_bit_identity_survives_fault_storm(seed):
 def test_no_spec_leaves_devices_energy_blind():
     server = _server(energy=None)
     run_chaos(server, num_requests=50)
-    assert server.manager.energy_spec is None
+    assert server.energy is None
     assert server.energy_joules() == 0.0
     for worker in server.manager.workers:
         assert worker.device.energy is None
@@ -252,7 +252,7 @@ def test_worker_cost_model_follows_the_governor():
     assert_invariants(server, submitted)
     for worker in server.manager.workers:
         frequency = worker.device.energy.frequency
-        expected = server.manager._freq_cost_models[frequency]
+        expected = server.energy.cost_models[frequency]
         assert worker.cost_model is expected
 
 
@@ -265,7 +265,7 @@ def test_server_spec_energy_round_trip():
     restored = ServerSpec.from_dict(spec.to_dict())
     assert restored.energy == spec.energy
     server = build_server(restored)
-    assert server.manager.energy_spec == EnergySpec.from_dict(spec.energy)
+    assert server.energy.spec == EnergySpec.from_dict(spec.energy)
     for worker in server.manager.workers:
         assert worker.device.energy is not None
         assert worker.device.energy.idle_watts == 50.0
@@ -287,4 +287,4 @@ def test_runtime_energy_override_wins():
     spec = lstm_energy_spec()
     override = EnergySpec(idle_watts=1.0, active_watts=10.0)
     server = build_server(spec, energy=override)
-    assert server.manager.energy_spec == override
+    assert server.energy.spec == override

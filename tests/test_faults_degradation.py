@@ -4,6 +4,7 @@ import pytest
 
 from tests.chaos_helpers import assert_invariants, build_server, run_chaos
 from repro.core.request import RequestState
+from repro.extension import EngineExtension
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 
 
@@ -39,7 +40,8 @@ class TestDeviceLoss:
         (first alive id cyclically after the dead one)."""
         plan = FaultPlan(device_failures=[DeviceFailure(0.0, 1)])
         server = build_server(fault_plan=plan, num_gpus=4)
-        replacement = server.manager._replacement_for(1)
+        manager = server.manager
+        replacement = manager.policies.placement.replacement_for(1, manager.workers)
         server.drain()
         assert replacement.worker_id == 2
 
@@ -112,13 +114,20 @@ class TestLoadShedding:
             assert request.start_time is None
 
     def test_rejection_callback_fires(self):
-        seen = []
+        class Rejections(EngineExtension):
+            def __init__(self):
+                self.seen = []
+
+            def on_terminal(self, request):
+                if request.state is RequestState.REJECTED:
+                    self.seen.append(request)
+
         sla = SLAConfig(max_queue_delay=1e-4)
         server = build_server(sla=sla, max_batch=4)
-        server.manager._on_request_rejected = seen.append
+        observer = Rejections()
+        server.manager.install(observer)
         run_chaos(server, rate=100000.0, num_requests=200)
-        assert seen
-        assert all(r.state is RequestState.REJECTED for r in seen)
+        assert observer.seen == server.rejected != []
 
     def test_all_devices_dead_rejects_new_arrivals(self):
         plan = FaultPlan(device_failures=[DeviceFailure(1e-3, 0)])

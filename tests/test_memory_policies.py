@@ -242,7 +242,7 @@ def test_server_spec_memory_round_trip():
     restored = ServerSpec.from_dict(spec.to_dict())
     assert restored.memory == spec.memory
     server = build_server(restored)
-    assert server.manager.memory_spec == MemorySpec.from_dict(spec.memory)
+    assert server.memory.spec == MemorySpec.from_dict(spec.memory)
     assert isinstance(server.manager.policies.formation, MemoryAwareFormation)
     for worker in server.manager.workers:
         assert worker.device.memory is not None
@@ -275,7 +275,7 @@ def test_runtime_memory_override_wins():
     spec = seq2seq_dynamic_spec(capacity_requests=24)
     override = MemorySpec(capacity=1 << 28)
     server = build_server(spec, memory=override)
-    assert server.manager.memory_spec == override
+    assert server.memory.spec == override
 
 
 def test_default_state_bytes_matches_preset():

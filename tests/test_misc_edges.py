@@ -41,7 +41,7 @@ class TestLoadGeneratorOverload:
 
 class TestMigrationCost:
     def test_copy_cost_charged_for_cross_worker_move(self):
-        """Directly exercise the manager's migration charge: a subgraph
+        """Directly exercise the placement policy's migration charge: a subgraph
         whose state lives on worker 0 pays a copy when scheduled on 1."""
         server = BatchMakerServer(
             LSTMChainModel(),
@@ -59,10 +59,11 @@ class TestMigrationCost:
                 return [sg]
 
         other_worker = manager.workers[1]
-        cost = manager._migration_cost(FakeTask(), other_worker)
+        migration_cost = manager.policies.placement.migration_cost
+        cost = migration_cost(FakeTask(), other_worker)
         assert cost > 0
         same_worker = manager.workers[0]
-        assert manager._migration_cost(FakeTask(), same_worker) == 0.0
+        assert migration_cost(FakeTask(), same_worker) == 0.0
 
 
 class TestCellTypeErrors:

@@ -53,7 +53,7 @@ def test_cancellation_scheduled_mid_drain_takes_effect():
     victim = server.submit([1] * 200, arrival_time=0.0)
     rest = [server.submit([1] * 10, arrival_time=1e-5) for _ in range(5)]
     server.loop.call_at(
-        2e-5, lambda: server.manager._cancel_request(victim, reason="manual")
+        2e-5, lambda: server.manager.cancel_request(victim, reason="manual")
     )
     server.drain()
     assert victim.state is RequestState.TIMED_OUT

@@ -135,12 +135,12 @@ class Harness:
         # deadline and the clock stands at 0, so it holds any plan short of
         # a full batch.
         self.lazy = LazyKickPolicy()
-        self.lazy.attach_engine(
+        self.lazy.attach(
             SimpleNamespace(
                 sla=SLAConfig(),
                 loop=EventLoop(),
-                predictor=None,
-                _poke=SimpleNamespace(kick=lambda: None),
+                install=lambda extension: None,
+                wake=lambda: None,
             )
         )
         self.lazy_checked = CheckedFormation(self.lazy)

@@ -123,7 +123,7 @@ def test_graph_view_equals_explicit_tree(name):
         assert inputs_view(got) == inputs_view(want)
         assert got.predecessors() == want.predecessors()
         assert list(flat_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert (got.outputs, got.completed, got.launched) == (None, False, False)
+        assert (got.outputs, got.completed) == (None, False)
         assert got.subgraph_id is None
     assert [n.node_id for n in flat_graph.nodes()] == list(range(size))
     with pytest.raises(KeyError):
