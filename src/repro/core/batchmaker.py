@@ -58,8 +58,7 @@ class BatchMakerServer(InferenceServer, EngineExtension):
     policies:
         Optional :class:`~repro.policies.PolicyBundle` overriding the
         scheduling policies (queue priority, placement, batch formation).
-        Defaults to the paper's Algorithm 1 derived from ``config``; an
-        explicit bundle takes precedence over ``config.pinning``.
+        Defaults to the paper's Algorithm 1 (pinned placement).
     memory:
         Optional :class:`~repro.gpu.MemorySpec`: per-device byte capacity,
         weight residency and per-subgraph state footprint (DESIGN.md §15).

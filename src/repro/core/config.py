@@ -97,11 +97,6 @@ class BatchingConfig:
     round pushes to a worker (paper default 5): small enough that other cell
     types get scheduled and new arrivals can join, large enough to keep the
     GPU busy across the scheduling gap.
-
-    ``pinning`` can be disabled for the ablation study; without it,
-    successive tasks of one subgraph may land on different workers and pay
-    the cross-device copy cost (and are serialised by explicit dependency
-    rather than stream FIFO order).
     """
 
     def __init__(
@@ -109,14 +104,12 @@ class BatchingConfig:
         default: Optional[CellTypeConfig] = None,
         per_cell: Optional[Dict[str, CellTypeConfig]] = None,
         max_tasks_to_submit: int = 5,
-        pinning: bool = True,
     ):
         if max_tasks_to_submit < 1:
             raise ValueError("max_tasks_to_submit must be >= 1")
         self.default = default if default is not None else CellTypeConfig()
         self.per_cell: Dict[str, CellTypeConfig] = dict(per_cell or {})
         self.max_tasks_to_submit = max_tasks_to_submit
-        self.pinning = pinning
 
     @classmethod
     def with_max_batch(
@@ -125,7 +118,6 @@ class BatchingConfig:
         per_cell_max: Optional[Dict[str, int]] = None,
         per_cell_priority: Optional[Dict[str, int]] = None,
         max_tasks_to_submit: int = 5,
-        pinning: bool = True,
     ) -> "BatchingConfig":
         """Convenience constructor: power-of-two Bsizes up to ``max_batch``.
 
@@ -143,7 +135,6 @@ class BatchingConfig:
             default=CellTypeConfig(_power_of_two_sizes(max_batch)),
             per_cell=per_cell,
             max_tasks_to_submit=max_tasks_to_submit,
-            pinning=pinning,
         )
 
     def for_cell(self, cell_name: str) -> CellTypeConfig:
@@ -158,15 +149,12 @@ class BatchingConfig:
                 name: cfg.to_dict() for name, cfg in sorted(self.per_cell.items())
             },
             "max_tasks_to_submit": self.max_tasks_to_submit,
-            "pinning": self.pinning,
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchingConfig":
         _reject_unknown_keys(
-            "BatchingConfig",
-            data,
-            ("default", "per_cell", "max_tasks_to_submit", "pinning"),
+            "BatchingConfig", data, ("default", "per_cell", "max_tasks_to_submit")
         )
         return cls(
             default=CellTypeConfig.from_dict(data.get("default", {})),
@@ -175,7 +163,6 @@ class BatchingConfig:
                 for name, cfg in data.get("per_cell", {}).items()
             },
             max_tasks_to_submit=data.get("max_tasks_to_submit", 5),
-            pinning=data.get("pinning", True),
         )
 
     def __eq__(self, other) -> bool:

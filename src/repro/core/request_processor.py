@@ -9,7 +9,7 @@ returns a request the moment its last cell finishes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Set
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.core.cell_graph import CellGraph
 from repro.core.request import InferenceRequest
@@ -54,16 +54,17 @@ class RequestProcessor:
 
         self._model_extends = getattr(type(model), "extend", None) is not Model.extend
         self._next_subgraph_id = 0
-        # Live (not fully completed) subgraphs by id, per request.
-        self._live_requests: Set[int] = set()
-        self._requests: Dict[int, InferenceRequest] = {}
+        # Requests still being served, by id: dropped at finish and at
+        # ``abandon``, so a served request (with its graph and subgraphs) is
+        # not kept alive from here.
+        self._live_requests: Dict[int, InferenceRequest] = {}
         self.total_nodes_processed = 0
 
     # -- arrival ----------------------------------------------------------------
 
     def add_request(self, request: InferenceRequest) -> List[Subgraph]:
         """Unfold, partition, and release the initially-ready subgraphs."""
-        if request.request_id in self._requests:
+        if request.request_id in self._live_requests:
             raise ValueError(f"request {request.request_id} already added")
         graph = CellGraph()
         self.model.unfold(graph, request.payload)
@@ -74,8 +75,7 @@ class RequestProcessor:
             )
         request.graph = graph
         request.remaining_nodes = len(graph)
-        self._requests[request.request_id] = request
-        self._live_requests.add(request.request_id)
+        self._live_requests[request.request_id] = request
 
         subgraphs = partition_into_subgraphs(
             graph, request, start_id=self._next_subgraph_id
@@ -96,25 +96,18 @@ class RequestProcessor:
     # -- cancellation -------------------------------------------------------
 
     def abandon(self, request: InferenceRequest) -> None:
-        """Stop tracking a cancelled request.  Its in-flight nodes may still
-        retire; :meth:`handle_task_completion` skips all bookkeeping for
-        terminal requests, so nothing can resurrect or double-finish it."""
-        self._live_requests.discard(request.request_id)
-
-    def forget(self, request: InferenceRequest) -> None:
-        """Drop a *non-terminal* request entirely so it can be re-added
-        (evict-and-restart under memory pressure).  Unlike :meth:`abandon`
-        the id becomes reusable; the caller guarantees the request has no
-        nodes in flight, so no stale completion can reference the old
-        graph."""
-        self._live_requests.discard(request.request_id)
-        self._requests.pop(request.request_id, None)
+        """Stop tracking a cancelled request, or a preempted one that will be
+        re-added (evict-and-restart under memory pressure; the caller
+        guarantees it has no nodes in flight).  A cancelled request's
+        in-flight nodes may still retire; :meth:`handle_task_completion`
+        skips all bookkeeping for terminal requests, so nothing can
+        resurrect or double-finish it."""
+        self._live_requests.pop(request.request_id, None)
 
     def live_requests(self) -> List[InferenceRequest]:
         """Snapshot of not-yet-terminal tracked requests (id order)."""
-        return [
-            self._requests[rid] for rid in sorted(self._live_requests)
-        ]
+        live = self._live_requests
+        return [live[rid] for rid in sorted(live)]
 
     # -- completion -------------------------------------------------------------
 
@@ -169,7 +162,7 @@ class RequestProcessor:
             if request.remaining_nodes == 0:
                 if self._collect_results:
                     request.result = request.graph.collect_results()
-                self._live_requests.discard(request.request_id)
+                self._live_requests.pop(request.request_id, None)
                 finished.append(request)
                 self._on_finished(request)
         return finished

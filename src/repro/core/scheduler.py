@@ -47,7 +47,7 @@ from repro.core.cell import CellType
 from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.subgraph import Subgraph
 from repro.core.task import BatchedTask
-from repro.policies import PolicyBundle
+from repro.policies import PolicyBundle, bundle_from_names
 
 
 class CellTypeQueue:
@@ -204,8 +204,8 @@ class Scheduler:
     where a subgraph's work binds — live in a
     :class:`~repro.policies.PolicyBundle`; this class owns the mechanism
     (queues, counters, task construction, accounting).  When no bundle is
-    given, the paper's defaults are derived from ``config`` (the pinning
-    flag), reproducing the pre-policy-layer engine bit for bit.
+    given, the paper's defaults apply, reproducing the pre-policy-layer
+    engine bit for bit.
     """
 
     def __init__(
@@ -215,9 +215,7 @@ class Scheduler:
         policies: Optional[PolicyBundle] = None,
     ):
         self.config = config
-        self.policies = (
-            policies if policies is not None else PolicyBundle.from_config(config)
-        )
+        self.policies = policies if policies is not None else bundle_from_names()
         self._submit = submit
         self._queues: Dict[str, CellTypeQueue] = {}
         self._queue_list: Tuple[CellTypeQueue, ...] = ()
@@ -361,9 +359,6 @@ class Scheduler:
 
     def total_ready_nodes(self) -> int:
         return sum(q.num_ready_nodes() for q in self._queue_list)
-
-    def queue_for(self, cell_name: str) -> CellTypeQueue:
-        return self._queues[cell_name]
 
     def mean_batch_size(self) -> float:
         total = sum(b * c for b, c in self.batch_size_counts.items())

@@ -161,49 +161,40 @@ class Subgraph:
     def ready_count(self) -> int:
         return len(self.ready)
 
-    def take_ready(self, limit: int) -> List[int]:
-        """Pop up to ``limit`` ready node ids (FIFO within the subgraph)."""
-        if limit <= 0:
-            return []
-        taken, self.ready = self.ready[:limit], self.ready[limit:]
-        if taken and self.owner is not None:
-            self.owner.on_ready_delta(self, -len(taken))
-        return taken
-
-    def mark_submitted(self, node_ids: Sequence[int]) -> int:
-        """Algorithm 1's ``UpdateNodesDependency``: after the given nodes are
-        submitted, in-subgraph successors whose predecessors have now all
-        been submitted become ready (optimistic mode only).  Returns how many
-        became ready."""
-        newly_ready = 0
-        for nid in node_ids:
-            self.unsubmitted -= 1
-            if self.optimistic:
-                newly_ready += self._advance_internal(nid)
-        if self.unsubmitted < 0:
-            raise RuntimeError(f"subgraph {self.subgraph_id}: oversubmitted")
-        if newly_ready and self.owner is not None:
-            self.owner.on_ready_delta(self, newly_ready)
-        return newly_ready
-
     def commit(
         self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
     ) -> Sequence[CellNode]:
-        """Hand ``count`` ready nodes to a task on ``worker_id``: take them,
-        ``bind`` (the placement policy's) this subgraph to the worker and
-        advance the optimistic dependencies.  The scheduler's one call per
-        plan member; returns the nodes taken, in order."""
-        node_ids = self.take_ready(count)
-        if len(node_ids) != count:
-            raise RuntimeError(
-                f"subgraph {self.subgraph_id}: planned {count} nodes but "
-                f"only {len(node_ids)} were ready"
-            )
+        """Hand ``count`` ready nodes (FIFO within the subgraph) to a task on
+        ``worker_id``: take them, ``bind`` (the placement policy's) this
+        subgraph to the worker and — Algorithm 1's ``UpdateNodesDependency``
+        — make ready the in-subgraph successors whose predecessors have now
+        all been submitted (optimistic mode only).  The scheduler's one call
+        per plan member; returns the nodes taken, in order.
+
+        The queue hears three things in this order: the nodes taken, the
+        pin, the nodes that became ready."""
+        if not 0 < count <= len(self.ready):
+            raise self._overdrawn(count)
+        node_ids, self.ready = self.ready[:count], self.ready[count:]
+        if self.owner is not None:
+            self.owner.on_ready_delta(self, -count)
         node_of = self.graph.node
         nodes = [node_of(nid) for nid in node_ids]
         bind(self, worker_id)
-        self.mark_submitted(node_ids)
+        self.unsubmitted -= count
+        if self.optimistic:
+            newly_ready = 0
+            for nid in node_ids:
+                newly_ready += self._advance_internal(nid)
+            if newly_ready and self.owner is not None:
+                self.owner.on_ready_delta(self, newly_ready)
         return nodes
+
+    def _overdrawn(self, count: int) -> RuntimeError:
+        return RuntimeError(
+            f"subgraph {self.subgraph_id}: planned {count} nodes but "
+            f"only {self.ready_count()} were ready"
+        )
 
     def mark_completed_internal(self, node_ids: Sequence[int]) -> int:
         """Non-optimistic mode: advance internal readiness on completion."""
@@ -229,10 +220,6 @@ class Subgraph:
                         self.ready.append(succ)
                         newly_ready += 1
         return newly_ready
-
-    def exhausted(self) -> bool:
-        """No nodes left to submit — the scheduler drops it from its queue."""
-        return self.unsubmitted == 0
 
     def pin(self, worker_id: int) -> None:
         if self.pinned is not None and self.pinned != worker_id:
@@ -310,20 +297,12 @@ class RunSubgraph(Subgraph):
     def ready_count(self) -> int:
         return 0 if self._cursor is None else 1
 
-    def take_ready(self, limit: int) -> List[int]:
-        if limit <= 0 or self._cursor is None:
-            return []
-        taken, self._cursor = [self._cursor], None
-        if self.owner is not None:
-            self.owner.on_ready_delta(self, -1)
-        return taken
-
     def commit(
         self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
     ) -> Sequence[CellNode]:
         nid = self._cursor
         if count != 1 or nid is None:
-            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+            raise self._overdrawn(count)
         nodes = self.graph._nodes  # CellGraph.node without the miss path
         node = nodes.get(nid)
         if node is None:
@@ -384,19 +363,11 @@ class LeafSubgraph(Subgraph):
     def ready_count(self) -> int:
         return 1 if self._ready else 0
 
-    def take_ready(self, limit: int) -> List[int]:
-        if limit <= 0 or not self._ready:
-            return []
-        self._ready = False
-        if self.owner is not None:
-            self.owner.on_ready_delta(self, -1)
-        return [self.node_id]
-
     def commit(
         self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
     ) -> Sequence[CellNode]:
         if count != 1 or not self._ready:
-            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+            raise self._overdrawn(count)
         nid = self.node_id
         nodes = self.graph._nodes  # CellGraph.node without the miss path
         node = nodes.get(nid)
@@ -462,7 +433,7 @@ class TreeSubgraph(Subgraph):
     ) -> Sequence[CellNode]:
         ready = self.ready
         if not 0 < count <= len(ready):
-            return super().commit(count, bind, worker_id)  # 0 nodes, or raises
+            raise self._overdrawn(count)
         taken = ready[:count]
         del ready[:count]
         tree, internal_type = self.tree, self.tree.internal_type

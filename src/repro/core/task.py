@@ -84,12 +84,6 @@ class BatchedTask:
             self._subgraphs_of = entries
         return self._subgraphs
 
-    def nodes_per_subgraph(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for subgraph, _ in self.entries:
-            counts[subgraph.subgraph_id] = counts.get(subgraph.subgraph_id, 0) + 1
-        return counts
-
     # -- real-compute execution ---------------------------------------------
 
     def execute(self) -> None:

@@ -66,7 +66,7 @@ def pinning_ablation(quick: bool = False) -> List[Dict]:
                 num_gpus=4,
                 policies=None if pinning else {"placement": "unpinned"},
             )
-            spec = spec.replace(name=f"BM(pinning={'on' if pinning else 'off'})")
+            spec = spec.replace(name=f"BM({'pinned' if pinning else 'unpinned'})")
             summary = common.run_point(
                 build_server(spec), lambda: SequenceDataset(seed=1), rate, num
             )

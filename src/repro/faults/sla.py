@@ -53,6 +53,11 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RetryPolicy":
+        from repro.core.config import _reject_unknown_keys  # core imports us: late
+
+        _reject_unknown_keys(
+            "RetryPolicy", data, ("max_retries", "backoff_base", "backoff_factor")
+        )
         return cls(
             max_retries=data.get("max_retries", 3),
             backoff_base=data.get("backoff_base", 200e-6),
@@ -94,11 +99,6 @@ class SLAConfig:
         Upper bound (seconds) on the cumulative delay lazy-kick may add
         to any one request, measured from its arrival — slack beyond this
         is never spent waiting; also inert without the policy.
-    predictor:
-        Optional :class:`~repro.policies.LatencyPredictor` instance (a
-        runtime object, never serialised) shared between the lazy-kick
-        slack computation and external observers; ``None`` lets the
-        policy create its own.
     """
 
     def __init__(
@@ -108,7 +108,6 @@ class SLAConfig:
         retry: Optional[RetryPolicy] = None,
         kick_margin: Optional[float] = None,
         max_hold: Optional[float] = None,
-        predictor: Optional[Any] = None,
     ):
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive")
@@ -123,11 +122,9 @@ class SLAConfig:
         self.retry = retry if retry is not None else RetryPolicy()
         self.kick_margin = kick_margin
         self.max_hold = max_hold
-        self.predictor = predictor
 
     def to_dict(self) -> Dict[str, Any]:
-        """Serialisable form (the predictor is runtime state and stays
-        out); backs the ``sla`` field on registry specs."""
+        """Serialisable form; backs the ``sla`` field on registry specs."""
         return {
             "default_deadline": self.default_deadline,
             "max_queue_delay": self.max_queue_delay,
@@ -138,6 +135,13 @@ class SLAConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SLAConfig":
+        from repro.core.config import _reject_unknown_keys  # core imports us: late
+
+        _reject_unknown_keys(
+            "SLAConfig",
+            data,
+            ("default_deadline", "max_queue_delay", "retry", "kick_margin", "max_hold"),
+        )
         retry = data.get("retry")
         return cls(
             default_deadline=data.get("default_deadline"),

@@ -6,12 +6,10 @@ discrete-event model of those devices:
 * :mod:`repro.gpu.costmodel` — batch-size -> kernel-time tables calibrated
   against the measurements the paper publishes in Figure 3 and §7.3 (LSTM
   step at h=1024: ~185 us at batch 64, ~784 us at batch 512, linear beyond).
-* :mod:`repro.gpu.device` — a FIFO-stream device: kernels submitted to one
-  stream run in order; completion is signalled via callbacks (the analogue
+* :mod:`repro.gpu.device` — a FIFO-stream device: work submitted to one
+  stream runs in order; completion is signalled via callbacks (the analogue
   of the paper's signal-variable polling); cross-device copies cost
   latency + size/bandwidth.
-* :mod:`repro.gpu.kernel` — kernel descriptors, including the signalling
-  kernel BatchMaker appends to every task.
 """
 
 from repro.gpu.costmodel import (
@@ -28,7 +26,6 @@ from repro.gpu.costmodel import (
 from repro.gpu.device import DeviceTimeline, GPUDevice, make_devices
 from repro.gpu.energy import GOVERNORS, EnergyModel, EnergySpec, make_governor
 from repro.gpu.memory import DEFAULT_STATE_BYTES, MemoryModel, MemorySpec
-from repro.gpu.kernel import Kernel, SignalKernel
 
 __all__ = [
     "CostModel",
@@ -45,8 +42,6 @@ __all__ = [
     "MemoryModel",
     "MemorySpec",
     "DEFAULT_STATE_BYTES",
-    "Kernel",
-    "SignalKernel",
     "v100_lstm_step_table",
     "cpu_lstm_step_table",
     "seq2seq_decoder_step_table",

@@ -1,18 +1,19 @@
 """Discrete-event model of a GPU device.
 
 The device owns one FIFO stream (matching the paper's use of a single
-stream per worker with kernels issued in topological order).  Submitting a
-kernel sequence reserves device time starting at ``max(now, free_at)``;
-:class:`~repro.gpu.kernel.SignalKernel` callbacks fire at their retire time
-through the event loop.  Cross-device copies are modelled as
-latency + size/bandwidth, which the scheduler's pinning exists to avoid.
+stream per worker with kernels issued in topological order).  Work
+reserves device time from now, or from where the queued work ends; its
+completion callback — the signal kernel BatchMaker appends to every task so
+it learns of completion without blocking the stream (§5, "Asynchronous
+Completion Notification") — fires at the retire time through the event
+loop.  Cross-device copies are modelled as latency + size/bandwidth, which
+the scheduler's pinning exists to avoid.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.gpu.kernel import Kernel, SignalKernel
 from repro.sim.events import Event, EventLoop
 
 
@@ -66,28 +67,19 @@ class DeviceTimeline:
 
 
 class GPUDevice:
-    """A simulated GPU with a single FIFO execution stream.
+    """A simulated GPU with a single FIFO execution stream."""
 
-    NVLink-class interconnect defaults: 10 us copy latency, 20 GB/s
-    effective per-direction bandwidth.
-    """
+    # NVLink-class interconnect: 10 us copy latency, 20 GB/s effective
+    # per-direction bandwidth.
+    COPY_LATENCY = 10e-6
+    COPY_BANDWIDTH = 20e9
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        device_id: int,
-        name: Optional[str] = None,
-        copy_latency: float = 10e-6,
-        copy_bandwidth: float = 20e9,
-    ):
+    def __init__(self, loop: EventLoop, device_id: int):
         self.loop = loop
         self.device_id = device_id
-        self.name = name if name is not None else f"gpu{device_id}"
-        self.copy_latency = copy_latency
-        self.copy_bandwidth = copy_bandwidth
+        self.name = f"gpu{device_id}"
         self.timeline = DeviceTimeline()
         self._free_at = 0.0
-        self._kernels_launched = 0
         self.alive = True
         # Byte accounting (repro.gpu.memory.MemoryModel); None keeps the
         # historical time-only device model.
@@ -95,21 +87,27 @@ class GPUDevice:
         # Joule accounting (repro.gpu.energy.EnergyModel); None keeps the
         # energy-blind device model.
         self.energy = None
-        # Signal events scheduled for not-yet-retired kernels; cancelled en
+        # Signal events scheduled for not-yet-retired work; cancelled en
         # masse when the device dies (fired events are pruned lazily).
         self._pending_signals: List[Event] = []
 
     # -- execution ---------------------------------------------------------
 
-    def submit(self, kernels: Sequence[Kernel], tag: Any = None) -> float:
-        """Enqueue ``kernels`` on the stream; returns the retire time.
+    def run_for(
+        self,
+        duration: float,
+        on_complete: Optional[Callable[[], None]] = None,
+        tag: Any = None,
+    ) -> float:
+        """Enqueue ``duration`` seconds of work on the stream; returns the
+        retire time.
 
-        Kernels run back-to-back in FIFO order after everything already in
-        the stream.  SignalKernel callbacks are delivered at their retire
-        time via the event loop (never earlier than ``now``).
+        Work runs back-to-back in FIFO order after everything already in
+        the stream.  ``on_complete`` is delivered at the retire time via
+        the event loop (never earlier than ``now``).
         """
-        if not kernels:
-            raise ValueError("cannot submit an empty kernel sequence")
+        if duration < 0:
+            raise ValueError(f"kernel duration must be >= 0, got {duration}")
         if not self.alive:
             raise DeviceLostError(f"device {self.name} is dead")
         if len(self._pending_signals) > 64:
@@ -117,18 +115,13 @@ class GPUDevice:
                 e for e in self._pending_signals if not (e.fired or e.cancelled)
             ]
         start = max(self.loop.now(), self._free_at)
-        t = start
-        for kernel in kernels:
-            t += kernel.duration
-            self._kernels_launched += 1
-            if isinstance(kernel, SignalKernel):
-                self._pending_signals.append(
-                    self.loop.call_at(t, kernel.callback)
-                )
-        if t > start:
-            self.timeline.record(start, t, tag)
-        self._free_at = t
-        return t
+        end = start + duration
+        if on_complete is not None:
+            self._pending_signals.append(self.loop.call_at(end, on_complete))
+        if end > start:
+            self.timeline.record(start, end, tag)
+        self._free_at = end
+        return end
 
     def fail(self) -> int:
         """Kill the device: every not-yet-delivered signal is cancelled (the
@@ -149,13 +142,6 @@ class GPUDevice:
             self.energy.reset(now)
         return cancelled
 
-    def run_for(self, duration: float, on_complete=None, tag: Any = None) -> float:
-        """Convenience: one compute kernel plus a signal kernel."""
-        kernels: List[Kernel] = [Kernel(duration, tag)]
-        if on_complete is not None:
-            kernels.append(SignalKernel(on_complete, tag))
-        return self.submit(kernels, tag)
-
     # -- transfers ---------------------------------------------------------
 
     def copy_cost(self, nbytes: int) -> float:
@@ -164,14 +150,9 @@ class GPUDevice:
             raise ValueError("nbytes must be non-negative")
         if nbytes == 0:
             return 0.0
-        return self.copy_latency + nbytes / self.copy_bandwidth
+        return self.COPY_LATENCY + nbytes / self.COPY_BANDWIDTH
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def free_at(self) -> float:
-        """Earliest time newly submitted work could start."""
-        return max(self._free_at, self.loop.now())
 
     def is_idle(self) -> bool:
         return self._free_at <= self.loop.now()
@@ -179,10 +160,6 @@ class GPUDevice:
     def backlog(self) -> float:
         """Seconds of queued work not yet retired."""
         return max(0.0, self._free_at - self.loop.now())
-
-    @property
-    def kernels_launched(self) -> int:
-        return self._kernels_launched
 
     def __repr__(self) -> str:
         return f"<GPUDevice {self.name} free_at={self._free_at:.6f}>"

@@ -127,6 +127,16 @@ class EnergySpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "EnergySpec":
+        from repro.core.config import _reject_unknown_keys  # core imports us: late
+
+        _reject_unknown_keys(
+            "EnergySpec",
+            data,
+            (
+                "idle_watts", "active_watts", "frequencies", "governor",
+                "governor_params", "power_exponent",
+            ),
+        )
         return cls(
             idle_watts=data.get("idle_watts", DEFAULT_IDLE_WATTS),
             active_watts=data.get("active_watts", DEFAULT_ACTIVE_WATTS),

@@ -84,6 +84,13 @@ class MemorySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemorySpec":
+        from repro.core.config import _reject_unknown_keys  # core imports us: late
+
+        _reject_unknown_keys(
+            "MemorySpec",
+            data,
+            ("capacity", "state_bytes", "weights", "admission_free_bytes"),
+        )
         return cls(
             capacity=data["capacity"],
             state_bytes=data.get("state_bytes", DEFAULT_STATE_BYTES),
@@ -321,7 +328,7 @@ class MemoryAccounting(EngineExtension):
         engine.evict(request)
         for sg in request.subgraphs.values():
             self._release(sg)
-        engine.processor.forget(request)
+        engine.processor.abandon(request)
         request.graph = None
         request.subgraphs = {}
         request.remaining_nodes = 0

@@ -3,7 +3,6 @@
 from repro.metrics.counters import FaultCounters
 from repro.metrics.latency import LatencyStats, cdf_points, percentile
 from repro.metrics.summary import RunSummary, SweepPoint, format_table
-from repro.metrics.timeline import TaskRecord, TaskTrace
 
 __all__ = [
     "FaultCounters",
@@ -13,6 +12,4 @@ __all__ = [
     "RunSummary",
     "SweepPoint",
     "format_table",
-    "TaskRecord",
-    "TaskTrace",
 ]

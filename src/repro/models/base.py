@@ -63,20 +63,3 @@ class Model:
         table registered for each of this model's cell types."""
         raise NotImplementedError
 
-    # -- helpers -----------------------------------------------------------------
-
-    def cell_type_by_name(self, name: str) -> CellType:
-        for ct in self.cell_types():
-            if ct.name == name:
-                return ct
-        raise KeyError(f"model {self.name!r} has no cell type {name!r}")
-
-    def total_cells(self, payload: Any) -> int:
-        """Number of cell invocations one request unfolds to (via phases if
-        available, else by unfolding a throwaway graph)."""
-        try:
-            return sum(steps for _, steps in self.phases(payload))
-        except NotImplementedError:
-            graph = CellGraph()
-            self.unfold(graph, payload)
-            return len(graph)

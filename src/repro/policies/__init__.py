@@ -15,11 +15,10 @@ variants as in E-BATCH) are policy swaps rather than code forks:
   form the next batched task (eligibility, FIFO scan order, max-batch
   cut).
 
-:class:`PolicyBundle` groups one of each.  ``PolicyBundle.from_config``
-derives the paper's defaults from a :class:`~repro.core.config.BatchingConfig`
-— with those defaults the engine is bit-identical (fixed seed) to the
-pre-policy-layer scheduler, which ``tests/test_policies.py``
-fingerprint-checks.
+:class:`PolicyBundle` groups one of each.  ``bundle_from_names()`` with no
+override is the paper's Algorithm 1 — with it the engine is bit-identical
+(fixed seed) to the pre-policy-layer scheduler, which
+``tests/test_policies.py`` fingerprint-checks.
 
 Named constructors (``make_priority("flat")`` etc.) back the declarative
 :mod:`repro.registry` specs.
@@ -90,23 +89,20 @@ def _make(registry, name, what):
 
 
 def bundle_from_names(
-    config,
     priority: "str | None" = None,
     placement: "str | None" = None,
     formation: "str | None" = None,
 ) -> PolicyBundle:
-    """A :class:`PolicyBundle` with named overrides over ``config`` defaults.
-
-    Unnamed slots take the paper default derived from ``config`` (so a
-    priority-only swap keeps the pinning behaviour untouched) —
-    this is the hook the ablation experiments and :mod:`repro.registry`
-    specs use to express policy swaps declaratively.
+    """A fresh :class:`PolicyBundle` by registry names.  An unnamed slot
+    takes the paper's policy (three-tier priority, pinned placement, FIFO
+    formation), so a priority-only swap leaves placement pinned.  The
+    scheduler's default, and the hook the ablation experiments and
+    :mod:`repro.registry` specs use to express policy swaps declaratively.
     """
-    base = PolicyBundle.from_config(config)
     return PolicyBundle(
-        priority=base.priority if priority is None else make_priority(priority),
-        placement=base.placement if placement is None else make_placement(placement),
-        formation=base.formation if formation is None else make_formation(formation),
+        make_priority(priority or "paper"),
+        make_placement(placement or "pinned"),
+        make_formation(formation or "paper"),
     )
 
 

@@ -160,26 +160,6 @@ class PolicyBundle:
         self.placement = placement
         self.formation = formation
 
-    @classmethod
-    def from_config(cls, config) -> "PolicyBundle":
-        """The paper's defaults for a :class:`BatchingConfig`: three-tier
-        priority, pinning on/off per ``config.pinning``, FIFO formation.
-        Runs are bit-identical to the pre-policy-layer engine."""
-        from repro.policies.defaults import (
-            PaperBatchFormation,
-            PaperQueuePriority,
-            PinnedPlacement,
-        )
-        from repro.policies.variants import UnpinnedPlacement
-
-        return cls(
-            priority=PaperQueuePriority(),
-            placement=(
-                PinnedPlacement() if config.pinning else UnpinnedPlacement()
-            ),
-            formation=PaperBatchFormation(),
-        )
-
     def names(self) -> dict:
         """Registry names of the three policies (spec serialisation)."""
         return {

@@ -4,18 +4,13 @@ The slack computation behind :class:`~repro.policies.slo.LazyKickPolicy`
 (slack = deadline - now - predicted remaining service time) and the
 cluster's ``predicted_delay`` routing metric both need a running estimate
 of how long work takes.  :class:`LatencyPredictor` keeps that estimate as
-a handful of EWMAs fed from three deterministic sources:
+a handful of EWMAs fed from two deterministic sources:
 
 * **per-task observations** — the manager folds every completed task's
   per-node service time in (the same sample stream as its load-shedding
   EWMA);
 * **per-request observations** — terminal requests contribute their
-  end-to-end latency and its queue/compute split;
-* **critical-path buckets** — :meth:`sync_from_trace` folds per-request
-  :class:`~repro.trace.critical.RequestBreakdown` buckets from an attached
-  :class:`~repro.trace.recorder.TraceRecorder`, so a traced run's
-  queue/compute/gather/padding/retry/routing attribution refines the
-  same estimates the online samples feed.
+  end-to-end latency and its queue/compute split.
 
 Every update is driven by a simulation event, never by the wall clock, so
 predictor state is a pure function of the event sequence: serial and
@@ -27,12 +22,9 @@ finite, non-negative, monotone in queue depth).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.extension import EngineExtension
-from repro.trace import events as trace_events
-
-BUCKETS = trace_events.BUCKETS
 
 
 def _usable(sample: float) -> bool:
@@ -66,12 +58,8 @@ class LatencyPredictor:
         # service *rate*, which turns an outstanding count into a wait
         # estimate by Little's law (wait ~ outstanding x gap).
         self.completion_gap = 0.0
-        # Critical-path bucket means (queue/compute/gather/padding/retry/
-        # routing), fed from traced runs.
-        self.bucket_ewma: Dict[str, float] = {b: 0.0 for b in BUCKETS}
         self.tasks_observed = 0
         self.requests_observed = 0
-        self.trace_requests_observed = 0
 
     # -- observation ---------------------------------------------------------
 
@@ -110,41 +98,13 @@ class LatencyPredictor:
         if _usable(gap):
             self.completion_gap = self._fold(self.completion_gap, gap)
 
-    def observe_buckets(self, buckets: Dict[str, float]) -> None:
-        """Fold one request's critical-path bucket attribution."""
-        for name in BUCKETS:
-            sample = buckets.get(name)
-            if sample is not None and _usable(sample):
-                self.bucket_ewma[name] = self._fold(self.bucket_ewma[name], sample)
-
-    def sync_from_trace(self, recorder) -> int:
-        """Fold the per-request CriticalPath buckets of requests newly
-        analysable from ``recorder``; returns how many were folded.  The
-        analysis order is the recorder's deterministic event order, so
-        repeated syncs fold each request exactly once (cursor on count)."""
-        if recorder is None:
-            return 0
-        from repro.trace.critical import CriticalPath
-
-        path = CriticalPath.from_recorder(recorder)
-        fresh = path.requests[self.trace_requests_observed:]
-        for breakdown in fresh:
-            self.observe_buckets(breakdown.buckets)
-            self.observe_request(breakdown.latency)
-        self.trace_requests_observed += len(fresh)
-        return len(fresh)
-
     # -- prediction ----------------------------------------------------------
 
     @property
     def ready(self) -> bool:
         """Whether any observation has arrived (cold predictors predict 0,
         which callers treat as 'no information, do not delay/reject')."""
-        return bool(
-            self.tasks_observed
-            or self.requests_observed
-            or self.trace_requests_observed
-        )
+        return bool(self.tasks_observed or self.requests_observed)
 
     def predicted_service(self, node_count: Optional[int] = None) -> float:
         """Predicted remaining service seconds for ``node_count`` still-
@@ -155,9 +115,6 @@ class LatencyPredictor:
             return node_count * self.node_time
         if self.request_service > 0.0:
             return self.request_service
-        compute = self.bucket_ewma[trace_events.COMPUTE]
-        if compute > 0.0:
-            return compute
         return self.request_latency
 
     def predicted_queue_delay(self, queue_depth: float, backlog: float = 0.0) -> float:
@@ -177,20 +134,6 @@ class LatencyPredictor:
             per_unit = self.request_latency
         return base + depth * per_unit
 
-    def predicted_completion(
-        self,
-        now: float,
-        queue_depth: float = 0.0,
-        node_count: Optional[int] = None,
-        backlog: float = 0.0,
-    ) -> float:
-        """Predicted absolute completion time of a request arriving now."""
-        return (
-            now
-            + self.predicted_queue_delay(queue_depth, backlog=backlog)
-            + self.predicted_service(node_count)
-        )
-
     # -- identity ------------------------------------------------------------
 
     def state(self) -> tuple:
@@ -202,10 +145,8 @@ class LatencyPredictor:
             self.request_queue,
             self.request_service,
             self.completion_gap,
-            tuple(self.bucket_ewma[b] for b in BUCKETS),
             self.tasks_observed,
             self.requests_observed,
-            self.trace_requests_observed,
         )
 
     def __repr__(self) -> str:

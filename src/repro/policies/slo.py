@@ -59,16 +59,12 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
 
     name = "lazy_kick"
 
-    def __init__(
-        self,
-        margin: Optional[float] = None,
-        max_hold: Optional[float] = None,
-        predictor: Optional[LatencyPredictor] = None,
-    ):
+    def __init__(self):
         self.inner = PaperBatchFormation()
-        self.margin = margin
-        self.max_hold = max_hold
-        self.predictor = predictor
+        # Set from the engine's SLA in ``attach``.
+        self.margin: Optional[float] = None
+        self.max_hold: Optional[float] = None
+        self.predictor: Optional[LatencyPredictor] = None
         self._manager = None
         self._wake = None
         self._wake_at = math.inf
@@ -92,18 +88,11 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
         if sla is None:
             return
         self._manager = engine
-        if self.margin is None:
-            self.margin = sla.kick_margin
-            if self.margin is None:
-                self.margin = DEFAULT_KICK_MARGIN
-        if self.max_hold is None:
-            self.max_hold = sla.max_hold
-            if self.max_hold is None:
-                self.max_hold = DEFAULT_MAX_HOLD
-        if self.predictor is None:
-            self.predictor = sla.predictor
-        if self.predictor is None:
-            self.predictor = LatencyPredictor()
+        self.margin = (
+            sla.kick_margin if sla.kick_margin is not None else DEFAULT_KICK_MARGIN
+        )
+        self.max_hold = sla.max_hold if sla.max_hold is not None else DEFAULT_MAX_HOLD
+        self.predictor = LatencyPredictor()
         engine.install(PredictorFeed(self.predictor))
 
     @property

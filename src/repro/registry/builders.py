@@ -69,9 +69,7 @@ def _build_batchmaker(spec, loop, runtime):
     )
     policies = runtime.pop("policies", None)
     if policies is None and spec.policies:
-        if config is None:
-            config = BatchingConfig.with_max_batch(512)  # server default
-        policies = bundle_from_names(config, **spec.policies)
+        policies = bundle_from_names(**spec.policies)
     sla = runtime.pop("sla", None)
     if sla is None and spec.sla:
         from repro.faults.sla import SLAConfig

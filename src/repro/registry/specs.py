@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.core.config import _reject_unknown_keys
+
 KINDS = ("batchmaker", "padded", "timeout_padded", "fold", "ideal")
 
 
@@ -112,6 +114,14 @@ class ServerSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServerSpec":
+        _reject_unknown_keys(
+            "ServerSpec",
+            data,
+            (
+                "kind", "model", "model_args", "num_gpus", "name", "config",
+                "policies", "params", "sla", "memory", "energy",
+            ),
+        )
         return cls(
             kind=data["kind"],
             model=data["model"],
@@ -282,6 +292,14 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterSpec":
+        _reject_unknown_keys(
+            "ClusterSpec",
+            data,
+            (
+                "replica", "num_replicas", "router", "router_params", "seed",
+                "autoscaler", "name", "sla", "memory", "energy", "device_classes",
+            ),
+        )
         return cls(
             replica=ServerSpec.from_dict(data["replica"]),
             num_replicas=data.get("num_replicas", 1),
@@ -383,6 +401,14 @@ class ServeSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServeSpec":
+        _reject_unknown_keys(
+            "ServeSpec",
+            data,
+            (
+                "server", "cluster", "host", "port", "journal", "drain_grace",
+                "drift_tolerance",
+            ),
+        )
         server = data.get("server")
         cluster = data.get("cluster")
         return cls(

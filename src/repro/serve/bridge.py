@@ -69,10 +69,6 @@ class LiveEventLoop(EventLoop):
         self._timer_at = None
         self._aio = None
 
-    @property
-    def attached(self) -> bool:
-        return self._aio is not None
-
     # -- scheduling: every path funnels through call_at -------------------
 
     def call_at(self, when: float, callback: Callable[[], Any]) -> Event:

@@ -54,8 +54,6 @@ class RealTimeClock(Clock):
     event-loop machinery that drives a :class:`VirtualClock` through
     simulated time runs over this clock in real time — events fire when
     the wall clock reaches them instead of the loop jumping to them.
-    ``monotonic_offset`` exposes the rebasing epoch so an external timer
-    wheel (asyncio) can convert loop timestamps to its own timebase.
     """
 
     def __init__(self):
@@ -66,10 +64,6 @@ class RealTimeClock(Clock):
 
     def is_virtual(self) -> bool:
         return False
-
-    def monotonic_offset(self) -> float:
-        """``time.monotonic()`` value at this clock's t=0."""
-        return self._epoch
 
 
 # Historical name (pre-repro.serve); RealTimeClock is the ROADMAP name.

@@ -11,15 +11,13 @@ and never computes gradients.
 """
 
 from repro.tensor import ops
-from repro.tensor.graph import DataflowGraph, OpNode, OpSpec, Placeholder
+from repro.tensor.graph import DataflowGraph, OpSpec
 from repro.tensor.parameters import ParameterStore, glorot_uniform, orthogonal
 
 __all__ = [
     "ops",
     "DataflowGraph",
-    "OpNode",
     "OpSpec",
-    "Placeholder",
     "ParameterStore",
     "glorot_uniform",
     "orthogonal",

@@ -35,18 +35,6 @@ OP_REGISTRY: Dict[str, Callable] = {
 }
 
 
-class Placeholder:
-    """A named external input to the graph (batch dimension is axis 0)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Placeholder({self.name!r})"
-
-
 class OpSpec:
     """Declaration of one operator application inside a graph."""
 
@@ -58,15 +46,6 @@ class OpSpec:
         self.name = name
         self.op = op
         self.inputs = list(inputs)
-
-
-class OpNode:
-    """An operator instance with resolved input references."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: OpSpec):
-        self.spec = spec
 
 
 class DataflowGraph:

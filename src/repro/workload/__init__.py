@@ -14,7 +14,6 @@ from repro.workload.datasets import (
 )
 from repro.workload.lengths import WMTLengthSampler
 from repro.workload.loadgen import LoadGenerator, RunResult
-from repro.workload.trace import RequestTrace
 from repro.workload.trees import random_parse_tree
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "random_parse_tree",
     "LoadGenerator",
     "RunResult",
-    "RequestTrace",
 ]

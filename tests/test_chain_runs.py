@@ -27,7 +27,7 @@ from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.models import LSTMChainModel
-from repro.policies import bundle_from_names
+from repro.policies import PinnedPlacement, bundle_from_names
 
 from tests.chaos_helpers import (
     assert_invariants,
@@ -135,9 +135,9 @@ def test_explicit_pool_over_a_run_still_partitions_generically():
     assert not isinstance(sg, RunSubgraph)
     assert sg.node_ids == list(range(6)) and sg.ready_count() == 1
     for nid in range(6):
-        assert sg.take_ready(4) == [nid]
-        sg.mark_submitted([nid])
-    assert sg.exhausted()
+        (node,) = sg.commit(1, PinnedPlacement().bind, 0)
+        assert node is graph.node(nid)
+    assert sg.unsubmitted == 0 and sg.ready_count() == 0
 
 
 # -- (b) outcome fingerprints -----------------------------------------------------
@@ -169,7 +169,7 @@ def test_fingerprint_across_placements(project_output, placement, num_gpus):
             model_cls(project_output=project_output),
             config=config,
             num_gpus=num_gpus,
-            policies=bundle_from_names(config, placement=placement),
+            policies=bundle_from_names(placement=placement),
         )
         return server, run_chaos(server, num_requests=150)
 
@@ -224,7 +224,7 @@ def test_fingerprint_under_memory_evict_and_restart(seed):
             num_gpus=1,
             memory=MemorySpec(capacity=6 * 1024, state_bytes=1024),
             sla=SLAConfig(retry=RetryPolicy(max_retries=50)),
-            policies=bundle_from_names(config, formation="memory_aware"),
+            policies=bundle_from_names(formation="memory_aware"),
         )
         return server, run_chaos(server, rate=4000.0, num_requests=120, arrival_seed=seed)
 
@@ -255,7 +255,7 @@ def test_real_compute_matches_reference_forward(project_output, placement):
         config=config,
         num_gpus=2,
         real_compute=True,
-        policies=bundle_from_names(config, placement=placement),
+        policies=bundle_from_names(placement=placement),
     )
     requests = [
         server.submit(p, arrival_time=i * 1e-4) for i, p in enumerate(payloads)
@@ -310,9 +310,8 @@ def test_simulated_chain_builds_no_nodes(monkeypatch):
     assert len(sg.node_ids) == 300 and sg.ready_count() == 1
 
     # Scheduling builds each node once, with nothing but its flags.
-    (nid,) = sg.take_ready(8)
-    node = graph.node(nid)
-    assert graph.node(nid) is node
+    (node,) = sg.commit(1, PinnedPlacement().bind, 0)
+    assert graph.node(node.node_id) is node
     assert built == {"CellNode": 0, "RunNode": 1, "NodeOutput": 0, "ValueInput": 0}
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import BatchingConfig, CellTypeConfig
+from repro.policies import bundle_from_names
 
 
 class TestCellTypeConfig:
@@ -64,7 +65,11 @@ class TestBatchingConfig:
         assert BatchingConfig().max_tasks_to_submit == 5
 
     def test_pinning_default_on(self):
-        assert BatchingConfig().pinning is True
+        """Pinning is a placement policy, on by default, not a config flag."""
+        assert bundle_from_names().placement.name == "pinned"
+        assert "pinning" not in BatchingConfig().to_dict()
+        with pytest.raises(ValueError, match="pinning"):
+            BatchingConfig.from_dict({"pinning": True})
 
 
 class TestFromDictRejectsUnknownKeys:
@@ -73,12 +78,12 @@ class TestFromDictRejectsUnknownKeys:
 
     def test_round_trip_still_exact(self):
         config = BatchingConfig.with_max_batch(
-            64, per_cell_max={"decoder": 32}, max_tasks_to_submit=3, pinning=False
+            64, per_cell_max={"decoder": 32}, max_tasks_to_submit=3
         )
         assert BatchingConfig.from_dict(config.to_dict()) == config
         assert BatchingConfig.from_dict({}) == BatchingConfig()
 
-    @pytest.mark.parametrize("key", ["max_task_to_submit", "fast_path"])
+    @pytest.mark.parametrize("key", ["max_task_to_submit", "fast_path", "pinning"])
     def test_batching_config_names_the_key_and_the_accepted_ones(self, key):
         stored = BatchingConfig().to_dict()
         stored[key] = False
@@ -86,7 +91,7 @@ class TestFromDictRejectsUnknownKeys:
             BatchingConfig.from_dict(stored)
         message = str(excinfo.value)
         assert key in message
-        for accepted in ("default", "per_cell", "max_tasks_to_submit", "pinning"):
+        for accepted in ("default", "per_cell", "max_tasks_to_submit"):
             assert accepted in message
 
     def test_cell_type_config_names_the_key_and_the_accepted_ones(self):
@@ -108,3 +113,7 @@ class TestFromDictRejectsUnknownKeys:
             BatchingConfig(fast_path=False)
         with pytest.raises(TypeError, match="fast_path"):
             BatchingConfig.with_max_batch(64, fast_path=False)
+        with pytest.raises(TypeError, match="pinning"):
+            BatchingConfig(pinning=False)
+        with pytest.raises(TypeError, match="pinning"):
+            BatchingConfig.with_max_batch(64, pinning=False)

@@ -1,14 +1,17 @@
 """End-to-end tests of the BatchMaker serving pipeline in simulation mode:
 lifecycle, timing semantics, joining/leaving, multi-GPU, dynamic decoding."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
-from repro.core.request import RequestState
+from repro.core.request import InferenceRequest, RequestState
 from repro.gpu.costmodel import CostModel, LatencyTable
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from tests import golden
 
 
 def unit_cost(cell_names, step=1.0):
@@ -213,3 +216,27 @@ class TestAccounting:
             server.submit(4, arrival_time=i * 1e-3)
         server.drain()
         assert server.manager.processor.live_request_count() == 0
+
+    @pytest.mark.parametrize(
+        "row", ["lstm_chain/1gpu", "storm/shedding", "memory/aware"]
+    )
+    def test_processor_holds_no_request_after_drain(self, row):
+        """A served request — finished, timed out, shed, or preempted and
+        re-added on the way — is dropped by the processor, not kept (with
+        its graph and subgraphs) for the life of the server."""
+        server = golden.run(golden.matrix()[row], 42)
+        assert len(server.terminal_requests()) >= 150
+        if row == "storm/shedding":
+            assert server.timed_out and server.rejected
+        if row == "memory/aware":
+            assert server.fault_counters().memory_evictions > 0
+        processor = server.manager.processor
+        assert processor.live_requests() == []
+        held = gc.get_referents(*vars(processor).values())
+        assert not [o for o in held if isinstance(o, InferenceRequest)]
+        # A finished id may come again (it used to raise "already added");
+        # a live one still may not.
+        again = InferenceRequest(0, server.finished[0].payload, 0.0)
+        processor.add_request(again)
+        with pytest.raises(ValueError, match="already added"):
+            processor.add_request(again)

@@ -9,6 +9,7 @@ from repro.core.scheduler import Scheduler
 from repro.core.subgraph import partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.policies import bundle_from_names
 
 
 class FakeWorker:
@@ -26,10 +27,12 @@ def make_subgraphs(model, payload, request_id=0, start_id=0):
     return subgraphs
 
 
-def make_scheduler(model, config=None):
+def make_scheduler(model, config=None, policies=None):
     submitted = []
     config = config or BatchingConfig.with_max_batch(4)
-    scheduler = Scheduler(config, submit=lambda task, worker: submitted.append(task))
+    scheduler = Scheduler(
+        config, submit=lambda task, worker: submitted.append(task), policies=policies
+    )
     for ct in model.cell_types():
         scheduler.register_cell_type(ct)
     return scheduler, submitted
@@ -103,8 +106,8 @@ class TestBatchFormation:
         (sg,) = make_subgraphs(model, 2)
         scheduler.add_subgraph(sg)
         scheduler.schedule(FakeWorker())
-        assert sg.exhausted()
-        assert scheduler.queue_for("lstm").subgraphs == {}
+        assert sg.unsubmitted == 0 and sg.owner is None
+        assert scheduler._queues["lstm"].subgraphs == {}
 
     def test_schedule_with_nothing_ready_returns_zero(self):
         model = LSTMChainModel()
@@ -219,8 +222,9 @@ class TestPinningInScheduler:
 
     def test_unpinned_mode_does_not_pin(self):
         model = LSTMChainModel()
-        config = BatchingConfig.with_max_batch(4, pinning=False)
-        scheduler, submitted = make_scheduler(model, config)
+        scheduler, submitted = make_scheduler(
+            model, policies=bundle_from_names(placement="unpinned")
+        )
         (sg,) = make_subgraphs(model, 10)
         scheduler.add_subgraph(sg)
         scheduler.schedule(FakeWorker(0))
@@ -233,7 +237,7 @@ class TestPinningInScheduler:
         (sg,) = make_subgraphs(model, 3)
         scheduler.add_subgraph(sg)
         scheduler.schedule(FakeWorker())
-        queue = scheduler.queue_for("lstm")
+        queue = scheduler._queues["lstm"]
         assert queue.running_tasks == len(submitted)
         for task in submitted:
             scheduler.task_completed(task)

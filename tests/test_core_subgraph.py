@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.cell_graph import CellGraph
 from repro.core.request import InferenceRequest
-from repro.core.subgraph import partition_into_subgraphs
+from repro.core.subgraph import RunSubgraph, Subgraph, partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel
+from tests.oracles.explicit_chain import ExplicitChainModel
 
 
-def chain_subgraph(length=5):
-    model = LSTMChainModel()
+def chain_subgraph(length=5, model_cls=LSTMChainModel):
+    model = model_cls()
     graph = CellGraph()
     model.unfold(graph, length)
     request = InferenceRequest(0, length, 0.0)
@@ -19,49 +20,66 @@ def chain_subgraph(length=5):
     return sg
 
 
+def chain_subgraphs(length):
+    """The chain as the engine keeps it (a cursor-driven ``RunSubgraph``)
+    and as the generic ``Subgraph`` over the oracle's explicit nodes: every
+    hand-out rule below holds for both."""
+    run, generic = chain_subgraph(length), chain_subgraph(length, ExplicitChainModel)
+    assert type(run) is RunSubgraph and type(generic) is Subgraph
+    return run, generic
+
+
+def hand_out(sg, count=1):
+    """``commit`` without a placement policy: ids of the nodes handed out."""
+    return [node.node_id for node in sg.commit(count, lambda sg, worker_id: None, 0)]
+
+
 class TestOptimisticReadiness:
     def test_chain_exposes_one_ready_node_at_a_time(self):
-        sg = chain_subgraph(3)
-        assert sg.ready_count() == 1
-        taken = sg.take_ready(10)
-        assert taken == [0]
-        assert sg.ready_count() == 0
-        sg.mark_submitted(taken)
-        assert sg.ready_count() == 1  # node 1 became ready optimistically
+        for sg in chain_subgraphs(3):
+            assert sg.ready_count() == 1
+            assert hand_out(sg) == [0]
+            assert sg.ready_count() == 1  # node 1 became ready optimistically
+            assert hand_out(sg) == [1]
 
     def test_take_ready_respects_limit(self):
-        sg = chain_subgraph(3)
-        assert sg.take_ready(0) == []
-        assert sg.take_ready(1) == [0]
+        """A hand-out takes exactly what was planned: never more than is
+        ready, and a refused over-draw leaves the subgraph as it was."""
+        for sg in chain_subgraphs(3):
+            for count in (0, 2, 10):
+                with pytest.raises(RuntimeError, match=f"subgraph 0: planned {count} nodes"):
+                    hand_out(sg, count)
+            assert sg.ready_count() == 1 and sg.unsubmitted == 3
+            assert hand_out(sg, 1) == [0]
 
     def test_exhausted_after_all_submitted(self):
-        sg = chain_subgraph(2)
-        for _ in range(2):
-            nodes = sg.take_ready(1)
-            sg.mark_submitted(nodes)
-        assert sg.exhausted()
+        for sg in chain_subgraphs(2):
+            for _ in range(2):
+                assert sg.unsubmitted > 0
+                hand_out(sg)
+            assert sg.unsubmitted == 0 and sg.ready_count() == 0
 
     def test_oversubmission_raises(self):
-        sg = chain_subgraph(1)
-        sg.mark_submitted(sg.take_ready(1))
-        with pytest.raises(RuntimeError, match="oversubmitted"):
-            sg.mark_submitted([0])
+        for sg in chain_subgraphs(1):
+            hand_out(sg)
+            with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
+                hand_out(sg)
+            assert sg.unsubmitted == 0
 
 
 class TestNonOptimisticReadiness:
     def test_completion_drives_readiness(self):
-        sg = chain_subgraph(3)
-        sg.optimistic = False
-        nodes = sg.take_ready(1)
-        sg.mark_submitted(nodes)
-        assert sg.ready_count() == 0  # submission alone does not advance
-        sg.mark_completed_internal(nodes)
-        assert sg.ready_count() == 1
+        for sg in chain_subgraphs(3):
+            sg.optimistic = False
+            nodes = hand_out(sg)
+            assert sg.ready_count() == 0  # submission alone does not advance
+            sg.mark_completed_internal(nodes)
+            assert sg.ready_count() == 1
 
     def test_mark_completed_internal_requires_non_optimistic(self):
-        sg = chain_subgraph(2)
-        with pytest.raises(RuntimeError, match="optimistic"):
-            sg.mark_completed_internal([0])
+        for sg in chain_subgraphs(2):
+            with pytest.raises(RuntimeError, match="optimistic"):
+                sg.mark_completed_internal([0])
 
 
 class TestPinning:

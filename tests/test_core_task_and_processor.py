@@ -10,6 +10,7 @@ from repro.core.request_processor import RequestProcessor
 from repro.core.subgraph import partition_into_subgraphs
 from repro.core.task import BatchedTask
 from repro.models import LSTMChainModel, Seq2SeqModel
+from repro.policies import PinnedPlacement
 from repro.cells.lstm import LSTMCell
 from repro.tensor.parameters import ParameterStore
 
@@ -47,11 +48,7 @@ class TestBatchedTask:
         entries = [(sg_a, graph_a.node(0)), (sg_b, graph_b.node(0))]
         task = BatchedTask(0, model.cell_types()[0], entries)
         assert task.batch_size == 2
-        assert len(task.subgraphs()) == 2
-        assert task.nodes_per_subgraph() == {
-            sg_a.subgraph_id: 1,
-            sg_b.subgraph_id: 1,
-        }
+        assert task.subgraphs() == (sg_a, sg_b)
 
     def test_execute_gathers_and_scatters(self):
         params = ParameterStore(seed=0)
@@ -143,10 +140,8 @@ class TestRequestProcessor:
         request = InferenceRequest(0, {"src": 1, "tgt_len": 1}, 0.0)
         processor.add_request(request)
         encoder_sg = released[0]
-        encoder_node = request.graph.node(encoder_sg.node_ids[0])
-        encoder_sg.take_ready(1)
-        encoder_sg.mark_submitted([encoder_node.node_id])
-        encoder_sg.pin(0)
+        (encoder_node,) = encoder_sg.commit(1, PinnedPlacement().bind, 0)
+        assert encoder_node is request.graph.node(encoder_sg.node_ids[0])
         task = BatchedTask(0, encoder_node.cell_type, [(encoder_sg, encoder_node)])
         processor.handle_task_completion(task, now=1.0)
         assert len(released) == 2
@@ -159,10 +154,7 @@ class TestRequestProcessor:
         request = InferenceRequest(0, 1, 0.0)
         processor.add_request(request)
         sg = released[0]
-        node = request.graph.node(0)
-        sg.take_ready(1)
-        sg.mark_submitted([0])
-        sg.pin(0)
+        (node,) = sg.commit(1, PinnedPlacement().bind, 0)
         task = BatchedTask(0, node.cell_type, [(sg, node)])
         processor.handle_task_completion(task, now=1.0)
         sg.inflight = 1  # fake a second in-flight task
@@ -176,10 +168,8 @@ class TestRequestProcessor:
         processor.add_request(request)
         sg = released[0]
         for nid in (0, 1):
-            node = request.graph.node(nid)
-            sg.take_ready(1)
-            sg.mark_submitted([nid])
-            sg.pin(0)
+            (node,) = sg.commit(1, PinnedPlacement().bind, 0)
+            assert node is request.graph.node(nid)
             task = BatchedTask(nid, node.cell_type, [(sg, node)])
             processor.handle_task_completion(task, now=1.0 + nid)
         assert finished == [request]

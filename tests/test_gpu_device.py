@@ -1,9 +1,8 @@
-"""Tests for the simulated GPU device and kernel abstractions."""
+"""Tests for the simulated GPU device: one FIFO stream, one signal per task."""
 
 import pytest
 
-from repro.gpu.device import DeviceTimeline, GPUDevice
-from repro.gpu.kernel import Kernel, SignalKernel
+from repro.gpu.device import DeviceLostError, DeviceTimeline, GPUDevice
 from repro.sim.events import EventLoop
 
 
@@ -18,13 +17,20 @@ def device(loop):
 
 
 class TestKernel:
-    def test_negative_duration_raises(self):
+    def test_negative_duration_raises(self, device):
         with pytest.raises(ValueError):
-            Kernel(-1.0)
+            device.run_for(-1.0)
+        assert device.is_idle() and device.timeline.intervals == []
 
-    def test_signal_kernel_is_zero_cost(self):
-        k = SignalKernel(lambda: None)
-        assert k.duration == 0.0
+    def test_signal_kernel_is_zero_cost(self, loop, device):
+        """The completion signal takes no device time: it fires at the
+        compute kernel's retire time and the next task starts right there."""
+        seen = []
+        assert device.run_for(1.0, on_complete=lambda: seen.append(loop.now())) == 1.0
+        assert device.run_for(0.0, on_complete=lambda: seen.append(loop.now())) == 1.0
+        loop.run()
+        assert seen == [1.0, 1.0]
+        assert device.timeline.intervals == [(0.0, 1.0, None)]
 
 
 class TestFIFOExecution:
@@ -55,29 +61,38 @@ class TestFIFOExecution:
         loop.run()
         assert done == [6.0]
 
-    def test_empty_submission_raises(self, device):
-        with pytest.raises(ValueError, match="empty"):
-            device.submit([])
-
-    def test_multi_kernel_sequence_signals_mid_stream(self, loop, device):
+    def test_signal_is_delivered_at_retire_time_not_at_submission(self, loop, device):
         seen = []
-        device.submit(
-            [
-                Kernel(1.0),
-                SignalKernel(lambda: seen.append(("mid", loop.now()))),
-                Kernel(2.0),
-                SignalKernel(lambda: seen.append(("end", loop.now()))),
-            ]
-        )
+        loop.call_at(0.5, lambda: device.run_for(2.0, on_complete=lambda: seen.append(loop.now())))
+        loop.run(until=2.0)
+        assert seen == [] and not device.is_idle()
         loop.run()
-        assert seen == [("mid", 1.0), ("end", 3.0)]
+        assert seen == [2.5]
+
+
+class TestDeviceLoss:
+    def test_fail_cancels_undelivered_signals_and_clips_the_timeline(self, loop, device):
+        seen = []
+        device.run_for(1.0, on_complete=lambda: seen.append("a"), tag="a")
+        device.run_for(2.0, on_complete=lambda: seen.append("b"), tag="b")
+        device.run_for(2.0, on_complete=lambda: seen.append("c"), tag="c")
+        loop.run(until=1.5)
+        assert seen == ["a"]
+        assert device.fail() == 2  # b was running, c queued: neither retires
+        assert device.fail() == 0  # idempotent
+        loop.run()
+        assert seen == ["a"]
+        assert device.timeline.intervals == [(0.0, 1.0, "a"), (1.0, 1.5, "b")]
+        assert device.is_idle() and device.backlog() == 0.0
+        with pytest.raises(DeviceLostError):
+            device.run_for(1.0)
 
 
 class TestDeviceIntrospection:
     def test_free_at_tracks_backlog(self, loop, device):
-        device.run_for(3.0)
-        assert device.free_at == 3.0
-        assert device.backlog() == 3.0
+        assert device.run_for(3.0) == 3.0
+        assert device.run_for(1.0) == 4.0  # starts where the backlog ends
+        assert device.backlog() == 4.0
         assert not device.is_idle()
 
     def test_idle_after_drain(self, loop, device):
@@ -86,18 +101,13 @@ class TestDeviceIntrospection:
         assert device.is_idle()
         assert device.backlog() == 0.0
 
-    def test_kernels_launched_counts(self, loop, device):
-        device.run_for(1.0, on_complete=lambda: None)  # compute + signal
-        device.run_for(1.0)  # compute only
-        assert device.kernels_launched == 3
-
 
 class TestCopyCost:
     def test_zero_bytes_is_free(self, device):
         assert device.copy_cost(0) == 0.0
 
     def test_cost_has_latency_floor(self, device):
-        assert device.copy_cost(1) >= device.copy_latency
+        assert device.copy_cost(1) >= device.COPY_LATENCY
 
     def test_cost_scales_with_size(self, device):
         small = device.copy_cost(10_000)

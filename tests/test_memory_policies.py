@@ -52,8 +52,7 @@ def _lstm_server(formation, priority=None, indexed=True, memory=None):
         config=config,
         num_gpus=1,
         memory=memory,
-        policies=bundle_from_names(
-            config, priority=priority, formation=formation
+        policies=bundle_from_names(priority=priority, formation=formation
         ),
     )
     return server if indexed else install_reference_scans(server)
@@ -73,7 +72,7 @@ def _dynamic_server(formation, memory, num_gpus=2):
         num_gpus=num_gpus,
         memory=memory,
         policies=(
-            bundle_from_names(config, formation=formation)
+            bundle_from_names(formation=formation)
             if formation is not None
             else None
         ),

@@ -56,7 +56,10 @@ class TestLSTMChainModel:
         assert graph.result_refs == [(3, "h")]
 
     def test_total_cells(self):
-        assert LSTMChainModel().total_cells(9) == 9
+        """What the padded baseline is told (``phases``) and what the
+        engine unfolds agree on the number of cells in a request."""
+        model = LSTMChainModel()
+        assert sum(steps for _, steps in model.phases(9)) == len(unfold(model, 9)) == 9
 
     def test_sim_mode_has_no_reference(self):
         assert LSTMChainModel().reference_forward(3) is None
@@ -176,7 +179,8 @@ class TestTreeModel:
         assert list(graph.successors(node_id)) == []
 
     def test_cell_type_by_name(self):
-        model = TreeLSTMModel()
-        assert model.cell_type_by_name("tree_leaf").name == "tree_leaf"
-        with pytest.raises(KeyError):
-            model.cell_type_by_name("nope")
+        """Cell types are looked up by name (the scheduler's queues, the
+        cost model's tables): a model's names are distinct."""
+        by_name = {ct.name: ct for ct in TreeLSTMModel().cell_types()}
+        assert sorted(by_name) == ["tree_internal", "tree_leaf"]
+        assert by_name["tree_leaf"].name == "tree_leaf"

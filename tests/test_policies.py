@@ -2,7 +2,7 @@
 
 The tentpole guarantee: running the engine with the *default*
 :class:`~repro.policies.PolicyBundle` — whether derived implicitly from
-the config, constructed explicitly, or assembled by registry name — is
+``policies=None``, constructed explicitly, or assembled by registry name — is
 bit-identical (fixed seed, fast path on or off) to the engine's
 decisions.  Variants must run to completion, and every bundled policy
 must keep the fast-path ready counters consistent with a brute-force
@@ -24,7 +24,11 @@ from repro.policies import (
     FORMATION_POLICIES,
     PLACEMENT_POLICIES,
     PRIORITY_POLICIES,
+    PaperBatchFormation,
+    PaperQueuePriority,
+    PinnedPlacement,
     PolicyBundle,
+    UnpinnedPlacement,
     bundle_from_names,
     make_formation,
     make_placement,
@@ -71,37 +75,45 @@ def _server(config, policies=None, indexed=True):
 class TestDefaultBundleBitIdentity:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_explicit_default_bundle_matches_implicit(self, indexed):
-        """policies=None and an explicit from_config bundle decide
-        identically — the refactor moved code, not behaviour."""
+        """policies=None and an explicit bundle of the paper's three
+        policies decide identically — the refactor moved code, not
+        behaviour."""
         config = _seq2seq_config()
         implicit = _fingerprint(_server(config, indexed=indexed))
-        explicit = _fingerprint(
-            _server(
-                config, policies=PolicyBundle.from_config(config), indexed=indexed
-            )
+        paper = PolicyBundle(
+            PaperQueuePriority(), PinnedPlacement(), PaperBatchFormation()
         )
+        explicit = _fingerprint(_server(config, policies=paper, indexed=indexed))
         assert implicit == explicit
 
     @pytest.mark.parametrize("indexed", [True, False])
     def test_bundle_assembled_by_name_matches(self, indexed):
         config = _seq2seq_config()
         named = bundle_from_names(
-            config, priority="paper", placement="pinned", formation="paper"
+            priority="paper", placement="pinned", formation="paper"
         )
         assert _fingerprint(_server(config, indexed=indexed)) == _fingerprint(
             _server(config, policies=named, indexed=indexed)
         )
 
     def test_unpinned_swap_matches_pinning_flag(self):
-        """The unpinned placement policy is the pinning=False ablation."""
-        flag = _fingerprint(_server(_seq2seq_config(pinning=False)))
+        """The pinning ablation is the placement named ``unpinned`` (the
+        ``pinning=`` config flag that used to select it is gone): the named
+        swap decides like a hand-built bundle around ``UnpinnedPlacement``,
+        and unlike the pinned default."""
+        hand_built = PolicyBundle(
+            PaperQueuePriority(), UnpinnedPlacement(), PaperBatchFormation()
+        )
+        flag = _fingerprint(_server(_seq2seq_config(), policies=hand_built))
         swap = _fingerprint(
             _server(
                 _seq2seq_config(),
-                policies=bundle_from_names(_seq2seq_config(), placement="unpinned"),
+                policies=bundle_from_names(placement="unpinned"),
             )
         )
-        assert flag == swap
+        assert flag == swap != _fingerprint(_server(_seq2seq_config()))
+        with pytest.raises(TypeError, match="pinning"):
+            BatchingConfig(pinning=False)
 
     def test_flat_priority_matches_zeroed_priorities(self):
         """The flat queue policy == configuring every priority to zero."""
@@ -114,21 +126,20 @@ class TestDefaultBundleBitIdentity:
         swap = _fingerprint(
             _server(
                 _seq2seq_config(),
-                policies=bundle_from_names(_seq2seq_config(), priority="flat"),
+                policies=bundle_from_names(priority="flat"),
             )
         )
         assert flag == swap
 
     def test_default_names(self):
-        config = _seq2seq_config()
-        assert PolicyBundle.from_config(config).names() == {
+        assert bundle_from_names().names() == {
             "priority": "paper",
             "placement": "pinned",
             "formation": "paper",
         }
-        assert PolicyBundle.from_config(
-            BatchingConfig(pinning=False)
-        ).names()["placement"] == "unpinned"
+        server = _server(_seq2seq_config())
+        assert server.policies.names() == bundle_from_names().names()
+        assert bundle_from_names(placement="unpinned").names()["placement"] == "unpinned"
 
 
 class TestVariantsRun:
@@ -136,15 +147,15 @@ class TestVariantsRun:
 
     @pytest.mark.parametrize("priority", sorted(PRIORITY_POLICIES))
     def test_priority_variants(self, priority):
-        self._drain(bundle_from_names(_seq2seq_config(), priority=priority))
+        self._drain(bundle_from_names(priority=priority))
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENT_POLICIES))
     def test_placement_variants(self, placement):
-        self._drain(bundle_from_names(_seq2seq_config(), placement=placement))
+        self._drain(bundle_from_names(placement=placement))
 
     @pytest.mark.parametrize("formation", sorted(FORMATION_POLICIES))
     def test_formation_variants(self, formation):
-        self._drain(bundle_from_names(_seq2seq_config(), formation=formation))
+        self._drain(bundle_from_names(formation=formation))
 
     @staticmethod
     def _drain(bundle):

@@ -56,10 +56,8 @@ def test_predictions_finite_and_non_negative(observations, depth):
         assert math.isfinite(service) and service >= 0.0
     delay = predictor.predicted_queue_delay(depth)
     assert math.isfinite(delay) and delay >= 0.0
-    completion = predictor.predicted_completion(
-        now=3.5, queue_depth=depth, node_count=24
-    )
-    assert math.isfinite(completion) and completion >= 3.5
+    delay = predictor.predicted_queue_delay(depth, backlog=0.25)
+    assert math.isfinite(delay) and delay >= 0.25
     for value in predictor.state():
         if isinstance(value, tuple):
             assert all(math.isfinite(v) for v in value)

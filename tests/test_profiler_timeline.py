@@ -1,17 +1,15 @@
-"""Tests for the offline profiler and the task-trace tooling."""
+"""Tests for the offline profiler."""
 
 import pytest
 
 from repro.cells.lstm import LSTMCell
-from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.profiler import (
     ProfileResult,
     profile_cell,
     profile_cost_model,
     recommend_config,
 )
-from repro.metrics.timeline import TaskTrace
-from repro.models import LSTMChainModel, Seq2SeqModel
+from repro.models import Seq2SeqModel
 from repro.tensor.parameters import ParameterStore
 
 
@@ -75,49 +73,3 @@ class TestProfileRealCell:
 
         with pytest.raises(ValueError, match="input_maker"):
             profile_cell(ShapelessCell(), candidates=(1,), repeats=1)
-
-
-class TestTaskTrace:
-    def run_traced(self, num_gpus=1):
-        server = BatchMakerServer(
-            LSTMChainModel(),
-            config=BatchingConfig.with_max_batch(8),
-            num_gpus=num_gpus,
-        )
-        trace = TaskTrace.attach(server)
-        for i in range(6):
-            server.submit(5, arrival_time=i * 1e-4)
-        server.drain()
-        return server, trace
-
-    def test_records_every_task(self):
-        server, trace = self.run_traced()
-        assert len(trace.records) == server.tasks_submitted()
-        for record in trace.records:
-            assert record.end >= record.start
-            assert record.batch_size >= 1
-
-    def test_by_worker_grouping(self):
-        server, trace = self.run_traced(num_gpus=2)
-        grouped = trace.by_worker()
-        assert sum(len(v) for v in grouped.values()) == len(trace.records)
-        for records in grouped.values():
-            starts = [r.start for r in records]
-            assert starts == sorted(starts)
-
-    def test_batch_histogram_total(self):
-        server, trace = self.run_traced()
-        histogram = trace.batch_size_histogram()
-        assert sum(histogram.values()) == len(trace.records)
-
-    def test_gantt_renders_rows_and_legend(self):
-        server, trace = self.run_traced(num_gpus=2)
-        art = trace.render_gantt(width=60)
-        assert "gpu0 |" in art
-        assert "lstm" in art  # legend
-
-    def test_empty_trace(self):
-        trace = TaskTrace()
-        assert trace.render_gantt() == "(empty trace)"
-        with pytest.raises(ValueError):
-            trace.span()

@@ -14,6 +14,9 @@ from repro.baselines import FoldServer, IdealServer, PaddedServer, TimeoutPadded
 from repro.cluster import build_cluster
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.config import CellTypeConfig
+from repro.faults import RetryPolicy, SLAConfig
+from repro.gpu.energy import EnergySpec
+from repro.gpu.memory import MemorySpec
 from repro.registry import (
     KINDS,
     ClusterSpec,
@@ -32,6 +35,22 @@ EXPECTED_KIND_CLASSES = {
     "fold": FoldServer,
     "ideal": IdealServer,
 }
+
+
+# One instance of every class that loads from a stored dict, each with a
+# misspelling of one of its own keys (``pinning``: the removed option).
+STORED_SPECS = [
+    (presets.lstm_batchmaker_spec(), "num_gpu"),
+    (presets.lstm_cluster_spec(), "num_replica"),
+    (presets.lstm_serve_spec(), "drain_grac"),
+    (SLAConfig(default_deadline=0.1), "default_deadlin"),
+    (RetryPolicy(), "max_retry"),
+    (MemorySpec(capacity=1 << 20), "state_byte"),
+    (EnergySpec(), "idle_watt"),
+    (BatchingConfig(), "pinning"),
+]
+SPEC_IDS = [type(spec).__name__ for spec, _ in STORED_SPECS]
+REPLACEABLE = [case for case in STORED_SPECS if hasattr(case[0], "replace")]
 
 
 class TestSpecRoundTrip:
@@ -59,13 +78,38 @@ class TestSpecRoundTrip:
         assert other.num_gpus == 4 and spec.num_gpus == 1
         assert other != spec
 
+    @pytest.mark.parametrize("spec,typo", STORED_SPECS, ids=SPEC_IDS)
+    def test_from_dict_rejects_a_key_it_does_not_read(self, spec, typo):
+        """Stored specs are typed by hand: a misspelt or removed key used to
+        load as the default (``SLAConfig.from_dict({"default_deadlin": 0.1})``
+        had no deadline); now it is refused by name, with the accepted keys."""
+        cls = type(spec)
+        stored = json.loads(json.dumps(spec.to_dict()))
+        assert cls.from_dict(stored).to_dict() == spec.to_dict()
+        stored[typo] = 1
+        with pytest.raises(ValueError, match=f"{cls.__name__}.*{typo}.*accepts"):
+            cls.from_dict(stored)
+
+    def test_nested_retry_block_is_checked_too(self):
+        stored = SLAConfig().to_dict()
+        stored["retry"]["max_retry"] = 1
+        with pytest.raises(ValueError, match="RetryPolicy.*max_retry"):
+            SLAConfig.from_dict(stored)
+
+    @pytest.mark.parametrize(
+        "spec,typo", REPLACEABLE, ids=[type(spec).__name__ for spec, _ in REPLACEABLE]
+    )
+    def test_replace_rejects_a_field_the_spec_does_not_have(self, spec, typo):
+        """``lstm_batchmaker_spec().replace(num_gpu=4).num_gpus`` was 1."""
+        with pytest.raises(ValueError, match=typo):
+            spec.replace(**{typo: 4})
+
     def test_config_round_trips_exactly(self):
         config = BatchingConfig.with_max_batch(
             512,
             per_cell_max={"decoder": 256},
             per_cell_priority={"decoder": 1, "encoder": 0},
             max_tasks_to_submit=3,
-            pinning=False,
         )
         assert BatchingConfig.from_dict(config.to_dict()) == config
         assert CellTypeConfig.from_dict(

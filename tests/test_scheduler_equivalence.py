@@ -9,6 +9,7 @@ O(queue) scans of ``tests/oracles/bruteforce_scheduler.py`` installed.
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
+from repro.policies import bundle_from_names
 from repro.workload import (
     LoadGenerator,
     Seq2SeqDataset,
@@ -97,14 +98,16 @@ class TestFastPathEquivalence:
         _compare(make_server, lambda: Seq2SeqDataset(seed=5), 3000, 600)
 
     def test_unpinned_ablation_equivalence(self):
-        """pinning=False flips subgraphs to non-optimistic readiness (deps
-        advance on completion) — the counters must track that path too."""
+        """Unpinned placement flips subgraphs to non-optimistic readiness
+        (deps advance on completion) — the counters must track that path
+        too."""
 
         def make_server():
             return BatchMakerServer(
                 LSTMChainModel(),
-                config=BatchingConfig.with_max_batch(512, pinning=False),
+                config=BatchingConfig.with_max_batch(512),
                 num_gpus=2,
+                policies=bundle_from_names(placement="unpinned"),
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 5000, 800)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.policies import bundle_from_names
 
 
 def instrument(server):
@@ -91,9 +92,13 @@ def test_serving_invariants(spec):
     config = BatchingConfig.with_max_batch(
         spec["max_batch"],
         max_tasks_to_submit=spec["max_tasks"],
-        pinning=spec["pinning"],
     )
-    server = BatchMakerServer(model, config=config, num_gpus=spec["num_gpus"])
+    server = BatchMakerServer(
+        model,
+        config=config,
+        num_gpus=spec["num_gpus"],
+        policies=None if spec["pinning"] else bundle_from_names(placement="unpinned"),
+    )
     tasks = instrument(server)
 
     requests = []

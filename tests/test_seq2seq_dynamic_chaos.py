@@ -47,7 +47,7 @@ def _server(
             else None
         ),
         policies=(
-            bundle_from_names(config, formation="memory_aware")
+            bundle_from_names(formation="memory_aware")
             if memory_aware
             else None
         ),

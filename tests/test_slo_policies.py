@@ -39,8 +39,7 @@ def _server(formation, priority=None, indexed=True, sla=None, max_batch=32):
         config=config,
         num_gpus=1,
         sla=sla,
-        policies=bundle_from_names(
-            config, priority=priority, formation=formation
+        policies=bundle_from_names(priority=priority, formation=formation
         ),
     )
     return server if indexed else install_reference_scans(server)

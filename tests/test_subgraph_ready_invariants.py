@@ -49,7 +49,12 @@ from repro.core.task import BatchedTask
 from repro.faults import SLAConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
-from repro.policies import LazyKickPolicy, PinnedPlacement, UnpinnedPlacement
+from repro.policies import (
+    LazyKickPolicy,
+    PinnedPlacement,
+    UnpinnedPlacement,
+    bundle_from_names,
+)
 from repro.policies.base import BatchFormationPolicy
 from repro.sim.events import EventLoop
 from repro.workload.trees import random_parse_tree
@@ -57,6 +62,8 @@ from tests.oracles.bruteforce_scheduler import (
     BruteForceFormation,
     recount_ready_nodes,
 )
+from tests.oracles.explicit_chain import ExplicitChainModel
+from tests.oracles.explicit_tree import ExplicitTreeModel
 
 
 class FakeWorker:
@@ -112,10 +119,12 @@ class Harness:
     """Scheduler + request processor, no workers/event loop: the test picks
     which pending task completes next, in any order."""
 
-    def __init__(self, model, config, num_workers):
+    def __init__(self, model, config, num_workers, placement=None):
         self.pending = []
         self.handed_out = set()  # (request id, node id) of every submitted node
-        self.scheduler = Scheduler(config, submit=self._submit)
+        self.scheduler = Scheduler(
+            config, submit=self._submit, policies=bundle_from_names(placement=placement)
+        )
         self.formation = CheckedFormation(self.scheduler.policies.formation)
         self.scheduler.policies.formation = self.formation
         for cell_type in model.cell_types():
@@ -315,9 +324,10 @@ def test_ready_count_invariants_under_random_interleavings(
     config = BatchingConfig(
         default=CellTypeConfig((2 if seed == 1 else 1, max_batch)),
         max_tasks_to_submit=2,
-        pinning=pinning,
     )
-    harness = Harness(model, config, num_workers=seed + 1)
+    harness = Harness(
+        model, config, num_workers=seed + 1, placement=None if pinning else "unpinned"
+    )
 
     for step in range(150):
         roll = rng.random()
@@ -366,33 +376,46 @@ def _chain_scheduler():
     )
     for cell_type in model.cell_types():
         scheduler.register_cell_type(cell_type)
-    return model, scheduler, scheduler.queue_for("lstm")
+    return model, scheduler, scheduler._queues["lstm"]
+
+
+def _partition(model, request_id, payload, start_id):
+    """Unfold and partition one request; returns (request, subgraphs)."""
+    graph = CellGraph()
+    model.unfold(graph, payload)
+    request = InferenceRequest(request_id, payload, 0.0)
+    request.graph = graph
+    subgraphs = partition_into_subgraphs(graph, request, start_id=start_id)
+    request.subgraphs = {sg.subgraph_id: sg for sg in subgraphs}
+    return request, subgraphs
 
 
 def _queue_chain(model, scheduler, request_id, length):
-    """Unfold, partition and enqueue one chain; returns (request, subgraph)."""
-    graph = CellGraph()
-    model.unfold(graph, length)
-    request = InferenceRequest(request_id, length, 0.0)
-    request.graph = graph
-    (sg,) = partition_into_subgraphs(graph, request, start_id=request_id)
-    assert isinstance(sg, RunSubgraph)
-    request.subgraphs = {sg.subgraph_id: sg}
+    """Unfold, partition and enqueue one chain; returns (request, subgraph):
+    a ``RunSubgraph`` for ``LSTMChainModel``, the generic ``Subgraph`` for
+    the oracle's ``ExplicitChainModel``."""
+    request, (sg,) = _partition(model, request_id, length, start_id=request_id)
+    assert type(sg) is (Subgraph if isinstance(model, ExplicitChainModel) else RunSubgraph)
     scheduler.add_subgraph(sg)
     return request, sg
 
 
+def _no_bind(sg, worker_id):
+    """``commit`` without a placement policy: the queue hears no pin."""
+
+
 def test_take_ready_notifies_owner_exactly_once():
-    """Unit check on the delta protocol: direct take/mark cycles on a chain
-    subgraph keep its queue's counter exact."""
+    """Unit check on the delta protocol: a hand-out on a chain subgraph
+    keeps its queue's counter exact — a step with a successor leaves one
+    node ready (optimistic), the last step leaves none."""
     model, scheduler, queue = _chain_scheduler()
-    _, sg = _queue_chain(model, scheduler, 0, 6)
+    _, sg = _queue_chain(model, scheduler, 0, 2)
 
     assert queue.num_ready_nodes() == 1
-    taken = sg.take_ready(1)
-    assert queue.num_ready_nodes() == 0
-    sg.mark_submitted(taken)  # optimistic: successor becomes ready
+    sg.commit(1, _no_bind, 0)  # optimistic: the successor becomes ready
     assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
+    sg.commit(1, _no_bind, 0)
+    assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
 
 
 def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
@@ -405,34 +428,44 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
     sg.optimistic = False
     for nid in range(3):
         assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
-        assert sg.take_ready(4) == [nid]
-        sg.mark_submitted([nid])
+        (node,) = sg.commit(1, _no_bind, 0)
+        assert node.node_id == nid
         assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
         sg.mark_completed_internal([nid])
-    assert sg.exhausted() and sg.ready_count() == 0
+    assert sg.unsubmitted == 0 and sg.ready_count() == 0
     assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
     queue.remove(sg)
 
     request, sg = _queue_chain(model, scheduler, 1, 5)
-    sg.mark_submitted(sg.take_ready(1))
+    sg.commit(1, _no_bind, 0)
     assert queue.num_ready_nodes() == 1
     assert scheduler.evict_request(request) == 1
     assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
     assert sg.owner is None
 
 
-# -- RunSubgraph.commit against the three-call sequence it replaces ---------
+# -- RunSubgraph.commit against the generic hand-out over explicit nodes -----
 
 
 def _index_snapshot(queue):
     return {bucket: [seq for seq, _ in entries] for bucket, entries in queue._buckets.items()}
 
 
+def _ready_ids(sg):
+    """The ready node ids, however the subgraph class keeps them."""
+    if isinstance(sg, RunSubgraph):
+        return [] if sg._cursor is None else [sg._cursor]
+    if isinstance(sg, LeafSubgraph):
+        return [sg.node_id] if sg._ready else []
+    return list(sg.ready)
+
+
 def _commit_state(sg, queue):
     return {
-        "cursor": sg._cursor,
-        "ready": sg.ready_count(),
+        "ready": _ready_ids(sg),
+        "ready_count": sg.ready_count(),
         "unsubmitted": sg.unsubmitted,
+        "uncompleted": sg.uncompleted,
         "inflight": sg.inflight,
         "pinned": sg.pinned,
         "queue_total": queue._ready_total,
@@ -445,26 +478,48 @@ def _commit_state(sg, queue):
     }
 
 
+class RecordingQueueCalls:
+    """Wraps a placement's ``bind`` and a queue's two notification methods
+    to write down, in order, what the queue hears during a hand-out."""
+
+    def __init__(self, queue, placement):
+        self.calls = []
+        self._placement = placement
+        on_ready_delta, on_pin_changed = queue.on_ready_delta, queue.on_pin_changed
+
+        def ready_delta(sg, delta):
+            self.calls.append(("ready", sg.subgraph_id, delta))
+            on_ready_delta(sg, delta)
+
+        def pin_changed(sg):
+            self.calls.append(("pin", sg.subgraph_id, sg.pinned))
+            on_pin_changed(sg)
+
+        queue.on_ready_delta, queue.on_pin_changed = ready_delta, pin_changed
+
+    def bind(self, sg, worker_id):
+        self.calls.append(("bind", sg.subgraph_id, worker_id))
+        self._placement.bind(sg, worker_id)
+
+
 @pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
 @pytest.mark.parametrize("sticky", [False, True])
 def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
-    """``RunSubgraph.commit`` is a shortcut through ``take_ready`` /
-    ``graph.node`` / ``bind`` / ``mark_submitted``, not a second behaviour:
-    driven side by side over a whole chain (first, middle and last step),
-    with a completion between steps, both leave the same cursor, counters,
-    pin, queue total, index and plans, and return the same node."""
+    """``RunSubgraph.commit`` is a shortcut through the generic
+    ``Subgraph.commit``, not a second behaviour: a run and the generic
+    subgraph over the oracle's explicit chain, driven side by side over a
+    whole chain (first, middle and last step) with a completion between
+    steps, leave the same ready node, counters, pin, queue total, index and
+    plans, and return the same node ids."""
     placement = placement_cls()
     worker_id = 1
     twins = []
-    for _ in range(2):
-        model, scheduler, queue = _chain_scheduler()
+    for model_cls in (LSTMChainModel, ExplicitChainModel):
+        _, scheduler, queue = _chain_scheduler()
+        model = model_cls()
         scheduler.policies.placement = placement
         _queue_chain(model, scheduler, 0, 2)  # a neighbour in the queue
-        graph = CellGraph()
-        model.unfold(graph, 3)
-        request = InferenceRequest(1, 3, 0.0)
-        request.graph = graph
-        (sg,) = partition_into_subgraphs(graph, request, start_id=1)
+        _, (sg,) = _partition(model, 1, 3, start_id=1)
         if sticky:  # what FixedPlacement.on_admit does
             sg.sticky = True
             sg.repin(worker_id)
@@ -472,10 +527,12 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
         assert sg.optimistic is placement.optimistic
         twins.append((sg, queue))
     (fast_sg, fast_queue), (base_sg, base_queue) = twins
+    assert type(fast_sg) is RunSubgraph and type(base_sg) is Subgraph
+    assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
 
     for step in range(3):
         fast_nodes = fast_sg.commit(1, placement.bind, worker_id)
-        base_nodes = Subgraph.commit(base_sg, 1, placement.bind, worker_id)
+        base_nodes = base_sg.commit(1, placement.bind, worker_id)
         assert [n.node_id for n in fast_nodes] == [n.node_id for n in base_nodes] == [step]
         assert fast_nodes[0] is fast_sg.graph.node(step)
         assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
@@ -488,72 +545,91 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
                 if not placement.optimistic:
                     sg.mark_completed_internal([step])
             assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
-    assert fast_sg.exhausted() and base_sg.exhausted()
+    assert fast_sg.unsubmitted == 0 == base_sg.unsubmitted
 
-    # Nothing is ready any more: both refuse with the scheduler's message.
+    # Nothing is ready any more: both refuse with the scheduler's message
+    # and stay as they were.
+    before = _commit_state(fast_sg, fast_queue)
     for sg in (fast_sg, base_sg):
-        with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
-            sg.commit(1, placement.bind, worker_id)
+        for count in (1, 0):
+            with pytest.raises(
+                RuntimeError, match=f"subgraph 1: planned {count} nodes but only 0 were ready"
+            ):
+                sg.commit(count, placement.bind, worker_id)
+    assert _commit_state(fast_sg, fast_queue) == before == _commit_state(base_sg, base_queue)
 
 
 def test_run_commit_refuses_more_than_the_one_ready_node():
-    model, scheduler, queue = _chain_scheduler()
-    _, sg = _queue_chain(model, scheduler, 0, 5)
-    with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
-        sg.commit(2, PinnedPlacement().bind, 0)
+    for model in (LSTMChainModel(), ExplicitChainModel()):
+        _, scheduler, queue = _chain_scheduler()
+        _, sg = _queue_chain(model, scheduler, 0, 5)
+        with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
+            sg.commit(2, PinnedPlacement().bind, 0)
+        assert sg.ready_count() == 1 == queue.num_ready_nodes() and sg.pinned is None
 
 
-# -- TreeSubgraph.commit against the same three-call sequence ------------------
+def test_generic_commit_tells_the_queue_taken_then_pin_then_newly_ready():
+    """The generic hand-out's three queue notifications keep their order
+    (merged into one net delta they move a seq2seq fingerprint): the nodes
+    taken, the pin through ``bind``, the nodes the submission made ready."""
+    _, scheduler, queue = _chain_scheduler()
+    _, sg = _queue_chain(ExplicitChainModel(), scheduler, 7, 3)
+    recorder = RecordingQueueCalls(queue, PinnedPlacement())
+    sg.commit(1, recorder.bind, 1)
+    assert recorder.calls == [("ready", 7, -1), ("bind", 7, 1), ("pin", 7, 1), ("ready", 7, 1)]
+
+
+# -- TreeSubgraph.commit against the same generic hand-out ---------------------
 
 
 def _queue_tree(scheduler, model, request_id, spec, start_id):
     """Unfold and partition one tree, retire its leaves by hand and enqueue
-    the internal subgraph; returns it."""
-    payload = TreePayload(spec)
-    graph = CellGraph()
-    model.unfold(graph, payload)
-    request = InferenceRequest(request_id, payload, 0.0)
-    request.graph = graph
-    subgraphs = partition_into_subgraphs(graph, request, start_id=start_id)
-    request.subgraphs = {sg.subgraph_id: sg for sg in subgraphs}
-    (internal,) = [sg for sg in subgraphs if isinstance(sg, TreeSubgraph)]
-    released = [internal.leaf_completed() for sg in subgraphs if sg is not internal]
-    assert released == [False] * (len(released) - 1) + [True]
+    the internal subgraph (a ``TreeSubgraph``, or for the oracle's
+    ``ExplicitTreeModel`` the generic ``Subgraph``); returns it."""
+    request, subgraphs = _partition(model, request_id, TreePayload(spec), start_id)
+    (internal,) = [sg for sg in subgraphs if sg.cell_type_name == "tree_internal"]
+    leaves = [sg for sg in subgraphs if sg is not internal]
+    if isinstance(internal, TreeSubgraph):
+        released = [internal.leaf_completed() for _ in leaves]
+        assert released == [False] * (len(released) - 1) + [True]
+    else:
+        assert type(internal) is Subgraph
+        for leaf in leaves:
+            (nid,) = leaf.node_ids
+            request.graph.node(nid).completed = True
+            leaf.propagate(nid, lambda sg: None)
+    assert internal.is_releasable()
     scheduler.add_subgraph(internal)
     return internal
 
 
 def _tree_commit_state(sg, queue):
-    return {
-        "ready": list(sg.ready),
-        "pending": bytes(sg._pending),
-        "unsubmitted": sg.unsubmitted,
-        "inflight": sg.inflight,
-        "pinned": sg.pinned,
-        "queue_total": queue._ready_total,
-        "queue_recount": recount_ready_nodes(queue),
-        "index": _index_snapshot(queue),
-        "plans": [
-            [(member.subgraph_id, n) for member, n in queue.plan(worker_id, 4)]
-            for worker_id in (0, 1)
-        ],
-    }
+    state = _commit_state(sg, queue)
+    # What still waits on a child, however the class counts it: node id ->
+    # children in this subgraph not yet submitted / completed.
+    if isinstance(sg, TreeSubgraph):
+        first = sg.tree.first_id
+        state["pending"] = {first + i: n for i, n in enumerate(sg._pending) if n}
+    else:
+        state["pending"] = {nid: n for nid, n in sg._internal_pending.items() if n}
+    return state
 
 
 @pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
 @pytest.mark.parametrize("sticky", [False, True])
 def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
-    """``TreeSubgraph.commit`` is ``take_ready`` / ``graph.node`` / ``bind``
-    / ``mark_submitted`` in one pass, not a second behaviour: driven side
-    by side over a whole tree in takes of up to three, with completions in
-    between, both leave the same ready list, counters, pin, queue total,
-    index and plans, and return the same nodes."""
+    """``TreeSubgraph.commit`` is the generic ``Subgraph.commit`` in one
+    pass, not a second behaviour: a flat tree and the generic subgraph over
+    the oracle's explicit tree, driven side by side over a whole tree in
+    takes of up to three with completions in between, leave the same ready
+    list, pending counts, counters, pin, queue total, index and plans, and
+    return the same node ids."""
     placement = placement_cls()
     worker_id = 1
     spec = random_parse_tree(np.random.default_rng(4), 14).root
     twins = []
-    for _ in range(2):
-        model = TreeLSTMModel()
+    for model_cls in (TreeLSTMModel, ExplicitTreeModel):
+        model = model_cls()
         scheduler = Scheduler(
             BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
         )
@@ -566,16 +642,17 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
             sg.sticky = True
             sg.repin(worker_id)
         assert sg.optimistic is placement.optimistic
-        twins.append((sg, scheduler.queue_for("tree_internal")))
+        twins.append((sg, scheduler._queues["tree_internal"]))
     (fast_sg, fast_queue), (base_sg, base_queue) = twins
+    assert type(fast_sg) is TreeSubgraph and type(base_sg) is Subgraph
     assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
 
     rounds = 0
-    while not fast_sg.exhausted():
+    while fast_sg.unsubmitted:
         count = min(fast_sg.ready_count(), 3)
         assert count > 0, "the tree stalled"
         fast_nodes = fast_sg.commit(count, placement.bind, worker_id)
-        base_nodes = Subgraph.commit(base_sg, count, placement.bind, worker_id)
+        base_nodes = base_sg.commit(count, placement.bind, worker_id)
         node_ids = [n.node_id for n in fast_nodes]
         assert node_ids == [n.node_id for n in base_nodes] and len(node_ids) == count
         assert all(n is fast_sg.graph.node(n.node_id) for n in fast_nodes)
@@ -592,7 +669,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
             assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(
                 base_sg, base_queue
             )
-    assert base_sg.exhausted() and rounds >= 5
+    assert base_sg.unsubmitted == 0 and rounds >= 5
 
     # Nothing is ready any more: both refuse with the scheduler's message.
     for sg in (fast_sg, base_sg):
@@ -601,38 +678,45 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
 
 
 def test_leaf_commit_and_take_keep_the_counter_exact():
-    """A leaf subgraph is one flag: ``take_ready`` / ``mark_submitted`` and
-    ``commit`` both clear it once, tell the queue once and refuse a second
-    node."""
-    model = TreeLSTMModel()
-    scheduler = Scheduler(BatchingConfig.with_max_batch(4), submit=lambda task, worker: None)
-    for cell_type in model.cell_types():
-        scheduler.register_cell_type(cell_type)
-    queue = scheduler.queue_for("tree_leaf")
-    graph = CellGraph()
-    payload = TreePayload(TreeNodeSpec.complete(4))
-    model.unfold(graph, payload)
-    request = InferenceRequest(0, payload, 0.0)
-    first, second, internal, third, _ = partition_into_subgraphs(graph, request)
-    assert isinstance(first, LeafSubgraph) and isinstance(internal, TreeSubgraph)
-    for sg in (first, second, third):
-        scheduler.add_subgraph(sg)
-    assert queue.num_ready_nodes() == 3 == recount_ready_nodes(queue)
+    """A leaf subgraph is one flag: ``commit`` clears it once, tells the
+    queue once and refuses a second node — as the generic one-node
+    ``Subgraph`` over the oracle's explicit leaf does."""
+    for model in (TreeLSTMModel(), ExplicitTreeModel()):
+        scheduler = Scheduler(
+            BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
+        )
+        for cell_type in model.cell_types():
+            scheduler.register_cell_type(cell_type)
+        queue = scheduler._queues["tree_leaf"]
+        request, subgraphs = _partition(model, 0, TreePayload(TreeNodeSpec.complete(4)), 0)
+        first, second, internal, third, _ = subgraphs
+        flat = not isinstance(model, ExplicitTreeModel)
+        assert type(first) is (LeafSubgraph if flat else Subgraph)
+        assert type(internal) is (TreeSubgraph if flat else Subgraph)
+        graph = request.graph
+        for sg in (first, second, third):
+            scheduler.add_subgraph(sg)
+        assert queue.num_ready_nodes() == 3 == recount_ready_nodes(queue)
 
-    assert first.take_ready(0) == [] and first.take_ready(4) == [0]
-    assert first.take_ready(4) == [] and first.ready_count() == 0
-    first.mark_submitted([0])
-    assert first.exhausted() and queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
+        recorder = RecordingQueueCalls(queue, PinnedPlacement())
+        with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
+            first.commit(0, recorder.bind, 0)
+        (node,) = first.commit(1, recorder.bind, 0)
+        assert node is graph.node(0) and first.ready_count() == 0
+        assert recorder.calls == [("ready", 0, -1), ("bind", 0, 0), ("pin", 0, 0)]
+        assert first.unsubmitted == 0
+        assert queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
 
-    with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
-        second.commit(2, PinnedPlacement().bind, 0)
+        with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
+            second.commit(2, PinnedPlacement().bind, 0)
+        assert second.ready_count() == 1 and second.pinned is None
 
-    (node,) = third.commit(1, PinnedPlacement().bind, 0)
-    assert node is graph.node(3) and node.cell_type.name == "tree_leaf"
-    assert third.exhausted() and third.pinned == 0 and third.inflight == 1
-    assert queue.num_ready_nodes() == recount_ready_nodes(queue)
-    with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
-        third.commit(1, PinnedPlacement().bind, 0)
+        (node,) = third.commit(1, PinnedPlacement().bind, 0)
+        assert node is graph.node(3) and node.cell_type.name == "tree_leaf"
+        assert third.unsubmitted == 0 and third.pinned == 0 and third.inflight == 1
+        assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
+        with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
+            third.commit(1, PinnedPlacement().bind, 0)
 
 
 def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
@@ -666,7 +750,6 @@ def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
     task.prepare_retry()
     task.entries = [entry for entry in task.entries if entry[0] is first]
     assert task.subgraphs() == (first,)
-    assert task.nodes_per_subgraph() == {first.subgraph_id: 1}
     worker.submit(task)
     assert worker.gathers_performed == 2, "a narrower batch is a new composition"
     assert task.gather_time == cost_model.gather_overhead

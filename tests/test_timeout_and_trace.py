@@ -1,11 +1,10 @@
-"""Tests for the timeout-batching baseline and request-trace replay."""
+"""Tests for the timeout-batching baseline."""
 
 import pytest
 
 from repro.baselines import PaddedServer, TimeoutPaddedServer
-from repro.core import BatchMakerServer, BatchingConfig
-from repro.models import LSTMChainModel, TreeLSTMModel
-from repro.workload import LoadGenerator, RequestTrace, SequenceDataset, TreeDataset
+from repro.models import LSTMChainModel
+from repro.workload import LoadGenerator, SequenceDataset
 
 
 class TestTimeoutServer:
@@ -70,75 +69,3 @@ class TestTimeoutServer:
             if rate == 800:
                 # ...and a long timeout is clearly worse at low load.
                 assert timed[100e-3] > 2 * baseline
-
-
-class TestRequestTrace:
-    def test_record_is_sorted_and_sized(self):
-        trace = RequestTrace.record(SequenceDataset(seed=1), rate=1000, num_requests=50)
-        assert len(trace) == 50
-        times = [t for t, _ in trace.entries]
-        assert times == sorted(times)
-        assert trace.duration() == times[-1]
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            RequestTrace([(-1.0, 5)])
-
-    def test_replay_reproduces_loadgen_results(self):
-        trace = RequestTrace.record(
-            SequenceDataset(seed=1), rate=2000, num_requests=300, seed=7
-        )
-
-        def run():
-            server = BatchMakerServer(
-                LSTMChainModel(), config=BatchingConfig.with_max_batch(64)
-            )
-            requests = trace.replay(server)
-            return [r.latency for r in requests]
-
-        assert run() == run()  # identical replays
-
-    def test_same_trace_across_servers_is_apples_to_apples(self):
-        trace = RequestTrace.record(
-            SequenceDataset(seed=1), rate=2000, num_requests=300, seed=7
-        )
-        bm = BatchMakerServer(LSTMChainModel())
-        padded = PaddedServer(LSTMChainModel(), bucket_width=10)
-        bm_requests = trace.replay(bm)
-        padded_requests = trace.replay(padded)
-        # Same payloads, same arrival times.
-        for a, b in zip(bm_requests, padded_requests):
-            assert a.arrival_time == b.arrival_time
-            assert a.payload == b.payload
-
-    def test_json_roundtrip_sequences(self, tmp_path):
-        trace = RequestTrace.record(
-            SequenceDataset(seed=2), rate=500, num_requests=20
-        )
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = RequestTrace.load(path)
-        assert loaded.entries == trace.entries
-
-    def test_json_roundtrip_trees(self, tmp_path):
-        trace = RequestTrace.record(TreeDataset(seed=3), rate=500, num_requests=10)
-        path = tmp_path / "trees.jsonl"
-        trace.save(path)
-        loaded = RequestTrace.load(path)
-        assert len(loaded) == len(trace)
-        for (t1, p1), (t2, p2) in zip(trace.entries, loaded.entries):
-            assert t1 == t2
-            assert p1.num_nodes() == p2.num_nodes()
-            assert p1.depth() == p2.depth()
-        # Replaying a loaded tree trace works end to end.
-        server = BatchMakerServer(
-            TreeLSTMModel(), config=BatchingConfig.with_max_batch(64)
-        )
-        loaded.replay(server)
-        assert len(server.finished) == len(loaded)
-
-    def test_json_roundtrip_dict_payloads(self, tmp_path):
-        trace = RequestTrace([(0.0, {"src": 4, "tgt_len": 2})])
-        path = tmp_path / "dict.jsonl"
-        trace.save(path)
-        assert RequestTrace.load(path).entries[0][1] == {"src": 4, "tgt_len": 2}

@@ -214,8 +214,12 @@ class Engine:
         self.pending = []
         self.released = []
         self.tasks = []
-        config = BatchingConfig.with_max_batch(8, pinning=pinning)
-        self.scheduler = Scheduler(config, submit=self._submit)
+        config = BatchingConfig.with_max_batch(8)
+        self.scheduler = Scheduler(
+            config,
+            submit=self._submit,
+            policies=bundle_from_names(placement=None if pinning else "unpinned"),
+        )
         for cell_type in model.cell_types():
             self.scheduler.register_cell_type(cell_type)
         self.processor = RequestProcessor(
@@ -314,14 +318,14 @@ def tree_config(max_batch, **kwargs):
 @pytest.mark.parametrize("formation", sorted(FORMATION_POLICIES))
 @pytest.mark.parametrize("pinning", [True, False])
 def test_fingerprint_across_policies_under_faults(num_gpus, placement, formation, pinning):
-    """Every registered placement (``None``: the one ``pinning`` selects)
-    and formation policy, with kernel faults, stragglers, a deadline and —
-    where a survivor exists — a device loss.  ``unpinned`` is the
+    """Every registered placement (``None``: pinned or, with ``pinning``
+    off, unpinned) and formation policy, with kernel faults, stragglers, a
+    deadline and — where a survivor exists — a device loss.  ``unpinned`` is the
     non-optimistic path: the pending-children counters advance at
     completion, not at submission."""
 
     def run_one(model_cls):
-        config = tree_config(16, pinning=pinning)
+        config = tree_config(16)
         plan = FaultPlan(
             seed=5,
             kernel_failure_rate=0.04,
@@ -335,7 +339,10 @@ def test_fingerprint_across_policies_under_faults(num_gpus, placement, formation
             num_gpus=num_gpus,
             fault_plan=plan,
             sla=SLAConfig(default_deadline=40e-3, retry=RetryPolicy(max_retries=2)),
-            policies=bundle_from_names(config, placement=placement, formation=formation),
+            policies=bundle_from_names(
+                placement=placement or (None if pinning else "unpinned"),
+                formation=formation,
+            ),
         )
         submitted = run_chaos(
             server, rate=2500.0, num_requests=60, dataset=TreeDataset(seed=3)
@@ -400,7 +407,7 @@ def test_fingerprint_under_memory_evict_and_restart(seed):
             num_gpus=1,
             memory=MemorySpec(capacity=120 * 1024, state_bytes=1024),
             sla=SLAConfig(retry=RetryPolicy(max_retries=50)),
-            policies=bundle_from_names(config, formation="memory_aware"),
+            policies=bundle_from_names(formation="memory_aware"),
         )
         submitted = run_chaos(
             server,
@@ -435,7 +442,7 @@ def test_real_compute_matches_reference_forward(placement):
         config=config,
         num_gpus=2,
         real_compute=True,
-        policies=bundle_from_names(config, placement=placement),
+        policies=bundle_from_names(placement=placement),
     )
     requests = [
         server.submit(p, arrival_time=i * 1e-4) for i, p in enumerate(payloads)

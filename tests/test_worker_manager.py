@@ -12,6 +12,7 @@ from repro.core.worker import Worker
 from repro.gpu.costmodel import CostModel, LatencyTable
 from repro.gpu.device import GPUDevice
 from repro.models import GRUChainModel, LSTMChainModel
+from repro.policies import bundle_from_names
 from repro.sim.events import EventLoop
 
 
@@ -22,9 +23,7 @@ def make_task(model, length=1):
     request.graph = graph
     (sg,) = partition_into_subgraphs(graph, request)
     request.subgraphs = {sg.subgraph_id: sg}
-    node = graph.node(0)
-    sg.take_ready(1)
-    sg.mark_submitted([0])
+    (node,) = sg.commit(1, lambda sg, worker_id: None, 0)
     return BatchedTask(0, node.cell_type, [(sg, node)])
 
 
@@ -101,10 +100,13 @@ class TestManagerWiring:
     def test_migration_cost_charged_without_pinning(self):
         """With pinning disabled on multiple GPUs, at least some subgraph
         hops pay a cross-device copy (extra task duration)."""
-        config = BatchingConfig.with_max_batch(
-            2, pinning=False, max_tasks_to_submit=1
+        config = BatchingConfig.with_max_batch(2, max_tasks_to_submit=1)
+        server = BatchMakerServer(
+            LSTMChainModel(),
+            config=config,
+            num_gpus=2,
+            policies=bundle_from_names(placement="unpinned"),
         )
-        server = BatchMakerServer(LSTMChainModel(), config=config, num_gpus=2)
         for i in range(8):
             server.submit(12, arrival_time=i * 1e-5)
         server.drain()
