@@ -56,7 +56,7 @@ def beam_demo():
         assert served == reference, "served beam search diverged!"
         print(
             f"  src={payload['src']} -> best beam {served} "
-            f"({request.graph.beam_steps} steps, "
+            f"({len(request.result) // 2} steps, "  # (tokens, parents) per step
             f"latency {1e3 * request.latency:.2f} ms)"
         )
     print(f"  tasks: {server.tasks_submitted()}, "

@@ -188,7 +188,7 @@ class TreeRun:
     __slots__ = (
         "first_id", "stop", "left", "right", "token", "parent",
         "leaf_type", "internal_type", "leaf_input", "left_inputs", "right_inputs",
-        "consumers", "subgraph_ids", "internal_subgraph",
+        "consumers", "subgraph_ids",
     )
 
     def __init__(
@@ -219,10 +219,9 @@ class TreeRun:
         # consume its outputs.  The child-to-parent edges are implicit.
         self.consumers: Dict[int, List[int]] = {}
         # Set by the partition: each node's subgraph id (every leaf its
-        # own, the internal nodes one between them) and the subgraph of
-        # the internal nodes, which a completed leaf reports to.
+        # own, the internal nodes one between them).  An id, not the
+        # subgraph: no graph record refers to a subgraph (DESIGN.md §24).
         self.subgraph_ids: List[Optional[int]] = [None] * len(left)
-        self.internal_subgraph = None
 
     @property
     def num_leaves(self) -> int:

@@ -273,13 +273,16 @@ class Manager:
 
     def _retire(self, request: InferenceRequest) -> None:
         """The one tail of every terminal path (finished, cancelled,
-        rejected): disarm the deadline timer, tell the extensions."""
+        rejected): disarm the deadline timer, tell the extensions, then
+        drop the request's engine state — the hooks read its subgraphs —
+        so reference counting frees it here (DESIGN.md §24)."""
         timer = request._timeout_event
         if timer is not None:
             timer.cancel()
             request._timeout_event = None
         for hook in self._on_terminal:
             hook(request)
+        self.processor.forget(request)
 
     # -- failure paths -------------------------------------------------------
 
@@ -387,7 +390,6 @@ class Manager:
             return False
         request.mark_timed_out(self.loop.now(), reason=reason)
         self.evict(request)
-        self.processor.abandon(request)
         self.fault_counters.requests_timed_out += 1
         self._retire(request)
         return True

@@ -29,7 +29,9 @@ TERMINAL_STATES = frozenset({_FINISHED, _TIMED_OUT, _REJECTED})
 
 
 class InferenceRequest:
-    """One inference request and its unfolded cell graph."""
+    """One inference request and, while it is served, its unfolded cell
+    graph.  The engine drops ``graph`` and ``subgraphs`` when the request
+    turns terminal (DESIGN.md §24); what stays is this record."""
 
     def __init__(self, request_id: int, payload: Any, arrival_time: float):
         self.request_id = request_id

@@ -55,8 +55,7 @@ class RequestProcessor:
         self._model_extends = getattr(type(model), "extend", None) is not Model.extend
         self._next_subgraph_id = 0
         # Requests still being served, by id: dropped at finish and at
-        # ``abandon``, so a served request (with its graph and subgraphs) is
-        # not kept alive from here.
+        # ``forget``, so a served request is not kept alive from here.
         self._live_requests: Dict[int, InferenceRequest] = {}
         self.total_nodes_processed = 0
 
@@ -93,16 +92,24 @@ class RequestProcessor:
         sg.released = True
         self._on_release(sg)
 
-    # -- cancellation -------------------------------------------------------
+    # -- retirement ---------------------------------------------------------
 
-    def abandon(self, request: InferenceRequest) -> None:
-        """Stop tracking a cancelled request, or a preempted one that will be
-        re-added (evict-and-restart under memory pressure; the caller
-        guarantees it has no nodes in flight).  A cancelled request's
-        in-flight nodes may still retire; :meth:`handle_task_completion`
-        skips all bookkeeping for terminal requests, so nothing can
-        resurrect or double-finish it."""
+    def forget(self, request: InferenceRequest) -> None:
+        """Stop tracking ``request`` and drop its engine state — graph,
+        subgraphs, node count — so that a request turned terminal (the
+        manager's retirement, after its ``on_terminal`` hooks) or preempted
+        for a re-add (evict-and-restart under memory pressure; the caller
+        guarantees no node in flight) holds no reference into the engine.
+
+        A cancelled request's in-flight nodes may still retire: their task
+        entries keep those subgraphs, and the graph behind them, alive until
+        then — nothing longer, since no graph record refers to a subgraph.
+        :meth:`handle_task_completion` skips all bookkeeping for terminal
+        requests, so nothing can resurrect or double-finish it."""
         self._live_requests.pop(request.request_id, None)
+        request.graph = None
+        request.subgraphs = {}
+        request.remaining_nodes = 0
 
     def live_requests(self) -> List[InferenceRequest]:
         """Snapshot of not-yet-terminal tracked requests (id order)."""

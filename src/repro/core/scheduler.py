@@ -61,9 +61,10 @@ class CellTypeQueue:
     * ``_buckets`` — per *bucket* (``None`` for unpinned, a worker id for
       pinned) a list of ``(queue_seq, subgraph)`` entries sorted by
       ``queue_seq``, holding every subgraph that may have ready nodes in
-      that bucket, each at most once.  Entries are never deleted eagerly:
-      :meth:`plan` checks the subgraph's live state (owner, pin, ready
-      count) when it reads an entry and drops the ones it finds stale.
+      that bucket, each at most once.  Entries are not deleted one by
+      one: :meth:`plan` checks the subgraph's live state (owner, pin, ready
+      count) when it reads an entry and drops the ones it finds stale, and
+      the queue drops them all when its last subgraph leaves.
     """
 
     def __init__(self, cell_type: CellType, config: CellTypeConfig):
@@ -94,6 +95,10 @@ class CellTypeQueue:
         self.subgraphs.pop(sg.subgraph_id, None)
         self._ready_total -= sg.ready_count()
         sg.owner = None
+        if not self.subgraphs:
+            # Every entry left is stale: an idle queue keeps no retired
+            # subgraph alive until its next plan.
+            self._buckets.clear()
 
     # -- notifications from Subgraph -----------------------------------------
 

@@ -331,17 +331,26 @@ class LeafSubgraph(Subgraph):
 
     A leaf reads only its token, so the subgraph is releasable from the
     start and its whole readiness is one flag: the node is ready until it
-    is handed out.
+    is handed out.  ``internal`` is the tree's :class:`TreeSubgraph`, which
+    a completed leaf reports to (None: the tree is this one leaf) — the
+    one link between them, leaf to internal.
     """
 
-    __slots__ = ("tree", "node_id", "_ready")
+    __slots__ = ("tree", "node_id", "_ready", "internal")
 
     def __init__(
-        self, subgraph_id: int, request, tree: TreeRun, node_id: int, graph: CellGraph
+        self,
+        subgraph_id: int,
+        request,
+        tree: TreeRun,
+        node_id: int,
+        graph: CellGraph,
+        internal: Optional[TreeSubgraph] = None,
     ):
         self.tree = tree
         self.node_id = node_id
         self._ready = True
+        self.internal = internal
         self._init_scheduling(subgraph_id, request, tree.leaf_type.name, graph, 1)
 
     @property
@@ -353,12 +362,12 @@ class LeafSubgraph(Subgraph):
         return 0
 
     def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
-        tree = self.tree
-        internal = tree.internal_subgraph  # None: the tree is this one leaf
+        internal = self.internal
         if internal is not None and internal.leaf_completed():
             release(internal)
-        if tree.consumers:
-            self._satisfy(nid, tree.consumers.get(nid, ()), release)
+        consumers = self.tree.consumers
+        if consumers:
+            self._satisfy(nid, consumers.get(nid, ()), release)
 
     def ready_count(self) -> int:
         return 1 if self._ready else 0
@@ -474,19 +483,24 @@ def _tree_subgraphs(
 ) -> List[Subgraph]:
     """The partition of a tree, in lowest-node-id order: one
     :class:`LeafSubgraph` per leaf and, unless the tree is a single leaf,
-    one :class:`TreeSubgraph` where the first internal node stands."""
+    one :class:`TreeSubgraph` where the first internal node stands, which
+    every leaf points at."""
     left, right, first = tree.left, tree.right, tree.first_id
     subgraph_ids = tree.subgraph_ids
     subgraphs: List[Subgraph] = []
     internal = None
     for index, child in enumerate(left):
         if child < 0:
-            subgraphs.append(LeafSubgraph(next_id, request, tree, first + index, graph))
+            subgraphs.append(
+                LeafSubgraph(next_id, request, tree, first + index, graph, internal)
+            )
             subgraph_ids[index] = next_id
             next_id += 1
             continue
         if internal is None:
-            internal = tree.internal_subgraph = TreeSubgraph(next_id, request, tree, graph)
+            internal = TreeSubgraph(next_id, request, tree, graph)
+            for leaf in subgraphs:  # the leaves before the first internal node
+                leaf.internal = internal
             subgraphs.append(internal)
             next_id += 1
         subgraph_ids[index] = internal.subgraph_id

@@ -328,10 +328,7 @@ class MemoryAccounting(EngineExtension):
         engine.evict(request)
         for sg in request.subgraphs.values():
             self._release(sg)
-        engine.processor.abandon(request)
-        request.graph = None
-        request.subgraphs = {}
-        request.remaining_nodes = 0
+        engine.processor.forget(request)
         engine.loop.call_after(
             engine.retry.backoff(request.restarts - 1),
             lambda: engine.reenter_request(request),

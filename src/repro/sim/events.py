@@ -23,7 +23,11 @@ DEFAULT_DRIFT_TOLERANCE = 1e-3
 
 
 class Event:
-    """A scheduled callback.  Cancel with :meth:`cancel`."""
+    """A scheduled callback.  Cancel with :meth:`cancel`.
+
+    Firing or cancelling drops ``callback``: a handle kept past that point
+    (a device's pending-signal list, a disarmed timer still in the heap)
+    does not keep what the callback closed over alive."""
 
     __slots__ = ("time", "seq", "callback", "cancelled", "fired", "_loop")
 
@@ -50,6 +54,7 @@ class Event:
         if self.cancelled or self.fired:
             return False
         self.cancelled = True
+        self.callback = None
         if self._loop is not None:
             # Still sitting in the heap: it no longer counts as pending.
             self._loop._live -= 1
@@ -173,7 +178,8 @@ class EventLoop:
             event._loop = None
             self._live -= 1
             self.clock.advance_to(event.time)
-            event.callback()
+            callback, event.callback = event.callback, None
+            callback()
             return True
         return False
 
@@ -255,6 +261,7 @@ class EventLoop:
                 )
             elif drift > self.max_drift:
                 self.max_drift = drift
-            event.callback()
+            callback, event.callback = event.callback, None
+            callback()
             executed += 1
         return executed

@@ -25,14 +25,19 @@ def random_parse_tree(
     """A uniformly random binary bracketing over ``num_leaves`` tokens."""
     if num_leaves < 1:
         raise ValueError(f"num_leaves must be >= 1, got {num_leaves}")
+    return TreePayload(_build_tree(rng, num_leaves, vocab_size))
 
-    def build(count: int) -> TreeNodeSpec:
-        if count == 1:
-            return TreeNodeSpec(token=int(rng.integers(0, vocab_size)))
-        split = int(rng.integers(1, count))
-        return TreeNodeSpec(left=build(split), right=build(count - split))
 
-    return TreePayload(build(num_leaves))
+def _build_tree(rng: np.random.Generator, count: int, vocab_size: int) -> TreeNodeSpec:
+    # Module level, not a closure: a nested function that calls itself is a
+    # function <-> cell cycle, garbage only the cyclic collector can free.
+    if count == 1:
+        return TreeNodeSpec(token=int(rng.integers(0, vocab_size)))
+    split = int(rng.integers(1, count))
+    return TreeNodeSpec(
+        left=_build_tree(rng, split, vocab_size),
+        right=_build_tree(rng, count - split, vocab_size),
+    )
 
 
 class TreeBankSampler:

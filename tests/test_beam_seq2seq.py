@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models.beam_seq2seq import BeamSelectCell, BeamSeq2SeqModel
+from tests.retention_helpers import keep_engine_state
 
 
 @pytest.fixture
@@ -104,11 +105,12 @@ class TestBeamServing:
             config=BatchingConfig.with_max_batch(8),
             real_compute=True,
         )
+        keep = keep_engine_state(server)
         request = server.submit({"src": [1, 2, 3], "max_steps": 4})
         server.drain()
-        census = request.graph.cell_type_census()
+        census = keep.graph(request).cell_type_census()
         assert census["encoder"] == 3
-        steps = request.graph.beam_steps
+        steps = keep.graph(request).beam_steps
         # Step 1 has a single decoder; later steps have beam_width each.
         assert census["bs_decoder"] == 1 + beam_model.beam_width * (steps - 1)
         assert census.get("bs_select_first", 0) == 1
@@ -125,17 +127,19 @@ class TestBeamServing:
         server = BatchMakerServer(
             model, config=BatchingConfig.with_max_batch(4), real_compute=True
         )
+        keep = keep_engine_state(server)
         request = server.submit({"src": [1, 2], "max_steps": 9})
         server.drain()
-        assert request.graph.beam_steps == 1  # stopped immediately after eos
+        assert keep.graph(request).beam_steps == 1  # stopped immediately after eos
 
     def test_simulation_only_mode_completes(self):
         model = BeamSeq2SeqModel(beam_width=4)
         server = BatchMakerServer(model, config=BatchingConfig.with_max_batch(64))
+        keep = keep_engine_state(server)
         request = server.submit({"src": 5, "max_steps": 6})
         server.drain()
         assert request.state.value == "finished"
-        census = request.graph.cell_type_census()
+        census = keep.graph(request).cell_type_census()
         assert census["bs_decoder"] == 1 + 4 * 5
 
     def test_beams_of_different_requests_batch_together(self, beam_model):

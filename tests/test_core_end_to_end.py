@@ -12,6 +12,7 @@ from repro.gpu.costmodel import CostModel, LatencyTable
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from tests import golden
+from tests.retention_helpers import keep_engine_state
 
 
 def unit_cost(cell_names, step=1.0):
@@ -143,11 +144,12 @@ class TestMultiGPU:
             config=BatchingConfig.with_max_batch(8),
             num_gpus=4,
         )
+        keep = keep_engine_state(server)
         request = server.submit(40)
         server.drain()
         # All of a chain-request's cells execute on the device it was pinned
         # to; last_worker is the only worker that ever ran it.
-        (sg,) = request.subgraphs.values()
+        (sg,) = keep.subgraphs(request)
         assert sg.last_worker is not None
 
 
@@ -165,10 +167,11 @@ class TestSeq2SeqServing:
 
     def test_dynamic_decode_stops_at_max(self):
         server = BatchMakerServer(Seq2SeqModel())
+        keep = keep_engine_state(server)
         request = server.submit({"src": 4, "dynamic": True, "max_decode": 6})
         server.drain()
         assert request.state is RequestState.FINISHED
-        census = request.graph.cell_type_census()
+        census = keep.graph(request).cell_type_census()
         assert census["decoder"] == 6
         assert census["encoder"] == 4
 

@@ -3,6 +3,7 @@
 import pytest
 
 from tests.chaos_helpers import assert_invariants, build_server, run_chaos
+from tests.retention_helpers import keep_engine_state
 from repro.core.request import RequestState
 from repro.extension import EngineExtension
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
@@ -24,6 +25,7 @@ class TestDeviceLoss:
         survivor inherits the pins and every request finishes."""
         plan = FaultPlan(device_failures=[DeviceFailure(2e-3, 0)])
         server = build_server(fault_plan=plan, num_gpus=2, max_batch=4)
+        keep = keep_engine_state(server)
         submitted = [
             server.submit([1] * 30, arrival_time=i * 1e-5) for i in range(40)
         ]
@@ -31,9 +33,10 @@ class TestDeviceLoss:
         assert_invariants(server, submitted)
         assert len(server.finished) == len(submitted)
         # Nothing may remain pinned to the dead device.
-        for request in submitted:
-            for sg in request.subgraphs.values():
-                assert sg.pinned != 0
+        subgraphs = [sg for request in submitted for sg in keep.subgraphs(request)]
+        assert len(subgraphs) == len(submitted)  # one chain subgraph each
+        for sg in subgraphs:
+            assert sg.pinned != 0
 
     def test_repin_choice_is_deterministic_first_survivor(self):
         """With 4 devices and device 1 dead, its work moves to device 2
@@ -106,11 +109,16 @@ class TestLoadShedding:
     def test_shed_requests_never_enter_the_pipeline(self):
         sla = SLAConfig(max_queue_delay=1e-4)
         server = build_server(sla=sla, max_batch=4)
+        keep = keep_engine_state(server)
         submitted = run_chaos(server, rate=100000.0, num_requests=300)
         assert_invariants(server, submitted)
+        assert server.rejected and server.finished
+        assert all(keep.subgraphs(request) for request in server.finished)
         for request in server.rejected:
             assert request.state is RequestState.REJECTED
-            assert not request.subgraphs, "shed request was unfolded anyway"
+            # Read at retirement, before the engine drops what it holds.
+            assert keep.graph(request) is None, "shed request was unfolded anyway"
+            assert not keep.subgraphs(request)
             assert request.start_time is None
 
     def test_rejection_callback_fires(self):

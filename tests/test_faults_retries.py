@@ -7,6 +7,7 @@ scenario exercises exactly the path it names.
 import pytest
 
 from tests.chaos_helpers import assert_invariants, build_server, run_chaos
+from tests.retention_helpers import keep_engine_state
 from repro.core.request import RequestState
 from repro.faults import (
     DeviceFailure,
@@ -167,10 +168,12 @@ def test_pin_inflight_symmetry_across_fail_retry_chain():
     overrides = {(0, 0): TaskFault(KERNEL_FAIL), (1, 0): TaskFault(KERNEL_FAIL)}
     plan = FaultPlan(task_overrides=overrides)
     server = build_server(fault_plan=plan)
+    keep = keep_engine_state(server)
     batch = [server.submit([1] * 8, arrival_time=0.0) for _ in range(3)]
     server.drain()
     assert all(r.state is RequestState.FINISHED for r in batch)
-    for request in batch:
-        for sg in request.subgraphs.values():
-            assert sg.inflight == 0, f"residual inflight on {sg}"
+    subgraphs = [sg for request in batch for sg in keep.subgraphs(request)]
+    assert len(subgraphs) == len(batch)  # one chain subgraph each
+    for sg in subgraphs:
+        assert sg.inflight == 0, f"residual inflight on {sg}"
     assert_invariants(server, batch)

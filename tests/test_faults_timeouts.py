@@ -9,6 +9,7 @@ deadline-vs-completion race at an exact timestamp.
 import pytest
 
 from tests.chaos_helpers import assert_invariants, build_server, run_chaos
+from tests.retention_helpers import keep_engine_state
 from repro.core.request import RequestState
 from repro.faults import SLAConfig
 
@@ -77,14 +78,15 @@ def test_cancellation_unwinds_queued_subgraphs():
     """After a timed-out request is evicted its subgraphs own no queue, and
     the fast counters agree with a brute-force recount (no corruption)."""
     server = build_server(sla=SLAConfig())
+    keep = keep_engine_state(server)
     victim = server.submit([1] * 20, arrival_time=0.0, deadline=1e-6)
     rest = [
         server.submit([1] * 6, arrival_time=1e-5 * (i + 1)) for i in range(10)
     ]
     server.drain()
     assert victim.state is RequestState.TIMED_OUT
-    for sg in victim.subgraphs.values():
-        assert sg.owner is None, "evicted subgraph still owned by a queue"
+    (sg,) = keep.subgraphs(victim)
+    assert sg.owner is None, "evicted subgraph still owned by a queue"
     assert all(r.state is RequestState.FINISHED for r in rest)
     assert_invariants(server, [victim] + rest)
 

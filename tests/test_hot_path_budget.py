@@ -6,8 +6,8 @@ repeatable.  A small seeded ``lstm_chain`` run, and a ``tree_lstm`` one, is
 counted under ``sys.setprofile`` (every Python ``call`` and C ``c_call``
 inside ``LoadGenerator.run``) and held to a budget per executed cell, so a
 change that walks a task once more per stage fails here, on any host,
-before a benchmark is run.  For trees the objects the run leaves behind for
-the cyclic collector to walk are budgeted the same way (DESIGN.md §20).
+before a benchmark is run.  The objects either run leaves behind for the
+cyclic collector to walk are budgeted the same way (DESIGN.md §20, §24).
 
 The opt-in subsystems (lazy kick, memory-aware formation, energy
 accounting, tracing) go through the same counter: switched off they must
@@ -39,11 +39,14 @@ CALLS_PER_CELL_BUDGET = 35.0
 # the budget was last set (48.7 before §23), 92.5 with one explicit node per
 # tree node and dict-backed subgraphs (DESIGN.md §20).
 TREE_CALLS_PER_CELL_BUDGET = 60.0
-# Objects the cyclic collector tracks that a tree run leaves behind, per
-# executed cell, payload trees included: 3.26 when the budget was set (one
-# ``TreeNodeSpec`` and one node per cell, one subgraph per leaf, a task
-# entry), 9.16 before.  Every one of them is walked by each full collection.
-TREE_TRACKED_PER_CELL_BUDGET = 4.1
+# Objects the cyclic collector tracks that a run leaves behind, per executed
+# cell, each walked by every full collection.  Trees, payloads included:
+# 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
+# payload trees the load generator keeps (DESIGN.md §24) — 3.26 while served
+# requests kept their graph, subgraphs and nodes, 9.16 before flat trees
+# (§20).  Chains: 0.20, 1.79 while served requests kept their engine state.
+TREE_TRACKED_PER_CELL_BUDGET = 1.55
+CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 
 
 def _lstm_server(formation=None, **runtime):
@@ -140,14 +143,18 @@ def _count_calls(make_run=_lstm_run):
 
 
 def test_calls_per_cell_within_budget_and_repeatable():
-    calls, cells, _, _ = _count_calls()
+    calls, cells, tracked, _ = _count_calls()
     assert cells > 5000, "the run is too small to mean anything"
     per_cell = calls / cells
     assert per_cell <= CALLS_PER_CELL_BUDGET, (
         f"{calls} calls for {cells} cells = {per_cell:.1f} per cell, "
         f"budget {CALLS_PER_CELL_BUDGET}"
     )
-    assert _count_calls()[:2] == (calls, cells), "the count must repeat exactly"
+    assert tracked / cells <= CHAIN_TRACKED_PER_CELL_BUDGET, (
+        f"{tracked} collector-tracked objects retained for {cells} cells = "
+        f"{tracked / cells:.2f} per cell, budget {CHAIN_TRACKED_PER_CELL_BUDGET}"
+    )
+    assert _count_calls()[:3] == (calls, cells, tracked), "the counts must repeat exactly"
 
 
 def test_tree_calls_and_tracked_objects_per_cell_within_budget_and_repeatable():

@@ -7,6 +7,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel
 from repro.tensor.graph import DataflowGraph
 from repro.workload import FixedLengthDataset, LoadGenerator
+from tests.retention_helpers import keep_engine_state
 
 
 class TestDataflowGraphCycles:
@@ -49,9 +50,10 @@ class TestMigrationCost:
             num_gpus=2,
         )
         manager = server.manager
+        keep = keep_engine_state(server)
         request = server.submit(2)
         server.drain()
-        (sg,) = request.subgraphs.values()
+        (sg,) = keep.subgraphs(request)
         sg.last_worker = 0
 
         class FakeTask:

@@ -25,6 +25,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from repro.policies import bundle_from_names
+from tests.retention_helpers import keep_engine_state
 
 
 def instrument(server):
@@ -100,6 +101,7 @@ def test_serving_invariants(spec):
         policies=None if spec["pinning"] else bundle_from_names(placement="unpinned"),
     )
     tasks = instrument(server)
+    keep = keep_engine_state(server)
 
     requests = []
     t = 0.0
@@ -120,7 +122,7 @@ def test_serving_invariants(spec):
             key = (subgraph.request.request_id, node.node_id)
             assert key not in node_to_task, "node executed twice"
             node_to_task[key] = task
-    total_nodes = sum(len(r.graph) for r in requests)
+    total_nodes = sum(len(keep.graph(r)) for r in requests)
     assert len(node_to_task) == total_nodes
 
     # Invariant 3: homogeneity and batch caps.

@@ -7,6 +7,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from repro.plot import Chart, Series
+from tests.retention_helpers import keep_engine_state
 
 
 class TestWorkerDistribution:
@@ -18,11 +19,12 @@ class TestWorkerDistribution:
             config=BatchingConfig.with_max_batch(1),  # force no co-batching
             num_gpus=2,
         )
+        keep = keep_engine_state(server)
         a = server.submit(20, arrival_time=0.0)
         b = server.submit(20, arrival_time=0.0)
         server.drain()
-        (sg_a,) = a.subgraphs.values()
-        (sg_b,) = b.subgraphs.values()
+        (sg_a,) = keep.subgraphs(a)
+        (sg_b,) = keep.subgraphs(b)
         assert {sg_a.last_worker, sg_b.last_worker} == {0, 1}
 
     def test_fifo_subgraph_order_minimises_gathers(self):

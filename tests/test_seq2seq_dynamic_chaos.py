@@ -19,6 +19,7 @@ from repro.workload import Seq2SeqDataset
 from repro.workload.arrivals import PoissonArrivals
 
 from .chaos_helpers import assert_invariants, chaos_seeds
+from .retention_helpers import keep_engine_state
 
 SEEDS = chaos_seeds()
 
@@ -35,7 +36,7 @@ def _server(
         per_cell_max={"decoder": 32},
         per_cell_priority={"decoder": 1, "encoder": 0},
     )
-    return BatchMakerServer(
+    server = BatchMakerServer(
         Seq2SeqModel(dynamic=True),
         config=config,
         num_gpus=num_gpus,
@@ -52,6 +53,8 @@ def _server(
             else None
         ),
     )
+    keep_engine_state(server)
+    return server
 
 
 def _run(server, rate=300.0, num_requests=120, arrival_seed=7, deadline=None):
@@ -84,11 +87,15 @@ def _assert_memory_clean(server):
             # A dead device's model was reset wholesale.
             assert mem.reserved == 0
     # No dangling residency markers on any request the server ever saw.
+    keep = keep_engine_state(server)
+    checked = 0
     for request in server.terminal_requests():
-        for sg in (request.subgraphs or {}).values():
+        for sg in keep.subgraphs(request):
+            checked += 1
             assert sg.resident_on is None, (
                 f"request {request.request_id} still resident after terminal"
             )
+    assert checked, "no subgraph was checked"
 
 
 @pytest.mark.chaos

@@ -187,7 +187,7 @@ class Harness:
         request = rng.choice(live)
         request.mark_timed_out(0.0, reason="evicted by the test")
         self.scheduler.evict_request(request)
-        self.processor.abandon(request)
+        self.processor.forget(request)
 
     def repin_one(self, rng):
         """Force a random queued subgraph's pin to a random worker, or off

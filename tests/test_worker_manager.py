@@ -14,6 +14,7 @@ from repro.gpu.device import GPUDevice
 from repro.models import GRUChainModel, LSTMChainModel
 from repro.policies import bundle_from_names
 from repro.sim.events import EventLoop
+from tests.retention_helpers import keep_engine_state
 
 
 def make_task(model, length=1):
@@ -107,13 +108,15 @@ class TestManagerWiring:
             num_gpus=2,
             policies=bundle_from_names(placement="unpinned"),
         )
+        keep = keep_engine_state(server)
         for i in range(8):
             server.submit(12, arrival_time=i * 1e-5)
         server.drain()
         hops = set()
         for request in server.finished:
-            for sg in request.subgraphs.values():
-                hops.add(sg.last_worker)
+            (sg,) = keep.subgraphs(request)
+            hops.add(sg.last_worker)
+        assert len(server.finished) == 8
         assert hops <= {0, 1}
 
     def test_scheduler_and_processor_consistency(self):

@@ -1,5 +1,7 @@
 """Tests for workload generation: lengths, arrivals, trees, datasets."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,19 @@ from repro.workload import (
 )
 from repro.workload.lengths import length_cdf
 from repro.workload.trees import TreeBankSampler, random_parse_tree
+from tests.oracles.closure_parse_tree import closure_parse_tree
+
+
+def preorder(spec):
+    """A parse tree as its preorder of tokens (None for an internal node):
+    equal lists mean equal shapes and tokens."""
+    order, stack = [], [spec]
+    while stack:
+        node = stack.pop()
+        order.append(node.token)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return order
 
 
 class TestWMTLengths:
@@ -96,6 +111,29 @@ class TestTrees:
     def test_invalid_leaf_count_raises(self):
         with pytest.raises(ValueError):
             random_parse_tree(np.random.default_rng(0), 0)
+
+    def test_sampling_leaves_no_cyclic_garbage(self):
+        """A sampled tree is freed by reference count: with the collector
+        off, 500 trees leave nothing for it to find."""
+        sampler = TreeBankSampler(seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(500):
+                sampler.sample_one()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_same_trees_as_the_closure_sampler(self):
+        """Same draws in the same order as the nested-closure version it
+        replaced: every payload, the corpus and the ledger rows stay put."""
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for leaves in [1, 2, 3, 7, 20, 70] * 20:
+            got = random_parse_tree(ours, leaves, 97)
+            want = closure_parse_tree(theirs, leaves, 97)
+            assert preorder(got.root) == preorder(want.root)
+        assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
 
     def test_treebank_sampler_statistics(self):
         sampler = TreeBankSampler(seed=0)
