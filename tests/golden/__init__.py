@@ -15,6 +15,9 @@ reserved bytes).
 * A refactor PR leaves ``fingerprints.json`` untouched.  A behaviour PR
   runs ``python -m tests.golden --write`` and states the rows it prints
   as moved, and why.
+* ``specs.json`` is the stored form (``to_dict()``) of every preset and of
+  the config blocks below (``spec_blocks()``), written once and never
+  regenerated.
 
 The tier-1 slice is chosen so that every lifecycle hook of the engine
 seam (DESIGN.md §22) fires in at least one row for at least one
@@ -76,13 +79,21 @@ class Row(NamedTuple):
 # -- building blocks --------------------------------------------------------
 
 STORM = dict(kernel_failure_rate=0.08, straggler_rate=0.1, straggler_multiplier=5.0)
-STORM_SLA = SLAConfig(
-    default_deadline=40e-3, retry=RetryPolicy(max_retries=2)
-).to_dict()
+# The config values the matrix builds; rows carry their stored form.
+STORM_SLA = SLAConfig(default_deadline=40e-3, retry=RetryPolicy(max_retries=2))
+SHEDDING_SLA = SLAConfig(
+    default_deadline=40e-3, max_queue_delay=2e-3, retry=RetryPolicy(max_retries=2)
+)
+LAZY_SLA = SLAConfig(default_deadline=20e-3, max_hold=1e-3)
+PAIR_SLA = SLAConfig(
+    default_deadline=60e-3, max_queue_delay=20e-3, retry=RetryPolicy(max_retries=2)
+)
 AUTOSCALER = AutoscalerConfig(
     min_replicas=2, max_replicas=4, high_watermark=12.0, low_watermark=1.0,
     alpha=0.5, warmup=2e-3, cooldown=4e-3,
-).to_dict()
+)
+PAIR_MEMORY = presets.seq2seq_memory_spec(24)
+PAIR_ENERGY = presets.v100_energy_spec(governor="headroom")
 
 # model -> (spec at ``gpus``, dataset, per-GPU rate, requests)
 MODELS = {
@@ -160,11 +171,11 @@ def matrix() -> Dict[str, Row]:
     # Faults, deadlines, shedding, device loss.
     lstm2 = presets.lstm_batchmaker_spec(64, 2)
     rows["storm/deadlines"] = Row(
-        lstm2.replace(sla=STORM_SLA), "sequence", 3000.0, 300,
+        lstm2.replace(sla=STORM_SLA.to_dict()), "sequence", 3000.0, 300,
         faults=dict(STORM, device_failures=[(10e-3, 1)]), tier1=True,
     )
     rows["storm/shedding"] = Row(
-        lstm2.replace(sla=dict(STORM_SLA, max_queue_delay=2e-3)),
+        lstm2.replace(sla=SHEDDING_SLA.to_dict()),
         "sequence", 12000.0, 400,
         faults=dict(STORM, device_failures=[(10e-3, 1)]), tier1=True,
     )
@@ -200,7 +211,7 @@ def matrix() -> Dict[str, Row]:
     # SLO: the lazy kick holds batches against predicted slack.
     lazy = _policies(presets.lstm_batchmaker_spec(32, 1), formation="lazy_kick")
     rows["lazy_kick/sla"] = Row(
-        lazy.replace(sla=SLAConfig(default_deadline=20e-3, max_hold=1e-3).to_dict()),
+        lazy.replace(sla=LAZY_SLA.to_dict()),
         "sequence", 5000.0, 400, tier1=True,
     )
 
@@ -222,7 +233,7 @@ def matrix() -> Dict[str, Row]:
     # Cluster front door: SLA + memory admission, autoscaler, replica loss.
     rows["cluster/sla+autoscaler+loss"] = Row(
         presets.lstm_cluster_spec(
-            2, "predicted_delay", max_batch=16, autoscaler=AUTOSCALER
+            2, "predicted_delay", max_batch=16, autoscaler=AUTOSCALER.to_dict()
         ).replace(sla={"default_deadline": 6e-3}),
         "sequence", 16000.0, 600, replica_failures=((8e-3, 0),), tier1=True,
     )
@@ -248,7 +259,8 @@ def matrix() -> Dict[str, Row]:
         params = {"bucket_width": 32} if router == "class_affinity" else None
         rows[f"cluster/router/{router}"] = Row(
             presets.lstm_cluster_spec(
-                3, router, max_batch=32, autoscaler=AUTOSCALER, router_params=params
+                3, router, max_batch=32, autoscaler=AUTOSCALER.to_dict(),
+                router_params=params,
             ),
             "sequence", 9000.0, 400, deadline=50e-3, faults=dict(STORM),
             replica_failures=((8e-3, 1),),
@@ -302,17 +314,12 @@ def _combo(on: set) -> Row:
     )
     if "memory" in on and not dynamic:
         spec = _policies(spec, formation="memory_aware").replace(
-            memory=presets.seq2seq_memory_spec(24).to_dict()
+            memory=PAIR_MEMORY.to_dict()
         )
     if "energy" in on:
-        spec = spec.replace(energy=presets.v100_energy_spec(governor="headroom").to_dict())
+        spec = spec.replace(energy=PAIR_ENERGY.to_dict())
     if "sla" in on:
-        spec = spec.replace(
-            sla=SLAConfig(
-                default_deadline=60e-3, max_queue_delay=20e-3,
-                retry=RetryPolicy(max_retries=2),
-            ).to_dict()
-        )
+        spec = spec.replace(sla=PAIR_SLA.to_dict())
     row = Row(
         spec,
         "seq2seq_dynamic" if dynamic else "seq2seq",
@@ -325,7 +332,7 @@ def _combo(on: set) -> Row:
         row = row._replace(
             spec=ClusterSpec(
                 replica=spec, num_replicas=2, router="least_outstanding",
-                autoscaler=AUTOSCALER,
+                autoscaler=AUTOSCALER.to_dict(),
             ),
             rate=row.rate * 2,
             replica_failures=((30e-3, 0),),
@@ -387,3 +394,32 @@ def compute(names: Iterable[str]) -> Dict[str, str]:
 
 def stored() -> Dict[str, str]:
     return json.loads(PATH.read_text())
+
+
+# -- the stored form of every config value ----------------------------------
+
+SPECS_PATH = Path(__file__).with_name("specs.json")
+
+
+def spec_blocks() -> Dict[str, object]:
+    """Every config value the presets and this matrix build, by name.
+    ``specs.json`` holds their ``to_dict()`` as written before the config
+    classes shared one serialiser, and is never rewritten: it pins the
+    stored form every saved spec and journal already carries."""
+    blocks: Dict[str, object] = {
+        f"fig/{name}": spec for name, spec in presets.all_fig_specs().items()
+    }
+    blocks.update(
+        (f"cluster/{name}", spec) for name, spec in presets.all_cluster_specs().items()
+    )
+    blocks["serve/lstm"] = presets.lstm_serve_spec()
+    blocks.update({
+        "sla/storm": STORM_SLA,
+        "sla/shedding": SHEDDING_SLA,
+        "sla/lazy_kick": LAZY_SLA,
+        "sla/pair": PAIR_SLA,
+        "autoscaler": AUTOSCALER,
+        "memory/pair": PAIR_MEMORY,
+        "energy/pair": PAIR_ENERGY,
+    })
+    return blocks
