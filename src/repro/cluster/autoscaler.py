@@ -21,10 +21,12 @@ state, so fixed-seed runs replay the exact same scaling timeline
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
+
+from repro.spec import Spec
 
 
-class AutoscalerConfig:
+class AutoscalerConfig(Spec):
     """Autoscaling knobs, JSON round-trippable (nested in ``ClusterSpec``).
 
     Parameters
@@ -45,48 +47,32 @@ class AutoscalerConfig:
         thrashing between the watermarks).
     """
 
-    def __init__(
-        self,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        high_watermark: float = 64.0,
-        low_watermark: float = 8.0,
-        alpha: float = 0.2,
-        warmup: float = 5e-3,
-        cooldown: float = 20e-3,
-    ):
-        if min_replicas < 1:
+    min_replicas: int = 1
+    max_replicas: int = 8
+    high_watermark: float = 64.0
+    low_watermark: float = 8.0
+    alpha: float = 0.2
+    warmup: float = 5e-3
+    cooldown: float = 20e-3
+
+    def __post_init__(self):
+        if self.min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
-        if max_replicas < min_replicas:
+        if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if low_watermark < 0 or high_watermark <= low_watermark:
+        if self.low_watermark < 0 or self.high_watermark <= self.low_watermark:
             raise ValueError("need 0 <= low_watermark < high_watermark")
-        if not 0.0 < alpha <= 1.0:
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if warmup < 0 or cooldown < 0:
+        if self.warmup < 0 or self.cooldown < 0:
             raise ValueError("warmup and cooldown must be >= 0")
-        self.min_replicas = int(min_replicas)
-        self.max_replicas = int(max_replicas)
-        self.high_watermark = float(high_watermark)
-        self.low_watermark = float(low_watermark)
-        self.alpha = float(alpha)
-        self.warmup = float(warmup)
-        self.cooldown = float(cooldown)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "high_watermark": self.high_watermark,
-            "low_watermark": self.low_watermark,
-            "alpha": self.alpha,
-            "warmup": self.warmup,
-            "cooldown": self.cooldown,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AutoscalerConfig":
-        return cls(**data)
+        self.min_replicas = int(self.min_replicas)
+        self.max_replicas = int(self.max_replicas)
+        self.high_watermark = float(self.high_watermark)
+        self.low_watermark = float(self.low_watermark)
+        self.alpha = float(self.alpha)
+        self.warmup = float(self.warmup)
+        self.cooldown = float(self.cooldown)
 
     def __repr__(self) -> str:
         return (

@@ -9,19 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-
-def _reject_unknown_keys(what: str, data: Dict, accepted: Sequence[str]) -> None:
-    """Stored specs are typed by hand: a key ``from_dict`` does not read is
-    a typo or a removed option, and loading the default in its place would
-    hide it."""
-    unknown = sorted(set(data) - set(accepted))
-    if unknown:
-        raise ValueError(
-            f"{what} does not accept {unknown} (accepts: {sorted(accepted)})"
-        )
+from repro.spec import Spec
 
 
-class CellTypeConfig:
+class CellTypeConfig(Spec):
     """Per-cell-type knobs.
 
     ``batch_sizes`` is the paper's ``Bsizes``: the set of supported batch
@@ -32,18 +23,16 @@ class CellTypeConfig:
     decoder > encoder and internal > leaf in the paper's models.
     """
 
-    def __init__(
-        self,
-        batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
-        priority: int = 0,
-    ):
-        sizes = sorted(set(int(b) for b in batch_sizes))
+    batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+    priority: int = 0
+
+    def __post_init__(self):
+        sizes = sorted(set(int(b) for b in self.batch_sizes))
         if not sizes:
             raise ValueError("batch_sizes must be non-empty")
         if sizes[0] < 1:
             raise ValueError("batch sizes must be >= 1")
         self.batch_sizes = tuple(sizes)
-        self.priority = priority
 
     @property
     def max_batch(self) -> int:
@@ -52,25 +41,6 @@ class CellTypeConfig:
     @property
     def min_batch(self) -> int:
         return self.batch_sizes[0]
-
-    def to_dict(self) -> Dict:
-        """Plain-data form for :mod:`repro.registry` specs."""
-        return {"batch_sizes": list(self.batch_sizes), "priority": self.priority}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CellTypeConfig":
-        _reject_unknown_keys("CellTypeConfig", data, ("batch_sizes", "priority"))
-        return cls(
-            batch_sizes=data.get("batch_sizes", cls().batch_sizes),
-            priority=data.get("priority", 0),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CellTypeConfig)
-            and self.batch_sizes == other.batch_sizes
-            and self.priority == other.priority
-        )
 
     def __repr__(self) -> str:
         return (
@@ -90,7 +60,7 @@ def _power_of_two_sizes(max_batch: int) -> tuple:
     return tuple(sizes)
 
 
-class BatchingConfig:
+class BatchingConfig(Spec):
     """Scheduler-wide configuration.
 
     ``max_tasks_to_submit`` bounds how many batched tasks one scheduling
@@ -99,17 +69,16 @@ class BatchingConfig:
     GPU busy across the scheduling gap.
     """
 
-    def __init__(
-        self,
-        default: Optional[CellTypeConfig] = None,
-        per_cell: Optional[Dict[str, CellTypeConfig]] = None,
-        max_tasks_to_submit: int = 5,
-    ):
-        if max_tasks_to_submit < 1:
+    default: Optional[CellTypeConfig] = None
+    per_cell: Optional[Dict[str, CellTypeConfig]] = None
+    max_tasks_to_submit: int = 5
+
+    def __post_init__(self):
+        if self.max_tasks_to_submit < 1:
             raise ValueError("max_tasks_to_submit must be >= 1")
-        self.default = default if default is not None else CellTypeConfig()
-        self.per_cell: Dict[str, CellTypeConfig] = dict(per_cell or {})
-        self.max_tasks_to_submit = max_tasks_to_submit
+        if self.default is None:
+            self.default = CellTypeConfig()
+        self.per_cell = dict(sorted((self.per_cell or {}).items()))
 
     @classmethod
     def with_max_batch(
@@ -140,30 +109,12 @@ class BatchingConfig:
     def for_cell(self, cell_name: str) -> CellTypeConfig:
         return self.per_cell.get(cell_name, self.default)
 
-    def to_dict(self) -> Dict:
-        """Plain-data form for :mod:`repro.registry` specs (exact
-        round-trip through :meth:`from_dict`)."""
-        return {
-            "default": self.default.to_dict(),
-            "per_cell": {
-                name: cfg.to_dict() for name, cfg in sorted(self.per_cell.items())
-            },
-            "max_tasks_to_submit": self.max_tasks_to_submit,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchingConfig":
-        _reject_unknown_keys(
-            "BatchingConfig", data, ("default", "per_cell", "max_tasks_to_submit")
-        )
-        return cls(
-            default=CellTypeConfig.from_dict(data.get("default", {})),
-            per_cell={
-                name: CellTypeConfig.from_dict(cfg)
-                for name, cfg in data.get("per_cell", {}).items()
-            },
-            max_tasks_to_submit=data.get("max_tasks_to_submit", 5),
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BatchingConfig) and self.to_dict() == other.to_dict()
+        """``per_cell`` maps cell names to specs: each loads through
+        :meth:`CellTypeConfig.from_dict` before the seam loads the rest."""
+        per_cell = {
+            name: CellTypeConfig.from_dict(cfg)
+            for name, cfg in (data.get("per_cell") or {}).items()
+        }
+        return super().from_dict({**data, "per_cell": per_cell})

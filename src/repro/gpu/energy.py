@@ -8,8 +8,8 @@ and core frequency.  This module adds the bookkeeping half of that trade:
 ``EnergySpec``
     A JSON-round-trippable value object (peer to ``gpu.memory.MemorySpec``)
     describing a device's power envelope: idle/static watts, active watts at
-    nominal frequency, the discrete DVFS frequency states available, the
-    superlinear dynamic-power exponent, and which governor runs the knob.
+    nominal frequency, the discrete DVFS frequency states available, and
+    which governor runs the knob.
 
 ``EnergyModel``
     Strict per-device accounting attached to ``GPUDevice.energy`` (peer to
@@ -38,24 +38,26 @@ Governors (``GOVERNORS``)
 Physics convention: frequencies are relative to the calibrated table
 (1.0 = the table's native clock).  Kernel time scales as 1/f (the extension
 swaps in ``LatencyTable.scale(1/f)`` tables, named ``{base}@x{factor}``)
-and dynamic power as f**power_exponent (default cubic, the classical CMOS
+and dynamic power as f**POWER_EXPONENT (cubic, the classical CMOS
 ``C V^2 f`` with voltage tracking frequency).  Net: energy per kernel goes
-as f**(power_exponent - 1) — lower states trade latency for joules, which
+as f**(POWER_EXPONENT - 1) — lower states trade latency for joules, which
 is what makes the energy-vs-p99 Pareto frontier in ``fig_energy`` nontrivial.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.extension import EngineExtension
+from repro.spec import Spec
 
 DEFAULT_IDLE_WATTS = 50.0
 DEFAULT_ACTIVE_WATTS = 250.0
-DEFAULT_POWER_EXPONENT = 3.0
+#: Dynamic power scales as ``f ** POWER_EXPONENT``.
+POWER_EXPONENT = 3.0
 
 
-class EnergySpec:
+class EnergySpec(Spec):
     """Declarative power envelope for a device class.
 
     Parameters
@@ -70,101 +72,31 @@ class EnergySpec:
         must be positive.
     governor:
         Name in ``GOVERNORS`` ("fixed", "race_to_idle" or "headroom").
-    governor_params:
-        Keyword arguments forwarded to the governor constructor.
-    power_exponent:
-        Dynamic power scales as ``f ** power_exponent`` (>= 1).
     """
 
-    def __init__(
-        self,
-        idle_watts: float = DEFAULT_IDLE_WATTS,
-        active_watts: float = DEFAULT_ACTIVE_WATTS,
-        frequencies: Sequence[float] = (1.0,),
-        governor: str = "fixed",
-        governor_params: Optional[Dict] = None,
-        power_exponent: float = DEFAULT_POWER_EXPONENT,
-    ):
-        if idle_watts < 0:
-            raise ValueError(f"idle_watts must be >= 0, got {idle_watts}")
-        if active_watts <= 0:
-            raise ValueError(f"active_watts must be > 0, got {active_watts}")
-        freqs = tuple(sorted(set(float(f) for f in frequencies)))
+    idle_watts: float = DEFAULT_IDLE_WATTS
+    active_watts: float = DEFAULT_ACTIVE_WATTS
+    frequencies: Sequence[float] = (1.0,)
+    governor: str = "fixed"
+
+    def __post_init__(self):
+        if self.idle_watts < 0:
+            raise ValueError(f"idle_watts must be >= 0, got {self.idle_watts}")
+        if self.active_watts <= 0:
+            raise ValueError(f"active_watts must be > 0, got {self.active_watts}")
+        freqs = tuple(sorted(set(float(f) for f in self.frequencies)))
         if not freqs:
             raise ValueError("frequencies must be non-empty")
         if freqs[0] <= 0:
             raise ValueError(f"frequencies must be positive, got {freqs[0]}")
-        if governor not in GOVERNORS:
+        if self.governor not in GOVERNORS:
             raise ValueError(
-                f"unknown governor {governor!r}; expected one of "
+                f"unknown governor {self.governor!r}; expected one of "
                 f"{sorted(GOVERNORS)}"
             )
-        if power_exponent < 1:
-            raise ValueError(
-                f"power_exponent must be >= 1, got {power_exponent}"
-            )
-        self.idle_watts = float(idle_watts)
-        self.active_watts = float(active_watts)
-        self.frequencies: Tuple[float, ...] = freqs
-        self.governor = governor
-        self.governor_params = dict(governor_params or {})
-        self.power_exponent = float(power_exponent)
-        # Fail fast on bad governor params (e.g. a fixed frequency outside
-        # the state set) instead of at first batch boundary.
-        make_governor(governor, freqs, **self.governor_params)
-
-    def to_dict(self) -> Dict:
-        data: Dict = {
-            "idle_watts": self.idle_watts,
-            "active_watts": self.active_watts,
-            "frequencies": list(self.frequencies),
-            "governor": self.governor,
-            "power_exponent": self.power_exponent,
-        }
-        if self.governor_params:
-            data["governor_params"] = dict(self.governor_params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "EnergySpec":
-        from repro.core.config import _reject_unknown_keys  # core imports us: late
-
-        _reject_unknown_keys(
-            "EnergySpec",
-            data,
-            (
-                "idle_watts", "active_watts", "frequencies", "governor",
-                "governor_params", "power_exponent",
-            ),
-        )
-        return cls(
-            idle_watts=data.get("idle_watts", DEFAULT_IDLE_WATTS),
-            active_watts=data.get("active_watts", DEFAULT_ACTIVE_WATTS),
-            frequencies=data.get("frequencies", (1.0,)),
-            governor=data.get("governor", "fixed"),
-            governor_params=data.get("governor_params"),
-            power_exponent=data.get("power_exponent", DEFAULT_POWER_EXPONENT),
-        )
-
-    def replace(self, **changes) -> "EnergySpec":
-        data = self.to_dict()
-        for key, value in changes.items():
-            if value is None:
-                data.pop(key, None)
-            else:
-                data[key] = value
-        return EnergySpec.from_dict(data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EnergySpec) and self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        return (
-            f"EnergySpec(idle_watts={self.idle_watts:g}, "
-            f"active_watts={self.active_watts:g}, "
-            f"frequencies={list(self.frequencies)}, "
-            f"governor={self.governor!r})"
-        )
+        self.idle_watts = float(self.idle_watts)
+        self.active_watts = float(self.active_watts)
+        self.frequencies = freqs
 
 
 class EnergyModel:
@@ -182,7 +114,6 @@ class EnergyModel:
         self,
         idle_watts: float = DEFAULT_IDLE_WATTS,
         active_watts: float = DEFAULT_ACTIVE_WATTS,
-        power_exponent: float = DEFAULT_POWER_EXPONENT,
         frequency: float = 1.0,
         start_time: float = 0.0,
     ):
@@ -190,7 +121,6 @@ class EnergyModel:
             raise ValueError(f"frequency must be positive, got {frequency}")
         self.idle_watts = float(idle_watts)
         self.active_watts = float(active_watts)
-        self.power_exponent = float(power_exponent)
         self.frequency = float(frequency)
         self.start_time = float(start_time)
         self.active_joules = 0.0
@@ -205,7 +135,6 @@ class EnergyModel:
         return cls(
             idle_watts=spec.idle_watts,
             active_watts=spec.active_watts,
-            power_exponent=spec.power_exponent,
             frequency=spec.frequencies[-1],
             start_time=start_time,
         )
@@ -213,7 +142,7 @@ class EnergyModel:
     @property
     def dynamic_watts(self) -> float:
         """Active power draw at the current frequency."""
-        return self.active_watts * self.frequency**self.power_exponent
+        return self.active_watts * self.frequency**POWER_EXPONENT
 
     def set_frequency(self, frequency: float) -> None:
         if frequency <= 0:
@@ -349,7 +278,7 @@ class RaceToIdleGovernor:
     Above ``high`` it races at the top state (finish fast, then idle);
     below ``low`` it drops to the bottom state (the device is mostly
     idle anyway, so stretch the rare kernels and save
-    ``f**(power_exponent-1)`` per joule); in between it holds the
+    ``f**(POWER_EXPONENT-1)`` per joule); in between it holds the
     current state (hysteresis, so the knob doesn't chatter).  Decisions
     are a pure function of (now, cumulative busy time), so runs stay
     seed-deterministic.
@@ -396,7 +325,7 @@ class HeadroomGovernor:
     """Stretch kernels into the utilization headroom.
 
     With superlinear dynamic power, energy per kernel falls as
-    ``f**(power_exponent-1)`` — so the energy-optimal stable policy is
+    ``f**(POWER_EXPONENT-1)`` — so the energy-optimal stable policy is
     the *slowest* state that still keeps the device's busy fraction
     under ``target`` (queues stay stable, latency grows by at most the
     clock ratio).  The governor tracks a frequency-normalised demand
@@ -455,15 +384,16 @@ GOVERNORS = {
 }
 
 
-def make_governor(name: str, frequencies: Sequence[float], **params):
-    """Instantiate a registered governor over the given frequency states."""
+def make_governor(name: str, frequencies: Sequence[float]):
+    """Instantiate a registered governor, with its default parameters, over
+    the given frequency states."""
     try:
         cls = GOVERNORS[name]
     except KeyError:
         raise ValueError(
             f"unknown governor {name!r}; expected one of {sorted(GOVERNORS)}"
         ) from None
-    return cls(frequencies, **params)
+    return cls(frequencies)
 
 
 class EnergyAccounting(EngineExtension):
@@ -490,9 +420,7 @@ class EnergyAccounting(EngineExtension):
         now = engine.loop.now()
         for worker in engine.workers:
             worker.device.energy = EnergyModel.from_spec(spec, start_time=now)
-            governor = make_governor(
-                spec.governor, spec.frequencies, **spec.governor_params
-            )
+            governor = make_governor(spec.governor, spec.frequencies)
             self.governors[worker.worker_id] = governor
             self._set_frequency(worker, governor.initial_frequency())
 

@@ -33,17 +33,18 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.extension import EngineExtension
+from repro.spec import Spec
 
 #: Hidden + cell vector at h=1024 fp32 — the natural per-subgraph state
 #: footprint (mirrors ``PlacementPolicy.HIDDEN_STATE_BYTES``).
 DEFAULT_STATE_BYTES = 2 * 1024 * 4
 
 
-class MemorySpec:
+class MemorySpec(Spec):
     """Declarative memory budget for a server (or a whole cluster).
 
-    Plain data, JSON round-trippable, hashable by value — the same
-    contract as ``SLAConfig``.  ``capacity`` is bytes per device;
+    Plain data, JSON round-trippable, compared by value (and so, like every
+    config value, not hashable).  ``capacity`` is bytes per device;
     ``state_bytes`` is the footprint of one resident subgraph's hidden
     state; ``weights`` maps cell-type name -> resident parameter bytes
     (deducted up front on every device); ``admission_free_bytes``, when
@@ -51,70 +52,34 @@ class MemorySpec:
     has less free memory than the threshold.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        state_bytes: int = DEFAULT_STATE_BYTES,
-        weights: Optional[Dict[str, int]] = None,
-        admission_free_bytes: Optional[int] = None,
-    ):
-        if capacity <= 0:
+    capacity: int
+    state_bytes: int = DEFAULT_STATE_BYTES
+    weights: Optional[Dict[str, int]] = None
+    admission_free_bytes: Optional[int] = None
+
+    def __post_init__(self):
+        if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        if state_bytes <= 0:
+        if self.state_bytes <= 0:
             raise ValueError("state_bytes must be positive")
-        self.capacity = int(capacity)
-        self.state_bytes = int(state_bytes)
-        self.weights = dict(weights) if weights else {}
+        self.capacity = int(self.capacity)
+        self.state_bytes = int(self.state_bytes)
+        self.weights = dict(self.weights) if self.weights else {}
         for cell, nbytes in self.weights.items():
             if nbytes < 0:
                 raise ValueError(f"negative weight bytes for {cell!r}")
-        self.admission_free_bytes = (
-            None if admission_free_bytes is None else int(admission_free_bytes)
-        )
-
-    # -- serialization -----------------------------------------------------
+        if self.admission_free_bytes is not None:
+            self.admission_free_bytes = int(self.admission_free_bytes)
 
     def to_dict(self) -> dict:
-        out: dict = {"capacity": self.capacity, "state_bytes": self.state_bytes}
-        if self.weights:
-            out["weights"] = dict(self.weights)
-        if self.admission_free_bytes is not None:
-            out["admission_free_bytes"] = self.admission_free_bytes
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemorySpec":
-        from repro.core.config import _reject_unknown_keys  # core imports us: late
-
-        _reject_unknown_keys(
-            "MemorySpec",
-            data,
-            ("capacity", "state_bytes", "weights", "admission_free_bytes"),
-        )
-        return cls(
-            capacity=data["capacity"],
-            state_bytes=data.get("state_bytes", DEFAULT_STATE_BYTES),
-            weights=data.get("weights"),
-            admission_free_bytes=data.get("admission_free_bytes"),
-        )
-
-    def replace(self, **changes) -> "MemorySpec":
-        data = self.to_dict()
-        data.update({k: v for k, v in changes.items() if v is not None})
-        for key, value in changes.items():
-            if value is None:
-                data.pop(key, None)
-        return MemorySpec.from_dict(data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MemorySpec) and self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        return (
-            f"MemorySpec(capacity={self.capacity}, "
-            f"state_bytes={self.state_bytes}, weights={self.weights!r}, "
-            f"admission_free_bytes={self.admission_free_bytes!r})"
-        )
+        """The stored form leaves out ``weights`` when empty and
+        ``admission_free_bytes`` when unset."""
+        data = super().to_dict()
+        if not self.weights:
+            del data["weights"]
+        if self.admission_free_bytes is None:
+            del data["admission_free_bytes"]
+        return data
 
 
 class MemoryModel:

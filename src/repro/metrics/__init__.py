@@ -1,8 +1,8 @@
-"""Measurement: latency percentiles, CDFs, sweeps, fault/SLA counters."""
+"""Measurement: latency percentiles, CDFs, run summaries, fault/SLA counters."""
 
 from repro.metrics.counters import FaultCounters
 from repro.metrics.latency import LatencyStats, cdf_points, percentile
-from repro.metrics.summary import RunSummary, SweepPoint, format_table
+from repro.metrics.summary import RunSummary, format_table
 
 __all__ = [
     "FaultCounters",
@@ -10,6 +10,5 @@ __all__ = [
     "percentile",
     "cdf_points",
     "RunSummary",
-    "SweepPoint",
     "format_table",
 ]

@@ -54,20 +54,6 @@ class RunSummary:
         )
 
 
-class SweepPoint:
-    """One (throughput, latency) point in a Figure-7-style curve."""
-
-    def __init__(self, throughput: float, p50_ms: float, p90_ms: float, p99_ms: float):
-        self.throughput = throughput
-        self.p50_ms = p50_ms
-        self.p90_ms = p90_ms
-        self.p99_ms = p99_ms
-
-    @classmethod
-    def from_summary(cls, summary: RunSummary) -> "SweepPoint":
-        return cls(summary.throughput, summary.p50_ms, summary.p90_ms, summary.p99_ms)
-
-
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """Simple aligned text table (the harness prints these to stdout)."""
     widths = [len(h) for h in headers]

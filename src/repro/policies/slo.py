@@ -46,11 +46,11 @@ if TYPE_CHECKING:
     from repro.core.scheduler import CellTypeQueue
     from repro.core.worker import Worker
 
-# Default slack safety margin / maximum hold (seconds); SLAConfig fields
-# override both.  The margin absorbs predictor error; the hold bound caps
-# the cumulative delay any request (with or without a deadline) can accrue
-# from holds, measured from its arrival.
-DEFAULT_KICK_MARGIN = 500e-6
+# Slack safety margin and default maximum hold (seconds; ``SLAConfig``'s
+# ``max_hold`` overrides the latter).  The margin absorbs predictor error;
+# the hold bound caps the cumulative delay any request (with or without a
+# deadline) can accrue from holds, measured from its arrival.
+KICK_MARGIN = 500e-6
 DEFAULT_MAX_HOLD = 1e-3
 
 
@@ -62,7 +62,6 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
     def __init__(self):
         self.inner = PaperBatchFormation()
         # Set from the engine's SLA in ``attach``.
-        self.margin: Optional[float] = None
         self.max_hold: Optional[float] = None
         self.predictor: Optional[LatencyPredictor] = None
         self._manager = None
@@ -88,9 +87,6 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
         if sla is None:
             return
         self._manager = engine
-        self.margin = (
-            sla.kick_margin if sla.kick_margin is not None else DEFAULT_KICK_MARGIN
-        )
         self.max_hold = sla.max_hold if sla.max_hold is not None else DEFAULT_MAX_HOLD
         self.predictor = LatencyPredictor()
         engine.install(PredictorFeed(self.predictor))
@@ -125,7 +121,7 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
             limit = request.arrival_time + self.max_hold
             if request.deadline is not None:
                 remaining = predictor.predicted_service(request.remaining_nodes)
-                slack_limit = request.deadline - remaining - self.margin
+                slack_limit = request.deadline - remaining - KICK_MARGIN
                 if slack_limit < limit:
                     limit = slack_limit
             if limit < kick_by:

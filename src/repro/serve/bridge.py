@@ -17,7 +17,7 @@ timestamps convert to asyncio deadlines by one constant offset measured
 at attach.
 
 Drift: the base loop's ``run_due`` counts and logs fires later than
-``drift_tolerance`` (default 1 ms); :meth:`LiveEventLoop.drift_stats`
+``DRIFT_TOLERANCE`` (1 ms); :meth:`LiveEventLoop.drift_stats`
 surfaces those counters to the ``/metrics`` endpoint.
 """
 
@@ -27,7 +27,7 @@ import asyncio
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import RealTimeClock
-from repro.sim.events import Event, EventLoop
+from repro.sim.events import DRIFT_TOLERANCE, Event, EventLoop
 
 
 class LiveEventLoop(EventLoop):
@@ -130,6 +130,6 @@ class LiveEventLoop(EventLoop):
             "events_fired": self.events_fired,
             "late_fires": self.late_fires,
             "max_drift_ms": 1e3 * self.max_drift,
-            "drift_tolerance_ms": 1e3 * self.drift_tolerance,
+            "drift_tolerance_ms": 1e3 * DRIFT_TOLERANCE,
             "pending": self.pending(),
         }

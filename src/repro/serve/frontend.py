@@ -78,7 +78,6 @@ class ServeApp:
     def __init__(self, spec: ServeSpec):
         self.spec = spec
         self.live = LiveEventLoop()
-        self.live.drift_tolerance = spec.drift_tolerance
         if spec.cluster is not None:
             self.server = build_cluster(spec.cluster, loop=self.live)
         else:

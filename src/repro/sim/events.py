@@ -19,7 +19,7 @@ logger = logging.getLogger(__name__)
 
 # A timer firing later than this (seconds) after its scheduled time is
 # logged by ``run_due`` — the live-serving drift guard (DESIGN.md §16).
-DEFAULT_DRIFT_TOLERANCE = 1e-3
+DRIFT_TOLERANCE = 1e-3
 
 
 class Event:
@@ -96,10 +96,9 @@ class EventLoop:
         # Count of scheduled, not-yet-run, not-cancelled events; maintained
         # on push/pop/cancel so ``pending()`` is O(1) instead of a heap scan.
         self._live = 0
-        # Wall-mode drift guard (see run_due): fires later than the
-        # tolerance are logged and counted, so a saturated live server is
-        # visible in the metrics instead of silently sloppy.
-        self.drift_tolerance = DEFAULT_DRIFT_TOLERANCE
+        # Wall-mode drift guard (see run_due): fires later than
+        # ``DRIFT_TOLERANCE`` are logged and counted, so a saturated live
+        # server is visible in the metrics instead of silently sloppy.
         self.late_fires = 0
         self.max_drift = 0.0
 
@@ -227,7 +226,7 @@ class EventLoop:
         schedule new events; ones that land due are drained in the same
         call.  Returns the number of events executed.
 
-        Drift guard: an event firing more than ``drift_tolerance``
+        Drift guard: an event firing more than ``DRIFT_TOLERANCE``
         seconds after its scheduled time increments ``late_fires``,
         raises ``max_drift`` and logs a warning — on a live server this
         is the signal that the asyncio timer wheel (or the Python work
@@ -249,7 +248,7 @@ class EventLoop:
             event._loop = None
             self._live -= 1
             drift = now - event.time
-            if drift > self.drift_tolerance:
+            if drift > DRIFT_TOLERANCE:
                 self.late_fires += 1
                 if drift > self.max_drift:
                     self.max_drift = drift

@@ -115,8 +115,3 @@ def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
             arr = arr[0]
         prepared.append(arr)
     return np.stack(prepared, axis=0)
-
-
-def split_rows(batched: np.ndarray) -> list:
-    """Scatter: split a batched tensor back into per-request rows."""
-    return [batched[i] for i in range(batched.shape[0])]

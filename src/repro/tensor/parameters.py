@@ -84,13 +84,6 @@ class ParameterStore:
         self._params[name] = value
         return value
 
-    def put(self, name: str, value: np.ndarray) -> np.ndarray:
-        """Register an externally produced array under ``name``."""
-        if name in self._params:
-            raise KeyError(f"parameter {name!r} already exists")
-        self._params[name] = np.asarray(value)
-        return self._params[name]
-
     # -- access -----------------------------------------------------------
 
     def get(self, name: str) -> np.ndarray:
@@ -106,10 +99,6 @@ class ParameterStore:
 
     def names(self) -> Iterator[str]:
         return iter(sorted(self._params))
-
-    def total_size(self) -> int:
-        """Total number of scalar weights across all parameters."""
-        return sum(int(p.size) for p in self._params.values())
 
     # -- persistence ------------------------------------------------------
 

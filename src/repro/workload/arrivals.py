@@ -7,7 +7,7 @@ average inter-arrival time to sweep load (§7.1).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -28,13 +28,6 @@ class PoissonArrivals:
             raise ValueError("n must be non-negative")
         gaps = self._rng.exponential(1.0 / self.rate, size=n)
         return (self.start + np.cumsum(gaps)).tolist()
-
-    def stream(self) -> Iterator[float]:
-        """Unbounded arrival-time generator."""
-        t = self.start
-        while True:
-            t += float(self._rng.exponential(1.0 / self.rate))
-            yield t
 
 
 class BurstyArrivals:

@@ -30,7 +30,6 @@ PAPER_4_1 = "paper §4.1: user-defined cells, the path a BatchMaker user takes t
 PAPER_4_2 = "paper §4.2: offline benchmarking that picks each cell's batch sizes"
 REFERENCE = "reference value tests compare the engine's own accounting against"
 SWEEP = "enumerates every preset so the round-trip tests sweep them all"
-OWN_TEST = "only its own test calls it; outside the removals ISSUE 24 allows — next round"
 
 # path under src/repro -> {qualified name: why it stays without a caller}
 ALLOWED = {
@@ -54,14 +53,6 @@ ALLOWED = {
         "RequestStore.replay_entries": "journal replay from parsed entries: what "
         "`RequestStore.replay` does per line, and the replay-equivalence tests' handle",
     },
-    "experiments/store.py": {"ResultStore": OWN_TEST, "ResultStore.put_sweep": OWN_TEST},
-    "metrics/summary.py": {"SweepPoint": OWN_TEST},
-    "tensor/ops.py": {"split_rows": OWN_TEST},
-    "tensor/parameters.py": {
-        "ParameterStore.put": OWN_TEST,
-        "ParameterStore.total_size": OWN_TEST,
-    },
-    "workload/arrivals.py": {"PoissonArrivals.stream": OWN_TEST},
 }
 
 

@@ -32,13 +32,10 @@ def test_spec_round_trip():
         active_watts=200.0,
         frequencies=(0.6, 0.8, 1.0),
         governor="race_to_idle",
-        governor_params={"tau": 5e-3},
-        power_exponent=2.5,
     )
     restored = EnergySpec.from_dict(spec.to_dict())
     assert restored == spec
     assert restored.frequencies == (0.6, 0.8, 1.0)
-    assert restored.governor_params == {"tau": 5e-3}
 
 
 def test_spec_sorts_and_dedups_frequencies():
@@ -63,23 +60,11 @@ def test_spec_replace():
         {"frequencies": (0.0, 1.0)},
         {"frequencies": (-0.5,)},
         {"governor": "turbo"},
-        {"power_exponent": 0.5},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         EnergySpec(**kwargs)
-
-
-def test_spec_rejects_bad_governor_params_eagerly():
-    """A fixed frequency outside the state set fails at spec construction,
-    not at the first batch boundary."""
-    with pytest.raises(ValueError, match="not in states"):
-        EnergySpec(
-            frequencies=(0.6, 1.0),
-            governor="fixed",
-            governor_params={"frequency": 0.9},
-        )
 
 
 # -- EnergyModel -------------------------------------------------------------
@@ -104,7 +89,7 @@ def test_charge_splits_evenly_and_telescopes():
 
 
 def test_dynamic_power_scales_superlinearly():
-    model = EnergyModel(active_watts=100.0, power_exponent=3.0, frequency=1.0)
+    model = EnergyModel(active_watts=100.0, frequency=1.0)
     assert model.dynamic_watts == pytest.approx(100.0)
     model.set_frequency(0.5)
     assert model.dynamic_watts == pytest.approx(12.5)  # 100 * 0.5^3

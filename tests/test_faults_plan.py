@@ -101,7 +101,7 @@ class TestFaultPlanDraws:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential(self):
-        retry = RetryPolicy(max_retries=5, backoff_base=1e-3, backoff_factor=2.0)
+        retry = RetryPolicy(max_retries=5, backoff_base=1e-3)
         delays = [retry.backoff(a) for a in range(4)]
         assert delays == [1e-3, 2e-3, 4e-3, 8e-3]
 

@@ -42,7 +42,7 @@ def test_single_failure_recovers_via_retry():
 
 def test_retry_waits_out_the_backoff():
     """The retry lands no earlier than failure time + backoff(attempt)."""
-    retry = RetryPolicy(max_retries=3, backoff_base=5e-3, backoff_factor=2.0)
+    retry = RetryPolicy(max_retries=3, backoff_base=5e-3)
     server, request = _single_request_server(
         {(0, 0): TaskFault(KERNEL_FAIL), (0, 1): TaskFault(KERNEL_FAIL)},
         sla=SLAConfig(retry=retry),

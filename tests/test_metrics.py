@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.request import InferenceRequest
 from repro.metrics import LatencyStats, RunSummary, cdf_points, format_table, percentile
-from repro.metrics.summary import SweepPoint
 
 
 def finished_request(rid, arrival, start, finish):
@@ -101,10 +100,6 @@ class TestSummary:
         row = self.make_summary().row()
         assert row[0] == "Sys"
         assert row[1] == "100"
-
-    def test_sweep_point(self):
-        point = SweepPoint.from_summary(self.make_summary())
-        assert point.throughput == 95.0
 
 
 class TestFormatTable:

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.baselines import FoldServer, IdealServer, PaddedServer, TimeoutPaddedServer
-from repro.cluster import build_cluster
+from repro.cluster import AutoscalerConfig, build_cluster
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.config import CellTypeConfig
 from repro.faults import RetryPolicy, SLAConfig
@@ -48,6 +48,8 @@ STORED_SPECS = [
     (MemorySpec(capacity=1 << 20), "state_byte"),
     (EnergySpec(), "idle_watt"),
     (BatchingConfig(), "pinning"),
+    (AutoscalerConfig(), "max_replica"),
+    (CellTypeConfig(), "batch_size"),
 ]
 SPEC_IDS = [type(spec).__name__ for spec, _ in STORED_SPECS]
 REPLACEABLE = [case for case in STORED_SPECS if hasattr(case[0], "replace")]
@@ -95,6 +97,32 @@ class TestSpecRoundTrip:
         stored["retry"]["max_retry"] = 1
         with pytest.raises(ValueError, match="RetryPolicy.*max_retry"):
             SLAConfig.from_dict(stored)
+
+    @pytest.mark.parametrize(
+        "spec, path, key",
+        [
+            pytest.param(spec, path, key, id=key)
+            for spec, path, key in (
+                (presets.lstm_serve_spec(), (), "drift_tolerance"),
+                (SLAConfig(), (), "kick_margin"),
+                (SLAConfig(), ("retry",), "backoff_factor"),
+                (EnergySpec(), (), "power_exponent"),
+                (EnergySpec(), (), "governor_params"),
+            )
+        ],
+    )
+    def test_a_knob_that_became_a_constant_is_refused_by_name(self, spec, path, key):
+        """Five settable values nobody set to anything but the default are
+        module constants now (DESIGN.md §25); a stored dict that still
+        carries one is refused by name, as ``fast_path`` and ``pinning`` are,
+        instead of loading with the value silently dropped."""
+        stored = json.loads(json.dumps(spec.to_dict()))
+        block = stored
+        for step in path:
+            block = block[step]
+        block[key] = 1.0
+        with pytest.raises(ValueError, match=f"{key}.*accepts"):
+            type(spec).from_dict(stored)
 
     @pytest.mark.parametrize(
         "spec,typo", REPLACEABLE, ids=[type(spec).__name__ for spec, _ in REPLACEABLE]

@@ -123,12 +123,6 @@ class TestGatherScatter:
         batched = ops.stack_rows([np.asarray(3), np.asarray(5)])
         np.testing.assert_array_equal(batched, [3, 5])
 
-    def test_split_rows_inverts_stack(self):
-        rows = [np.random.default_rng(i).standard_normal(4) for i in range(3)]
-        back = ops.split_rows(ops.stack_rows(rows))
-        for original, recovered in zip(rows, back):
-            np.testing.assert_array_equal(original, recovered)
-
 
 @settings(max_examples=50, deadline=None)
 @given(

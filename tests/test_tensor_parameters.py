@@ -62,17 +62,10 @@ class TestStore:
         with pytest.raises(ValueError, match="unknown initialiser"):
             ParameterStore().create("w", (2,), init="banana")
 
-    def test_put_external_array(self):
-        store = ParameterStore()
-        arr = np.arange(6).reshape(2, 3)
-        store.put("ext", arr)
-        np.testing.assert_array_equal(store.get("ext"), arr)
-
-    def test_total_size_and_len(self):
+    def test_len_and_names(self):
         store = ParameterStore()
         store.create("a", (2, 3))
         store.create("b", (4,))
-        assert store.total_size() == 10
         assert len(store) == 2
         assert list(store.names()) == ["a", "b"]
 

@@ -92,13 +92,6 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             PoissonArrivals(rate=0)
 
-    def test_stream_matches_times(self):
-        gen = PoissonArrivals(rate=10, seed=4)
-        fixed = PoissonArrivals(rate=10, seed=4).times(5)
-        stream = gen.stream()
-        streamed = [next(stream) for _ in range(5)]
-        np.testing.assert_allclose(streamed, fixed)
-
 
 class TestTrees:
     def test_random_parse_tree_leaf_count(self):
