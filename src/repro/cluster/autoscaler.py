@@ -94,7 +94,8 @@ class Autoscaler:
     def observe(self, now: float) -> None:
         """Fold the current load sample into the EWMA and act on it.
         Called by the cluster after each routing decision."""
-        alive = [r for r in self.cluster.replicas if r.state == "alive"]
+        cluster = self.cluster
+        alive = cluster._alive  # kept at state transitions, not scanned
         if not alive:
             return  # replica failure handling owns this regime
         load = sum(r.outstanding() for r in alive) / len(alive)
@@ -104,19 +105,19 @@ class Autoscaler:
             self.ewma += self.config.alpha * (load - self.ewma)
         if now - self._last_action_at < self.config.cooldown:
             return
-        warming = sum(1 for r in self.cluster.replicas if r.state == "warming")
+        warming = cluster._warming
         if (
             self.ewma > self.config.high_watermark
             and len(alive) + warming < self.config.max_replicas
         ):
-            self.cluster._spawn_replica(now)
+            cluster._spawn_replica(now)
             self._last_action_at = now
         elif (
             self.ewma < self.config.low_watermark
             and warming == 0
             and len(alive) > self.config.min_replicas
         ):
-            self.cluster._drain_replica(now)
+            cluster._drain_replica(now)
             self._last_action_at = now
 
     def __repr__(self) -> str:

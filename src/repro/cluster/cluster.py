@@ -15,8 +15,9 @@ Life of a request:
 2. At arrival, the router picks a replica among the routable candidates
    (replica-id order, seeded tie-breaks — DESIGN.md §11) and the replica
    materialises a *shadow* request that runs on its engine.
-3. Reconciliation (amortised O(1), on each arrival and on terminal-list
-   access) copies the shadow's terminal outcome onto the logical request.
+3. Reconciliation (on each arrival and on terminal-list access; one
+   integer comparison for a replica with no new outcome) copies the
+   shadow's terminal outcome onto the logical request.
 4. If the replica dies first, the cluster re-routes the logical request
    as a fresh shadow on a survivor; only with no survivor is it rejected.
 
@@ -104,9 +105,7 @@ class ClusterServer(InferenceServer):
         # wins.  A cluster-level SLA arms the SLO gate and the cluster-wide
         # predictor (fed from logical completions) it reads; a MemorySpec
         # carrying ``admission_free_bytes`` arms the memory gate.
-        self.sla: Optional[SLAConfig] = (
-            SLAConfig.from_dict(spec.sla) if spec.sla else None
-        )
+        self.sla: Optional[SLAConfig] = SLAConfig.from_dict(spec.sla) if spec.sla else None
         self.memory: Optional[MemorySpec] = (
             MemorySpec.from_dict(spec.memory) if spec.memory else None
         )
@@ -119,6 +118,13 @@ class ClusterServer(InferenceServer):
             gates.append(self._memory_gate)
         self._gates = tuple(gates)
         self.replicas: List[Replica] = []
+        # Kept by ``_set_state`` at the five lifecycle transitions (spawn,
+        # activate, drain, retire, loss), read per arrival: the ALIVE
+        # replicas, the routable ones (ALIVE, else DRAINING; replica-id
+        # order) and the WARMING count (DESIGN.md §26).
+        self._alive: List[Replica] = []
+        self._routable: List[Replica] = []
+        self._warming = 0
         self._next_replica_id = 0
         # Heterogeneous fleets (DESIGN.md §17): the initial replica ids'
         # class ranks, expanded from ``device_classes`` in declaration
@@ -162,9 +168,7 @@ class ClusterServer(InferenceServer):
         shared recorder under that replica's id, so one buffer holds the
         whole cluster with per-replica lineage."""
         for replica in self.replicas:
-            replica.server.attach_trace(
-                self.trace_recorder, replica_id=replica.replica_id
-            )
+            replica.server.attach_trace(self.trace_recorder, replica_id=replica.replica_id)
 
     def _trace_lifecycle(self, name: str, args: dict, request_id=None, since=None) -> None:
         """A cluster-scope event off the per-arrival path (scaling, replica
@@ -218,13 +222,9 @@ class ClusterServer(InferenceServer):
             if cost_model is not None:
                 runtime["cost_model"] = cost_model
         server = build_server(
-            template.replace(name=f"{base}#r{replica_id}"),
-            loop=self.loop,
-            **runtime,
+            template.replace(name=f"{base}#r{replica_id}"), loop=self.loop, **runtime
         )
-        replica = Replica(
-            replica_id, server, state=state, created_at=self.loop.now()
-        )
+        replica = Replica(replica_id, server, state=state, created_at=self.loop.now())
         if cls is not None:
             replica.device_class = cls["name"]
             replica.class_rank = class_rank
@@ -236,6 +236,7 @@ class ClusterServer(InferenceServer):
         if self.router.name == "predicted_delay" or self.sla is not None:
             replica.predictor = LatencyPredictor()
         self.replicas.append(replica)
+        self._set_state(replica, state)
         if self.trace_recorder is not None:
             server.attach_trace(self.trace_recorder, replica_id=replica_id)
         return replica
@@ -292,8 +293,7 @@ class ClusterServer(InferenceServer):
         self.cluster_counters.replicas_spawned += 1
         self.scale_events.append((now, "spawn", replica.replica_id))
         self._trace_lifecycle(
-            trace_events.REPLICA_SPAWN,
-            {"replica": replica.replica_id, "warmup": warmup},
+            trace_events.REPLICA_SPAWN, {"replica": replica.replica_id, "warmup": warmup}
         )
         if warmup > 0:
             self.loop.call_after(warmup, lambda: self._activate_replica(replica))
@@ -305,56 +305,59 @@ class ClusterServer(InferenceServer):
     def _activate_replica(self, replica: Replica) -> None:
         if replica.state != WARMING:  # lost or retired while warming
             return
-        replica.state = ALIVE
-        replica.activated_at = self.loop.now()
-        self.scale_events.append(
-            (self.loop.now(), "activate", replica.replica_id)
-        )
-        self._trace_lifecycle(
-            trace_events.REPLICA_ACTIVATE, {"replica": replica.replica_id}
-        )
+        self._set_state(replica, ALIVE)
+        replica.activated_at = now = self.loop.now()
+        self.scale_events.append((now, "activate", replica.replica_id))
+        self._trace_lifecycle(trace_events.REPLICA_ACTIVATE, {"replica": replica.replica_id})
         # The autoscale warm-up window, from build to routable.
         self._trace_lifecycle(
-            trace_events.REPLICA_WARMUP,
-            {"replica": replica.replica_id},
-            since=replica.created_at,
+            trace_events.REPLICA_WARMUP, {"replica": replica.replica_id}, since=replica.created_at
         )
 
     def _drain_replica(self, now: float) -> None:
         """Autoscaler scale-down: stop routing to the least-loaded alive
         replica (newest id on ties — retire the most recently added) and
         let it serve out its outstanding work."""
-        alive = [r for r in self.replicas if r.state == ALIVE]
+        alive = self._alive
         min_replicas = self.autoscaler.config.min_replicas if self.autoscaler else 1
         if len(alive) <= min_replicas:
             return
         victim = min(alive, key=lambda r: (r.outstanding(), -r.replica_id))
-        victim.state = DRAINING
+        self._set_state(victim, DRAINING)
         self.scale_events.append((now, "drain", victim.replica_id))
         self._maybe_retire(victim)
 
     def _maybe_retire(self, replica: Replica) -> None:
         if replica.state == DRAINING and replica.outstanding() == 0:
-            replica.state = RETIRED
+            self._set_state(replica, RETIRED)
             self.cluster_counters.replicas_retired += 1
-            self.scale_events.append(
-                (self.loop.now(), "retire", replica.replica_id)
-            )
+            self.scale_events.append((self.loop.now(), "retire", replica.replica_id))
 
     # -- request path --------------------------------------------------------
 
-    def _candidates(self) -> List[Replica]:
-        """Routable replicas in replica-id order (creation order — never a
-        dict/set walk).  With no ALIVE replica, DRAINING ones still serve
-        rather than dropping traffic below the autoscaler's floor."""
-        alive = [r for r in self.replicas if r.state == ALIVE]
-        if alive:
-            return alive
-        return [r for r in self.replicas if r.state == DRAINING]
+    def _set_state(self, replica: Replica, state: str) -> None:
+        """The one way a replica changes lifecycle state; rebuilds the
+        lists the per-arrival path reads.  Routable is replica-id order
+        (creation order — never a dict/set walk); with no ALIVE replica,
+        DRAINING ones still serve rather than dropping traffic below the
+        autoscaler's floor."""
+        replica.state = state
+        replicas = self.replicas
+        self._alive = [r for r in replicas if r.state == ALIVE]
+        self._routable = self._alive or [r for r in replicas if r.state == DRAINING]
+        self._warming = sum(r.state == WARMING for r in replicas)
+
+    def stop_routing(self) -> None:
+        """Drain every ALIVE replica (a live front end's graceful
+        shutdown): no new work, each retires once its outstanding shadows
+        are terminal — an idle one at once."""
+        for replica in self._alive:
+            self._set_state(replica, DRAINING)
+            self._maybe_retire(replica)
 
     def _accept(self, request: InferenceRequest) -> None:
         self._reconcile()
-        candidates = self._candidates()
+        candidates = self._routable
         now = self.loop.now()
         if self._trace is not None:
             self._trace.instant(
@@ -444,21 +447,25 @@ class ClusterServer(InferenceServer):
     # -- reconciliation ------------------------------------------------------
 
     def _reconcile(self) -> None:
+        """Fold every replica's new outcomes.  A replica whose terminal
+        count equals its cursor sum (what it has folded) costs one
+        comparison; only one that just produced outcomes can have drained
+        to zero outstanding, so only it is offered to ``_maybe_retire``."""
         for replica in self.replicas:
-            self._reconcile_replica(replica)
-            self._maybe_retire(replica)
+            server, cursors = replica.server, replica.cursors
+            done = len(server.finished) + len(server.timed_out) + len(server.rejected)
+            if done != cursors[0] + cursors[1] + cursors[2]:
+                self._reconcile_replica(replica)
+                self._maybe_retire(replica)
 
     def _reconcile_replica(self, replica: Replica) -> None:
         """Fold the replica's newly terminal shadows onto their logical
         requests.  Shadows without a live mapping (re-routed away on
         replica loss, or cancelled during the loss teardown) are skipped."""
         server = replica.server
-        buckets = (
-            (server.finished, self._finished),
-            (server.timed_out, self._timed_out),
-            (server.rejected, self._rejected),
-        )
-        for index, (bucket, reported) in enumerate(buckets):
+        buckets = (server.finished, server.timed_out, server.rejected)
+        reports = (self._finished, self._timed_out, self._rejected)
+        for index, (bucket, reported) in enumerate(zip(buckets, reports)):
             cursor = replica.cursors[index]
             while cursor < len(bucket):
                 shadow = bucket[cursor]
@@ -503,19 +510,17 @@ class ClusterServer(InferenceServer):
         # 1. Outcomes that happened strictly before the loss are real —
         #    reconcile them first so they are not mistaken for casualties.
         self._reconcile_replica(replica)
-        replica.state = DEAD
+        self._set_state(replica, DEAD)
         self.cluster_counters.replicas_lost += 1
         self.scale_events.append((now, "lost", replica.replica_id))
-        self._trace_lifecycle(
-            trace_events.REPLICA_LOST, {"replica": replica.replica_id}
-        )
+        self._trace_lifecycle(trace_events.REPLICA_LOST, {"replica": replica.replica_id})
         # 2. Claim the still-live logical requests (deterministic shadow-id
         #    order) *before* the teardown pushes their shadows into the
         #    replica's timed_out list — reconciliation then skips those
         #    unmapped shadows, and any late completions from a zombie
         #    engine (baselines have no teardown hook) are ignored too.
         orphans = replica.orphan_logicals()
-        manager = getattr(replica.server, "manager", None)
+        manager = replica.manager
         if manager is not None:
             # BatchMaker: the faults layer's total-device-loss path cancels
             # in-flight work and leaves no replica events on the shared loop.
@@ -525,7 +530,7 @@ class ClusterServer(InferenceServer):
         for logical in orphans:
             if logical.terminal:
                 continue
-            candidates = self._candidates()
+            candidates = self._routable
             if candidates:
                 target = self.router.choose(logical, candidates)
                 shadow = target.route(logical, now)
@@ -559,11 +564,7 @@ class ClusterServer(InferenceServer):
         return sum(replica.energy_joules() for replica in self.replicas)
 
     def tasks_submitted(self) -> int:
-        return sum(
-            replica.server.tasks_submitted()
-            for replica in self.replicas
-            if hasattr(replica.server, "tasks_submitted")
-        )
+        return sum(r.server.tasks_submitted() for r in self.replicas if r.manager is not None)
 
     def mean_batch_size(self) -> float:
         """Fleet cells over fleet tasks, so a task weighs the same whichever
@@ -571,18 +572,14 @@ class ClusterServer(InferenceServer):
         (the baselines) are skipped."""
         cells = tasks = 0
         for replica in self.replicas:
-            manager = getattr(replica.server, "manager", None)
-            if manager is None:
-                continue
-            for batch, count in manager.scheduler.batch_size_counts.items():
-                cells += batch * count
-                tasks += count
+            if replica.manager is not None:
+                for batch, count in replica.manager.scheduler.batch_size_counts.items():
+                    cells += batch * count
+                    tasks += count
         return cells / tasks if tasks else 0.0
 
     def __repr__(self) -> str:
-        states = ", ".join(
-            f"r{r.replica_id}:{r.state}" for r in self.replicas
-        )
+        states = ", ".join(f"r{r.replica_id}:{r.state}" for r in self.replicas)
         return f"<ClusterServer {self.name!r} [{states}]>"
 
 
@@ -594,6 +591,4 @@ def build_cluster(
 ) -> ClusterServer:
     """Construct the cluster a :class:`ClusterSpec` describes (the cluster
     analogue of :func:`repro.registry.build_server`)."""
-    return ClusterServer(
-        spec, loop=loop, replica_failures=replica_failures, **replica_runtime
-    )
+    return ClusterServer(spec, loop=loop, replica_failures=replica_failures, **replica_runtime)

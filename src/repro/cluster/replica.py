@@ -19,6 +19,7 @@ bit-identical to the standalone server (``tests/test_cluster_identity``).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.core.request import InferenceRequest
@@ -47,6 +48,9 @@ class Replica:
     ):
         self.replica_id = replica_id
         self.server = server
+        # BatchMaker engines' manager (None for the baselines), read by the
+        # per-arrival routing key.
+        self.manager = getattr(server, "manager", None)
         self.state = state
         self.created_at = created_at
         self.activated_at: Optional[float] = created_at if state == ALIVE else None
@@ -59,7 +63,8 @@ class Replica:
         self._next_shadow_id = 0
         # Reconciliation cursors into the server's finished / timed_out /
         # rejected lists (list order is deterministic, so lazy reconcile is
-        # deterministic too).
+        # deterministic too); their sum against the lists' lengths lets
+        # reconcile skip a replica with no new outcome.
         self.cursors = [0, 0, 0]
         # EWMA of observed shadow latency; the shortest-queue router's
         # projected-delay fallback for engines without a manager.
@@ -96,12 +101,12 @@ class Replica:
         (min device backlog + EWMA drain time of queued ready nodes); other
         engines fall back to outstanding-requests x EWMA request latency.
         """
-        manager = getattr(self.server, "manager", None)
-        if manager is not None:
-            if not manager.alive_devices:
-                return float("inf")
-            return manager.projected_queue_delay()
-        return self.ewma_latency * self.outstanding()
+        manager = self.manager
+        if manager is None:
+            return self.ewma_latency * self.outstanding()
+        if not manager.alive_devices:
+            return math.inf
+        return manager.projected_queue_delay()
 
     def free_memory(self) -> float:
         """Free device-memory bytes over the engine's alive workers;

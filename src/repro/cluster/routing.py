@@ -117,7 +117,7 @@ class LeastOutstandingRouter(RoutingPolicy):
     name = "least_outstanding"
 
     def _choose(self, request, candidates):
-        return self._best(request, candidates, lambda r: r.outstanding())
+        return self._best(request, candidates, Replica.outstanding)
 
 
 class ShortestQueueRouter(RoutingPolicy):
@@ -129,7 +129,7 @@ class ShortestQueueRouter(RoutingPolicy):
     name = "shortest_queue"
 
     def _choose(self, request, candidates):
-        return self._best(request, candidates, lambda r: r.projected_delay())
+        return self._best(request, candidates, Replica.projected_delay)
 
 
 class PredictedDelayRouter(RoutingPolicy):
@@ -142,7 +142,7 @@ class PredictedDelayRouter(RoutingPolicy):
     name = "predicted_delay"
 
     def _choose(self, request, candidates):
-        return self._best(request, candidates, lambda r: r.predicted_delay())
+        return self._best(request, candidates, Replica.predicted_delay)
 
 
 class MostFreeMemoryRouter(RoutingPolicy):
@@ -173,7 +173,7 @@ class CheapestEnergyRouter(RoutingPolicy):
     name = "cheapest_energy"
 
     def _choose(self, request, candidates):
-        return self._best(request, candidates, lambda r: r.energy_cost())
+        return self._best(request, candidates, Replica.energy_cost)
 
 
 class LengthBucketedRouter(RoutingPolicy):

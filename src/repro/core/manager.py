@@ -24,6 +24,7 @@ in installation order (DESIGN.md §22).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.config import BatchingConfig
@@ -215,12 +216,20 @@ class Manager:
     def projected_queue_delay(self) -> float:
         """Seconds a new arrival would plausibly wait before computing:
         the least-loaded surviving device's backlog plus the estimated
-        drain time of everything already queued in the scheduler."""
-        backlog = min(
-            w.device.backlog() for w in self.workers if w.alive
-        )
-        queued = self.scheduler.total_ready_nodes() * self.node_time_estimate
-        return backlog + queued / self.alive_devices
+        drain time of everything already queued in the scheduler.  Read
+        per candidate replica on every routed arrival: plain loops and one
+        clock read, not ``GPUDevice.backlog`` per device."""
+        now = self.loop.clock.now()
+        backlog = math.inf
+        for worker in self.workers:
+            if worker.alive:
+                wait = worker.device.free_at - now
+                if wait < backlog:
+                    backlog = wait if wait > 0.0 else 0.0
+        ready = 0
+        for queue in self.scheduler.queues:
+            ready += queue.num_ready_nodes()
+        return backlog + ready * self.node_time_estimate / self.alive_devices
 
     # -- scheduler -> worker -------------------------------------------------
 

@@ -31,7 +31,30 @@ TERMINAL_STATES = frozenset({_FINISHED, _TIMED_OUT, _REJECTED})
 class InferenceRequest:
     """One inference request and, while it is served, its unfolded cell
     graph.  The engine drops ``graph`` and ``subgraphs`` when the request
-    turns terminal (DESIGN.md §24); what stays is this record."""
+    turns terminal (DESIGN.md §24); what stays is this record.  Slotted:
+    a record per arrival, and no ``__dict__`` beside it (DESIGN.md §26).
+    ``phase_steps`` is the padded baseline's per-phase step counts, set
+    only there."""
+
+    __slots__ = (
+        "request_id",
+        "payload",
+        "arrival_time",
+        "graph",
+        "subgraphs",
+        "state",
+        "start_time",
+        "finish_time",
+        "deadline",
+        "terminal_time",
+        "cancel_reason",
+        "retries",
+        "restarts",
+        "_timeout_event",
+        "remaining_nodes",
+        "result",
+        "phase_steps",
+    )
 
     def __init__(self, request_id: int, payload: Any, arrival_time: float):
         self.request_id = request_id

@@ -223,7 +223,7 @@ class Scheduler:
         self.policies = policies if policies is not None else bundle_from_names()
         self._submit = submit
         self._queues: Dict[str, CellTypeQueue] = {}
-        self._queue_list: Tuple[CellTypeQueue, ...] = ()
+        self.queues: Tuple[CellTypeQueue, ...] = ()
         self._next_task_id = 0
         self.tasks_submitted = 0
         # Histogram of submitted batch sizes, for the evaluation's
@@ -238,7 +238,7 @@ class Scheduler:
         self._queues[cell_type.name] = CellTypeQueue(
             cell_type, self.config.for_cell(cell_type.name)
         )
-        self._queue_list = tuple(self._queues.values())
+        self.queues = tuple(self._queues.values())
 
     def add_subgraph(self, sg: Subgraph) -> None:
         """Accept a released subgraph into its cell type's queue."""
@@ -255,7 +255,7 @@ class Scheduler:
         """Pick a cell type for ``worker`` (the bundle's queue-priority
         policy; the paper's three-tier criterion by default) and submit
         batched tasks.  Returns the number of tasks submitted."""
-        chosen = self.policies.priority.select(self._queue_list)
+        chosen = self.policies.priority.select(self.queues)
         if chosen is None:
             return 0
         return self._batch(chosen, worker)
@@ -340,7 +340,7 @@ class Scheduler:
         alive for the life of the server.  Returns how many moved."""
         placement = self.policies.placement
         moved = 0
-        for queue in self._queue_list:
+        for queue in self.queues:
             for sg in queue.subgraphs.values():
                 if sg.pinned == dead_worker_id:
                     sg.repin(
@@ -361,9 +361,6 @@ class Scheduler:
             )
 
     # -- introspection --------------------------------------------------------
-
-    def total_ready_nodes(self) -> int:
-        return sum(q.num_ready_nodes() for q in self._queue_list)
 
     def mean_batch_size(self) -> float:
         total = sum(b * c for b, c in self.batch_size_counts.items())

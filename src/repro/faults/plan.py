@@ -50,6 +50,9 @@ class DeviceFailure:
     def __init__(self, time: float, device_id: int):
         if time < 0:
             raise ValueError("device failure time must be non-negative")
+        if device_id < 0:
+            # A negative index would pick a device from the end of the list.
+            raise ValueError(f"failure target id must be non-negative, got {device_id}")
         self.time = float(time)
         self.device_id = int(device_id)
 

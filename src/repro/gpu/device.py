@@ -79,7 +79,9 @@ class GPUDevice:
         self.device_id = device_id
         self.name = f"gpu{device_id}"
         self.timeline = DeviceTimeline()
-        self._free_at = 0.0
+        # When the stream runs dry; the manager's projected queue delay
+        # reads it against one clock read for all its devices.
+        self.free_at = 0.0
         self.alive = True
         # Byte accounting (repro.gpu.memory.MemoryModel); None keeps the
         # historical time-only device model.
@@ -114,13 +116,13 @@ class GPUDevice:
             self._pending_signals = [
                 e for e in self._pending_signals if not (e.fired or e.cancelled)
             ]
-        start = max(self.loop.now(), self._free_at)
+        start = max(self.loop.now(), self.free_at)
         end = start + duration
         if on_complete is not None:
             self._pending_signals.append(self.loop.call_at(end, on_complete))
         if end > start:
             self.timeline.record(start, end, tag)
-        self._free_at = end
+        self.free_at = end
         return end
 
     def fail(self) -> int:
@@ -135,7 +137,7 @@ class GPUDevice:
         cancelled = sum(1 for event in self._pending_signals if event.cancel())
         self._pending_signals.clear()
         self.timeline.truncate(now)
-        self._free_at = now
+        self.free_at = now
         if self.memory is not None:
             self.memory.reset()
         if self.energy is not None:
@@ -155,11 +157,11 @@ class GPUDevice:
     # -- introspection -----------------------------------------------------
 
     def is_idle(self) -> bool:
-        return self._free_at <= self.loop.now()
+        return self.free_at <= self.loop.now()
 
     def backlog(self) -> float:
         """Seconds of queued work not yet retired."""
-        return max(0.0, self._free_at - self.loop.now())
+        return max(0.0, self.free_at - self.loop.now())
 
     def __repr__(self) -> str:
-        return f"<GPUDevice {self.name} free_at={self._free_at:.6f}>"
+        return f"<GPUDevice {self.name} free_at={self.free_at:.6f}>"

@@ -46,7 +46,6 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.cluster import build_cluster
-from repro.cluster.replica import ALIVE, DRAINING
 from repro.registry import build_server
 from repro.registry.specs import ServeSpec
 from repro.serve import store as store_mod
@@ -262,11 +261,9 @@ class ServeApp:
         self.draining = True
         # Cluster: reuse drain-before-retire — replicas stop being routable
         # and retire once their outstanding work telescopes to zero.
-        replicas = getattr(self.server, "replicas", None)
-        if replicas is not None:
-            for replica in replicas:
-                if replica.state in (ALIVE,):
-                    replica.state = DRAINING
+        stop_routing = getattr(self.server, "stop_routing", None)
+        if stop_routing is not None:
+            stop_routing()
         manager = getattr(self.server, "manager", None)
         if manager is not None:
             manager.wake()

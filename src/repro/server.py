@@ -10,6 +10,7 @@ experiment harness treat them interchangeably.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, List, Optional
 
 from repro.core.request import InferenceRequest
@@ -64,6 +65,11 @@ class InferenceServer:
         self.timed_out: List[InferenceRequest] = []
         self.rejected: List[InferenceRequest] = []
         self._next_request_id = 0
+        # Submitted, not yet arrived: ``(time, seq, request)`` keyed like
+        # the loop's own heap, so the one arrival callback below always
+        # pops the request its event was scheduled for (DESIGN.md §26).
+        self._arrivals: List[tuple] = []
+        self._arrive = self._next_arrival
         # Tracing (repro.trace): a recorder plus this server's scope on it.
         # None by default — instrumentation sites guard on the scope, so an
         # untraced server pays one attribute load per site and records
@@ -140,8 +146,15 @@ class InferenceServer:
         if deadline is not None:
             request.deadline = when + deadline
         self._next_request_id += 1
-        self.loop.call_at(when, lambda: self._accept(request))
+        event = self.loop.call_at(when, self._arrive)
+        heapq.heappush(self._arrivals, (event.time, event.seq, request))
         return request
+
+    def _next_arrival(self) -> None:
+        """Every arrival event's callback (one bound method per server,
+        no closure per request): the loop fires arrival events in
+        ``(time, seq)`` order, the heap pops in the same order."""
+        self._accept(heapq.heappop(self._arrivals)[2])
 
     def terminal_requests(self) -> List[InferenceRequest]:
         """Every request that reached a terminal state, any status."""

@@ -114,6 +114,12 @@ def test_unknown_replica_id_failure_is_ignored():
     assert cluster.cluster_counters.replicas_lost == 0
 
 
+def test_negative_replica_id_failure_is_rejected_by_name():
+    """Python's negative indexing would kill the *last* replica."""
+    with pytest.raises(ValueError, match="-1"):
+        build_lstm_cluster(num_replicas=2, seed=3, replica_failures=[(0.01, -1)])
+
+
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_replica_loss_is_deterministic(seed):
     def fingerprint():

@@ -7,9 +7,10 @@ from tests.cluster_helpers import (
     build_lstm_cluster,
     run_cluster,
 )
+from tests.oracles import bruteforce_cluster
 
 from repro.cluster import AutoscalerConfig
-from repro.cluster.replica import Replica
+from repro.cluster.replica import DRAINING, RETIRED, Replica
 from repro.cluster.routing import (
     ROUTERS,
     make_router,
@@ -157,31 +158,62 @@ def test_make_router_names_the_unknown_param():
     assert "accepts: ['bucket_width']" in message
 
 
+def test_stop_routing_drains_every_alive_replica_and_retires_the_idle():
+    """The live front end's graceful shutdown: every ALIVE replica turns
+    DRAINING (still routable, as nothing is ALIVE), a busy one retires with
+    its last outcome, an idle one at once."""
+    cluster = build_lstm_cluster(num_replicas=3, router="least_outstanding", seed=5)
+    submitted = [cluster.submit(24) for _ in range(2)]
+    cluster.loop.run(max_events=2)  # both arrivals routed, nothing finished
+    busy = [r for r in cluster.replicas if r.outstanding()]
+    assert len(busy) == 2
+    cluster.stop_routing()
+    assert [r.state for r in busy] == [DRAINING, DRAINING]
+    assert [r.state for r in cluster.replicas if r not in busy] == [RETIRED]
+    assert cluster._routable == bruteforce_cluster.scan_candidates(cluster) == busy
+    cluster.drain()
+    assert_cluster_invariants(cluster, submitted)
+    assert [r.state for r in cluster.replicas] == [RETIRED] * 3
+
+
 # -- the per-decision oracle ------------------------------------------------
 
+# Policy -> (the key it routes by, read back per candidate; the oracle's key).
 LOAD_AWARE = {
-    "least_outstanding": lambda r: r.outstanding(),
-    "shortest_queue": lambda r: r.projected_delay(),
-    "predicted_delay": lambda r: r.predicted_delay(),
-    "most_free_memory": lambda r: -r.free_memory(),
-    "cheapest_energy": lambda r: r.energy_cost(),
+    "least_outstanding": (Replica.outstanding, lambda r: r.outstanding()),
+    "shortest_queue": (Replica.projected_delay, bruteforce_cluster.projected_delay),
+    "predicted_delay": (Replica.predicted_delay, bruteforce_cluster.predicted_delay),
+    "most_free_memory": (lambda r: -r.free_memory(), lambda r: -r.free_memory()),
+    "cheapest_energy": (Replica.energy_cost, lambda r: r.energy_cost()),
 }
 
 
-def _install_oracle(cluster, key):
-    """Wrap ``router.choose``: before every decision, recompute the choice
-    from scratch (the policy's key per candidate, every minimiser in
-    candidate order, the seeded tie-break) and assert the router returns
-    the same replica."""
+def _install_oracle(cluster, routed_key, key):
+    """Wrap ``router.choose``: before every decision, check the candidates
+    against a fresh scan and the policy's key per candidate against the
+    oracle's, then recompute the choice from scratch (every minimiser in
+    candidate order, the seeded tie-break); the router must return the
+    same replica.  Wrap
+    ``_reconcile`` too: after every one — so at every arrival's decision —
+    the cluster's terminal lists must hold what a reconcile of every
+    replica from scratch would fold.  (A re-route inside a replica loss
+    decides with only the lost replica folded, by design.)"""
     router = cluster.router
     original = router.choose  # bound method; instance attr shadows it below
-    checked = {"decisions": 0}
+    reconcile, reject = cluster._reconcile, cluster._reject
+    oracle = bruteforce_cluster.ReconcileOracle()
+    checked = {"decisions": 0, "reconciles": 0}
 
     def choose(request, candidates):
-        assert [r.replica_id for r in candidates] == sorted(
-            r.replica_id for r in candidates
-        ), "candidates not in replica-id order"
+        assert candidates == bruteforce_cluster.scan_candidates(cluster), (
+            f"decision {checked['decisions']}: candidates "
+            f"{[r.replica_id for r in candidates]} are not a fresh scan"
+        )
         keys = [key(replica) for replica in candidates]
+        assert [routed_key(replica) for replica in candidates] == keys, (
+            f"decision {checked['decisions']}: the policy's keys differ from "
+            f"the oracle's {keys}"
+        )
         best = min(keys)
         tied = [r for r, k in zip(candidates, keys) if k == best]
         expected = tie_break(router.seed, request.request_id, tied)
@@ -191,10 +223,29 @@ def _install_oracle(cluster, key):
             f"{actual.replica_id}, oracle chose {expected.replica_id} "
             f"(request {request.request_id}, keys {keys})"
         )
+        oracle.on_decision(request, actual)
         checked["decisions"] += 1
         return actual
 
+    def checked_reconcile():
+        reconcile()
+        folded = [
+            sorted(r.request_id for r in bucket)
+            for bucket in (cluster._finished, cluster._timed_out, cluster._rejected)
+        ]
+        assert folded == oracle.terminal_ids(cluster), (
+            f"reconcile {checked['reconciles']}: the cluster's terminal lists "
+            "differ from a reconcile of every replica from scratch"
+        )
+        checked["reconciles"] += 1
+
+    def recorded_reject(request, reason, counter=None):
+        oracle.on_front_door_reject(request)
+        reject(request, reason, counter)
+
     router.choose = choose
+    cluster._reconcile = checked_reconcile
+    cluster._reject = recorded_reject
     return checked
 
 
@@ -203,7 +254,8 @@ def _install_oracle(cluster, key):
 def test_every_decision_matches_brute_force_under_chaos(policy, seed):
     """Autoscaler churning the pool + a replica dying mid-run: every
     routing decision (re-routes included) equals an independent
-    from-scratch min + tie-break over the candidates it was given."""
+    from-scratch min + tie-break over a freshly scanned candidate list,
+    and every reconcile leaves the terminal lists a full rescan would."""
     cluster = build_lstm_cluster(
         num_replicas=3,
         router=policy,
@@ -219,7 +271,7 @@ def test_every_decision_matches_brute_force_under_chaos(policy, seed):
         ).to_dict(),
         replica_failures=[(0.01, 1)],
     )
-    checked = _install_oracle(cluster, LOAD_AWARE[policy])
+    checked = _install_oracle(cluster, *LOAD_AWARE[policy])
     submitted = run_cluster(cluster, rate=8000.0, num_requests=800)
     assert_cluster_invariants(cluster, submitted)
     # Every submission routed at least once (re-routes add more).
@@ -228,3 +280,6 @@ def test_every_decision_matches_brute_force_under_chaos(policy, seed):
         + cluster.cluster_counters.requests_lost
     )
     assert checked["decisions"] == cluster.router.decisions
+    assert checked["reconciles"] >= len(submitted)
+    # The pool really churned under the cached candidate lists.
+    assert "spawn" in {action for _, action, _ in cluster.scale_events}

@@ -116,13 +116,13 @@ def test_device_loss_drops_the_victims_eligibility_bucket(seed):
         assert (dead_worker_id, replacement) == (dead, survivor)
         stranded = [
             (queue, sg)
-            for queue in scheduler._queue_list
+            for queue in scheduler.queues
             for sg in queue.subgraphs.values()
             if sg.pinned == dead
         ]
         count = repin_queued(dead_worker_id, replacement)
         assert count == len(stranded)
-        for queue in scheduler._queue_list:
+        for queue in scheduler.queues:
             assert dead not in queue._buckets
             planned = {sg for sg, _ in queue.plan(survivor, len(queue.subgraphs) + 1)}
             for owner, sg in stranded:
@@ -137,7 +137,7 @@ def test_device_loss_drops_the_victims_eligibility_bucket(seed):
     assert moved, "no subgraph with ready nodes was queued on the victim"
     assert_invariants(server, submitted)
     assert len(server.finished) == len(submitted)
-    for queue in scheduler._queue_list:
+    for queue in scheduler.queues:
         assert dead not in queue._buckets, "the dead worker's bucket came back"
 
 

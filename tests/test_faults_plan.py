@@ -92,6 +92,11 @@ class TestFaultPlanDraws:
         times = [f.time for f in plan.device_failures()]
         assert times == sorted(times)
 
+    def test_negative_device_id_rejected_by_name(self):
+        """Python's negative indexing would kill the *last* GPU."""
+        with pytest.raises(ValueError, match="-1"):
+            FaultPlan(device_failures=[(0.0, -1)])
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(kernel_failure_rate=1.5)

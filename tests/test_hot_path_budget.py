@@ -21,12 +21,13 @@ import sys
 
 import pytest
 
+from repro.cluster import build_cluster
 from repro.core.request import TERMINAL_STATES, InferenceRequest, RequestState
 from repro.faults import SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.registry import build_server, presets
 from repro.trace import TraceRecorder
-from repro.workload import LoadGenerator, SequenceDataset, TreeDataset
+from repro.workload import FixedLengthDataset, LoadGenerator, SequenceDataset, TreeDataset
 
 REQUESTS = 300
 # 1.25x what this run read when the budget was last set (28.0 calls per
@@ -47,6 +48,18 @@ TREE_CALLS_PER_CELL_BUDGET = 60.0
 # (§20).  Chains: 0.20, 1.79 while served requests kept their engine state.
 TREE_TRACKED_PER_CELL_BUDGET = 1.55
 CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
+# The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
+# of its requests: calls per request at 8 replicas, and the calls per request
+# each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
+# read when the rows were added: 351.7 and 11.3 (DESIGN.md §26), 462.6 and
+# 25.3 while every arrival walked every replica.
+CLUSTER_REQUESTS = 2000
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 440.0
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 14.2
+# Collector-tracked objects one ``submit`` allocates: 4 when set (the
+# request, the loop's event and its heap entry, the arrival heap entry); 7
+# with a closure per arrival.
+SUBMIT_TRACKED_BUDGET = 5.0
 
 
 def _lstm_server(formation=None, **runtime):
@@ -111,7 +124,23 @@ def _tree_run():
     )
 
 
-def _count_calls(make_run=_lstm_run):
+def _cluster_run(replicas):
+    return (
+        build_cluster(
+            presets.lstm_cluster_spec(num_replicas=replicas, router="shortest_queue")
+        ),
+        LoadGenerator(
+            rate=100000.0,
+            num_requests=CLUSTER_REQUESTS,
+            seed=42,
+            arrivals="bursty",
+            arrival_params={"burst_factor": 2.0, "mean_dwell": 0.002},
+        ),
+        FixedLengthDataset(4),
+    )
+
+
+def _count_calls(make_run=_lstm_run, requests=REQUESTS):
     """(calls, cells, tracked objects retained) of one seeded run; the
     server is built outside the counted region, as the ledger's timed
     region has it."""
@@ -138,8 +167,11 @@ def _count_calls(make_run=_lstm_run):
         tracked = len(gc.get_objects()) - tracked
         if collecting:
             gc.enable()
-    assert len(server.finished) == REQUESTS
-    return calls, server.stats().nodes_processed, tracked, server
+    assert len(server.finished) == requests
+    replicas = getattr(server, "replicas", None)
+    engines = [server] if replicas is None else [r.server for r in replicas]
+    cells = sum(engine.stats().nodes_processed for engine in engines)
+    return calls, cells, tracked, server
 
 
 def test_calls_per_cell_within_budget_and_repeatable():
@@ -185,6 +217,48 @@ def test_opt_in_subsystem_is_free_when_off_and_bounded_when_on(subsystem):
     assert calls / cells <= on_budget, (
         f"{subsystem} switched on: {calls} calls for {cells} cells = "
         f"{calls / cells:.1f} per cell, budget {on_budget}"
+    )
+
+
+def _cluster_calls_per_request(replicas):
+    calls, cells, _, _ = _count_calls(lambda: _cluster_run(replicas), CLUSTER_REQUESTS)
+    assert cells == 4 * CLUSTER_REQUESTS  # length-4 chains, all finished
+    return calls / CLUSTER_REQUESTS
+
+
+def test_cluster_calls_per_request_within_budget_and_repeatable():
+    at_8 = _cluster_calls_per_request(8)
+    assert at_8 <= CLUSTER_CALLS_PER_REQUEST_BUDGET, (
+        f"{at_8:.1f} calls per request at 8 replicas, "
+        f"budget {CLUSTER_CALLS_PER_REQUEST_BUDGET}"
+    )
+    assert _cluster_calls_per_request(8) == at_8, "the counts must repeat exactly"
+
+
+def test_cluster_calls_per_added_replica_within_budget():
+    per_replica = (_cluster_calls_per_request(64) - _cluster_calls_per_request(8)) / 56
+    assert per_replica <= CLUSTER_CALLS_PER_REPLICA_BUDGET, (
+        f"each replica adds {per_replica:.2f} calls per request, "
+        f"budget {CLUSTER_CALLS_PER_REPLICA_BUDGET}"
+    )
+
+
+def test_submit_tracked_objects_within_budget():
+    server = _cluster_run(8)[0]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i in range(CLUSTER_REQUESTS):
+            server.submit(4, arrival_time=i * 1e-5)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        if collecting:
+            gc.enable()
+    assert tracked / CLUSTER_REQUESTS <= SUBMIT_TRACKED_BUDGET, (
+        f"{tracked / CLUSTER_REQUESTS:.2f} collector-tracked objects per submit, "
+        f"budget {SUBMIT_TRACKED_BUDGET}"
     )
 
 

@@ -275,7 +275,9 @@ def test_release_order_queue_seq_and_tasks_equal_explicit_tree(pinning):
         assert engines[0].released == engines[1].released
         assert engines[0].tasks == engines[1].tasks
     assert next_request == len(specs)
-    while engines[0].pending or engines[0].scheduler.total_ready_nodes():
+    while engines[0].pending or any(
+        queue.num_ready_nodes() for queue in engines[0].scheduler.queues
+    ):
         for engine in engines:
             engine.scheduler.schedule(workers[0])
             while engine.pending:
