@@ -4,7 +4,8 @@ Unfolding a request produces a coarse dataflow graph whose nodes are cell
 invocations and whose edges say which cell output feeds which cell input
 (§3.1's "cell graph").  Nodes carry their resolved input references —
 either request-provided values or another node's named output — and, in
-real-compute mode, their computed output rows.
+real-compute mode, their computed output rows.  Whether a node has
+completed is one byte of the graph's ``done`` bitmap, indexed by node id.
 
 A chain of one cell type (an LSTM over a sentence) is stored run-length:
 :meth:`CellGraph.add_run` reserves the node ids and keeps one
@@ -54,7 +55,6 @@ class CellNode:
         "cell_type",
         "inputs",
         "outputs",
-        "completed",
         "subgraph_id",
     )
 
@@ -63,7 +63,6 @@ class CellNode:
         self.cell_type = cell_type
         self.inputs = inputs  # input name -> ValueInput | NodeOutput
         self.outputs: Optional[Dict[str, Any]] = None
-        self.completed = False
         self.subgraph_id: Optional[int] = None
 
     def predecessors(self) -> List[int]:
@@ -272,9 +271,10 @@ class RunNode(CellNode):
     """A node of a :class:`ChainRun` or :class:`TreeRun`, created when
     first asked for.
 
-    Scheduling needs a node's identity, cell type and completion flags only,
-    so ``inputs`` stays unset until something reads it (the real-compute
-    gather, ``predecessors()``, a test).  ``subgraph_id`` is read from the
+    Scheduling and completion work on node ids and never build one; a node
+    is built where something reads its fields — the real-compute gather and
+    scatter, ``Model.extend``, ``collect_results``, a test — and ``inputs``
+    stays unset until something reads it.  ``subgraph_id`` is read from the
     record, whether the node was built before or after the partition."""
 
     __slots__ = ("run",)
@@ -284,7 +284,6 @@ class RunNode(CellNode):
         self.node_id = node_id
         self.cell_type = cell_type
         self.outputs = None
-        self.completed = False
         self.run = run
 
     def __getattr__(self, name: str):
@@ -315,12 +314,14 @@ class CellGraph:
     added with :meth:`add_node` are *explicit*: they sit in ``_nodes`` and
     ``_successors`` from the start.  Nodes of a run (a :class:`ChainRun` or
     a :class:`TreeRun`) enter ``_nodes`` when :meth:`node` first returns
-    them and stay there, because they hold state (``completed``,
-    ``outputs``) that every later lookup must see.
+    them and stay there, because they hold state (``outputs``) that every
+    later lookup must see.  ``done[node_id]`` is 1 once the node completed,
+    whichever order its task retired in: every ``add_*`` grows it.
     """
 
     def __init__(self):
         self._nodes: Dict[int, CellNode] = {}
+        self.done = bytearray()
         self._successors: Dict[int, List[int]] = {}
         self._runs: Tuple[Union[ChainRun, TreeRun], ...] = ()  # ascending first_id
         self._next_id = 0
@@ -354,6 +355,7 @@ class CellGraph:
             except KeyError:
                 self._link(pred, node.node_id)
         self._next_id += 1
+        self.done.append(0)
         return node
 
     def add_run(
@@ -411,6 +413,7 @@ class CellGraph:
             self._link(producer_id, run.first_id)
         self._runs += (run,)
         self._next_id = run.stop
+        self.done += bytes(steps)
         return run
 
     def add_tree(
@@ -501,6 +504,7 @@ class CellGraph:
         )
         self._runs += (tree,)
         self._next_id = tree.stop
+        self.done += bytes(size)
         return tree
 
     def _check_ref(self, ref: Any) -> None:

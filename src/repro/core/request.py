@@ -22,10 +22,9 @@ class RequestState(enum.Enum):
 
 
 # States a request can never leave; every request reaches exactly one.
-_FINISHED = RequestState.FINISHED
-_TIMED_OUT = RequestState.TIMED_OUT
-_REJECTED = RequestState.REJECTED
-TERMINAL_STATES = frozenset({_FINISHED, _TIMED_OUT, _REJECTED})
+TERMINAL_STATES = frozenset(
+    {RequestState.FINISHED, RequestState.TIMED_OUT, RequestState.REJECTED}
+)
 
 
 class InferenceRequest:
@@ -43,6 +42,7 @@ class InferenceRequest:
         "graph",
         "subgraphs",
         "state",
+        "terminal",
         "start_time",
         "finish_time",
         "deadline",
@@ -63,6 +63,9 @@ class InferenceRequest:
         self.graph: Optional[CellGraph] = None
         self.subgraphs: dict = {}  # subgraph_id -> Subgraph, set by the processor
         self.state = RequestState.PENDING
+        # True once ``state`` is one of ``TERMINAL_STATES``: set by the one
+        # transition into them, read per completed cell.
+        self.terminal = False
 
         # Timing (seconds; virtual or wall clock depending on the server).
         self.start_time: Optional[float] = None   # first cell began executing
@@ -91,12 +94,13 @@ class InferenceRequest:
             self.state = RequestState.RUNNING
 
     def _enter_terminal(self, state: RequestState, now: float) -> None:
-        if self.state in TERMINAL_STATES:
+        if self.terminal:
             raise RuntimeError(
                 f"request {self.request_id} terminal state set twice: "
                 f"{self.state.value} -> {state.value}"
             )
         self.state = state
+        self.terminal = True
         self.terminal_time = now
 
     def mark_finished(self, now: float) -> None:
@@ -110,14 +114,6 @@ class InferenceRequest:
     def mark_rejected(self, now: float, reason: str = "load_shed") -> None:
         self._enter_terminal(RequestState.REJECTED, now)
         self.cancel_reason = reason
-
-    @property
-    def terminal(self) -> bool:
-        # ``TERMINAL_STATES`` by identity: set membership hashes the Enum
-        # through a Python-level ``__hash__``, and this is read per
-        # completed cell.
-        state = self.state
-        return state is _FINISHED or state is _TIMED_OUT or state is _REJECTED
 
     # -- metrics -------------------------------------------------------------
 

@@ -123,7 +123,9 @@ class RequestProcessor:
         finished as a result."""
         affected_requests: Dict[int, InferenceRequest] = {}
 
-        # 1. Mark nodes completed and update per-subgraph counters.  Nodes
+        # 1. Mark nodes completed — one byte each in the graph's ``done``
+        # bitmap, so a retried task retiring after its optimistic successor
+        # is no special case — and update per-subgraph counters.  Nodes
         # of cancelled (terminal) requests retire without bookkeeping: the
         # request was written off whole at cancellation time, and nothing
         # below may resurrect it.  Nothing this method calls can make a
@@ -132,14 +134,15 @@ class RequestProcessor:
         live = []
         nodes_done: Dict[Subgraph, int] = {}  # first-seen order
         for entry in task.entries:
-            subgraph, node = entry
+            subgraph, node_id = entry
             nodes_done[subgraph] = nodes_done.get(subgraph, 0) + 1
             request = subgraph.request
             if request.terminal:
                 continue
-            if node.completed:
-                raise RuntimeError(f"node {node.node_id} completed twice")
-            node.completed = True
+            done = subgraph.graph.done
+            if done[node_id]:
+                raise RuntimeError(f"node {node_id} completed twice")
+            done[node_id] = 1
             request.remaining_nodes -= 1
             affected_requests[request.request_id] = request
             live.append(entry)
@@ -155,8 +158,7 @@ class RequestProcessor:
         # edges never cross requests, so skipping terminal requests here
         # cannot starve anyone else.
         release = self._release
-        for subgraph, node in live:
-            node_id = node.node_id
+        for subgraph, node_id in live:
             subgraph.propagate(node_id, release)
             # Non-optimistic (unpinned) mode: internal readiness advances on
             # completion instead of on submission.
@@ -177,13 +179,13 @@ class RequestProcessor:
     def _extend_graphs(self, entries) -> None:
         """Offer each completed node to the model's ``extend`` hook and
         partition (and release) what it grew."""
-        for subgraph, node in entries:
-            request = subgraph.request
-            new_nodes = self.model.extend(subgraph.graph, node, request.payload)
+        for subgraph, node_id in entries:
+            request, graph = subgraph.request, subgraph.graph
+            new_nodes = self.model.extend(graph, graph.node(node_id), request.payload)
             if new_nodes:
                 request.remaining_nodes += len(new_nodes)
                 new_subgraphs = partition_into_subgraphs(
-                    subgraph.graph,
+                    graph,
                     request,
                     nodes=new_nodes,
                     start_id=self._next_subgraph_id,

@@ -5,11 +5,11 @@ order.  ``schedule(worker)`` picks a cell type via the bundle's
 :class:`~repro.policies.QueuePriorityPolicy` (the paper's three-tier
 criterion by default), then ``_batch`` forms (via the bundle's
 :class:`~repro.policies.BatchFormationPolicy`) and submits up to
-``MaxTasksToSubmit`` batched tasks to that worker, binding the touched
-subgraphs through the :class:`~repro.policies.PlacementPolicy` — pinned by
-default, so dependent follow-up tasks stay on the same device (whose FIFO
-stream order then satisfies their dependencies without waiting for
-completions).
+``MaxTasksToSubmit`` batched tasks to that worker, pinning the touched
+subgraphs there when the :class:`~repro.policies.PlacementPolicy` made
+them optimistic — as it does by default, so dependent follow-up tasks stay
+on the same device (whose FIFO stream order then satisfies their
+dependencies without waiting for completions).
 
 Hot-path complexity
 -------------------
@@ -28,8 +28,10 @@ incrementally instead of rescanning:
   rule needs no undo and a committed one touches the index only when a
   subgraph's pin or readiness actually changes.
 * Each task is walked once per stage: one ``Subgraph.commit`` per plan
-  member here, one pass per distinct subgraph at submission, two passes
-  over the entries at completion (DESIGN.md §19).
+  member here, which appends ``(subgraph, node_id)`` entries straight
+  onto the task's list — no node object is built (DESIGN.md §27) — one
+  pass per distinct subgraph at submission, two passes over the entries
+  at completion (DESIGN.md §19).
 
 This is the only scheduler in ``src/``.  The original O(queue) scans — a
 full FIFO scan per batch, a full recount per ready-node read — live in
@@ -282,15 +284,13 @@ class Scheduler:
         plan: List[Tuple[Subgraph, int]],
     ) -> None:
         """Materialise a planned batch: one ``Subgraph.commit`` per member
-        (take the ready nodes, bind to the worker through the placement
-        policy, update the optimistic dependencies), then build the task
-        and submit."""
+        (append the ready node ids to the task's entries, pin to the worker,
+        update the optimistic dependencies), then build the task and
+        submit."""
         entries = []
-        bind = self.policies.placement.bind
         worker_id = worker.worker_id
         for sg, count in plan:
-            for node in sg.commit(count, bind, worker_id):
-                entries.append((sg, node))
+            sg.commit(count, worker_id, entries)
             if sg.unsubmitted == 0:  # exhausted
                 queue.remove(sg)
                 self.policies.formation.on_subgraph_removed(queue, sg)

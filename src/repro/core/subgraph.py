@@ -11,9 +11,13 @@ optimistically because tasks pinned to one worker execute in FIFO order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cell_graph import CellGraph, CellNode, ChainRun, RunNode, TreeRun
+from repro.core.cell_graph import CellGraph, CellNode, ChainRun, TreeRun
+
+# What a task is made of: ``(subgraph, node_id)`` pairs, appended by
+# :meth:`Subgraph.commit`.
+Entries = List[Tuple["Subgraph", int]]
 
 
 class Subgraph:
@@ -67,7 +71,7 @@ class Subgraph:
             for pred in node.predecessors():
                 if pred in node_id_set:
                     internal += 1
-                elif not graph.node(pred).completed:
+                elif not graph.done[pred]:
                     self._external_edges.add((pred, node.node_id))
             self._internal_pending[node.node_id] = internal
 
@@ -161,15 +165,14 @@ class Subgraph:
     def ready_count(self) -> int:
         return len(self.ready)
 
-    def commit(
-        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
-    ) -> Sequence[CellNode]:
+    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         """Hand ``count`` ready nodes (FIFO within the subgraph) to a task on
-        ``worker_id``: take them, ``bind`` (the placement policy's) this
-        subgraph to the worker and — Algorithm 1's ``UpdateNodesDependency``
-        — make ready the in-subgraph successors whose predecessors have now
-        all been submitted (optimistic mode only).  The scheduler's one call
-        per plan member; returns the nodes taken, in order.
+        ``worker_id``: append ``(self, node_id)`` for each to the task's
+        ``entries``, :meth:`pin` this subgraph to the worker and —
+        Algorithm 1's ``UpdateNodesDependency`` — make ready the
+        in-subgraph successors whose predecessors have now all been
+        submitted (optimistic mode only).  The scheduler's one call per
+        plan member; no node object is built.
 
         The queue hears three things in this order: the nodes taken, the
         pin, the nodes that became ready."""
@@ -178,9 +181,8 @@ class Subgraph:
         node_ids, self.ready = self.ready[:count], self.ready[count:]
         if self.owner is not None:
             self.owner.on_ready_delta(self, -count)
-        node_of = self.graph.node
-        nodes = [node_of(nid) for nid in node_ids]
-        bind(self, worker_id)
+        entries += [(self, nid) for nid in node_ids]
+        self.pin(worker_id)
         self.unsubmitted -= count
         if self.optimistic:
             newly_ready = 0
@@ -188,7 +190,6 @@ class Subgraph:
                 newly_ready += self._advance_internal(nid)
             if newly_ready and self.owner is not None:
                 self.owner.on_ready_delta(self, newly_ready)
-        return nodes
 
     def _overdrawn(self, count: int) -> RuntimeError:
         return RuntimeError(
@@ -222,15 +223,23 @@ class Subgraph:
         return newly_ready
 
     def pin(self, worker_id: int) -> None:
-        if self.pinned is not None and self.pinned != worker_id:
+        """Nodes of this subgraph went to a task on ``worker_id``: count the
+        task in flight and, in optimistic mode — which the placement set at
+        admission exactly when it binds work to one device (pinned and
+        fixed placement; DESIGN.md §27) — bind the subgraph there.  A
+        non-optimistic subgraph stays unpinned."""
+        pinned = self.pinned
+        if pinned == worker_id or not self.optimistic:
+            self.inflight += 1
+            return
+        if pinned is not None:
             raise RuntimeError(
                 f"subgraph {self.subgraph_id} already pinned to worker "
-                f"{self.pinned}, cannot pin to {worker_id}"
+                f"{pinned}, cannot pin to {worker_id}"
             )
-        newly_pinned = self.pinned is None
         self.pinned = worker_id
         self.inflight += 1
-        if newly_pinned and self.owner is not None:
+        if self.owner is not None:
             self.owner.on_pin_changed(self)
 
     def repin(self, worker_id: Optional[int]) -> None:
@@ -281,8 +290,9 @@ class RunSubgraph(Subgraph):
         run.subgraph_id = subgraph_id
         self.node_ids = range(run.first_id, run.stop)
         self._external_edges = set()
+        done = graph.done
         for pred in run.producers:  # only step 0 reads from outside the run
-            if not graph.node(pred).completed:
+            if not done[pred]:
                 self._external_edges.add((pred, run.first_id))
         self._cursor: Optional[int] = run.first_id
         self._init_scheduling(
@@ -297,16 +307,11 @@ class RunSubgraph(Subgraph):
     def ready_count(self) -> int:
         return 0 if self._cursor is None else 1
 
-    def commit(
-        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
-    ) -> Sequence[CellNode]:
+    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         nid = self._cursor
         if count != 1 or nid is None:
             raise self._overdrawn(count)
-        nodes = self.graph._nodes  # CellGraph.node without the miss path
-        node = nodes.get(nid)
-        if node is None:
-            node = nodes[nid] = RunNode(nid, self.run, self.run.cell_type)
+        entries.append((self, nid))
         self.unsubmitted -= 1
         if self.optimistic and nid + 1 < self.run.stop:
             # The next step is ready the moment this one is submitted: the
@@ -316,8 +321,7 @@ class RunSubgraph(Subgraph):
             self._cursor = None
             if self.owner is not None:
                 self.owner.on_ready_delta(self, -1)
-        bind(self, worker_id)
-        return (node,)
+        self.pin(worker_id)
 
     def _advance_internal(self, nid: int) -> int:
         if nid + 1 < self.run.stop:
@@ -372,22 +376,15 @@ class LeafSubgraph(Subgraph):
     def ready_count(self) -> int:
         return 1 if self._ready else 0
 
-    def commit(
-        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
-    ) -> Sequence[CellNode]:
+    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         if count != 1 or not self._ready:
             raise self._overdrawn(count)
-        nid = self.node_id
-        nodes = self.graph._nodes  # CellGraph.node without the miss path
-        node = nodes.get(nid)
-        if node is None:
-            node = nodes[nid] = RunNode(nid, self.tree, self.tree.leaf_type)
+        entries.append((self, self.node_id))
         self._ready = False
         self.unsubmitted -= 1
         if self.owner is not None:
             self.owner.on_ready_delta(self, -1)
-        bind(self, worker_id)
-        return (node,)
+        self.pin(worker_id)
 
     def _advance_internal(self, nid: int) -> int:
         return 0  # the parent lies in the tree's internal subgraph
@@ -437,22 +434,13 @@ class TreeSubgraph(Subgraph):
         if consumers:
             self._satisfy(nid, consumers.get(nid, ()), release)
 
-    def commit(
-        self, count: int, bind: Callable[[Subgraph, int], None], worker_id: int
-    ) -> Sequence[CellNode]:
+    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         ready = self.ready
         if not 0 < count <= len(ready):
             raise self._overdrawn(count)
         taken = ready[:count]
         del ready[:count]
-        tree, internal_type = self.tree, self.tree.internal_type
-        built = self.graph._nodes  # CellGraph.node without the miss path
-        nodes = []
-        for nid in taken:
-            node = built.get(nid)
-            if node is None:
-                node = built[nid] = RunNode(nid, tree, internal_type)
-            nodes.append(node)
+        entries += [(self, nid) for nid in taken]
         self.unsubmitted -= count
         delta = -count
         if self.optimistic:
@@ -460,10 +448,9 @@ class TreeSubgraph(Subgraph):
                 delta += self._advance_internal(nid)
         # The pin sees the final ready list, so the queue registers this
         # subgraph at most once; the count then moves without a search.
-        bind(self, worker_id)
+        self.pin(worker_id)
         if delta and self.owner is not None:
             self.owner.on_ready_delta(self, delta)
-        return nodes
 
     def _advance_internal(self, nid: int) -> int:
         tree = self.tree

@@ -1,21 +1,22 @@
 """Batched tasks: what the scheduler submits to workers.
 
 A task is one batched execution of a single cell type: a list of
-``(subgraph, node)`` entries gathered from possibly many requests.  In
+``(subgraph, node_id)`` entries gathered from possibly many requests.  In
 real-compute mode the task gathers each entry's input rows into contiguous
 batched tensors (the paper's "gather" memory copy), runs the cell once, and
-scatters the output rows back to the nodes.
+scatters the output rows back to the nodes — the one stage that builds
+node objects (``CellGraph.node``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellNode, NodeOutput, ValueInput
-from repro.core.subgraph import Subgraph
+from repro.core.cell_graph import NodeOutput, ValueInput
+from repro.core.subgraph import Entries, Subgraph
 from repro.tensor import ops
 
 
@@ -26,16 +27,16 @@ class BatchedTask:
         self,
         task_id: int,
         cell_type: CellType,
-        entries: List[Tuple[Subgraph, CellNode]],
+        entries: Entries,
     ):
         if not entries:
             raise ValueError("a batched task needs at least one entry")
-        for _, node in entries:
-            node_type = node.cell_type
-            if node_type is not cell_type and node_type.name != cell_type.name:
+        name = cell_type.name
+        for subgraph, node_id in entries:
+            if subgraph.cell_type_name != name:
                 raise ValueError(
-                    f"task {task_id}: node {node.node_id} has type "
-                    f"{node_type.name!r}, expected {cell_type.name!r}"
+                    f"task {task_id}: node {node_id} has type "
+                    f"{subgraph.cell_type_name!r}, expected {name!r}"
                 )
         self.task_id = task_id
         self.cell_type = cell_type
@@ -94,10 +95,11 @@ class BatchedTask:
         worker plus release-after-external-completion.
         """
         cell = self.cell_type
+        nodes = [subgraph.graph.node(nid) for subgraph, nid in self.entries]
         batched_inputs: Dict[str, np.ndarray] = {}
         for name in cell.input_names:
             rows = []
-            for subgraph, node in self.entries:
+            for (subgraph, _), node in zip(self.entries, nodes):
                 ref = node.inputs[name]
                 if isinstance(ref, ValueInput):
                     rows.append(np.asarray(ref.value))
@@ -113,7 +115,7 @@ class BatchedTask:
         batched_outputs = cell.compute(batched_inputs)
         for name in cell.output_names:
             out = batched_outputs[name]
-            for i, (_, node) in enumerate(self.entries):
+            for i, node in enumerate(nodes):
                 if node.outputs is None:
                     node.outputs = {}
                 node.outputs[name] = out[i]

@@ -83,7 +83,11 @@ class Worker:
         task.worker_id = self.worker_id
         task.submit_time = self.loop.now()
         will_fail = fault is not None and fault.kind == KERNEL_FAIL
-        if self.real_compute and not will_fail:
+        if self.real_compute:
+            # Even when the kernel is to fail: the fault withholds the
+            # completion signal, not the stream slot.  A later task on this
+            # stream may already hold the next optimistic step, and the
+            # retry recomputes the same rows (DESIGN.md §27).
             task.execute()
         subgraphs = task.subgraphs()
         composition = frozenset([subgraph.subgraph_id for subgraph in subgraphs])

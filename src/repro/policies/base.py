@@ -41,7 +41,9 @@ class PlacementPolicy:
     ``optimistic`` tells the request machinery whether internal
     dependencies may advance at *submission* (safe only when every task of
     a subgraph lands on one device, whose FIFO stream order then satisfies
-    them — the point of pinning) or must wait for completion.
+    them — the point of pinning) or must wait for completion.  It is also
+    the whole binding decision: ``Subgraph.pin`` pins an optimistic
+    subgraph to the worker its nodes go to and leaves any other unpinned.
     """
 
     name = "abstract"
@@ -57,10 +59,6 @@ class PlacementPolicy:
     def on_admit(self, sg: "Subgraph") -> None:
         """A released subgraph enters the scheduler's queues."""
         sg.optimistic = self.optimistic
-
-    def bind(self, sg: "Subgraph", worker_id: int) -> None:
-        """Nodes of ``sg`` were committed to a task on ``worker_id``."""
-        raise NotImplementedError
 
     def migration_cost(self, task: "BatchedTask", worker: "Worker") -> float:
         """Cross-device copy cost of running ``task`` on ``worker``: charged

@@ -18,7 +18,6 @@ from repro.policies.base import (
 
 if TYPE_CHECKING:
     from repro.core.scheduler import CellTypeQueue
-    from repro.core.subgraph import Subgraph
     from repro.core.worker import Worker
 
 
@@ -60,9 +59,6 @@ class PinnedPlacement(PlacementPolicy):
 
     name = "pinned"
     optimistic = True
-
-    def bind(self, sg: "Subgraph", worker_id: int) -> None:
-        sg.pin(worker_id)
 
     def on_retry(self, task, target: "Worker") -> None:
         # The retry may land on a survivor other than the dead original;

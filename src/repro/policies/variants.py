@@ -73,16 +73,15 @@ class UnpinnedPlacement(PlacementPolicy):
     name = "unpinned"
     optimistic = False
 
-    def bind(self, sg: "Subgraph", worker_id: int) -> None:
-        sg.inflight += 1
-
 
 class FixedPlacement(PlacementPolicy):
     """Static placement ablation: each request is hashed to one worker at
     admission and all its subgraphs stay there for life (sticky pin).
     Locality is perfect but load balance is blind — the contrast against
     :class:`~repro.policies.defaults.PinnedPlacement`, whose pins follow
-    the idle-driven schedule."""
+    the idle-driven schedule.  ``Subgraph.pin`` enforces the affinity:
+    committing a fixed subgraph to any worker but its home is a bug, not a
+    migration, and raises."""
 
     name = "fixed"
     optimistic = True
@@ -108,11 +107,6 @@ class FixedPlacement(PlacementPolicy):
         if home is not None:
             sg.sticky = True
             sg.repin(home)
-
-    def bind(self, sg: "Subgraph", worker_id: int) -> None:
-        # ``pin`` enforces the affinity invariant: committing a fixed
-        # subgraph to any worker but its home is a bug, not a migration.
-        sg.pin(worker_id)
 
     def retry_target(
         self, task, workers: Sequence["Worker"]

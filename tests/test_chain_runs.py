@@ -12,8 +12,8 @@ both and demands the same answer:
     the chaos seed matrix (kernel faults, deadlines, device loss) and
     memory evict-and-restart;
 (c) real-compute results against ``reference_forward``;
-(d) that a simulated chain is unfolded and partitioned without building a
-    single node.
+(d) that a simulated chain is unfolded, partitioned and served without
+    building a single node.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.models import LSTMChainModel
-from repro.policies import PinnedPlacement, bundle_from_names
+from repro.policies import bundle_from_names
 
 from tests.chaos_helpers import (
     assert_invariants,
@@ -86,7 +86,7 @@ def test_graph_view_equals_explicit_chain(payload, project_output):
         assert inputs_view(got) == inputs_view(want)
         assert got.predecessors() == want.predecessors()
         assert list(run_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert (got.outputs, got.completed) == (None, False)
+        assert got.outputs is None and run_graph.done[nid] == 0
     assert [n.node_id for n in run_graph.nodes()] == list(range(len(ref_graph)))
     with pytest.raises(KeyError):
         run_graph.node(len(ref_graph))
@@ -135,8 +135,9 @@ def test_explicit_pool_over_a_run_still_partitions_generically():
     assert not isinstance(sg, RunSubgraph)
     assert sg.node_ids == list(range(6)) and sg.ready_count() == 1
     for nid in range(6):
-        (node,) = sg.commit(1, PinnedPlacement().bind, 0)
-        assert node is graph.node(nid)
+        entries = []
+        sg.commit(1, 0, entries)
+        assert entries == [(sg, nid)]
     assert sg.unsubmitted == 0 and sg.ready_count() == 0
 
 
@@ -295,28 +296,39 @@ def count_constructions(monkeypatch):
     return built
 
 
+NOTHING_BUILT = {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+
+
 def test_simulated_chain_builds_no_nodes(monkeypatch):
-    """Unfold + partition of a simulated length-300 chain constructs no
-    node and no input reference (step 0's zero state is the model's, shared
-    by every request); sliding back to per-cell objects fails here, in
-    tier-1, not only in the benchmark ledger."""
+    """Unfold + partition of a simulated length-300 chain, and a whole
+    served simulated run — schedule, complete, finish — construct no node
+    and no input reference (step 0's zero state is the model's, shared by
+    every request): a task carries node ids and completion is a byte of the
+    graph's ``done`` bitmap (DESIGN.md §27).  Sliding back to per-cell
+    objects fails here, in tier-1, not only in the benchmark ledger."""
     model = LSTMChainModel()  # before counting: it owns the zero state
+    server = BatchMakerServer(model, config=BatchingConfig.with_max_batch(16), num_gpus=2)
     built = count_constructions(monkeypatch)
 
     graph, request = unfolded(model, 300)
     (sg,) = partition_into_subgraphs(graph, request)
-    assert built == {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+    assert built == NOTHING_BUILT
     assert len(graph._nodes) == len(graph._successors) == 0
     assert len(sg.node_ids) == 300 and sg.ready_count() == 1
+    entries = []
+    sg.commit(1, 0, entries)
+    assert entries == [(sg, 0)] and built == NOTHING_BUILT
 
-    # Scheduling builds each node once, with nothing but its flags.
-    (node,) = sg.commit(1, PinnedPlacement().bind, 0)
-    assert graph.node(node.node_id) is node
-    assert built == {"CellNode": 0, "RunNode": 1, "NodeOutput": 0, "ValueInput": 0}
+    submitted = run_chaos(server, num_requests=100)
+    assert len(server.finished) == 100
+    assert server.stats().nodes_processed > 100 * 10
+    assert built == NOTHING_BUILT
+    assert_invariants(server, submitted)
 
 
 def test_per_request_bytes_do_not_grow_with_length():
-    """The same guard in bytes: beyond the payload-sized token list, a
+    """The same guard in bytes: beyond the payload-sized token list and the
+    graph's completion bitmap (one byte per node id, DESIGN.md §27), a
     simulated chain costs the same whether it has 30 steps or 3000."""
     import tracemalloc
 
@@ -334,5 +346,6 @@ def test_per_request_bytes_do_not_grow_with_length():
 
     short, long = request_bytes(30), request_bytes(3000)
     token_list = 8 * (3000 - 30)  # _normalize_tokens: one pointer per step
-    assert long - short <= token_list + 256, (short, long)
+    done_bitmap = 3000 - 30  # CellGraph.done: one byte per step
+    assert long - short <= token_list + done_bitmap + 256, (short, long)
     assert short < 4096, short

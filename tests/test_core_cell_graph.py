@@ -125,13 +125,14 @@ class TestRuns:
         assert 5 in graph and 7 not in graph and "x" not in graph
         assert list(graph._nodes) == [0, 6], "census/len/in build nothing"
         assert [n.node_id for n in graph.nodes()] == list(range(7))
+        assert graph.done == bytearray(7), "one completion byte per node id"
 
     def test_node_is_built_once_and_keeps_state(self, lstm_type):
         graph = CellGraph()
         add_chain_run(graph, lstm_type, 3)
         node = graph.node(1)
-        node.completed = True
-        assert graph.node(1) is node and graph.node(1).completed
+        node.outputs = {"h": "row"}
+        assert graph.node(1) is node and graph.node(1).outputs == {"h": "row"}
         assert node.predecessors() == [0]
         assert list(graph.successors(1)) == [2]
         assert list(graph.successors(2)) == []
@@ -264,6 +265,7 @@ class TestTrees:
         tree = add_small_tree(graph)
         assert (tree.first_id, tree.stop, tree.num_leaves) == (3, 8, 3)
         assert len(graph) == 8 and not graph._nodes and len(graph.runs()) == 2
+        assert graph.done == bytearray(8), "one completion byte per node id"
         assert tree.parent == [2, 2, 4, 4, -1]
         assert graph.node(7).predecessors() == [5, 6]
         assert graph.node(5).predecessors() == [3, 4]

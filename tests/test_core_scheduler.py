@@ -97,7 +97,7 @@ class TestBatchFormation:
         scheduler.add_subgraph(sg)
         scheduler.schedule(FakeWorker())
         assert len(submitted) == 4
-        node_ids = [task.entries[0][1].node_id for task in submitted]
+        node_ids = [task.entries[0][1] for task in submitted]
         assert node_ids == [0, 1, 2, 3]
 
     def test_exhausted_subgraph_leaves_queue(self):

@@ -30,8 +30,12 @@ def chain_subgraphs(length):
 
 
 def hand_out(sg, count=1):
-    """``commit`` without a placement policy: ids of the nodes handed out."""
-    return [node.node_id for node in sg.commit(count, lambda sg, worker_id: None, 0)]
+    """``commit`` to worker 0 onto a fresh entry list: ids of the nodes
+    handed out, each entered with its subgraph."""
+    entries = []
+    sg.commit(count, 0, entries)
+    assert all(entry_sg is sg for entry_sg, _ in entries)
+    return [node_id for _, node_id in entries]
 
 
 class TestOptimisticReadiness:
@@ -99,6 +103,19 @@ class TestPinning:
         sg.pin(worker_id=0)
         with pytest.raises(RuntimeError, match="already pinned"):
             sg.pin(worker_id=1)
+        assert (sg.pinned, sg.inflight) == (0, 1)
+
+    def test_non_optimistic_pin_only_counts_the_task(self):
+        """Unpinned placement makes a subgraph non-optimistic at admission;
+        its pins then bind nothing — tasks on any worker count in flight."""
+        sg = chain_subgraph(3)
+        sg.optimistic = False
+        sg.pin(worker_id=0)
+        sg.pin(worker_id=1)
+        assert (sg.pinned, sg.inflight) == (None, 2)
+        sg.task_done(1)
+        sg.task_done(1)
+        assert (sg.pinned, sg.inflight) == (None, 0)
 
     def test_completion_underflow_raises(self):
         sg = chain_subgraph(1)

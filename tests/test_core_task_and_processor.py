@@ -10,7 +10,6 @@ from repro.core.request_processor import RequestProcessor
 from repro.core.subgraph import partition_into_subgraphs
 from repro.core.task import BatchedTask
 from repro.models import LSTMChainModel, Seq2SeqModel
-from repro.policies import PinnedPlacement
 from repro.cells.lstm import LSTMCell
 from repro.tensor.parameters import ParameterStore
 
@@ -37,15 +36,15 @@ class TestBatchedTask:
         request = InferenceRequest(0, None, 0.0)
         request.graph = graph
         subgraphs = partition_into_subgraphs(graph, request)
-        entries = [(sg, graph.node(nid)) for sg in subgraphs for nid in sg.node_ids]
-        with pytest.raises(ValueError, match="expected"):
+        entries = [(sg, nid) for sg in subgraphs for nid in sg.node_ids]
+        with pytest.raises(ValueError, match="node 1 has type 'decoder', expected 'encoder'"):
             BatchedTask(0, model.cell_types()[0], entries)
 
     def test_subgraph_bookkeeping(self):
         model = LSTMChainModel()
         graph_a, sg_a = self.make_chain(model, 2, request_id=0)
         graph_b, sg_b = self.make_chain(model, 2, request_id=1)
-        entries = [(sg_a, graph_a.node(0)), (sg_b, graph_b.node(0))]
+        entries = [(sg_a, 0), (sg_b, 0)]
         task = BatchedTask(0, model.cell_types()[0], entries)
         assert task.batch_size == 2
         assert task.subgraphs() == (sg_a, sg_b)
@@ -69,7 +68,7 @@ class TestBatchedTask:
         request.graph = graph
         subgraphs = partition_into_subgraphs(graph, request)
         sg_of = {nid: sg for sg in subgraphs for nid in sg.node_ids}
-        task = BatchedTask(0, cell_type, [(sg_of[n.node_id], n) for n in nodes])
+        task = BatchedTask(0, cell_type, [(sg_of[n.node_id], n.node_id) for n in nodes])
         task.execute()
         for node, row in zip(nodes, rows):
             expected = lstm(
@@ -102,7 +101,7 @@ class TestBatchedTask:
         request = InferenceRequest(0, None, 0.0)
         request.graph = graph
         (sg,) = partition_into_subgraphs(graph, request)
-        task = BatchedTask(0, cell_type, [(sg, second)])
+        task = BatchedTask(0, cell_type, [(sg, second.node_id)])
         with pytest.raises(RuntimeError, match="unexecuted"):
             task.execute()
 
@@ -140,9 +139,10 @@ class TestRequestProcessor:
         request = InferenceRequest(0, {"src": 1, "tgt_len": 1}, 0.0)
         processor.add_request(request)
         encoder_sg = released[0]
-        (encoder_node,) = encoder_sg.commit(1, PinnedPlacement().bind, 0)
-        assert encoder_node is request.graph.node(encoder_sg.node_ids[0])
-        task = BatchedTask(0, encoder_node.cell_type, [(encoder_sg, encoder_node)])
+        entries = []
+        encoder_sg.commit(1, 0, entries)
+        assert entries == [(encoder_sg, encoder_sg.node_ids[0])]
+        task = BatchedTask(0, model.cell_types()[0], entries)
         processor.handle_task_completion(task, now=1.0)
         assert len(released) == 2
         assert released[1].cell_type_name == "decoder"
@@ -154,11 +154,13 @@ class TestRequestProcessor:
         request = InferenceRequest(0, 1, 0.0)
         processor.add_request(request)
         sg = released[0]
-        (node,) = sg.commit(1, PinnedPlacement().bind, 0)
-        task = BatchedTask(0, node.cell_type, [(sg, node)])
+        entries = []
+        sg.commit(1, 0, entries)
+        task = BatchedTask(0, model.cell_types()[0], entries)
         processor.handle_task_completion(task, now=1.0)
+        assert request.graph.done == bytearray([1])
         sg.inflight = 1  # fake a second in-flight task
-        with pytest.raises(RuntimeError, match="twice"):
+        with pytest.raises(RuntimeError, match="node 0 completed twice"):
             processor.handle_task_completion(task, now=2.0)
 
     def test_finish_fires_when_all_nodes_complete(self):
@@ -168,9 +170,10 @@ class TestRequestProcessor:
         processor.add_request(request)
         sg = released[0]
         for nid in (0, 1):
-            (node,) = sg.commit(1, PinnedPlacement().bind, 0)
-            assert node is request.graph.node(nid)
-            task = BatchedTask(nid, node.cell_type, [(sg, node)])
+            entries = []
+            sg.commit(1, 0, entries)
+            assert entries == [(sg, nid)]
+            task = BatchedTask(nid, model.cell_types()[0], entries)
             processor.handle_task_completion(task, now=1.0 + nid)
         assert finished == [request]
         assert processor.live_request_count() == 0

@@ -177,3 +177,52 @@ def test_pin_inflight_symmetry_across_fail_retry_chain():
     for sg in subgraphs:
         assert sg.inflight == 0, f"residual inflight on {sg}"
     assert_invariants(server, batch)
+
+
+def test_retried_step_retires_after_its_optimistic_successor(monkeypatch):
+    """Completion lives in the graph's ``done`` bitmap (DESIGN.md §27), so
+    a retried task may retire after the step handed out behind it: a kernel
+    fault on the task holding chain step 1 lets step 2 — already submitted
+    optimistically on the same stream — set its byte first.  The request
+    still finishes exactly once with ``remaining_nodes`` conserved, and a
+    second completion of either node still raises."""
+    from repro.core.request_processor import RequestProcessor
+    from repro.core.task import BatchedTask
+
+    k, length = 1, 12
+    plan = FaultPlan(task_overrides={(k, 0): TaskFault(KERNEL_FAIL)})
+    server = build_server(fault_plan=plan)
+    handle = RequestProcessor.handle_task_completion
+    snapshots, replayed = [], []
+
+    def recording(processor, task, now):
+        finished = handle(processor, task, now)
+        ((sg, _),) = task.entries  # a lone chain: one node per task
+        request, graph = sg.request, sg.graph
+        snapshots.append(bytes(graph.done))
+        if not request.terminal:
+            assert request.remaining_nodes == len(graph) - sum(graph.done)
+            for node_id in (k, k + 1):
+                if graph.done[node_id] and (node_id, len(snapshots)) not in replayed:
+                    again = BatchedTask(-1, task.cell_type, [(sg, node_id)])
+                    with pytest.raises(RuntimeError, match=f"node {node_id} completed twice"):
+                        handle(processor, again, now)
+                    assert graph.done == bytearray(snapshots[-1])
+                    assert request.remaining_nodes == len(graph) - sum(graph.done)
+                    replayed.append((node_id, len(snapshots)))
+        return finished
+
+    monkeypatch.setattr(RequestProcessor, "handle_task_completion", recording)
+    request = server.submit([1] * length, arrival_time=0.0)
+    server.drain()
+
+    successor_first = next(i for i, done in enumerate(snapshots) if done[k + 1])
+    assert snapshots[successor_first][k] == 0, "step k+1 did not retire before step k"
+    assert any(done[k] for done in snapshots[successor_first:])
+    assert {node_id for node_id, _ in replayed} == {k, k + 1}
+    assert request.state is RequestState.FINISHED and request.retries == 1
+    assert server.finished.count(request) == 1 and snapshots[-1] == b"\x01" * length
+    counters = server.fault_counters()
+    assert (counters.requests_completed, counters.tasks_failed) == (1, 1)
+    assert server.stats().nodes_processed == length
+    assert_invariants(server, [request])

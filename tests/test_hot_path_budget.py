@@ -30,16 +30,17 @@ from repro.trace import TraceRecorder
 from repro.workload import FixedLengthDataset, LoadGenerator, SequenceDataset, TreeDataset
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (28.0 calls per
-# cell, DESIGN.md §23; 28.6 with the kernel-list stream beside ``run_for``,
-# 75.9 before the one-pass-per-task change on the same run).  Lower it when
-# the path gets shorter; do not raise it without saying in DESIGN.md §19
-# what the extra calls buy.
-CALLS_PER_CELL_BUDGET = 35.0
-# The same for trees, payload sampling included: 48.0 calls per cell when
-# the budget was last set (48.7 before §23), 92.5 with one explicit node per
-# tree node and dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 60.0
+# 1.25x what this run read when the budget was last set (24.09 calls per
+# cell, DESIGN.md §27; 28.17 while every scheduled cell built a node and
+# bound through the placement policy, 28.6 with the kernel-list stream
+# beside ``run_for``, 75.9 before the one-pass-per-task change on the same
+# run).  Lower it when the path gets shorter; do not raise it without
+# saying in DESIGN.md §19 what the extra calls buy.
+CALLS_PER_CELL_BUDGET = 30.1
+# The same for trees, payload sampling included: 43.26 calls per cell when
+# the budget was last set (47.80 before §27, 48.7 before §23), 92.5 with one
+# explicit node per tree node and dict-backed subgraphs (DESIGN.md §20).
+TREE_CALLS_PER_CELL_BUDGET = 54.1
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
@@ -51,10 +52,11 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were added: 351.7 and 11.3 (DESIGN.md §26), 462.6 and
-# 25.3 while every arrival walked every replica.
+# read when the rows were last set: 331.7 per request (DESIGN.md §27; 351.7
+# when added, §26) and 11.3 per replica; 462.6 and 25.3 while every arrival
+# walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 440.0
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 414.6
 CLUSTER_CALLS_PER_REPLICA_BUDGET = 14.2
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
@@ -84,33 +86,35 @@ def _traced_server():
 
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
-# allowed when on = 1.25x what the run read when the row was added: 32.9,
-# 35.4, 29.4 and 31.6 against 28.8 plain; a check that it really was on).
+# allowed when on = 1.25x what the run read when the row was last set:
+# 28.30, 28.94, 24.79 and 27.30 against 24.09 plain (DESIGN.md §27; 32.9,
+# 35.4, 29.4 and 31.6 against 28.8 when added); a check that it really was
+# on).
 # The deadline and the device are roomy, so all 300 requests still finish
 # and the cell count is the plain run's.
 OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        41.1,
+        35.4,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        44.2,
+        36.2,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        36.7,
+        31.0,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        39.5,
+        34.1,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }
@@ -263,10 +267,24 @@ def test_submit_tracked_objects_within_budget():
 
 
 def test_terminal_by_identity_agrees_with_the_state_set():
-    """``InferenceRequest.terminal`` spells ``TERMINAL_STATES`` out as
-    identity comparisons (it is read per completed cell); the two must
-    name the same states."""
-    request = InferenceRequest(0, None, 0.0)
-    for state in RequestState:
-        request.state = state
-        assert request.terminal is (state in TERMINAL_STATES)
+    """``InferenceRequest.terminal`` is a slot, read per completed cell
+    without a call, that the one transition into a terminal state sets:
+    after each ``mark_*`` it must agree with ``TERMINAL_STATES``, and a
+    second terminal transition still raises."""
+    marks = {
+        RequestState.FINISHED: lambda request: request.mark_finished(1.0),
+        RequestState.TIMED_OUT: lambda request: request.mark_timed_out(1.0),
+        RequestState.REJECTED: lambda request: request.mark_rejected(1.0),
+    }
+    assert set(marks) == TERMINAL_STATES
+    for state, mark in marks.items():
+        request = InferenceRequest(0, None, 0.0)
+        assert request.terminal is False and request.state not in TERMINAL_STATES
+        request.mark_started(0.5)
+        assert request.terminal is False and request.state not in TERMINAL_STATES
+        mark(request)
+        assert request.terminal is True and request.state is state
+        for again in marks.values():
+            with pytest.raises(RuntimeError, match="terminal state set twice"):
+                again(request)
+        assert request.terminal is True and request.state is state

@@ -118,8 +118,8 @@ def test_serving_invariants(spec):
     # Invariant 2: each node in exactly one task.
     node_to_task = {}
     for task in tasks:
-        for subgraph, node in task.entries:
-            key = (subgraph.request.request_id, node.node_id)
+        for subgraph, node_id in task.entries:
+            key = (subgraph.request.request_id, node_id)
             assert key not in node_to_task, "node executed twice"
             node_to_task[key] = task
     total_nodes = sum(len(keep.graph(r)) for r in requests)
@@ -129,14 +129,15 @@ def test_serving_invariants(spec):
     for task in tasks:
         assert task.batch_size <= config.for_cell(task.cell_type.name).max_batch
         assert all(
-            node.cell_type.name == task.cell_type.name for _, node in task.entries
+            sg.graph.node(nid).cell_type.name == task.cell_type.name
+            for sg, nid in task.entries
         )
 
     # Invariants 4/5: dependency ordering.
     submit_index = {id(task): i for i, task in enumerate(tasks)}
     for task in tasks:
-        for subgraph, node in task.entries:
-            for pred_id in node.predecessors():
+        for subgraph, node_id in task.entries:
+            for pred_id in subgraph.graph.node(node_id).predecessors():
                 pred_key = (subgraph.request.request_id, pred_id)
                 pred_task = node_to_task[pred_key]
                 if pred_task is task:
@@ -154,10 +155,10 @@ def test_serving_invariants(spec):
     # produced by the same kernel launch).
     for task in tasks:
         ids_in_task = {
-            (sg.request.request_id, node.node_id) for sg, node in task.entries
+            (sg.request.request_id, node_id) for sg, node_id in task.entries
         }
-        for subgraph, node in task.entries:
-            for pred_id in node.predecessors():
+        for subgraph, node_id in task.entries:
+            for pred_id in subgraph.graph.node(node_id).predecessors():
                 assert (subgraph.request.request_id, pred_id) not in ids_in_task
 
 

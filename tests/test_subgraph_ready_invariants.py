@@ -156,8 +156,8 @@ class Harness:
 
     def _submit(self, task, worker):
         self.pending.append(task)
-        for sg, node in task.entries:
-            self.handed_out.add((sg.request.request_id, node.node_id))
+        for sg, node_id in task.entries:
+            self.handed_out.add((sg.request.request_id, node_id))
 
     def add_request(self, payload):
         request = InferenceRequest(self._next_request_id, payload, 0.0)
@@ -254,7 +254,7 @@ class Harness:
             node_id = tree.first_id + index
             if (request_id, node_id) not in self.handed_out:
                 return True
-            return not sg.optimistic and not sg.graph.node(node_id).completed
+            return not sg.optimistic and not sg.graph.done[node_id]
 
         return [
             tree.first_id + index
@@ -302,12 +302,11 @@ def test_ready_count_invariants_under_random_interleavings(
         registrations.append(sg)
         register(queue, sg)
 
-    def checked_commit(sg, count, bind, worker_id):
+    def checked_commit(sg, count, worker_id, entries):
         before = len(registrations)
-        nodes = tree_commit(sg, count, bind, worker_id)
+        tree_commit(sg, count, worker_id, entries)
         assert len(registrations) - before <= 1, "TreeSubgraph.commit registered twice"
         assert registrations[before:] in ([], [sg])
-        return nodes
 
     monkeypatch.setattr(CellTypeQueue, "_register", counted_register)
     monkeypatch.setattr(TreeSubgraph, "commit", checked_commit)
@@ -399,8 +398,13 @@ def _queue_chain(model, scheduler, request_id, length):
     return request, sg
 
 
-def _no_bind(sg, worker_id):
-    """``commit`` without a placement policy: the queue hears no pin."""
+def _hand_out(sg, count=1, worker_id=0):
+    """``commit`` onto a fresh entry list: the ids of the nodes handed out,
+    each entered with its subgraph."""
+    entries = []
+    sg.commit(count, worker_id, entries)
+    assert all(entry_sg is sg for entry_sg, _ in entries)
+    return [node_id for _, node_id in entries]
 
 
 def test_take_ready_notifies_owner_exactly_once():
@@ -411,9 +415,9 @@ def test_take_ready_notifies_owner_exactly_once():
     _, sg = _queue_chain(model, scheduler, 0, 2)
 
     assert queue.num_ready_nodes() == 1
-    sg.commit(1, _no_bind, 0)  # optimistic: the successor becomes ready
+    assert _hand_out(sg) == [0]  # optimistic: the successor becomes ready
     assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
-    sg.commit(1, _no_bind, 0)
+    assert _hand_out(sg) == [1]
     assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
 
 
@@ -427,8 +431,7 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
     sg.optimistic = False
     for nid in range(3):
         assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
-        (node,) = sg.commit(1, _no_bind, 0)
-        assert node.node_id == nid
+        assert _hand_out(sg) == [nid]
         assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
         sg.mark_completed_internal([nid])
     assert sg.unsubmitted == 0 and sg.ready_count() == 0
@@ -436,7 +439,7 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
     queue.remove(sg)
 
     request, sg = _queue_chain(model, scheduler, 1, 5)
-    sg.commit(1, _no_bind, 0)
+    _hand_out(sg)
     assert queue.num_ready_nodes() == 1
     assert scheduler.evict_request(request) == 1
     assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
@@ -478,27 +481,29 @@ def _commit_state(sg, queue):
 
 
 class RecordingQueueCalls:
-    """Wraps a placement's ``bind`` and a queue's two notification methods
-    to write down, in order, what the queue hears during a hand-out."""
+    """Wraps ``Subgraph.pin`` and a queue's two notification methods to
+    write down, in order, what the queue hears during a hand-out."""
 
-    def __init__(self, queue, placement):
+    def __init__(self, queue, monkeypatch):
         self.calls = []
-        self._placement = placement
         on_ready_delta, on_pin_changed = queue.on_ready_delta, queue.on_pin_changed
+        pin = Subgraph.pin
+
+        def recording_pin(sg, worker_id):
+            self.calls.append(("pin", sg.subgraph_id, worker_id))
+            pin(sg, worker_id)
+
+        monkeypatch.setattr(Subgraph, "pin", recording_pin)
 
         def ready_delta(sg, delta):
             self.calls.append(("ready", sg.subgraph_id, delta))
             on_ready_delta(sg, delta)
 
         def pin_changed(sg):
-            self.calls.append(("pin", sg.subgraph_id, sg.pinned))
+            self.calls.append(("pin_changed", sg.subgraph_id, sg.pinned))
             on_pin_changed(sg)
 
         queue.on_ready_delta, queue.on_pin_changed = ready_delta, pin_changed
-
-    def bind(self, sg, worker_id):
-        self.calls.append(("bind", sg.subgraph_id, worker_id))
-        self._placement.bind(sg, worker_id)
 
 
 @pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
@@ -509,7 +514,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
     subgraph over the oracle's explicit chain, driven side by side over a
     whole chain (first, middle and last step) with a completion between
     steps, leave the same ready node, counters, pin, queue total, index and
-    plans, and return the same node ids."""
+    plans, and hand out the same node ids."""
     placement = placement_cls()
     worker_id = 1
     twins = []
@@ -530,10 +535,8 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
     assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
 
     for step in range(3):
-        fast_nodes = fast_sg.commit(1, placement.bind, worker_id)
-        base_nodes = base_sg.commit(1, placement.bind, worker_id)
-        assert [n.node_id for n in fast_nodes] == [n.node_id for n in base_nodes] == [step]
-        assert fast_nodes[0] is fast_sg.graph.node(step)
+        fast_ids = _hand_out(fast_sg, 1, worker_id)
+        assert fast_ids == _hand_out(base_sg, 1, worker_id) == [step]
         assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
         if step == 1 or not placement.optimistic:
             # Retire what is in flight: unpins (unless sticky), and on the
@@ -554,7 +557,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
             with pytest.raises(
                 RuntimeError, match=f"subgraph 1: planned {count} nodes but only 0 were ready"
             ):
-                sg.commit(count, placement.bind, worker_id)
+                _hand_out(sg, count, worker_id)
     assert _commit_state(fast_sg, fast_queue) == before == _commit_state(base_sg, base_queue)
 
 
@@ -562,20 +565,24 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
     for model in (LSTMChainModel(), ExplicitChainModel()):
         _, scheduler, queue = _chain_scheduler()
         _, sg = _queue_chain(model, scheduler, 0, 5)
+        entries = []
         with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
-            sg.commit(2, PinnedPlacement().bind, 0)
+            sg.commit(2, 0, entries)
         assert sg.ready_count() == 1 == queue.num_ready_nodes() and sg.pinned is None
+        assert entries == [] and sg.inflight == 0
 
 
-def test_generic_commit_tells_the_queue_taken_then_pin_then_newly_ready():
+def test_generic_commit_tells_the_queue_taken_then_pin_then_newly_ready(monkeypatch):
     """The generic hand-out's three queue notifications keep their order
     (merged into one net delta they move a seq2seq fingerprint): the nodes
-    taken, the pin through ``bind``, the nodes the submission made ready."""
+    taken, the pin, the nodes the submission made ready."""
     _, scheduler, queue = _chain_scheduler()
     _, sg = _queue_chain(ExplicitChainModel(), scheduler, 7, 3)
-    recorder = RecordingQueueCalls(queue, PinnedPlacement())
-    sg.commit(1, recorder.bind, 1)
-    assert recorder.calls == [("ready", 7, -1), ("bind", 7, 1), ("pin", 7, 1), ("ready", 7, 1)]
+    recorder = RecordingQueueCalls(queue, monkeypatch)
+    assert _hand_out(sg, 1, 1) == [0]
+    assert recorder.calls == [
+        ("ready", 7, -1), ("pin", 7, 1), ("pin_changed", 7, 1), ("ready", 7, 1)
+    ]
 
 
 # -- TreeSubgraph.commit against the same generic hand-out ---------------------
@@ -595,7 +602,7 @@ def _queue_tree(scheduler, model, request_id, spec, start_id):
         assert type(internal) is Subgraph
         for leaf in leaves:
             (nid,) = leaf.node_ids
-            request.graph.node(nid).completed = True
+            request.graph.done[nid] = 1
             leaf.propagate(nid, lambda sg: None)
     assert internal.is_releasable()
     scheduler.add_subgraph(internal)
@@ -622,7 +629,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
     the oracle's explicit tree, driven side by side over a whole tree in
     takes of up to three with completions in between, leave the same ready
     list, pending counts, counters, pin, queue total, index and plans, and
-    return the same node ids."""
+    hand out the same node ids."""
     placement = placement_cls()
     worker_id = 1
     spec = random_parse_tree(np.random.default_rng(4), 14).root
@@ -650,11 +657,8 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
     while fast_sg.unsubmitted:
         count = min(fast_sg.ready_count(), 3)
         assert count > 0, "the tree stalled"
-        fast_nodes = fast_sg.commit(count, placement.bind, worker_id)
-        base_nodes = base_sg.commit(count, placement.bind, worker_id)
-        node_ids = [n.node_id for n in fast_nodes]
-        assert node_ids == [n.node_id for n in base_nodes] and len(node_ids) == count
-        assert all(n is fast_sg.graph.node(n.node_id) for n in fast_nodes)
+        node_ids = _hand_out(fast_sg, count, worker_id)
+        assert node_ids == _hand_out(base_sg, count, worker_id) and len(node_ids) == count
         assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
         rounds += 1
         if rounds % 2 == 0 or not placement.optimistic:
@@ -673,10 +677,10 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
     # Nothing is ready any more: both refuse with the scheduler's message.
     for sg in (fast_sg, base_sg):
         with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
-            sg.commit(1, placement.bind, worker_id)
+            _hand_out(sg, 1, worker_id)
 
 
-def test_leaf_commit_and_take_keep_the_counter_exact():
+def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
     """A leaf subgraph is one flag: ``commit`` clears it once, tells the
     queue once and refuses a second node — as the generic one-node
     ``Subgraph`` over the oracle's explicit leaf does."""
@@ -692,30 +696,27 @@ def test_leaf_commit_and_take_keep_the_counter_exact():
         flat = not isinstance(model, ExplicitTreeModel)
         assert type(first) is (LeafSubgraph if flat else Subgraph)
         assert type(internal) is (TreeSubgraph if flat else Subgraph)
-        graph = request.graph
         for sg in (first, second, third):
             scheduler.add_subgraph(sg)
         assert queue.num_ready_nodes() == 3 == recount_ready_nodes(queue)
 
-        recorder = RecordingQueueCalls(queue, PinnedPlacement())
+        recorder = RecordingQueueCalls(queue, monkeypatch)
         with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
-            first.commit(0, recorder.bind, 0)
-        (node,) = first.commit(1, recorder.bind, 0)
-        assert node is graph.node(0) and first.ready_count() == 0
-        assert recorder.calls == [("ready", 0, -1), ("bind", 0, 0), ("pin", 0, 0)]
+            _hand_out(first, 0)
+        assert _hand_out(first) == [0] and first.ready_count() == 0
+        assert recorder.calls == [("ready", 0, -1), ("pin", 0, 0), ("pin_changed", 0, 0)]
         assert first.unsubmitted == 0
         assert queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
 
         with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
-            second.commit(2, PinnedPlacement().bind, 0)
+            _hand_out(second, 2)
         assert second.ready_count() == 1 and second.pinned is None
 
-        (node,) = third.commit(1, PinnedPlacement().bind, 0)
-        assert node is graph.node(3) and node.cell_type.name == "tree_leaf"
+        assert _hand_out(third) == [3] and third.cell_type_name == "tree_leaf"
         assert third.unsubmitted == 0 and third.pinned == 0 and third.inflight == 1
         assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
         with pytest.raises(RuntimeError, match="planned 1 nodes but only 0 were ready"):
-            third.commit(1, PinnedPlacement().bind, 0)
+            _hand_out(third)
 
 
 def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():

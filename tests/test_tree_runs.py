@@ -58,7 +58,7 @@ from tests.chaos_helpers import (
     run_chaos,
 )
 from tests.oracles.explicit_tree import ExplicitTreeModel
-from tests.test_chain_runs import count_constructions, inputs_view
+from tests.test_chain_runs import NOTHING_BUILT, count_constructions, inputs_view
 from tests.test_chain_runs import unfolded as unfold_payload
 
 SEEDS = chaos_seeds()
@@ -123,7 +123,7 @@ def test_graph_view_equals_explicit_tree(name):
         assert inputs_view(got) == inputs_view(want)
         assert got.predecessors() == want.predecessors()
         assert list(flat_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert (got.outputs, got.completed) == (None, False)
+        assert got.outputs is None and flat_graph.done[nid] == 0
         assert got.subgraph_id is None
     assert [n.node_id for n in flat_graph.nodes()] == list(range(size))
     with pytest.raises(KeyError):
@@ -231,7 +231,7 @@ class Engine:
     def _submit(self, task, worker):
         self.pending.append(task)
         self.tasks.append(
-            (worker.worker_id, [(sg.subgraph_id, node.node_id) for sg, node in task.entries])
+            (worker.worker_id, [(sg.subgraph_id, node_id) for sg, node_id in task.entries])
         )
 
     def _release(self, sg):
@@ -463,22 +463,30 @@ def test_real_compute_matches_reference_forward(placement):
 
 
 def test_simulated_tree_builds_no_nodes(monkeypatch):
-    """Unfold + partition of a simulated tree constructs no node and no
-    input reference; sliding back to per-node objects fails here, in
-    tier-1, not only in the benchmark ledger."""
+    """Unfold + partition of a simulated tree, and a whole served simulated
+    run — schedule, complete, finish — construct no node and no input
+    reference: tasks carry node ids (DESIGN.md §27).  Sliding back to
+    per-node objects fails here, in tier-1, not only in the benchmark
+    ledger."""
     model = TreeLSTMModel()
+    server = BatchMakerServer(model, config=BatchingConfig.with_max_batch(16), num_gpus=2)
+    dataset = TreeDataset(seed=3)
     built = count_constructions(monkeypatch)
 
     graph, request = unfolded(model, TREES["random40"])
     subgraphs = partition_into_subgraphs(graph, request)
-    assert built == {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+    assert built == NOTHING_BUILT
     assert len(graph._nodes) == len(graph._successors) == 0
     assert len(subgraphs) == 41
+    entries = []
+    subgraphs[0].commit(1, 0, entries)
+    assert entries == [(subgraphs[0], 0)] and built == NOTHING_BUILT
 
-    # Scheduling builds each node once, with nothing but its flags.
-    (node,) = subgraphs[0].commit(1, lambda sg, worker_id: sg.pin(worker_id), 0)
-    assert graph.node(0) is node and node.cell_type.name == "tree_leaf"
-    assert built == {"CellNode": 0, "RunNode": 1, "NodeOutput": 0, "ValueInput": 0}
+    submitted = run_chaos(server, rate=2500.0, num_requests=60, dataset=dataset)
+    assert len(server.finished) == 60
+    assert server.stats().nodes_processed > 60 * 10
+    assert built == NOTHING_BUILT
+    assert_invariants(server, submitted)
 
 
 def test_flatten_is_post_order_and_add_tree_accepts_it():

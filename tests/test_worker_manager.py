@@ -24,8 +24,9 @@ def make_task(model, length=1):
     request.graph = graph
     (sg,) = partition_into_subgraphs(graph, request)
     request.subgraphs = {sg.subgraph_id: sg}
-    (node,) = sg.commit(1, lambda sg, worker_id: None, 0)
-    return BatchedTask(0, node.cell_type, [(sg, node)])
+    entries = []
+    sg.commit(1, 0, entries)
+    return BatchedTask(0, graph.node(entries[0][1]).cell_type, entries)
 
 
 def make_worker(loop, completions, per_task_overhead=0.0):
