@@ -1,10 +1,12 @@
 """``repro.cluster`` — a simulated multi-replica serving cluster.
 
-N replicas (each an independent server built from the cluster spec's
-:class:`~repro.registry.ServerSpec` template) share one deterministic
-event loop behind a front-end router.  The cluster presents the ordinary
-``InferenceServer`` interface, so every existing harness — load
-generator, chaos helpers, experiment sweeps — drives a cluster unchanged.
+N replicas (each an independent BatchMaker server built from the cluster
+spec's :class:`~repro.registry.ServerSpec` template; the graph-batching
+baselines are comparators and never sit behind the router) share one
+deterministic event loop behind a front-end router.  The cluster presents
+the ordinary ``InferenceServer`` interface, so every existing harness —
+load generator, chaos helpers, experiment sweeps — drives a cluster
+unchanged.
 
 Entry points:
 
@@ -14,12 +16,12 @@ Entry points:
   (``round_robin``, ``least_outstanding``, ``shortest_queue``,
   ``predicted_delay``, ``most_free_memory``, ``length_bucketed``).
 * :class:`AutoscalerConfig` — EWMA-load autoscaling knobs.
-* :class:`ReplicaFailure` — deterministic replica-loss injection.
+* ``replica_failures=[(time, replica_id), ...]`` of :func:`build_cluster` —
+  deterministic replica-loss injection.
 """
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.cluster import ClusterServer, build_cluster
-from repro.cluster.faults import ReplicaFailure, normalize_failures
 from repro.cluster.metrics import ClusterCounters, ClusterStats, aggregate_fault_counters
 from repro.cluster.replica import ALIVE, DEAD, DRAINING, RETIRED, WARMING, Replica
 from repro.cluster.routing import (
@@ -55,14 +57,12 @@ __all__ = [
     "PredictedDelayRouter",
     "ROUTERS",
     "Replica",
-    "ReplicaFailure",
     "RoundRobinRouter",
     "RoutingPolicy",
     "ShortestQueueRouter",
     "aggregate_fault_counters",
     "build_cluster",
     "make_router",
-    "normalize_failures",
     "payload_length",
     "tie_break",
 ]

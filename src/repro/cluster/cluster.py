@@ -32,11 +32,11 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
-from repro.cluster.faults import normalize_failures
 from repro.cluster.metrics import ClusterCounters, ClusterStats, aggregate_fault_counters
 from repro.cluster.replica import ALIVE, DEAD, DRAINING, RETIRED, WARMING, Replica
 from repro.cluster.routing import make_router
 from repro.core.request import InferenceRequest, RequestState
+from repro.faults import DeviceFailure
 from repro.faults.sla import SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.policies.predict import LatencyPredictor
@@ -79,9 +79,11 @@ class ClusterServer(InferenceServer):
     loop:
         Shared event loop (default: a fresh one).
     replica_failures:
-        ``(time, replica_id)`` pairs (or :class:`ReplicaFailure`
-        instances): replicas die deterministically at scheduled virtual
-        times, mirroring ``FaultPlan.device_failures`` one level up.
+        ``(time, replica_id)`` pairs: replicas die deterministically at
+        scheduled virtual times, injected in ``(time, id)`` order, mirroring
+        ``FaultPlan.device_failures`` one level up.  A negative time or id
+        is refused (``DeviceFailure``'s checks; a negative id would index
+        the last replica).
     replica_runtime:
         Runtime-only keyword overrides passed to every replica's
         ``build_server`` call (``sla=...``, ``fault_plan=...``,
@@ -125,7 +127,6 @@ class ClusterServer(InferenceServer):
         self._alive: List[Replica] = []
         self._routable: List[Replica] = []
         self._warming = 0
-        self._next_replica_id = 0
         # Heterogeneous fleets (DESIGN.md §17): the initial replica ids'
         # class ranks, expanded from ``device_classes`` in declaration
         # order (empty for a homogeneous cluster), and the class cost
@@ -153,10 +154,11 @@ class ClusterServer(InferenceServer):
                 )
             self.autoscaler = Autoscaler(self, config)
 
-        for failure in normalize_failures(replica_failures):
+        failures = [DeviceFailure(time, replica_id) for time, replica_id in replica_failures]
+        for failure in sorted(failures, key=lambda f: (f.time, f.device_id)):
             self.loop.call_at(
                 max(failure.time, self.loop.now()),
-                lambda rid=failure.replica_id: self._replica_failed(rid),
+                lambda rid=failure.device_id: self._replica_failed(rid),
             )
         self._autotrace()
 
@@ -196,8 +198,7 @@ class ClusterServer(InferenceServer):
     # -- replica lifecycle ---------------------------------------------------
 
     def _add_replica(self, state: str) -> Replica:
-        replica_id = self._next_replica_id
-        self._next_replica_id += 1
+        replica_id = len(self.replicas)  # ids are list positions
         template = self.spec.replica
         base = template.name if template.name is not None else template.kind
         runtime = dict(self._replica_runtime)
@@ -209,18 +210,14 @@ class ClusterServer(InferenceServer):
             else:  # autoscaler spawn: rebalance toward the declared mix
                 class_rank = self._pick_spawn_class()
             cls = self.spec.device_classes[class_rank]
-        # Energy precedence (DESIGN.md §17): class energy > cluster default
-        # > the template's own (the default only fills an absent field);
-        # with neither classes nor a default the template is untouched.
-        energy = cls.get("energy") if cls is not None else None
-        if energy is None and template.energy is None:
-            energy = self.spec.energy
-        if energy is not None:
-            template = template.replace(energy=dict(energy))
-        if cls is not None and "cost_model" not in runtime:
-            cost_model = self._class_cost_model(class_rank)
-            if cost_model is not None:
-                runtime["cost_model"] = cost_model
+            # A class's energy envelope replaces the template's own
+            # (DESIGN.md §17); without one the template is untouched.
+            if cls.get("energy") is not None:
+                template = template.replace(energy=dict(cls["energy"]))
+            if "cost_model" not in runtime:
+                cost_model = self._class_cost_model(class_rank)
+                if cost_model is not None:
+                    runtime["cost_model"] = cost_model
         server = build_server(
             template.replace(name=f"{base}#r{replica_id}"), loop=self.loop, **runtime
         )
@@ -228,7 +225,6 @@ class ClusterServer(InferenceServer):
         if cls is not None:
             replica.device_class = cls["name"]
             replica.class_rank = class_rank
-            replica.latency_scale = float(cls.get("latency_scale", 1.0))
         # Per-replica predictor behind the predicted_delay routing metric —
         # per replica (not the cluster's) so one completion moves one
         # replica's key.  Left None otherwise: the metric then falls back to
@@ -298,7 +294,6 @@ class ClusterServer(InferenceServer):
         if warmup > 0:
             self.loop.call_after(warmup, lambda: self._activate_replica(replica))
         else:
-            replica.activated_at = now
             self.scale_events.append((now, "activate", replica.replica_id))
         return replica
 
@@ -306,7 +301,7 @@ class ClusterServer(InferenceServer):
         if replica.state != WARMING:  # lost or retired while warming
             return
         self._set_state(replica, ALIVE)
-        replica.activated_at = now = self.loop.now()
+        now = self.loop.now()
         self.scale_events.append((now, "activate", replica.replica_id))
         self._trace_lifecycle(trace_events.REPLICA_ACTIVATE, {"replica": replica.replica_id})
         # The autoscale warm-up window, from build to routable.
@@ -317,12 +312,9 @@ class ClusterServer(InferenceServer):
     def _drain_replica(self, now: float) -> None:
         """Autoscaler scale-down: stop routing to the least-loaded alive
         replica (newest id on ties — retire the most recently added) and
-        let it serve out its outstanding work."""
-        alive = self._alive
-        min_replicas = self.autoscaler.config.min_replicas if self.autoscaler else 1
-        if len(alive) <= min_replicas:
-            return
-        victim = min(alive, key=lambda r: (r.outstanding(), -r.replica_id))
+        let it serve out its outstanding work.  The autoscaler calls it only
+        above its ``min_replicas`` floor."""
+        victim = min(self._alive, key=lambda r: (r.outstanding(), -r.replica_id))
         self._set_state(victim, DRAINING)
         self.scale_events.append((now, "drain", victim.replica_id))
         self._maybe_retire(victim)
@@ -486,7 +478,8 @@ class ClusterServer(InferenceServer):
             logical.result = shadow.result
             logical.mark_finished(shadow.finish_time)
             latency = shadow.finish_time - shadow.arrival_time
-            replica.observe_latency(latency, finish_time=shadow.finish_time)
+            if replica.predictor is not None:
+                replica.observe_latency(latency, shadow.finish_time)
             if self.predictor is not None:  # the admission predictor
                 self.predictor.observe_request(
                     latency, shadow.queuing_time, shadow.computation_time
@@ -517,14 +510,11 @@ class ClusterServer(InferenceServer):
         # 2. Claim the still-live logical requests (deterministic shadow-id
         #    order) *before* the teardown pushes their shadows into the
         #    replica's timed_out list — reconciliation then skips those
-        #    unmapped shadows, and any late completions from a zombie
-        #    engine (baselines have no teardown hook) are ignored too.
+        #    unmapped shadows.  The faults layer's total-device-loss path
+        #    cancels in-flight work and leaves no replica events on the
+        #    shared loop.
         orphans = replica.orphan_logicals()
-        manager = replica.manager
-        if manager is not None:
-            # BatchMaker: the faults layer's total-device-loss path cancels
-            # in-flight work and leaves no replica events on the shared loop.
-            manager.fail_all_devices()
+        replica.manager.fail_all_devices()
         # 3. Re-route through the cluster's own routing policy; reject only
         #    on total loss.
         for logical in orphans:
@@ -561,21 +551,19 @@ class ClusterServer(InferenceServer):
         """Integrated joules summed over every replica's engine — active
         kernel energy plus idle power over sim time (0.0 when no replica
         carries an energy model, so loadgen extras stay absent)."""
-        return sum(replica.energy_joules() for replica in self.replicas)
+        return sum(replica.server.energy_joules() for replica in self.replicas)
 
     def tasks_submitted(self) -> int:
-        return sum(r.server.tasks_submitted() for r in self.replicas if r.manager is not None)
+        return sum(r.server.tasks_submitted() for r in self.replicas)
 
     def mean_batch_size(self) -> float:
         """Fleet cells over fleet tasks, so a task weighs the same whichever
-        replica ran it.  Replicas whose engine keeps no batch-size histogram
-        (the baselines) are skipped."""
+        replica ran it."""
         cells = tasks = 0
         for replica in self.replicas:
-            if replica.manager is not None:
-                for batch, count in replica.manager.scheduler.batch_size_counts.items():
-                    cells += batch * count
-                    tasks += count
+            for batch, count in replica.manager.scheduler.batch_size_counts.items():
+                cells += batch * count
+                tasks += count
         return cells / tasks if tasks else 0.0
 
     def __repr__(self) -> str:

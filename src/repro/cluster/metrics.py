@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.metrics.counters import FaultCounters
+from repro.metrics.counters import Counters, FaultCounters
 from repro.metrics.latency import percentile
 from repro.metrics.summary import format_table
 
 
-class ClusterCounters:
+class ClusterCounters(Counters):
     """Monotonic tallies of cluster-level events (the engine-level fault
     counters live per replica and are aggregated separately)."""
 
@@ -31,31 +31,12 @@ class ClusterCounters:
         "memory_rejections",    # arrivals shed by memory admission control
     )
 
-    def __init__(self):
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {field: getattr(self, field) for field in self.FIELDS}
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{field}={getattr(self, field)}"
-            for field in self.FIELDS
-            if getattr(self, field)
-        )
-        return f"<ClusterCounters {parts or 'clean'}>"
-
 
 def aggregate_fault_counters(replicas) -> FaultCounters:
-    """Sum every replica engine's fault counters (replicas without fault
-    machinery — the graph-batching baselines — contribute zeros)."""
+    """Sum every replica engine's fault counters."""
     total = FaultCounters()
     for replica in replicas:
-        counters = getattr(replica.server, "fault_counters", None)
-        if counters is None:
-            continue
-        for field, value in counters().as_dict().items():
+        for field, value in replica.server.fault_counters().as_dict().items():
             setattr(total, field, getattr(total, field) + value)
     return total
 
@@ -86,10 +67,10 @@ class ClusterStats:
                     str(len(server.timed_out)),
                     str(len(server.rejected)),
                     str(replica.outstanding()),
-                    f"{replica.ewma_latency * 1e3:.2f}",
                 ]
             )
-            self.total_joules += replica.energy_joules()
+            joules = server.energy_joules()
+            self.total_joules += joules
             if replica.device_class is None:
                 continue
             entry = self.by_class.setdefault(
@@ -106,7 +87,7 @@ class ClusterStats:
             entry["replicas"] += 1
             entry["routed"] += replica.routed
             entry["finished"] += len(server.finished)
-            entry["joules"] += replica.energy_joules()
+            entry["joules"] += joules
             entry["_latencies"].extend(
                 r.finish_time - r.arrival_time for r in server.finished
             )
@@ -122,7 +103,7 @@ class ClusterStats:
             format_table(
                 [
                     "replica", "state", "routed", "finished", "timed_out",
-                    "rejected", "outstanding", "ewma ms",
+                    "rejected", "outstanding",
                 ],
                 self.rows,
             ),

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from repro.core.batchmaker import BatchMakerServer
 from repro.core.request import InferenceRequest
-from repro.server import InferenceServer
 
 # Replica lifecycle.  WARMING: built, paying the autoscaler's warm-up cost,
 # not yet routable.  ALIVE: routable.  DRAINING: autoscaler is retiring it —
@@ -37,23 +37,22 @@ DEAD = "dead"
 
 
 class Replica:
-    """A cluster member: one server plus the routing-side bookkeeping."""
+    """A cluster member: one BatchMaker server plus the routing-side
+    bookkeeping."""
 
     def __init__(
         self,
         replica_id: int,
-        server: InferenceServer,
+        server: BatchMakerServer,
         state: str = ALIVE,
         created_at: float = 0.0,
     ):
         self.replica_id = replica_id
         self.server = server
-        # BatchMaker engines' manager (None for the baselines), read by the
-        # per-arrival routing key.
-        self.manager = getattr(server, "manager", None)
+        # The engine's manager, read by the per-arrival routing key.
+        self.manager = server.manager
         self.state = state
         self.created_at = created_at
-        self.activated_at: Optional[float] = created_at if state == ALIVE else None
         # Shadows routed here whose logical request is still this replica's
         # responsibility; reconciliation pops an entry when its shadow turns
         # terminal, replica loss pops them all (re-route), after which any
@@ -66,9 +65,6 @@ class Replica:
         # deterministic too); their sum against the lists' lengths lets
         # reconcile skip a replica with no new outcome.
         self.cursors = [0, 0, 0]
-        # EWMA of observed shadow latency; the shortest-queue router's
-        # projected-delay fallback for engines without a manager.
-        self.ewma_latency = 0.0
         # Optional per-replica LatencyPredictor behind the predicted_delay
         # routing metric; per-replica (not cluster-shared) so a completion
         # moves one replica's key, not all of them.  The previous
@@ -76,13 +72,11 @@ class Replica:
         self.predictor = None
         self._last_finish: Optional[float] = None
         # Heterogeneous-fleet identity (repro.registry ClusterSpec
-        # ``device_classes``): the class name, its rank in declaration
+        # ``device_classes``): the class name and its rank in declaration
         # order (0 = first declared; class-affinity routing maps length
-        # buckets onto ranks) and the uniform cost-model slowdown applied
-        # at build time.  Defaults describe a homogeneous cluster.
+        # buckets onto ranks).  Defaults describe a homogeneous cluster.
         self.device_class: Optional[str] = None
         self.class_rank = 0
-        self.latency_scale = 1.0
 
     # -- routing interface ----------------------------------------------------
 
@@ -95,38 +89,27 @@ class Replica:
         )
 
     def projected_delay(self) -> float:
-        """Seconds a new request would plausibly wait on this replica.
-
-        BatchMaker replicas expose the manager's projected queueing delay
-        (min device backlog + EWMA drain time of queued ready nodes); other
-        engines fall back to outstanding-requests x EWMA request latency.
-        """
+        """Seconds a new request would plausibly wait on this replica: the
+        manager's projected queueing delay (min device backlog + EWMA drain
+        time of queued ready nodes); infinite with no alive device."""
         manager = self.manager
-        if manager is None:
-            return self.ewma_latency * self.outstanding()
         if not manager.alive_devices:
             return math.inf
         return manager.projected_queue_delay()
 
     def free_memory(self) -> float:
         """Free device-memory bytes over the engine's alive workers;
-        infinite for engines without a memory model (every replica then
-        ties and the metric and memory admission are inert)."""
-        memory = getattr(self.server, "memory", None)
+        infinite without a memory model (every replica then ties and the
+        metric and memory admission are inert)."""
+        memory = self.server.memory
         return float("inf") if memory is None else memory.free_bytes()
 
     def energy_cost(self) -> float:
         """Estimated marginal joules to serve one cell on this replica
-        (``EnergyAccounting.joules_per_cell``); zero for engines without
-        an energy model, so the ``cheapest_energy`` metric is then inert."""
-        energy = getattr(self.server, "energy", None)
+        (``EnergyAccounting.joules_per_cell``); zero without an energy
+        model, so the ``cheapest_energy`` metric is then inert."""
+        energy = self.server.energy
         return 0.0 if energy is None else energy.joules_per_cell()
-
-    def energy_joules(self) -> float:
-        """Integrated joules on this replica's engine (0.0 without an
-        energy model)."""
-        joules = getattr(self.server, "energy_joules", None)
-        return joules() if joules is not None else 0.0
 
     def predicted_delay(self) -> float:
         """Predicted seconds until a request newly routed here completes:
@@ -139,17 +122,13 @@ class Replica:
             return predictor.predicted_queue_delay(self.outstanding())
         return self.projected_delay()
 
-    def observe_latency(self, latency: float, finish_time: Optional[float] = None) -> None:
-        if self.ewma_latency == 0.0:
-            self.ewma_latency = latency
-        else:
-            self.ewma_latency += 0.2 * (latency - self.ewma_latency)
-        if self.predictor is not None:
-            self.predictor.observe_request(latency)
-            if finish_time is not None:
-                if self._last_finish is not None:
-                    self.predictor.observe_gap(finish_time - self._last_finish)
-                self._last_finish = finish_time
+    def observe_latency(self, latency: float, finish_time: float) -> None:
+        """Feed a finished shadow to the replica's predictor (the caller
+        checks there is one)."""
+        self.predictor.observe_request(latency)
+        if self._last_finish is not None:
+            self.predictor.observe_gap(finish_time - self._last_finish)
+        self._last_finish = finish_time
 
     # -- shadow lifecycle ------------------------------------------------------
 

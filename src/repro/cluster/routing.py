@@ -200,7 +200,7 @@ class LengthBucketedRouter(RoutingPolicy):
         return candidates[bucket % len(candidates)]
 
 
-class ClassAffinityRouter(RoutingPolicy):
+class ClassAffinityRouter(LengthBucketedRouter):
     """Length-bucketed routing that respects heterogeneous device classes.
 
     Each candidate carries the ``class_rank`` its replica was built with
@@ -218,12 +218,6 @@ class ClassAffinityRouter(RoutingPolicy):
     """
 
     name = "class_affinity"
-
-    def __init__(self, seed: int = 0, bucket_width: int = 16):
-        super().__init__(seed)
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
-        self.bucket_width = int(bucket_width)
 
     def _choose(self, request, candidates):
         bucket = payload_length(request.payload) // self.bucket_width

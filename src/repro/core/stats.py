@@ -28,10 +28,10 @@ class ServerStats:
         # Fault/SLA counters (all zero on a healthy run).
         self.faults = manager.fault_counters.as_dict()
         self.any_faults = manager.fault_counters.any_faults()
-        self.timed_out_requests = len(getattr(server, "timed_out", ()))
-        self.rejected_requests = len(getattr(server, "rejected", ()))
+        self.timed_out_requests = len(server.timed_out)
+        self.rejected_requests = len(server.rejected)
         now = manager.loop.now()
-        energy = getattr(server, "energy", None)  # the EnergyAccounting, if any
+        energy = server.energy  # the EnergyAccounting, if any
         self.energy_enabled = energy is not None
         self.total_joules = energy.total_joules() if self.energy_enabled else 0.0
         self.workers = []

@@ -109,12 +109,8 @@ class Worker:
         if self.device.energy is not None:
             # Charge the batched kernel at the frequency in effect now;
             # stragglers and gather/migration copies burn power too, so the
-            # final wall duration is the right integrand.  Joules split
-            # evenly across the task's distinct member requests.
-            self.device.energy.charge_task(
-                duration,
-                [sg.request.request_id for sg in subgraphs],
-            )
+            # final wall duration is the right integrand.
+            self.device.energy.charge_task(duration)
         self.outstanding += 1
         self._inflight[task.task_id] = task
         on_retire = (

@@ -14,12 +14,11 @@ and core frequency.  This module adds the bookkeeping half of that trade:
 ``EnergyModel``
     Strict per-device accounting attached to ``GPUDevice.energy`` (peer to
     ``GPUDevice.memory``).  Active energy is charged per batched kernel at
-    submission — duration x dynamic watts at the frequency then in effect —
-    and attributed evenly across the task's distinct member requests.  Idle
-    energy is integrated against the device timeline at read time.  The
-    invariant (asserted in chaos tests): attributed + unattributed active
-    joules telescope to the active total within 1e-9, and integrated energy
-    is exactly active + idle.
+    submission — duration x dynamic watts at the frequency then in effect.
+    Idle energy is integrated against the device timeline at read time, so
+    integrated energy is exactly active + idle.  The per-request split of
+    the active joules is a test oracle (``tests/oracles/energy_attribution.py``),
+    whose books telescope to the active total (DESIGN.md §28).
 
 ``EnergyAccounting``
     The engine extension (DESIGN.md §22) that puts a model and a governor
@@ -46,7 +45,7 @@ is what makes the energy-vs-p99 Pareto frontier in ``fig_energy`` nontrivial.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.extension import EngineExtension
 from repro.spec import Spec
@@ -124,11 +123,7 @@ class EnergyModel:
         self.frequency = float(frequency)
         self.start_time = float(start_time)
         self.active_joules = 0.0
-        self.unattributed_joules = 0.0
-        self.tasks_charged = 0
         self.frequency_changes = 0
-        self._per_request: Dict[int, float] = {}
-        self._attributed = 0.0
 
     @classmethod
     def from_spec(cls, spec: EnergySpec, start_time: float = 0.0) -> "EnergyModel":
@@ -151,8 +146,8 @@ class EnergyModel:
             self.frequency = float(frequency)
             self.frequency_changes += 1
 
-    def charge_task(self, duration: float, request_ids: Iterable[int]) -> float:
-        """Charge one batched kernel, splitting joules across its requests.
+    def charge_task(self, duration: float) -> float:
+        """Charge one batched kernel at the current frequency.
 
         ``duration`` is the task's final wall duration (stragglers and
         gather/migration overheads included — they burn power too).
@@ -162,27 +157,7 @@ class EnergyModel:
             raise ValueError(f"duration must be >= 0, got {duration}")
         joules = duration * self.dynamic_watts
         self.active_joules += joules
-        self.tasks_charged += 1
-        ids = list(request_ids)
-        if ids:
-            share = joules / len(ids)
-            per_request = self._per_request
-            for request_id in ids:
-                per_request[request_id] = per_request.get(request_id, 0.0) + share
-            self._attributed += joules
-        else:
-            self.unattributed_joules += joules
         return joules
-
-    def request_joules(self, request_id: int) -> float:
-        return self._per_request.get(request_id, 0.0)
-
-    def per_request_joules(self) -> Dict[int, float]:
-        return dict(self._per_request)
-
-    def attributed_joules(self) -> float:
-        """Running total of joules attributed to specific requests."""
-        return self._attributed
 
     def idle_joules(self, now: float, busy_time: float) -> float:
         """Static energy: idle watts over the non-busy span since start."""
@@ -202,10 +177,6 @@ class EnergyModel:
         """
         self.start_time = float(now)
         self.active_joules = 0.0
-        self.unattributed_joules = 0.0
-        self.tasks_charged = 0
-        self._per_request.clear()
-        self._attributed = 0.0
 
 
 class FixedGovernor:
@@ -352,12 +323,6 @@ class HeadroomGovernor:
         self.target = float(target)
         self._ewma = _UtilizationEWMA(tau)
         self._frequency = self.max_frequency
-
-    @property
-    def demand(self) -> float:
-        """Estimated busy fraction the workload would produce at the top
-        state (frequency-normalised utilization)."""
-        return self._ewma.utilization
 
     def initial_frequency(self) -> float:
         return self._frequency

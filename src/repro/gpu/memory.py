@@ -158,13 +158,6 @@ class MemoryModel:
             self._per_request[request_id] = held - nbytes
         self.state_reserved -= nbytes
 
-    def release_request(self, request_id: int) -> int:
-        """Free everything ``request_id`` holds (terminal states, eviction);
-        returns the bytes freed.  A request with no reservation frees 0."""
-        held = self._per_request.pop(request_id, 0)
-        self.state_reserved -= held
-        return held
-
     def holds(self, request_id: int) -> int:
         return self._per_request.get(request_id, 0)
 

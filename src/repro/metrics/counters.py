@@ -8,10 +8,31 @@ surface them next to throughput and latency.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 
-class FaultCounters:
+class Counters:
+    """Monotonic tallies: one int attribute per name in ``FIELDS``."""
+
+    FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self):
+        for field in self.FIELDS:
+            setattr(self, field, 0)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {field: getattr(self, field) for field in self.FIELDS}
+
+    def __repr__(self) -> str:
+        parts = ", ".join(
+            f"{field}={getattr(self, field)}"
+            for field in self.FIELDS
+            if getattr(self, field)
+        )
+        return f"<{type(self).__name__} {parts or 'clean'}>"
+
+
+class FaultCounters(Counters):
     """Monotonic tallies of injected faults and SLA reactions."""
 
     FIELDS = (
@@ -27,13 +48,6 @@ class FaultCounters:
         "oom_cancellations",          # terminal: a reservation overcommitted
     )
 
-    def __init__(self):
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {field: getattr(self, field) for field in self.FIELDS}
-
     def any_faults(self) -> bool:
         """True when anything beyond normal completions was recorded."""
         return any(
@@ -41,11 +55,3 @@ class FaultCounters:
             for field in self.FIELDS
             if field != "requests_completed"
         )
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{field}={getattr(self, field)}"
-            for field in self.FIELDS
-            if getattr(self, field)
-        )
-        return f"<FaultCounters {parts or 'clean'}>"

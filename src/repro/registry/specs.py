@@ -23,6 +23,12 @@ def _copy(block: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     return None if block is None else dict(block)
 
 
+def _require_batchmaker(field: str, spec: "ServerSpec") -> None:
+    """The cluster and the live front door deploy BatchMaker engines only."""
+    if spec.kind != "batchmaker":
+        raise ValueError(f"{field} must be a batchmaker ServerSpec, got kind {spec.kind!r}")
+
+
 class ServerSpec(Spec):
     """One server, as data.
 
@@ -110,10 +116,11 @@ class ClusterSpec(Spec):
     Parameters
     ----------
     replica:
-        The spec every replica is built from.  Without ``device_classes``
-        the cluster is homogeneous; with them, replicas are built from the
-        same spec re-calibrated per class (cost-model tables, latency
-        scale, energy envelope).
+        The spec every replica is built from; a ``batchmaker`` one (the
+        graph-batching baselines are comparators, never deployed behind a
+        router).  Without ``device_classes`` the cluster is homogeneous;
+        with them, replicas are built from the same spec re-calibrated per
+        class (cost-model tables, latency scale, energy envelope).
     num_replicas:
         Initial replica count (the autoscaler may add or drain replicas
         at runtime, within its configured bounds).
@@ -148,12 +155,6 @@ class ClusterSpec(Spec):
         (``"memory_reject"``).  Routing by free memory additionally needs
         the replica spec itself to carry a ``memory`` field — without one
         every replica reports infinite free bytes and this is inert.
-    energy:
-        ``EnergySpec.to_dict()`` form applied as the *default* energy
-        envelope of every batchmaker replica that does not carry its own
-        ``energy`` field (a device class's ``energy`` entry wins over
-        this).  None leaves replicas exactly as their spec declares them —
-        the bit-identity-guaranteed path.
     device_classes:
         Heterogeneous fleet declaration: a list of dicts, one per device
         class, each with ``name`` (unique), ``replicas`` (how many of the
@@ -162,7 +163,8 @@ class ClusterSpec(Spec):
         e.g. 2.0 for a device half as fast), ``tables`` (cell-name ->
         :data:`repro.gpu.costmodel.NAMED_TABLES` entry, re-calibrating
         individual cells, e.g. ``{"lstm": "cpu_lstm_step"}``) and
-        ``energy`` (``EnergySpec.to_dict()`` form for this class).  Class
+        ``energy`` (``EnergySpec.to_dict()`` form for this class, in place
+        of the replica spec's own ``energy``).  Class
         replica counts must sum to ``num_replicas``; initial replica ids
         are assigned to classes in declaration order.  Autoscaler spawns
         pick the class most under-provisioned relative to the declared
@@ -178,12 +180,12 @@ class ClusterSpec(Spec):
     name: Optional[str] = None
     sla: Optional[Dict[str, Any]] = None
     memory: Optional[Dict[str, Any]] = None
-    energy: Optional[Dict[str, Any]] = None
     device_classes: Optional[list] = None
 
     def __post_init__(self):
         if not isinstance(self.replica, ServerSpec):
             raise TypeError(f"replica must be a ServerSpec, got {type(self.replica)!r}")
+        _require_batchmaker("replica", self.replica)
         if self.num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         if self.device_classes is not None:
@@ -216,7 +218,6 @@ class ClusterSpec(Spec):
         self.autoscaler = _copy(self.autoscaler)
         self.sla = _copy(self.sla)
         self.memory = _copy(self.memory)
-        self.energy = _copy(self.energy)
 
     def __repr__(self) -> str:
         return (
@@ -237,7 +238,8 @@ class ServeSpec(Spec):
     Parameters
     ----------
     server / cluster:
-        The engine behind the front door; exactly one must be given.
+        The engine behind the front door; exactly one must be given, and
+        a server is a ``batchmaker`` one.
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port (tests).
     journal:
@@ -258,8 +260,10 @@ class ServeSpec(Spec):
     def __post_init__(self):
         if (self.server is None) == (self.cluster is None):
             raise ValueError("exactly one of server= / cluster= must be given")
-        if self.server is not None and not isinstance(self.server, ServerSpec):
-            raise TypeError(f"server must be a ServerSpec, got {type(self.server)!r}")
+        if self.server is not None:
+            if not isinstance(self.server, ServerSpec):
+                raise TypeError(f"server must be a ServerSpec, got {type(self.server)!r}")
+            _require_batchmaker("server", self.server)
         if self.cluster is not None and not isinstance(self.cluster, ClusterSpec):
             raise TypeError(f"cluster must be a ClusterSpec, got {type(self.cluster)!r}")
         if not 0 <= int(self.port) <= 65535:

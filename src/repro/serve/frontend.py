@@ -2,16 +2,17 @@
 
 ``ServeApp`` wires the four serve components together: a
 :class:`~repro.serve.bridge.LiveEventLoop` drives the *unmodified* engine
-(a bare :func:`~repro.registry.build_server` engine or a
-:func:`~repro.cluster.build_cluster` cluster, per the
-:class:`~repro.registry.ServeSpec`), a
+(a bare BatchMaker engine or a cluster of them, per the
+:class:`~repro.registry.ServeSpec`; :func:`build_engine`), a
 :class:`~repro.serve.store.RequestStore` journals every request's
 lifecycle, and a hand-rolled HTTP/1.1 server on asyncio streams (no
 third-party deps, keep-alive supported) exposes it:
 
 ===========================  ==========================================
 ``POST /v1/requests``        submit ``{"payload": ..., "deadline": s,
-                             "tag": ...}`` -> 201 + record JSON
+                             "tag": ...}`` -> 201 + record JSON (400 for
+                             a deadline that is not a positive finite
+                             number)
 ``GET /v1/requests/<id>``    lifecycle record (state, timestamps, latency)
 ``GET /v1/requests/<id>/result``  result payload once SUCCEEDED (409 before)
 ``POST /v1/requests/<id>/cancel`` abort a non-terminal request
@@ -28,6 +29,8 @@ FAILED`` (the reject reason is preserved), client cancels and shutdown
 drains -> ``ABORTED``.  A request cancelled out from under the engine is
 *detached*: its eventual engine outcome is counted
 (``late_terminals``) but can never illegally re-terminalise the record.
+A request whose ``Content-Length`` is not a non-negative integer gets 400
+and the connection closes.
 
 Graceful shutdown (SIGINT/SIGTERM or ``POST /v1/shutdown``): new submits
 get 503, cluster replicas flip to DRAINING (the autoscaler's
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -50,7 +54,8 @@ from repro.registry import build_server
 from repro.registry.specs import ServeSpec
 from repro.serve import store as store_mod
 from repro.serve.bridge import LiveEventLoop
-from repro.serve.store import RequestStore
+from repro.serve.store import RequestRecord, RequestStore
+from repro.sim.events import EventLoop
 
 
 class _HttpError(Exception):
@@ -71,16 +76,22 @@ _REASONS = {
 }
 
 
+def build_engine(spec: ServeSpec, loop: Optional[EventLoop] = None):
+    """The engine a :class:`ServeSpec` puts behind the front door: its
+    cluster, else its server (the live app and the parity harness's
+    simulated twin both build through here)."""
+    if spec.cluster is not None:
+        return build_cluster(spec.cluster, loop=loop)
+    return build_server(spec.server, loop=loop)
+
+
 class ServeApp:
     """One live serving deployment (see module docstring)."""
 
     def __init__(self, spec: ServeSpec):
         self.spec = spec
         self.live = LiveEventLoop()
-        if spec.cluster is not None:
-            self.server = build_cluster(spec.cluster, loop=self.live)
-        else:
-            self.server = build_server(spec.server, loop=self.live)
+        self.server = build_engine(spec, loop=self.live)
         self.store = RequestStore(spec.journal)
         # Records journalled by a previous life of this journal that never
         # reached a terminal state died with that process: abort them now
@@ -102,18 +113,16 @@ class ServeApp:
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self.port: Optional[int] = spec.port or None
-        self.exit_code = 0
         # Status becomes visible the moment the engine's callbacks ran:
         # every pump (timer-driven or inline after a submit) ends in a sync.
         self.live.after_pump = lambda fired: self.sync()
 
     # -- engine <-> store sync --------------------------------------------
 
-    def sync(self) -> int:
+    def sync(self) -> None:
         """Fold newly terminal engine outcomes onto store records and
         promote started-but-unfinished ones to RUNNING.  Cursor-based like
         the cluster's reconciliation, so each outcome is visited once."""
-        moved = 0
         buckets = (
             (self.server.finished, store_mod.SUCCEEDED),
             (self.server.timed_out, store_mod.FAILED),
@@ -132,11 +141,6 @@ class ServeApp:
                     continue
                 self._inflight.pop(rid, None)
                 record = self.store.get(rid)
-                when = (
-                    request.terminal_time
-                    if request.terminal_time is not None
-                    else self.live.clock.now()
-                )
                 if (
                     record.state == store_mod.PENDING
                     and request.start_time is not None
@@ -147,13 +151,12 @@ class ServeApp:
                 self.store.transition(
                     rid,
                     state,
-                    when,
+                    request.terminal_time,
                     reason=request.cancel_reason
                     if state == store_mod.FAILED
                     else None,
                     result=request.result,
                 )
-                moved += 1
             self._cursors[index] = cursor
         for rid, request in self._inflight.items():
             if request.start_time is not None:
@@ -162,18 +165,12 @@ class ServeApp:
                     self.store.transition(
                         rid, store_mod.RUNNING, request.start_time
                     )
-                    moved += 1
-        return moved
 
     def outstanding(self) -> int:
         """Engine-side in-flight count (drain progress)."""
-        manager = getattr(self.server, "manager", None)
-        if manager is not None:
-            return manager.outstanding()
-        replicas = getattr(self.server, "replicas", None)
-        if replicas is not None:
-            return sum(r.outstanding() for r in replicas)
-        return len(self._inflight)
+        if self.spec.cluster is not None:
+            return sum(r.outstanding() for r in self.server.replicas)
+        return self.server.manager.outstanding()
 
     # -- request operations (transport-independent; the bench drives these
     # -- directly to price the front end without socket noise) -------------
@@ -197,26 +194,25 @@ class ServeApp:
         self.live.pump_now()
         return self.store.get(record.rid).to_dict()
 
-    def status(self, rid: int) -> Dict[str, Any]:
+    def _record(self, rid: int) -> RequestRecord:
         record = self.store.get(rid)
         if record is None:
             raise _HttpError(404, f"unknown request id {rid}")
-        return record.to_dict()
+        return record
+
+    def status(self, rid: int) -> Dict[str, Any]:
+        return self._record(rid).to_dict()
 
     def result(self, rid: int) -> Dict[str, Any]:
-        record = self.store.get(rid)
-        if record is None:
-            raise _HttpError(404, f"unknown request id {rid}")
+        record = self._record(rid)
         if record.state != store_mod.SUCCEEDED:
             raise _HttpError(
                 409, f"request {rid} is {record.state}, not SUCCEEDED"
             )
-        return {"rid": rid, "result": _jsonable(record.result)}
+        return {"rid": rid, "result": record.result}
 
     def cancel(self, rid: int) -> Dict[str, Any]:
-        record = self.store.get(rid)
-        if record is None:
-            raise _HttpError(404, f"unknown request id {rid}")
+        record = self._record(rid)
         if record.terminal:
             raise _HttpError(409, f"request {rid} is already {record.state}")
         request = self._inflight.pop(rid, None)
@@ -234,11 +230,8 @@ class ServeApp:
             "timed_out": len(self.server.timed_out),
             "rejected": len(self.server.rejected),
         }
-        counters = getattr(self.server, "cluster_counters", None)
-        if counters is not None:
-            engine["cluster"] = {
-                k: v for k, v in vars(counters).items() if isinstance(v, int)
-            }
+        if self.spec.cluster is not None:
+            engine["cluster"] = self.server.cluster_counters.as_dict()
         return {
             "store": counts,
             "terminal": self.store.terminal_count(),
@@ -259,14 +252,12 @@ class ServeApp:
         if self.draining:
             return
         self.draining = True
-        # Cluster: reuse drain-before-retire — replicas stop being routable
-        # and retire once their outstanding work telescopes to zero.
-        stop_routing = getattr(self.server, "stop_routing", None)
-        if stop_routing is not None:
-            stop_routing()
-        manager = getattr(self.server, "manager", None)
-        if manager is not None:
-            manager.wake()
+        if self.spec.cluster is not None:
+            # Reuse drain-before-retire: replicas stop being routable and
+            # retire once their outstanding work telescopes to zero.
+            self.server.stop_routing()
+        else:
+            self.server.manager.wake()
         deadline = time.monotonic() + self.spec.drain_grace
         while self.outstanding() > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
@@ -294,7 +285,8 @@ class ServeApp:
     # -- HTTP transport ----------------------------------------------------
 
     async def serve(self, ready: Optional[threading.Event] = None) -> int:
-        """Run until shut down; returns the exit code (0 on clean drain)."""
+        """Run until shut down; returns the exit code (0: a shutdown always
+        drains, aborting what the grace period leaves)."""
         self.live.attach()
         self._stopped = asyncio.Event()
         self._http_server = await asyncio.start_server(
@@ -314,7 +306,7 @@ class ServeApp:
         if ready is not None:
             ready.set()
         await self._stopped.wait()
-        return self.exit_code
+        return 0
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -338,10 +330,14 @@ class ServeApp:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                body = b""
-                length = int(headers.get("content-length", 0) or 0)
-                if length:
-                    body = await reader.readexactly(length)
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    await self._respond(
+                        writer, 400, {"error": f"bad Content-Length {declared!r}"}
+                    )
+                    break
+                length = int(declared)
+                body = await reader.readexactly(length) if length else b""
                 self.http_requests += 1
                 try:
                     status, payload = self._route(method, path, body)
@@ -407,10 +403,12 @@ class ServeApp:
             if "payload" not in data:
                 raise _HttpError(400, "missing 'payload'")
             deadline = data.get("deadline")
+            # bool is an int subclass (``true`` is not a 1 s deadline); JSON
+            # NaN / Infinity parse to floats the engine refuses.
             if deadline is not None and (
-                not isinstance(deadline, (int, float)) or deadline <= 0
+                type(deadline) not in (int, float) or not 0 < deadline < math.inf
             ):
-                raise _HttpError(400, "deadline must be a positive number")
+                raise _HttpError(400, "deadline must be a positive finite number")
             return 201, self.submit_payload(
                 data["payload"], deadline=deadline, tag=data.get("tag")
             )
@@ -446,16 +444,6 @@ def _parse_json(body: bytes) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise _HttpError(400, "JSON object expected")
     return data
-
-
-def _jsonable(value: Any) -> Any:
-    """Results may carry numpy arrays (real-compute mode); degrade to
-    something JSON can carry rather than 500ing the result endpoint."""
-    try:
-        json.dumps(value)
-        return value
-    except (TypeError, ValueError):
-        return repr(value)
 
 
 class ServeHandle:

@@ -92,6 +92,17 @@ class HttpConn:
             pass
 
 
+def percentile_ms(latencies: Dict[int, float], p: float) -> Optional[float]:
+    """Nearest-rank ``p``-th percentile of per-index latencies (seconds),
+    in ms; None when there are none.  The parity bands were calibrated on
+    this rank rule."""
+    values = sorted(latencies.values())
+    if not values:
+        return None
+    index = min(len(values) - 1, max(0, round(p / 100.0 * (len(values) - 1))))
+    return 1e3 * values[index]
+
+
 class LoadgenReport:
     """Everything one live run produced, keyed by plan index."""
 
@@ -125,13 +136,6 @@ class LoadgenReport:
     def lost(self) -> int:
         """Submitted but never reached a terminal record — must be 0."""
         return len(self.rid_of) - len(self.records)
-
-    def percentile_ms(self, p: float) -> Optional[float]:
-        values = sorted(self.latencies.values())
-        if not values:
-            return None
-        index = min(len(values) - 1, max(0, round(p / 100.0 * (len(values) - 1))))
-        return 1e3 * values[index]
 
 
 async def run_loadgen(
@@ -286,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report, metrics = asyncio.run(run())
     counts = report.state_counts()
-    p50, p99 = report.percentile_ms(50), report.percentile_ms(99)
+    p50, p99 = percentile_ms(report.latencies, 50), percentile_ms(report.latencies, 99)
     print(
         f"loadgen: {args.num_requests} requests @ {args.rate:.0f} req/s over "
         f"{report.wall_seconds:.1f}s wall -> {counts}"

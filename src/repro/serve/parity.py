@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.serve.loadgen import percentile_ms
 from repro.serve.store import ABORTED, FAILED, SUCCEEDED
 
 # Calibrated on the default workload (rate=200, n=300, lstm dataset):
@@ -54,13 +55,6 @@ class WorldResult:
         self.latencies = latencies
         self.extras = dict(extras or {})
 
-    def percentile_ms(self, p: float) -> Optional[float]:
-        values = sorted(self.latencies.values())
-        if not values:
-            return None
-        index = min(len(values) - 1, max(0, round(p / 100.0 * (len(values) - 1))))
-        return 1e3 * values[index]
-
 
 class ParityResult:
     """The comparison verdict plus everything needed to debug a miss."""
@@ -82,13 +76,14 @@ class ParityResult:
         return not self.mismatches
 
     def describe(self) -> str:
+        sim, live = self.sim.latencies, self.live.latencies
         lines = [
             f"sim : n={len(self.sim.outcomes)} "
-            f"p50={self.sim.percentile_ms(50):.2f}ms "
-            f"p99={self.sim.percentile_ms(99):.2f}ms",
+            f"p50={percentile_ms(sim, 50):.2f}ms "
+            f"p99={percentile_ms(sim, 99):.2f}ms",
             f"live: n={len(self.live.outcomes)} "
-            f"p50={self.live.percentile_ms(50):.2f}ms "
-            f"p99={self.live.percentile_ms(99):.2f}ms",
+            f"p50={percentile_ms(live, 50):.2f}ms "
+            f"p99={percentile_ms(live, 99):.2f}ms",
             f"bands: p50 ±{self.bands['p50_band_ms']:.2f}ms, "
             f"p99 ±{self.bands['p99_band_ms']:.2f}ms",
         ]
@@ -115,17 +110,12 @@ def run_sim(
     ``request_id`` *is* the plan index — the same identity the live
     loadgen carries as ``tag``.
     """
-    from repro.cluster.cluster import build_cluster
-    from repro.registry.builders import build_server
     from repro.registry.presets import lstm_serve_spec
+    from repro.serve.frontend import build_engine
     from repro.serve.loadgen import DATASETS
     from repro.workload.loadgen import LoadGenerator
 
-    spec = lstm_serve_spec(num_replicas=num_replicas)
-    if spec.server is not None:
-        server = build_server(spec.server)
-    else:
-        server = build_cluster(spec.cluster)
+    server = build_engine(lstm_serve_spec(num_replicas=num_replicas))
     plan = LoadGenerator(rate=rate, num_requests=num_requests, seed=seed).plan(
         DATASETS[dataset](dataset_seed)
     )
@@ -138,9 +128,7 @@ def run_sim(
     for request in server.finished:
         outcomes[request.request_id] = SUCCEEDED
         latencies[request.request_id] = request.finish_time - request.arrival_time
-    for request in getattr(server, "timed_out", ()):
-        outcomes[request.request_id] = FAILED
-    for request in getattr(server, "rejected", ()):
+    for request in server.timed_out + server.rejected:
         outcomes[request.request_id] = FAILED
     return WorldResult("sim", outcomes, latencies)
 
@@ -228,7 +216,7 @@ def compare(
 
     bands: Dict[str, float] = {}
     for p in (50, 99):
-        sim_p, live_p = sim.percentile_ms(p), live.percentile_ms(p)
+        sim_p, live_p = percentile_ms(sim.latencies, p), percentile_ms(live.latencies, p)
         band = max(abs_tol_ms, rel_tol * (sim_p or 0.0))
         bands[f"p{p}_band_ms"] = band
         if sim_p is None or live_p is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 PENDING = "PENDING"
 RUNNING = "RUNNING"
@@ -188,11 +188,6 @@ class RequestStore:
                 raise JournalCorrupt(
                     f"{path}:{index + 1}: malformed journal line before the tail"
                 )
-            self._apply(entry)
-
-    def replay_entries(self, entries: Iterable[Dict[str, Any]]) -> None:
-        """Apply journal entries tolerantly (tests feed these directly)."""
-        for entry in entries:
             self._apply(entry)
 
     def _apply(self, entry: Dict[str, Any]) -> None:

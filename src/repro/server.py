@@ -11,6 +11,7 @@ experiment harness treat them interchangeably.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional
 
 from repro.core.request import InferenceRequest
@@ -128,9 +129,10 @@ class InferenceServer:
     ) -> InferenceRequest:
         """Register a request to arrive at ``arrival_time`` (default: now).
 
-        ``deadline`` is relative to the arrival time; a request that has
-        not finished by then is cancelled with a terminal TIMED_OUT status
-        (servers without SLA machinery ignore it).
+        ``deadline`` is relative to the arrival time and must be positive
+        and finite; a request that has not finished by then is cancelled
+        with a terminal TIMED_OUT status (servers without SLA machinery
+        ignore it).
         """
         # Read the clock once: under a wall clock now() moves between two
         # reads, so re-reading would reject every explicit arrival time.
@@ -140,8 +142,8 @@ class InferenceServer:
             raise ValueError(
                 f"arrival time {when} is in the past (now={now})"
             )
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError(f"deadline must be positive and finite, got {deadline}")
         request = InferenceRequest(self._next_request_id, payload, when)
         if deadline is not None:
             request.deadline = when + deadline

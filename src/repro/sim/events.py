@@ -145,14 +145,6 @@ class EventLoop:
         """Number of not-yet-cancelled events in the queue (O(1))."""
         return self._live
 
-    def recount_pending(self) -> int:
-        """Brute-force reference for ``pending()``: scan the heap.
-
-        The chaos suite asserts ``pending() == recount_pending()`` after
-        adversarial cancel/fire interleavings, so any future drift in the
-        incremental counter is caught immediately."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap

@@ -111,8 +111,8 @@ class LoadGenerator:
         span = max(last - first, 1e-9)
         throughput = len(measured) / span
         extras = {}
-        timed_out = getattr(server, "timed_out", ())
-        rejected = getattr(server, "rejected", ())
+        timed_out = server.timed_out
+        rejected = server.rejected
         retries = sum(r.retries for r in server.terminal_requests())
         if timed_out or rejected or retries:
             # SLA outcomes (post-warmup), so fault sweeps can plot goodput

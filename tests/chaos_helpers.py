@@ -22,6 +22,7 @@ from tests.oracles.bruteforce_scheduler import (
     install_reference_scans,
     recount_ready_nodes,
 )
+from tests.oracles.reference_values import recount_pending
 
 
 def chaos_seeds(default: str = "7,23,51") -> List[int]:
@@ -106,7 +107,7 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
 
     # -- no leaks ---------------------------------------------------------
     loop = server.loop
-    assert loop.pending() == 0 == loop.recount_pending(), "leaked events"
+    assert loop.pending() == 0 == recount_pending(loop), "leaked events"
     scheduler = server.manager.scheduler
     for queue in scheduler._queues.values():
         assert not queue.subgraphs, f"leaked subgraphs in {queue!r}"

@@ -15,6 +15,7 @@ from repro.core.request import RequestState
 from repro.registry.presets import lstm_cluster_spec
 from repro.workload import SequenceDataset
 from repro.workload.arrivals import PoissonArrivals
+from tests.oracles.reference_values import recount_pending
 
 
 def build_lstm_cluster(
@@ -91,7 +92,7 @@ def assert_cluster_invariants(cluster: ClusterServer, submitted: List) -> None:
         assert request.terminal, f"request {request.request_id} never terminal"
         assert request.terminal_time is not None
 
-    assert cluster.loop.pending() == 0 == cluster.loop.recount_pending(), (
+    assert cluster.loop.pending() == 0 == recount_pending(cluster.loop), (
         "leaked events"
     )
     for replica in cluster.replicas:

@@ -272,7 +272,7 @@ def matrix() -> Dict[str, Row]:
     # Not most_free_memory at three replicas: with every device of two
     # replicas full and nothing in flight, each replica's defer-retry timer
     # keeps the shared loop non-empty, so neither ever sees "no pending
-    # event" and triages — the run never drains (ROADMAP item 10).  The
+    # event" and triages — the run never drains (ROADMAP item 2).  The
     # two-replica tier-1 row covers that router.
     for router in ("least_outstanding", "round_robin"):
         rows[f"cluster/memory/{router}"] = Row(

@@ -19,10 +19,8 @@ def projected_delay(replica) -> float:
     """``Replica.projected_delay`` in its earlier form: the least backlog
     over the alive workers' devices, plus the scheduler's ready nodes
     (recounted) times the per-node service estimate over the alive
-    devices; outstanding x EWMA latency for an engine without a manager."""
-    manager = getattr(replica.server, "manager", None)
-    if manager is None:
-        return replica.ewma_latency * replica.outstanding()
+    devices."""
+    manager = replica.server.manager
     if not manager.alive_devices:
         return float("inf")
     backlog = min(w.device.backlog() for w in manager.workers if w.alive)

@@ -85,13 +85,12 @@ def test_warming_replicas_not_routable():
     run_cluster(cluster, rate=12000.0, num_requests=600)
     # Scale-ups happened but nothing was routed to a still-warming replica
     # before its activation event fired.
-    for _, action, replica_id in cluster.scale_events:
+    for activated, action, replica_id in cluster.scale_events:
         if action != "activate":
             continue
         replica = next(
             r for r in cluster.replicas if r.replica_id == replica_id
         )
-        activated = replica.activated_at
         for shadow in replica.server.terminal_requests():
             assert shadow.arrival_time >= activated
 

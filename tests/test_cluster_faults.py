@@ -15,19 +15,28 @@ from tests.cluster_helpers import (
     run_cluster,
 )
 
-from repro.cluster import DEAD, ReplicaFailure, normalize_failures
+from repro.cluster import DEAD
 from repro.core.request import RequestState
 
 pytestmark = pytest.mark.chaos
 
 
-def test_normalize_failures_accepts_pairs_and_sorts():
-    failures = normalize_failures([(0.02, 1), ReplicaFailure(0.01, 2), (0.01, 0)])
-    assert [(f.time, f.replica_id) for f in failures] == [
-        (0.01, 0),
-        (0.01, 2),
-        (0.02, 1),
+def test_replica_failures_are_injected_in_time_then_id_order():
+    """Out-of-order pairs die in ``(time, id)`` order — two losses at one
+    instant fire by replica id, whatever order the caller listed them in —
+    and a negative time or id is refused."""
+    cluster = build_lstm_cluster(
+        num_replicas=3, seed=0, replica_failures=[(0.02, 1), (0.01, 2), (0.01, 0)]
+    )
+    cluster.drain()
+    assert [e for e in cluster.scale_events if e[1] == "lost"] == [
+        (0.01, "lost", 0),
+        (0.01, "lost", 2),
+        (0.02, "lost", 1),
     ]
+    for bad in ((-0.01, 0), (0.01, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_lstm_cluster(num_replicas=2, seed=0, replica_failures=[bad])
 
 
 @pytest.mark.parametrize("seed", chaos_seeds())

@@ -22,19 +22,30 @@ from repro.server import InferenceServer
 from repro.sim.events import EventLoop
 
 
-class _StubServer(InferenceServer):
-    """Terminal-list carrier for router unit tests (never runs)."""
+class _StubManager:
+    """The two things ``Replica.projected_delay`` reads of a manager."""
 
-    def __init__(self):
+    alive_devices = 1
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def projected_queue_delay(self):
+        return self.delay
+
+
+class _StubServer(InferenceServer):
+    """Terminal-list carrier for router unit tests (never runs), with a
+    stub manager whose projected queueing delay is ``delay``."""
+
+    def __init__(self, delay=0.0):
         super().__init__(EventLoop(), "stub")
+        self.manager = _StubManager(delay)
 
 
 def _replica(replica_id, outstanding=0, delay=0.0):
-    replica = Replica(replica_id, _StubServer())
+    replica = Replica(replica_id, _StubServer(delay))
     replica.routed = outstanding
-    replica.ewma_latency = 1.0
-    if delay:
-        replica.ewma_latency = delay / max(outstanding, 1)
     return replica
 
 

@@ -9,9 +9,12 @@ from repro.cluster.autoscaler import AutoscalerConfig
 from repro.registry import ClusterSpec, ServerSpec
 from repro.registry.presets import (
     all_cluster_specs,
+    fixed_tree_ideal_spec,
     lstm_batchmaker_spec,
     lstm_cluster_spec,
+    lstm_padded_spec,
     seq2seq_cluster_spec,
+    tree_dynet_spec,
 )
 
 
@@ -55,6 +58,14 @@ def test_unknown_router_param_in_spec_json_rejected_at_build():
 def test_replica_must_be_server_spec():
     with pytest.raises(TypeError):
         ClusterSpec(replica={"kind": "batchmaker"}, num_replicas=2)
+
+
+def test_replica_must_be_batchmaker():
+    """The graph-batching baselines are comparators: no cluster routes to
+    one, and a spec naming one is refused with its kind."""
+    for spec in (lstm_padded_spec(), tree_dynet_spec(), fixed_tree_ideal_spec()):
+        with pytest.raises(ValueError, match=f"replica.*batchmaker.*{spec.kind}"):
+            ClusterSpec(replica=spec, num_replicas=2)
 
 
 def test_num_replicas_validated():

@@ -28,7 +28,6 @@ CI_WORKFLOW = ".github/workflows/ci.yml"
 
 PAPER_4_1 = "paper §4.1: user-defined cells, the path a BatchMaker user takes to bring a cell"
 PAPER_4_2 = "paper §4.2: offline benchmarking that picks each cell's batch sizes"
-REFERENCE = "reference value tests compare the engine's own accounting against"
 SWEEP = "enumerates every preset so the round-trip tests sweep them all"
 
 # path under src/repro -> {qualified name: why it stays without a caller}
@@ -40,19 +39,7 @@ ALLOWED = {
         "profile_cell": PAPER_4_2,
         "recommend_config": PAPER_4_2,
     },
-    "gpu/energy.py": {
-        "EnergyModel.request_joules": REFERENCE,
-        "EnergyModel.per_request_joules": REFERENCE,
-        "EnergyModel.attributed_joules": REFERENCE,
-        "HeadroomGovernor.demand": REFERENCE,
-    },
-    "gpu/memory.py": {"MemoryModel.release_request": REFERENCE},
-    "sim/events.py": {"EventLoop.recount_pending": REFERENCE},
     "registry/presets.py": {"all_fig_specs": SWEEP, "all_cluster_specs": SWEEP},
-    "serve/store.py": {
-        "RequestStore.replay_entries": "journal replay from parsed entries: what "
-        "`RequestStore.replay` does per line, and the replay-equivalence tests' handle",
-    },
 }
 
 

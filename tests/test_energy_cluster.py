@@ -24,7 +24,6 @@ from repro.registry.presets import (
     eco_energy_spec,
     lstm_batchmaker_spec,
     lstm_hetero_cluster_spec,
-    v100_energy_spec,
 )
 from repro.workload import SequenceDataset
 from repro.workload.arrivals import PoissonArrivals
@@ -77,11 +76,9 @@ def test_build_assigns_class_identity_in_declaration_order():
     eco, first_v100, second_v100 = cluster.replicas
     assert eco.device_class == "eco"
     assert eco.class_rank == 0
-    assert eco.latency_scale == 3.0
     for replica in (first_v100, second_v100):
         assert replica.device_class == "v100"
         assert replica.class_rank == 1
-        assert replica.latency_scale == 1.0
 
 
 def test_class_cost_model_and_energy_installed():
@@ -248,7 +245,7 @@ def test_cluster_energy_joules_sums_replicas():
     total = cluster.energy_joules()
     assert total > 0
     assert total == pytest.approx(
-        sum(r.energy_joules() for r in cluster.replicas)
+        sum(r.server.energy_joules() for r in cluster.replicas)
     )
     assert cluster.stats().total_joules == pytest.approx(total)
 
@@ -278,7 +275,9 @@ def test_spawn_class_picks_most_underprovisioned():
     assert cluster._pick_spawn_class() == 1
     spawned = cluster._spawn_replica(cluster.loop.now())
     assert spawned.device_class == "v100"
-    assert spawned.latency_scale == 1.0
+    for worker in spawned.server.manager.workers:  # the class's own 1x tables
+        for table in worker.cost_model.tables().values():
+            assert "@x" not in table.name
     # The spawned replicas carry working engines with class energy models.
     for replica in cluster.replicas[-2:]:
         for worker in replica.server.manager.workers:
@@ -294,21 +293,6 @@ def test_cluster_spec_device_classes_round_trip():
     assert restored.device_classes == spec.device_classes
     assert restored.router == "cheapest_energy"
     assert restored.device_classes[0]["energy"] == eco_energy_spec().to_dict()
-
-
-def test_cluster_default_energy_fills_absent_class_energy():
-    """``ClusterSpec.energy`` is the fleet default: replicas whose class
-    (or template) declares no envelope inherit it."""
-    spec = ClusterSpec(
-        replica=lstm_batchmaker_spec(),
-        num_replicas=2,
-        energy=v100_energy_spec(governor="fixed").to_dict(),
-    )
-    cluster = build_cluster(spec)
-    for replica in cluster.replicas:
-        for worker in replica.server.manager.workers:
-            assert worker.device.energy is not None
-            assert worker.device.energy.active_watts == 250.0
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 """Unit tests for ``repro.gpu.energy`` (DESIGN.md §17).
 
 The value objects and physics in isolation: EnergySpec validation and the
-JSON round trip, EnergyModel's joule bookkeeping (charge / attribute /
-idle / reset), the structured ``{base}@x{factor}`` names DVFS-scaled
-latency tables carry, and the three governors' decision rules — including
-the time-weighted utilization EWMA that makes one long idle gap outweigh
-a burst of back-to-back busy samples.
+JSON round trip, EnergyModel's joule bookkeeping (charge / idle / reset,
+with the oracle's per-request split), the structured ``{base}@x{factor}``
+names DVFS-scaled latency tables carry, and the three governors' decision
+rules — including the time-weighted utilization EWMA that makes one long
+idle gap outweigh a burst of back-to-back busy samples.
 """
 
 import pytest
@@ -22,6 +22,8 @@ from repro.gpu.energy import (
     _UtilizationEWMA,
     make_governor,
 )
+from tests.oracles.energy_attribution import DeviceBooks
+from tests.oracles.reference_values import demand
 
 # -- EnergySpec --------------------------------------------------------------
 
@@ -71,21 +73,23 @@ def test_spec_validation(kwargs):
 
 
 def test_charge_splits_evenly_and_telescopes():
-    model = EnergyModel(active_watts=100.0, frequency=1.0)
-    joules = model.charge_task(2.0, [1, 2, 3, 4])
+    """The model charges duration x dynamic watts; the per-request split
+    the energy suites hold it to is the oracle's
+    (``tests/oracles/energy_attribution.py``)."""
+    model, books = EnergyModel(active_watts=100.0, frequency=1.0), DeviceBooks()
+    joules = model.charge_task(2.0)
     assert joules == pytest.approx(200.0)
     assert model.active_joules == pytest.approx(200.0)
-    assert model.request_joules(2) == pytest.approx(50.0)
-    assert model.attributed_joules() == pytest.approx(200.0)
-    assert model.unattributed_joules == 0.0
+    books.book(joules, [1, 2, 3, 4])
+    assert books.per_request[2] == pytest.approx(50.0)
+    assert books.attributed == pytest.approx(200.0)
+    assert books.unattributed == 0.0
     # A memberless charge (can't happen from the engine, but the books
     # must still balance) lands in the unattributed bucket.
-    model.charge_task(1.0, [])
-    assert model.unattributed_joules == pytest.approx(100.0)
-    assert model.attributed_joules() + model.unattributed_joules == (
-        pytest.approx(model.active_joules)
-    )
-    assert model.tasks_charged == 2
+    books.book(model.charge_task(1.0), [])
+    assert books.unattributed == pytest.approx(100.0)
+    assert books.attributed + books.unattributed == pytest.approx(model.active_joules)
+    assert books.tasks_charged == 2
 
 
 def test_dynamic_power_scales_superlinearly():
@@ -98,15 +102,15 @@ def test_dynamic_power_scales_superlinearly():
     assert model.frequency_changes == 1
     # Energy per unit of *work*: a kernel at half clock runs twice as long
     # at an eighth of the power — a quarter of the joules.
-    slow = model.charge_task(2.0, [1])
+    slow = model.charge_task(2.0)
     model.set_frequency(1.0)
-    fast = model.charge_task(1.0, [2])
+    fast = model.charge_task(1.0)
     assert slow == pytest.approx(fast / 4)
 
 
 def test_idle_and_integrated_joules():
     model = EnergyModel(idle_watts=10.0, active_watts=100.0, start_time=1.0)
-    model.charge_task(0.5, [7])
+    model.charge_task(0.5)
     # 3 s span, 0.5 s busy: 2.5 s of idle draw.
     assert model.idle_joules(4.0, 0.5) == pytest.approx(25.0)
     assert model.integrated_joules(4.0, 0.5) == pytest.approx(
@@ -116,13 +120,10 @@ def test_idle_and_integrated_joules():
 
 def test_reset_starts_a_fresh_window():
     model = EnergyModel(idle_watts=10.0, start_time=0.0)
-    model.charge_task(1.0, [1, 2])
+    model.charge_task(1.0)
     model.set_frequency(0.5)
     model.reset(5.0)
     assert model.active_joules == 0.0
-    assert model.tasks_charged == 0
-    assert model.attributed_joules() == 0.0
-    assert model.request_joules(1) == 0.0
     assert model.start_time == 5.0
     assert model.idle_joules(6.0, 0.0) == pytest.approx(10.0)
     # The DVFS state survives a reset (it's the board's clock, not a book).
@@ -131,7 +132,7 @@ def test_reset_starts_a_fresh_window():
 
 def test_charge_rejects_negative_duration():
     with pytest.raises(ValueError):
-        EnergyModel().charge_task(-1.0, [1])
+        EnergyModel().charge_task(-1.0)
 
 
 # -- DVFS table names --------------------------------------------------------
@@ -244,7 +245,7 @@ def test_headroom_picks_slowest_state_meeting_target():
     for step in range(1, 10):
         frequency = governor.decide(29e-3 + step * 20e-3, busy)
     assert frequency == 0.5
-    assert governor.demand < 0.4
+    assert demand(governor) < 0.4
 
 
 def test_headroom_validates_target():

@@ -11,8 +11,9 @@ Same contract shape as ``tests/test_memory_policies.py``:
    accounting can never move a timestamp.
 2. **Telescoping** — with a spec, across every chaos seed and under a
    fault storm (kernel faults, stragglers, a device loss): on every alive
-   device, attributed + unattributed joules equal the active total within
-   1e-9 at drain, and integrated energy is exactly active + idle.
+   device, the attribution oracle's attributed + unattributed joules
+   equal the model's active total within 1e-9 at drain, and integrated
+   energy is exactly active + idle.
 3. **Physics** — a pinned lower clock burns fewer active joules on the
    same workload (energy/kernel goes as f^(exponent-1)); the adaptive
    governors actually move the knob; DVFS trace instants carry the
@@ -39,12 +40,15 @@ from .chaos_helpers import (
     outcome_fingerprint,
     run_chaos,
 )
+from .oracles import energy_attribution
 from .oracles.bruteforce_scheduler import install_reference_scans
 
 
 def _server(energy=None, indexed=True, num_gpus=2, fault_plan=None):
     """``indexed=False`` schedules by the brute-force scans of
-    ``tests/oracles/bruteforce_scheduler.py``."""
+    ``tests/oracles/bruteforce_scheduler.py``; with an energy spec the
+    per-request split of ``tests/oracles/energy_attribution.py`` books
+    beside the engine."""
     server = BatchMakerServer(
         LSTMChainModel(),
         config=BatchingConfig.with_max_batch(64),
@@ -52,7 +56,18 @@ def _server(energy=None, indexed=True, num_gpus=2, fault_plan=None):
         fault_plan=fault_plan,
         energy=energy,
     )
+    if energy is not None:
+        energy_attribution.install(server)
     return server if indexed else install_reference_scans(server)
+
+
+def _books(server, worker):
+    """The attribution oracle's books of ``worker``'s device."""
+    (oracle,) = [
+        e for e in server.manager.extensions
+        if isinstance(e, energy_attribution.EnergyAttribution)
+    ]
+    return oracle.books[worker.worker_id]
 
 
 def _native_clock_spec(governor="fixed"):
@@ -76,12 +91,10 @@ def _telescope(server):
     now = server.loop.now()
     total_active = 0.0
     for worker in server.manager.workers:
-        model = worker.device.energy
+        model, books = worker.device.energy, _books(server, worker)
         assert model is not None
         assert abs(
-            model.attributed_joules()
-            + model.unattributed_joules
-            - model.active_joules
+            books.attributed + books.unattributed - model.active_joules
         ) < 1e-9, f"device {worker.worker_id} books don't telescope"
         busy = worker.device.timeline.busy_time(
             since=model.start_time, until=now
@@ -117,7 +130,7 @@ def test_native_clock_spec_is_bit_identical_to_no_spec(seed, indexed):
     # ...and it really was watching, not disabled.
     assert _telescope(server) > 0
     assert all(
-        w.device.energy.tasks_charged > 0 for w in server.manager.workers
+        _books(server, w).tasks_charged > 0 for w in server.manager.workers
     )
 
 
@@ -179,7 +192,7 @@ def test_books_telescope_under_fault_storm(seed):
         # reset() at death: the dead board's books restarted and nothing
         # ran on it afterwards.
         assert worker.device.energy.active_joules == 0.0
-        assert worker.device.energy.tasks_charged == 0
+        assert _books(server, worker).tasks_charged == 0
     # Fleet totals skip dead boards.
     assert server.energy_joules() == pytest.approx(
         sum(
@@ -200,11 +213,10 @@ def test_per_request_attribution_sums_to_attributed():
     submitted = run_chaos(server, num_requests=200)
     assert_invariants(server, submitted)
     for worker in server.manager.workers:
-        model = worker.device.energy
-        per_request = model.per_request_joules()
-        assert sum(per_request.values()) == pytest.approx(
-            model.attributed_joules()
-        )
+        books = _books(server, worker)
+        per_request = books.per_request
+        assert sum(per_request.values()) == pytest.approx(books.attributed)
+        assert books.attributed == pytest.approx(worker.device.energy.active_joules)
         assert set(per_request) <= {r.request_id for r in submitted}
 
 

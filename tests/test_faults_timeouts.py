@@ -34,6 +34,16 @@ def test_impossible_deadline_times_out_everything():
         assert request.terminal_time == pytest.approx(request.deadline)
 
 
+@pytest.mark.parametrize("deadline", [0.0, -1e-3, float("nan"), float("inf")])
+def test_a_deadline_that_is_not_positive_and_finite_is_refused(deadline):
+    """A NaN deadline used to be accepted and time the request out at
+    once; an infinite one parked a timer at ``inf`` on the loop."""
+    server = build_server(sla=SLAConfig())
+    with pytest.raises(ValueError, match="positive and finite"):
+        server.submit(8, deadline=deadline)
+    assert server.loop.pending() == 0
+
+
 def test_default_deadline_applies_when_not_explicit():
     server = build_server(sla=SLAConfig(default_deadline=1e-6))
     submitted = run_chaos(server, num_requests=20)

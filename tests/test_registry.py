@@ -108,6 +108,7 @@ class TestSpecRoundTrip:
                 (SLAConfig(), ("retry",), "backoff_factor"),
                 (EnergySpec(), (), "power_exponent"),
                 (EnergySpec(), (), "governor_params"),
+                (presets.lstm_cluster_spec(), (), "energy"),
             )
         ],
     )

@@ -2,11 +2,13 @@
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
 
-from repro.registry.presets import lstm_serve_spec
+from repro.registry import ServeSpec
+from repro.registry.presets import lstm_padded_spec, lstm_serve_spec
 from repro.serve.frontend import start_in_thread
 from repro.serve.store import ABORTED, SUCCEEDED
 
@@ -43,6 +45,13 @@ def _await_state(port, rid, state, timeout=10.0):
             return record
         time.sleep(0.01)
     raise AssertionError(f"request {rid} never reached {state}")
+
+
+def test_serve_spec_refuses_a_baseline_server():
+    """The live front door serves a BatchMaker engine (or a cluster of
+    them); a graph-batching baseline is refused with its kind."""
+    with pytest.raises(ValueError, match="server.*batchmaker.*padded"):
+        ServeSpec(server=lstm_padded_spec(), port=0)
 
 
 def test_healthz(live_server):
@@ -99,6 +108,41 @@ def test_error_statuses(live_server):
     conn.request("POST", "/v1/requests", body="{not json")
     assert conn.getresponse().status == 400
     conn.close()
+
+
+def test_non_finite_and_boolean_deadlines_get_400(live_server):
+    """JSON ``NaN`` / ``Infinity`` parse to floats and ``true`` is an int
+    subclass: each used to be accepted (NaN as a request FAILED at once,
+    journalled as invalid JSON; ``true`` as a 1 s deadline)."""
+    port = live_server.port
+    for raw in ("NaN", "Infinity", "-Infinity", "true", "0", '"5"'):
+        body = f'{{"payload": 8, "deadline": {raw}}}'
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.request("POST", "/v1/requests", body=body)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        assert response.status == 400, raw
+        assert "deadline" in payload["error"]
+    assert _call(port, "GET", "/metrics")[1]["records"] == 0
+
+
+def test_malformed_content_length_gets_400_and_the_server_lives_on(live_server):
+    """``int()`` of the header used to raise inside the connection handler:
+    an empty reply and an unhandled-exception log line."""
+    for declared in ("abc", "-5"):
+        with socket.create_connection(("127.0.0.1", live_server.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/requests HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), (declared, reply)
+        assert b"Connection: close" in reply
+    status, payload = _call(live_server.port, "GET", "/healthz")
+    assert status == 200 and payload["status"] == "ok"
 
 
 def test_metrics_shape_and_counts(live_server):

@@ -140,20 +140,18 @@ def test_replay_is_idempotent(tmp_path):
     _lifecycle(store)
     store.close()
 
-    entries = [
-        json.loads(line)
-        for line in open(path, encoding="utf-8")
-        if line.strip()
-    ]
-    once = RequestStore()
-    once.replay_entries(entries)
-    twice = RequestStore()
-    twice.replay_entries(entries + entries)
+    lines = [line for line in open(path, encoding="utf-8") if line.strip()]
+    doubled = str(tmp_path / "doubled.jsonl")
+    with open(doubled, "w", encoding="utf-8") as fh:
+        fh.writelines(lines + lines)
+    once, twice = RequestStore(path), RequestStore(doubled)
     assert {r: twice.get(r).state for r in twice.records} == {
         r: once.get(r).state for r in once.records
     }
     assert twice.replayed_entries == once.replayed_entries
-    assert twice.skipped_entries == len(entries)
+    assert twice.skipped_entries == len(lines)
+    once.close()
+    twice.close()
 
 
 def test_torn_final_line_is_tolerated_and_truncated(tmp_path):
@@ -190,18 +188,20 @@ def test_malformed_mid_file_line_raises(tmp_path):
         RequestStore(path)
 
 
-def test_replay_skips_duplicate_and_illegal_entries():
-    store = RequestStore()
-    store.replay_entries(
-        [
-            {"op": "create", "rid": 0, "t": 0.0, "payload": 1},
-            {"op": "create", "rid": 0, "t": 0.0, "payload": 1},  # dup
-            {"op": "state", "rid": 0, "state": SUCCEEDED, "t": 1.0},
-            {"op": "state", "rid": 0, "state": RUNNING, "t": 2.0},  # illegal
-            {"op": "state", "rid": 5, "state": RUNNING, "t": 2.0},  # unknown
-            {"op": "???", "rid": 0},  # unknown op
-        ]
-    )
+def test_replay_skips_duplicate_and_illegal_entries(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    entries = [
+        {"op": "create", "rid": 0, "t": 0.0, "payload": 1},
+        {"op": "create", "rid": 0, "t": 0.0, "payload": 1},  # dup
+        {"op": "state", "rid": 0, "state": SUCCEEDED, "t": 1.0},
+        {"op": "state", "rid": 0, "state": RUNNING, "t": 2.0},  # illegal
+        {"op": "state", "rid": 5, "state": RUNNING, "t": 2.0},  # unknown
+        {"op": "???", "rid": 0},  # unknown op
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(entry) + "\n" for entry in entries)
+    store = RequestStore(path)
+    store.close()
     assert store.get(0).state == SUCCEEDED
     assert store.replayed_entries == 2
     assert store.skipped_entries == 4

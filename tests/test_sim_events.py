@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.events import EventLoop
+from tests.oracles.reference_values import recount_pending
 
 
 class TestScheduling:
@@ -196,9 +197,9 @@ class TestCancelDuringDrain:
         loop.run(until=1.0)
         # `first` fired, then was "cancelled": only `tail` is pending.
         assert first.fired and not first.cancelled
-        assert loop.pending() == 1 == loop.recount_pending()
+        assert loop.pending() == 1 == recount_pending(loop)
         loop.run()
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_cancel_of_fired_event_reports_no_effect(self):
         loop = EventLoop()
@@ -206,14 +207,14 @@ class TestCancelDuringDrain:
         loop.run()
         assert event.fired
         assert event.cancel() is False
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_cancel_of_pending_event_reports_effect_exactly_once(self):
         loop = EventLoop()
         event = loop.call_at(1.0, lambda: None)
         assert event.cancel() is True
         assert event.cancel() is False  # second cancel: no-op
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_callback_cancelling_its_own_event_does_not_double_decrement(self):
         loop = EventLoop()
@@ -226,7 +227,7 @@ class TestCancelDuringDrain:
         handle.append(loop.call_at(1.0, self_cancel))
         loop.call_at(2.0, lambda: None)
         loop.run()
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_mutual_cancellation_at_same_timestamp(self):
         """Two same-time events each try to cancel the other: exactly one
@@ -246,7 +247,7 @@ class TestCancelDuringDrain:
         loop.run()
         assert ran == ["a"]
         assert events["b"].cancelled and not events["b"].fired
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_cancel_during_drain_storm_keeps_counter_exact(self):
         """Property-style sweep: a driver event at each tick cancels an
@@ -260,12 +261,12 @@ class TestCancelDuringDrain:
             for j in (i - 1, i + 1, (i * 7) % len(targets)):
                 if 0 <= j < len(targets):
                     targets[j].cancel()
-            assert loop.pending() == loop.recount_pending()
+            assert loop.pending() == recount_pending(loop)
 
         for i in range(len(targets)):
             loop.call_at(float(2 * i) + 0.5, lambda i=i: chaos(i))
         loop.run()
-        assert loop.pending() == 0 == loop.recount_pending()
+        assert loop.pending() == 0 == recount_pending(loop)
 
     def test_peek_time_after_head_cancel_during_drain(self):
         loop = EventLoop()
@@ -275,6 +276,6 @@ class TestCancelDuringDrain:
         loop.call_at(1.0, lambda: second.cancel())
         loop.run(until=1.0)
         assert loop.peek_time() == 3.0
-        assert loop.pending() == 1 == loop.recount_pending()
+        assert loop.pending() == 1 == recount_pending(loop)
         loop.run()
         assert seen == [3]
