@@ -40,17 +40,17 @@ def level_census(graph: CellGraph) -> Dict[int, Dict[str, int]]:
     level 0) — the schedule both Fold and DyNet use when batching a merged
     graph.
     """
-    levels: Dict[int, int] = {}
+    levels: List[int] = []
     census: Dict[int, Dict[str, int]] = {}
-    # Nodes are created in topological order (add_node validates that all
-    # predecessors already exist), so a single pass in id order suffices.
-    for node in sorted(graph.nodes(), key=lambda n: n.node_id):
-        preds = node.predecessors()
-        level = 0 if not preds else 1 + max(levels[p] for p in preds)
-        levels[node.node_id] = level
-        census.setdefault(level, {})
-        name = node.cell_type.name
-        census[level][name] = census[level].get(name, 0) + 1
+    # Node ids are handed out in topological order (every add_* validates
+    # that all predecessors already exist), so one pass in id order suffices.
+    for node_id in range(len(graph)):
+        preds = graph.predecessors(node_id)
+        level = 1 + max(levels[p] for p in preds) if preds else 0
+        levels.append(level)
+        by_type = census.setdefault(level, {})
+        name = graph.cell_type_of(node_id).name
+        by_type[name] = by_type.get(name, 0) + 1
     return census
 
 

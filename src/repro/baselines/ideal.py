@@ -46,7 +46,9 @@ class IdealServer(GraphBatchingServer):
         model.unfold(template, template_payload)
         self._template_census = template.cell_type_census()
         # One kernel per template node, each at the batch size.
-        self._node_types = [node.cell_type.name for node in template.nodes()]
+        self._node_types = [
+            template.cell_type_of(node_id).name for node_id in range(len(template))
+        ]
         self._queue: Deque[InferenceRequest] = deque()
 
     def _enqueue(self, request: InferenceRequest) -> None:

@@ -2,22 +2,28 @@
 
 Unfolding a request produces a coarse dataflow graph whose nodes are cell
 invocations and whose edges say which cell output feeds which cell input
-(§3.1's "cell graph").  Nodes carry their resolved input references —
-either request-provided values or another node's named output — and, in
-real-compute mode, their computed output rows.  Whether a node has
-completed is one byte of the graph's ``done`` bitmap, indexed by node id.
+(§3.1's "cell graph").  A node is its id — dense, ``0 .. len(graph) - 1``,
+in creation order — and the graph answers every question about a node by
+id: :meth:`~CellGraph.cell_type_of`, :meth:`~CellGraph.inputs_of` (each
+input a request-provided value or another node's named output),
+:meth:`~CellGraph.predecessors`, :meth:`~CellGraph.successors` and
+:meth:`~CellGraph.subgraph_id_of`.  Per-node state is kept by id as well:
+whether a node completed is one byte of the graph's ``done`` bitmap, and
+in real-compute mode its computed output rows are ``outputs[node_id]``.
 
-A chain of one cell type (an LSTM over a sentence) is stored run-length:
+Behind the ids are three kinds of record.  A node added with
+:meth:`CellGraph.add_node` is an explicit :class:`CellNode`.  A chain of
+one cell type (an LSTM over a sentence) is stored run-length:
 :meth:`CellGraph.add_run` reserves the node ids and keeps one
-:class:`ChainRun` record; a node object exists only once something asks
-for it.  A binary tree of two cell types (a TreeLSTM over a parse tree) is
-stored the same way, as the flat arrays of one :class:`TreeRun`
-(:meth:`CellGraph.add_tree`).
+:class:`ChainRun` record.  A binary tree of two cell types (a TreeLSTM
+over a parse tree) is stored the same way, as the flat arrays of one
+:class:`TreeRun` (:meth:`CellGraph.add_tree`).  No object stands for one
+node of a run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cell import CellType
 
@@ -50,19 +56,12 @@ class NodeOutput:
 class CellNode:
     """One cell invocation in a request's cell graph."""
 
-    __slots__ = (
-        "node_id",
-        "cell_type",
-        "inputs",
-        "outputs",
-        "subgraph_id",
-    )
+    __slots__ = ("node_id", "cell_type", "inputs", "subgraph_id")
 
     def __init__(self, node_id: int, cell_type: CellType, inputs: Dict[str, Any]):
         self.node_id = node_id
         self.cell_type = cell_type
         self.inputs = inputs  # input name -> ValueInput | NodeOutput
-        self.outputs: Optional[Dict[str, Any]] = None
         self.subgraph_id: Optional[int] = None
 
     def predecessors(self) -> List[int]:
@@ -125,7 +124,7 @@ class ChainRun:
         # consume its outputs.  The step-to-step edges are implicit.
         self.consumers: Dict[int, List[int]] = {}
         # A run is connected and of one cell type, so it lies in one
-        # subgraph; its nodes read their ``subgraph_id`` from here.
+        # subgraph: this is every one of its nodes' subgraph id.
         self.subgraph_id: Optional[int] = None
 
     @property
@@ -145,8 +144,8 @@ class ChainRun:
     def subgraph_id_of(self, node_id: int) -> Optional[int]:
         return self.subgraph_id
 
-    def assign_subgraph(self, node_id: int, subgraph_id: Optional[int]) -> None:
-        self.subgraph_id = subgraph_id
+    def predecessors(self, node_id: int) -> List[int]:
+        return [node_id - 1] if node_id > self.first_id else list(self.producers)
 
     def inputs_of(self, node_id: int) -> Dict[str, Any]:
         """The ``inputs`` dict an explicit node in this position would have."""
@@ -241,8 +240,11 @@ class TreeRun:
     def subgraph_id_of(self, node_id: int) -> Optional[int]:
         return self.subgraph_ids[node_id - self.first_id]
 
-    def assign_subgraph(self, node_id: int, subgraph_id: Optional[int]) -> None:
-        self.subgraph_ids[node_id - self.first_id] = subgraph_id
+    def predecessors(self, node_id: int) -> List[int]:
+        index, first = node_id - self.first_id, self.first_id
+        if self.left[index] < 0:
+            return []
+        return [first + self.left[index], first + self.right[index]]
 
     def inputs_of(self, node_id: int) -> Dict[str, Any]:
         """The ``inputs`` dict an explicit node in this position would have."""
@@ -267,61 +269,25 @@ class TreeRun:
         return f"<TreeRun {self.first_id}..{self.stop - 1} leaves={self.num_leaves}>"
 
 
-class RunNode(CellNode):
-    """A node of a :class:`ChainRun` or :class:`TreeRun`, created when
-    first asked for.
-
-    Scheduling and completion work on node ids and never build one; a node
-    is built where something reads its fields — the real-compute gather and
-    scatter, ``Model.extend``, ``collect_results``, a test — and ``inputs``
-    stays unset until something reads it.  ``subgraph_id`` is read from the
-    record, whether the node was built before or after the partition."""
-
-    __slots__ = ("run",)
-
-    def __init__(self, node_id: int, run: Union[ChainRun, TreeRun], cell_type: CellType):
-        # Not CellNode.__init__: ``inputs`` must stay unset (see __getattr__).
-        self.node_id = node_id
-        self.cell_type = cell_type
-        self.outputs = None
-        self.run = run
-
-    def __getattr__(self, name: str):
-        # Python calls this only when normal lookup fails, which for this
-        # class means the first read of the still-unset ``inputs`` slot.
-        if name != "inputs":
-            raise AttributeError(name)
-        inputs = self.inputs = self.run.inputs_of(self.node_id)
-        return inputs
-
-    @property
-    def subgraph_id(self) -> Optional[int]:
-        return self.run.subgraph_id_of(self.node_id)
-
-    @subgraph_id.setter
-    def subgraph_id(self, value: Optional[int]) -> None:
-        self.run.assign_subgraph(self.node_id, value)
-
-
 class CellGraph:
     """A growable DAG of cell invocations for one request.
 
-    Most models unfold statically at arrival; the dynamic Seq2Seq decoder
-    extends the graph while the request runs (see
-    :meth:`repro.core.request_processor.RequestProcessor.extend_request`).
+    Most models unfold statically at arrival; the dynamic decoders extend
+    the graph while the request runs (:meth:`repro.models.base.Model.extend`).
 
     Node ids are dense (``0 .. len(graph) - 1``) in creation order.  Nodes
-    added with :meth:`add_node` are *explicit*: they sit in ``_nodes`` and
-    ``_successors`` from the start.  Nodes of a run (a :class:`ChainRun` or
-    a :class:`TreeRun`) enter ``_nodes`` when :meth:`node` first returns
-    them and stay there, because they hold state (``outputs``) that every
-    later lookup must see.  ``done[node_id]`` is 1 once the node completed,
+    added with :meth:`add_node` are *explicit*: their records sit in
+    ``_nodes`` and their out-edges in ``_successors``.  A node of a run (a
+    :class:`ChainRun` or a :class:`TreeRun`) is in neither; the run record
+    answers for it.  ``done[node_id]`` is 1 once the node completed,
     whichever order its task retired in: every ``add_*`` grows it.
     """
 
     def __init__(self):
-        self._nodes: Dict[int, CellNode] = {}
+        self._nodes: Dict[int, CellNode] = {}  # the explicit nodes only
         self.done = bytearray()
+        # Node id -> output name -> value: real compute's scatter fills it.
+        self.outputs: Dict[int, Dict[str, Any]] = {}
         self._successors: Dict[int, List[int]] = {}
         self._runs: Tuple[Union[ChainRun, TreeRun], ...] = ()  # ascending first_id
         self._next_id = 0
@@ -509,16 +475,21 @@ class CellGraph:
 
     def _check_ref(self, ref: Any) -> None:
         """Raise unless ``ref`` is a ValueInput or names an output that an
-        existing node — explicit, or of a run and possibly not built — has."""
+        existing node — explicit or of a run — has."""
         if isinstance(ref, NodeOutput):
-            producer_type = self._cell_type_of(ref.node_id)
-            if ref.output not in producer_type.output_names:
-                raise ValueError(
-                    f"node {ref.node_id} ({producer_type.name!r}) has "
-                    f"no output {ref.output!r}"
-                )
+            self._check_output(ref.node_id, ref.output)
         elif not isinstance(ref, ValueInput):
             raise TypeError(f"inputs must be ValueInput/NodeOutput, got {ref!r}")
+
+    def _check_output(self, node_id: int, output: str) -> None:
+        try:
+            cell_type = self.cell_type_of(node_id)
+        except KeyError:
+            raise ValueError(f"reference to unknown node {node_id}") from None
+        if output not in cell_type.output_names:
+            raise ValueError(
+                f"node {node_id} ({cell_type.name!r}) has no output {output!r}"
+            )
 
     def _link(self, producer_id: int, consumer_id: int) -> None:
         """Record that ``consumer_id`` reads an output of ``producer_id``."""
@@ -528,62 +499,59 @@ class CellGraph:
             successors = run.consumers.setdefault(producer_id, [])
         successors.append(consumer_id)
 
-    def mark_result(self, node: Union[CellNode, int], output: str) -> None:
-        """Declare ``node.output`` as part of the request's final result.
-        ``node`` may be a node id, which leaves a run node unbuilt."""
-        node_id = node if isinstance(node, int) else node.node_id
-        cell_type = self._cell_type_of(node_id)
-        if output not in cell_type.output_names:
-            raise ValueError(
-                f"node {node_id} has no output {output!r} "
-                f"(has {cell_type.output_names})"
-            )
+    def mark_result(self, node_id: int, output: str) -> None:
+        """Declare output ``output`` of node ``node_id`` part of the
+        request's final result."""
+        self._check_output(node_id, output)
         self.result_refs.append((node_id, output))
 
-    # -- access ------------------------------------------------------------
+    # -- the view, by node id ----------------------------------------------
+    # Each answers for an explicit node from its CellNode and for any other
+    # node from the run record holding it; an id the graph does not hold
+    # raises KeyError.  The explicit branch is a membership test, not a
+    # call: the engine asks these once per completed cell.
 
-    def node(self, node_id: int) -> CellNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            run = self._run_of(node_id)
-            if run is None:
-                raise
-            node = self._nodes[node_id] = RunNode(
-                node_id, run, run.cell_type_of(node_id)
-            )
-            return node
+    def cell_type_of(self, node_id: int) -> CellType:
+        nodes = self._nodes
+        if node_id in nodes:
+            return nodes[node_id].cell_type
+        return self._run_of(node_id).cell_type_of(node_id)
 
-    def nodes(self) -> Iterator[CellNode]:
-        """Every node in id order; builds the run nodes not yet asked for."""
-        if not self._runs:
-            return iter(self._nodes.values())
-        return map(self.node, range(self._next_id))
+    def inputs_of(self, node_id: int) -> Dict[str, Any]:
+        """Input name -> ValueInput | NodeOutput, in the cell's input order
+        (an explicit node's own dict; a run node's built afresh)."""
+        nodes = self._nodes
+        if node_id in nodes:
+            return nodes[node_id].inputs
+        return self._run_of(node_id).inputs_of(node_id)
 
-    def explicit_nodes(self) -> List[CellNode]:
-        """The nodes added with :meth:`add_node`, in id order."""
-        if not self._runs:
-            return list(self._nodes.values())
-        nodes, start = [], 0
-        for run in self._runs:
-            if start < run.first_id:
-                nodes.extend(self._nodes[i] for i in range(start, run.first_id))
-            start = run.stop
-        if start < self._next_id:
-            nodes.extend(self._nodes[i] for i in range(start, self._next_id))
-        return nodes
+    def predecessors(self, node_id: int) -> List[int]:
+        """Ids of the nodes ``node_id`` reads from, each once, in input order."""
+        nodes = self._nodes
+        if node_id in nodes:
+            return nodes[node_id].predecessors()
+        return self._run_of(node_id).predecessors(node_id)
+
+    def successors(self, node_id: int) -> Sequence[int]:
+        successors = self._successors
+        if node_id in successors:
+            return successors[node_id]
+        return self._run_of(node_id).successors(node_id)
+
+    def subgraph_id_of(self, node_id: int) -> Optional[int]:
+        """Id of the subgraph the partition put ``node_id`` in (None before)."""
+        nodes = self._nodes
+        if node_id in nodes:
+            return nodes[node_id].subgraph_id
+        return self._run_of(node_id).subgraph_id_of(node_id)
+
+    def explicit_nodes(self) -> Dict[int, CellNode]:
+        """The nodes added with :meth:`add_node`, by id in id order (the
+        graph's own dict, not a copy)."""
+        return self._nodes
 
     def runs(self) -> Sequence[Union[ChainRun, TreeRun]]:
         return self._runs
-
-    def successors(self, node_id: int) -> Sequence[int]:
-        try:
-            return self._successors[node_id]
-        except KeyError:
-            run = self._run_of(node_id)
-            if run is None:
-                raise
-            return run.successors(node_id)
 
     def __len__(self) -> int:
         return self._next_id
@@ -591,22 +559,12 @@ class CellGraph:
     def __contains__(self, node_id: int) -> bool:
         return isinstance(node_id, int) and 0 <= node_id < self._next_id
 
-    def _run_of(self, node_id: int) -> Union[ChainRun, TreeRun, None]:
+    def _run_of(self, node_id: int) -> Union[ChainRun, TreeRun]:
         # A request has a handful of runs at most; a scan beats bisecting.
         for run in self._runs:
             if run.first_id <= node_id < run.stop:
                 return run
-        return None
-
-    def _cell_type_of(self, node_id: int) -> CellType:
-        """Cell type of an existing node, without building a run node."""
-        node = self._nodes.get(node_id)
-        if node is not None:
-            return node.cell_type
-        run = self._run_of(node_id)
-        if run is None:
-            raise ValueError(f"reference to unknown node {node_id}")
-        return run.cell_type_of(node_id)
+        raise KeyError(node_id)
 
     # -- results -----------------------------------------------------------
 
@@ -614,18 +572,16 @@ class CellGraph:
         """Gather the declared result values (real-compute mode)."""
         results = []
         for node_id, output in self.result_refs:
-            node = self.node(node_id)
-            if node.outputs is None:
-                raise RuntimeError(
-                    f"result node {node_id} has not been executed"
-                )
-            results.append(node.outputs[output])
+            produced = self.outputs.get(node_id)
+            if produced is None:
+                raise RuntimeError(f"result node {node_id} has not been executed")
+            results.append(produced[output])
         return results
 
     def cell_type_census(self) -> Dict[str, int]:
-        """Node counts per cell type, used by tests and the Fold baseline."""
+        """Node counts per cell type, used by tests and the Ideal baseline."""
         census: Dict[str, int] = {}
-        for node in self.explicit_nodes():
+        for node in self._nodes.values():
             census[node.cell_type.name] = census.get(node.cell_type.name, 0) + 1
         for run in self._runs:
             for name, count in run.census():

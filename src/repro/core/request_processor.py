@@ -181,7 +181,7 @@ class RequestProcessor:
         partition (and release) what it grew."""
         for subgraph, node_id in entries:
             request, graph = subgraph.request, subgraph.graph
-            new_nodes = self.model.extend(graph, graph.node(node_id), request.payload)
+            new_nodes = self.model.extend(graph, node_id, request.payload)
             if new_nodes:
                 request.remaining_nodes += len(new_nodes)
                 new_subgraphs = partition_into_subgraphs(

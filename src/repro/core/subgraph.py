@@ -153,7 +153,7 @@ class Subgraph:
     ) -> None:
         graph, subgraphs = self.graph, self.request.subgraphs
         for succ_id in consumers:
-            succ_sg_id = graph.node(succ_id).subgraph_id
+            succ_sg_id = graph.subgraph_id_of(succ_id)
             if succ_sg_id == self.subgraph_id:
                 continue  # internal edges are handled by the scheduler
             succ_sg = subgraphs[succ_sg_id]
@@ -213,13 +213,13 @@ class Subgraph:
 
     def _advance_internal(self, nid: int) -> int:
         newly_ready = 0
+        pending = self._internal_pending  # keyed by exactly our node ids
         for succ in self.graph.successors(nid):
-            if succ in self._internal_pending:
-                if self.graph.node(succ).subgraph_id == self.subgraph_id:
-                    self._internal_pending[succ] -= 1
-                    if self._internal_pending[succ] == 0:
-                        self.ready.append(succ)
-                        newly_ready += 1
+            if succ in pending:
+                pending[succ] -= 1
+                if pending[succ] == 0:
+                    self.ready.append(succ)
+                    newly_ready += 1
         return newly_ready
 
     def pin(self, worker_id: int) -> None:
@@ -511,8 +511,9 @@ def partition_into_subgraphs(
     nodes: Optional[Sequence[CellNode]] = None,
     start_id: int = 0,
 ) -> List[Subgraph]:
-    """Split ``nodes`` (default: the whole graph) into maximal connected
-    components of equal cell type.
+    """Split the graph into maximal connected components of equal cell
+    type — or, given ``nodes``, just those explicit nodes (the ones a
+    ``Model.extend`` has just added).
 
     Connectivity follows dataflow edges in both directions but only through
     nodes of the same cell type, giving exactly the paper's partition: an
@@ -520,48 +521,45 @@ def partition_into_subgraphs(
     subgraph; a TreeLSTM yields one subgraph per leaf plus one subgraph of
     all internal nodes.
 
-    When the whole graph is partitioned, each
-    :class:`~repro.core.cell_graph.ChainRun` becomes a :class:`RunSubgraph`
-    and each :class:`~repro.core.cell_graph.TreeRun` its leaf and internal
-    subgraphs without a look at their nodes — their shape is known by
-    construction — and only the explicit nodes are searched.  Ids follow
-    each subgraph's lowest node id, records and components alike.
+    Each :class:`~repro.core.cell_graph.ChainRun` becomes a
+    :class:`RunSubgraph` and each :class:`~repro.core.cell_graph.TreeRun`
+    its leaf and internal subgraphs without a look at their nodes — their
+    shape is known by construction — and only the explicit nodes are
+    searched.  Ids follow each subgraph's lowest node id, records and
+    components alike.
     """
-    if nodes is not None:
-        pool, runs = list(nodes), ()
-    else:
+    if nodes is None:
         pool, runs = graph.explicit_nodes(), graph.runs()
+    else:
+        pool, runs = {node.node_id: node for node in nodes}, ()
     num_runs, next_run = len(runs), 0
-    pool_ids = {n.node_id for n in pool}
     visited = set()
     subgraphs: List[Subgraph] = []  # the next id is start_id + len(subgraphs)
-    for seed in pool:
-        if seed.node_id in visited:
+    for seed_id in pool:
+        if seed_id in visited:
             continue
-        while next_run < num_runs and runs[next_run].first_id < seed.node_id:
+        while next_run < num_runs and runs[next_run].first_id < seed_id:
             subgraphs += _run_subgraphs(
                 runs[next_run], request, graph, start_id + len(subgraphs)
             )
             next_run += 1
+        name = pool[seed_id].cell_type.name
         component = []
-        stack = [seed.node_id]
-        visited.add(seed.node_id)
+        stack = [seed_id]
+        visited.add(seed_id)
         while stack:
             nid = stack.pop()
-            node = graph.node(nid)
-            component.append(node)
-            neighbours = list(node.predecessors()) + list(graph.successors(nid))
-            for other_id in neighbours:
-                if other_id in visited or other_id not in pool_ids:
+            component.append(nid)
+            for other_id in (*pool[nid].predecessors(), *graph.successors(nid)):
+                if other_id in visited or other_id not in pool:
                     continue
-                other = graph.node(other_id)
-                if other.cell_type.name == seed.cell_type.name:
+                if pool[other_id].cell_type.name == name:
                     visited.add(other_id)
                     stack.append(other_id)
-        component.sort(key=lambda n: n.node_id)
+        component.sort()
         subgraph_id = start_id + len(subgraphs)
         subgraphs.append(
-            Subgraph(subgraph_id, request, seed.cell_type.name, component, graph)
+            Subgraph(subgraph_id, request, name, [pool[i] for i in component], graph)
         )
     for run in runs[next_run:]:
         subgraphs += _run_subgraphs(run, request, graph, start_id + len(subgraphs))

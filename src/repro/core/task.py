@@ -4,8 +4,8 @@ A task is one batched execution of a single cell type: a list of
 ``(subgraph, node_id)`` entries gathered from possibly many requests.  In
 real-compute mode the task gathers each entry's input rows into contiguous
 batched tensors (the paper's "gather" memory copy), runs the cell once, and
-scatters the output rows back to the nodes — the one stage that builds
-node objects (``CellGraph.node``).
+scatters the output rows back — all by node id: a node's inputs are
+``graph.inputs_of(node_id)`` and its output rows ``graph.outputs[node_id]``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.cell import CellType
-from repro.core.cell_graph import NodeOutput, ValueInput
+from repro.core.cell_graph import ValueInput
 from repro.core.subgraph import Entries, Subgraph
 from repro.tensor import ops
 
@@ -94,31 +94,28 @@ class BatchedTask:
         the scheduler guarantees this via FIFO submission order on a pinned
         worker plus release-after-external-completion.
         """
-        cell = self.cell_type
-        nodes = [subgraph.graph.node(nid) for subgraph, nid in self.entries]
+        cell, entries = self.cell_type, self.entries
+        inputs = [subgraph.graph.inputs_of(nid) for subgraph, nid in entries]
         batched_inputs: Dict[str, np.ndarray] = {}
         for name in cell.input_names:
             rows = []
-            for (subgraph, _), node in zip(self.entries, nodes):
-                ref = node.inputs[name]
+            for (subgraph, nid), node_inputs in zip(entries, inputs):
+                ref = node_inputs[name]
                 if isinstance(ref, ValueInput):
                     rows.append(np.asarray(ref.value))
-                else:
-                    producer = subgraph.graph.node(ref.node_id)
-                    if producer.outputs is None:
-                        raise RuntimeError(
-                            f"task {self.task_id}: node {node.node_id} input "
-                            f"{name!r} depends on unexecuted node {ref.node_id}"
-                        )
-                    rows.append(np.asarray(producer.outputs[ref.output]))
+                    continue
+                produced = subgraph.graph.outputs.get(ref.node_id)
+                if produced is None:
+                    raise RuntimeError(
+                        f"task {self.task_id}: node {nid} input {name!r} "
+                        f"depends on unexecuted node {ref.node_id}"
+                    )
+                rows.append(np.asarray(produced[ref.output]))
             batched_inputs[name] = ops.stack_rows(rows)
         batched_outputs = cell.compute(batched_inputs)
-        for name in cell.output_names:
-            out = batched_outputs[name]
-            for i, node in enumerate(nodes):
-                if node.outputs is None:
-                    node.outputs = {}
-                node.outputs[name] = out[i]
+        names = cell.output_names
+        for i, (subgraph, nid) in enumerate(entries):
+            subgraph.graph.outputs[nid] = {name: batched_outputs[name][i] for name in names}
 
     def __repr__(self) -> str:
         return (

@@ -139,7 +139,7 @@ class AttentionSeq2SeqModel(Model):
                     c=NodeOutput(node.node_id, "c"),
                 )
             node = graph.add_node(self._decoder_type, inputs)
-            graph.mark_result(node, "token")
+            graph.mark_result(node.node_id, "token")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         spec = self._normalize(payload)

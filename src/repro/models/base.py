@@ -4,7 +4,10 @@ This corresponds to the two things a BatchMaker user provides (§4.1): the
 definition of each cell, and a function that unfolds each request into its
 cell graph.  The extra hooks (``phases``, ``extend``, ``reference_forward``)
 exist for the baselines, the dynamic-decoding extension, and correctness
-testing respectively.
+testing respectively.  ``extend`` is handed the completed node's id, as
+every engine stage names a node: what it needs to know about that node it
+asks the graph (``graph.cell_type_of(node_id)``, and in real-compute mode
+the computed rows ``graph.outputs[node_id]``).
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ class Model:
 
     # -- optional ----------------------------------------------------------------
 
-    def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
-    ) -> List[CellNode]:
-        """Dynamic unfolding hook: called when ``completed`` finishes; may
-        append new nodes (e.g. feed-previous decoding until <eos>).  The
-        default is static unfolding: no growth."""
+    def extend(self, graph: CellGraph, node_id: int, payload: Any) -> List[CellNode]:
+        """Dynamic unfolding hook: called when node ``node_id`` finishes;
+        may append new explicit nodes (e.g. feed-previous decoding until
+        <eos>) and returns them.  The default is static unfolding: no
+        growth."""
         return []
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:

@@ -238,32 +238,28 @@ class BeamSeq2SeqModel(Model):
                 ),
             },
         )
-        graph.mark_result(select, "tokens")
-        graph.mark_result(select, "parents")
+        graph.mark_result(select.node_id, "tokens")
+        graph.mark_result(select.node_id, "parents")
         # Per-request beam bookkeeping lives on the graph itself.
         graph.beam_decoders = {select.node_id: [first_decoder.node_id]}
         graph.beam_steps = 1
 
-    def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
-    ) -> List[CellNode]:
-        if completed.cell_type.name not in (FIRST_SELECT_CELL, SELECT_CELL):
+    def extend(self, graph: CellGraph, node_id: int, payload: Any) -> List[CellNode]:
+        if graph.cell_type_of(node_id).name not in (FIRST_SELECT_CELL, SELECT_CELL):
             return []
         spec = self._normalize(payload)
         if graph.beam_steps >= spec["max_steps"]:
             return []
-        if completed.outputs is not None:
-            best_token = int(np.asarray(completed.outputs["tokens"]).reshape(-1)[0])
+        outputs = graph.outputs.get(node_id)
+        if outputs is not None:
+            best_token = int(np.asarray(outputs["tokens"]).reshape(-1)[0])
             if best_token == EOS_TOKEN:
                 return []
 
         k = self.beam_width
-        prev_decoders = graph.beam_decoders[completed.node_id]
-        if completed.outputs is not None:
-            parents = [
-                int(p)
-                for p in np.asarray(completed.outputs["parents"]).reshape(-1)[:k]
-            ]
+        prev_decoders = graph.beam_decoders[node_id]
+        if outputs is not None:
+            parents = [int(p) for p in np.asarray(outputs["parents"]).reshape(-1)[:k]]
         else:
             # Simulation-only: linear wiring preserves the graph's shape.
             parents = [min(j, len(prev_decoders) - 1) for j in range(k)]
@@ -275,7 +271,7 @@ class BeamSeq2SeqModel(Model):
             decoder = graph.add_node(
                 self._decoder_type,
                 {
-                    "ids": NodeOutput(completed.node_id, f"token_{j}"),
+                    "ids": NodeOutput(node_id, f"token_{j}"),
                     "h": NodeOutput(parent_node_id, "h"),
                     "c": NodeOutput(parent_node_id, "c"),
                 },
@@ -285,10 +281,10 @@ class BeamSeq2SeqModel(Model):
         select_inputs: Dict[str, Any] = {
             f"logits_{j}": NodeOutput(decoder_ids[j], "logits") for j in range(k)
         }
-        select_inputs["prev_scores"] = NodeOutput(completed.node_id, "scores")
+        select_inputs["prev_scores"] = NodeOutput(node_id, "scores")
         select = graph.add_node(self._select_type, select_inputs)
-        graph.mark_result(select, "tokens")
-        graph.mark_result(select, "parents")
+        graph.mark_result(select.node_id, "tokens")
+        graph.mark_result(select.node_id, "parents")
         new_nodes.append(select)
         graph.beam_decoders[select.node_id] = decoder_ids
         graph.beam_steps += 1

@@ -77,7 +77,7 @@ class GRUChainModel(Model):
             else:
                 inputs["h"] = NodeOutput(prev.node_id, "h")
             prev = graph.add_node(self._step_type, inputs)
-        graph.mark_result(prev, "h")
+        graph.mark_result(prev.node_id, "h")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         return [(GRU_CELL, len(_normalize_tokens(payload)))]

@@ -131,7 +131,7 @@ class LSTMChainModel(Model):
             proj = graph.add_node(
                 self._proj_type, {"h": NodeOutput(run.last_id, "h")}
             )
-            graph.mark_result(proj, "token")
+            graph.mark_result(proj.node_id, "token")
         else:
             graph.mark_result(run.last_id, "h")
 

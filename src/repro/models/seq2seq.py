@@ -214,7 +214,7 @@ class Seq2SeqModel(Model):
                 "c": NodeOutput(prev.node_id, "c"),
             },
         )
-        graph.mark_result(first_decoder, "token")
+        graph.mark_result(first_decoder.node_id, "token")
         if spec["dynamic"]:
             return  # grows via extend()
         node = first_decoder
@@ -227,31 +227,29 @@ class Seq2SeqModel(Model):
                     "c": NodeOutput(node.node_id, "c"),
                 },
             )
-            graph.mark_result(node, "token")
+            graph.mark_result(node.node_id, "token")
 
-    def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
-    ) -> List[CellNode]:
+    def extend(self, graph: CellGraph, node_id: int, payload: Any) -> List[CellNode]:
         spec = self._normalize(payload)
-        if not spec["dynamic"] or completed.cell_type.name != DECODER_CELL:
+        if not spec["dynamic"] or graph.cell_type_of(node_id).name != DECODER_CELL:
             return []
-        # Stop once <eos> was emitted or the decode budget is exhausted.
-        decoded = graph.cell_type_census().get(DECODER_CELL, 0)
-        if decoded >= spec["max_decode"]:
+        # Stop once <eos> was emitted or the decode budget is exhausted; every
+        # node after the encoder's is a decoder step.
+        if len(graph) - len(spec["src"]) >= spec["max_decode"]:
             return []
-        if completed.outputs is not None:
-            token = int(np.asarray(completed.outputs["token"]).reshape(()))
+        if node_id in graph.outputs:
+            token = int(np.asarray(graph.outputs[node_id]["token"]).reshape(()))
             if token == EOS_TOKEN:
                 return []
         node = graph.add_node(
             self._decoder_type,
             {
-                "ids": NodeOutput(completed.node_id, "token"),
-                "h": NodeOutput(completed.node_id, "h"),
-                "c": NodeOutput(completed.node_id, "c"),
+                "ids": NodeOutput(node_id, "token"),
+                "h": NodeOutput(node_id, "h"),
+                "c": NodeOutput(node_id, "c"),
             },
         )
-        graph.mark_result(node, "token")
+        graph.mark_result(node.node_id, "token")
         return [node]
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:

@@ -32,6 +32,6 @@ class ExplicitChainModel(LSTMChainModel):
             proj = graph.add_node(
                 self._proj_type, {"h": NodeOutput(prev.node_id, "h")}
             )
-            graph.mark_result(proj, "token")
+            graph.mark_result(proj.node_id, "token")
         else:
-            graph.mark_result(prev, "h")
+            graph.mark_result(prev.node_id, "h")

@@ -22,7 +22,7 @@ class ExplicitTreeModel(TreeLSTMModel):
         if not isinstance(payload, TreePayload):
             raise TypeError(f"TreeLSTM payload must be TreePayload, got {type(payload)}")
         root = self._unfold_node(graph, payload.root)
-        graph.mark_result(root, "h")
+        graph.mark_result(root.node_id, "h")
 
     def _unfold_node(self, graph: CellGraph, spec: TreeNodeSpec):
         if spec.is_leaf:

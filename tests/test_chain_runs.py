@@ -5,9 +5,10 @@ explicit node per token.  The per-token unfold lives on as
 ``tests/oracles/explicit_chain.ExplicitChainModel``; everything here runs
 both and demands the same answer:
 
-(a) the graph *view* — ``len``, census, every node's ``inputs``,
-    ``predecessors()``, ``successors()``, ``result_refs`` — and the
-    partition shape;
+(a) the graph *view* by node id — ``len``, census, ``result_refs`` and, for
+    every id, ``cell_type_of``, ``inputs_of`` (input order included),
+    ``predecessors``, ``successors``, ``subgraph_id_of`` and ``done`` — and
+    the partition shape;
 (b) whole-run outcome fingerprints across placement policies, GPU counts,
     the chaos seed matrix (kernel faults, deadlines, device loss) and
     memory evict-and-restart;
@@ -55,8 +56,36 @@ def ref_view(ref):
     return ("value", ref.value)
 
 
-def inputs_view(node):
-    return {name: ref_view(ref) for name, ref in node.inputs.items()}
+def inputs_view(inputs):
+    return {name: ref_view(ref) for name, ref in inputs.items()}
+
+
+def assert_same_view(got_graph, want_graph):
+    """Both graphs answer every by-id question alike (shared with
+    ``tests/test_tree_runs.py``); an id neither holds raises KeyError."""
+    assert len(got_graph) == len(want_graph)
+    assert got_graph.cell_type_census() == want_graph.cell_type_census()
+    assert got_graph.result_refs == want_graph.result_refs
+    assert got_graph.done == want_graph.done
+    assert got_graph.outputs == want_graph.outputs
+    for nid in range(len(want_graph)):
+        assert nid in got_graph
+        assert got_graph.cell_type_of(nid).name == want_graph.cell_type_of(nid).name
+        got, want = got_graph.inputs_of(nid), want_graph.inputs_of(nid)
+        assert list(got) == list(want), "input order"
+        assert inputs_view(got) == inputs_view(want)
+        assert got_graph.predecessors(nid) == want_graph.predecessors(nid)
+        assert list(got_graph.successors(nid)) == list(want_graph.successors(nid))
+        assert got_graph.subgraph_id_of(nid) == want_graph.subgraph_id_of(nid)
+    beyond = len(want_graph)
+    assert beyond not in got_graph and beyond not in want_graph
+    for graph in (got_graph, want_graph):
+        for view in (
+            graph.cell_type_of, graph.inputs_of, graph.predecessors,
+            graph.successors, graph.subgraph_id_of,
+        ):
+            with pytest.raises(KeyError):
+                view(beyond)
 
 
 # -- (a) graph view -----------------------------------------------------------
@@ -65,33 +94,18 @@ def inputs_view(node):
 @pytest.mark.parametrize("project_output", [False, True])
 @pytest.mark.parametrize("payload", [1, 2, 330, [7, 3, 9, 4]])
 def test_graph_view_equals_explicit_chain(payload, project_output):
-    run_graph, _ = unfolded(LSTMChainModel(project_output=project_output), payload)
-    ref_graph, _ = unfolded(ExplicitChainModel(project_output=project_output), payload)
-
-    assert len(run_graph) == len(ref_graph)
-    assert run_graph.cell_type_census() == ref_graph.cell_type_census()
-    assert run_graph.result_refs == ref_graph.result_refs
-    assert len(ref_graph) not in run_graph and len(ref_graph) not in ref_graph
-    # Out of order first: a node built on demand must not depend on its
-    # neighbours having been built.
-    last = len(ref_graph) - 1
-    assert inputs_view(run_graph.node(last)) == inputs_view(ref_graph.node(last))
-    for nid in range(len(ref_graph)):
-        assert nid in run_graph
-        got, want = run_graph.node(nid), ref_graph.node(nid)
-        assert got is run_graph.node(nid), "a node must be built once"
-        assert got.node_id == want.node_id == nid
-        assert got.cell_type.name == want.cell_type.name
-        assert list(got.inputs) == list(want.inputs), "input order"
-        assert inputs_view(got) == inputs_view(want)
-        assert got.predecessors() == want.predecessors()
-        assert list(run_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert got.outputs is None and run_graph.done[nid] == 0
-    assert [n.node_id for n in run_graph.nodes()] == list(range(len(ref_graph)))
-    with pytest.raises(KeyError):
-        run_graph.node(len(ref_graph))
-    with pytest.raises(KeyError):
-        run_graph.successors(len(ref_graph))
+    run_graph, run_request = unfolded(LSTMChainModel(project_output=project_output), payload)
+    ref_graph, ref_request = unfolded(
+        ExplicitChainModel(project_output=project_output), payload
+    )
+    assert_same_view(run_graph, ref_graph)
+    assert run_graph.subgraph_id_of(0) is None, "not partitioned yet"
+    # After the partition, and with the last node marked done, still alike.
+    partition_into_subgraphs(run_graph, run_request, start_id=3)
+    partition_into_subgraphs(ref_graph, ref_request, start_id=3)
+    for graph in (run_graph, ref_graph):
+        graph.done[len(graph) - 1] = 1
+    assert_same_view(run_graph, ref_graph)
 
 
 @pytest.mark.parametrize("project_output", [False, True])
@@ -122,23 +136,9 @@ def test_partition_shape_equals_explicit_chain(length, project_output):
     assert isinstance(got[0], RunSubgraph) and got[0].node_ids == range(length)
     assert not hasattr(got[0], "_internal_pending")
     for graph in (run_graph, ref_graph):
-        assert [n.subgraph_id for n in graph.nodes()] == [5] * length + (
+        assert [graph.subgraph_id_of(i) for i in range(len(graph))] == [5] * length + (
             [6] if project_output else []
         )
-
-
-def test_explicit_pool_over_a_run_still_partitions_generically():
-    """Handing the partitioner the nodes themselves gives the per-node
-    subgraph: the graph view is complete enough for the generic search."""
-    graph, request = unfolded(LSTMChainModel(), 6)
-    (sg,) = partition_into_subgraphs(graph, request, nodes=list(graph.nodes()))
-    assert not isinstance(sg, RunSubgraph)
-    assert sg.node_ids == list(range(6)) and sg.ready_count() == 1
-    for nid in range(6):
-        entries = []
-        sg.commit(1, 0, entries)
-        assert entries == [(sg, nid)]
-    assert sg.unsubmitted == 0 and sg.ready_count() == 0
 
 
 # -- (b) outcome fingerprints -----------------------------------------------------
@@ -275,7 +275,7 @@ def test_real_compute_matches_reference_forward(project_output, placement):
 def count_constructions(monkeypatch):
     """Counts, by class name, of graph objects constructed from now on
     (shared with ``tests/test_tree_runs.py``)."""
-    built = {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+    built = {"CellNode": 0, "NodeOutput": 0, "ValueInput": 0}
 
     def counting(cls):
         original = cls.__init__
@@ -288,7 +288,6 @@ def count_constructions(monkeypatch):
 
     for cls in (
         cell_graph.CellNode,
-        cell_graph.RunNode,
         cell_graph.NodeOutput,
         cell_graph.ValueInput,
     ):
@@ -296,7 +295,7 @@ def count_constructions(monkeypatch):
     return built
 
 
-NOTHING_BUILT = {"CellNode": 0, "RunNode": 0, "NodeOutput": 0, "ValueInput": 0}
+NOTHING_BUILT = {"CellNode": 0, "NodeOutput": 0, "ValueInput": 0}
 
 
 def test_simulated_chain_builds_no_nodes(monkeypatch):

@@ -4,9 +4,12 @@ Nobody can run GitHub Actions from a checkout, so a renamed test file or a
 deleted module would first be noticed on the next push.  This parses
 ``.github/workflows/ci.yml`` and holds every ``tests/...py`` /
 ``benchmarks/...`` path and every ``python -m repro.<module>`` in it to the
-tree, and the job list to the six jobs DESIGN.md §21 describes.
+tree, the job list to the six jobs DESIGN.md §21 describes, and the
+``chaos`` job's seed matrix to every suite that draws its seeds from
+``chaos_seeds()``.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -57,6 +60,25 @@ def test_every_named_path_and_module_exists():
     assert not missing, f"ci.yml names paths that do not exist: {missing}"
     unknown = sorted(m for m in modules if importlib.util.find_spec(m) is None)
     assert not unknown, f"ci.yml runs modules that do not exist: {unknown}"
+
+
+def test_every_chaos_seeded_suite_runs_in_the_seed_matrix():
+    """A suite that calls ``chaos_seeds()`` but is missing from the chaos
+    job only ever runs tier-1's seed set."""
+    steps = _workflow()["jobs"]["chaos"]["steps"]
+    (suite,) = [step["run"] for step in steps if step.get("name") == "Fault-injection suite"]
+    named = set(re.findall(r"tests/test_\w+\.py", suite))
+    seeded = {
+        f"tests/{path.name}"
+        for path in (REPO / "tests").glob("test_*.py")
+        if any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "chaos_seeds"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    }
+    assert len(seeded) >= 15, "the scan found too little"
+    missing = sorted(seeded - named)
+    assert not missing, f"chaos-seeded suites missing from the chaos job: {missing}"
 
 
 def test_quick_figures_named_by_the_matrix_are_registered():

@@ -27,7 +27,7 @@ def build_chain(lstm_type, length):
             inputs["h"] = NodeOutput(prev.node_id, "h")
             inputs["c"] = NodeOutput(prev.node_id, "c")
         prev = graph.add_node(lstm_type, inputs)
-    graph.mark_result(prev, "h")
+    graph.mark_result(prev.node_id, "h")
     return graph
 
 
@@ -71,7 +71,7 @@ class TestGraphConstruction:
     def test_predecessors_are_deduped(self, lstm_type):
         graph = build_chain(lstm_type, 2)
         # Node 1 consumes both h and c of node 0 — one unique predecessor.
-        assert graph.node(1).predecessors() == [0]
+        assert graph.predecessors(1) == [0]
 
     def test_successors(self, lstm_type):
         graph = build_chain(lstm_type, 3)
@@ -81,7 +81,7 @@ class TestGraphConstruction:
     def test_mark_result_validates_output_name(self, lstm_type):
         graph = build_chain(lstm_type, 1)
         with pytest.raises(ValueError, match="no output"):
-            graph.mark_result(graph.node(0), "bogus")
+            graph.mark_result(0, "bogus")
 
     def test_census(self, lstm_type):
         graph = build_chain(lstm_type, 4)
@@ -104,8 +104,8 @@ def add_chain_run(graph, lstm_type, steps, **overrides):
 
 
 class TestRuns:
-    """``add_run``: one record for a chain, validated once, nodes built on
-    demand (the graph-view equality with explicit nodes is held by
+    """``add_run``: one record for a chain, validated once, answering for
+    its nodes by id (the graph-view equality with explicit nodes is held by
     tests/test_chain_runs.py)."""
 
     def test_run_reserves_dense_ids_without_building_nodes(self, lstm_type):
@@ -119,27 +119,35 @@ class TestRuns:
         })
         assert (first.node_id, run.first_id, run.last_id, after.node_id) == (0, 1, 5, 6)
         assert run.steps == 5 and len(graph) == 7
-        assert list(graph._nodes) == [0, 6], "run nodes are not built yet"
+        assert list(graph._nodes) == [0, 6], "run nodes have no record"
         assert graph.cell_type_census() == {"lstm": 7}
-        assert [n.node_id for n in graph.explicit_nodes()] == [0, 6]
+        assert list(graph.explicit_nodes()) == [0, 6]
+        assert graph.explicit_nodes()[6] is after
         assert 5 in graph and 7 not in graph and "x" not in graph
-        assert list(graph._nodes) == [0, 6], "census/len/in build nothing"
-        assert [n.node_id for n in graph.nodes()] == list(range(7))
+        assert [graph.cell_type_of(i).name for i in range(7)] == ["lstm"] * 7
+        assert list(graph._nodes) == [0, 6], "the view by id builds nothing"
         assert graph.done == bytearray(7), "one completion byte per node id"
 
-    def test_node_is_built_once_and_keeps_state(self, lstm_type):
+    def test_run_node_view_and_state_are_kept_by_id(self, lstm_type):
         graph = CellGraph()
-        add_chain_run(graph, lstm_type, 3)
-        node = graph.node(1)
-        node.outputs = {"h": "row"}
-        assert graph.node(1) is node and graph.node(1).outputs == {"h": "row"}
-        assert node.predecessors() == [0]
+        run = add_chain_run(graph, lstm_type, 3)
+        graph.mark_result(2, "h")
+        graph.outputs[2] = {"h": "row", "c": "cell"}
+        assert graph.collect_results() == ["row"]
+        assert graph.predecessors(1) == [0] and graph.predecessors(0) == []
         assert list(graph.successors(1)) == [2]
         assert list(graph.successors(2)) == []
-        with pytest.raises(KeyError):
-            graph.node(3)
-        with pytest.raises(AttributeError):
-            node.no_such_attribute
+        assert graph.inputs_of(1)["ids"].value == 1
+        assert graph.subgraph_id_of(1) is None
+        run.subgraph_id = 4
+        assert [graph.subgraph_id_of(i) for i in range(3)] == [4, 4, 4]
+        assert not graph._nodes
+        for view in (
+            graph.cell_type_of, graph.inputs_of, graph.predecessors,
+            graph.successors, graph.subgraph_id_of,
+        ):
+            with pytest.raises(KeyError):
+                view(3)
 
     # -- validation through ids that have no node object yet ------------------
 
@@ -178,12 +186,12 @@ class TestRuns:
         run = add_chain_run(graph, lstm_type, 300)
         graph.mark_result(run.last_id, "h")
         assert graph.result_refs == [(299, "h")]
-        assert not graph._nodes, "marking the result built the chain"
+        assert not graph._nodes, "marking the result made a record"
         with pytest.raises(ValueError, match="no output"):
             graph.mark_result(run.last_id, "bogus")
         with pytest.raises(ValueError, match="unknown node"):
             graph.mark_result(300, "h")
-        graph.mark_result(graph.node(0), "c")  # a node object still works
+        graph.mark_result(0, "c")
         assert graph.result_refs == [(299, "h"), (0, "c")]
         with pytest.raises(RuntimeError, match="not been executed"):
             graph.collect_results()
@@ -201,7 +209,7 @@ class TestRuns:
             },
         )
         assert list(graph.successors(encoder.last_id)) == [decoder.first_id]
-        assert graph.node(decoder.first_id).predecessors() == [encoder.last_id]
+        assert graph.predecessors(decoder.first_id) == [encoder.last_id]
         assert not graph._successors
 
     @pytest.mark.parametrize(
@@ -255,9 +263,9 @@ def add_small_tree(graph, **overrides):
 
 
 class TestTrees:
-    """``add_tree``: one record for a parse tree, validated once, nodes
-    built on demand (``tests/test_tree_runs.py`` holds the whole view to the
-    per-node oracle)."""
+    """``add_tree``: one record for a parse tree, validated once, answering
+    for its nodes by id (``tests/test_tree_runs.py`` holds the whole view to
+    the per-node oracle)."""
 
     def test_tree_reserves_dense_ids_after_earlier_nodes(self, lstm_type):
         graph = CellGraph()
@@ -267,9 +275,10 @@ class TestTrees:
         assert len(graph) == 8 and not graph._nodes and len(graph.runs()) == 2
         assert graph.done == bytearray(8), "one completion byte per node id"
         assert tree.parent == [2, 2, 4, 4, -1]
-        assert graph.node(7).predecessors() == [5, 6]
-        assert graph.node(5).predecessors() == [3, 4]
-        assert graph.node(6).inputs["ids"].value == 9
+        assert graph.predecessors(7) == [5, 6]
+        assert graph.predecessors(5) == [3, 4]
+        assert graph.predecessors(6) == []
+        assert graph.inputs_of(6)["ids"].value == 9
         assert [list(graph.successors(i)) for i in range(3, 8)] == [[5], [5], [7], [7], []]
         assert graph.cell_type_census() == {"lstm": 3, "tree_leaf": 3, "tree_internal": 2}
         graph.mark_result(7, "h")
@@ -371,5 +380,5 @@ class TestPartitioning:
     def test_subgraph_ids_are_assigned(self):
         model = LSTMChainModel()
         graph, subgraphs = self._partition(model, 5)
-        for node in graph.nodes():
-            assert node.subgraph_id == subgraphs[0].subgraph_id
+        for node_id in range(len(graph)):
+            assert graph.subgraph_id_of(node_id) == subgraphs[0].subgraph_id

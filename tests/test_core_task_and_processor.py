@@ -78,7 +78,9 @@ class TestBatchedTask:
                     "c": zeros[None, :],
                 }
             )
-            np.testing.assert_allclose(node.outputs["h"], expected["h"][0], atol=1e-6)
+            np.testing.assert_allclose(
+                graph.outputs[node.node_id]["h"], expected["h"][0], atol=1e-6
+            )
 
     def test_execute_with_unexecuted_dependency_raises(self):
         params = ParameterStore(seed=0)

@@ -6,6 +6,10 @@ later task on the same stream — the moment this step is submitted.  The
 worker therefore runs the NumPy kernel at submission whatever the fault
 draw: the optimistic successor gathers from it, and the retry recomputes
 the same rows.  Every run here must produce exactly the fault-free results.
+
+The dynamic Seq2Seq and beam rows grow their graphs in ``Model.extend``,
+which reads a completed decoder's (or select's) output rows by node id: a
+retried task must leave those rows as the fault-free run has them.
 """
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.faults import FaultPlan, KERNEL_FAIL, RetryPolicy, SLAConfig, TaskFault
-from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
+from repro.models import BeamSeq2SeqModel, LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.workload import FixedLengthDataset
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.trees import random_parse_tree
@@ -68,6 +72,27 @@ def _seq2seq_payloads(rng):
     ]
 
 
+def _dynamic_seq2seq_payloads(rng):
+    return [
+        {
+            "src": [int(t) for t in rng.integers(0, 40, size=rng.integers(1, 9))],
+            "dynamic": True,
+            "max_decode": int(rng.integers(1, 9)),
+        }
+        for _ in range(NUM_REQUESTS)
+    ]
+
+
+def _beam_payloads(rng):
+    return [
+        {
+            "src": [int(t) for t in rng.integers(0, 40, size=rng.integers(1, 9))],
+            "max_steps": int(rng.integers(1, 9)),
+        }
+        for _ in range(NUM_REQUESTS)
+    ]
+
+
 def _tree_payloads(rng):
     return [
         random_parse_tree(rng, int(rng.integers(1, 12)), 50) for _ in range(NUM_REQUESTS)
@@ -87,6 +112,20 @@ MODELS = {
             hidden_dim=8, src_vocab_size=40, tgt_vocab_size=40, embed_dim=8, real=True, seed=5
         ),
         _seq2seq_payloads,
+        4,
+    ),
+    "seq2seq_dynamic": (
+        lambda: Seq2SeqModel(
+            hidden_dim=8, src_vocab_size=40, tgt_vocab_size=40, embed_dim=8, real=True, seed=5
+        ),
+        _dynamic_seq2seq_payloads,
+        4,
+    ),
+    "beam_seq2seq": (
+        lambda: BeamSeq2SeqModel(
+            hidden_dim=8, src_vocab_size=40, tgt_vocab_size=40, embed_dim=8, real=True, seed=5
+        ),
+        _beam_payloads,
         4,
     ),
     "tree_lstm": (

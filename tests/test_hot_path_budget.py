@@ -2,7 +2,8 @@
 
 The serving loop's cost per executed cell is mostly Python function calls
 (DESIGN.md §19), and their number — unlike a timing — is exact and
-repeatable.  A small seeded ``lstm_chain`` run, and a ``tree_lstm`` one, is
+repeatable.  A small seeded ``lstm_chain`` run, a ``tree_lstm`` one and two
+Seq2Seq ones (static and dynamic decode: the explicit-node path) are each
 counted under ``sys.setprofile`` (every Python ``call`` and C ``c_call``
 inside ``LoadGenerator.run``) and held to a budget per executed cell, so a
 change that walks a task once more per stage fails here, on any host,
@@ -27,7 +28,13 @@ from repro.faults import SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.registry import build_server, presets
 from repro.trace import TraceRecorder
-from repro.workload import FixedLengthDataset, LoadGenerator, SequenceDataset, TreeDataset
+from repro.workload import (
+    FixedLengthDataset,
+    LoadGenerator,
+    Seq2SeqDataset,
+    SequenceDataset,
+    TreeDataset,
+)
 
 REQUESTS = 300
 # 1.25x what this run read when the budget was last set (24.09 calls per
@@ -41,6 +48,13 @@ CALLS_PER_CELL_BUDGET = 30.1
 # the budget was last set (47.80 before §27, 48.7 before §23), 92.5 with one
 # explicit node per tree node and dict-backed subgraphs (DESIGN.md §20).
 TREE_CALLS_PER_CELL_BUDGET = 54.1
+# The explicit-node path, on Seq2Seq: every encoder and decoder step is a
+# ``CellNode`` found by the partition's component search, and the dynamic
+# row grows its decoder one ``Model.extend`` at a time.  1.25x what the runs
+# read when the rows were set: 124.38 static and 145.06 dynamic calls per
+# cell (DESIGN.md §29; 129.8 and 176.7 while ``extend`` was handed a node
+# object and the dynamic decoder counted its steps by census).
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 155.5, "dynamic": 181.3}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
@@ -128,6 +142,18 @@ def _tree_run():
     )
 
 
+def _seq2seq_run(variant):
+    if variant == "dynamic":
+        spec = presets.seq2seq_dynamic_spec(capacity_requests=None, memory_aware=False)
+    else:
+        spec = presets.seq2seq_batchmaker_spec()
+    return (
+        build_server(spec),
+        LoadGenerator(rate=400.0, num_requests=REQUESTS, seed=42),
+        Seq2SeqDataset(seed=43, dynamic=variant == "dynamic"),
+    )
+
+
 def _cluster_run(replicas):
     return (
         build_cluster(
@@ -205,6 +231,20 @@ def test_tree_calls_and_tracked_objects_per_cell_within_budget_and_repeatable():
         f"{tracked / cells:.2f} per cell, budget {TREE_TRACKED_PER_CELL_BUDGET}"
     )
     assert _count_calls(_tree_run)[:3] == (calls, cells, tracked), "the counts must repeat exactly"
+
+
+@pytest.mark.parametrize("variant", sorted(SEQ2SEQ_CALLS_PER_CELL_BUDGET))
+def test_seq2seq_calls_per_cell_within_budget_and_repeatable(variant):
+    calls, cells, _, _ = _count_calls(lambda: _seq2seq_run(variant))
+    assert cells > 10000, "the run is too small to mean anything"
+    budget = SEQ2SEQ_CALLS_PER_CELL_BUDGET[variant]
+    assert calls / cells <= budget, (
+        f"seq2seq {variant}: {calls} calls for {cells} cells = "
+        f"{calls / cells:.1f} per cell, budget {budget}"
+    )
+    assert _count_calls(lambda: _seq2seq_run(variant))[:2] == (calls, cells), (
+        "the counts must repeat exactly"
+    )
 
 
 @pytest.mark.parametrize("subsystem", sorted(OPT_IN))

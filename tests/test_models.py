@@ -87,17 +87,16 @@ class TestSeq2SeqModel:
 
     def test_decoder_feeds_previous_token(self):
         graph = unfold(Seq2SeqModel(), {"src": 2, "tgt_len": 3})
-        decoders = [n for n in graph.nodes() if n.cell_type.name == "decoder"]
-        second = decoders[1]
-        ids_ref = second.inputs["ids"]
-        assert ids_ref.node_id == decoders[0].node_id
+        decoders = [i for i in range(len(graph)) if graph.cell_type_of(i).name == "decoder"]
+        ids_ref = graph.inputs_of(decoders[1])["ids"]
+        assert ids_ref.node_id == decoders[0]
         assert ids_ref.output == "token"
 
     def test_first_decoder_takes_go_token_and_encoder_state(self):
         graph = unfold(Seq2SeqModel(), {"src": 3, "tgt_len": 1})
-        decoder = next(n for n in graph.nodes() if n.cell_type.name == "decoder")
-        assert decoder.inputs["ids"].value == GO_TOKEN
-        assert decoder.inputs["h"].node_id == 2  # final encoder node
+        assert graph.cell_type_of(3).name == "decoder"
+        assert graph.inputs_of(3)["ids"].value == GO_TOKEN
+        assert graph.inputs_of(3)["h"].node_id == 2  # final encoder node
 
     def test_dynamic_unfolds_single_decoder(self):
         graph = unfold(Seq2SeqModel(), {"src": 4, "dynamic": True, "max_decode": 9})
@@ -107,26 +106,29 @@ class TestSeq2SeqModel:
         model = Seq2SeqModel()
         payload = {"src": 2, "dynamic": True, "max_decode": 2}
         graph = unfold(model, payload)
-        decoder = next(n for n in graph.nodes() if n.cell_type.name == "decoder")
-        new = model.extend(graph, decoder, payload)
-        assert len(new) == 1
+        assert graph.cell_type_of(2).name == "decoder"
+        new = model.extend(graph, 2, payload)
+        assert [node.node_id for node in new] == [3]
+        assert graph.predecessors(3) == [2]
         # Budget now exhausted (2 decoders exist).
-        assert model.extend(graph, new[0], payload) == []
+        assert model.extend(graph, 3, payload) == []
 
     def test_extend_stops_at_eos(self):
         model = Seq2SeqModel()
         payload = {"src": 2, "dynamic": True, "max_decode": 10}
         graph = unfold(model, payload)
-        decoder = next(n for n in graph.nodes() if n.cell_type.name == "decoder")
-        decoder.outputs = {"token": np.asarray(EOS_TOKEN), "h": None, "c": None}
-        assert model.extend(graph, decoder, payload) == []
+        assert graph.cell_type_of(2).name == "decoder"
+        graph.outputs[2] = {"token": np.asarray(EOS_TOKEN), "h": None, "c": None}
+        assert model.extend(graph, 2, payload) == []
+        graph.outputs[2]["token"] = np.asarray(EOS_TOKEN + 1)
+        assert len(model.extend(graph, 2, payload)) == 1
 
     def test_extend_ignores_encoder_completions(self):
         model = Seq2SeqModel()
         payload = {"src": 2, "dynamic": True, "max_decode": 10}
         graph = unfold(model, payload)
-        encoder = next(n for n in graph.nodes() if n.cell_type.name == "encoder")
-        assert model.extend(graph, encoder, payload) == []
+        assert graph.cell_type_of(1).name == "encoder"
+        assert model.extend(graph, 1, payload) == []
 
     def test_phases_static(self):
         model = Seq2SeqModel()

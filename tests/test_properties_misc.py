@@ -110,7 +110,7 @@ class TestFailureInjection:
 
     def test_model_extend_exceptions_propagate(self):
         class ExplodingModel(LSTMChainModel):
-            def extend(self, graph, node, payload):
+            def extend(self, graph, node_id, payload):
                 raise RuntimeError("boom")
 
         server = BatchMakerServer(ExplodingModel())

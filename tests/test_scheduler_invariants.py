@@ -129,7 +129,7 @@ def test_serving_invariants(spec):
     for task in tasks:
         assert task.batch_size <= config.for_cell(task.cell_type.name).max_batch
         assert all(
-            sg.graph.node(nid).cell_type.name == task.cell_type.name
+            sg.graph.cell_type_of(nid).name == task.cell_type.name
             for sg, nid in task.entries
         )
 
@@ -137,7 +137,7 @@ def test_serving_invariants(spec):
     submit_index = {id(task): i for i, task in enumerate(tasks)}
     for task in tasks:
         for subgraph, node_id in task.entries:
-            for pred_id in subgraph.graph.node(node_id).predecessors():
+            for pred_id in subgraph.graph.predecessors(node_id):
                 pred_key = (subgraph.request.request_id, pred_id)
                 pred_task = node_to_task[pred_key]
                 if pred_task is task:
@@ -158,7 +158,7 @@ def test_serving_invariants(spec):
             (sg.request.request_id, node_id) for sg, node_id in task.entries
         }
         for subgraph, node_id in task.entries:
-            for pred_id in subgraph.graph.node(node_id).predecessors():
+            for pred_id in subgraph.graph.predecessors(node_id):
                 assert (subgraph.request.request_id, pred_id) not in ids_in_task
 
 

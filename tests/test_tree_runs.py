@@ -7,10 +7,11 @@ search built dict-backed ones.  The per-node unfold lives on as
 ``tests/oracles/explicit_tree.ExplicitTreeModel``; everything here runs
 both and demands the same answer:
 
-(a) the graph *view* — ``len``, census, every node's ``inputs``,
-    ``predecessors()``, ``successors()``, ``result_refs`` — and the
-    partition: subgraph ids, ``node_ids``, release order, ``queue_seq`` and
-    every task's composition down to an empty system;
+(a) the graph *view* by node id — ``len``, census, ``result_refs`` and, for
+    every id, ``cell_type_of``, ``inputs_of`` (input order included),
+    ``predecessors``, ``successors``, ``subgraph_id_of`` and ``done`` — and
+    the partition: subgraph ids, ``node_ids``, release order, ``queue_seq``
+    and every task's composition down to an empty system;
 (b) whole-run outcome fingerprints (``batch_size_counts`` included) across
     GPU counts, every placement and formation policy, pinning on and off,
     under faults, deadlines, shedding and memory evict-and-restart;
@@ -58,7 +59,7 @@ from tests.chaos_helpers import (
     run_chaos,
 )
 from tests.oracles.explicit_tree import ExplicitTreeModel
-from tests.test_chain_runs import NOTHING_BUILT, count_constructions, inputs_view
+from tests.test_chain_runs import NOTHING_BUILT, assert_same_view, count_constructions
 from tests.test_chain_runs import unfolded as unfold_payload
 
 SEEDS = chaos_seeds()
@@ -102,39 +103,25 @@ def unfolded(model, spec):
 
 @pytest.mark.parametrize("name", TREES)
 def test_graph_view_equals_explicit_tree(name):
-    flat_graph, _ = unfolded(TreeLSTMModel(), TREES[name])
-    ref_graph, _ = unfolded(ExplicitTreeModel(), TREES[name])
-    size = len(ref_graph)
-
-    assert len(flat_graph) == size
-    assert flat_graph.cell_type_census() == ref_graph.cell_type_census()
-    assert flat_graph.result_refs == ref_graph.result_refs
-    assert flat_graph.explicit_nodes() == [] and len(flat_graph.runs()) == 1
-    assert size not in flat_graph and size - 1 in flat_graph
-    # Out of order first: a node built on demand must not depend on its
-    # neighbours having been built.
-    assert inputs_view(flat_graph.node(size - 1)) == inputs_view(ref_graph.node(size - 1))
-    for nid in range(size):
-        got, want = flat_graph.node(nid), ref_graph.node(nid)
-        assert got is flat_graph.node(nid), "a node must be built once"
-        assert got.node_id == want.node_id == nid
-        assert got.cell_type.name == want.cell_type.name
-        assert list(got.inputs) == list(want.inputs), "input order"
-        assert inputs_view(got) == inputs_view(want)
-        assert got.predecessors() == want.predecessors()
-        assert list(flat_graph.successors(nid)) == list(ref_graph.successors(nid))
-        assert got.outputs is None and flat_graph.done[nid] == 0
-        assert got.subgraph_id is None
-    assert [n.node_id for n in flat_graph.nodes()] == list(range(size))
-    with pytest.raises(KeyError):
-        flat_graph.node(size)
-    with pytest.raises(KeyError):
-        flat_graph.successors(size)
+    flat_graph, flat_request = unfolded(TreeLSTMModel(), TREES[name])
+    ref_graph, ref_request = unfolded(ExplicitTreeModel(), TREES[name])
+    assert flat_graph.explicit_nodes() == {} and len(flat_graph.runs()) == 1
+    assert_same_view(flat_graph, ref_graph)
+    assert flat_graph.subgraph_id_of(0) is None, "not partitioned yet"
+    # After the partition, and with the leaves marked done, still alike.
+    partition_into_subgraphs(flat_graph, flat_request, start_id=2)
+    partition_into_subgraphs(ref_graph, ref_request, start_id=2)
+    for graph in (flat_graph, ref_graph):
+        for nid in range(len(graph)):
+            if not graph.predecessors(nid):
+                graph.done[nid] = 1
+    assert_same_view(flat_graph, ref_graph)
 
 
 def test_explicit_consumers_of_tree_nodes_are_linked_and_checked():
-    """``add_node`` may read from a tree node that was never built, leaf or
-    internal; the edge shows up in ``successors`` after the parent."""
+    """``add_node`` may read from a tree node, leaf or internal, which has
+    no record of its own; the edge shows up in ``successors`` after the
+    parent, and the consumer's ``predecessors`` name both children."""
     model = TreeLSTMModel()
     graph, _ = unfolded(model, TreeNodeSpec.complete(2))
     leaf_type, internal_type = model.cell_types()
@@ -149,7 +136,7 @@ def test_explicit_consumers_of_tree_nodes_are_linked_and_checked():
     )
     assert graph._nodes.keys() == {consumer.node_id}
     assert graph.successors(0) == [2, 3] and graph.successors(2) == [3]
-    assert [n.node_id for n in graph.explicit_nodes()] == [3]
+    assert list(graph.explicit_nodes()) == [3] and graph.predecessors(3) == [0, 2]
     assert graph.cell_type_census() == {"tree_leaf": 2, "tree_internal": 2}
     with pytest.raises(ValueError, match="no output 'logits'"):
         graph.add_node(leaf_type, {"ids": NodeOutput(1, "logits")})
@@ -183,29 +170,14 @@ def test_partition_shape_equals_explicit_tree(name):
         )
         assert not hasattr(sg, "__dict__") and not hasattr(sg, "_external_edges")
         assert f"Subgraph {sg.subgraph_id} " in repr(sg)
-    assert [n.subgraph_id for n in flat_graph.nodes()] == [
-        n.subgraph_id for n in ref_graph.nodes()
+    assert [flat_graph.subgraph_id_of(i) for i in range(len(flat_graph))] == [
+        ref_graph.subgraph_id_of(i) for i in range(len(ref_graph))
     ]
     internal = [sg for sg in got if isinstance(sg, TreeSubgraph)]
     assert len(internal) == (1 if len(flat_graph) > 1 else 0)
     assert {sg.internal for sg in got if isinstance(sg, LeafSubgraph)} == {
         internal[0] if internal else None
     }
-
-
-def test_explicit_pool_over_a_tree_still_partitions_generically():
-    """Handing the partitioner the nodes themselves gives the generic
-    subgraphs: the graph view is complete enough for the component search,
-    and completion then finds a leaf's parent through the node."""
-    graph, request = unfolded(TreeLSTMModel(), TREES["random7"])
-    ref_graph, ref_request = unfolded(ExplicitTreeModel(), TREES["random7"])
-    got = partition_into_subgraphs(graph, request, nodes=list(graph.nodes()))
-    want = partition_into_subgraphs(ref_graph, ref_request)
-    assert {type(sg) for sg in got} == {Subgraph}
-    assert [shape(sg) for sg in got] == [shape(sg) for sg in want]
-    assert [n.subgraph_id for n in graph.nodes()] == [
-        n.subgraph_id for n in ref_graph.nodes()
-    ]
 
 
 class Engine:

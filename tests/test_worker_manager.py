@@ -26,7 +26,7 @@ def make_task(model, length=1):
     request.subgraphs = {sg.subgraph_id: sg}
     entries = []
     sg.commit(1, 0, entries)
-    return BatchedTask(0, graph.node(entries[0][1]).cell_type, entries)
+    return BatchedTask(0, graph.cell_type_of(entries[0][1]), entries)
 
 
 def make_worker(loop, completions, per_task_overhead=0.0):
