@@ -38,7 +38,11 @@ class CellType:
         self.input_names = tuple(input_names)
         self.output_names = tuple(output_names)
         self.cell = cell
-        self._num_operators = num_operators
+        # Kernels per step, read once here: the worker prices every task
+        # with it.
+        self.num_operators = (
+            cell.num_operators() if cell is not None else num_operators
+        )
 
     @classmethod
     def from_cell(cls, cell: Cell, name: Optional[str] = None) -> "CellType":
@@ -50,9 +54,6 @@ class CellType:
             cell=cell,
             num_operators=cell.num_operators(),
         )
-
-    def num_operators(self) -> int:
-        return self.cell.num_operators() if self.cell is not None else self._num_operators
 
     def compute(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Batched forward (real-compute mode only)."""

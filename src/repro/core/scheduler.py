@@ -27,11 +27,14 @@ incrementally instead of rescanning:
   is a read: nothing is popped, so a plan declined under the min-batch
   rule needs no undo and a committed one touches the index only when a
   subgraph's pin or readiness actually changes.
-* Each task is walked once per stage: one ``Subgraph.commit`` per plan
-  member here, which appends ``(subgraph, node_id)`` entries straight
-  onto the task's list — no node object is built (DESIGN.md §27) — one
-  pass per distinct subgraph at submission, two passes over the entries
-  at completion (DESIGN.md §19).
+* A task is walked a fixed, small number of times (DESIGN.md §19, §30):
+  one ``Subgraph.commit`` per plan member here, which appends
+  ``(subgraph, node_id)`` entries straight onto the task's list — no node
+  object is built (DESIGN.md §27) — and the task keeps the plan as its
+  member list.  At submission two passes read the members: the manager's
+  placement walk and the worker's composition ids.  At completion one
+  pass goes over the entries, and a second only over the nodes read from
+  outside their subgraph.
 
 This is the only scheduler in ``src/``.  The original O(queue) scans — a
 full FIFO scan per batch, a full recount per ready-node read — live in
@@ -285,8 +288,8 @@ class Scheduler:
     ) -> None:
         """Materialise a planned batch: one ``Subgraph.commit`` per member
         (append the ready node ids to the task's entries, pin to the worker,
-        update the optimistic dependencies), then build the task and
-        submit."""
+        update the optimistic dependencies), then build the task — which
+        keeps the plan as its member list — and submit."""
         entries = []
         worker_id = worker.worker_id
         for sg, count in plan:
@@ -294,7 +297,7 @@ class Scheduler:
             if sg.unsubmitted == 0:  # exhausted
                 queue.remove(sg)
                 self.policies.formation.on_subgraph_removed(queue, sg)
-        task = BatchedTask(self._next_task_id, queue.cell_type, entries)
+        task = BatchedTask(self._next_task_id, queue.cell_type, entries, plan)
         self._next_task_id += 1
         queue.running_tasks += 1
         self.tasks_submitted += 1

@@ -29,8 +29,15 @@ class Subgraph:
       *submitted* (the optimistic readiness of Algorithm 1's
       ``UpdateNodesDependency``), not yet submitted themselves.
     * ``pinned``: worker id this subgraph is currently bound to; set when a
-      task containing its nodes is submitted, cleared when ``inflight``
-      returns to zero (paper §4.3, last paragraph).
+      task containing its nodes is submitted, cleared when the last
+      submitted node retires (paper §4.3, last paragraph).
+    * ``inflight``: nodes submitted and not yet completed, derived as
+      ``uncompleted - unsubmitted`` (DESIGN.md §30).  A failed task's nodes
+      stay in flight until its retry retires them.
+    * ``consumers``: the record's table of nodes read from outside this
+      subgraph (node id -> consumer ids), or None when every completion
+      may release something (generic and leaf subgraphs).  The request
+      processor calls :meth:`propagate` only for a node the table names.
 
     Slotted: a request has one subgraph per tree leaf, so an instance must
     not cost a ``__dict__``.  Every attribute anything sets on a subgraph
@@ -41,7 +48,7 @@ class Subgraph:
         "subgraph_id", "request", "cell_type_name", "graph",
         # How the generic subgraph tracks its nodes (subclasses have their own).
         "node_ids", "ready", "_internal_pending", "_external_edges",
-        "unsubmitted", "uncompleted", "inflight", "released",
+        "unsubmitted", "uncompleted", "released", "consumers",
         "pinned", "sticky", "optimistic", "last_worker",  # placement policies
         "owner", "queue_seq",  # the CellTypeQueue
         "resident_on", "resident_bytes",  # the manager's memory accounting
@@ -78,6 +85,7 @@ class Subgraph:
         self.ready: List[int] = [
             nid for nid in self.node_ids if self._internal_pending[nid] == 0
         ]
+        self.consumers = None
         self._init_scheduling(
             subgraph_id, request, cell_type_name, graph, len(self.node_ids)
         )
@@ -98,8 +106,7 @@ class Subgraph:
         self.unsubmitted = num_nodes
         self.uncompleted = num_nodes
         self.pinned: Optional[int] = None
-        self.inflight = 0
-        # A sticky pin survives the inflight count returning to zero —
+        # A sticky pin survives the last in-flight node retiring —
         # static placement policies (repro.policies.FixedPlacement) use it
         # to keep a subgraph's home for life.
         self.sticky = False
@@ -125,6 +132,10 @@ class Subgraph:
         # in lockstep with the devices' MemoryModel accounting.
         self.resident_on: Optional[int] = None
         self.resident_bytes: int = 0
+
+    @property
+    def inflight(self) -> int:
+        return self.uncompleted - self.unsubmitted
 
     # -- release bookkeeping (driven by the request processor) -------------
 
@@ -168,7 +179,8 @@ class Subgraph:
     def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         """Hand ``count`` ready nodes (FIFO within the subgraph) to a task on
         ``worker_id``: append ``(self, node_id)`` for each to the task's
-        ``entries``, :meth:`pin` this subgraph to the worker and —
+        ``entries``, :meth:`pin` this subgraph to the worker (a call only
+        when the pin changes) and —
         Algorithm 1's ``UpdateNodesDependency`` — make ready the
         in-subgraph successors whose predecessors have now all been
         submitted (optimistic mode only).  The scheduler's one call per
@@ -182,7 +194,8 @@ class Subgraph:
         if self.owner is not None:
             self.owner.on_ready_delta(self, -count)
         entries += [(self, nid) for nid in node_ids]
-        self.pin(worker_id)
+        if self.pinned != worker_id and self.optimistic:
+            self.pin(worker_id)
         self.unsubmitted -= count
         if self.optimistic:
             newly_ready = 0
@@ -223,14 +236,15 @@ class Subgraph:
         return newly_ready
 
     def pin(self, worker_id: int) -> None:
-        """Nodes of this subgraph went to a task on ``worker_id``: count the
-        task in flight and, in optimistic mode — which the placement set at
-        admission exactly when it binds work to one device (pinned and
-        fixed placement; DESIGN.md §27) — bind the subgraph there.  A
-        non-optimistic subgraph stays unpinned."""
+        """Nodes of this subgraph went to a task on ``worker_id``: in
+        optimistic mode — which the placement set at admission exactly
+        when it binds work to one device (pinned and fixed placement;
+        DESIGN.md §27) — bind the subgraph there.  A non-optimistic
+        subgraph stays unpinned.  Nothing is counted: the pin lasts while
+        ``inflight`` is non-zero, and the request processor clears it when
+        the last submitted node retires."""
         pinned = self.pinned
         if pinned == worker_id or not self.optimistic:
-            self.inflight += 1
             return
         if pinned is not None:
             raise RuntimeError(
@@ -238,32 +252,21 @@ class Subgraph:
                 f"{pinned}, cannot pin to {worker_id}"
             )
         self.pinned = worker_id
-        self.inflight += 1
         if self.owner is not None:
             self.owner.on_pin_changed(self)
 
     def repin(self, worker_id: Optional[int]) -> None:
-        """Forcibly move the pin to another worker (or clear it) without
-        touching ``inflight`` — the failure path uses this when the pinned
-        device dies and the subgraph's remaining work must migrate to a
-        survivor.  Normal scheduling must use :meth:`pin`, which enforces
-        single-worker affinity."""
+        """Forcibly move the pin to another worker, or clear it with None.
+        The request processor clears it when the last submitted node
+        retires; the failure path moves it when the pinned device dies and
+        the subgraph's remaining work must migrate to a survivor.  Normal
+        scheduling must use :meth:`pin`, which enforces single-worker
+        affinity."""
         if self.pinned == worker_id:
             return
         self.pinned = worker_id
         if self.owner is not None:
             self.owner.on_pin_changed(self)
-
-    def task_done(self, completed_nodes: int) -> None:
-        """A task containing this subgraph's nodes retired; unpin at zero."""
-        self.uncompleted -= completed_nodes
-        self.inflight -= 1
-        if self.inflight < 0 or self.uncompleted < 0:
-            raise RuntimeError(f"subgraph {self.subgraph_id}: completion underflow")
-        if self.inflight == 0 and self.pinned is not None and not self.sticky:
-            self.pinned = None
-            if self.owner is not None:
-                self.owner.on_pin_changed(self)
 
     def __repr__(self) -> str:
         return (
@@ -295,6 +298,7 @@ class RunSubgraph(Subgraph):
             if not done[pred]:
                 self._external_edges.add((pred, run.first_id))
         self._cursor: Optional[int] = run.first_id
+        self.consumers = run.consumers
         self._init_scheduling(
             subgraph_id, request, run.cell_type.name, graph, run.steps
         )
@@ -321,7 +325,8 @@ class RunSubgraph(Subgraph):
             self._cursor = None
             if self.owner is not None:
                 self.owner.on_ready_delta(self, -1)
-        self.pin(worker_id)
+        if self.pinned != worker_id and self.optimistic:
+            self.pin(worker_id)
 
     def _advance_internal(self, nid: int) -> int:
         if nid + 1 < self.run.stop:
@@ -355,6 +360,7 @@ class LeafSubgraph(Subgraph):
         self.node_id = node_id
         self._ready = True
         self.internal = internal
+        self.consumers = None  # a completed leaf reports to ``internal``
         self._init_scheduling(subgraph_id, request, tree.leaf_type.name, graph, 1)
 
     @property
@@ -384,7 +390,8 @@ class LeafSubgraph(Subgraph):
         self.unsubmitted -= 1
         if self.owner is not None:
             self.owner.on_ready_delta(self, -1)
-        self.pin(worker_id)
+        if self.pinned != worker_id and self.optimistic:
+            self.pin(worker_id)
 
     def _advance_internal(self, nid: int) -> int:
         return 0  # the parent lies in the tree's internal subgraph
@@ -410,6 +417,7 @@ class TreeSubgraph(Subgraph):
         self.ready: List[int] = []
         leaves = tree.num_leaves
         self._leaves_outstanding = leaves
+        self.consumers = tree.consumers
         self._init_scheduling(
             subgraph_id, request, tree.internal_type.name, graph, leaves - 1
         )
@@ -448,7 +456,8 @@ class TreeSubgraph(Subgraph):
                 delta += self._advance_internal(nid)
         # The pin sees the final ready list, so the queue registers this
         # subgraph at most once; the count then moves without a search.
-        self.pin(worker_id)
+        if self.pinned != worker_id and self.optimistic:
+            self.pin(worker_id)
         if delta and self.owner is not None:
             self.owner.on_ready_delta(self, delta)
 

@@ -10,7 +10,7 @@ scatters the output rows back — all by node id: a node's inputs are
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -19,21 +19,34 @@ from repro.core.cell_graph import ValueInput
 from repro.core.subgraph import Entries, Subgraph
 from repro.tensor import ops
 
+if TYPE_CHECKING:  # typing only — policies are imported by core at runtime
+    from repro.policies.base import Plan
+
 
 class BatchedTask:
-    """A batch of same-type cell invocations destined for one worker."""
+    """A batch of same-type cell invocations destined for one worker.
+
+    ``plan`` is the scheduler's plan the task was committed from:
+    ``(subgraph, node count)`` per distinct member, in the order the
+    members' entries appear.  Submission and the extensions walk the
+    members from it; no stage rebuilds them from the entries.
+    """
 
     def __init__(
         self,
         task_id: int,
         cell_type: CellType,
         entries: Entries,
+        plan: Optional[Plan] = None,
     ):
         if not entries:
             raise ValueError("a batched task needs at least one entry")
+        if plan is None:
+            plan = _plan_of(entries)
         name = cell_type.name
-        for subgraph, node_id in entries:
+        for subgraph, _ in plan:
             if subgraph.cell_type_name != name:
+                node_id = next(nid for sg, nid in entries if sg is subgraph)
                 raise ValueError(
                     f"task {task_id}: node {node_id} has type "
                     f"{subgraph.cell_type_name!r}, expected {name!r}"
@@ -41,11 +54,8 @@ class BatchedTask:
         self.task_id = task_id
         self.cell_type = cell_type
         self.entries = entries
-        # ``subgraphs()`` and the entries list it was derived from: keyed by
-        # the list's identity, so the failure path's ``task.entries =
-        # filtered`` invalidates the cache without a hook.
-        self._subgraphs: Tuple[Subgraph, ...] = ()
-        self._subgraphs_of: Optional[list] = None
+        self.plan = plan
+        self.batch_size = len(entries)
         self.worker_id: Optional[int] = None
         self.submit_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -69,21 +79,13 @@ class BatchedTask:
         self.gather_time = 0.0
         self.migration_time = 0.0
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.entries)
-
-    def subgraphs(self) -> Tuple[Subgraph, ...]:
-        """Distinct subgraphs contributing nodes, in first-seen order."""
-        entries = self.entries
-        if self._subgraphs_of is not entries:
-            seen: Dict[int, Subgraph] = {}
-            for subgraph, _ in entries:
-                if subgraph.subgraph_id not in seen:
-                    seen[subgraph.subgraph_id] = subgraph
-            self._subgraphs = tuple(seen.values())
-            self._subgraphs_of = entries
-        return self._subgraphs
+    def retain(self, entries: Entries) -> None:
+        """Narrow the task to ``entries``, a subset of its own — the
+        failure path drops the terminal requests' share before a retry.
+        The plan and the batch size follow."""
+        self.entries = entries
+        self.plan = _plan_of(entries)
+        self.batch_size = len(entries)
 
     # -- real-compute execution ---------------------------------------------
 
@@ -122,3 +124,12 @@ class BatchedTask:
             f"<BatchedTask {self.task_id} type={self.cell_type.name!r} "
             f"batch={self.batch_size} worker={self.worker_id}>"
         )
+
+
+def _plan_of(entries: Entries) -> Plan:
+    """The ``(subgraph, node count)`` plan behind ``entries``, members in
+    first-seen order."""
+    counts: Dict[Subgraph, int] = {}
+    for subgraph, _ in entries:
+        counts[subgraph] = counts.get(subgraph, 0) + 1
+    return list(counts.items())

@@ -16,7 +16,8 @@ in-flight completion and fails the corresponding tasks immediately.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, List, Optional
 
 from repro.core.task import BatchedTask
 from repro.faults.plan import KERNEL_FAIL, STRAGGLER, TaskFault
@@ -48,14 +49,15 @@ class Worker:
         self._on_task_failed = on_task_failed
         self.real_compute = real_compute
         self.alive = True
-        self.outstanding = 0
         self.tasks_executed = 0
         self.tasks_failed = 0
         self.busy_time = 0.0
         self.gathers_performed = 0
-        # Submission-ordered in-flight tasks, so device loss can fail them
-        # in the same deterministic order their completions would have fired.
-        self._inflight: "Dict[int, BatchedTask]" = {}
+        # In-flight tasks in submission order.  The device's stream is FIFO,
+        # so tasks retire in this order: a retiring task is always the
+        # oldest, and device loss fails them in the order their completions
+        # would have fired.
+        self._inflight: Deque[BatchedTask] = deque()
         # Batch composition (subgraph-id set) of the most recently submitted
         # task: an identical composition needs no gather copy (§4.3).
         self._last_composition = None
@@ -89,18 +91,18 @@ class Worker:
             # stream may already hold the next optimistic step, and the
             # retry recomputes the same rows (DESIGN.md §27).
             task.execute()
-        subgraphs = task.subgraphs()
-        composition = frozenset([subgraph.subgraph_id for subgraph in subgraphs])
+        composition = frozenset([subgraph.subgraph_id for subgraph, _ in task.plan])
         needs_gather = composition != self._last_composition
         self._last_composition = composition
         if needs_gather:
             self.gathers_performed += 1
-        task.gather_time = self.cost_model.gather_overhead if needs_gather else 0.0
+        cost_model, cell_type = self.cost_model, task.cell_type
+        task.gather_time = cost_model.gather_overhead if needs_gather else 0.0
         task.migration_time = extra_cost
-        duration = self.cost_model.task_time(
-            task.cell_type.name,
+        duration = cost_model.task_time(
+            cell_type.name,
             task.batch_size,
-            num_operators=task.cell_type.num_operators(),
+            num_operators=cell_type.num_operators,
             include_gather=needs_gather,
         ) + extra_cost
         if fault is not None and fault.kind == STRAGGLER:
@@ -111,32 +113,29 @@ class Worker:
             # stragglers and gather/migration copies burn power too, so the
             # final wall duration is the right integrand.
             self.device.energy.charge_task(duration)
-        self.outstanding += 1
-        self._inflight[task.task_id] = task
-        on_retire = (
-            (lambda: self._fail(task, "kernel_fault"))
-            if will_fail
-            else (lambda: self._complete(task))
-        )
+        self._inflight.append(task)
         self.device.run_for(
             duration,
-            on_complete=on_retire,
-            tag=(task.cell_type.name, task.batch_size),
+            on_complete=(lambda: self._fail(task, "kernel_fault"))
+            if will_fail
+            else self._complete,
+            tag=(cell_type.name, task.batch_size),
         )
 
-    def _complete(self, task: BatchedTask) -> None:
+    def _complete(self) -> None:
+        """The oldest in-flight task retired (its completion signal)."""
+        task = self._inflight.popleft()
         task.finish_time = self.loop.now()
-        self._inflight.pop(task.task_id, None)
-        self.outstanding -= 1
         self.tasks_executed += 1
         self.busy_time += task.duration or 0.0
         self._on_task_complete(self, task)
 
     def _fail(self, task: BatchedTask, reason: str) -> None:
         """A task execution did not retire cleanly (kernel fault at its
-        retire time, or the device died under it)."""
-        self._inflight.pop(task.task_id, None)
-        self.outstanding -= 1
+        retire time, or the device died under it).  Either way it is the
+        oldest in flight."""
+        if self._inflight.popleft() is not task:
+            raise RuntimeError(f"task {task.task_id} failed out of stream order")
         self.tasks_failed += 1
         if reason != "device_lost":
             # A kernel fault is detected at retire time: the device time was
@@ -157,15 +156,19 @@ class Worker:
             return []
         self.alive = False
         self.device.fail()
-        doomed = list(self._inflight.values())
+        doomed = list(self._inflight)
         for task in doomed:
             self._fail(task, "device_lost")
-        self._inflight.clear()
         return doomed
+
+    @property
+    def outstanding(self) -> int:
+        """Submitted tasks not yet retired."""
+        return len(self._inflight)
 
     def is_idle(self) -> bool:
         """No submitted-but-unretired tasks; the scheduler refills on idle."""
-        return self.outstanding == 0
+        return not self._inflight
 
     def __repr__(self) -> str:
         state = "" if self.alive else " DEAD"

@@ -37,9 +37,19 @@ class LatencyTable:
         self.name = name
         self._batches = [b for b, _ in points]
         self._times = [t * _US for _, t in points]
+        # batch size -> seconds: the table is a pure function of the batch
+        # size, asked once per executed task, over a handful of sizes.
+        self._memo: Dict[int, float] = {}
 
     def __call__(self, batch_size: int) -> float:
         """Execution time in seconds for one step at ``batch_size``."""
+        memo = self._memo
+        if batch_size in memo:
+            return memo[batch_size]
+        seconds = memo[batch_size] = self._interpolate(batch_size)
+        return seconds
+
+    def _interpolate(self, batch_size: int) -> float:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         batches, times = self._batches, self._times

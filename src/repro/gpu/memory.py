@@ -220,7 +220,7 @@ class MemoryAccounting(EngineExtension):
         kernel still runs: the abort happens at launch."""
         mem = worker.device.memory
         state_bytes = self.spec.state_bytes
-        for sg in task.subgraphs():
+        for sg, _ in task.plan:
             request = sg.request
             if request.terminal or sg.resident_on == worker.worker_id:
                 continue
@@ -271,7 +271,7 @@ class MemoryAccounting(EngineExtension):
         if request.terminal:
             return False
         for sg in request.subgraphs.values():
-            if sg.inflight or sg.uncompleted != sg.unsubmitted:
+            if sg.inflight:
                 raise ValueError(
                     f"cannot restart request {request.request_id}: "
                     f"subgraph {sg.subgraph_id} has nodes in flight"

@@ -60,17 +60,11 @@ class PlacementPolicy:
         """A released subgraph enters the scheduler's queues."""
         sg.optimistic = self.optimistic
 
-    def migration_cost(self, task: "BatchedTask", worker: "Worker") -> float:
-        """Cross-device copy cost of running ``task`` on ``worker``: charged
-        for every subgraph whose live state sits on a different GPU."""
-        cost = 0.0
-        for subgraph in task.subgraphs():
-            if (
-                subgraph.last_worker is not None
-                and subgraph.last_worker != worker.worker_id
-            ):
-                cost += worker.device.copy_cost(self.HIDDEN_STATE_BYTES)
-        return cost
+    def hop_cost(self, worker: "Worker") -> float:
+        """Cross-device copy cost of one subgraph's live state moving to
+        ``worker``: the manager charges it to a task for every member whose
+        state sits on a different GPU."""
+        return worker.device.copy_cost(self.HIDDEN_STATE_BYTES)
 
     def retry_target(
         self, task: "BatchedTask", workers: Sequence["Worker"]

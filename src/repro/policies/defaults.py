@@ -64,7 +64,7 @@ class PinnedPlacement(PlacementPolicy):
         # The retry may land on a survivor other than the dead original;
         # drag the affected subgraphs' pins along so their queued remainder
         # stays on one device.
-        for sg in task.subgraphs():
+        for sg, _ in task.plan:
             sg.repin(target.worker_id)
 
 

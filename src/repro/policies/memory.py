@@ -230,10 +230,7 @@ class MemoryAwareFormation(BatchFormationPolicy, EngineExtension):
             completed = len(request.graph) - request.remaining_nodes
             if completed >= max_progress:
                 continue
-            if any(
-                sg.inflight or sg.uncompleted != sg.unsubmitted
-                for sg in request.subgraphs.values()
-            ):
+            if any(sg.inflight for sg in request.subgraphs.values()):
                 continue
             key = (completed, request.request_id)
             if best_key is None or key < best_key:

@@ -111,14 +111,14 @@ class FixedPlacement(PlacementPolicy):
     def retry_target(
         self, task, workers: Sequence["Worker"]
     ) -> Optional["Worker"]:
-        for sg in task.subgraphs():
+        for sg, _ in task.plan:
             home = self._home(sg.request.request_id)
             if home is not None and workers[home].alive:
                 return workers[home]
         return super().retry_target(task, workers)
 
     def on_retry(self, task, target: "Worker") -> None:
-        for sg in task.subgraphs():
+        for sg, _ in task.plan:
             sg.repin(target.worker_id)
 
 

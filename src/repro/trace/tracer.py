@@ -28,7 +28,7 @@ def _members(task, live_only: bool = False) -> List[int]:
     """The request id behind each of ``task``'s subgraphs, in batch order."""
     return [
         sg.request.request_id
-        for sg in task.subgraphs()
+        for sg, _ in task.plan
         if not (live_only and sg.request.terminal)
     ]
 

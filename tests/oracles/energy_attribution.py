@@ -81,7 +81,7 @@ class EnergyAttribution(EngineExtension):
             return
         worker_id, watts = launched
         self.books[worker_id].book(
-            task.duration * watts, [sg.request.request_id for sg in task.subgraphs()]
+            task.duration * watts, [sg.request.request_id for sg, _ in task.plan]
         )
 
 

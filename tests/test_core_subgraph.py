@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph
 from repro.core.request import InferenceRequest
+from repro.core.request_processor import RequestProcessor
 from repro.core.subgraph import RunSubgraph, Subgraph, partition_into_subgraphs
+from repro.core.task import BatchedTask
 from repro.models import LSTMChainModel, Seq2SeqModel
 from tests.oracles.explicit_chain import ExplicitChainModel
 
@@ -29,13 +32,24 @@ def chain_subgraphs(length):
     return run, generic
 
 
-def hand_out(sg, count=1):
-    """``commit`` to worker 0 onto a fresh entry list: ids of the nodes
-    handed out, each entered with its subgraph."""
+def hand_out(sg, count=1, worker_id=0):
+    """``commit`` to ``worker_id`` onto a fresh entry list: ids of the
+    nodes handed out, each entered with its subgraph."""
     entries = []
-    sg.commit(count, 0, entries)
+    sg.commit(count, worker_id, entries)
     assert all(entry_sg is sg for entry_sg, _ in entries)
     return [node_id for _, node_id in entries]
+
+
+def retire(sg, node_ids):
+    """Complete ``node_ids`` of ``sg`` the way a retiring task does:
+    through the request processor."""
+    processor = RequestProcessor(
+        LSTMChainModel(), on_release=lambda sg: None, on_finished=lambda r: None
+    )
+    cell_type = CellType(sg.cell_type_name, (), ())
+    task = BatchedTask(0, cell_type, [(sg, node_id) for node_id in node_ids])
+    processor.handle_task_completion(task, now=0.0)
 
 
 class TestOptimisticReadiness:
@@ -88,40 +102,50 @@ class TestNonOptimisticReadiness:
 
 class TestPinning:
     def test_pin_unpin_cycle(self):
-        sg = chain_subgraph(3)
-        sg.pin(worker_id=1)
-        sg.pin(worker_id=1)
-        assert sg.pinned == 1
-        assert sg.inflight == 2
-        sg.task_done(1)
-        assert sg.pinned == 1
-        sg.task_done(1)
-        assert sg.pinned is None  # unpinned when no tasks in flight
+        """The pin lasts while a node is in flight: two steps handed out
+        to worker 1 hold it through the first retirement, and the second
+        releases it.  Pinning counts nothing (a second pin is a no-op)."""
+        for sg in chain_subgraphs(3):
+            first, second = hand_out(sg, worker_id=1), hand_out(sg, worker_id=1)
+            sg.pin(worker_id=1)
+            assert (sg.pinned, sg.inflight) == (1, 2)
+            retire(sg, first)
+            assert (sg.pinned, sg.inflight) == (1, 1)
+            retire(sg, second)
+            assert (sg.pinned, sg.inflight) == (None, 0)  # no node in flight
 
     def test_conflicting_pin_raises(self):
-        sg = chain_subgraph(2)
-        sg.pin(worker_id=0)
-        with pytest.raises(RuntimeError, match="already pinned"):
-            sg.pin(worker_id=1)
-        assert (sg.pinned, sg.inflight) == (0, 1)
+        for sg in chain_subgraphs(2):
+            hand_out(sg, worker_id=0)
+            with pytest.raises(RuntimeError, match="already pinned"):
+                sg.pin(worker_id=1)
+            assert (sg.pinned, sg.inflight) == (0, 1)
 
     def test_non_optimistic_pin_only_counts_the_task(self):
         """Unpinned placement makes a subgraph non-optimistic at admission;
-        its pins then bind nothing — tasks on any worker count in flight."""
-        sg = chain_subgraph(3)
-        sg.optimistic = False
-        sg.pin(worker_id=0)
-        sg.pin(worker_id=1)
-        assert (sg.pinned, sg.inflight) == (None, 2)
-        sg.task_done(1)
-        sg.task_done(1)
-        assert (sg.pinned, sg.inflight) == (None, 0)
+        its pins then bind nothing — its nodes on any worker count in
+        flight until they retire."""
+        for sg in chain_subgraphs(3):
+            sg.optimistic = False
+            sg.pin(worker_id=0)
+            sg.pin(worker_id=1)
+            assert (sg.pinned, sg.inflight) == (None, 0)
+            first = hand_out(sg, worker_id=0)
+            assert (sg.pinned, sg.inflight) == (None, 1)
+            retire(sg, first)  # completion makes the next step ready
+            second = hand_out(sg, worker_id=1)
+            assert (sg.pinned, sg.inflight) == (None, 1)
+            retire(sg, second)
+            assert (sg.pinned, sg.inflight) == (None, 0)
 
     def test_completion_underflow_raises(self):
-        sg = chain_subgraph(1)
-        sg.pin(0)
-        with pytest.raises(RuntimeError, match="underflow"):
-            sg.task_done(5)
+        """Retiring a node that was never handed out is an underflow of
+        the in-flight count, raised before any counter moves."""
+        for sg in chain_subgraphs(1):
+            with pytest.raises(RuntimeError, match="underflow"):
+                retire(sg, [0])
+            assert (sg.uncompleted, sg.inflight) == (1, 0)
+            assert not sg.graph.done[0] and sg.request.remaining_nodes == 0
 
 
 class TestExternalRelease:

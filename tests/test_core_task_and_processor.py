@@ -47,7 +47,7 @@ class TestBatchedTask:
         entries = [(sg_a, 0), (sg_b, 0)]
         task = BatchedTask(0, model.cell_types()[0], entries)
         assert task.batch_size == 2
-        assert task.subgraphs() == (sg_a, sg_b)
+        assert task.plan == [(sg_a, 1), (sg_b, 1)]
 
     def test_execute_gathers_and_scatters(self):
         params = ParameterStore(seed=0)
@@ -161,9 +161,11 @@ class TestRequestProcessor:
         task = BatchedTask(0, model.cell_types()[0], entries)
         processor.handle_task_completion(task, now=1.0)
         assert request.graph.done == bytearray([1])
-        sg.inflight = 1  # fake a second in-flight task
+        assert (sg.uncompleted, sg.inflight, request.remaining_nodes) == (0, 0, 0)
         with pytest.raises(RuntimeError, match="node 0 completed twice"):
             processor.handle_task_completion(task, now=2.0)
+        # Raised before any counter moved: no underflow behind it.
+        assert (sg.uncompleted, sg.inflight, request.remaining_nodes) == (0, 0, 0)
 
     def test_finish_fires_when_all_nodes_complete(self):
         model = LSTMChainModel()

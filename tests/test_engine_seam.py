@@ -136,7 +136,7 @@ class DeviceTokens(EngineExtension):
         self.charged = 0
 
     def on_task_submit(self, task, worker):
-        for subgraph in task.subgraphs():
+        for subgraph, _ in task.plan:
             if not subgraph.request.terminal:
                 self.held[worker.worker_id].add(subgraph.request.request_id)
                 self.charged += 1

@@ -17,6 +17,7 @@ from tests.chaos_helpers import (
     run_chaos,
 )
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
+from repro.workload import PoissonArrivals, SequenceDataset
 
 SEEDS = chaos_seeds()
 
@@ -209,3 +210,66 @@ def test_load_shedding_rejects_at_admission():
         assert request.cancel_reason == "load_shed"
         assert request.start_time is None, "shed requests never execute"
         assert request.terminal_time == request.arrival_time
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
+def test_in_flight_count_follows_the_nodes_through_retries_and_device_loss(
+    seed, monkeypatch
+):
+    """A subgraph's in-flight count is derived — ``uncompleted -
+    unsubmitted`` — and carries its pin.  After every event of a run with
+    kernel-fault retries and a device loss, each live subgraph's count
+    must equal a brute-force count of its nodes in the live workers'
+    in-flight tasks plus the failed tasks waiting out their backoff, and a
+    non-sticky subgraph is pinned exactly when that count is non-zero."""
+    from collections import Counter
+
+    from repro.core.manager import Manager
+
+    waiting = set()  # failed tasks between their failure and their retry
+    task_failed, run_retry = Manager._task_failed, Manager._run_retry
+
+    def failed(manager, worker, task, reason):
+        task_failed(manager, worker, task, reason)
+        if task.worker_id is None:  # prepare_retry ran: a retry is scheduled
+            waiting.add(task)
+
+    def retry(manager, task):
+        waiting.discard(task)
+        run_retry(manager, task)
+
+    monkeypatch.setattr(Manager, "_task_failed", failed)
+    monkeypatch.setattr(Manager, "_run_retry", retry)
+    plan = FaultPlan(
+        seed=seed,
+        kernel_failure_rate=0.08,
+        device_failures=[DeviceFailure(5e-3, 0)],
+    )
+    server = build_server(fault_plan=plan, num_gpus=2)
+    manager = server.manager
+
+    def assert_in_flight():
+        in_flight = Counter()
+        tasks = [task for worker in manager.workers if worker.alive for task in worker._inflight]
+        for task in tasks + list(waiting):
+            for sg, _ in task.entries:
+                in_flight[sg] += 1
+        for request in manager.processor.live_requests():
+            for sg in request.subgraphs.values():
+                assert sg.inflight == in_flight[sg], (sg, in_flight[sg])
+                if not sg.sticky:
+                    assert (sg.pinned is not None) == (in_flight[sg] > 0), sg
+        return sum(in_flight.values())
+
+    dataset = SequenceDataset(seed=1)
+    arrivals = PoissonArrivals(3000.0, seed=seed).times(150)
+    submitted = [server.submit(dataset.sample_one(), arrival_time=t) for t in arrivals]
+    events = with_nodes_in_flight = 0
+    while server.loop.step():
+        events += 1
+        with_nodes_in_flight += assert_in_flight() > 0
+    assert events > 500 and with_nodes_in_flight > 100
+    assert_invariants(server, submitted)
+    counters = server.fault_counters()
+    assert counters.device_failures == 1 and counters.retries_attempted > 0

@@ -152,3 +152,55 @@ def test_batching_never_hurts_time_per_item(b1, b2):
     lo, hi = sorted((b1, b2))
     assert table(hi) >= table(lo) - 1e-12
     assert table(hi) / hi <= table(lo) / lo + 1e-12
+
+
+def _preset_tables():
+    """Every latency table a registry preset builds a server or cluster
+    with — the fig servers (baselines included), each DVFS state of the
+    energy presets, every replica class of the cluster presets — plus the
+    named tables device classes re-calibrate from."""
+    from repro.cluster import build_cluster
+    from repro.gpu.costmodel import NAMED_TABLES
+    from repro.registry import build_server, presets
+
+    models = []
+    for spec in presets.all_fig_specs().values():
+        server = build_server(spec)
+        manager = getattr(server, "manager", None)
+        models.append(manager.cost_model if manager else server.cost_model)
+        for extension in manager.extensions if manager else ():
+            models.extend(getattr(extension, "cost_models", {}).values())
+    for spec in presets.all_cluster_specs().values():
+        models.extend(r.server.manager.cost_model for r in build_cluster(spec).replicas)
+    tables = {id(t): t for model in models for t in model.tables().values()}
+    for factory in NAMED_TABLES.values():
+        table = factory()
+        tables[id(table)] = table
+    return list(tables.values())
+
+
+def test_memoised_table_is_the_formula_bit_for_bit():
+    """``LatencyTable`` answers each batch size once from its
+    interpolation and then from a memo: for every table the presets build,
+    every batch size up to twice the last anchor reads the un-memoised
+    formula's bits, on the first call and on every later one."""
+    tables = _preset_tables()
+    names = {table.name for table in tables}
+    assert {"v100-lstm-step-h1024", "v100-lstm-step-h1024@x3"} <= names
+    assert any("@x" in name and "x3" not in name for name in names), "no DVFS state"
+    for table in tables:
+        last = table.anchors()[-1][0]
+        for batch in range(1, 2 * last + 1):
+            formula = table._interpolate(batch).hex()
+            assert table(batch).hex() == formula, (table.name, batch)
+            assert table(batch).hex() == formula, (table.name, batch)
+        assert len(table._memo) == 2 * last
+
+
+def test_batch_below_one_raises_and_memoises_nothing():
+    table = v100_lstm_step_table()
+    table(8)
+    for batch in (0, -1, -64):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            table(batch)
+    assert list(table._memo) == [8]

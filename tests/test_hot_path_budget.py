@@ -37,24 +37,27 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (24.09 calls per
-# cell, DESIGN.md §27; 28.17 while every scheduled cell built a node and
-# bound through the placement policy, 28.6 with the kernel-list stream
-# beside ``run_for``, 75.9 before the one-pass-per-task change on the same
-# run).  Lower it when the path gets shorter; do not raise it without
-# saying in DESIGN.md §19 what the extra calls buy.
-CALLS_PER_CELL_BUDGET = 30.1
-# The same for trees, payload sampling included: 43.26 calls per cell when
-# the budget was last set (47.80 before §27, 48.7 before §23), 92.5 with one
-# explicit node per tree node and dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 54.1
+# 1.25x what this run read when the budget was last set (16.68 calls per
+# cell, DESIGN.md §30; 24.09 while in-flight state counted tasks, 28.17
+# while every scheduled cell built a node and bound through the placement
+# policy, 28.6 with the kernel-list stream beside ``run_for``, 75.9 before
+# the one-pass-per-task change on the same run).  Lower it when the path
+# gets shorter; do not raise it without saying in DESIGN.md §19 what the
+# extra calls buy.
+CALLS_PER_CELL_BUDGET = 20.8
+# The same for trees, payload sampling included: 38.90 calls per cell when
+# the budget was last set (43.26 before §30, 47.80 before §27, 48.7 before
+# §23), 92.5 with one explicit node per tree node and dict-backed subgraphs
+# (DESIGN.md §20).
+TREE_CALLS_PER_CELL_BUDGET = 48.6
 # The explicit-node path, on Seq2Seq: every encoder and decoder step is a
 # ``CellNode`` found by the partition's component search, and the dynamic
 # row grows its decoder one ``Model.extend`` at a time.  1.25x what the runs
-# read when the rows were set: 124.38 static and 145.06 dynamic calls per
-# cell (DESIGN.md §29; 129.8 and 176.7 while ``extend`` was handed a node
-# object and the dynamic decoder counted its steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 155.5, "dynamic": 181.3}
+# read when the rows were set: 109.58 static and 131.39 dynamic calls per
+# cell (DESIGN.md §30; 124.38 and 145.06 before it, 129.8 and 176.7 while
+# ``extend`` was handed a node object and the dynamic decoder counted its
+# steps by census).
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 137.0, "dynamic": 164.2}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
@@ -66,12 +69,12 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 331.7 per request (DESIGN.md §27; 351.7
-# when added, §26) and 11.3 per replica; 462.6 and 25.3 while every arrival
-# walked every replica.
+# read when the rows were last set: 284.2 per request and 10.54 per replica
+# (DESIGN.md §30; 331.7 and 11.3 before it, 351.7 when added, §26); 462.6
+# and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 414.6
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 14.2
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 355.2
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 13.2
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
 # with a closure per arrival.
@@ -101,34 +104,34 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 28.30, 28.94, 24.79 and 27.30 against 24.09 plain (DESIGN.md §27; 32.9,
-# 35.4, 29.4 and 31.6 against 28.8 when added); a check that it really was
-# on).
+# 20.63, 21.45, 16.61 and 19.46 against 16.68 plain (DESIGN.md §30; 28.30,
+# 28.94, 24.79 and 27.30 against 24.09 before it, 32.9, 35.4, 29.4 and 31.6
+# against 28.8 when added); a check that it really was on).
 # The deadline and the device are roomy, so all 300 requests still finish
 # and the cell count is the plain run's.
 OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        35.4,
+        25.8,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        36.2,
+        26.8,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        31.0,
+        20.8,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        34.1,
+        24.3,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }

@@ -42,8 +42,10 @@ class TestLoadGeneratorOverload:
 
 class TestMigrationCost:
     def test_copy_cost_charged_for_cross_worker_move(self):
-        """Directly exercise the placement policy's migration charge: a subgraph
-        whose state lives on worker 0 pays a copy when scheduled on 1."""
+        """Directly exercise the manager's migration charge: a subgraph
+        whose state lives on worker 0 pays the placement policy's copy when
+        scheduled on 1, and nothing on 0; either way its state then lives
+        where it ran."""
         server = BatchMakerServer(
             LSTMChainModel(),
             config=BatchingConfig.with_max_batch(4),
@@ -54,18 +56,18 @@ class TestMigrationCost:
         request = server.submit(2)
         server.drain()
         (sg,) = keep.subgraphs(request)
-        sg.last_worker = 0
 
         class FakeTask:
-            def subgraphs(self_inner):
-                return [sg]
+            plan = [(sg, 1)]
 
-        other_worker = manager.workers[1]
-        migration_cost = manager.policies.placement.migration_cost
-        cost = migration_cost(FakeTask(), other_worker)
-        assert cost > 0
-        same_worker = manager.workers[0]
-        assert migration_cost(FakeTask(), same_worker) == 0.0
+        other_worker, same_worker = manager.workers[1], manager.workers[0]
+        sg.last_worker = 0
+        cost = manager._place(FakeTask(), other_worker)
+        assert cost == manager.policies.placement.hop_cost(other_worker) > 0
+        assert sg.last_worker == 1
+        sg.last_worker = 0
+        assert manager._place(FakeTask(), same_worker) == 0.0
+        assert sg.last_worker == 0
 
 
 class TestCellTypeErrors:

@@ -2,7 +2,7 @@
 the eligibility index.
 
 After *any* interleaving of subgraph releases, scheduling (``commit``),
-``task_done`` / completion propagation, request eviction and forced
+task completion and its propagation, request eviction and forced
 repins on LSTM-chain, Seq2Seq and TreeLSTM partitions, these invariants
 must hold for every cell-type queue:
 
@@ -14,7 +14,12 @@ must hold for every cell-type queue:
    at most once, and the bucket a queued subgraph with ready nodes is
    pinned to lists it, and
 4. forming a plan — kicked, declined under the min-batch rule, or held by
-   ``LazyKickPolicy`` — leaves the queue and its subgraphs as they were.
+   ``LazyKickPolicy`` — leaves the queue and its subgraphs as they were,
+   and
+5. every live subgraph's in-flight count — derived, ``uncompleted -
+   unsubmitted`` — equals a brute-force count of its nodes in the tasks
+   not yet completed, and an optimistic non-sticky subgraph is pinned
+   exactly when that count is non-zero (a non-optimistic one never is).
 
 LSTM chains are run-backed subgraphs (``RunSubgraph``: readiness is a
 cursor, not per-node counts); the same invariants are asserted for them
@@ -28,6 +33,7 @@ subgraph in the eligibility index at most once.
 
 import random
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,6 +141,9 @@ class Harness:
             on_finished=lambda request: None,
         )
         self.workers = [FakeWorker(i) for i in range(num_workers)]
+        # Subgraphs whose pin ``repin_one`` forced: their pin no longer
+        # follows their nodes in flight.
+        self.forced_pins = set()
         self._next_request_id = 0
         self.run_backed_checks = 0  # queued RunSubgraphs seen by assert_invariants
         self.tree_backed_checks = 0  # queued Leaf/TreeSubgraphs seen there
@@ -199,11 +208,14 @@ class Harness:
         ]
         if queued:
             targets = [None] + [w.worker_id for w in self.workers]
-            rng.choice(queued).repin(rng.choice(targets))
+            sg = rng.choice(queued)
+            sg.repin(rng.choice(targets))
+            self.forced_pins.add(sg)
 
     # -- invariants ---------------------------------------------------------
 
     def assert_invariants(self):
+        self.assert_in_flight()
         for queue in self.scheduler.queues:
             for sg in queue.subgraphs.values():
                 if isinstance(sg, RunSubgraph):
@@ -242,6 +254,19 @@ class Harness:
             # Reading the plans pruned stale entries; what is left still
             # lists every eligible subgraph.
             self.assert_index_invariants(queue)
+
+    def assert_in_flight(self):
+        """Invariant 5, against the nodes of the pending tasks."""
+        in_flight = Counter(sg for task in self.pending for sg, _ in task.entries)
+        for request in self.processor.live_requests():
+            for sg in request.subgraphs.values():
+                assert sg.inflight == in_flight[sg], (
+                    f"subgraph {sg.subgraph_id}: inflight {sg.inflight}, "
+                    f"{in_flight[sg]} nodes in pending tasks"
+                )
+                if sg not in self.forced_pins and not sg.sticky:
+                    pinned = in_flight[sg] > 0 and sg.optimistic
+                    assert (sg.pinned is not None) == pinned, sg
 
     def expected_tree_ready(self, sg):
         """Brute force: the internal nodes not handed out whose internal
@@ -407,6 +432,17 @@ def _hand_out(sg, count=1, worker_id=0):
     return [node_id for _, node_id in entries]
 
 
+def _retire(sg, node_ids):
+    """Complete ``node_ids`` of ``sg`` the way a retiring task does:
+    through the request processor, which unpins at the last node in
+    flight and, on the completion-ordered path, advances readiness."""
+    processor = RequestProcessor(
+        LSTMChainModel(), on_release=lambda sg: None, on_finished=lambda r: None
+    )
+    task = BatchedTask(0, sg.owner.cell_type, [(sg, nid) for nid in node_ids])
+    processor.handle_task_completion(task, now=0.0)
+
+
 def test_take_ready_notifies_owner_exactly_once():
     """Unit check on the delta protocol: a hand-out on a chain subgraph
     keeps its queue's counter exact — a step with a successor leaves one
@@ -534,18 +570,18 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
     assert type(fast_sg) is RunSubgraph and type(base_sg) is Subgraph
     assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
 
+    in_flight = []
     for step in range(3):
         fast_ids = _hand_out(fast_sg, 1, worker_id)
         assert fast_ids == _hand_out(base_sg, 1, worker_id) == [step]
+        in_flight += fast_ids
         assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
         if step == 1 or not placement.optimistic:
             # Retire what is in flight: unpins (unless sticky), and on the
             # completion-ordered path makes the next step ready.
             for sg in (fast_sg, base_sg):
-                for _ in range(sg.inflight):
-                    sg.task_done(1)
-                if not placement.optimistic:
-                    sg.mark_completed_internal([step])
+                _retire(sg, in_flight)
+            in_flight = []
             assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
     assert fast_sg.unsubmitted == 0 == base_sg.unsubmitted
 
@@ -653,22 +689,21 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
     assert type(fast_sg) is TreeSubgraph and type(base_sg) is Subgraph
     assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
 
-    rounds = 0
+    rounds, in_flight = 0, []
     while fast_sg.unsubmitted:
         count = min(fast_sg.ready_count(), 3)
         assert count > 0, "the tree stalled"
         node_ids = _hand_out(fast_sg, count, worker_id)
         assert node_ids == _hand_out(base_sg, count, worker_id) and len(node_ids) == count
+        in_flight += node_ids
         assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
         rounds += 1
         if rounds % 2 == 0 or not placement.optimistic:
             # Retire what is in flight: unpins (unless sticky), and on the
             # completion-ordered path makes the parents ready.
             for sg in (fast_sg, base_sg):
-                for _ in range(sg.inflight):
-                    sg.task_done(0)
-                if not placement.optimistic:
-                    sg.mark_completed_internal(node_ids)
+                _retire(sg, in_flight)
+            in_flight = []
             assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(
                 base_sg, base_queue
             )
@@ -720,9 +755,10 @@ def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
 
 
 def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
-    """The fault path reassigns ``task.entries`` to the survivors' share.
-    The cached ``subgraphs()`` must follow, or the worker would compare a
-    stale composition and skip the gather copy the narrower batch needs."""
+    """The fault path narrows a task to the survivors' share
+    (``BatchedTask.retain``).  The plan the task carries must follow, or
+    the worker would compare a stale composition and skip the gather copy
+    the narrower batch needs."""
     from repro.core.worker import Worker
     from repro.gpu.device import make_devices
 
@@ -742,19 +778,18 @@ def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
 
     scheduler.schedule(worker)
     task = submitted[0]
-    assert task.subgraphs() == (first, second)
-    assert task.subgraphs() is task.subgraphs()  # cached
+    assert task.plan == [(first, 1), (second, 1)]
     worker.submit(task)
     assert worker.gathers_performed == 1
 
     task.prepare_retry()
-    task.entries = [entry for entry in task.entries if entry[0] is first]
-    assert task.subgraphs() == (first,)
+    task.retain([entry for entry in task.entries if entry[0] is first])
+    assert task.plan == [(first, 1)] and task.batch_size == 1
     worker.submit(task)
     assert worker.gathers_performed == 2, "a narrower batch is a new composition"
     assert task.gather_time == cost_model.gather_overhead
 
     again = BatchedTask(99, task.cell_type, list(task.entries))
-    assert again.subgraphs() == (first,)
+    assert again.plan == [(first, 1)]
     worker.submit(again)
     assert worker.gathers_performed == 2, "same composition: no gather"
