@@ -147,8 +147,8 @@ class RequestProcessor:
                     raise RuntimeError(
                         f"subgraph {subgraph.subgraph_id}: completion underflow"
                     )
-                if subgraph.pinned is not None and not subgraph.sticky:
-                    subgraph.repin(None)  # nothing of it is in flight
+                if not subgraph.sticky:
+                    subgraph.pinned = None  # nothing of it is in flight
             subgraph.uncompleted = uncompleted
             if terminal:
                 retired_dead += 1

@@ -20,13 +20,16 @@ incrementally instead of rescanning:
 * ``num_ready_nodes()`` is a counter read.  Subgraphs report ready-count
   deltas to their owning queue (``on_ready_delta``) whenever nodes are
   taken, submitted, or completed.
-* Batch formation reads *eligible* subgraphs only — those with ready
-  nodes that are unpinned or pinned to the requesting worker — from lists
-  kept sorted by arrival order (:meth:`CellTypeQueue.plan`), so the scan
-  order is bit-identical to the original full-queue FIFO scan.  Planning
-  is a read: nothing is popped, so a plan declined under the min-batch
-  rule needs no undo and a committed one touches the index only when a
-  subgraph's pin or readiness actually changes.
+* Batch formation reads one list per queue of the subgraphs with ready
+  nodes, kept sorted by arrival order (:meth:`CellTypeQueue.plan`), and
+  skips those pinned to another worker, so the scan order is bit-identical
+  to the original full-queue FIFO scan.  A pin is a field on the subgraph,
+  not a move in the list: a worker is scheduled only when idle, so every
+  member of a round pins at its commit and unpins at its last retirement,
+  and on one GPU no pin ever changes a plan (DESIGN.md §31).  Planning is
+  a read: nothing is popped, so a plan declined under the min-batch rule
+  needs no undo and a committed one touches the list only when a
+  subgraph's ready count rises from zero.
 * A task is walked a fixed, small number of times (DESIGN.md §19, §30):
   one ``Subgraph.commit`` per plan member here, which appends
   ``(subgraph, node_id)`` entries straight onto the task's list — no node
@@ -63,13 +66,14 @@ class CellTypeQueue:
 
     * ``_ready_total`` — sum of ``ready_count()`` over queued subgraphs,
       updated by deltas from :meth:`on_ready_delta`.
-    * ``_buckets`` — per *bucket* (``None`` for unpinned, a worker id for
-      pinned) a list of ``(queue_seq, subgraph)`` entries sorted by
-      ``queue_seq``, holding every subgraph that may have ready nodes in
-      that bucket, each at most once.  Entries are not deleted one by
-      one: :meth:`plan` checks the subgraph's live state (owner, pin, ready
-      count) when it reads an entry and drops the ones it finds stale, and
-      the queue drops them all when its last subgraph leaves.
+    * ``_entries`` — one list of ``(queue_seq, subgraph)`` entries sorted
+      by ``queue_seq``, listing every queued subgraph with ready nodes, each
+      at most once, whatever its pin.  An entry goes in when a subgraph's
+      ready count rises from zero — at :meth:`add` or :meth:`on_ready_delta`
+      — and a pin never moves it (DESIGN.md §31).  Entries are not deleted
+      one by one: :meth:`plan` drops the ones whose subgraph left the queue
+      or has nothing ready when it reads them, and the queue drops them all
+      when its last subgraph leaves.
     """
 
     def __init__(self, cell_type: CellType, config: CellTypeConfig):
@@ -79,7 +83,7 @@ class CellTypeQueue:
         self.running_tasks = 0
         self._ready_total = 0
         self._next_seq = 0
-        self._buckets: Dict[Optional[int], List[Tuple[int, Subgraph]]] = {}
+        self._entries: List[Tuple[int, Subgraph]] = []
 
     # -- ready-node accounting ---------------------------------------------
 
@@ -88,12 +92,13 @@ class CellTypeQueue:
 
     def add(self, sg: Subgraph) -> None:
         sg.owner = self
-        sg.queue_seq = self._next_seq
+        seq = sg.queue_seq = self._next_seq
         self._next_seq += 1
         self.subgraphs[sg.subgraph_id] = sg
-        self._ready_total += sg.ready_count()
-        if sg.ready_count() > 0:
-            self._register(sg)
+        ready = sg.ready_count()
+        if ready > 0:
+            self._ready_total += ready
+            self._entries.append((seq, sg))  # the newest arrival sorts last
 
     def remove(self, sg: Subgraph) -> None:
         """Drop an exhausted subgraph (no nodes left to submit)."""
@@ -103,29 +108,20 @@ class CellTypeQueue:
         if not self.subgraphs:
             # Every entry left is stale: an idle queue keeps no retired
             # subgraph alive until its next plan.
-            self._buckets.clear()
-
-    # -- notifications from Subgraph -----------------------------------------
+            self._entries.clear()
 
     def on_ready_delta(self, sg: Subgraph, delta: int) -> None:
-        """``sg``'s ready count changed by ``delta`` while queued here."""
+        """``sg``'s ready count changed by ``delta`` while queued here.  A
+        rise from zero lists it; a fall leaves its entry to go stale, to be
+        dropped when a plan next reads it."""
         self._ready_total += delta
-        if delta > 0 and sg.ready_count() > 0:
-            self._register(sg)
-        # delta < 0 (or ready now 0): the entry goes stale and is dropped
-        # when a plan next reads it.
+        if delta > 0 and sg.ready_count() == delta:
+            self._insert(sg)
 
-    def on_pin_changed(self, sg: Subgraph) -> None:
-        """``sg`` was pinned or unpinned: its eligibility bucket moved."""
-        if sg.ready_count() > 0:
-            self._register(sg)
-        # The entry under the previous bucket is now stale; lazy cleanup.
-
-    def _register(self, sg: Subgraph) -> None:
-        """Ensure ``sg`` has an entry in its current bucket's list."""
-        entries = self._buckets.get(sg.pinned)
-        if entries is None:
-            entries = self._buckets[sg.pinned] = []
+    def _insert(self, sg: Subgraph) -> None:
+        """Ensure ``sg`` has an entry: a plan may not have read (and
+        dropped) the one it had when its ready count last fell to zero."""
+        entries = self._entries
         seq = sg.queue_seq
         if not entries or entries[-1][0] < seq:
             entries.append((seq, sg))
@@ -136,56 +132,42 @@ class CellTypeQueue:
         if entries[at][0] != seq:
             entries.insert(at, (seq, sg))
 
-    def drop_bucket(self, worker_id: int) -> None:
-        """Forget the entries kept for ``worker_id`` — a dead device never
-        schedules again, so no plan would ever read (and prune) them."""
-        self._buckets.pop(worker_id, None)
-
     def plan(self, worker_id: int, budget: int) -> List[Tuple[Subgraph, int]]:
         """Algorithm 1's ``FormBatchedTask`` as a read: ``(subgraph,
         count)`` takes of up to ``budget`` ready nodes, from the subgraphs
         ``worker_id`` may execute — unpinned, or pinned to it — in arrival
         order.
 
-        Merges the unpinned bucket with the worker's own by ``queue_seq``
-        and validates each entry against the subgraph's live state.
-        Nothing observable changes — ``subgraphs``, the ready total and
-        every member are left as they were, so the caller may decline the
-        plan; the only write drops the index entries found stale.
+        One pass over the entries: an entry pinned to another worker is
+        skipped and kept, on one attribute read, and the rest are checked
+        against the subgraph's live state.  Nothing observable changes —
+        ``subgraphs``, the ready total and every member are left as they
+        were, so the caller may decline the plan; the only write drops the
+        entries found stale.
         """
         plan: List[Tuple[Subgraph, int]] = []
-        free = self._buckets.get(None) or ()
-        own = self._buckets.get(worker_id) or ()
-        num_free, num_own = len(free), len(own)
-        stale_free: List[int] = []
-        stale_own: List[int] = []
-        i = j = 0
-        while budget > 0:
-            if i < num_free and (j == num_own or free[i][0] < own[j][0]):
-                sg = free[i][1]
-                i += 1
-                live = sg.pinned is None and sg.owner is self
-                ready = sg.ready_count() if live else 0
-                if ready <= 0:
-                    stale_free.append(i - 1)
-                    continue
-            elif j < num_own:
-                sg = own[j][1]
-                j += 1
-                live = sg.pinned == worker_id and sg.owner is self
-                ready = sg.ready_count() if live else 0
-                if ready <= 0:
-                    stale_own.append(j - 1)
-                    continue
+        if budget <= 0:
+            return plan
+        entries = self._entries
+        stale: List[int] = []
+        position = -1
+        for _, sg in entries:
+            position += 1
+            pinned = sg.pinned
+            if pinned is not None and pinned != worker_id:
+                continue  # kept: the worker it is pinned to reads it
+            ready = sg.ready_count() if sg.owner is self else 0
+            if ready <= 0:
+                stale.append(position)
+                continue
+            if ready < budget:
+                plan.append((sg, ready))
+                budget -= ready
             else:
+                plan.append((sg, budget))
                 break
-            take = ready if ready < budget else budget
-            plan.append((sg, take))
-            budget -= take
-        if stale_free:
-            _delete_positions(free, stale_free)
-        if stale_own:
-            _delete_positions(own, stale_own)
+        if stale:
+            _delete_positions(entries, stale)
         return plan
 
     def __repr__(self) -> str:
@@ -296,7 +278,6 @@ class Scheduler:
             sg.commit(count, worker_id, entries)
             if sg.unsubmitted == 0:  # exhausted
                 queue.remove(sg)
-                self.policies.formation.on_subgraph_removed(queue, sg)
         task = BatchedTask(self._next_task_id, queue.cell_type, entries, plan)
         self._next_task_id += 1
         queue.running_tasks += 1
@@ -311,18 +292,15 @@ class Scheduler:
         subgraphs that is still queued.  Terminal cancellation and the
         memory layer's evict-and-restart both come through here
         (``Manager.evict``).  ``CellTypeQueue.remove`` gives the ready counter
-        back and clears the owner, so the index entries left behind are
+        back and clears the owner, so the list entries left behind are
         recognised as stale and dropped by the next plan that reads them —
-        plans stay bit-identical to a brute-force rescan.  The
-        formation policy's ``on_subgraph_removed`` hook fires for each
-        eviction so bundles keeping their own eligibility indexes stay
-        consistent.  Returns how many subgraphs were evicted."""
+        plans stay bit-identical to a brute-force rescan.  Returns how many
+        subgraphs were evicted."""
         evicted = 0
         for sg in request.subgraphs.values():
             owner = sg.owner
             if owner is not None:
                 owner.remove(sg)
-                self.policies.formation.on_subgraph_removed(owner, sg)
                 evicted += 1
         return evicted
 
@@ -337,20 +315,16 @@ class Scheduler:
         """A device died: migrate every queued subgraph pinned to it to the
         placement policy's choice (``replacement`` under the default
         policies; unpin when None).  O(queued subgraphs), which is fine for
-        the rare device-loss path.  The dead worker's eligibility bucket
-        goes with it: no plan will read it again, and its entries would
-        keep every subgraph (and request, and graph) once pinned there
-        alive for the life of the server.  Returns how many moved."""
+        the rare device-loss path.  The new pin is a store: a subgraph's
+        list entry stays where its arrival put it.  Returns how many
+        moved."""
         placement = self.policies.placement
         moved = 0
         for queue in self.queues:
             for sg in queue.subgraphs.values():
                 if sg.pinned == dead_worker_id:
-                    sg.repin(
-                        placement.repin_target(sg, dead_worker_id, replacement)
-                    )
+                    sg.pinned = placement.repin_target(sg, dead_worker_id, replacement)
                     moved += 1
-            queue.drop_bucket(dead_worker_id)
         return moved
 
     # -- completion ---------------------------------------------------------

@@ -30,7 +30,9 @@ class Subgraph:
       ``UpdateNodesDependency``), not yet submitted themselves.
     * ``pinned``: worker id this subgraph is currently bound to; set when a
       task containing its nodes is submitted, cleared when the last
-      submitted node retires (paper §4.3, last paragraph).
+      submitted node retires (paper §4.3, last paragraph).  A plain field:
+      the queue reads it when it plans, and no pin moves the subgraph's
+      entry in the queue's list (DESIGN.md §31).
     * ``inflight``: nodes submitted and not yet completed, derived as
       ``uncompleted - unsubmitted`` (DESIGN.md §30).  A failed task's nodes
       stay in flight until its retry retires them.
@@ -112,10 +114,10 @@ class Subgraph:
         self.sticky = False
         self.released = False
         # Owning CellTypeQueue while enqueued: receives incremental
-        # ready-count deltas and pin transitions so the scheduler never has
-        # to rescan the queue (see scheduler.CellTypeQueue).  The queue sets
-        # both fields in ``add`` and clears the owner when the subgraph is
-        # dropped (exhausted).
+        # ready-count deltas so the scheduler never has to rescan the queue
+        # (see scheduler.CellTypeQueue).  The queue sets both fields in
+        # ``add`` and clears the owner when the subgraph is dropped
+        # (exhausted).
         self.owner = None
         self.queue_seq: int = -1
         # Optimistic readiness (advance internal deps at submission, relying
@@ -186,8 +188,8 @@ class Subgraph:
         submitted (optimistic mode only).  The scheduler's one call per
         plan member; no node object is built.
 
-        The queue hears three things in this order: the nodes taken, the
-        pin, the nodes that became ready."""
+        The queue hears two deltas in this order: the nodes taken, then
+        the nodes that became ready."""
         if not 0 < count <= len(self.ready):
             raise self._overdrawn(count)
         node_ids, self.ready = self.ready[:count], self.ready[count:]
@@ -242,7 +244,10 @@ class Subgraph:
         DESIGN.md §27) — bind the subgraph there.  A non-optimistic
         subgraph stays unpinned.  Nothing is counted: the pin lasts while
         ``inflight`` is non-zero, and the request processor clears it when
-        the last submitted node retires."""
+        the last submitted node retires.  That clear, and every forced move
+        (a sticky home at admission, a retry's survivor, a dead device's
+        replacement), is a store to ``pinned``: only scheduling goes
+        through here, for the single-worker affinity check."""
         pinned = self.pinned
         if pinned == worker_id or not self.optimistic:
             return
@@ -252,21 +257,6 @@ class Subgraph:
                 f"{pinned}, cannot pin to {worker_id}"
             )
         self.pinned = worker_id
-        if self.owner is not None:
-            self.owner.on_pin_changed(self)
-
-    def repin(self, worker_id: Optional[int]) -> None:
-        """Forcibly move the pin to another worker, or clear it with None.
-        The request processor clears it when the last submitted node
-        retires; the failure path moves it when the pinned device dies and
-        the subgraph's remaining work must migrate to a survivor.  Normal
-        scheduling must use :meth:`pin`, which enforces single-worker
-        affinity."""
-        if self.pinned == worker_id:
-            return
-        self.pinned = worker_id
-        if self.owner is not None:
-            self.owner.on_pin_changed(self)
 
     def __repr__(self) -> str:
         return (
@@ -319,7 +309,7 @@ class RunSubgraph(Subgraph):
         self.unsubmitted -= 1
         if self.optimistic and nid + 1 < self.run.stop:
             # The next step is ready the moment this one is submitted: the
-            # ready count stays 1, so the queue hears nothing but the pin.
+            # ready count stays 1, so the queue hears nothing.
             self._cursor = nid + 1
         else:
             self._cursor = None
@@ -454,8 +444,8 @@ class TreeSubgraph(Subgraph):
         if self.optimistic:
             for nid in taken:
                 delta += self._advance_internal(nid)
-        # The pin sees the final ready list, so the queue registers this
-        # subgraph at most once; the count then moves without a search.
+        # One net delta: the ready count was above zero before the take,
+        # so the queue's list already holds this subgraph.
         if self.pinned != worker_id and self.optimistic:
             self.pin(worker_id)
         if delta and self.owner is not None:

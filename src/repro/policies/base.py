@@ -1,7 +1,7 @@
 """The three policy interfaces and the bundle that groups them.
 
 Policies are deliberately thin protocols over the scheduler's *mechanism*
-(queues, ready counters, eligibility indexes, pin bookkeeping): a policy
+(queues, ready counters, the ready list, pin bookkeeping): a policy
 decides, the scheduler/manager machinery executes.  Every instance is
 per-server state — construct a fresh bundle per server, never share one.
 """
@@ -127,13 +127,6 @@ class BatchFormationPolicy:
         primitive to build on: it returns the eligible subgraphs in arrival
         order and mutates nothing, so there is no pop to undo."""
         raise NotImplementedError
-
-    def on_subgraph_removed(
-        self, queue: "CellTypeQueue", sg: "Subgraph"
-    ) -> None:
-        """``sg`` left ``queue`` (exhausted or evicted).  Policies keeping
-        their own indexes hook this; the default lazy-staleness indexes
-        need nothing."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

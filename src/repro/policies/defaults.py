@@ -65,7 +65,7 @@ class PinnedPlacement(PlacementPolicy):
         # drag the affected subgraphs' pins along so their queued remainder
         # stays on one device.
         for sg, _ in task.plan:
-            sg.repin(target.worker_id)
+            sg.pinned = target.worker_id
 
 
 class PaperBatchFormation(BatchFormationPolicy):
@@ -73,9 +73,9 @@ class PaperBatchFormation(BatchFormationPolicy):
     nodes, unpinned or pinned to the requesting worker) in arrival order,
     taking ready nodes until the maximum batch size is reached.
 
-    Reads the queue's sorted eligibility lists
-    (:meth:`~repro.core.scheduler.CellTypeQueue.plan`, O(batch + stale
-    entries)).  The full FIFO scan it replaced (O(queue)) is the oracle in
+    Reads the queue's list of subgraphs with ready nodes, sorted by arrival
+    (:meth:`~repro.core.scheduler.CellTypeQueue.plan`, O(batch + entries
+    pinned elsewhere + stale entries)).  The full FIFO scan it replaced (O(queue)) is the oracle in
     ``tests/oracles/bruteforce_scheduler.py``; both produce bit-identical
     plans.
     """

@@ -106,7 +106,7 @@ class FixedPlacement(PlacementPolicy):
         home = self._home(sg.request.request_id)
         if home is not None:
             sg.sticky = True
-            sg.repin(home)
+            sg.pinned = home
 
     def retry_target(
         self, task, workers: Sequence["Worker"]
@@ -119,7 +119,7 @@ class FixedPlacement(PlacementPolicy):
 
     def on_retry(self, task, target: "Worker") -> None:
         for sg, _ in task.plan:
-            sg.repin(target.worker_id)
+            sg.pinned = target.worker_id
 
 
 class NoMixFormation(BatchFormationPolicy):

@@ -138,7 +138,9 @@ class InferenceServer:
         # reads, so re-reading would reject every explicit arrival time.
         now = self.loop.now()
         when = now if arrival_time is None else arrival_time
-        if when < now:
+        if not now <= when < math.inf:  # NaN fails every comparison
+            if not math.isfinite(when):
+                raise ValueError(f"arrival time must be finite, got {when}")
             raise ValueError(
                 f"arrival time {when} is in the past (now={now})"
             )

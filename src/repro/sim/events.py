@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock, VirtualClock
@@ -75,16 +76,15 @@ class EventLoop:
 
     Two execution modes, decided by the clock:
 
-    * **Virtual** (the default :class:`VirtualClock`): :meth:`run` /
-      :meth:`step` pop events and *advance* the clock to each event's
-      time — the deterministic simulation mode every fingerprint suite
-      pins down.
+    * **Virtual** (the default :class:`VirtualClock`): :meth:`run` pops
+      events and *advances* the clock to each event's time — the
+      deterministic simulation mode every fingerprint suite pins down.
     * **Wall** (a non-virtual clock such as
       :class:`~repro.sim.clock.RealTimeClock`): time moves on its own;
       :meth:`run_due` fires exactly the events whose time has arrived and
       an external timer (asyncio in :mod:`repro.serve.bridge`) decides
-      *when* to pump.  ``run``/``step`` refuse to run — they would fire
-      future events early because a wall clock cannot be advanced.
+      *when* to pump.  ``run`` refuses to run — it would fire future
+      events early because a wall clock cannot be advanced.
     """
 
     def __init__(self, clock: Optional[Clock] = None):
@@ -110,14 +110,17 @@ class EventLoop:
         Under a virtual clock a past ``when`` is a scheduling bug and
         raises.  Under a wall clock it is routine — the clock moved while
         the caller computed ``when`` — so the event is clamped to now and
-        fires on the next pump.
+        fires on the next pump.  A non-finite ``when`` raises under both:
+        the clock would advance to it and every later time would read NaN
+        or infinity.
         """
-        if when < self.clock.now():
+        now = self.clock.now()
+        if not now <= when < math.inf:  # NaN fails every comparison
+            if not math.isfinite(when):
+                raise ValueError(f"cannot schedule event at non-finite time {when}")
             if self._virtual:
-                raise ValueError(
-                    f"cannot schedule event in the past: {when} < {self.clock.now()}"
-                )
-            when = self.clock.now()
+                raise ValueError(f"cannot schedule event in the past: {when} < {now}")
+            when = now
         event = Event(when, self._seq, callback)
         event._loop = self
         self._seq += 1
@@ -154,26 +157,6 @@ class EventLoop:
 
     # -- execution --------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        if not self._virtual:
-            raise RuntimeError(
-                "step()/run() drive a virtual clock; under a wall clock "
-                "use run_due() (see repro.serve.bridge.LiveEventLoop)"
-            )
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue  # already discounted from _live at cancel time
-            event.fired = True
-            event._loop = None
-            self._live -= 1
-            self.clock.advance_to(event.time)
-            callback, event.callback = event.callback, None
-            callback()
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events executed.
@@ -184,23 +167,30 @@ class EventLoop:
         """
         if not self._virtual:
             raise RuntimeError(
-                "step()/run() drive a virtual clock; under a wall clock "
+                "run() drives a virtual clock; under a wall clock "
                 "use run_due() (see repro.serve.bridge.LiveEventLoop)"
             )
         if self._running:
             raise RuntimeError("event loop is already running")
         self._running = True
+        heap, heappop, advance_to = self._heap, heapq.heappop, self.clock.advance_to
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         executed = 0
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
+            while heap and executed < limit:
+                when, seq, event = heappop(heap)
+                if event.cancelled:
+                    continue  # already discounted from _live at cancel time
+                if when > horizon:
+                    heapq.heappush(heap, (when, seq, event))  # order kept
                     break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                event.fired = True
+                event._loop = None
+                self._live -= 1
+                advance_to(when)
+                callback, event.callback = event.callback, None
+                callback()
                 executed += 1
         finally:
             self._running = False

@@ -58,6 +58,20 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="past"):
             server.submit(3, arrival_time=1.0)
 
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), float("-inf")])
+    def test_submit_at_a_non_finite_time_raises_and_leaves_the_clock(self, when):
+        """NaN passes a ``when < now`` check, and a clock advanced to NaN or
+        infinity poisons every later time: both requests of a run would
+        finish at ``nan``."""
+        server = BatchMakerServer(LSTMChainModel())
+        with pytest.raises(ValueError, match=f"arrival time must be finite, got {when}"):
+            server.submit(3, arrival_time=when)
+        assert server.loop.pending() == 0 and not server.loop._heap
+        assert server.loop.now() == 0.0
+        request = server.submit(3, arrival_time=1.0)
+        server.drain()
+        assert server.loop.now() == request.finish_time > 1.0
+
     def test_chain_computation_time_scales_with_length(self):
         cost = unit_cost(["lstm"], step=1.0)
         server = BatchMakerServer(

@@ -102,10 +102,11 @@ def test_device_loss_with_survivor(seed):
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", SEEDS)
 def test_device_loss_drops_the_victims_eligibility_bucket(seed):
-    """Subgraphs queued on the victim move to the survivor, and the
-    scheduler forgets the dead worker's eligibility bucket — nothing would
-    ever read it again, and its entries would pin every subgraph (request,
-    graph) once listed there in memory for the life of the server."""
+    """Subgraphs queued on the victim move to the survivor — nothing stays
+    eligible on the dead worker alone, which no plan would ever read again
+    — and every queue's list of ready subgraphs empties at the drain, so no
+    entry keeps a subgraph (request, graph) once queued on the victim in
+    memory for the life of the server."""
     dead, survivor = 0, 1
     plan = FaultPlan(seed=seed, device_failures=[DeviceFailure(5e-3, dead)])
     server = build_server(fault_plan=plan, num_gpus=2)
@@ -124,7 +125,9 @@ def test_device_loss_drops_the_victims_eligibility_bucket(seed):
         count = repin_queued(dead_worker_id, replacement)
         assert count == len(stranded)
         for queue in scheduler.queues:
-            assert dead not in queue._buckets
+            assert all(sg.pinned != dead for sg in queue.subgraphs.values()), (
+                "a subgraph stayed queued on the victim"
+            )
             planned = {sg for sg, _ in queue.plan(survivor, len(queue.subgraphs) + 1)}
             for owner, sg in stranded:
                 if owner is queue:
@@ -139,7 +142,7 @@ def test_device_loss_drops_the_victims_eligibility_bucket(seed):
     assert_invariants(server, submitted)
     assert len(server.finished) == len(submitted)
     for queue in scheduler.queues:
-        assert dead not in queue._buckets, "the dead worker's bucket came back"
+        assert not queue.subgraphs and not queue._entries, "the list outlived the drain"
 
 
 @pytest.mark.chaos
@@ -266,7 +269,7 @@ def test_in_flight_count_follows_the_nodes_through_retries_and_device_loss(
     arrivals = PoissonArrivals(3000.0, seed=seed).times(150)
     submitted = [server.submit(dataset.sample_one(), arrival_time=t) for t in arrivals]
     events = with_nodes_in_flight = 0
-    while server.loop.step():
+    while server.loop.run(max_events=1):
         events += 1
         with_nodes_in_flight += assert_in_flight() > 0
     assert events > 500 and with_nodes_in_flight > 100

@@ -24,6 +24,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core.request import TERMINAL_STATES, InferenceRequest, RequestState
+from repro.core.scheduler import CellTypeQueue
 from repro.faults import SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.registry import build_server, presets
@@ -37,27 +38,30 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (16.68 calls per
-# cell, DESIGN.md §30; 24.09 while in-flight state counted tasks, 28.17
+# 1.25x what this run read when the budget was last set (13.19 calls per
+# cell, DESIGN.md §31; 16.68 while each pin moved its subgraph between
+# per-worker eligibility lists, §30; 24.09 while in-flight state counted
+# tasks, 28.17
 # while every scheduled cell built a node and bound through the placement
 # policy, 28.6 with the kernel-list stream beside ``run_for``, 75.9 before
 # the one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 20.8
-# The same for trees, payload sampling included: 38.90 calls per cell when
-# the budget was last set (43.26 before §30, 47.80 before §27, 48.7 before
-# §23), 92.5 with one explicit node per tree node and dict-backed subgraphs
+CALLS_PER_CELL_BUDGET = 16.5
+# The same for trees, payload sampling included: 33.90 calls per cell when
+# the budget was last set (38.90 before §31, 43.26 before §30, 47.80 before
+# §27, 48.7 before §23), 92.5 with one explicit node per tree node and dict-backed subgraphs
 # (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 48.6
+TREE_CALLS_PER_CELL_BUDGET = 42.4
 # The explicit-node path, on Seq2Seq: every encoder and decoder step is a
 # ``CellNode`` found by the partition's component search, and the dynamic
 # row grows its decoder one ``Model.extend`` at a time.  1.25x what the runs
-# read when the rows were set: 109.58 static and 131.39 dynamic calls per
-# cell (DESIGN.md §30; 124.38 and 145.06 before it, 129.8 and 176.7 while
+# read when the rows were set: 102.35 static and 120.40 dynamic calls per
+# cell (DESIGN.md §31; 109.58 and 131.39 before it, 124.38 and 145.06
+# before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 137.0, "dynamic": 164.2}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 127.9, "dynamic": 150.5}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
@@ -69,12 +73,13 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 284.2 per request and 10.54 per replica
-# (DESIGN.md §30; 331.7 and 11.3 before it, 351.7 when added, §26); 462.6
-# and 25.3 while every arrival walked every replica.
+# read when the rows were last set: 261.9 per request and 10.13 per replica
+# (DESIGN.md §31; 284.2 and 10.54 before it, 331.7 and 11.3 before §30,
+# 351.7 when added, §26); 462.6 and 25.3 while every arrival walked every
+# replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 355.2
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 13.2
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 327.4
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 12.7
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
 # with a closure per arrival.
@@ -104,34 +109,35 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 20.63, 21.45, 16.61 and 19.46 against 16.68 plain (DESIGN.md §30; 28.30,
-# 28.94, 24.79 and 27.30 against 24.09 before it, 32.9, 35.4, 29.4 and 31.6
-# against 28.8 when added); a check that it really was on).
+# 17.15, 17.96, 13.19 and 15.97 against 13.19 plain (DESIGN.md §31; 20.63,
+# 21.45, 16.61 and 19.46 against 16.68 before it, 28.30, 28.94, 24.79 and
+# 27.30 against 24.09 before §30, 32.9, 35.4, 29.4 and 31.6 against 28.8
+# when added); a check that it really was on).
 # The deadline and the device are roomy, so all 300 requests still finish
 # and the cell count is the plain run's.
 OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        25.8,
+        21.4,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        26.8,
+        22.4,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        20.8,
+        16.5,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        24.3,
+        20.0,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }
@@ -288,6 +294,56 @@ def test_cluster_calls_per_added_replica_within_budget():
         f"each replica adds {per_replica:.2f} calls per request, "
         f"budget {CLUSTER_CALLS_PER_REPLICA_BUDGET}"
     )
+
+
+class CountingList(list):
+    """A queue's ready list that counts what goes into it."""
+
+    insertions = 0
+
+    def append(self, entry):
+        self.insertions += 1
+        super().append(entry)
+
+    def insert(self, index, entry):
+        self.insertions += 1
+        super().insert(index, entry)
+
+
+@pytest.mark.parametrize("make_run", [_lstm_run, _tree_run], ids=["chain", "tree"])
+def test_a_pin_moves_nothing_in_the_ready_list(make_run, monkeypatch):
+    """A queue lists a subgraph when its ready count rises from zero, and
+    a pin is a store: on the budget runs (one GPU, optimistic, so a ready
+    count never falls to zero before the subgraph is exhausted) the lists
+    take exactly one entry per subgraph admitted with ready nodes — one
+    per chain — against 3 035 and 6 813 index registrations while each pin
+    moved its subgraph between per-worker lists (DESIGN.md §31)."""
+    server, generator, dataset = make_run()
+    lists = []
+    for queue in server.manager.scheduler.queues:
+        queue._entries = CountingList(queue._entries)
+        lists.append(queue._entries)
+    admitted_ready = 0
+    add = CellTypeQueue.add
+
+    def counted_add(queue, sg):
+        nonlocal admitted_ready
+        admitted_ready += sg.ready_count() > 0
+        add(queue, sg)
+
+    monkeypatch.setattr(CellTypeQueue, "add", counted_add)
+    generator.run(server, dataset)
+    assert len(server.finished) == REQUESTS
+    assert all(
+        queue._entries is entries
+        for queue, entries in zip(server.manager.scheduler.queues, lists)
+    ), "a queue replaced its list"
+    insertions = sum(entries.insertions for entries in lists)
+    assert insertions == admitted_ready
+    if make_run is _lstm_run:
+        assert insertions == REQUESTS
+    else:
+        assert insertions > 10 * REQUESTS, "trees admit a subgraph per leaf"
 
 
 def test_submit_tracked_objects_within_budget():

@@ -154,7 +154,7 @@ def test_cancelled_in_flight_request_is_released_when_its_task_retires(monkeypat
     gc.disable()
     try:
         while not request.terminal:
-            assert server.loop.step()
+            assert server.loop.run(max_events=1)
         assert request.cancel_reason == "deadline"
         (held,) = witness.in_flight
         assert held() is not None, "the running task holds the subgraph"

@@ -114,8 +114,9 @@ class TestFastPathEquivalence:
 
     def test_tight_batch_cap_two_gpus(self):
         """A cap of 4 on a deep queue: nearly every plan is cut off at the
-        cap, so *which* subgraphs make it in — the merge of the unpinned
-        bucket with the worker's own, by arrival order — decides the run."""
+        cap, so *which* subgraphs make it in — the unpinned ones and the
+        worker's own, by arrival order, past those pinned to the other —
+        decides the run."""
 
         def make_server():
             return BatchMakerServer(
@@ -125,3 +126,19 @@ class TestFastPathEquivalence:
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 8000, 300)
+
+    def test_fixed_placement_four_gpus(self):
+        """Sticky homes on 4 GPUs (``FixedPlacement``): each request is
+        pinned to one worker for life, so three of every four listed
+        subgraphs belong to another worker and every plan skips past them,
+        keeping them listed — the worst case of the one ready list."""
+
+        def make_server():
+            return BatchMakerServer(
+                LSTMChainModel(),
+                config=BatchingConfig.with_max_batch(64),
+                num_gpus=4,
+                policies=bundle_from_names(placement="fixed"),
+            )
+
+        _compare(make_server, lambda: SequenceDataset(seed=1), 8000, 600)

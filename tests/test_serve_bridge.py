@@ -46,7 +46,7 @@ def test_step_and_run_refuse_wall_clock():
     loop = EventLoop(RealTimeClock())
     loop.call_at(loop.now() + 60.0, lambda: None)
     with pytest.raises(RuntimeError):
-        loop.step()
+        loop.run(max_events=1)  # one step
     with pytest.raises(RuntimeError):
         loop.run()
     # ... so a wall-clock loop can never fire future events early.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.clock import RealTimeClock, VirtualClock
 from repro.sim.events import EventLoop
 from tests.oracles.reference_values import recount_pending
 
@@ -34,6 +35,17 @@ class TestScheduling:
         loop.run()
         with pytest.raises(ValueError, match="past"):
             loop.call_at(0.5, lambda: None)
+
+    @pytest.mark.parametrize("clock", [VirtualClock, RealTimeClock])
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_raises_under_both_clocks(self, clock, when):
+        """NaN fails ``when < now`` as it fails every comparison, and the
+        wall clock's branch clamps only a past time: both let it through
+        to a clock that then reads NaN for good."""
+        loop = EventLoop(clock())
+        with pytest.raises(ValueError, match=f"non-finite time {when}"):
+            loop.call_at(when, lambda: None)
+        assert loop.pending() == 0 and not loop._heap
 
     def test_negative_delay_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -106,7 +118,7 @@ class TestCancellation:
         events[0].cancel()
         assert loop.peek_time() == 2.0
         assert loop.pending() == 2
-        loop.step()  # runs t=2.0
+        assert loop.run(max_events=1) == 1  # runs t=2.0
         assert loop.pending() == 1
         # Cancelling an event that already ran is a no-op for the counter.
         events[2].cancel()
@@ -154,7 +166,7 @@ class TestRun:
         assert seen == [0, 1]
 
     def test_step_on_empty_queue_returns_false(self):
-        assert EventLoop().step() is False
+        assert EventLoop().run(max_events=1) == 0
 
     def test_reentrant_run_raises(self):
         loop = EventLoop()

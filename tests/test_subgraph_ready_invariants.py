@@ -1,5 +1,5 @@
 """Property-style tests for the incremental ready-count accounting and
-the eligibility index.
+the queue's list of ready subgraphs.
 
 After *any* interleaving of subgraph releases, scheduling (``commit``),
 task completion and its propagation, request eviction and forced
@@ -10,9 +10,9 @@ must hold for every cell-type queue:
    ``ready_count()`` over the queued subgraphs,
 2. the indexed ``FormBatchedTask`` (``CellTypeQueue.plan``) plans exactly
    what the brute-force FIFO scan plans, for every worker,
-3. every eligibility bucket is sorted by ``queue_seq``, lists a subgraph
-   at most once, and the bucket a queued subgraph with ready nodes is
-   pinned to lists it, and
+3. the queue's one list is sorted by ``queue_seq``, holds one entry per
+   subgraph, and lists every queued subgraph with ready nodes whatever its
+   pin, and
 4. forming a plan — kicked, declined under the min-batch rule, or held by
    ``LazyKickPolicy`` — leaves the queue and its subgraphs as they were,
    and
@@ -27,8 +27,9 @@ at every step, plus the cursor's own: the ready node, when there is one, is
 the first node not yet submitted.  Parse trees are ``LeafSubgraph`` (one
 flag) and ``TreeSubgraph`` (a pending-children counter per node) objects;
 for them the ready nodes are recomputed from which nodes were handed out
-and which completed, and every ``TreeSubgraph.commit`` may register the
-subgraph in the eligibility index at most once.
+and which completed, and no ``TreeSubgraph.commit`` inserts into the
+queue's list: its ready count is above zero before every take, so the
+subgraph is listed already, and a pin moves nothing.
 """
 
 import random
@@ -116,9 +117,6 @@ class CheckedFormation(BatchFormationPolicy):
         assert _observable(queue) == before, "form() changed the queue"
         self.plans_formed += bool(plan)
         return plan
-
-    def on_subgraph_removed(self, queue, sg):
-        self.inner.on_subgraph_removed(queue, sg)
 
 
 class Harness:
@@ -209,7 +207,7 @@ class Harness:
         if queued:
             targets = [None] + [w.worker_id for w in self.workers]
             sg = rng.choice(queued)
-            sg.repin(rng.choice(targets))
+            sg.pinned = rng.choice(targets)
             self.forced_pins.add(sg)
 
     # -- invariants ---------------------------------------------------------
@@ -292,15 +290,17 @@ class Harness:
 
     @staticmethod
     def assert_index_invariants(queue):
-        for bucket, entries in queue._buckets.items():
-            seqs = [seq for seq, _ in entries]
-            assert seqs == sorted(set(seqs)), f"bucket {bucket} unsorted or duplicated"
-            assert all(seq == sg.queue_seq for seq, sg in entries)
+        entries = queue._entries
+        seqs = [seq for seq, _ in entries]
+        assert seqs == sorted(set(seqs)), "the list is unsorted or lists a seq twice"
+        assert all(seq == sg.queue_seq for seq, sg in entries)
+        listed = {id(sg) for _, sg in entries}
+        assert len(listed) == len(entries), "the list holds a subgraph twice"
         for sg in queue.subgraphs.values():
             if sg.ready_count() > 0:
-                assert (sg.queue_seq, sg) in queue._buckets.get(sg.pinned, ()), (
-                    f"eligible subgraph {sg.subgraph_id} missing from "
-                    f"bucket {sg.pinned}"
+                assert id(sg) in listed, (
+                    f"subgraph {sg.subgraph_id} with ready nodes (pinned to "
+                    f"{sg.pinned}) missing from the list"
                 )
 
 
@@ -318,22 +318,22 @@ MODELS = [
 def test_ready_count_invariants_under_random_interleavings(
     name, model_cls, max_batch, pinning, seed, monkeypatch
 ):
-    # A TreeSubgraph commit is one pass: whatever it does to the ready list
-    # and the pin, the eligibility index hears of it at most once.
-    registrations = []
-    register, tree_commit = CellTypeQueue._register, TreeSubgraph.commit
+    # A TreeSubgraph commit takes from a non-empty ready list, so the
+    # subgraph is listed already: whatever the commit does to the ready list
+    # and the pin, it inserts nothing into the queue's list.
+    insertions = []
+    insert, tree_commit = CellTypeQueue._insert, TreeSubgraph.commit
 
-    def counted_register(queue, sg):
-        registrations.append(sg)
-        register(queue, sg)
+    def counted_insert(queue, sg):
+        insertions.append(sg)
+        insert(queue, sg)
 
     def checked_commit(sg, count, worker_id, entries):
-        before = len(registrations)
+        before = len(insertions)
         tree_commit(sg, count, worker_id, entries)
-        assert len(registrations) - before <= 1, "TreeSubgraph.commit registered twice"
-        assert registrations[before:] in ([], [sg])
+        assert insertions[before:] == [], "TreeSubgraph.commit inserted into the list"
 
-    monkeypatch.setattr(CellTypeQueue, "_register", counted_register)
+    monkeypatch.setattr(CellTypeQueue, "_insert", counted_insert)
     monkeypatch.setattr(TreeSubgraph, "commit", checked_commit)
 
     # crc32, not hash(): str hashes change with PYTHONHASHSEED, and a
@@ -486,7 +486,7 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
 
 
 def _index_snapshot(queue):
-    return {bucket: [seq for seq, _ in entries] for bucket, entries in queue._buckets.items()}
+    return [seq for seq, _ in queue._entries]
 
 
 def _ready_ids(sg):
@@ -517,12 +517,12 @@ def _commit_state(sg, queue):
 
 
 class RecordingQueueCalls:
-    """Wraps ``Subgraph.pin`` and a queue's two notification methods to
-    write down, in order, what the queue hears during a hand-out."""
+    """Wraps ``Subgraph.pin`` and a queue's notification method to write
+    down, in order, the pins and what the queue hears during a hand-out."""
 
     def __init__(self, queue, monkeypatch):
         self.calls = []
-        on_ready_delta, on_pin_changed = queue.on_ready_delta, queue.on_pin_changed
+        on_ready_delta = queue.on_ready_delta
         pin = Subgraph.pin
 
         def recording_pin(sg, worker_id):
@@ -535,11 +535,7 @@ class RecordingQueueCalls:
             self.calls.append(("ready", sg.subgraph_id, delta))
             on_ready_delta(sg, delta)
 
-        def pin_changed(sg):
-            self.calls.append(("pin_changed", sg.subgraph_id, sg.pinned))
-            on_pin_changed(sg)
-
-        queue.on_ready_delta, queue.on_pin_changed = ready_delta, pin_changed
+        queue.on_ready_delta = ready_delta
 
 
 @pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
@@ -562,7 +558,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
         _, (sg,) = _partition(model, 1, 3, start_id=1)
         if sticky:  # what FixedPlacement.on_admit does
             sg.sticky = True
-            sg.repin(worker_id)
+            sg.pinned = worker_id
         scheduler.add_subgraph(sg)
         assert sg.optimistic is placement.optimistic
         twins.append((sg, queue))
@@ -609,16 +605,16 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
 
 
 def test_generic_commit_tells_the_queue_taken_then_pin_then_newly_ready(monkeypatch):
-    """The generic hand-out's three queue notifications keep their order
-    (merged into one net delta they move a seq2seq fingerprint): the nodes
-    taken, the pin, the nodes the submission made ready."""
+    """The generic hand-out keeps its order — the nodes taken, the pin, the
+    nodes the submission made ready — and the pin is a store the queue does
+    not hear: its list keeps the subgraph's one entry where it was."""
     _, scheduler, queue = _chain_scheduler()
     _, sg = _queue_chain(ExplicitChainModel(), scheduler, 7, 3)
     recorder = RecordingQueueCalls(queue, monkeypatch)
+    listed = list(queue._entries)
     assert _hand_out(sg, 1, 1) == [0]
-    assert recorder.calls == [
-        ("ready", 7, -1), ("pin", 7, 1), ("pin_changed", 7, 1), ("ready", 7, 1)
-    ]
+    assert recorder.calls == [("ready", 7, -1), ("pin", 7, 1), ("ready", 7, 1)]
+    assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
 
 
 # -- TreeSubgraph.commit against the same generic hand-out ---------------------
@@ -682,7 +678,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
         sg = _queue_tree(scheduler, model, 1, spec, 10)
         if sticky:  # what FixedPlacement.on_admit does
             sg.sticky = True
-            sg.repin(worker_id)
+            sg.pinned = worker_id
         assert sg.optimistic is placement.optimistic
         twins.append((sg, scheduler._queues["tree_internal"]))
     (fast_sg, fast_queue), (base_sg, base_queue) = twins
@@ -739,7 +735,7 @@ def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
         with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
             _hand_out(first, 0)
         assert _hand_out(first) == [0] and first.ready_count() == 0
-        assert recorder.calls == [("ready", 0, -1), ("pin", 0, 0), ("pin_changed", 0, 0)]
+        assert recorder.calls == [("ready", 0, -1), ("pin", 0, 0)]
         assert first.unsubmitted == 0
         assert queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
 
