@@ -11,7 +11,6 @@ from repro.baselines import FoldServer, IdealServer
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.metrics.summary import format_table
 from repro.models import TreeLSTMModel, TreePayload
-from repro.models.tree_lstm import TreeNodeSpec
 from repro.workload import LoadGenerator, TreeDataset
 
 RATE = 1500
@@ -51,7 +50,7 @@ def main():
     print(format_table(headers, rows))
 
     print(f"\nIdentical 16-leaf complete binary trees at {RATE} req/s:\n")
-    template = TreePayload(TreeNodeSpec.complete(16))
+    template = TreePayload.complete(16)
     fixed = lambda: TreeDataset(seed=2, fixed_complete_leaves=16)
     rows = [
         run(batchmaker(), fixed()),

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import TreeLSTMModel, TreePayload
-from repro.models.tree_lstm import TreeNodeSpec
 from repro.tensor import ops
 
 VOCAB = [
@@ -38,28 +37,31 @@ SENTENCES = [
 
 
 def parse(expression):
-    """Parse a bracketed expression into a TreeNodeSpec."""
-    tokens = expression.replace("(", " ( ").replace(")", " ) ").split()
-    position = 0
-
-    def parse_node():
-        nonlocal position
-        if tokens[position] == "(":
-            position += 1  # consume "("
-            left = parse_node()
-            right = parse_node()
-            if tokens[position] != ")":
-                raise ValueError(f"expected ')', got {tokens[position]!r}")
-            position += 1  # consume ")"
-            return TreeNodeSpec(left=left, right=right)
-        word = tokens[position]
-        position += 1
-        return TreeNodeSpec(token=WORD_TO_ID[word])
-
-    node = parse_node()
-    if position != len(tokens):
-        raise ValueError("trailing tokens in expression")
-    return node
+    """Parse a bracketed expression into the payload's post-order arrays:
+    a word is a leaf, and each ")" closes a node over the two subtrees
+    finished since its "(" — children before parents, as ``add_tree`` reads
+    them."""
+    left, right, token = [], [], []
+    finished = []  # positions of subtrees still waiting for their parent
+    opened = []  # len(finished) at each unclosed "("
+    for item in expression.replace("(", " ( ").replace(")", " ) ").split():
+        if item == "(":
+            opened.append(len(finished))
+            continue
+        if item == ")":
+            if not opened or len(finished) - opened.pop() != 2:
+                raise ValueError(f"a bracket must hold two subtrees: {expression!r}")
+            right.append(finished.pop())
+            left.append(finished.pop())
+            token.append(None)
+        else:
+            left.append(-1)
+            right.append(-1)
+            token.append(WORD_TO_ID[item])
+        finished.append(len(token) - 1)
+    if opened or len(finished) != 1:
+        raise ValueError(f"not one bracketed tree: {expression!r}")
+    return TreePayload(left, right, token)
 
 
 def main():
@@ -78,7 +80,7 @@ def main():
         real_compute=True,
     )
     requests = [
-        (text, server.submit(TreePayload(parse(text)), arrival_time=i * 1e-3))
+        (text, server.submit(parse(text), arrival_time=i * 1e-3))
         for i, text in enumerate(SENTENCES)
     ]
     server.drain()

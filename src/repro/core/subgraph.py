@@ -188,23 +188,23 @@ class Subgraph:
         submitted (optimistic mode only).  The scheduler's one call per
         plan member; no node object is built.
 
-        The queue hears two deltas in this order: the nodes taken, then
-        the nodes that became ready."""
+        The queue hears one net delta, the nodes that became ready less the
+        nodes taken, before the pin, and none when they cancel: the
+        subgraph had ready nodes, so it already has its entry (DESIGN.md
+        §31, §32)."""
         if not 0 < count <= len(self.ready):
             raise self._overdrawn(count)
         node_ids, self.ready = self.ready[:count], self.ready[count:]
-        if self.owner is not None:
-            self.owner.on_ready_delta(self, -count)
         entries += [(self, nid) for nid in node_ids]
+        self.unsubmitted -= count
+        delta = -count
+        if self.optimistic:
+            for nid in node_ids:
+                delta += self._advance_internal(nid)
+        if delta and self.owner is not None:
+            self.owner.on_ready_delta(self, delta)
         if self.pinned != worker_id and self.optimistic:
             self.pin(worker_id)
-        self.unsubmitted -= count
-        if self.optimistic:
-            newly_ready = 0
-            for nid in node_ids:
-                newly_ready += self._advance_internal(nid)
-            if newly_ready and self.owner is not None:
-                self.owner.on_ready_delta(self, newly_ready)
 
     def _overdrawn(self, count: int) -> RuntimeError:
         return RuntimeError(

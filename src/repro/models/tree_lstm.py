@@ -3,11 +3,15 @@
 Two cell types: leaf (grey in the paper's Figure 2) and internal (white).
 Unfolding a tree yields one single-node subgraph per leaf plus one subgraph
 containing all internal nodes — the worked example of §4.4.
+
+The evaluation consumes tree shapes and tokens only, so a payload is the
+post-order arrays ``CellGraph.add_tree`` reads, written by the sampler and
+handed over as they are: no node object sits between them (DESIGN.md §32).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +36,8 @@ _RIGHT_INPUTS = {"h_r": "h", "c_r": "c"}
 
 class TreeNodeSpec:
     """A node of a binary parse tree: either a leaf with a token, or an
-    internal node with exactly two children."""
+    internal node with exactly two children.  Only :attr:`TreePayload.root`
+    builds these; the serving path reads the payload's arrays."""
 
     __slots__ = ("token", "left", "right")
 
@@ -52,88 +57,61 @@ class TreeNodeSpec:
         self.left = left
         self.right = right
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    def _shape(self) -> Tuple[int, int]:
-        """(leaves, depth), walked with a stack: a parse tree may be deeper
-        than the interpreter's recursion limit."""
-        leaves = depth = 0
-        stack = [(self, 1)]
-        while stack:
-            spec, level = stack.pop()
-            if spec.token is not None:
-                leaves += 1
-                depth = max(depth, level)
-            else:
-                stack.append((spec.left, level + 1))
-                stack.append((spec.right, level + 1))
-        return leaves, depth
-
-    def num_leaves(self) -> int:
-        return self._shape()[0]
-
-    def num_nodes(self) -> int:
-        return 2 * self._shape()[0] - 1  # every internal node has two children
-
-    def depth(self) -> int:
-        return self._shape()[1]
-
-    @classmethod
-    def complete(cls, num_leaves: int, token: int = 0) -> "TreeNodeSpec":
-        """A complete binary tree with ``num_leaves`` leaves (power of two),
-        e.g. the 16-leaf tree of the paper's §4.4 and Figure 15."""
-        if num_leaves < 1 or num_leaves & (num_leaves - 1):
-            raise ValueError("num_leaves must be a positive power of two")
-        if num_leaves == 1:
-            return cls(token=token)
-        half = num_leaves // 2
-        return cls(left=cls.complete(half, token), right=cls.complete(half, token))
-
-
-def flatten_tree(root: TreeNodeSpec) -> Tuple[List[int], List[int], List[Any]]:
-    """``(left, right, token)`` of the tree in post-order — position ``i``
-    holds node ``i``'s child positions (-1 for a leaf) and its token (None
-    for an internal node) — walked with a stack, not by recursion."""
-    left: List[int] = []
-    right: List[int] = []
-    token: List[Any] = []
-    done: List[int] = []  # positions of finished subtrees awaiting a parent
-    stack: List[Optional[TreeNodeSpec]] = [root]
-    while stack:
-        spec = stack.pop()
-        if spec is None:  # both subtrees of an internal node are finished
-            right.append(done.pop())
-            left.append(done.pop())
-            token.append(None)
-        elif spec.token is not None:
-            left.append(-1)
-            right.append(-1)
-            token.append(spec.token)
-        else:
-            stack.append(None)
-            stack.append(spec.right)
-            stack.append(spec.left)
-            continue
-        done.append(len(token) - 1)
-    return left, right, token
-
 
 class TreePayload:
-    """Request payload: the parse tree of one sentence."""
+    """Request payload: the parse tree of one sentence, as the post-order
+    arrays :meth:`CellGraph.add_tree` reads — position ``i`` holds node
+    ``i``'s child positions in ``left`` / ``right`` (-1 for a leaf) and its
+    token in ``token`` (None for an internal node).  Plain lists, untouched
+    after construction: a served tree keeps them by reference."""
 
-    def __init__(self, root: TreeNodeSpec):
-        self.root = root
+    __slots__ = ("left", "right", "token")
+
+    def __init__(self, left: List[int], right: List[int], token: List[Any]):
+        self.left = left
+        self.right = right
+        self.token = token
+
+    @classmethod
+    def complete(cls, num_leaves: int, token: int = 0) -> "TreePayload":
+        """A complete binary tree with ``num_leaves`` leaves (power of two),
+        e.g. the 16-leaf tree of the paper's §4.4 and Figure 15: each
+        doubling is two copies of the tree so far under a new root."""
+        if num_leaves < 1 or num_leaves & (num_leaves - 1):
+            raise ValueError("num_leaves must be a positive power of two")
+        left, right, tokens = [-1], [-1], [token]
+        while len(tokens) < 2 * num_leaves - 1:
+            size = len(tokens)
+            left += [i + size if i >= 0 else -1 for i in left] + [size - 1]
+            right += [i + size if i >= 0 else -1 for i in right] + [2 * size - 1]
+            tokens += tokens + [None]
+        return cls(left, right, tokens)
+
+    @property
+    def root(self) -> TreeNodeSpec:
+        """The tree as :class:`TreeNodeSpec` nodes, built from the arrays
+        (children first) each time it is read."""
+        nodes: List[TreeNodeSpec] = []
+        for lhs, rhs, token in zip(self.left, self.right, self.token):
+            if lhs < 0:
+                nodes.append(TreeNodeSpec(token=token))
+            else:
+                nodes.append(TreeNodeSpec(left=nodes[lhs], right=nodes[rhs]))
+        return nodes[-1]
 
     def num_leaves(self) -> int:
-        return self.root.num_leaves()
+        return (len(self.left) + 1) // 2  # every internal node has two children
 
     def num_nodes(self) -> int:
-        return self.root.num_nodes()
+        return len(self.left)
 
     def depth(self) -> int:
-        return self.root.depth()
+        """Levels from the root down to its deepest leaf: one pass, each
+        node after its children."""
+        levels: List[int] = []
+        for lhs, rhs in zip(self.left, self.right):
+            levels.append(1 if lhs < 0 else 1 + max(levels[lhs], levels[rhs]))
+        return levels[-1]
 
 
 class TreeLSTMModel(Model):
@@ -177,13 +155,12 @@ class TreeLSTMModel(Model):
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         if not isinstance(payload, TreePayload):
             raise TypeError(f"TreeLSTM payload must be TreePayload, got {type(payload)}")
-        left, right, token = flatten_tree(payload.root)
         tree = graph.add_tree(
             self._leaf_type,
             self._internal_type,
-            left,
-            right,
-            token,
+            payload.left,
+            payload.right,
+            payload.token,
             leaf_input="ids",
             left_inputs=_LEFT_INPUTS,
             right_inputs=_RIGHT_INPUTS,
@@ -197,18 +174,19 @@ class TreeLSTMModel(Model):
         return model
 
     def reference_forward(self, payload: Any) -> Optional[List[Any]]:
+        """The tree evaluated node by node in post-order — one loop, one
+        ``(h, c)`` per position — so no depth is too deep for it."""
         if not self.real:
             return None
-        h, _ = self._forward_node(payload.root)
-        return [h[0]]
-
-    def _forward_node(self, spec: TreeNodeSpec) -> Tuple[np.ndarray, np.ndarray]:
-        if spec.is_leaf:
-            out = self._leaf_cell({"ids": np.asarray([spec.token])})
-            return out["h"], out["c"]
-        h_l, c_l = self._forward_node(spec.left)
-        h_r, c_r = self._forward_node(spec.right)
-        out = self._internal_cell(
-            {"h_l": h_l, "c_l": c_l, "h_r": h_r, "c_r": c_r}
-        )
-        return out["h"], out["c"]
+        h: List[np.ndarray] = []
+        c: List[np.ndarray] = []
+        for lhs, rhs, token in zip(payload.left, payload.right, payload.token):
+            if lhs < 0:
+                out = self._leaf_cell({"ids": np.asarray([token])})
+            else:
+                out = self._internal_cell(
+                    {"h_l": h[lhs], "c_l": c[lhs], "h_r": h[rhs], "c_r": c[rhs]}
+                )
+            h.append(out["h"])
+            c.append(out["c"])
+        return [h[-1][0]]

@@ -150,9 +150,9 @@ def _resolve_template(template: Any):
     value is passed through verbatim as the template payload.
     """
     if isinstance(template, dict) and "complete_tree_leaves" in template:
-        from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+        from repro.models.tree_lstm import TreePayload
 
-        return TreePayload(TreeNodeSpec.complete(template["complete_tree_leaves"]))
+        return TreePayload.complete(template["complete_tree_leaves"])
     if isinstance(template, dict) and "chain_length" in template:
         return template["chain_length"]
     return template

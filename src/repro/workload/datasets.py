@@ -109,7 +109,5 @@ class TreeDataset:
 
     def sample_one(self) -> TreePayload:
         if self._fixed_complete is not None:
-            from repro.models.tree_lstm import TreeNodeSpec
-
-            return TreePayload(TreeNodeSpec.complete(self._fixed_complete))
+            return TreePayload.complete(self._fixed_complete)
         return self._sampler.sample_one()

@@ -5,16 +5,17 @@ trees of English sentences.  We substitute seeded random binary trees whose
 leaf counts follow a sentence-length-like distribution (mean ~20, clipped)
 and whose shapes are uniformly random binary bracketings — the two
 properties (size distribution, shape variety) the scheduling behaviour
-depends on.
+depends on.  A sampled tree is its post-order arrays, written as the
+draws come (DESIGN.md §32).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 
 
 def random_parse_tree(
@@ -22,22 +23,38 @@ def random_parse_tree(
     num_leaves: int,
     vocab_size: int = 30000,
 ) -> TreePayload:
-    """A uniformly random binary bracketing over ``num_leaves`` tokens."""
+    """A uniformly random binary bracketing over ``num_leaves`` tokens,
+    written straight into the payload's post-order arrays.
+
+    The draws come in pre-order — a node's split, then its left subtree,
+    then its right — the order that defines a seed's trees (held to the
+    recursive oracle in ``tests/test_tree_runs.py``).  The stack holds leaf counts still to draw, and for each
+    internal node a marker, ``1 - 2 * r``: minus the node count of its
+    right subtree of ``r`` leaves, whose last node sits just before the
+    parent and whose first just after the left child."""
     if num_leaves < 1:
         raise ValueError(f"num_leaves must be >= 1, got {num_leaves}")
-    return TreePayload(_build_tree(rng, num_leaves, vocab_size))
-
-
-def _build_tree(rng: np.random.Generator, count: int, vocab_size: int) -> TreeNodeSpec:
-    # Module level, not a closure: a nested function that calls itself is a
-    # function <-> cell cycle, garbage only the cyclic collector can free.
-    if count == 1:
-        return TreeNodeSpec(token=int(rng.integers(0, vocab_size)))
-    split = int(rng.integers(1, count))
-    return TreeNodeSpec(
-        left=_build_tree(rng, split, vocab_size),
-        right=_build_tree(rng, count - split, vocab_size),
-    )
+    integers = rng.integers
+    left: List[int] = []
+    right: List[int] = []
+    token: List[Optional[int]] = []
+    stack = [num_leaves]
+    while stack:
+        count = stack.pop()
+        if count > 1:
+            split = int(integers(1, count))
+            rest = count - split
+            stack += (1 - 2 * rest, rest, split)
+        elif count == 1:
+            left.append(-1)
+            right.append(-1)
+            token.append(int(integers(0, vocab_size)))
+        else:  # both subtrees are written: the parent follows them
+            at = len(token)
+            left.append(at - 1 + count)
+            right.append(at - 1)
+            token.append(None)
+    return TreePayload(left, right, token)
 
 
 class TreeBankSampler:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreeNodeSpec
+from tests.oracles.node_tree import payload_of
 
 
 @pytest.fixture
@@ -44,8 +45,6 @@ def random_tree(rng, depth=3, vocab=30, leaf_prob=0.3):
 @pytest.fixture
 def random_tree_payloads(rng):
     return [
-        TreePayload(
-            TreeNodeSpec(left=random_tree(rng), right=random_tree(rng))
-        )
+        payload_of(TreeNodeSpec(left=random_tree(rng), right=random_tree(rng)))
         for _ in range(6)
     ]

@@ -1,21 +1,22 @@
-"""The nested-closure parse-tree sampler, kept as the oracle for the
-module-level one.
+"""The recursive parse-tree sampler, kept as the oracle for the flat one.
 
 Until retirement by reference count (DESIGN.md §24) this was
 ``repro.workload.trees.random_parse_tree``: ``build`` was a closure that
-called itself, so every sampled tree left a function <-> cell cycle behind.
-``tests/test_workload.py`` holds the module-level sampler to it — same
-draws in the same order, so the same shapes and tokens.
+called itself, so every sampled tree left a function <-> cell cycle behind;
+then a module-level recursion, until the sampler wrote the post-order
+arrays itself (§32).  ``tests/test_tree_runs.py`` holds the flat sampler to
+it, through ``tests.oracles.node_tree.flatten_tree`` — same draws in the
+same order, so the same shapes and tokens.
 """
 
 import numpy as np
 
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreeNodeSpec
 
 
 def closure_parse_tree(
     rng: np.random.Generator, num_leaves: int, vocab_size: int = 30000
-) -> TreePayload:
+) -> TreeNodeSpec:
     if num_leaves < 1:
         raise ValueError(f"num_leaves must be >= 1, got {num_leaves}")
 
@@ -25,4 +26,4 @@ def closure_parse_tree(
         split = int(rng.integers(1, count))
         return TreeNodeSpec(left=build(split), right=build(count - split))
 
-    return TreePayload(build(num_leaves))
+    return build(num_leaves)

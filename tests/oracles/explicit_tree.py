@@ -25,7 +25,7 @@ class ExplicitTreeModel(TreeLSTMModel):
         graph.mark_result(root.node_id, "h")
 
     def _unfold_node(self, graph: CellGraph, spec: TreeNodeSpec):
-        if spec.is_leaf:
+        if spec.token is not None:
             return graph.add_node(self._leaf_type, {"ids": ValueInput(spec.token)})
         left = self._unfold_node(graph, spec.left)
         right = self._unfold_node(graph, spec.right)

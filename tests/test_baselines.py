@@ -6,7 +6,7 @@ from repro.baselines import FoldServer, IdealServer, PaddedServer
 from repro.baselines.fold import level_census
 from repro.core.cell_graph import CellGraph
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 
 
 class TestPaddedBucketing:
@@ -111,7 +111,7 @@ class TestFoldMerging:
     def test_level_census_tree(self):
         model = TreeLSTMModel()
         graph = CellGraph()
-        model.unfold(graph, TreePayload(TreeNodeSpec.complete(4)))
+        model.unfold(graph, TreePayload.complete(4))
         census = level_census(graph)
         assert census[0] == {"tree_leaf": 4}
         assert census[1] == {"tree_internal": 2}
@@ -119,8 +119,8 @@ class TestFoldMerging:
 
     def test_batch_merges_levels_across_requests(self):
         server = FoldServer(TreeLSTMModel(), per_level_overhead=0.0)
-        a = server.submit(TreePayload(TreeNodeSpec.complete(4)), arrival_time=0.0)
-        b = server.submit(TreePayload(TreeNodeSpec.complete(4)), arrival_time=0.0)
+        a = server.submit(TreePayload.complete(4), arrival_time=0.0)
+        b = server.submit(TreePayload.complete(4), arrival_time=0.0)
         server.drain()
         cost = server.cost_model
         expected = (
@@ -136,7 +136,7 @@ class TestFoldMerging:
         loaded = FoldServer(
             TreeLSTMModel(), merge_overhead_per_request=1e-3, overlap_merge=False
         )
-        payload = TreePayload(TreeNodeSpec.complete(4))
+        payload = TreePayload.complete(4)
         a = base.submit(payload, arrival_time=0.0)
         b = loaded.submit(payload, arrival_time=0.0)
         base.drain()
@@ -149,14 +149,14 @@ class TestFoldMerging:
             merge_overhead_per_request=1.0,  # absurdly large: dominates
             overlap_merge=True,
         )
-        request = server.submit(TreePayload(TreeNodeSpec.complete(4)), arrival_time=0.0)
+        request = server.submit(TreePayload.complete(4), arrival_time=0.0)
         server.drain()
         assert request.computation_time == pytest.approx(1.0)
 
     def test_max_requests_cap(self):
         server = FoldServer(TreeLSTMModel(), max_requests=2)
         for i in range(5):
-            server.submit(TreePayload(TreeNodeSpec.complete(2)), arrival_time=0.0)
+            server.submit(TreePayload.complete(2), arrival_time=0.0)
         server.drain()
         assert server.batches_executed == 3
 
@@ -178,12 +178,12 @@ class TestFoldMerging:
 
 class TestIdealServer:
     def payload(self):
-        return TreePayload(TreeNodeSpec.complete(4))
+        return TreePayload.complete(4)
 
     def test_requires_identical_structure(self):
         server = IdealServer(TreeLSTMModel(), self.payload())
         with pytest.raises(ValueError, match="differs from the template"):
-            server.submit(TreePayload(TreeNodeSpec.complete(8)), arrival_time=0.0)
+            server.submit(TreePayload.complete(8), arrival_time=0.0)
             server.drain()
 
     def test_duration_is_one_kernel_per_template_node(self):

@@ -28,6 +28,7 @@ from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.models import LSTMChainModel
+from repro.models.tree_lstm import TreeNodeSpec
 from repro.policies import bundle_from_names
 
 from tests.chaos_helpers import (
@@ -273,9 +274,9 @@ def test_real_compute_matches_reference_forward(project_output, placement):
 
 
 def count_constructions(monkeypatch):
-    """Counts, by class name, of graph objects constructed from now on
-    (shared with ``tests/test_tree_runs.py``)."""
-    built = {"CellNode": 0, "NodeOutput": 0, "ValueInput": 0}
+    """Counts, by class name, of graph objects and parse-tree nodes
+    constructed from now on (shared with ``tests/test_tree_runs.py``)."""
+    built = dict(NOTHING_BUILT)
 
     def counting(cls):
         original = cls.__init__
@@ -290,12 +291,13 @@ def count_constructions(monkeypatch):
         cell_graph.CellNode,
         cell_graph.NodeOutput,
         cell_graph.ValueInput,
+        TreeNodeSpec,
     ):
         counting(cls)
     return built
 
 
-NOTHING_BUILT = {"CellNode": 0, "NodeOutput": 0, "ValueInput": 0}
+NOTHING_BUILT = {"CellNode": 0, "NodeOutput": 0, "ValueInput": 0, "TreeNodeSpec": 0}
 
 
 def test_simulated_chain_builds_no_nodes(monkeypatch):

@@ -7,7 +7,7 @@ from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
 from repro.core.request import InferenceRequest
 from repro.core.subgraph import partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 
 
 @pytest.fixture
@@ -347,7 +347,7 @@ class TestPartitioning:
         # §4.4: a complete binary tree with 16 leaves -> 17 subgraphs: one
         # with the 15 internal nodes (31-node tree) and 16 leaf singletons.
         model = TreeLSTMModel()
-        payload = TreePayload(TreeNodeSpec.complete(16))
+        payload = TreePayload.complete(16)
         graph, subgraphs = self._partition(model, payload)
         leaf_sgs = [s for s in subgraphs if s.cell_type_name == "tree_leaf"]
         internal_sgs = [s for s in subgraphs if s.cell_type_name == "tree_internal"]
@@ -368,7 +368,7 @@ class TestPartitioning:
 
     def test_initial_ready_nodes_are_sources_only(self):
         model = TreeLSTMModel()
-        payload = TreePayload(TreeNodeSpec.complete(4))
+        payload = TreePayload.complete(4)
         graph, subgraphs = self._partition(model, payload)
         internal = next(
             s for s in subgraphs if s.cell_type_name == "tree_internal"

@@ -10,7 +10,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.request import InferenceRequest, RequestState
 from repro.gpu.costmodel import CostModel, LatencyTable
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 from tests import golden
 from tests.retention_helpers import keep_engine_state
 
@@ -200,7 +200,7 @@ class TestTreeServing:
         )
         for i in range(10):
             server.submit(
-                TreePayload(TreeNodeSpec.complete(8)), arrival_time=i * 1e-4
+                TreePayload.complete(8), arrival_time=i * 1e-4
             )
         server.drain()
         assert len(server.finished) == 10
@@ -212,7 +212,7 @@ class TestTreeServing:
             cost_model=cost,
             config=BatchingConfig.with_max_batch(64, max_tasks_to_submit=1),
         )
-        request = server.submit(TreePayload(TreeNodeSpec.complete(4)))
+        request = server.submit(TreePayload.complete(4))
         server.drain()
         # 1 leaf level + 2 internal levels at unit cost each.
         assert request.finish_time == pytest.approx(3.0)

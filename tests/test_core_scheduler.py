@@ -8,7 +8,7 @@ from repro.core.request import InferenceRequest
 from repro.core.scheduler import Scheduler
 from repro.core.subgraph import partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 from repro.policies import bundle_from_names
 
 
@@ -50,7 +50,7 @@ class TestRegistration:
         tree = TreeLSTMModel()
         scheduler, _ = make_scheduler(lstm)
         (sg,) = make_subgraphs(
-            tree, TreePayload(TreeNodeSpec(token=1)), start_id=0
+            tree, TreePayload([-1], [-1], [1]), start_id=0
         )
         with pytest.raises(KeyError, match="unregistered"):
             scheduler.add_subgraph(sg)
@@ -157,7 +157,7 @@ class TestSelectionCriteria:
         # 4 single-leaf requests: 4 ready leaf cells, 0 ready internal.
         for rid in range(4):
             sgs = make_subgraphs(
-                model, TreePayload(TreeNodeSpec.complete(1)), rid, start_id=rid
+                model, TreePayload.complete(1), rid, start_id=rid
             )
             for sg in sgs:
                 scheduler.add_subgraph(sg)

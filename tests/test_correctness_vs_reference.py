@@ -8,6 +8,7 @@ import pytest
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models.tree_lstm import TreePayload, TreeNodeSpec
 from tests.conftest import random_tree
+from tests.oracles.node_tree import payload_of
 
 
 def scalar(x):
@@ -141,7 +142,7 @@ class TestTreeLSTM:
             real_compute=True,
         )
         payloads = [
-            TreePayload(TreeNodeSpec(left=random_tree(rng), right=random_tree(rng)))
+            payload_of(TreeNodeSpec(left=random_tree(rng), right=random_tree(rng)))
             for _ in range(8)
         ]
         requests = [
@@ -160,7 +161,7 @@ class TestTreeLSTM:
             config=BatchingConfig.with_max_batch(64),
             real_compute=True,
         )
-        payload = TreePayload(TreeNodeSpec.complete(16, token=3))
+        payload = TreePayload.complete(16, token=3)
         request = server.submit(payload)
         server.drain()
         ref = small_tree_model.reference_forward(payload)

@@ -48,27 +48,30 @@ REQUESTS = 300
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
 CALLS_PER_CELL_BUDGET = 16.5
-# The same for trees, payload sampling included: 33.90 calls per cell when
-# the budget was last set (38.90 before §31, 43.26 before §30, 47.80 before
-# §27, 48.7 before §23), 92.5 with one explicit node per tree node and dict-backed subgraphs
-# (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 42.4
+# The same for trees, payload sampling included: 27.93 calls per cell when
+# the budget was last set (DESIGN.md §32; 33.90 while the sampler built one
+# ``TreeNodeSpec`` per node and unfold flattened them, 38.90 before §31,
+# 43.26 before §30, 47.80 before §27, 48.7 before §23), 92.5 with one
+# explicit node per tree node and dict-backed subgraphs (DESIGN.md §20).
+TREE_CALLS_PER_CELL_BUDGET = 34.9
 # The explicit-node path, on Seq2Seq: every encoder and decoder step is a
 # ``CellNode`` found by the partition's component search, and the dynamic
 # row grows its decoder one ``Model.extend`` at a time.  1.25x what the runs
-# read when the rows were set: 102.35 static and 120.40 dynamic calls per
-# cell (DESIGN.md §31; 109.58 and 131.39 before it, 124.38 and 145.06
+# read when the rows were set: 96.09 static and 117.49 dynamic calls per
+# cell (DESIGN.md §32, one net ready delta per generic commit; 101.84 and
+# 120.36 with two, 109.58 and 131.39 before §31, 124.38 and 145.06
 # before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 127.9, "dynamic": 150.5}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 120.1, "dynamic": 146.9}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
-# 1.24 when the budget was set — one ``TreeNodeSpec`` per cell, of the
-# payload trees the load generator keeps (DESIGN.md §24) — 3.26 while served
-# requests kept their graph, subgraphs and nodes, 9.16 before flat trees
-# (§20).  Chains: 0.20, 1.79 while served requests kept their engine state.
-TREE_TRACKED_PER_CELL_BUDGET = 1.55
+# 0.316 when the budget was set — a payload is three lists, whatever its
+# size (DESIGN.md §32) — 1.236 while it was one ``TreeNodeSpec`` per cell
+# (§24), 3.26 while served requests kept their graph, subgraphs and nodes,
+# 9.16 before flat trees (§20).  Chains: 0.20, 1.79 while served requests
+# kept their engine state.
+TREE_TRACKED_PER_CELL_BUDGET = 0.40
 CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request

@@ -150,18 +150,18 @@ class TestTreeModel:
             TreeNodeSpec(left=TreeNodeSpec(token=1))
 
     def test_complete_tree_counts(self):
-        tree = TreeNodeSpec.complete(8)
+        tree = TreePayload.complete(8)
         assert tree.num_leaves() == 8
         assert tree.num_nodes() == 15
         assert tree.depth() == 4
 
     def test_complete_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            TreeNodeSpec.complete(6)
+            TreePayload.complete(6)
 
     def test_unfold_structure(self):
         model = TreeLSTMModel()
-        graph = unfold(model, TreePayload(TreeNodeSpec.complete(4)))
+        graph = unfold(model, TreePayload.complete(4))
         assert graph.cell_type_census() == {"tree_leaf": 4, "tree_internal": 3}
 
     def test_unfold_rejects_non_tree_payload(self):
@@ -170,11 +170,11 @@ class TestTreeModel:
 
     def test_padding_unsupported(self):
         with pytest.raises(NotImplementedError, match="padding"):
-            TreeLSTMModel().phases(TreePayload(TreeNodeSpec.complete(2)))
+            TreeLSTMModel().phases(TreePayload.complete(2))
 
     def test_root_is_result(self):
         model = TreeLSTMModel()
-        graph = unfold(model, TreePayload(TreeNodeSpec.complete(4)))
+        graph = unfold(model, TreePayload.complete(4))
         (result_ref,) = graph.result_refs
         node_id, output = result_ref
         assert output == "h"

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreeNodeSpec
 from repro.policies import bundle_from_names
+from tests.oracles.node_tree import payload_of
 from tests.retention_helpers import keep_engine_state
 
 
@@ -65,7 +66,7 @@ def payloads_for(kind, lengths, rng):
                 split = 1 + int(rng.integers(0, count - 1))
                 return TreeNodeSpec(left=build(split), right=build(count - split))
 
-            return TreePayload(build(leaves))
+            return payload_of(build(leaves))
 
         return model, [tree(n) for n in lengths]
     raise AssertionError(kind)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import FoldServer, PaddedServer
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 from repro.plot import Chart, Series
 from tests.retention_helpers import keep_engine_state
 
@@ -75,7 +75,7 @@ class TestBaselineKnobs:
         assert "bw=10" in PaddedServer(LSTMChainModel()).name
 
     def test_fold_per_level_overhead_charged(self):
-        payload = TreePayload(TreeNodeSpec.complete(4))  # 3 levels
+        payload = TreePayload.complete(4)  # 3 levels
         cheap = FoldServer(TreeLSTMModel(), per_level_overhead=0.0)
         costly = FoldServer(TreeLSTMModel(), per_level_overhead=1e-3)
         a = cheap.submit(payload, arrival_time=0.0)

@@ -55,7 +55,7 @@ from repro.core.subgraph import (
 from repro.core.task import BatchedTask
 from repro.faults import SLAConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.models.tree_lstm import TreePayload
 from repro.policies import (
     LazyKickPolicy,
     PinnedPlacement,
@@ -84,7 +84,7 @@ def _payload(model, rng):
     if isinstance(model, Seq2SeqModel):
         return {"src": rng.randint(1, 8), "tgt_len": rng.randint(1, 8)}
     if rng.random() < 0.5:
-        return TreePayload(TreeNodeSpec.complete(2 ** rng.randint(0, 3)))
+        return TreePayload.complete(2 ** rng.randint(0, 3))
     shape_rng = np.random.default_rng(rng.randrange(1 << 30))
     return random_parse_tree(shape_rng, rng.randint(1, 9))
 
@@ -604,27 +604,45 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
         assert entries == [] and sg.inflight == 0
 
 
-def test_generic_commit_tells_the_queue_taken_then_pin_then_newly_ready(monkeypatch):
-    """The generic hand-out keeps its order — the nodes taken, the pin, the
-    nodes the submission made ready — and the pin is a store the queue does
-    not hear: its list keeps the subgraph's one entry where it was."""
+def test_generic_commit_tells_the_queue_one_net_delta(monkeypatch):
+    """The generic hand-out tells the queue one net ready delta — the nodes
+    the submission made ready less the nodes taken — and nothing when they
+    cancel, then pins; the pin is a store the queue does not hear, and its
+    list keeps the subgraph's one entry where it was."""
+    # A chain: the step taken makes the next one ready, a net delta of 0.
     _, scheduler, queue = _chain_scheduler()
     _, sg = _queue_chain(ExplicitChainModel(), scheduler, 7, 3)
     recorder = RecordingQueueCalls(queue, monkeypatch)
     listed = list(queue._entries)
     assert _hand_out(sg, 1, 1) == [0]
-    assert recorder.calls == [("ready", 7, -1), ("pin", 7, 1), ("ready", 7, 1)]
+    assert recorder.calls == [("pin", 7, 1)]
     assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
+    assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
+
+    # A tree: both nodes over the leaves taken make the root ready, 1 - 2.
+    model = ExplicitTreeModel()
+    scheduler = Scheduler(BatchingConfig.with_max_batch(4), submit=lambda task, worker: None)
+    for cell_type in model.cell_types():
+        scheduler.register_cell_type(cell_type)
+    sg = _queue_tree(scheduler, model, 0, TreePayload.complete(4), 0)
+    queue = scheduler._queues["tree_internal"]
+    recorder = RecordingQueueCalls(queue, monkeypatch)
+    listed = list(queue._entries)
+    assert sg.ready_count() == 2
+    assert len(_hand_out(sg, 2, 1)) == 2
+    assert recorder.calls == [("ready", sg.subgraph_id, -1), ("pin", sg.subgraph_id, 1)]
+    assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
+    assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
 
 
 # -- TreeSubgraph.commit against the same generic hand-out ---------------------
 
 
-def _queue_tree(scheduler, model, request_id, spec, start_id):
+def _queue_tree(scheduler, model, request_id, payload, start_id):
     """Unfold and partition one tree, retire its leaves by hand and enqueue
     the internal subgraph (a ``TreeSubgraph``, or for the oracle's
     ``ExplicitTreeModel`` the generic ``Subgraph``); returns it."""
-    request, subgraphs = _partition(model, request_id, TreePayload(spec), start_id)
+    request, subgraphs = _partition(model, request_id, payload, start_id)
     (internal,) = [sg for sg in subgraphs if sg.cell_type_name == "tree_internal"]
     leaves = [sg for sg in subgraphs if sg is not internal]
     if isinstance(internal, TreeSubgraph):
@@ -664,7 +682,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
     hand out the same node ids."""
     placement = placement_cls()
     worker_id = 1
-    spec = random_parse_tree(np.random.default_rng(4), 14).root
+    payload = random_parse_tree(np.random.default_rng(4), 14)
     twins = []
     for model_cls in (TreeLSTMModel, ExplicitTreeModel):
         model = model_cls()
@@ -674,8 +692,8 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
         scheduler.policies.placement = placement
         for cell_type in model.cell_types():
             scheduler.register_cell_type(cell_type)
-        _queue_tree(scheduler, model, 0, TreeNodeSpec.complete(4), 0)  # a neighbour
-        sg = _queue_tree(scheduler, model, 1, spec, 10)
+        _queue_tree(scheduler, model, 0, TreePayload.complete(4), 0)  # a neighbour
+        sg = _queue_tree(scheduler, model, 1, payload, 10)
         if sticky:  # what FixedPlacement.on_admit does
             sg.sticky = True
             sg.pinned = worker_id
@@ -722,7 +740,7 @@ def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
         for cell_type in model.cell_types():
             scheduler.register_cell_type(cell_type)
         queue = scheduler._queues["tree_leaf"]
-        request, subgraphs = _partition(model, 0, TreePayload(TreeNodeSpec.complete(4)), 0)
+        request, subgraphs = _partition(model, 0, TreePayload.complete(4), 0)
         first, second, internal, third, _ = subgraphs
         flat = not isinstance(model, ExplicitTreeModel)
         assert type(first) is (LeafSubgraph if flat else Subgraph)

@@ -18,7 +18,11 @@ both and demands the same answer:
 (c) real-compute results against ``reference_forward``;
 (d) that a simulated tree is unfolded and partitioned without building a
     single node, and that a parse tree deeper than the recursion limit is
-    served.
+    served;
+(e) that the payload is the post-order arrays the node-tree oracles of
+    ``tests/oracles/node_tree.py`` flatten to: the sampler's draws, the
+    shape queries and the complete trees, and a served run that builds no
+    ``TreeNodeSpec`` (DESIGN.md §32).
 """
 
 import random
@@ -41,7 +45,7 @@ from repro.core.subgraph import (
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 from repro.gpu.memory import MemorySpec
 from repro.models import TreeLSTMModel
-from repro.models.tree_lstm import TreeNodeSpec, TreePayload, flatten_tree
+from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from repro.policies import (
     FORMATION_POLICIES,
     PLACEMENT_POLICIES,
@@ -49,7 +53,7 @@ from repro.policies import (
 )
 from repro.registry import build_server as build_from_spec
 from repro.registry import presets
-from repro.workload import TreeDataset
+from repro.workload import LoadGenerator, TreeDataset
 from repro.workload.trees import random_parse_tree
 
 from tests.chaos_helpers import (
@@ -58,9 +62,15 @@ from tests.chaos_helpers import (
     outcome_fingerprint,
     run_chaos,
 )
+from tests.oracles.closure_parse_tree import closure_parse_tree
 from tests.oracles.explicit_tree import ExplicitTreeModel
-from tests.test_chain_runs import NOTHING_BUILT, assert_same_view, count_constructions
-from tests.test_chain_runs import unfolded as unfold_payload
+from tests.oracles.node_tree import complete_tree, flatten_tree, payload_of, tree_shape
+from tests.test_chain_runs import (
+    NOTHING_BUILT,
+    assert_same_view,
+    count_constructions,
+    unfolded,
+)
 
 SEEDS = chaos_seeds()
 
@@ -80,22 +90,22 @@ def right_deep(num_leaves):
 
 
 def random_tree(seed, num_leaves):
-    return random_parse_tree(np.random.default_rng(seed), num_leaves, 50).root
+    return random_parse_tree(np.random.default_rng(seed), num_leaves, 50)
 
 
 TREES = {
-    "one_leaf": TreeNodeSpec(token=3),
-    "pair": TreeNodeSpec.complete(2),
-    "complete16": TreeNodeSpec.complete(16),
-    "left_deep": left_deep(9),
-    "right_deep": right_deep(9),  # the internal subgraph's id comes last
+    "one_leaf": TreePayload([-1], [-1], [3]),
+    "pair": TreePayload.complete(2),
+    "complete16": TreePayload.complete(16),
+    "left_deep": payload_of(left_deep(9)),
+    "right_deep": payload_of(right_deep(9)),  # the internal subgraph's id comes last
     "random7": random_tree(1, 7),
     "random40": random_tree(2, 40),
 }
 
 
-def unfolded(model, spec):
-    return unfold_payload(model, TreePayload(spec))
+def arrays(payload):
+    return payload.left, payload.right, payload.token
 
 
 # -- (a) graph view and partition ------------------------------------------------
@@ -123,7 +133,7 @@ def test_explicit_consumers_of_tree_nodes_are_linked_and_checked():
     no record of its own; the edge shows up in ``successors`` after the
     parent, and the consumer's ``predecessors`` name both children."""
     model = TreeLSTMModel()
-    graph, _ = unfolded(model, TreeNodeSpec.complete(2))
+    graph, _ = unfolded(model, TreePayload.complete(2))
     leaf_type, internal_type = model.cell_types()
     consumer = graph.add_node(
         internal_type,
@@ -224,14 +234,14 @@ def test_release_order_queue_seq_and_tasks_equal_explicit_tree(pinning):
     engines = [Engine(TreeLSTMModel(), pinning), Engine(ExplicitTreeModel(), pinning)]
     workers = [FakeWorker(0), FakeWorker(1)]
     rng = random.Random(11)
-    specs = list(TREES.values()) + [random_tree(s, 3 + s) for s in range(10, 20)]
+    payloads = list(TREES.values()) + [random_tree(s, 3 + s) for s in range(10, 20)]
     next_request = 0
     for _ in range(400):
         roll = rng.random()
-        if roll < 0.2 and next_request < len(specs):
+        if roll < 0.2 and next_request < len(payloads):
             for engine in engines:
                 engine.processor.add_request(
-                    InferenceRequest(next_request, TreePayload(specs[next_request]), 0.0)
+                    InferenceRequest(next_request, payloads[next_request], 0.0)
                 )
             next_request += 1
         elif roll < 0.6:
@@ -246,7 +256,7 @@ def test_release_order_queue_seq_and_tasks_equal_explicit_tree(pinning):
                 engine.processor.handle_task_completion(task, now=0.0)
         assert engines[0].released == engines[1].released
         assert engines[0].tasks == engines[1].tasks
-    assert next_request == len(specs)
+    assert next_request == len(payloads)
     while engines[0].pending or any(
         queue.num_ready_nodes() for queue in engines[0].scheduler.queues
     ):
@@ -263,7 +273,7 @@ def test_release_order_queue_seq_and_tasks_equal_explicit_tree(pinning):
     # one_leaf has no internal subgraph; the others each released one
     # after their leaves.
     assert len(engines[0].released) == sum(
-        spec.num_leaves() + (spec.num_leaves() > 1) for spec in specs
+        payload.num_leaves() + (payload.num_leaves() > 1) for payload in payloads
     )
 
 
@@ -409,8 +419,8 @@ def test_real_compute_matches_reference_forward(placement):
     payloads = [
         random_parse_tree(rng, int(rng.integers(1, 12)), 50) for _ in range(10)
     ]
-    payloads.append(TreePayload(TreeNodeSpec(token=7)))  # no internal subgraph
-    payloads.append(TreePayload(TreeNodeSpec.complete(16, token=4)))
+    payloads.append(TreePayload([-1], [-1], [7]))  # no internal subgraph
+    payloads.append(TreePayload.complete(16, token=4))
     model = TreeLSTMModel(hidden_dim=16, vocab_size=50, embed_dim=8, real=True, seed=5)
     config = tree_config(4)
     server = BatchMakerServer(
@@ -462,7 +472,7 @@ def test_simulated_tree_builds_no_nodes(monkeypatch):
 
 
 def test_flatten_is_post_order_and_add_tree_accepts_it():
-    left, right, token = flatten_tree(TREES["random40"])
+    left, right, token = arrays(TREES["random40"])
     assert len(left) == len(right) == len(token) == 79
     for index in range(79):
         if left[index] < 0:
@@ -483,7 +493,7 @@ def test_deep_tree_is_served_to_completion():
     the payload's ``num_leaves`` / ``num_nodes`` / ``depth``."""
     leaves = 3000
     assert leaves > sys.getrecursionlimit()
-    payload = TreePayload(left_deep(leaves))
+    payload = payload_of(left_deep(leaves))
     assert payload.num_leaves() == leaves
     assert payload.num_nodes() == 2 * leaves - 1
     assert payload.depth() == leaves
@@ -492,3 +502,87 @@ def test_deep_tree_is_served_to_completion():
     server.drain()
     assert server.finished == [request]
     assert server.stats().nodes_processed == 2 * leaves - 1
+
+
+def test_deep_tree_real_compute_matches_reference_forward():
+    """``reference_forward`` walks the post-order arrays in one loop, so a
+    tree deeper than the recursion limit — which it used to recurse into
+    and fail on — is checked like any other: the engine's real-compute
+    result for a left-deep tree equals it."""
+    leaves = sys.getrecursionlimit() + 500
+    payload = payload_of(left_deep(leaves))
+    model = TreeLSTMModel(hidden_dim=16, vocab_size=leaves, embed_dim=8, real=True, seed=2)
+    server = BatchMakerServer(model, config=tree_config(64), real_compute=True)
+    request = server.submit(payload, arrival_time=0.0)
+    server.drain()
+    assert server.finished == [request]
+    np.testing.assert_array_equal(
+        np.asarray(request.result[0]), np.asarray(model.reference_forward(payload)[0])
+    )
+
+
+# -- (e) the payload is its post-order arrays --------------------------------------
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
+def test_flat_sampler_matches_the_recursive_oracle(seed):
+    """2 100 (seed, leaf count) cases, 1 to 70 leaves 30 times over: the
+    sampler writes the arrays the recursive oracle's tree flattens to, and
+    leaves the generator where the oracle leaves it — same draws, same
+    order — and the shape queries agree with the oracle's walk."""
+    cases = 0
+    for case in range(30):
+        for leaves in range(1, 71):
+            ours = np.random.default_rng([seed, case, leaves])
+            theirs = np.random.default_rng([seed, case, leaves])
+            got = random_parse_tree(ours, leaves, 97)
+            want = closure_parse_tree(theirs, leaves, 97)
+            assert arrays(got) == flatten_tree(want)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert (got.num_leaves(), got.num_nodes(), got.depth()) == tree_shape(want)
+            cases += 1
+    assert cases >= 2000
+
+
+DEEP = {  # three times the recursion limit
+    "left_deep3000": payload_of(left_deep(3000)),
+    "right_deep3000": payload_of(right_deep(3000)),
+}
+
+
+@pytest.mark.parametrize("name", [*TREES, *DEEP])
+def test_root_round_trips_to_the_arrays(name):
+    """``root`` flattens back to the arrays, and the shape queries agree
+    with the oracle's walk, also on the combs deeper than the recursion
+    limit."""
+    payload = {**TREES, **DEEP}[name]
+    assert flatten_tree(payload.root) == arrays(payload)
+    assert tree_shape(payload.root) == (
+        payload.num_leaves(),
+        payload.num_nodes(),
+        payload.depth(),
+    )
+    if name in DEEP:
+        assert payload.depth() == 3000
+
+
+@pytest.mark.parametrize("num_leaves", [1, 2, 4, 16, 64])
+def test_complete_equals_the_flattened_oracle_tree(num_leaves):
+    payload = TreePayload.complete(num_leaves, token=5)
+    assert arrays(payload) == flatten_tree(complete_tree(num_leaves, token=5))
+    assert payload.depth() == num_leaves.bit_length()
+
+
+def test_served_tree_run_builds_no_tree_node_spec(monkeypatch):
+    """A 300-request ``tree_lstm`` load-generator run — sampling, unfold,
+    serving — constructs no ``TreeNodeSpec``: the sampler writes the
+    arrays ``add_tree`` reads and nothing reads ``payload.root`` on the way
+    (one node object per cell when the payload was a node tree)."""
+    server = build_from_spec(presets.tree_batchmaker_spec())
+    generator = LoadGenerator(rate=1500.0, num_requests=300, seed=42)
+    built = count_constructions(monkeypatch)
+    generator.run(server, TreeDataset(seed=43))
+    assert len(server.finished) == 300
+    assert server.stats().nodes_processed > 300 * 10
+    assert built == NOTHING_BUILT

@@ -18,18 +18,7 @@ from repro.workload import (
 from repro.workload.lengths import length_cdf
 from repro.workload.trees import TreeBankSampler, random_parse_tree
 from tests.oracles.closure_parse_tree import closure_parse_tree
-
-
-def preorder(spec):
-    """A parse tree as its preorder of tokens (None for an internal node):
-    equal lists mean equal shapes and tokens."""
-    order, stack = [], [spec]
-    while stack:
-        node = stack.pop()
-        order.append(node.token)
-        if not node.is_leaf:
-            stack += [node.right, node.left]
-    return order
+from tests.oracles.node_tree import flatten_tree
 
 
 class TestWMTLengths:
@@ -120,12 +109,13 @@ class TestTrees:
 
     def test_same_trees_as_the_closure_sampler(self):
         """Same draws in the same order as the nested-closure version it
-        replaced: every payload, the corpus and the ledger rows stay put."""
+        replaced: every payload, the corpus and the ledger rows stay put
+        (``tests/test_tree_runs.py`` widens this over the chaos seeds)."""
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
         for leaves in [1, 2, 3, 7, 20, 70] * 20:
             got = random_parse_tree(ours, leaves, 97)
-            want = closure_parse_tree(theirs, leaves, 97)
-            assert preorder(got.root) == preorder(want.root)
+            want = flatten_tree(closure_parse_tree(theirs, leaves, 97))
+            assert (got.left, got.right, got.token) == want
         assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
 
     def test_treebank_sampler_statistics(self):
