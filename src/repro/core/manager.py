@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.config import BatchingConfig
-from repro.core.request import InferenceRequest
+from repro.core.request import BAD_PAYLOAD, InferenceRequest, PayloadError
 from repro.core.request_processor import RequestProcessor
 from repro.core.scheduler import Scheduler
 from repro.core.task import BatchedTask
@@ -166,7 +166,8 @@ class Manager:
 
         Scheduling is deferred to the end of the current timestamp so that
         simultaneously-arriving requests can be batched together instead of
-        the first one grabbing an idle worker alone.
+        the first one grabbing an idle worker alone.  A payload the model
+        refuses at unfold is rejected (reason ``bad_payload: <why>``).
         """
         for gate in self._gates:
             reason = gate(request)
@@ -182,7 +183,11 @@ class Manager:
                 max(request.deadline, self.loop.now()),
                 lambda: self._deadline_expired(request),
             )
-        self.processor.add_request(request)
+        try:
+            self.processor.add_request(request)
+        except PayloadError as refusal:
+            self._reject(request, f"{BAD_PAYLOAD}: {refusal}")
+            return
         self._poke.kick()
 
     def reenter_request(self, request: InferenceRequest) -> None:

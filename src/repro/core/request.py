@@ -18,13 +18,22 @@ class RequestState(enum.Enum):
     RUNNING = "running"        # at least one cell executed
     FINISHED = "finished"      # last cell done, result returned
     TIMED_OUT = "timed_out"    # deadline expired or failure budget exhausted
-    REJECTED = "rejected"      # shed at admission (SLA load shedding)
+    REJECTED = "rejected"      # refused at admission (shed, or a bad payload)
 
 
 # States a request can never leave; every request reaches exactly one.
 TERMINAL_STATES = frozenset(
     {RequestState.FINISHED, RequestState.TIMED_OUT, RequestState.REJECTED}
 )
+
+# A request whose payload its model refused is rejected with the reason
+# "bad_payload: <the refusal>".
+BAD_PAYLOAD = "bad_payload"
+
+
+class PayloadError(ValueError):
+    """A model refused a request's payload, naming the field (raised by
+    ``Model.unfold``; the engine rejects the request)."""
 
 
 class InferenceRequest:

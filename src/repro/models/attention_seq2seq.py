@@ -15,17 +15,20 @@ import numpy as np
 from repro.cells.attention import AttentionDecoderCell, AttentionEncoderCell
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.request import PayloadError
 from repro.gpu.costmodel import (
     CostModel,
     seq2seq_decoder_step_table,
     v100_lstm_step_table,
 )
-from repro.models.base import Model
-from repro.models.seq2seq import GO_TOKEN
+from repro.models.base import Model, length_field
+from repro.models.seq2seq import GO_TOKEN, src_field
 from repro.tensor.parameters import ParameterStore
 
 ATTN_ENCODER_CELL = "attn_encoder"
 ATTN_DECODER_CELL = "attn_decoder"
+# Each encoder step reads the previous step's state and memory.
+_ENCODER_CARRIED = {"h": "h", "c": "c", "mem": "mem"}
 
 
 class AttentionSeq2SeqModel(Model):
@@ -47,6 +50,15 @@ class AttentionSeq2SeqModel(Model):
         self.real = real
         self.params = ParameterStore(seed=seed)
         embed = embed_dim if embed_dim is not None else hidden_dim
+        # Every encoder starts from the zero state and an empty memory,
+        # shared by all requests.
+        zeros = np.zeros(hidden_dim, dtype=np.float32) if real else None
+        empty_mem = np.zeros((max_src, hidden_dim), dtype=np.float32) if real else None
+        self._initial_state = {
+            "h": ValueInput(zeros),
+            "c": ValueInput(zeros),
+            "mem": ValueInput(empty_mem),
+        }
 
         if real:
             self._encoder_cell = AttentionEncoderCell(
@@ -78,68 +90,40 @@ class AttentionSeq2SeqModel(Model):
         return [self._encoder_type, self._decoder_type]
 
     def _normalize(self, payload: Any) -> Dict[str, Any]:
-        src = payload["src"]
-        src_tokens = (
-            [0] * int(src) if isinstance(src, (int, np.integer)) else [int(t) for t in src]
-        )
-        if not src_tokens:
-            raise ValueError("empty source sequence")
+        src_tokens = src_field(payload)
         if len(src_tokens) > self.max_src:
-            raise ValueError(
-                f"source length {len(src_tokens)} exceeds attention memory "
+            raise PayloadError(
+                f"src length {len(src_tokens)} exceeds attention memory "
                 f"capacity {self.max_src}"
             )
-        return {"src": src_tokens, "tgt_len": int(payload["tgt_len"])}
+        return {"src": src_tokens, "tgt_len": length_field(payload.get("tgt_len"), "tgt_len")}
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         spec = self._normalize(payload)
-        zeros = (
-            np.zeros(self.hidden_dim, dtype=np.float32) if self.real else None
+        src = spec["src"]
+        encoder = graph.add_run(
+            self._encoder_type,
+            len(src),
+            carried=_ENCODER_CARRIED,
+            initial=self._initial_state,
+            per_step={"ids": src, "pos": range(len(src))},
         )
-        empty_mem = (
-            np.zeros((self.max_src, self.hidden_dim), dtype=np.float32)
-            if self.real
-            else None
-        )
-        prev = None
-        for position, token in enumerate(spec["src"]):
-            inputs = {"ids": ValueInput(token), "pos": ValueInput(position)}
-            if prev is None:
-                inputs.update(
-                    h=ValueInput(zeros), c=ValueInput(zeros), mem=ValueInput(empty_mem)
-                )
-            else:
-                inputs.update(
-                    h=NodeOutput(prev.node_id, "h"),
-                    c=NodeOutput(prev.node_id, "c"),
-                    mem=NodeOutput(prev.node_id, "mem"),
-                )
-            prev = graph.add_node(self._encoder_type, inputs)
+        last = encoder.last_id
 
         mask = None
         if self.real:
             mask = np.zeros(self.max_src, dtype=np.float32)
-            mask[: len(spec["src"])] = 1.0
-        node = None
-        for step in range(spec["tgt_len"]):
-            inputs = {
-                "mem": NodeOutput(prev.node_id, "mem"),
-                "mask": ValueInput(mask),
-            }
-            if node is None:
-                inputs.update(
-                    ids=ValueInput(GO_TOKEN),
-                    h=NodeOutput(prev.node_id, "h"),
-                    c=NodeOutput(prev.node_id, "c"),
-                )
-            else:
-                inputs.update(
-                    ids=NodeOutput(node.node_id, "token"),
-                    h=NodeOutput(node.node_id, "h"),
-                    c=NodeOutput(node.node_id, "c"),
-                )
-            node = graph.add_node(self._decoder_type, inputs)
-            graph.mark_result(node.node_id, "token")
+            mask[: len(src)] = 1.0
+        # Every decoder step reads the encoder's memory: the decoder stays
+        # explicit nodes, not a run.
+        shared = {"mem": NodeOutput(last, "mem"), "mask": ValueInput(mask)}
+        ids, h, c = ValueInput(GO_TOKEN), NodeOutput(last, "h"), NodeOutput(last, "c")
+        for _ in range(spec["tgt_len"]):
+            node_id = graph.add_node(
+                self._decoder_type, {**shared, "ids": ids, "h": h, "c": c}
+            ).node_id
+            graph.mark_result(node_id, "token")
+            ids, h, c = (NodeOutput(node_id, name) for name in ("token", "h", "c"))
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         spec = self._normalize(payload)

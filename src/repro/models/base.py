@@ -12,10 +12,46 @@ the computed rows ``graph.outputs[node_id]``).
 
 from __future__ import annotations
 
+import reprlib
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph, CellNode
+from repro.core.request import PayloadError
+
+
+def length_field(value: Any, field: str) -> int:
+    """A payload's length ``field``: an integer >= 1 (a NumPy one too, but
+    never a bool)."""
+    if (type(value) is int or isinstance(value, np.integer)) and value >= 1:
+        return int(value)
+    raise PayloadError(f"{field} must be an integer >= 1, got {reprlib.repr(value)}")
+
+
+def tokens_field(value: Any, field: str) -> List[int]:
+    """A payload's token ``field``, the one normaliser every model uses: a
+    bare length (simulation mode: that many zero tokens) or a non-empty
+    sequence of integers — no str, bool or float, as the field or a token."""
+    if type(value) is int or isinstance(value, np.integer):
+        return [0] * length_field(value, field)
+    try:
+        tokens = [t if type(t) is int else _numpy_token(t) for t in value]
+    except TypeError:
+        tokens = []
+    if not tokens:
+        raise PayloadError(
+            f"{field} must be a length or a non-empty sequence of integers, "
+            f"got {reprlib.repr(value)}"
+        )
+    return tokens
+
+
+def _numpy_token(token: Any) -> int:
+    if isinstance(token, np.integer):
+        return int(token)
+    raise TypeError(token)
 
 
 class Model:
@@ -32,7 +68,8 @@ class Model:
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         """Build the request's cell graph (the paper's user-defined unfold
         function).  Must call ``graph.mark_result`` for the outputs that
-        constitute the request's answer."""
+        constitute the request's answer, and raise ``PayloadError`` for a
+        payload it refuses (``tokens_field`` / ``length_field`` do)."""
         raise NotImplementedError
 
     # -- optional ----------------------------------------------------------------

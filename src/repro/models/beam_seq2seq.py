@@ -35,8 +35,8 @@ from repro.gpu.costmodel import (
     seq2seq_decoder_step_table,
     v100_lstm_step_table,
 )
-from repro.models.base import Model
-from repro.models.seq2seq import EOS_TOKEN, GO_TOKEN, Seq2SeqModel
+from repro.models.base import Model, length_field
+from repro.models.seq2seq import EOS_TOKEN, GO_TOKEN, Seq2SeqModel, src_field
 from repro.tensor import ops
 
 BEAM_DECODER_CELL = "bs_decoder"
@@ -133,34 +133,10 @@ class BeamSeq2SeqModel(Model):
         self._encoder_type = self._base._encoder_type
 
         if real:
-            # The decoder exposes logits instead of the argmax token: reuse
-            # the base composite and surface its projection stage's logits.
-            dec_embed, dec_lstm, dec_proj = self._base._dec_cells
-            from repro.cells.composite import CompositeCell
-
-            decoder = CompositeCell(
-                BEAM_DECODER_CELL,
-                input_names=("ids", "h", "c"),
-                output_names=("h", "c", "logits"),
-                stages=[
-                    (dec_embed, {"ids": ("external", "ids")}),
-                    (
-                        dec_lstm,
-                        {
-                            "x": ("stage", 0, "emb"),
-                            "h": ("external", "h"),
-                            "c": ("external", "c"),
-                        },
-                    ),
-                    (dec_proj, {"h": ("stage", 1, "h")}),
-                ],
-                exports={
-                    "h": ("stage", 1, "h"),
-                    "c": ("stage", 1, "c"),
-                    "logits": ("stage", 2, "logits"),
-                },
+            # The decoder exposes logits instead of the argmax token.
+            self._decoder_type = CellType.from_cell(
+                self._base._decoder_cell(BEAM_DECODER_CELL, "logits")
             )
-            self._decoder_type = CellType.from_cell(decoder)
             self._first_select_type = CellType.from_cell(
                 BeamSelectCell(FIRST_SELECT_CELL, 1, beam_width, tgt_vocab_size)
             )
@@ -194,39 +170,19 @@ class BeamSeq2SeqModel(Model):
         ]
 
     def _normalize(self, payload: Any) -> Dict[str, Any]:
-        src = payload["src"]
-        src_tokens = (
-            [0] * int(src) if isinstance(src, (int, np.integer)) else [int(t) for t in src]
-        )
-        if not src_tokens:
-            raise ValueError("empty source sequence")
-        return {
-            "src": src_tokens,
-            "max_steps": int(payload.get("max_steps", len(src_tokens) + 10)),
-        }
+        src_tokens = src_field(payload)
+        max_steps = payload.get("max_steps", len(src_tokens) + 10)
+        return {"src": src_tokens, "max_steps": length_field(max_steps, "max_steps")}
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         spec = self._normalize(payload)
-        zeros = (
-            np.zeros(self.hidden_dim, dtype=np.float32) if self.real else None
-        )
-        prev = None
-        for token in spec["src"]:
-            inputs = {"ids": ValueInput(token)}
-            if prev is None:
-                inputs["h"] = ValueInput(zeros)
-                inputs["c"] = ValueInput(zeros)
-            else:
-                inputs["h"] = NodeOutput(prev.node_id, "h")
-                inputs["c"] = NodeOutput(prev.node_id, "c")
-            prev = graph.add_node(self._encoder_type, inputs)
-
+        last = self._base._encode(graph, spec["src"])
         first_decoder = graph.add_node(
             self._decoder_type,
             {
                 "ids": ValueInput(GO_TOKEN),
-                "h": NodeOutput(prev.node_id, "h"),
-                "c": NodeOutput(prev.node_id, "c"),
+                "h": NodeOutput(last, "h"),
+                "c": NodeOutput(last, "c"),
             },
         )
         select = graph.add_node(
@@ -328,15 +284,8 @@ class BeamSeq2SeqModel(Model):
         if not self.real:
             return None
         spec = self._normalize(payload)
-        enc_embed, enc_lstm = self._base._enc_cells
         dec_embed, dec_lstm, dec_proj = self._base._dec_cells
-        h = np.zeros((1, self.hidden_dim), dtype=np.float32)
-        c = np.zeros((1, self.hidden_dim), dtype=np.float32)
-        for token in spec["src"]:
-            emb = enc_embed({"ids": np.asarray([token])})["emb"]
-            out = enc_lstm({"x": emb, "h": h, "c": c})
-            h, c = out["h"], out["c"]
-
+        h, c = self._base._reference_encode(spec["src"])
         k = self.beam_width
         # Beam state: (score, tokens, h, c, last_token)
         beams = [(0.0, [], h, c, GO_TOKEN)]

@@ -15,13 +15,14 @@ from repro.cells.composite import CompositeCell
 from repro.cells.embedding import EmbeddingCell
 from repro.cells.gru import GRUCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph, ValueInput
 from repro.gpu.costmodel import CostModel, v100_lstm_step_table
-from repro.models.base import Model
-from repro.models.lstm_chain import _normalize_tokens
+from repro.models.base import Model, tokens_field
 from repro.tensor.parameters import ParameterStore
 
 GRU_CELL = "gru"
+# Each step's h input is the previous step's h output.
+_CARRIED_STATE = {"h": "h"}
 
 
 class GRUChainModel(Model):
@@ -41,6 +42,9 @@ class GRUChainModel(Model):
         self.embed_dim = embed_dim if embed_dim is not None else hidden_dim
         self.real = real
         self.params = ParameterStore(seed=seed)
+        # Every chain starts from the zero state, shared by all requests.
+        zeros = np.zeros(hidden_dim, dtype=np.float32) if real else None
+        self._initial_state = {"h": ValueInput(zeros)}
 
         if real:
             embed = EmbeddingCell("gru/embed", vocab_size, self.embed_dim, self.params)
@@ -65,22 +69,18 @@ class GRUChainModel(Model):
         return [self._step_type]
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
-        tokens = _normalize_tokens(payload)
-        zeros = (
-            np.zeros(self.hidden_dim, dtype=np.float32) if self.real else None
+        tokens = tokens_field(payload, "tokens")
+        run = graph.add_run(
+            self._step_type,
+            len(tokens),
+            carried=_CARRIED_STATE,
+            initial=self._initial_state,
+            per_step={"ids": tokens},
         )
-        prev = None
-        for token in tokens:
-            inputs = {"ids": ValueInput(token)}
-            if prev is None:
-                inputs["h"] = ValueInput(zeros)
-            else:
-                inputs["h"] = NodeOutput(prev.node_id, "h")
-            prev = graph.add_node(self._step_type, inputs)
-        graph.mark_result(prev.node_id, "h")
+        graph.mark_result(run.last_id, "h")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
-        return [(GRU_CELL, len(_normalize_tokens(payload)))]
+        return [(GRU_CELL, len(tokens_field(payload, "tokens")))]
 
     def default_cost_model(self) -> CostModel:
         model = CostModel()
@@ -91,7 +91,7 @@ class GRUChainModel(Model):
     def reference_forward(self, payload: Any) -> Optional[List[Any]]:
         if not self.real:
             return None
-        tokens = _normalize_tokens(payload)
+        tokens = tokens_field(payload, "tokens")
         h = np.zeros((1, self.hidden_dim), dtype=np.float32)
         table = self.params.get("gru/embed/table")
         for token in tokens:

@@ -19,25 +19,13 @@ from repro.cells.projection import ProjectionCell
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
 from repro.gpu.costmodel import CostModel, v100_lstm_step_table
-from repro.models.base import Model
+from repro.models.base import Model, tokens_field
 from repro.tensor.parameters import ParameterStore
 
 LSTM_CELL = "lstm"
 PROJECTION_CELL = "lstm_proj"
 # Each step's h and c inputs are the previous step's h and c outputs.
 _CARRIED_STATE = {"h": "h", "c": "c"}
-
-
-def _normalize_tokens(payload: Any) -> List[int]:
-    """Accept either a token sequence or a bare length (simulation mode)."""
-    if isinstance(payload, (int, np.integer)):
-        if payload < 1:
-            raise ValueError(f"sequence length must be >= 1, got {payload}")
-        return [0] * int(payload)
-    tokens = [int(t) for t in payload]
-    if not tokens:
-        raise ValueError("empty token sequence")
-    return tokens
 
 
 class LSTMChainModel(Model):
@@ -119,7 +107,7 @@ class LSTMChainModel(Model):
         return types
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
-        tokens = _normalize_tokens(payload)
+        tokens = tokens_field(payload, "tokens")
         run = graph.add_run(
             self._step_type,
             len(tokens),
@@ -136,7 +124,7 @@ class LSTMChainModel(Model):
             graph.mark_result(run.last_id, "h")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
-        steps = len(_normalize_tokens(payload))
+        steps = len(tokens_field(payload, "tokens"))
         phase_list = [(LSTM_CELL, steps)]
         if self._proj_type is not None:
             phase_list.append((PROJECTION_CELL, 1))
@@ -154,7 +142,7 @@ class LSTMChainModel(Model):
     def reference_forward(self, payload: Any) -> Optional[List[Any]]:
         if not self.real:
             return None
-        tokens = _normalize_tokens(payload)
+        tokens = tokens_field(payload, "tokens")
         h = np.zeros((1, self.hidden_dim), dtype=np.float32)
         c = np.zeros((1, self.hidden_dim), dtype=np.float32)
         table = self.params.get("lstm/embed/table")

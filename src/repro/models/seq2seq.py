@@ -18,6 +18,7 @@ Two unfolding modes:
 
 from __future__ import annotations
 
+import reprlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,12 +29,13 @@ from repro.cells.lstm import LSTMCell
 from repro.cells.projection import ProjectionCell
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph, CellNode, NodeOutput, ValueInput
+from repro.core.request import PayloadError
 from repro.gpu.costmodel import (
     CostModel,
     seq2seq_decoder_step_table,
     v100_lstm_step_table,
 )
-from repro.models.base import Model
+from repro.models.base import Model, length_field, tokens_field
 from repro.tensor.parameters import ParameterStore
 
 ENCODER_CELL = "encoder"
@@ -41,6 +43,18 @@ DECODER_CELL = "decoder"
 
 GO_TOKEN = 1
 EOS_TOKEN = 2
+_GO = ValueInput(GO_TOKEN)
+# Each encoder step reads the previous step's state; each decoder step its
+# state and, fed back, its emitted token.
+_ENCODER_CARRIED = {"h": "h", "c": "c"}
+_DECODER_CARRIED = {"ids": "token", "h": "h", "c": "c"}
+
+
+def src_field(payload: Any) -> List[int]:
+    """The source tokens of a payload that is a dict with ``src``."""
+    if not isinstance(payload, dict) or "src" not in payload:
+        raise PayloadError(f"payload needs a 'src' field, got {reprlib.repr(payload)}")
+    return tokens_field(payload["src"], "src")
 
 
 def _normalize_payload(
@@ -62,14 +76,8 @@ def _normalize_payload(
     else the model default, else its ``tgt_len``, else ``len(src) + 10``.
     """
     if isinstance(payload, tuple) and len(payload) == 2:
-        src_len, tgt_len = payload
-        payload = {"src": int(src_len), "tgt_len": int(tgt_len)}
-    if "src" not in payload:
-        raise ValueError("Seq2Seq payload needs a 'src' field")
-    src = payload["src"]
-    src_tokens = [0] * int(src) if isinstance(src, (int, np.integer)) else [int(t) for t in src]
-    if not src_tokens:
-        raise ValueError("empty source sequence")
+        payload = {"src": payload[0], "tgt_len": payload[1]}
+    src_tokens = src_field(payload)
     norm = {"src": src_tokens, "dynamic": bool(payload.get("dynamic", dynamic_default))}
     if norm["dynamic"]:
         max_decode = payload.get("max_decode")
@@ -79,15 +87,9 @@ def _normalize_payload(
             max_decode = payload.get("tgt_len")
         if max_decode is None:
             max_decode = len(src_tokens) + 10
-        norm["max_decode"] = int(max_decode)
-        if norm["max_decode"] < 1:
-            raise ValueError("max_decode must be >= 1")
+        norm["max_decode"] = length_field(max_decode, "max_decode")
     else:
-        if "tgt_len" not in payload:
-            raise ValueError("static Seq2Seq payload needs 'tgt_len'")
-        norm["tgt_len"] = int(payload["tgt_len"])
-        if norm["tgt_len"] < 1:
-            raise ValueError("tgt_len must be >= 1")
+        norm["tgt_len"] = length_field(payload.get("tgt_len"), "tgt_len")
     return norm
 
 
@@ -117,6 +119,9 @@ class Seq2SeqModel(Model):
         self.dynamic = dynamic
         self.max_decode = max_decode
         self.params = ParameterStore(seed=seed)
+        # Every encoder starts from the zero state, shared by all requests.
+        zeros = np.zeros(hidden_dim, dtype=np.float32) if real else None
+        self._initial_state = {"h": ValueInput(zeros), "c": ValueInput(zeros)}
 
         if real:
             self._build_real_cells()
@@ -162,10 +167,18 @@ class Seq2SeqModel(Model):
             "dec/proj", self.hidden_dim, self.tgt_vocab_size, self.params
         )
         self._dec_cells = (dec_embed, dec_lstm, dec_proj)
-        decoder = CompositeCell(
-            DECODER_CELL,
+        self._encoder_type = CellType.from_cell(encoder)
+        self._decoder_type = CellType.from_cell(self._decoder_cell(DECODER_CELL, "token"))
+
+    def _decoder_cell(self, name: str, emits: str) -> CompositeCell:
+        """The decoder step — embedding, LSTM, projection — as one cell whose
+        third output is the projection's ``emits`` (``token`` here, the
+        beam decoder's ``logits``)."""
+        dec_embed, dec_lstm, dec_proj = self._dec_cells
+        return CompositeCell(
+            name,
             input_names=("ids", "h", "c"),
-            output_names=("h", "c", "token"),
+            output_names=("h", "c", emits),
             stages=[
                 (dec_embed, {"ids": ("external", "ids")}),
                 (
@@ -181,11 +194,9 @@ class Seq2SeqModel(Model):
             exports={
                 "h": ("stage", 1, "h"),
                 "c": ("stage", 1, "c"),
-                "token": ("stage", 2, "token"),
+                emits: ("stage", 2, emits),
             },
         )
-        self._encoder_type = CellType.from_cell(encoder)
-        self._decoder_type = CellType.from_cell(decoder)
 
     # -- Model interface -----------------------------------------------------
 
@@ -194,44 +205,34 @@ class Seq2SeqModel(Model):
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         spec = self._normalize(payload)
-        zeros = self._zero_state_row()
-        prev = None
-        for token in spec["src"]:
-            inputs = {"ids": ValueInput(token)}
-            if prev is None:
-                inputs["h"] = ValueInput(zeros)
-                inputs["c"] = ValueInput(zeros)
-            else:
-                inputs["h"] = NodeOutput(prev.node_id, "h")
-                inputs["c"] = NodeOutput(prev.node_id, "c")
-            prev = graph.add_node(self._encoder_type, inputs)
-
-        first_decoder = graph.add_node(
-            self._decoder_type,
-            {
-                "ids": ValueInput(GO_TOKEN),
-                "h": NodeOutput(prev.node_id, "h"),
-                "c": NodeOutput(prev.node_id, "c"),
-            },
-        )
-        graph.mark_result(first_decoder.node_id, "token")
+        last = self._encode(graph, spec["src"])
+        decoder_initial = {
+            "ids": _GO,
+            "h": NodeOutput(last, "h"),
+            "c": NodeOutput(last, "c"),
+        }
         if spec["dynamic"]:
+            first_decoder = graph.add_node(self._decoder_type, decoder_initial)
+            graph.mark_result(first_decoder.node_id, "token")
             return  # grows via extend()
-        node = first_decoder
-        for _ in range(spec["tgt_len"] - 1):
-            node = graph.add_node(
-                self._decoder_type,
-                {
-                    "ids": NodeOutput(node.node_id, "token"),
-                    "h": NodeOutput(node.node_id, "h"),
-                    "c": NodeOutput(node.node_id, "c"),
-                },
-            )
-            graph.mark_result(node.node_id, "token")
+        run = graph.add_run(
+            self._decoder_type,
+            spec["tgt_len"],
+            carried=_DECODER_CARRIED,
+            initial=decoder_initial,
+            per_step={},
+        )
+        for node_id in range(run.first_id, run.stop):
+            graph.mark_result(node_id, "token")
 
     def extend(self, graph: CellGraph, node_id: int, payload: Any) -> List[CellNode]:
+        # Only an explicit decoder step grows (a run — the encoder, a static
+        # decoder — never does), and only then is the payload read.
+        node = graph.explicit_nodes().get(node_id)
+        if node is None or node.cell_type is not self._decoder_type:
+            return []
         spec = self._normalize(payload)
-        if not spec["dynamic"] or graph.cell_type_of(node_id).name != DECODER_CELL:
+        if not spec["dynamic"]:
             return []
         # Stop once <eos> was emitted or the decode budget is exhausted; every
         # node after the encoder's is a decoder step.
@@ -270,14 +271,8 @@ class Seq2SeqModel(Model):
         if not self.real:
             return None
         spec = self._normalize(payload)
-        enc_embed, enc_lstm = self._enc_cells
         dec_embed, dec_lstm, dec_proj = self._dec_cells
-        h = np.zeros((1, self.hidden_dim), dtype=np.float32)
-        c = np.zeros((1, self.hidden_dim), dtype=np.float32)
-        for token in spec["src"]:
-            emb = enc_embed({"ids": np.asarray([token])})["emb"]
-            out = enc_lstm({"x": emb, "h": h, "c": c})
-            h, c = out["h"], out["c"]
+        h, c = self._reference_encode(spec["src"])
         tokens: List[int] = []
         current = GO_TOKEN
         steps = spec["max_decode"] if spec["dynamic"] else spec["tgt_len"]
@@ -297,7 +292,24 @@ class Seq2SeqModel(Model):
     def _normalize(self, payload: Any) -> Dict[str, Any]:
         return _normalize_payload(payload, self.dynamic, self.max_decode)
 
-    def _zero_state_row(self):
-        if self.real:
-            return np.zeros(self.hidden_dim, dtype=np.float32)
-        return None
+    def _encode(self, graph: CellGraph, src: List[int]) -> int:
+        """Append the encoder over ``src`` as one run; returns the id of its
+        last step, whose ``h`` and ``c`` the decoder starts from."""
+        run = graph.add_run(
+            self._encoder_type,
+            len(src),
+            carried=_ENCODER_CARRIED,
+            initial=self._initial_state,
+            per_step={"ids": src},
+        )
+        return run.last_id
+
+    def _reference_encode(self, src: List[int]) -> Tuple[Any, Any]:
+        """The encoder's final ``(h, c)`` over ``src``, computed directly."""
+        enc_embed, enc_lstm = self._enc_cells
+        h = c = np.zeros((1, self.hidden_dim), dtype=np.float32)
+        for token in src:
+            emb = enc_embed({"ids": np.asarray([token])})["emb"]
+            out = enc_lstm({"x": emb, "h": h, "c": c})
+            h, c = out["h"], out["c"]
+        return h, c

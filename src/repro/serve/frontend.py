@@ -12,7 +12,7 @@ third-party deps, keep-alive supported) exposes it:
 ``POST /v1/requests``        submit ``{"payload": ..., "deadline": s,
                              "tag": ...}`` -> 201 + record JSON (400 for
                              a deadline that is not a positive finite
-                             number)
+                             number, or a payload the model refuses)
 ``GET /v1/requests/<id>``    lifecycle record (state, timestamps, latency)
 ``GET /v1/requests/<id>/result``  result payload once SUCCEEDED (409 before)
 ``POST /v1/requests/<id>/cancel`` abort a non-terminal request
@@ -50,6 +50,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.cluster import build_cluster
+from repro.core.request import BAD_PAYLOAD
 from repro.registry import build_server
 from repro.registry.specs import ServeSpec
 from repro.serve import store as store_mod
@@ -192,7 +193,12 @@ class ServeApp:
         # answering, so the response already reflects admission outcomes
         # (e.g. an SLA reject is FAILED in the very submit response).
         self.live.pump_now()
-        return self.store.get(record.rid).to_dict()
+        record = self.store.get(record.rid)
+        if record.reason is not None and record.reason.startswith(BAD_PAYLOAD):
+            # The engine rejected a payload its model refused: the record is
+            # FAILED already, and nothing of the request is left armed.
+            raise _HttpError(400, record.reason)
+        return record.to_dict()
 
     def _record(self, rid: int) -> RequestRecord:
         record = self.store.get(rid)

@@ -124,7 +124,9 @@ MODELS = {
         "seq2seq", 800.0, 60,
     ),
 }
-TIER1_MODELS = ("lstm_chain", "tree_lstm", "seq2seq", "seq2seq_dynamic")
+TIER1_MODELS = (
+    "lstm_chain", "gru_chain", "tree_lstm", "seq2seq", "seq2seq_dynamic", "attention_seq2seq",
+)
 PLACEMENTS = ("pinned", "unpinned", "fixed")
 FORMATIONS = ("paper", "no_mix", "lazy_kick", "memory_aware")
 

@@ -1,9 +1,10 @@
 """Differential suite for run-length chains (DESIGN.md, "Run-length chains").
 
 ``LSTMChainModel.unfold`` emits one ``ChainRun`` where it used to emit one
-explicit node per token.  The per-token unfold lives on as
-``tests/oracles/explicit_chain.ExplicitChainModel``; everything here runs
-both and demands the same answer:
+explicit node per token, and so do the GRU chain, the Seq2Seq encoder and
+static decoder, the attention encoder and the beam encoder (DESIGN.md §33).
+The per-step unfolds live on in ``tests/oracles/explicit_chain.py``;
+everything here runs both and demands the same answer:
 
 (a) the graph *view* by node id — ``len``, census, ``result_refs`` and, for
     every id, ``cell_type_of``, ``inputs_of`` (input order included),
@@ -14,8 +15,11 @@ both and demands the same answer:
     memory evict-and-restart;
 (c) real-compute results against ``reference_forward``;
 (d) that a simulated chain is unfolded, partitioned and served without
-    building a single node.
+    building a single node, and a static Seq2Seq request unfolded without
+    one.
 """
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -23,11 +27,17 @@ import pytest
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.core import cell_graph
 from repro.core.cell_graph import CellGraph, NodeOutput
-from repro.core.request import InferenceRequest
+from repro.core.request import InferenceRequest, RequestState
 from repro.core.subgraph import RunSubgraph, partition_into_subgraphs
 from repro.faults import DeviceFailure, FaultPlan, RetryPolicy, SLAConfig
 from repro.gpu.memory import MemorySpec
-from repro.models import LSTMChainModel
+from repro.models import (
+    AttentionSeq2SeqModel,
+    BeamSeq2SeqModel,
+    GRUChainModel,
+    LSTMChainModel,
+    Seq2SeqModel,
+)
 from repro.models.tree_lstm import TreeNodeSpec
 from repro.policies import bundle_from_names
 
@@ -38,9 +48,72 @@ from tests.chaos_helpers import (
     outcome_fingerprint,
     run_chaos,
 )
-from tests.oracles.explicit_chain import ExplicitChainModel
+from repro.workload import Seq2SeqDataset, SequenceDataset
+from tests.oracles.explicit_chain import (
+    ExplicitAttentionModel,
+    ExplicitBeamModel,
+    ExplicitChainModel,
+    ExplicitGRUModel,
+    ExplicitSeq2SeqModel,
+)
 
 SEEDS = chaos_seeds()
+
+
+class BeamDataset:
+    """Seq2Seq lengths as beam payloads: the target length bounds the steps."""
+
+    def __init__(self, seed):
+        self._pairs = Seq2SeqDataset(seed=seed, max_length=12)
+
+    def sample_one(self):
+        pair = self._pairs.sample_one()
+        return {"src": pair["src"], "max_steps": pair["tgt_len"]}
+
+
+class Chain(NamedTuple):
+    """A run-backed model beside the LSTM chain, and how to test it."""
+
+    model: Callable  # the run-length model class
+    oracle: Callable  # its per-step twin in tests/oracles/explicit_chain.py
+    kwargs: dict  # for both
+    payloads: list  # graph-view cases
+    dataset: Callable  # seed -> the traffic served
+    storm_rate: float  # arrivals per second under the fault storm
+    real: dict  # the real-compute model's keyword arguments
+
+
+S2S_REAL = dict(hidden_dim=12, src_vocab_size=30, tgt_vocab_size=30, embed_dim=6, seed=4)
+OTHER_CHAINS = {
+    "gru": Chain(
+        GRUChainModel, ExplicitGRUModel, {}, [1, 2, 57, [7, 3, 9, 4]],
+        lambda seed: SequenceDataset(seed=seed), 3000.0,
+        dict(hidden_dim=12, vocab_size=30, embed_dim=6, seed=4),
+    ),
+    "seq2seq": Chain(
+        Seq2SeqModel, ExplicitSeq2SeqModel, {},
+        [{"src": 1, "tgt_len": 1}, {"src": 3, "tgt_len": 5}, (40, 2),
+         {"src": [5, 6, 7], "tgt_len": 4}],
+        lambda seed: Seq2SeqDataset(seed=seed, max_length=20), 1500.0, S2S_REAL,
+    ),
+    "seq2seq_dynamic": Chain(
+        Seq2SeqModel, ExplicitSeq2SeqModel, {"dynamic": True},
+        [{"src": 1, "max_decode": 1}, {"src": 3, "max_decode": 5},
+         {"src": [5, 6, 7], "tgt_len": 4}],
+        lambda seed: Seq2SeqDataset(seed=seed, max_length=20, dynamic=True), 1500.0,
+        S2S_REAL,
+    ),
+    "attention": Chain(
+        AttentionSeq2SeqModel, ExplicitAttentionModel, {"max_src": 24},
+        [{"src": 1, "tgt_len": 1}, {"src": 3, "tgt_len": 5}, {"src": [5, 6, 7], "tgt_len": 2}],
+        lambda seed: Seq2SeqDataset(seed=seed, max_length=20), 1500.0, S2S_REAL,
+    ),
+    "beam": Chain(
+        BeamSeq2SeqModel, ExplicitBeamModel, {"beam_width": 3},
+        [{"src": 1, "max_steps": 1}, {"src": 4, "max_steps": 3}, {"src": [5, 6, 7]}],
+        BeamDataset, 400.0, S2S_REAL,
+    ),
+}
 
 
 def unfolded(model, payload):
@@ -89,6 +162,20 @@ def assert_same_view(got_graph, want_graph):
                 view(beyond)
 
 
+def shape(sg):
+    """What the scheduler sees of a fresh subgraph."""
+    return (
+        sg.subgraph_id,
+        sg.cell_type_name,
+        list(sg.node_ids),
+        sg.ready_count(),
+        sg.unsubmitted,
+        sg.uncompleted,
+        sg.external_pending,
+        sg.is_releasable(),
+    )
+
+
 # -- (a) graph view -----------------------------------------------------------
 
 
@@ -120,19 +207,6 @@ def test_partition_shape_equals_explicit_chain(length, project_output):
     )
     got = partition_into_subgraphs(run_graph, run_request, start_id=5)
     want = partition_into_subgraphs(ref_graph, ref_request, start_id=5)
-
-    def shape(sg):
-        return (
-            sg.subgraph_id,
-            sg.cell_type_name,
-            list(sg.node_ids),
-            sg.ready_count(),
-            sg.unsubmitted,
-            sg.uncompleted,
-            sg.external_pending,
-            sg.is_releasable(),
-        )
-
     assert [shape(sg) for sg in got] == [shape(sg) for sg in want]
     assert isinstance(got[0], RunSubgraph) and got[0].node_ids == range(length)
     assert not hasattr(got[0], "_internal_pending")
@@ -145,11 +219,11 @@ def test_partition_shape_equals_explicit_chain(length, project_output):
 # -- (b) outcome fingerprints -----------------------------------------------------
 
 
-def both(run_one):
+def both(run_one, pair=(LSTMChainModel, ExplicitChainModel)):
     """``run_one(model_cls) -> (server, submitted)`` with the run-length
     model and with the oracle; returns both servers after the shared checks."""
     servers = []
-    for model_cls in (LSTMChainModel, ExplicitChainModel):
+    for model_cls in pair:
         server, submitted = run_one(model_cls)
         assert_invariants(server, submitted)
         servers.append(server)
@@ -179,6 +253,20 @@ def test_fingerprint_across_placements(project_output, placement, num_gpus):
     assert len(run_server.finished) == 150
 
 
+def storm_server(seed, model):
+    """Two GPUs under kernel faults with retries, stragglers, deadlines and
+    the loss of device 0."""
+    plan = FaultPlan(
+        seed=seed,
+        kernel_failure_rate=0.05,
+        straggler_rate=0.1,
+        straggler_multiplier=8.0,
+        device_failures=[DeviceFailure(8e-3, 0)],
+    )
+    sla = SLAConfig(default_deadline=15e-3, retry=RetryPolicy(max_retries=2))
+    return build_server(fault_plan=plan, sla=sla, num_gpus=2, max_batch=16, model=model)
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("project_output", [False, True])
@@ -188,21 +276,7 @@ def test_fingerprint_under_fault_storm(project_output, seed):
     device loss (repin), all at once, on two GPUs."""
 
     def run_one(model_cls):
-        plan = FaultPlan(
-            seed=seed,
-            kernel_failure_rate=0.05,
-            straggler_rate=0.1,
-            straggler_multiplier=8.0,
-            device_failures=[DeviceFailure(8e-3, 0)],
-        )
-        sla = SLAConfig(default_deadline=15e-3, retry=RetryPolicy(max_retries=2))
-        server = build_server(
-            fault_plan=plan,
-            sla=sla,
-            num_gpus=2,
-            max_batch=16,
-            model=model_cls(project_output=project_output),
-        )
+        server = storm_server(seed, model_cls(project_output=project_output))
         return server, run_chaos(server, arrival_seed=seed)
 
     run_server, _ = both(run_one)
@@ -346,7 +420,145 @@ def test_per_request_bytes_do_not_grow_with_length():
         return after - before
 
     short, long = request_bytes(30), request_bytes(3000)
-    token_list = 8 * (3000 - 30)  # _normalize_tokens: one pointer per step
+    token_list = 8 * (3000 - 30)  # tokens_field: one pointer per step
     done_bitmap = 3000 - 30  # CellGraph.done: one byte per step
     assert long - short <= token_list + done_bitmap + 256, (short, long)
     assert short < 4096, short
+
+
+# -- the other run-backed models (DESIGN.md §33) ----------------------------------
+
+OTHER = sorted(OTHER_CHAINS)
+
+
+def other_pair(name, **extra):
+    """Factories of the run-length model ``name`` and of its oracle."""
+    chain = OTHER_CHAINS[name]
+    return tuple(
+        (lambda cls=cls: cls(**chain.kwargs, **extra)) for cls in (chain.model, chain.oracle)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,payload", [(name, p) for name in OTHER for p in OTHER_CHAINS[name].payloads]
+)
+def test_other_chain_view_and_partition_equal_explicit_oracle(name, payload):
+    """(a) for each converted model: the view before and after the
+    partition, the partition's shape, and the view once the last node's
+    completion has extended the graph (a dynamic decoder, a beam step)."""
+    models = [make() for make in other_pair(name)]
+    (run_graph, run_request), (ref_graph, ref_request) = (
+        unfolded(model, payload) for model in models
+    )
+    assert run_graph.runs() and not ref_graph.runs()
+    assert_same_view(run_graph, ref_graph)
+    got = partition_into_subgraphs(run_graph, run_request, start_id=3)
+    want = partition_into_subgraphs(ref_graph, ref_request, start_id=3)
+    assert [shape(sg) for sg in got] == [shape(sg) for sg in want]
+    assert isinstance(got[0], RunSubgraph)
+    assert_same_view(run_graph, ref_graph)
+
+    grown = []
+    for model, (graph, request), subgraphs in zip(
+        models, ((run_graph, run_request), (ref_graph, ref_request)), (got, want)
+    ):
+        graph.done[len(graph) - 1] = 1
+        nodes = model.extend(graph, len(graph) - 1, payload)
+        start = 3 + len(subgraphs)
+        grown.append(partition_into_subgraphs(graph, request, nodes, start) if nodes else [])
+    assert [shape(sg) for sg in grown[0]] == [shape(sg) for sg in grown[1]]
+    assert_same_view(run_graph, ref_graph)
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2])
+@pytest.mark.parametrize("placement", [None, "unpinned", "fixed"])
+@pytest.mark.parametrize("name", OTHER)
+def test_other_chain_fingerprint_across_placements(name, placement, num_gpus):
+    dataset = OTHER_CHAINS[name].dataset
+
+    def run_one(make_model):
+        server = BatchMakerServer(
+            make_model(),
+            config=BatchingConfig.with_max_batch(16),
+            num_gpus=num_gpus,
+            policies=bundle_from_names(placement=placement),
+        )
+        return server, run_chaos(server, num_requests=80, dataset=dataset(1))
+
+    run_server, _ = both(run_one, other_pair(name))
+    assert len(run_server.finished) == 80
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", OTHER)
+def test_other_chain_fingerprint_under_fault_storm(name, seed):
+    chain = OTHER_CHAINS[name]
+
+    def run_one(make_model):
+        server = storm_server(seed, make_model())
+        return server, run_chaos(
+            server, rate=chain.storm_rate, arrival_seed=seed, dataset=chain.dataset(seed)
+        )
+
+    run_server, _ = both(run_one, other_pair(name))
+    counters = run_server.fault_counters()
+    assert counters.retries_attempted > 0 and counters.device_failures == 1
+    assert run_server.timed_out and run_server.finished
+
+
+@pytest.mark.parametrize("placement", [None, "unpinned"])
+@pytest.mark.parametrize("name", OTHER)
+def test_other_chain_real_compute_equals_explicit_oracle(name, placement):
+    """(c) bit-equal results, real tokens through real cells."""
+    rng = np.random.default_rng(3)
+    dataset = OTHER_CHAINS[name].dataset(5)
+
+    def tokens(length):
+        return [int(t) for t in rng.integers(3, 30, size=min(length, 12))]
+
+    payloads = []
+    for _ in range(10):
+        payload = dataset.sample_one()
+        if isinstance(payload, dict):
+            payloads.append({**payload, "src": tokens(payload["src"])})
+        else:
+            payloads.append(tokens(payload))
+    results = []
+    for make_model in other_pair(name, real=True, **OTHER_CHAINS[name].real):
+        server = BatchMakerServer(
+            make_model(),
+            config=BatchingConfig.with_max_batch(4),
+            num_gpus=2,
+            real_compute=True,
+            policies=bundle_from_names(placement=placement),
+        )
+        requests = [
+            server.submit(p, arrival_time=i * 1e-4) for i, p in enumerate(payloads)
+        ]
+        server.drain()
+        assert [r.state for r in requests] == [RequestState.FINISHED] * len(payloads)
+        results.append([[np.asarray(value) for value in r.result] for r in requests])
+    run_results, ref_results = results
+    for got, want in zip(run_results, ref_results):
+        assert len(got) == len(want)
+        for got_value, want_value in zip(got, want):
+            np.testing.assert_array_equal(got_value, want_value)
+
+
+@pytest.mark.parametrize(
+    "name,payload,references",
+    [("gru", 300, 0), ("seq2seq", {"src": 40, "tgt_len": 30}, 2)],
+)
+def test_static_unfold_builds_no_cell_node(name, payload, references, monkeypatch):
+    """(d) a simulated GRU chain, and a static Seq2Seq request's encoder
+    and decoder, are runs: unfold and partition build no node, and the
+    only references built are the decoder's two reads of the encoder's
+    last state."""
+    model = OTHER_CHAINS[name].model()  # before counting: it owns the zero state
+    built = count_constructions(monkeypatch)
+    graph, request = unfolded(model, payload)
+    subgraphs = partition_into_subgraphs(graph, request)
+    assert built == dict(NOTHING_BUILT, NodeOutput=references)
+    assert not graph.explicit_nodes()
+    assert all(isinstance(sg, RunSubgraph) for sg in subgraphs)

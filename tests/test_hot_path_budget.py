@@ -54,16 +54,17 @@ CALLS_PER_CELL_BUDGET = 16.5
 # 43.26 before §30, 47.80 before §27, 48.7 before §23), 92.5 with one
 # explicit node per tree node and dict-backed subgraphs (DESIGN.md §20).
 TREE_CALLS_PER_CELL_BUDGET = 34.9
-# The explicit-node path, on Seq2Seq: every encoder and decoder step is a
-# ``CellNode`` found by the partition's component search, and the dynamic
-# row grows its decoder one ``Model.extend`` at a time.  1.25x what the runs
-# read when the rows were set: 96.09 static and 117.49 dynamic calls per
-# cell (DESIGN.md §32, one net ready delta per generic commit; 101.84 and
-# 120.36 with two, 109.58 and 131.39 before §31, 124.38 and 145.06
-# before §30, 129.8 and 176.7 while
+# Seq2Seq: the encoder is one run, and so is the static decoder; the
+# dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
+# time.  1.25x what the runs read when the rows were set: 47.39 static and
+# 94.47 dynamic calls per cell (DESIGN.md §33; 96.09 and 117.49 while every
+# step was a ``CellNode`` found by the partition's component search and
+# ``extend`` normalised the payload for every completed cell, §32; 101.84
+# and 120.36 with two ready deltas per generic commit, 109.58 and 131.39
+# before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 120.1, "dynamic": 146.9}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 59.3, "dynamic": 118.1}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 0.316 when the budget was set — a payload is three lists, whatever its

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core.cell_graph import CellGraph
-from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
+from repro.models import (
+    AttentionSeq2SeqModel,
+    BeamSeq2SeqModel,
+    GRUChainModel,
+    LSTMChainModel,
+    Seq2SeqModel,
+    TreeLSTMModel,
+)
+from repro.models import seq2seq
 from repro.models.seq2seq import EOS_TOKEN, GO_TOKEN, _normalize_payload
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.registry import build_server, presets
+from repro.workload import LoadGenerator, Seq2SeqDataset
 
 
 def unfold(model, payload):
@@ -140,6 +150,92 @@ class TestSeq2SeqModel:
     def test_phases_dynamic_unsupported(self):
         with pytest.raises(NotImplementedError):
             Seq2SeqModel().phases({"src": 5, "dynamic": True})
+
+
+def test_static_run_normalises_each_payload_once(monkeypatch):
+    """``extend`` returns before reading the payload for a node it cannot
+    grow: a static run used to normalise once per completed cell."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return normalize(*args)
+
+    normalize = seq2seq._normalize_payload
+    monkeypatch.setattr(seq2seq, "_normalize_payload", counting)
+    server = build_server(presets.seq2seq_batchmaker_spec())
+    LoadGenerator(rate=400.0, num_requests=60, seed=42).run(server, Seq2SeqDataset(seed=43))
+    assert len(server.finished) == 60
+    assert len(calls) == 60
+
+
+# Every model's payload goes through ``repro.models.base.tokens_field`` and
+# ``length_field``: model -> (payload holding a token field value, that
+# field's name, its length field's name, payload holding a length value).
+MISSING = object()
+PAYLOADS = {
+    "lstm": (LSTMChainModel, lambda v: v, "tokens", None, None),
+    "gru": (GRUChainModel, lambda v: v, "tokens", None, None),
+    "seq2seq": (
+        Seq2SeqModel, lambda v: {"src": v, "tgt_len": 2}, "src",
+        "tgt_len", lambda n: {"src": 3, "tgt_len": n},
+    ),
+    "attention": (
+        AttentionSeq2SeqModel, lambda v: {"src": v, "tgt_len": 2}, "src",
+        "tgt_len", lambda n: {"src": 3, "tgt_len": n},
+    ),
+    "beam": (
+        BeamSeq2SeqModel, lambda v: {"src": v, "max_steps": 2}, "src",
+        "max_steps", lambda n: {"src": 3, "max_steps": n},
+    ),
+}
+BAD_TOKENS = ["12", "abc", True, 2.0, None, [], [1.7, 2.2], [1, True], ["1"], 0, -2]
+BAD_LENGTHS = [0, -2, True, 1.5, "3", None, np.float64(2.0)]
+
+
+def _without_missing(payload):
+    return {k: v for k, v in payload.items() if v is not MISSING}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_one_payload_normaliser_refuses_alike(name):
+    """A token field is a length or a non-empty sequence of integers; a
+    length is an int >= 1, not a bool; every refusal is a ValueError that
+    names the field."""
+    model_cls, with_tokens, token_field, length_name, with_length = PAYLOADS[name]
+    model = model_cls()
+    for value in BAD_TOKENS:
+        with pytest.raises(ValueError, match=token_field):
+            unfold(model, with_tokens(value))
+    if length_name is None:
+        return
+    bad_lengths = BAD_LENGTHS + ([] if name == "beam" else [MISSING])
+    for value in bad_lengths:
+        with pytest.raises(ValueError, match=length_name):
+            unfold(model, _without_missing(with_length(value)))
+    for payload in (None, 5, [1, 2], "src"):
+        with pytest.raises(ValueError, match="src"):
+            unfold(model, payload)
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_one_payload_normaliser_accepts_alike(name):
+    model_cls, with_tokens, _, _, with_length = PAYLOADS[name]
+    model = model_cls()
+    for value in (3, np.int64(3), [4, 5, 6], (4, 5, 6), np.array([4, 5, 6])):
+        graph = unfold(model, with_tokens(value))
+        assert [graph.inputs_of(i)["ids"].value for i in range(3)] in (
+            [0, 0, 0], [4, 5, 6],
+        )
+    if with_length is not None:
+        assert len(unfold(model, with_length(np.int32(2)))) > 3
+
+
+def test_dynamic_decode_budget_is_a_length():
+    with pytest.raises(ValueError, match="max_decode"):
+        unfold(Seq2SeqModel(), {"src": 3, "dynamic": True, "max_decode": 0})
+    with pytest.raises(ValueError, match="max_decode"):
+        unfold(Seq2SeqModel(dynamic=True), {"src": 3, "tgt_len": True})
 
 
 class TestTreeModel:

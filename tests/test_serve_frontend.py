@@ -145,6 +145,28 @@ def test_malformed_content_length_gets_400_and_the_server_lives_on(live_server):
     assert status == 200 and payload["status"] == "ok"
 
 
+def test_refused_payload_gets_400_and_leaves_nothing_pending(live_server):
+    """A payload the model refuses at unfold used to answer 500 and leave
+    its record PENDING until shutdown, the engine request in ``_inflight``
+    / ``_rid_of`` and its deadline timer armed.  Now the engine rejects it
+    and the front door answers 400 naming the field."""
+    port, app = live_server.port, live_server.app
+    refused = ([], 0, "abc", None, [1.5, 2], True)
+    for payload in refused:
+        status, body = _call(
+            port, "POST", "/v1/requests", {"payload": payload, "deadline": 30.0}
+        )
+        assert status == 400, (payload, body)
+        assert "tokens" in body["error"], body
+    _, metrics = _call(port, "GET", "/metrics")
+    assert metrics["store"]["PENDING"] == metrics["store"]["RUNNING"] == 0
+    assert metrics["store"]["FAILED"] == metrics["engine"]["rejected"] == len(refused)
+    assert app._inflight == {} and app._rid_of == {}
+    assert app.live.pending() == 0, "a refused request's deadline timer is armed"
+    _, record = _call(port, "POST", "/v1/requests", {"payload": 8})
+    _await_state(port, record["rid"], SUCCEEDED)
+
+
 def test_metrics_shape_and_counts(live_server):
     port = live_server.port
     _, record = _call(port, "POST", "/v1/requests", {"payload": 8})

@@ -69,7 +69,7 @@ from tests.oracles.bruteforce_scheduler import (
     BruteForceFormation,
     recount_ready_nodes,
 )
-from tests.oracles.explicit_chain import ExplicitChainModel
+from tests.oracles.explicit_chain import ExplicitChainModel, ExplicitSeq2SeqModel
 from tests.oracles.explicit_tree import ExplicitTreeModel
 
 
@@ -145,6 +145,7 @@ class Harness:
         self._next_request_id = 0
         self.run_backed_checks = 0  # queued RunSubgraphs seen by assert_invariants
         self.tree_backed_checks = 0  # queued Leaf/TreeSubgraphs seen there
+        self.generic_checks = 0  # queued generic Subgraphs seen there
         self.declined_plans = 0  # formed by schedule() but not committed
         # A lazy-kick policy over the same queues, with just enough engine
         # behind it to be active: every request arrived at t=0 without a
@@ -229,6 +230,8 @@ class Harness:
                     self.tree_backed_checks += 1
                     assert sorted(sg.ready) == self.expected_tree_ready(sg)
                     assert sg.external_pending == 0, "queued before its leaves finished"
+                else:
+                    self.generic_checks += 1
             recount = recount_ready_nodes(queue)
             assert queue.num_ready_nodes() == recount, (
                 f"{queue.cell_type.name}: counter {queue.num_ready_nodes()} "
@@ -308,6 +311,10 @@ MODELS = [
     ("lstm_chain", LSTMChainModel, 4),
     ("lstm_chain_proj", lambda: LSTMChainModel(project_output=True), 4),
     ("seq2seq", Seq2SeqModel, 16),
+    # The per-step oracle: the one model left whose partition has
+    # multi-node generic subgraphs (``_internal_pending``,
+    # ``_advance_internal``, ``mark_completed_internal``).
+    ("seq2seq_explicit", ExplicitSeq2SeqModel, 16),
     ("tree_lstm", TreeLSTMModel, 4),
 ]
 
@@ -377,7 +384,10 @@ def test_ready_count_invariants_under_random_interleavings(
         assert guard < 5000, "drain did not converge"
     for queue in harness.scheduler.queues:
         assert queue.num_ready_nodes() == 0
-    if isinstance(model, LSTMChainModel):
+    if isinstance(model, ExplicitSeq2SeqModel):
+        assert harness.run_backed_checks == 0
+        assert harness.generic_checks > 100, "the generic path was not exercised"
+    elif isinstance(model, (LSTMChainModel, Seq2SeqModel)):
         assert harness.run_backed_checks > 100, "chains were not run-backed"
     else:
         assert harness.run_backed_checks == 0
