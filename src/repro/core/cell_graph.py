@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cell import CellType
+from repro.core.request import PayloadError
 
 
 class ValueInput:
@@ -401,14 +402,16 @@ class CellGraph:
         lengths, children before parents, every node but the last the child
         of exactly one parent, every cell input fed and every child output
         named one both cell types have; the arrays and mappings are kept by
-        reference, not copied.
+        reference, not copied.  Arrays that are no tree raise
+        :class:`~repro.core.request.PayloadError`: a model passes a tree
+        payload's arrays through, so the engine rejects that request.
 
         Each leaf is a subgraph of its own and the internal nodes are one
         more, as the generic partition would have it.
         """
         size = len(left)
         if size < 1 or len(right) != size or len(token) != size:
-            raise ValueError(
+            raise PayloadError(
                 f"tree arrays must have one common, positive length, got "
                 f"left={size} right={len(right)} token={len(token)}"
             )
@@ -446,13 +449,13 @@ class CellGraph:
                 or parent[lhs] >= 0
                 or parent[rhs] >= 0
             ):
-                raise ValueError(
+                raise PayloadError(
                     f"tree node {index} has children ({lhs}, {rhs}): it needs two, "
                     f"each before it and the child of no other node"
                 )
             parent[lhs] = parent[rhs] = index
         if parent.count(-1) != 1:  # the last node can have no parent
-            raise ValueError(
+            raise PayloadError(
                 f"tree has {parent.count(-1)} roots: every node but the last "
                 f"must be some node's child"
             )

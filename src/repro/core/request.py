@@ -8,9 +8,10 @@ time* (first execution -> result returned).  Those two CDFs are Figure 9.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.core.cell_graph import CellGraph
+if TYPE_CHECKING:  # cell_graph raises PayloadError: it imports this module
+    from repro.core.cell_graph import CellGraph
 
 
 class RequestState(enum.Enum):

@@ -28,8 +28,10 @@ class RequestProcessor:
     model:
         Supplies ``unfold`` (and optionally ``extend`` for dynamic graphs).
     on_release:
-        Called with each subgraph whose external dependencies are satisfied;
-        the manager forwards these to the scheduler.
+        Called with the subgraphs whose external dependencies are satisfied
+        — all those of a fresh partition in one call, one subgraph at a
+        time as completions release them; the manager passes the
+        scheduler's ``add_subgraph``.
     on_finished:
         Called with each request whose last cell has completed.
     collect_results:
@@ -40,7 +42,7 @@ class RequestProcessor:
     def __init__(
         self,
         model: Model,
-        on_release: Callable[[Subgraph], None],
+        on_release: Callable[..., None],
         on_finished: Callable[[InferenceRequest], None],
         collect_results: bool = False,
     ):
@@ -81,11 +83,18 @@ class RequestProcessor:
         )
         self._next_subgraph_id += len(subgraphs)
         request.subgraphs = {sg.subgraph_id: sg for sg in subgraphs}
-        released = []
-        for sg in subgraphs:
-            if sg.is_releasable():
-                self._release(sg)
-                released.append(sg)
+        return self._release_fresh(subgraphs)
+
+    def _release_fresh(self, subgraphs: List[Subgraph]) -> List[Subgraph]:
+        """Release the subgraphs of a fresh partition that wait on nothing,
+        all in one ``on_release`` call: a tree's leaves go to the scheduler
+        together, and a leaf's ``external_pending`` is a class constant, so
+        no call is made per leaf (DESIGN.md §34)."""
+        released = [sg for sg in subgraphs if not sg.external_pending]
+        for sg in released:
+            sg.released = True
+        if released:
+            self._on_release(*released)
         return released
 
     def _release(self, sg: Subgraph) -> None:
@@ -211,8 +220,7 @@ class RequestProcessor:
                 self._next_subgraph_id += len(new_subgraphs)
                 for sg in new_subgraphs:
                     request.subgraphs[sg.subgraph_id] = sg
-                    if sg.is_releasable():
-                        self._release(sg)
+                self._release_fresh(new_subgraphs)
 
     # -- introspection ------------------------------------------------------------
 

@@ -11,6 +11,7 @@ handed over as they are: no node object sits between them (DESIGN.md §32).
 
 from __future__ import annotations
 
+import reprlib
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from repro.cells.tree_lstm import TreeInternalCell, TreeLeafCell
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph
+from repro.core.request import PayloadError
 from repro.gpu.costmodel import (
     CostModel,
     tree_internal_step_table,
@@ -154,7 +156,9 @@ class TreeLSTMModel(Model):
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         if not isinstance(payload, TreePayload):
-            raise TypeError(f"TreeLSTM payload must be TreePayload, got {type(payload)}")
+            raise PayloadError(
+                f"payload must be a TreePayload, got {reprlib.repr(payload)}"
+            )
         tree = graph.add_tree(
             self._leaf_type,
             self._internal_type,

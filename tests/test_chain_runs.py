@@ -172,7 +172,7 @@ def shape(sg):
         sg.unsubmitted,
         sg.uncompleted,
         sg.external_pending,
-        sg.is_releasable(),
+        sg.released,
     )
 
 

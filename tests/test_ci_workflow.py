@@ -43,6 +43,14 @@ def test_job_list_is_exactly_the_six():
     assert list(_workflow()["jobs"]) == JOBS
 
 
+def test_the_tier1_job_prints_its_slowest_tests():
+    """Tier-1 has a time budget (ROADMAP.md); its log names the tests that
+    spend it."""
+    runs = [step.get("run", "") for step in _workflow()["jobs"]["tests"]["steps"]]
+    (command,) = [run for run in runs if "python -m pytest" in run]
+    assert "--durations=15" in command.split()
+
+
 def test_every_job_has_steps_that_run_something():
     for name, job in _workflow()["jobs"].items():
         steps = job["steps"]

@@ -361,10 +361,8 @@ class TestPartitioning:
         graph, subgraphs = self._partition(model, {"src": 3, "tgt_len": 2})
         by_type = {sg.cell_type_name: sg for sg in subgraphs}
         assert by_type["encoder"].external_pending == 0
-        assert by_type["encoder"].is_releasable()
         # Decoder's first cell waits on the encoder's final state.
         assert by_type["decoder"].external_pending == 1
-        assert not by_type["decoder"].is_releasable()
 
     def test_initial_ready_nodes_are_sources_only(self):
         model = TreeLSTMModel()

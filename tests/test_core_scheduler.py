@@ -55,6 +55,41 @@ class TestRegistration:
         with pytest.raises(KeyError, match="unregistered"):
             scheduler.add_subgraph(sg)
 
+    def test_admission_is_all_or_nothing(self):
+        """One call admits a request's subgraphs together, so a subgraph of
+        an unregistered cell type refuses the whole call before any is
+        queued or placed.  A call mixing cell types puts each subgraph in
+        its own queue, in order, with consecutive seqs per queue."""
+        tree = TreeLSTMModel()
+        policies = bundle_from_names(placement="fixed")
+        policies.placement.prepare(2)
+        scheduler, _ = make_scheduler(LSTMChainModel(), policies=policies)
+        (leaf_type,) = [ct for ct in tree.cell_types() if ct.name == "tree_leaf"]
+        scheduler.register_cell_type(leaf_type)
+        subgraphs = make_subgraphs(tree, TreePayload.complete(4), request_id=1)
+        leaves = [sg for sg in subgraphs if sg.cell_type_name == "tree_leaf"]
+        assert len(leaves) == 4 and len(subgraphs) == 5
+        with pytest.raises(KeyError, match="unregistered cell type 'tree_internal'"):
+            scheduler.add_subgraph(*subgraphs)
+        queue = scheduler._queues["tree_leaf"]
+        assert not queue.subgraphs and not queue._entries
+        assert queue.num_ready_nodes() == 0
+        for sg in subgraphs:
+            assert sg.owner is None and sg.queue_seq == -1
+            assert sg.pinned is None and not sg.sticky  # no on_admit ran
+
+        # A mixed call: each subgraph to its own queue, in order.
+        (chain,) = make_subgraphs(LSTMChainModel(), 3, request_id=2, start_id=5)
+        scheduler.add_subgraph(leaves[0], chain, *leaves[1:])
+        assert [sg.queue_seq for sg in leaves] == [0, 1, 2, 3]
+        assert list(queue.subgraphs.values()) == leaves
+        assert queue._entries == [(sg.queue_seq, sg) for sg in leaves]
+        assert queue.num_ready_nodes() == 4
+        assert {(sg.pinned, sg.sticky) for sg in leaves} == {(1, True)}
+        lstm = scheduler._queues["lstm"]
+        assert chain.queue_seq == 0 and list(lstm.subgraphs.values()) == [chain]
+        assert lstm.num_ready_nodes() == 1 and (chain.pinned, chain.sticky) == (0, True)
+
 
 class TestBatchFormation:
     def test_batches_across_requests(self):

@@ -45,7 +45,7 @@ def retire(sg, node_ids):
     """Complete ``node_ids`` of ``sg`` the way a retiring task does:
     through the request processor."""
     processor = RequestProcessor(
-        LSTMChainModel(), on_release=lambda sg: None, on_finished=lambda r: None
+        LSTMChainModel(), on_release=lambda *subgraphs: None, on_finished=lambda r: None
     )
     cell_type = CellType(sg.cell_type_name, (), ())
     task = BatchedTask(0, cell_type, [(sg, node_id) for node_id in node_ids])
@@ -166,7 +166,7 @@ class TestExternalRelease:
         first_decoder = min(decoder.node_ids)
         became_releasable = decoder.satisfy_external(last_encoder, first_decoder)
         assert became_releasable
-        assert decoder.is_releasable()
+        assert decoder.external_pending == 0
 
     def test_untracked_edge_is_ignored(self):
         graph, by_type = self._seq2seq_subgraphs()
@@ -176,7 +176,8 @@ class TestExternalRelease:
 
     def test_released_flag_blocks_releasable(self):
         graph, by_type = self._seq2seq_subgraphs()
-        encoder = by_type["encoder"]
-        assert encoder.is_releasable()
-        encoder.released = True
-        assert not encoder.is_releasable()
+        decoder = by_type["decoder"]
+        decoder.released = True  # released already: not reported twice
+        last_encoder = max(by_type["encoder"].node_ids)
+        assert not decoder.satisfy_external(last_encoder, min(decoder.node_ids))
+        assert decoder.external_pending == 0

@@ -113,7 +113,7 @@ class TestRequestProcessor:
         released, finished = [], []
         processor = RequestProcessor(
             model,
-            on_release=released.append,
+            on_release=lambda *subgraphs: released.extend(subgraphs),
             on_finished=finished.append,
             collect_results=collect_results,
         )

@@ -12,6 +12,9 @@ from tests.chaos_helpers import assert_invariants, build_server, run_chaos
 from tests.retention_helpers import keep_engine_state
 from repro.core.request import RequestState
 from repro.faults import SLAConfig
+from repro.models.tree_lstm import TreePayload
+from repro.registry import build_server as build_registry_server
+from repro.registry import presets
 
 
 def test_generous_deadline_never_fires():
@@ -148,3 +151,24 @@ def test_timeout_event_disarmed_on_finish():
     assert request._timeout_event is None
     assert server.loop.pending() == 0
     assert server.loop.now() < 100.0, "drain must not wait for the dead timer"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2, 3], TreePayload([-1, -1, 0], [-1, -1, 0], [1, 2, None])],
+    ids=["not_a_tree", "malformed_arrays"],
+)
+def test_a_refused_tree_payload_is_rejected_and_leaves_no_timer(payload):
+    """A payload the tree model refuses is a ``bad_payload`` reject, not an
+    escaped exception: the deadline timer armed at admission goes with it,
+    so nothing is left pending and nothing times out later."""
+    server = build_registry_server(presets.tree_batchmaker_spec(), sla=SLAConfig())
+    request = server.submit(payload, deadline=0.5)
+    server.drain()
+    assert request.state is RequestState.REJECTED
+    assert request.cancel_reason.startswith("bad_payload: ")
+    assert server.loop.pending() == 0
+    assert not server.timed_out
+    served = server.submit(TreePayload.complete(4), deadline=0.5)
+    server.drain()
+    assert served.state is RequestState.FINISHED

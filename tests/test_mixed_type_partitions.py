@@ -26,7 +26,7 @@ class TestProjectionChainPartition:
         assert len(by_type["lstm_proj"].node_ids) == 1
         # The projection waits for the chain's last cell.
         assert by_type["lstm_proj"].external_pending == 1
-        assert by_type["lstm"].is_releasable()
+        assert by_type["lstm"].external_pending == 0
 
     def test_serving_projection_model_sim(self):
         model = LSTMChainModel(project_output=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cell_graph import CellGraph
+from repro.core.request import PayloadError
 from repro.models import (
     AttentionSeq2SeqModel,
     BeamSeq2SeqModel,
@@ -261,7 +262,7 @@ class TestTreeModel:
         assert graph.cell_type_census() == {"tree_leaf": 4, "tree_internal": 3}
 
     def test_unfold_rejects_non_tree_payload(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(PayloadError, match="TreePayload"):
             unfold(TreeLSTMModel(), 5)
 
     def test_padding_unsupported(self):

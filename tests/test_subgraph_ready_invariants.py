@@ -447,9 +447,10 @@ def _retire(sg, node_ids):
     through the request processor, which unpins at the last node in
     flight and, on the completion-ordered path, advances readiness."""
     processor = RequestProcessor(
-        LSTMChainModel(), on_release=lambda sg: None, on_finished=lambda r: None
+        LSTMChainModel(), on_release=lambda *subgraphs: None, on_finished=lambda r: None
     )
-    task = BatchedTask(0, sg.owner.cell_type, [(sg, nid) for nid in node_ids])
+    cell_type = sg.graph.cell_type_of(node_ids[0])  # an exhausted sg has no owner
+    task = BatchedTask(0, cell_type, [(sg, nid) for nid in node_ids])
     processor.handle_task_completion(task, now=0.0)
 
 
@@ -655,16 +656,15 @@ def _queue_tree(scheduler, model, request_id, payload, start_id):
     request, subgraphs = _partition(model, request_id, payload, start_id)
     (internal,) = [sg for sg in subgraphs if sg.cell_type_name == "tree_internal"]
     leaves = [sg for sg in subgraphs if sg is not internal]
-    if isinstance(internal, TreeSubgraph):
-        released = [internal.leaf_completed() for _ in leaves]
-        assert released == [False] * (len(released) - 1) + [True]
-    else:
-        assert type(internal) is Subgraph
-        for leaf in leaves:
-            (nid,) = leaf.node_ids
-            request.graph.done[nid] = 1
-            leaf.propagate(nid, lambda sg: None)
-    assert internal.is_releasable()
+    assert type(internal) is TreeSubgraph or type(internal) is Subgraph
+    released = []
+    for leaf in leaves:
+        (nid,) = leaf.node_ids
+        request.graph.done[nid] = 1
+        leaf.propagate(nid, released.append)
+        # Only the last leaf releases the internal nodes.
+        assert released == ([internal] if leaf is leaves[-1] else [])
+    assert internal.external_pending == 0
     scheduler.add_subgraph(internal)
     return internal
 
@@ -740,9 +740,11 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
 
 
 def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
-    """A leaf subgraph is one flag: ``commit`` clears it once, tells the
-    queue once and refuses a second node — as the generic one-node
-    ``Subgraph`` over the oracle's explicit leaf does."""
+    """A leaf subgraph is one flag: ``commit`` clears it once, leaves its
+    queue with its one ready node and refuses a second node — as the
+    generic one-node ``Subgraph`` over the oracle's explicit leaf does.
+    The leaf does it without a further call: no ready delta, and its pin
+    is a store (DESIGN.md §34)."""
     for model in (TreeLSTMModel(), ExplicitTreeModel()):
         scheduler = Scheduler(
             BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
@@ -763,8 +765,9 @@ def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
         with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
             _hand_out(first, 0)
         assert _hand_out(first) == [0] and first.ready_count() == 0
-        assert recorder.calls == [("ready", 0, -1), ("pin", 0, 0)]
-        assert first.unsubmitted == 0
+        assert recorder.calls == ([] if flat else [("pin", 0, 0)])
+        assert first.unsubmitted == 0 and first.pinned == 0
+        assert first.owner is None and first.subgraph_id not in queue.subgraphs
         assert queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
 
         with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):

@@ -161,7 +161,7 @@ def shape(sg):
         sg.unsubmitted,
         sg.uncompleted,
         sg.external_pending,
-        sg.is_releasable(),
+        sg.released,
     )
 
 
@@ -216,9 +216,11 @@ class Engine:
             (worker.worker_id, [(sg.subgraph_id, node_id) for sg, node_id in task.entries])
         )
 
-    def _release(self, sg):
-        self.scheduler.add_subgraph(sg)
-        self.released.append((sg.subgraph_id, list(sg.node_ids), sg.queue_seq))
+    def _release(self, *subgraphs):
+        self.scheduler.add_subgraph(*subgraphs)
+        self.released += [
+            (sg.subgraph_id, list(sg.node_ids), sg.queue_seq) for sg in subgraphs
+        ]
 
 
 class FakeWorker:
