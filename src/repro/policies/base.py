@@ -56,9 +56,12 @@ class PlacementPolicy:
     def prepare(self, num_workers: int) -> None:
         """Called once by the manager before serving starts."""
 
-    def on_admit(self, sg: "Subgraph") -> None:
-        """A released subgraph enters the scheduler's queues."""
-        sg.optimistic = self.optimistic
+    def on_admit(self, subgraphs: Sequence["Subgraph"]) -> None:
+        """Released subgraphs enter the scheduler's queues — all a request
+        releases at once, every leaf of a tree in one call."""
+        optimistic = self.optimistic
+        for sg in subgraphs:
+            sg.optimistic = optimistic
 
     def hop_cost(self, worker: "Worker") -> float:
         """Cross-device copy cost of one subgraph's live state moving to

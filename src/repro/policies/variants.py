@@ -101,12 +101,14 @@ class FixedPlacement(PlacementPolicy):
             return None
         return self._alive[request_id % len(self._alive)]
 
-    def on_admit(self, sg: "Subgraph") -> None:
-        sg.optimistic = self.optimistic
-        home = self._home(sg.request.request_id)
-        if home is not None:
-            sg.sticky = True
-            sg.pinned = home
+    def on_admit(self, subgraphs: Sequence["Subgraph"]) -> None:
+        optimistic = self.optimistic
+        for sg in subgraphs:
+            sg.optimistic = optimistic
+            home = self._home(sg.request.request_id)
+            if home is not None:
+                sg.sticky = True
+                sg.pinned = home
 
     def retry_target(
         self, task, workers: Sequence["Worker"]
