@@ -23,9 +23,10 @@ incrementally instead of rescanning:
   :meth:`CellTypeQueue.add`, one ``extend`` of its list (DESIGN.md §34).
 * ``num_ready_nodes()`` is a counter read.  Subgraphs report ready-count
   deltas to their owning queue (``on_ready_delta``) whenever nodes are
-  taken, submitted, or completed, and leave it from their own ``commit``
-  when it hands out their last nodes: the scheduler never checks for an
-  exhausted subgraph.
+  taken, submitted, or completed.  The queue hands a plan out itself
+  (:meth:`CellTypeQueue.commit`) and drops a member whose take is its last
+  before that member's ``commit``, so no subgraph checks for exhaustion
+  and no other module writes the queue's fields (DESIGN.md §35).
 * Batch formation reads one list per queue of the subgraphs with ready
   nodes, kept sorted by arrival order (:meth:`CellTypeQueue.plan`), and
   skips those pinned to another worker, so the scan order is bit-identical
@@ -37,7 +38,7 @@ incrementally instead of rescanning:
   needs no undo and a committed one touches the list only when a
   subgraph's ready count rises from zero.
 * A task is walked a fixed, small number of times (DESIGN.md §19, §30):
-  one ``Subgraph.commit`` per plan member here, which appends
+  one ``Subgraph.commit`` per plan member in the queue, which appends
   ``(subgraph, node_id)`` entries straight onto the task's list — no node
   object is built (DESIGN.md §27) — and the task keeps the plan as its
   member list.  At submission two passes read the members: the manager's
@@ -59,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cell import CellType
 from repro.core.config import BatchingConfig, CellTypeConfig
-from repro.core.subgraph import Subgraph
+from repro.core.subgraph import Entries, Subgraph
 from repro.core.task import BatchedTask
 from repro.policies import PolicyBundle, bundle_from_names
 
@@ -118,10 +119,7 @@ class CellTypeQueue:
         self._entries.extend(listed)
 
     def remove(self, sg: Subgraph) -> None:
-        """Drop a subgraph and its ready count: an evicted one, or one whose
-        last nodes its ``commit`` is handing out.  ``LeafSubgraph.commit``
-        does the same in place for its one node; a change here goes there
-        too."""
+        """Drop an evicted subgraph and its ready count."""
         self.subgraphs.pop(sg.subgraph_id, None)
         self._ready_total -= sg.ready_count()
         sg.owner = None
@@ -129,6 +127,33 @@ class CellTypeQueue:
             # Every entry left is stale: an idle queue keeps no retired
             # subgraph alive until its next plan.
             self._entries.clear()
+
+    def commit(self, plan: List[Tuple[Subgraph, int]], worker_id: int) -> Entries:
+        """Hand ``plan`` out to a task on ``worker_id``: one
+        ``Subgraph.commit`` per member, each appending its ``(subgraph,
+        node_id)`` entries to the list returned.
+
+        A member whose take is its last (``count == unsubmitted``) leaves
+        before its ``commit``, which then tells the queue nothing: its
+        membership and owner go first, its ready count — which a take of
+        every node still to hand out equals — and an emptied queue's list
+        after the loop.  That is :meth:`remove` in place, without its
+        ``ready_count()`` call: every tree leaf takes this branch (DESIGN.md
+        §35).  Every member is queued here: :meth:`plan` lists only those."""
+        entries: Entries = []
+        members = self.subgraphs
+        left = 0
+        for sg, count in plan:
+            if count == sg.unsubmitted:
+                del members[sg.subgraph_id]
+                sg.owner = None
+                left += count
+            sg.commit(count, worker_id, entries)
+        if left:
+            self._ready_total -= left
+            if not members:
+                self._entries.clear()
+        return entries
 
     def on_ready_delta(self, sg: Subgraph, delta: int) -> None:
         """``sg``'s ready count changed by ``delta`` while queued here.  A
@@ -280,41 +305,26 @@ class Scheduler:
         return self._batch(chosen, worker)
 
     def _batch(self, queue: CellTypeQueue, worker) -> int:
-        """Algorithm 1's ``Batch``: submit up to MaxTasksToSubmit tasks."""
+        """Algorithm 1's ``Batch``: submit up to MaxTasksToSubmit tasks.
+        The queue hands each plan kept out (:meth:`CellTypeQueue.commit`:
+        entries, pins, optimistic dependencies, a member's leave at its
+        last take), and the task built from it keeps the plan as its member
+        list."""
         num_tasks = 0
         while num_tasks < self.config.max_tasks_to_submit:
             plan = self.policies.formation.form(queue, worker)
             batch_size = sum([count for _, count in plan])
-            if batch_size == 0:
+            if batch_size == 0 or (batch_size < queue.config.min_batch and num_tasks):
                 break
-            if batch_size >= queue.config.min_batch or num_tasks == 0:
-                self._commit(queue, worker, plan)
-                num_tasks += 1
-            else:
-                break
+            entries = queue.commit(plan, worker.worker_id)
+            task = BatchedTask(self._next_task_id, queue.cell_type, entries, plan)
+            self._next_task_id += 1
+            queue.running_tasks += 1
+            self.tasks_submitted += 1
+            self.batch_size_counts[task.batch_size] += 1
+            self._submit(task, worker)
+            num_tasks += 1
         return num_tasks
-
-    def _commit(
-        self,
-        queue: CellTypeQueue,
-        worker,
-        plan: List[Tuple[Subgraph, int]],
-    ) -> None:
-        """Materialise a planned batch: one ``Subgraph.commit`` per member
-        (append the ready node ids to the task's entries, pin to the worker,
-        update the optimistic dependencies, leave the queue when that was
-        its last), then build the task — which keeps the plan as its member
-        list — and submit."""
-        entries = []
-        worker_id = worker.worker_id
-        for sg, count in plan:
-            sg.commit(count, worker_id, entries)
-        task = BatchedTask(self._next_task_id, queue.cell_type, entries, plan)
-        self._next_task_id += 1
-        queue.running_tasks += 1
-        self.tasks_submitted += 1
-        self.batch_size_counts[task.batch_size] += 1
-        self._submit(task, worker)
 
     # -- failure handling (DESIGN.md §8) -------------------------------------
 

@@ -23,6 +23,7 @@ class ServerStats:
         self.finished_requests = len(server.finished)
         self.tasks_submitted = manager.scheduler.tasks_submitted
         self.batch_size_counts = dict(manager.scheduler.batch_size_counts)
+        self.mean_batch_size = manager.scheduler.mean_batch_size()
         self.nodes_processed = manager.processor.total_nodes_processed
         self.live_requests = manager.processor.live_request_count()
         # Fault/SLA counters (all zero on a healthy run).
@@ -60,11 +61,6 @@ class ServerStats:
 
     # -- derived ------------------------------------------------------------------
 
-    def mean_batch_size(self) -> float:
-        total = sum(b * c for b, c in self.batch_size_counts.items())
-        count = sum(self.batch_size_counts.values())
-        return total / count if count else 0.0
-
     def batch_size_percentile(self, p: float) -> int:
         """Request-weighted batch-size percentile (what a typical *cell*
         experienced, not a typical task)."""
@@ -86,12 +82,13 @@ class ServerStats:
 
     def report(self) -> str:
         lines = [f"=== {self.server_name} serving report ==="]
+        batch = f"mean batch {self.mean_batch_size:.1f}"
+        if self.batch_size_counts:  # no percentile of no tasks
+            batch += f", cell-weighted p50 batch {self.batch_size_percentile(50)}"
         lines.append(
             f"requests: {self.finished_requests} finished, "
             f"{self.live_requests} live; cells executed: {self.nodes_processed}; "
-            f"tasks: {self.tasks_submitted} "
-            f"(mean batch {self.mean_batch_size():.1f}, "
-            f"cell-weighted p50 batch {self.batch_size_percentile(50)})"
+            f"tasks: {self.tasks_submitted} ({batch})"
         )
         headers = ["worker", "tasks", "busy ms", "utilization", "gather rate"]
         if self.energy_enabled:

@@ -121,9 +121,9 @@ class Subgraph:
         self.owner = None
         self.queue_seq: int = -1
         # Optimistic readiness (advance internal deps at submission, relying
-        # on same-worker FIFO order).  The scheduler flips this off when
-        # pinning is disabled, in which case internal deps advance only on
-        # actual completion.
+        # on same-worker FIFO order).  Unpinned placement turns this off at
+        # admission, and internal deps then advance only on actual
+        # completion.
         self.optimistic = True
         # Device the data of this subgraph currently lives on; used to model
         # the cross-GPU copy cost when pinning is disabled.
@@ -178,24 +178,31 @@ class Subgraph:
     def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         """Hand ``count`` ready nodes (FIFO within the subgraph) to a task on
         ``worker_id``: append ``(self, node_id)`` for each to the task's
-        ``entries``, :meth:`pin` this subgraph to the worker (a call only
-        when the pin changes) and —
-        Algorithm 1's ``UpdateNodesDependency`` — make ready the
-        in-subgraph successors whose predecessors have now all been
-        submitted (optimistic mode only).  The scheduler's one call per
-        plan member; no node object is built.
+        ``entries`` and — Algorithm 1's ``UpdateNodesDependency`` — make
+        ready the in-subgraph successors whose predecessors have now all been
+        submitted (optimistic mode only).  ``CellTypeQueue.commit`` calls it
+        once per plan member, after dropping a member whose take is its
+        last; no node object is built.
 
-        The queue hears one net delta, the nodes that became ready less the
-        nodes taken, before the pin, and none when they cancel: the
-        subgraph had ready nodes, so it already has its entry (DESIGN.md
-        §31, §32).  A take of every node still to hand out leaves the queue
-        instead, before the take, ready count and all: the exhaust decision
-        is made here, once, for every subgraph class (DESIGN.md §34)."""
-        if not 0 < count <= len(self.ready):
+        A queued subgraph's queue hears one net delta, the nodes that became
+        ready less the nodes taken, and none when they cancel: the subgraph
+        had ready nodes, so it already has its entry (DESIGN.md §31, §32).
+
+        The pin is a store: an optimistic subgraph — the placement leaves it
+        so exactly when it binds work to one device (DESIGN.md §27) — binds
+        to ``worker_id``, and one pinned to another worker is refused before
+        anything is taken.  The pin lasts while ``inflight`` is non-zero:
+        the request processor clears it when the last submitted node
+        retires."""
+        ready = self.ready
+        if not 0 < count <= len(ready):
             raise self._overdrawn(count)
-        if count == self.unsubmitted and self.owner is not None:
-            self.owner.remove(self)  # the last of it: it leaves its queue
-        node_ids, self.ready = self.ready[:count], self.ready[count:]
+        if self.optimistic and self.pinned != worker_id:
+            if self.pinned is not None:
+                raise self._refused(worker_id)
+            self.pinned = worker_id
+        node_ids = ready[:count]
+        del ready[:count]
         entries += [(self, nid) for nid in node_ids]
         self.unsubmitted -= count
         delta = -count
@@ -204,13 +211,17 @@ class Subgraph:
                 delta += self._advance_internal(nid)
         if delta and self.owner is not None:
             self.owner.on_ready_delta(self, delta)
-        if self.pinned != worker_id and self.optimistic:
-            self.pin(worker_id)
 
     def _overdrawn(self, count: int) -> RuntimeError:
         return RuntimeError(
             f"subgraph {self.subgraph_id}: planned {count} nodes but "
             f"only {self.ready_count()} were ready"
+        )
+
+    def _refused(self, worker_id: int) -> RuntimeError:
+        return RuntimeError(
+            f"subgraph {self.subgraph_id} already pinned to worker "
+            f"{self.pinned}, cannot pin to {worker_id}"
         )
 
     def mark_completed_internal(self, node_ids: Sequence[int]) -> int:
@@ -238,27 +249,6 @@ class Subgraph:
                     newly_ready += 1
         return newly_ready
 
-    def pin(self, worker_id: int) -> None:
-        """Nodes of this subgraph went to a task on ``worker_id``: in
-        optimistic mode — which the placement set at admission exactly
-        when it binds work to one device (pinned and fixed placement;
-        DESIGN.md §27) — bind the subgraph there.  A non-optimistic
-        subgraph stays unpinned.  Nothing is counted: the pin lasts while
-        ``inflight`` is non-zero, and the request processor clears it when
-        the last submitted node retires.  That clear, and every forced move
-        (a sticky home at admission, a retry's survivor, a dead device's
-        replacement), is a store to ``pinned``: only scheduling goes
-        through here, for the single-worker affinity check."""
-        pinned = self.pinned
-        if pinned == worker_id or not self.optimistic:
-            return
-        if pinned is not None:
-            raise RuntimeError(
-                f"subgraph {self.subgraph_id} already pinned to worker "
-                f"{pinned}, cannot pin to {worker_id}"
-            )
-        self.pinned = worker_id
-
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} {self.subgraph_id} type={self.cell_type_name!r} "
@@ -268,16 +258,19 @@ class Subgraph:
 
 
 class RunSubgraph(Subgraph):
-    """The subgraph of a :class:`~repro.core.cell_graph.ChainRun`.
+    """The subgraph of a :class:`~repro.core.cell_graph.ChainRun`, and — one
+    step long — of a tree leaf (:class:`LeafSubgraph`).
 
     In a chain the only node that can be ready is the one after the last
     node handed out, so readiness is a cursor rather than per-node
     predecessor counts: ``_cursor`` is the id of the ready node, or None
     while its predecessor has not been submitted (optimistic) or completed
-    (non-optimistic) yet, and once the run is handed out whole.
+    (non-optimistic) yet, and once the run is handed out whole.  ``_last``
+    is the id of the last node: a leaf's is its own, so building or handing
+    out a leaf makes no int.
     """
 
-    __slots__ = ("run", "_cursor")
+    __slots__ = ("run", "_cursor", "_last")
 
     def __init__(self, subgraph_id: int, request, run: ChainRun, graph: CellGraph):
         self.run = run
@@ -289,6 +282,7 @@ class RunSubgraph(Subgraph):
             if not done[pred]:
                 self._external_edges.add((pred, run.first_id))
         self._cursor: Optional[int] = run.first_id
+        self._last = run.stop - 1
         self.consumers = run.consumers
         self._init_scheduling(
             subgraph_id, request, run.cell_type.name, graph, run.steps
@@ -303,14 +297,19 @@ class RunSubgraph(Subgraph):
         return 0 if self._cursor is None else 1
 
     def commit(self, count: int, worker_id: int, entries: Entries) -> None:
+        """:meth:`Subgraph.commit` for a cursor: one node, and the queue
+        hears a delta only when no next step is ready."""
         nid = self._cursor
         if count != 1 or nid is None:
             raise self._overdrawn(count)
+        optimistic = self.optimistic
+        if optimistic and self.pinned != worker_id:
+            if self.pinned is not None:
+                raise self._refused(worker_id)
+            self.pinned = worker_id
         entries.append((self, nid))
-        if self.unsubmitted == 1 and self.owner is not None:
-            self.owner.remove(self)  # the last step: it leaves its queue
         self.unsubmitted -= 1
-        if self.optimistic and nid + 1 < self.run.stop:
+        if optimistic and nid < self._last:
             # The next step is ready the moment this one is submitted: the
             # ready count stays 1, so the queue hears nothing.
             self._cursor = nid + 1
@@ -318,28 +317,27 @@ class RunSubgraph(Subgraph):
             self._cursor = None
             if self.owner is not None:
                 self.owner.on_ready_delta(self, -1)
-        if self.pinned != worker_id and self.optimistic:
-            self.pin(worker_id)
 
     def _advance_internal(self, nid: int) -> int:
-        if nid + 1 < self.run.stop:
+        if nid < self._last:
             self._cursor = nid + 1
             return 1
         return 0
 
 
-class LeafSubgraph(Subgraph):
-    """The subgraph of one leaf of a :class:`~repro.core.cell_graph.TreeRun`.
+class LeafSubgraph(RunSubgraph):
+    """The subgraph of one leaf of a :class:`~repro.core.cell_graph.TreeRun`:
+    a run one step long, the leaf itself.
 
     A leaf reads only its token, so the subgraph is releasable by
     construction (``external_pending`` is a class constant, read without a
-    call) and its whole readiness is one flag: the node is ready until it
-    is handed out.  ``internal`` is the tree's :class:`TreeSubgraph`, which
-    a completed leaf reports to (None: the tree is this one leaf) — the
-    one link between them, leaf to internal.
+    call), and its parent lies in the tree's :class:`TreeSubgraph`, so
+    nothing follows the cursor.  ``internal`` is that subgraph, which a
+    completed leaf reports to (None: the tree is this one leaf) — the one
+    link between them, leaf to internal.
     """
 
-    __slots__ = ("tree", "node_id", "_ready", "internal")
+    __slots__ = ("tree", "internal")
 
     external_pending = 0
 
@@ -353,15 +351,15 @@ class LeafSubgraph(Subgraph):
         internal: Optional[TreeSubgraph] = None,
     ):
         self.tree = tree
-        self.node_id = node_id
-        self._ready = True
+        self._cursor = node_id
+        self._last = node_id
         self.internal = internal
         self.consumers = None  # a completed leaf reports to ``internal``
         self._init_scheduling(subgraph_id, request, tree.leaf_type.name, graph, 1)
 
     @property
     def node_ids(self) -> Sequence[int]:
-        return (self.node_id,)
+        return (self._last,)
 
     def propagate(self, nid: int, release: Callable[[Subgraph], None]) -> None:
         internal = self.internal
@@ -370,39 +368,6 @@ class LeafSubgraph(Subgraph):
         consumers = self.tree.consumers
         if consumers:
             self._satisfy(nid, consumers.get(nid, ()), release)
-
-    def ready_count(self) -> int:
-        return 1 if self._ready else 0
-
-    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
-        """The leaf's one node, handed out: that is always its last, so the
-        leaf leaves its queue here.  Its queue's part is
-        ``CellTypeQueue.remove`` for a ready count of one, and an unpinned
-        leaf pins with a store, both done in place: a tree makes one
-        hand-out per leaf, and the two calls cost ``tree_lstm`` about 1.7%
-        of its throughput (DESIGN.md §34)."""
-        if count != 1 or not self._ready:
-            raise self._overdrawn(count)
-        entries.append((self, self.node_id))
-        self._ready = False
-        self.unsubmitted -= 1
-        owner = self.owner
-        if owner is not None:
-            owner._ready_total -= 1
-            members = owner.subgraphs
-            del members[self.subgraph_id]
-            self.owner = None
-            if not members:
-                owner._entries.clear()
-        if self.optimistic:
-            pinned = self.pinned
-            if pinned is None:
-                self.pinned = worker_id
-            elif pinned != worker_id:
-                self.pin(worker_id)  # pinned elsewhere: refused there
-
-    def _advance_internal(self, nid: int) -> int:
-        return 0  # the parent lies in the tree's internal subgraph
 
 
 class TreeSubgraph(Subgraph):
@@ -414,6 +379,8 @@ class TreeSubgraph(Subgraph):
     not yet submitted (optimistic) or completed (non-optimistic), indexed
     by position in the tree — and the external edges, one per leaf, are a
     count of leaves still to complete: each leaf completes exactly once.
+    Its ready list is the generic one, and so is its hand-out,
+    :meth:`Subgraph.commit`.
     """
 
     __slots__ = ("tree", "_pending", "_leaves_outstanding")
@@ -449,27 +416,6 @@ class TreeSubgraph(Subgraph):
         consumers = self.tree.consumers  # the parent is ours
         if consumers:
             self._satisfy(nid, consumers.get(nid, ()), release)
-
-    def commit(self, count: int, worker_id: int, entries: Entries) -> None:
-        ready = self.ready
-        if not 0 < count <= len(ready):
-            raise self._overdrawn(count)
-        if count == self.unsubmitted and self.owner is not None:
-            self.owner.remove(self)  # the root is taken: it leaves its queue
-        taken = ready[:count]
-        del ready[:count]
-        entries += [(self, nid) for nid in taken]
-        self.unsubmitted -= count
-        delta = -count
-        if self.optimistic:
-            for nid in taken:
-                delta += self._advance_internal(nid)
-        # One net delta: the ready count was above zero before the take,
-        # so the queue's list already holds this subgraph.
-        if self.pinned != worker_id and self.optimistic:
-            self.pin(worker_id)
-        if delta and self.owner is not None:
-            self.owner.on_ready_delta(self, delta)
 
     def _advance_internal(self, nid: int) -> int:
         tree = self.tree

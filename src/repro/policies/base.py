@@ -38,16 +38,17 @@ class QueuePriorityPolicy:
 class PlacementPolicy:
     """Where a subgraph's work runs, and what moving it costs.
 
-    ``optimistic`` tells the request machinery whether internal
-    dependencies may advance at *submission* (safe only when every task of
-    a subgraph lands on one device, whose FIFO stream order then satisfies
-    them — the point of pinning) or must wait for completion.  It is also
-    the whole binding decision: ``Subgraph.pin`` pins an optimistic
-    subgraph to the worker its nodes go to and leaves any other unpinned.
+    A subgraph's ``optimistic`` flag, true from construction, tells the
+    request machinery whether internal dependencies may advance at
+    *submission* (safe only when every task of a subgraph lands on one
+    device, whose FIFO stream order then satisfies them — the point of
+    pinning) or must wait for completion.  It is also the whole binding
+    decision: ``Subgraph.commit`` pins an optimistic subgraph to the worker
+    its nodes go to and leaves any other unpinned.  Only a placement that
+    turns it off writes it (``on_admit``).
     """
 
     name = "abstract"
-    optimistic = True
 
     # Bytes of live state per subgraph hop (h and c vectors at h=1024,
     # fp32) — what a cross-device migration must copy.
@@ -59,9 +60,6 @@ class PlacementPolicy:
     def on_admit(self, subgraphs: Sequence["Subgraph"]) -> None:
         """Released subgraphs enter the scheduler's queues — all a request
         releases at once, every leaf of a tree in one call."""
-        optimistic = self.optimistic
-        for sg in subgraphs:
-            sg.optimistic = optimistic
 
     def hop_cost(self, worker: "Worker") -> float:
         """Cross-device copy cost of one subgraph's live state moving to

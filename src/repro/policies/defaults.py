@@ -58,7 +58,6 @@ class PinnedPlacement(PlacementPolicy):
     optimistically and no hidden state ever crosses devices."""
 
     name = "pinned"
-    optimistic = True
 
     def on_retry(self, task, target: "Worker") -> None:
         # The retry may land on a survivor other than the dead original;

@@ -71,7 +71,10 @@ class UnpinnedPlacement(PlacementPolicy):
     completion (no same-stream FIFO guarantee to rely on)."""
 
     name = "unpinned"
-    optimistic = False
+
+    def on_admit(self, subgraphs: Sequence["Subgraph"]) -> None:
+        for sg in subgraphs:
+            sg.optimistic = False
 
 
 class FixedPlacement(PlacementPolicy):
@@ -79,12 +82,11 @@ class FixedPlacement(PlacementPolicy):
     admission and all its subgraphs stay there for life (sticky pin).
     Locality is perfect but load balance is blind — the contrast against
     :class:`~repro.policies.defaults.PinnedPlacement`, whose pins follow
-    the idle-driven schedule.  ``Subgraph.pin`` enforces the affinity:
+    the idle-driven schedule.  ``Subgraph.commit`` enforces the affinity:
     committing a fixed subgraph to any worker but its home is a bug, not a
     migration, and raises."""
 
     name = "fixed"
-    optimistic = True
 
     def __init__(self):
         self._alive: List[int] = []
@@ -102,9 +104,7 @@ class FixedPlacement(PlacementPolicy):
         return self._alive[request_id % len(self._alive)]
 
     def on_admit(self, subgraphs: Sequence["Subgraph"]) -> None:
-        optimistic = self.optimistic
         for sg in subgraphs:
-            sg.optimistic = optimistic
             home = self._home(sg.request.request_id)
             if home is not None:
                 sg.sticky = True

@@ -4,11 +4,21 @@ import pytest
 
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph
+from repro.core.config import BatchingConfig
 from repro.core.request import InferenceRequest
 from repro.core.request_processor import RequestProcessor
-from repro.core.subgraph import RunSubgraph, Subgraph, partition_into_subgraphs
+from repro.core.scheduler import Scheduler
+from repro.core.subgraph import (
+    LeafSubgraph,
+    RunSubgraph,
+    Subgraph,
+    TreeSubgraph,
+    partition_into_subgraphs,
+)
 from repro.core.task import BatchedTask
-from repro.models import LSTMChainModel, Seq2SeqModel
+from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
+from repro.models.tree_lstm import TreePayload
+from repro.policies import bundle_from_names
 from tests.oracles.explicit_chain import ExplicitChainModel
 
 
@@ -100,14 +110,44 @@ class TestNonOptimisticReadiness:
                 sg.mark_completed_internal([0])
 
 
+def tree_subgraphs(placement=None):
+    """A four-leaf tree admitted to a scheduler under ``placement``:
+    ``(leaves, internal)``."""
+    model = TreeLSTMModel()
+    scheduler = Scheduler(
+        BatchingConfig.with_max_batch(4),
+        submit=lambda task, worker: None,
+        policies=bundle_from_names(placement=placement),
+    )
+    scheduler.policies.placement.prepare(2)
+    for cell_type in model.cell_types():
+        scheduler.register_cell_type(cell_type)
+    graph = CellGraph()
+    model.unfold(graph, TreePayload.complete(4))
+    request = InferenceRequest(0, None, 0.0)
+    request.graph = graph
+    subgraphs = partition_into_subgraphs(graph, request)
+    request.subgraphs = {sg.subgraph_id: sg for sg in subgraphs}
+    leaves = [sg for sg in subgraphs if type(sg) is LeafSubgraph]
+    (internal,) = [sg for sg in subgraphs if type(sg) is TreeSubgraph]
+    scheduler.add_subgraph(*leaves)
+    return leaves, internal
+
+
+def refused_state(sg):
+    return (sg.ready_count(), sg.unsubmitted, sg.inflight, sg.pinned, sg.owner)
+
+
 class TestPinning:
     def test_pin_unpin_cycle(self):
         """The pin lasts while a node is in flight: two steps handed out
         to worker 1 hold it through the first retirement, and the second
-        releases it.  Pinning counts nothing (a second pin is a no-op)."""
+        releases it.  Pinning counts nothing (a second hand-out to the
+        same worker keeps the pin)."""
         for sg in chain_subgraphs(3):
-            first, second = hand_out(sg, worker_id=1), hand_out(sg, worker_id=1)
-            sg.pin(worker_id=1)
+            first = hand_out(sg, worker_id=1)
+            assert (sg.pinned, sg.inflight) == (1, 1)
+            second = hand_out(sg, worker_id=1)
             assert (sg.pinned, sg.inflight) == (1, 2)
             retire(sg, first)
             assert (sg.pinned, sg.inflight) == (1, 1)
@@ -115,20 +155,21 @@ class TestPinning:
             assert (sg.pinned, sg.inflight) == (None, 0)  # no node in flight
 
     def test_conflicting_pin_raises(self):
+        """A hand-out to another worker than the pin's is refused before
+        anything is taken."""
         for sg in chain_subgraphs(2):
             hand_out(sg, worker_id=0)
-            with pytest.raises(RuntimeError, match="already pinned"):
-                sg.pin(worker_id=1)
+            with pytest.raises(RuntimeError, match="already pinned to worker 0"):
+                hand_out(sg, worker_id=1)
             assert (sg.pinned, sg.inflight) == (0, 1)
+            assert sg.ready_count() == 1 and sg.unsubmitted == 1
 
     def test_non_optimistic_pin_only_counts_the_task(self):
         """Unpinned placement makes a subgraph non-optimistic at admission;
-        its pins then bind nothing — its nodes on any worker count in
+        its hand-outs then bind nothing — its nodes on any worker count in
         flight until they retire."""
         for sg in chain_subgraphs(3):
             sg.optimistic = False
-            sg.pin(worker_id=0)
-            sg.pin(worker_id=1)
             assert (sg.pinned, sg.inflight) == (None, 0)
             first = hand_out(sg, worker_id=0)
             assert (sg.pinned, sg.inflight) == (None, 1)
@@ -137,6 +178,32 @@ class TestPinning:
             assert (sg.pinned, sg.inflight) == (None, 1)
             retire(sg, second)
             assert (sg.pinned, sg.inflight) == (None, 0)
+
+    def test_every_hand_out_refuses_a_subgraph_pinned_elsewhere(self):
+        """The affinity check runs in both hand-outs, for every subgraph
+        class: a chain run, the generic subgraph, a tree's internal
+        subgraph pinned by a first take, and a leaf at its
+        ``FixedPlacement`` home.  Each refuses worker 1 and stays as it
+        was."""
+        run, generic = chain_subgraphs(3)
+        _, internal = tree_subgraphs()
+        for sg in (run, generic, internal):
+            hand_out(sg, worker_id=0)
+        fixed_leaves, _ = tree_subgraphs("fixed")
+        leaf = fixed_leaves[0]
+        assert leaf.sticky and leaf.pinned == 0  # request 0's home of two
+        for sg, cls in [
+            (run, RunSubgraph),
+            (generic, Subgraph),
+            (internal, TreeSubgraph),
+            (leaf, LeafSubgraph),
+        ]:
+            assert type(sg) is cls and sg.optimistic
+            before = refused_state(sg)
+            with pytest.raises(RuntimeError, match="already pinned to worker 0"):
+                hand_out(sg, worker_id=1)
+            assert refused_state(sg) == before
+        assert hand_out(leaf, worker_id=0) == [leaf.node_ids[0]]
 
     def test_completion_underflow_raises(self):
         """Retiring a node that was never handed out is an underflow of

@@ -39,8 +39,10 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (13.15 calls per
-# cell, DESIGN.md §34; 13.19 while the scheduler removed an exhausted
+# 1.25x what this run read when the budget was last set (12.81 calls per
+# cell, DESIGN.md §35; 13.15 while each run left its queue through
+# ``CellTypeQueue.remove`` and pinned through ``Subgraph.pin``, §34; 13.19
+# while the scheduler removed an exhausted
 # subgraph after its commit and admitted it through four calls, §31; 16.68
 # while each pin moved its subgraph between per-worker eligibility lists,
 # §30; 24.09 while in-flight state counted tasks, 28.17 while every
@@ -49,19 +51,21 @@ REQUESTS = 300
 # one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 16.4
-# The same for trees, payload sampling included: 22.39 calls per cell when
-# the budget was last set (DESIGN.md §34; 27.93 while every leaf was
+CALLS_PER_CELL_BUDGET = 16.0
+# The same for trees, payload sampling included: 22.24 calls per cell when
+# the budget was last set (DESIGN.md §35; 22.39 with four hand-outs, §34;
+# 27.93 while every leaf was
 # admitted and handed out through calls of its own, §32; 33.90
 # while the sampler built one ``TreeNodeSpec`` per node and unfold
 # flattened them, 38.90 before §31, 43.26 before §30, 47.80 before §27,
 # 48.7 before §23), 92.5 with one explicit node per tree node and
 # dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 28.0
+TREE_CALLS_PER_CELL_BUDGET = 27.8
 # Seq2Seq: the encoder is one run, and so is the static decoder; the
 # dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
-# time.  1.25x what the runs read when the rows were set: 47.35 static and
-# 94.43 dynamic calls per cell (DESIGN.md §34; 47.39 and 94.47 with four
+# time.  1.25x what the runs read when the rows were set: 47.01 static and
+# 91.75 dynamic calls per cell (DESIGN.md §35; 47.35 and 94.43 before it,
+# §34; 47.39 and 94.47 with four
 # calls per admitted subgraph, §33; 96.09 and 117.49 while every
 # step was a ``CellNode`` found by the partition's component search and
 # ``extend`` normalised the payload for every completed cell, §32; 101.84
@@ -69,7 +73,7 @@ TREE_CALLS_PER_CELL_BUDGET = 28.0
 # before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 59.2, "dynamic": 118.0}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 58.8, "dynamic": 114.7}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 0.316 when the budget was set — a payload is three lists, whatever its
@@ -82,12 +86,12 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 260.9 per request and 10.13 per replica
-# (DESIGN.md §34; 261.9 per request before it and since §31; 284.2 and
+# read when the rows were last set: 256.9 per request and 10.13 per replica
+# (DESIGN.md §35; 260.9 per request before it, §34; 261.9 since §31; 284.2 and
 # 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 326.1
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 321.2
 CLUSTER_CALLS_PER_REPLICA_BUDGET = 12.7
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
@@ -118,7 +122,8 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 17.15, 17.96, 13.19 and 15.97 against 13.19 plain (DESIGN.md §31; 20.63,
+# 16.77, 17.58, 12.81 and 15.59 against 12.81 plain (DESIGN.md §35; 17.15,
+# 17.96, 13.19 and 15.97 against 13.19 plain, §31; 20.63,
 # 21.45, 16.61 and 19.46 against 16.68 before it, 28.30, 28.94, 24.79 and
 # 27.30 against 24.09 before §30, 32.9, 35.4, 29.4 and 31.6 against 28.8
 # when added); a check that it really was on).
@@ -128,25 +133,25 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        21.4,
+        21.0,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        22.4,
+        22.0,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        16.5,
+        16.0,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        20.0,
+        19.5,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }

@@ -5,6 +5,8 @@ import pytest
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.stats import ServerStats
 from repro.models import LSTMChainModel
+from repro.registry import build_server as build_registry_server
+from repro.registry import presets
 
 
 def served_server(num_gpus=2, n=20):
@@ -59,10 +61,24 @@ class TestServerStats:
         assert "latency ms" in text
 
     def test_report_before_any_traffic(self):
-        server = BatchMakerServer(LSTMChainModel())
+        """A server that ran no task reports, without a batch percentile."""
+        server = build_registry_server(presets.lstm_batchmaker_spec())
         stats = server.stats()
         assert stats.latency is None
-        assert stats.mean_batch_size() == 0.0
+        assert stats.mean_batch_size == 0.0
+        text = stats.report()
+        assert "tasks: 0 (mean batch 0.0)" in text and "p50 batch" not in text
+
+    def test_report_when_every_request_was_rejected(self):
+        server = build_registry_server(presets.tree_batchmaker_spec())
+        request = server.submit([1, 2, 3])
+        server.drain()
+        assert request.cancel_reason.startswith("bad_payload: ")
+        stats = server.stats()
+        assert stats.tasks_submitted == 0 and stats.rejected_requests == 1
+        text = stats.report()
+        assert "tasks: 0 (mean batch 0.0)" in text and "p50 batch" not in text
+        assert "1 rejected" in text
 
     def test_gather_rate_reflects_composition_stability(self):
         """A single long chain re-batches the same composition every step:

@@ -24,12 +24,12 @@ must hold for every cell-type queue:
 LSTM chains are run-backed subgraphs (``RunSubgraph``: readiness is a
 cursor, not per-node counts); the same invariants are asserted for them
 at every step, plus the cursor's own: the ready node, when there is one, is
-the first node not yet submitted.  Parse trees are ``LeafSubgraph`` (one
-flag) and ``TreeSubgraph`` (a pending-children counter per node) objects;
-for them the ready nodes are recomputed from which nodes were handed out
-and which completed, and no ``TreeSubgraph.commit`` inserts into the
-queue's list: its ready count is above zero before every take, so the
-subgraph is listed already, and a pin moves nothing.
+the first node not yet submitted.  Parse trees are ``LeafSubgraph`` (a
+run one step long) and ``TreeSubgraph`` (a pending-children counter per
+node) objects; for them the ready nodes are recomputed from which nodes
+were handed out and which completed, and no commit of a ``TreeSubgraph``
+inserts into the queue's list: its ready count is above zero before every
+take, so the subgraph is listed already, and a pin moves nothing.
 """
 
 import random
@@ -217,15 +217,16 @@ class Harness:
         self.assert_in_flight()
         for queue in self.scheduler.queues:
             for sg in queue.subgraphs.values():
-                if isinstance(sg, RunSubgraph):
+                if isinstance(sg, LeafSubgraph):  # a RunSubgraph too
+                    self.tree_backed_checks += 1
+                    (node_id,) = sg.node_ids
+                    handed_out = (sg.request.request_id, node_id) in self.handed_out
+                    assert sg.ready_count() == sg.unsubmitted == (not handed_out)
+                elif isinstance(sg, RunSubgraph):
                     self.run_backed_checks += 1
                     assert sg.ready_count() in (0, 1)
                     if sg.ready_count():
                         assert sg._cursor == sg.run.stop - sg.unsubmitted
-                elif isinstance(sg, LeafSubgraph):
-                    self.tree_backed_checks += 1
-                    handed_out = (sg.request.request_id, sg.node_id) in self.handed_out
-                    assert sg.ready_count() == sg.unsubmitted == (not handed_out)
                 elif isinstance(sg, TreeSubgraph):
                     self.tree_backed_checks += 1
                     assert sorted(sg.ready) == self.expected_tree_ready(sg)
@@ -338,7 +339,7 @@ def test_ready_count_invariants_under_random_interleavings(
     def checked_commit(sg, count, worker_id, entries):
         before = len(insertions)
         tree_commit(sg, count, worker_id, entries)
-        assert insertions[before:] == [], "TreeSubgraph.commit inserted into the list"
+        assert insertions[before:] == [], "a TreeSubgraph's commit inserted into the list"
 
     monkeypatch.setattr(CellTypeQueue, "_insert", counted_insert)
     monkeypatch.setattr(TreeSubgraph, "commit", checked_commit)
@@ -434,10 +435,15 @@ def _queue_chain(model, scheduler, request_id, length):
 
 
 def _hand_out(sg, count=1, worker_id=0):
-    """``commit`` onto a fresh entry list: the ids of the nodes handed out,
-    each entered with its subgraph."""
-    entries = []
-    sg.commit(count, worker_id, entries)
+    """A one-member plan handed out as the scheduler does it — through the
+    subgraph's queue while it has one, which drops it at its last take —
+    else its ``commit`` onto a fresh entry list: the ids of the nodes
+    handed out, each entered with its subgraph."""
+    if sg.owner is not None:
+        entries = sg.owner.commit([(sg, count)], worker_id)
+    else:
+        entries = []
+        sg.commit(count, worker_id, entries)
     assert all(entry_sg is sg for entry_sg, _ in entries)
     return [node_id for _, node_id in entries]
 
@@ -502,10 +508,8 @@ def _index_snapshot(queue):
 
 def _ready_ids(sg):
     """The ready node ids, however the subgraph class keeps them."""
-    if isinstance(sg, RunSubgraph):
+    if isinstance(sg, RunSubgraph):  # a leaf too
         return [] if sg._cursor is None else [sg._cursor]
-    if isinstance(sg, LeafSubgraph):
-        return [sg.node_id] if sg._ready else []
     return list(sg.ready)
 
 
@@ -528,19 +532,12 @@ def _commit_state(sg, queue):
 
 
 class RecordingQueueCalls:
-    """Wraps ``Subgraph.pin`` and a queue's notification method to write
-    down, in order, the pins and what the queue hears during a hand-out."""
+    """Wraps a queue's notification method to write down, in order, what
+    the queue hears during a hand-out.  A pin is a store, not a call."""
 
-    def __init__(self, queue, monkeypatch):
+    def __init__(self, queue):
         self.calls = []
         on_ready_delta = queue.on_ready_delta
-        pin = Subgraph.pin
-
-        def recording_pin(sg, worker_id):
-            self.calls.append(("pin", sg.subgraph_id, worker_id))
-            pin(sg, worker_id)
-
-        monkeypatch.setattr(Subgraph, "pin", recording_pin)
 
         def ready_delta(sg, delta):
             self.calls.append(("ready", sg.subgraph_id, delta))
@@ -559,6 +556,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
     steps, leave the same ready node, counters, pin, queue total, index and
     plans, and hand out the same node ids."""
     placement = placement_cls()
+    optimistic = placement_cls is PinnedPlacement  # what unpinned placement turns off
     worker_id = 1
     twins = []
     for model_cls in (LSTMChainModel, ExplicitChainModel):
@@ -571,7 +569,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
             sg.sticky = True
             sg.pinned = worker_id
         scheduler.add_subgraph(sg)
-        assert sg.optimistic is placement.optimistic
+        assert sg.optimistic is optimistic
         twins.append((sg, queue))
     (fast_sg, fast_queue), (base_sg, base_queue) = twins
     assert type(fast_sg) is RunSubgraph and type(base_sg) is Subgraph
@@ -583,7 +581,7 @@ def test_run_commit_matches_the_base_sequence(placement_cls, sticky):
         assert fast_ids == _hand_out(base_sg, 1, worker_id) == [step]
         in_flight += fast_ids
         assert _commit_state(fast_sg, fast_queue) == _commit_state(base_sg, base_queue)
-        if step == 1 or not placement.optimistic:
+        if step == 1 or not optimistic:
             # Retire what is in flight: unpins (unless sticky), and on the
             # completion-ordered path makes the next step ready.
             for sg in (fast_sg, base_sg):
@@ -615,18 +613,18 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
         assert entries == [] and sg.inflight == 0
 
 
-def test_generic_commit_tells_the_queue_one_net_delta(monkeypatch):
+def test_generic_commit_tells_the_queue_one_net_delta():
     """The generic hand-out tells the queue one net ready delta — the nodes
     the submission made ready less the nodes taken — and nothing when they
-    cancel, then pins; the pin is a store the queue does not hear, and its
-    list keeps the subgraph's one entry where it was."""
+    cancel; the pin is a store the queue does not hear, and its list keeps
+    the subgraph's one entry where it was."""
     # A chain: the step taken makes the next one ready, a net delta of 0.
     _, scheduler, queue = _chain_scheduler()
     _, sg = _queue_chain(ExplicitChainModel(), scheduler, 7, 3)
-    recorder = RecordingQueueCalls(queue, monkeypatch)
+    recorder = RecordingQueueCalls(queue)
     listed = list(queue._entries)
     assert _hand_out(sg, 1, 1) == [0]
-    assert recorder.calls == [("pin", 7, 1)]
+    assert recorder.calls == []
     assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
     assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
 
@@ -637,16 +635,16 @@ def test_generic_commit_tells_the_queue_one_net_delta(monkeypatch):
         scheduler.register_cell_type(cell_type)
     sg = _queue_tree(scheduler, model, 0, TreePayload.complete(4), 0)
     queue = scheduler._queues["tree_internal"]
-    recorder = RecordingQueueCalls(queue, monkeypatch)
+    recorder = RecordingQueueCalls(queue)
     listed = list(queue._entries)
     assert sg.ready_count() == 2
     assert len(_hand_out(sg, 2, 1)) == 2
-    assert recorder.calls == [("ready", sg.subgraph_id, -1), ("pin", sg.subgraph_id, 1)]
+    assert recorder.calls == [("ready", sg.subgraph_id, -1)]
     assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
     assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
 
 
-# -- TreeSubgraph.commit against the same generic hand-out ---------------------
+# -- A TreeSubgraph's readiness against the generic subgraph's ------------------
 
 
 def _queue_tree(scheduler, model, request_id, payload, start_id):
@@ -684,13 +682,15 @@ def _tree_commit_state(sg, queue):
 @pytest.mark.parametrize("placement_cls", [PinnedPlacement, UnpinnedPlacement])
 @pytest.mark.parametrize("sticky", [False, True])
 def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
-    """``TreeSubgraph.commit`` is the generic ``Subgraph.commit`` in one
-    pass, not a second behaviour: a flat tree and the generic subgraph over
+    """A ``TreeSubgraph`` hands out through the generic ``Subgraph.commit``,
+    and its own readiness — a pending count per tree position — is not a
+    second behaviour: a flat tree and the generic subgraph over
     the oracle's explicit tree, driven side by side over a whole tree in
     takes of up to three with completions in between, leave the same ready
     list, pending counts, counters, pin, queue total, index and plans, and
     hand out the same node ids."""
     placement = placement_cls()
+    optimistic = placement_cls is PinnedPlacement  # what unpinned placement turns off
     worker_id = 1
     payload = random_parse_tree(np.random.default_rng(4), 14)
     twins = []
@@ -707,7 +707,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
         if sticky:  # what FixedPlacement.on_admit does
             sg.sticky = True
             sg.pinned = worker_id
-        assert sg.optimistic is placement.optimistic
+        assert sg.optimistic is optimistic
         twins.append((sg, scheduler._queues["tree_internal"]))
     (fast_sg, fast_queue), (base_sg, base_queue) = twins
     assert type(fast_sg) is TreeSubgraph and type(base_sg) is Subgraph
@@ -722,7 +722,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
         in_flight += node_ids
         assert _tree_commit_state(fast_sg, fast_queue) == _tree_commit_state(base_sg, base_queue)
         rounds += 1
-        if rounds % 2 == 0 or not placement.optimistic:
+        if rounds % 2 == 0 or not optimistic:
             # Retire what is in flight: unpins (unless sticky), and on the
             # completion-ordered path makes the parents ready.
             for sg in (fast_sg, base_sg):
@@ -739,12 +739,12 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
             _hand_out(sg, 1, worker_id)
 
 
-def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
-    """A leaf subgraph is one flag: ``commit`` clears it once, leaves its
-    queue with its one ready node and refuses a second node — as the
-    generic one-node ``Subgraph`` over the oracle's explicit leaf does.
-    The leaf does it without a further call: no ready delta, and its pin
-    is a store (DESIGN.md §34)."""
+def test_leaf_commit_and_take_keep_the_counter_exact():
+    """A leaf subgraph is a run one step long: a hand-out takes its one
+    node, leaves its queue with its one ready node and refuses a second
+    node — as the generic one-node ``Subgraph`` over the oracle's explicit
+    leaf does.  The queue drops either before its ``commit``, so neither
+    tells the queue anything, and either pin is a store (DESIGN.md §35)."""
     for model in (TreeLSTMModel(), ExplicitTreeModel()):
         scheduler = Scheduler(
             BatchingConfig.with_max_batch(4), submit=lambda task, worker: None
@@ -761,11 +761,11 @@ def test_leaf_commit_and_take_keep_the_counter_exact(monkeypatch):
             scheduler.add_subgraph(sg)
         assert queue.num_ready_nodes() == 3 == recount_ready_nodes(queue)
 
-        recorder = RecordingQueueCalls(queue, monkeypatch)
+        recorder = RecordingQueueCalls(queue)
         with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
             _hand_out(first, 0)
         assert _hand_out(first) == [0] and first.ready_count() == 0
-        assert recorder.calls == ([] if flat else [("pin", 0, 0)])
+        assert recorder.calls == []
         assert first.unsubmitted == 0 and first.pinned == 0
         assert first.owner is None and first.subgraph_id not in queue.subgraphs
         assert queue.num_ready_nodes() == 2 == recount_ready_nodes(queue)
