@@ -5,8 +5,8 @@
 experiment harness drive a whole cluster exactly like one server.  All
 replicas share one deterministic event loop; the cluster routes each
 request to a replica at its arrival time (when queue states are real, not
-at submission time when they are not), and lazily *reconciles* replica
-outcomes back onto its own logical requests.
+at submission time when they are not), and folds each replica outcome
+onto its own logical request the instant the outcome happens.
 
 Life of a request:
 
@@ -15,9 +15,10 @@ Life of a request:
 2. At arrival, the router picks a replica among the routable candidates
    (replica-id order, seeded tie-breaks — DESIGN.md §11) and the replica
    materialises a *shadow* request that runs on its engine.
-3. Reconciliation (on each arrival and on terminal-list access; one
-   integer comparison for a replica with no new outcome) copies the
-   shadow's terminal outcome onto the logical request.
+3. When the shadow turns terminal, the replica — an extension of its own
+   engine — hands the logical request to the cluster's fold, which copies
+   the outcome onto it and files it under ``finished`` / ``timed_out`` /
+   ``rejected`` (completion order; DESIGN.md §36).
 4. If the replica dies first, the cluster re-routes the logical request
    as a fresh shadow on a survivor; only with no survivor is it rejected.
 
@@ -55,20 +56,6 @@ _REJECT_COUNTER = {
 }
 
 
-def _reconciled(attr: str) -> property:
-    """A terminal list of the cluster: stored like the base class's plain
-    list (the setter), reconciled with the replicas on every read."""
-
-    def read(self) -> List[InferenceRequest]:
-        self._reconcile()
-        return getattr(self, attr)
-
-    def store(self, value) -> None:
-        setattr(self, attr, list(value))
-
-    return property(read, store)
-
-
 class ClusterServer(InferenceServer):
     """N replicas of one :class:`~repro.registry.ServerSpec`, one front end.
 
@@ -104,17 +91,14 @@ class ClusterServer(InferenceServer):
         self._replica_runtime = dict(replica_runtime)
         # Front-door admission (DESIGN.md §14, §15): an ordered tuple of
         # gates, each returning a reject reason or None; the first reason
-        # wins.  A cluster-level SLA arms the SLO gate and the cluster-wide
-        # predictor (fed from logical completions) it reads; a MemorySpec
+        # wins.  A cluster-level SLA arms the SLO gate; a MemorySpec
         # carrying ``admission_free_bytes`` arms the memory gate.
         self.sla: Optional[SLAConfig] = SLAConfig.from_dict(spec.sla) if spec.sla else None
         self.memory: Optional[MemorySpec] = (
             MemorySpec.from_dict(spec.memory) if spec.memory else None
         )
-        self.predictor: Optional[LatencyPredictor] = None
         gates = []
         if self.sla is not None:
-            self.predictor = LatencyPredictor()
             gates.append(self._sla_gate)
         if self.memory is not None and self.memory.admission_free_bytes is not None:
             gates.append(self._memory_gate)
@@ -185,16 +169,6 @@ class ClusterServer(InferenceServer):
                 name, trace_events.CLUSTER, since, self.loop.now() - since, args=args
             )
 
-    # -- terminal lists: reconciled views -----------------------------------
-    # The base class assigns plain lists in __init__; these properties keep
-    # that storage (the setters) but make every read reconcile replica
-    # outcomes first, so ``finished``/``timed_out``/``rejected`` are always
-    # consistent with the replicas' current state.
-
-    finished = _reconciled("_finished")
-    timed_out = _reconciled("_timed_out")
-    rejected = _reconciled("_rejected")
-
     # -- replica lifecycle ---------------------------------------------------
 
     def _add_replica(self, state: str) -> Replica:
@@ -221,7 +195,8 @@ class ClusterServer(InferenceServer):
         server = build_server(
             template.replace(name=f"{base}#r{replica_id}"), loop=self.loop, **runtime
         )
-        replica = Replica(replica_id, server, state=state, created_at=self.loop.now())
+        replica = Replica(replica_id, server, self._fold, state=state, created_at=self.loop.now())
+        server.manager.install(replica)
         if cls is not None:
             replica.device_class = cls["name"]
             replica.class_rank = class_rank
@@ -348,7 +323,6 @@ class ClusterServer(InferenceServer):
             self._maybe_retire(replica)
 
     def _accept(self, request: InferenceRequest) -> None:
-        self._reconcile()
         candidates = self._routable
         now = self.loop.now()
         if self._trace is not None:
@@ -395,7 +369,7 @@ class ClusterServer(InferenceServer):
         field = counter or _REJECT_COUNTER[reason]
         counters = self.cluster_counters
         setattr(counters, field, getattr(counters, field) + 1)
-        self._rejected.append(request)
+        self.rejected.append(request)
         if self._trace is not None:
             self._trace.instant(
                 trace_events.REQUEST_REJECTED,
@@ -413,14 +387,15 @@ class ClusterServer(InferenceServer):
         sla = self.sla
         # Predicted completion wait of the best candidate (outstanding x
         # EWMA inter-completion gap — Little's law — once the replica
-        # predictors have observations; projected queue delay before).
+        # predictors have observations; projected queue delay before).  The
+        # deadline test waits for the first logical completion.
         best_wait = min(r.predicted_delay() for r in candidates)
         if sla.max_queue_delay is not None and best_wait > sla.max_queue_delay:
             return "sla_reject"
         deadline = request.deadline
         if deadline is None and sla.default_deadline is not None:
             deadline = now + sla.default_deadline
-        if deadline is not None and self.predictor.ready:
+        if deadline is not None and self.finished:
             if now + best_wait > deadline:
                 return "sla_reject"
         return None
@@ -436,87 +411,58 @@ class ClusterServer(InferenceServer):
             return None
         return "memory_reject"
 
-    # -- reconciliation ------------------------------------------------------
+    # -- outcomes ------------------------------------------------------------
 
-    def _reconcile(self) -> None:
-        """Fold every replica's new outcomes.  A replica whose terminal
-        count equals its cursor sum (what it has folded) costs one
-        comparison; only one that just produced outcomes can have drained
-        to zero outstanding, so only it is offered to ``_maybe_retire``."""
-        for replica in self.replicas:
-            server, cursors = replica.server, replica.cursors
-            done = len(server.finished) + len(server.timed_out) + len(server.rejected)
-            if done != cursors[0] + cursors[1] + cursors[2]:
-                self._reconcile_replica(replica)
-                self._maybe_retire(replica)
-
-    def _reconcile_replica(self, replica: Replica) -> None:
-        """Fold the replica's newly terminal shadows onto their logical
-        requests.  Shadows without a live mapping (re-routed away on
-        replica loss, or cancelled during the loss teardown) are skipped."""
-        server = replica.server
-        buckets = (server.finished, server.timed_out, server.rejected)
-        reports = (self._finished, self._timed_out, self._rejected)
-        for index, (bucket, reported) in enumerate(zip(buckets, reports)):
-            cursor = replica.cursors[index]
-            while cursor < len(bucket):
-                shadow = bucket[cursor]
-                cursor += 1
-                logical = replica.shadow_of.pop(shadow.request_id, None)
-                if logical is not None:
-                    self._copy_outcome(logical, shadow, replica)
-                    reported.append(logical)
-            replica.cursors[index] = cursor
-
-    def _copy_outcome(self, logical, shadow, replica: Replica) -> None:
-        """A terminal shadow's progress and outcome, onto its logical
-        request; a finish also feeds the latency observers."""
+    def _fold(self, replica: Replica, logical: InferenceRequest, shadow) -> None:
+        """``replica``'s shadow of ``logical`` just turned terminal (its
+        ``on_terminal`` hook): copy progress and outcome onto the logical
+        request and file it; a finish also feeds the replica's predictor.
+        A draining replica may have served out its last shadow."""
         if shadow.start_time is not None:
             logical.mark_started(shadow.start_time)
         logical.retries += shadow.retries
-        if shadow.state is RequestState.FINISHED:
+        state = shadow.state
+        if state is RequestState.FINISHED:
             logical.result = shadow.result
             logical.mark_finished(shadow.finish_time)
-            latency = shadow.finish_time - shadow.arrival_time
             if replica.predictor is not None:
-                replica.observe_latency(latency, shadow.finish_time)
-            if self.predictor is not None:  # the admission predictor
-                self.predictor.observe_request(
-                    latency, shadow.queuing_time, shadow.computation_time
+                replica.observe_latency(
+                    shadow.finish_time - shadow.arrival_time, shadow.finish_time
                 )
-        elif shadow.state is RequestState.TIMED_OUT:
+            self.finished.append(logical)
+        elif state is RequestState.TIMED_OUT:
             logical.mark_timed_out(shadow.terminal_time, reason=shadow.cancel_reason)
+            self.timed_out.append(logical)
         else:
             logical.mark_rejected(shadow.terminal_time, reason=shadow.cancel_reason)
+            self.rejected.append(logical)
+        self._maybe_retire(replica)
 
     # -- replica loss --------------------------------------------------------
 
     def _replica_failed(self, replica_id: int) -> None:
-        """A replica drops out of the cluster fault plan's sky: drain its
-        observed outcomes, tear its engine down, re-route its live work."""
+        """A replica drops out of the cluster fault plan's sky: tear its
+        engine down and re-route its live work (its outcomes before the
+        loss have already folded)."""
         if replica_id >= len(self.replicas):
             return
         replica = self.replicas[replica_id]  # ids are list positions
         if replica.state in (DEAD, RETIRED):
             return
         now = self.loop.now()
-        # 1. Outcomes that happened strictly before the loss are real —
-        #    reconcile them first so they are not mistaken for casualties.
-        self._reconcile_replica(replica)
         self._set_state(replica, DEAD)
         self.cluster_counters.replicas_lost += 1
         self.scale_events.append((now, "lost", replica.replica_id))
         self._trace_lifecycle(trace_events.REPLICA_LOST, {"replica": replica.replica_id})
-        # 2. Claim the still-live logical requests (deterministic shadow-id
-        #    order) *before* the teardown pushes their shadows into the
-        #    replica's timed_out list — reconciliation then skips those
-        #    unmapped shadows.  The faults layer's total-device-loss path
-        #    cancels in-flight work and leaves no replica events on the
-        #    shared loop.
+        # Claim the still-live logical requests (deterministic shadow-id
+        # order) *before* the teardown cancels their shadows, so the
+        # replica's hook finds those shadows unmapped and folds nothing.
+        # The faults layer's total-device-loss path cancels in-flight work
+        # and leaves no replica events on the shared loop.
         orphans = replica.orphan_logicals()
         replica.manager.fail_all_devices()
-        # 3. Re-route through the cluster's own routing policy; reject only
-        #    on total loss.
+        # Re-route through the cluster's own routing policy; reject only on
+        # total loss.
         for logical in orphans:
             if logical.terminal:
                 continue

@@ -11,6 +11,11 @@ the shadows die with it and the cluster re-routes the still-live logical
 requests as *new* shadows on survivors, while each logical request still
 reaches exactly one terminal state.
 
+The replica is an :class:`~repro.extension.EngineExtension` of its own
+engine: its ``on_terminal`` hands a shadow's logical request to the
+cluster's fold the instant the shadow turns terminal, so the cluster reads
+none of the engine's terminal lists (DESIGN.md §36).
+
 With a single replica the shadow stream is, event for event, the stream a
 bare ``build_server()`` run would see (same ids, same arrival times, same
 event-loop sequence numbers), which is why a 1-replica cluster is
@@ -20,10 +25,11 @@ bit-identical to the standalone server (``tests/test_cluster_identity``).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.batchmaker import BatchMakerServer
 from repro.core.request import InferenceRequest
+from repro.extension import EngineExtension
 
 # Replica lifecycle.  WARMING: built, paying the autoscaler's warm-up cost,
 # not yet routable.  ALIVE: routable.  DRAINING: autoscaler is retiring it —
@@ -36,35 +42,34 @@ RETIRED = "retired"
 DEAD = "dead"
 
 
-class Replica:
+class Replica(EngineExtension):
     """A cluster member: one BatchMaker server plus the routing-side
-    bookkeeping."""
+    bookkeeping.  ``fold(replica, logical, shadow)`` is the cluster's
+    callback for a terminal shadow whose logical request is still this
+    replica's responsibility."""
 
     def __init__(
         self,
         replica_id: int,
         server: BatchMakerServer,
+        fold: Optional[Callable] = None,
         state: str = ALIVE,
         created_at: float = 0.0,
     ):
         self.replica_id = replica_id
         self.server = server
+        self.fold = fold
         # The engine's manager, read by the per-arrival routing key.
         self.manager = server.manager
         self.state = state
         self.created_at = created_at
         # Shadows routed here whose logical request is still this replica's
-        # responsibility; reconciliation pops an entry when its shadow turns
+        # responsibility; ``on_terminal`` pops an entry when its shadow turns
         # terminal, replica loss pops them all (re-route), after which any
-        # late completions from this replica are ignored.
+        # late outcomes from this replica are ignored.
         self.shadow_of: Dict[int, InferenceRequest] = {}
         self.routed = 0
         self._next_shadow_id = 0
-        # Reconciliation cursors into the server's finished / timed_out /
-        # rejected lists (list order is deterministic, so lazy reconcile is
-        # deterministic too); their sum against the lists' lengths lets
-        # reconcile skip a replica with no new outcome.
-        self.cursors = [0, 0, 0]
         # Optional per-replica LatencyPredictor behind the predicted_delay
         # routing metric; per-replica (not cluster-shared) so a completion
         # moves one replica's key, not all of them.  The previous
@@ -81,12 +86,8 @@ class Replica:
     # -- routing interface ----------------------------------------------------
 
     def outstanding(self) -> int:
-        """Shadows routed here that are not yet terminal (O(1): every shadow
-        ends up in exactly one of the server's terminal lists)."""
-        server = self.server
-        return self.routed - (
-            len(server.finished) + len(server.timed_out) + len(server.rejected)
-        )
+        """Shadows routed here that are not yet terminal."""
+        return len(self.shadow_of)
 
     def projected_delay(self) -> float:
         """Seconds a new request would plausibly wait on this replica: the
@@ -131,6 +132,13 @@ class Replica:
         self._last_finish = finish_time
 
     # -- shadow lifecycle ------------------------------------------------------
+
+    def on_terminal(self, shadow: InferenceRequest) -> None:
+        """The engine hook: a shadow reached a terminal state, so its
+        logical request (if this replica still owns it) folds now."""
+        logical = self.shadow_of.pop(shadow.request_id, None)
+        if logical is not None:
+            self.fold(self, logical, shadow)
 
     def route(self, logical: InferenceRequest, now: float) -> InferenceRequest:
         """Materialise a shadow for ``logical`` and start serving it."""

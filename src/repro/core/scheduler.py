@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cell import CellType
@@ -139,16 +140,32 @@ class CellTypeQueue:
         every node still to hand out equals — and an emptied queue's list
         after the loop.  That is :meth:`remove` in place, without its
         ``ready_count()`` call: every tree leaf takes this branch (DESIGN.md
-        §35).  Every member is queued here: :meth:`plan` lists only those."""
+        §35).  Every member is queued here: :meth:`plan` lists only those.
+
+        A member whose ``commit`` refuses the take (overdrawn, or pinned to
+        another worker) stays queued exactly as before the call — its
+        membership, in queue order, its owner, its ready count and its
+        list entry — and the refusal propagates; the members before it
+        stay committed."""
         entries: Entries = []
         members = self.subgraphs
         left = 0
-        for sg, count in plan:
-            if count == sg.unsubmitted:
-                del members[sg.subgraph_id]
-                sg.owner = None
-                left += count
-            sg.commit(count, worker_id, entries)
+        try:
+            for sg, count in plan:
+                if count == sg.unsubmitted:
+                    del members[sg.subgraph_id]
+                    sg.owner = None
+                    left += count
+                sg.commit(count, worker_id, entries)
+        except RuntimeError:
+            if sg.owner is None:  # dropped above as a last take
+                left -= count
+                sg.owner = self
+                queued = sorted((*members.values(), sg), key=attrgetter("queue_seq"))
+                members.clear()
+                members.update((m.subgraph_id, m) for m in queued)
+            self._ready_total -= left
+            raise
         if left:
             self._ready_total -= left
             if not members:

@@ -122,8 +122,9 @@ class ServeApp:
 
     def sync(self) -> None:
         """Fold newly terminal engine outcomes onto store records and
-        promote started-but-unfinished ones to RUNNING.  Cursor-based like
-        the cluster's reconciliation, so each outcome is visited once."""
+        promote started-but-unfinished ones to RUNNING.  A cursor per
+        append-only terminal list of the server (a cluster's fill as
+        outcomes happen), so each outcome is visited once."""
         buckets = (
             (self.server.finished, store_mod.SUCCEEDED),
             (self.server.timed_out, store_mod.FAILED),

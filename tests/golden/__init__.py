@@ -369,7 +369,6 @@ def run(row: Row, seed: int):
         deadline=row.deadline,
         dataset=DATASETS[row.dataset](seed + 1),
     )
-    server.terminal_requests()  # a cluster reconciles replica outcomes on read
     hung = [r.request_id for r in submitted if not r.terminal]
     if hung or server.loop.pending():
         raise AssertionError(f"drain left requests {hung} live")

@@ -4,12 +4,13 @@ Until DESIGN.md §26 ``ClusterServer`` paid for every replica on every
 arrival: it filtered all of them into the routable list, walked every
 replica's three terminal lists to reconcile, and read the
 ``shortest_queue`` key through generators over each manager's workers and
-queues.  ``tests/test_cluster_routing.py`` holds the cached candidate list,
-the reconcile that skips replicas with no new outcome, and the one-call
-key to these scans, so the code under test is never its own reference.
+queues.  Since §36 a replica's engine hook folds each outcome the instant
+it happens.  ``tests/test_cluster_routing.py`` holds the cached candidate
+list, the terminal lists those hooks fill, and the one-call key to these
+scans, so the code under test is never its own reference.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.cluster.replica import ALIVE, DRAINING
 from tests.oracles.bruteforce_scheduler import recount_ready_nodes
@@ -46,17 +47,21 @@ def scan_candidates(cluster) -> List:
 
 class ReconcileOracle:
     """Where every logical request went, booked apart from the cluster's
-    own cursors and shadow maps, so the cluster's terminal lists can be
-    rebuilt from scratch at any point.
+    own shadow maps and fold, so the cluster's terminal lists can be
+    rebuilt from scratch at any point — before every routing decision,
+    re-routes inside a replica loss included.
 
     ``routed`` records each decision's (replica, shadow id) — the shadow a
     replica materialises next takes its ``_next_shadow_id`` — so a
     re-routed request's latest shadow replaces its earlier one;
-    ``front_door`` records the requests the cluster rejected itself."""
+    ``front_door`` records the requests the cluster rejected itself;
+    ``lost`` the shadows a replica loss found live, whose cancellation by
+    the teardown is no outcome of their logical request."""
 
     def __init__(self):
         self.routed: Dict[int, Tuple[int, int]] = {}
         self.front_door: Dict[int, object] = {}
+        self.lost: Set[Tuple[int, int]] = set()
 
     def on_decision(self, request, replica) -> None:
         self.routed[request.request_id] = (replica.replica_id, replica._next_shadow_id)
@@ -64,10 +69,26 @@ class ReconcileOracle:
     def on_front_door_reject(self, request) -> None:
         self.front_door[request.request_id] = request
 
+    def on_replica_loss(self, cluster, replica_id: int) -> None:
+        """Before the loss of ``replica_id`` runs: every latest shadow
+        there that its server has not yet filed as terminal dies with it."""
+        if replica_id >= len(cluster.replicas):
+            return
+        server = cluster.replicas[replica_id].server
+        done = {
+            shadow.request_id
+            for bucket in (server.finished, server.timed_out, server.rejected)
+            for shadow in bucket
+        }
+        for latest in self.routed.values():
+            if latest[0] == replica_id and latest[1] not in done:
+                self.lost.add(latest)
+
     def terminal_ids(self, cluster) -> List[List[int]]:
         """Finished, timed-out and rejected logical ids (sorted) as a
-        reconcile of every replica from its first outcome would fold them:
-        a logical request takes the outcome of its latest shadow."""
+        rebuild of every replica from its first outcome would file them:
+        a logical request takes the outcome of its latest shadow, unless a
+        replica loss found that shadow live."""
         kind_of = {}
         for replica in cluster.replicas:
             server = replica.server
@@ -78,6 +99,8 @@ class ReconcileOracle:
         for logical_id, latest in self.routed.items():
             if logical_id in self.front_door:
                 continue  # lost with every replica: the front door's reject
+            if latest in self.lost:
+                continue  # re-routed next, or rejected at the front door
             kind = kind_of.get(latest)
             if kind is not None:
                 lists[kind].append(logical_id)

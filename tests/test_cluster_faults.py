@@ -8,7 +8,8 @@ loss rejects requests.
 """
 
 import pytest
-from tests.chaos_helpers import chaos_seeds
+from tests import golden
+from tests.chaos_helpers import chaos_seeds, outcome_fingerprint
 from tests.cluster_helpers import (
     assert_cluster_invariants,
     build_lstm_cluster,
@@ -17,6 +18,7 @@ from tests.cluster_helpers import (
 
 from repro.cluster import DEAD
 from repro.core.request import RequestState
+from repro.core.worker import Worker
 
 pytestmark = pytest.mark.chaos
 
@@ -151,3 +153,29 @@ def test_replica_loss_is_deterministic(seed):
         )
 
     assert fingerprint() == fingerprint()
+
+
+def test_reading_the_terminal_lists_changes_nothing(monkeypatch):
+    """An outcome reaches the cluster when it happens, so whoever reads the
+    cluster's lists, and when, cannot steer it: the corpus's SLA +
+    autoscaler + replica-loss row, with ``finished`` read after every task
+    retirement (no event added), fingerprints as it does unread."""
+    row = golden.matrix()["cluster/sla+autoscaler+loss"]
+    unread = outcome_fingerprint(golden.run(row, 42))
+
+    built = []
+    build = golden.build_cluster
+
+    def build_and_keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    complete = Worker._complete
+
+    def complete_and_read(worker):
+        complete(worker)
+        built[-1].finished
+
+    monkeypatch.setattr(golden, "build_cluster", build_and_keep)
+    monkeypatch.setattr(Worker, "_complete", complete_and_read)
+    assert outcome_fingerprint(golden.run(row, 42)) == unread

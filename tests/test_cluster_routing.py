@@ -45,7 +45,7 @@ class _StubServer(InferenceServer):
 
 def _replica(replica_id, outstanding=0, delay=0.0):
     replica = Replica(replica_id, _StubServer(delay))
-    replica.routed = outstanding
+    replica.shadow_of.update((sid, _request(sid)) for sid in range(outstanding))
     return replica
 
 
@@ -200,22 +200,31 @@ LOAD_AWARE = {
 
 
 def _install_oracle(cluster, routed_key, key):
-    """Wrap ``router.choose``: before every decision, check the candidates
-    against a fresh scan and the policy's key per candidate against the
-    oracle's, then recompute the choice from scratch (every minimiser in
-    candidate order, the seeded tie-break); the router must return the
-    same replica.  Wrap
-    ``_reconcile`` too: after every one — so at every arrival's decision —
-    the cluster's terminal lists must hold what a reconcile of every
-    replica from scratch would fold.  (A re-route inside a replica loss
-    decides with only the lost replica folded, by design.)"""
+    """Wrap ``router.choose``: before every decision (re-routes included),
+    check the cluster's terminal lists against a rebuild of every replica
+    from scratch, the candidates against a fresh scan and the policy's key
+    per candidate against the oracle's, then recompute the choice from
+    scratch (every minimiser in candidate order, the seeded tie-break); the
+    router must return the same replica.  Returns the count of decisions
+    checked and the terminal-list check, for a last call after the run."""
     router = cluster.router
     original = router.choose  # bound method; instance attr shadows it below
-    reconcile, reject = cluster._reconcile, cluster._reject
+    reject, replica_failed = cluster._reject, cluster._replica_failed
     oracle = bruteforce_cluster.ReconcileOracle()
-    checked = {"decisions": 0, "reconciles": 0}
+    checked = {"decisions": 0}
+
+    def check_terminal_lists():
+        folded = [
+            sorted(r.request_id for r in bucket)
+            for bucket in (cluster.finished, cluster.timed_out, cluster.rejected)
+        ]
+        assert folded == oracle.terminal_ids(cluster), (
+            f"decision {checked['decisions']}: the cluster's terminal lists "
+            "differ from a rebuild of every replica from scratch"
+        )
 
     def choose(request, candidates):
+        check_terminal_lists()
         assert candidates == bruteforce_cluster.scan_candidates(cluster), (
             f"decision {checked['decisions']}: candidates "
             f"{[r.replica_id for r in candidates]} are not a fresh scan"
@@ -238,26 +247,18 @@ def _install_oracle(cluster, routed_key, key):
         checked["decisions"] += 1
         return actual
 
-    def checked_reconcile():
-        reconcile()
-        folded = [
-            sorted(r.request_id for r in bucket)
-            for bucket in (cluster._finished, cluster._timed_out, cluster._rejected)
-        ]
-        assert folded == oracle.terminal_ids(cluster), (
-            f"reconcile {checked['reconciles']}: the cluster's terminal lists "
-            "differ from a reconcile of every replica from scratch"
-        )
-        checked["reconciles"] += 1
-
     def recorded_reject(request, reason, counter=None):
         oracle.on_front_door_reject(request)
         reject(request, reason, counter)
 
+    def recorded_loss(replica_id):
+        oracle.on_replica_loss(cluster, replica_id)
+        replica_failed(replica_id)
+
     router.choose = choose
-    cluster._reconcile = checked_reconcile
     cluster._reject = recorded_reject
-    return checked
+    cluster._replica_failed = recorded_loss
+    return checked, check_terminal_lists
 
 
 @pytest.mark.parametrize("seed", chaos_seeds())
@@ -265,8 +266,8 @@ def _install_oracle(cluster, routed_key, key):
 def test_every_decision_matches_brute_force_under_chaos(policy, seed):
     """Autoscaler churning the pool + a replica dying mid-run: every
     routing decision (re-routes included) equals an independent
-    from-scratch min + tie-break over a freshly scanned candidate list,
-    and every reconcile leaves the terminal lists a full rescan would."""
+    from-scratch min + tie-break over a freshly scanned candidate list and
+    finds the terminal lists a full rescan of the replicas would build."""
     cluster = build_lstm_cluster(
         num_replicas=3,
         router=policy,
@@ -282,8 +283,9 @@ def test_every_decision_matches_brute_force_under_chaos(policy, seed):
         ).to_dict(),
         replica_failures=[(0.01, 1)],
     )
-    checked = _install_oracle(cluster, *LOAD_AWARE[policy])
+    checked, check_terminal_lists = _install_oracle(cluster, *LOAD_AWARE[policy])
     submitted = run_cluster(cluster, rate=8000.0, num_requests=800)
+    check_terminal_lists()
     assert_cluster_invariants(cluster, submitted)
     # Every submission routed at least once (re-routes add more).
     assert checked["decisions"] >= len(submitted) - (
@@ -291,6 +293,5 @@ def test_every_decision_matches_brute_force_under_chaos(policy, seed):
         + cluster.cluster_counters.requests_lost
     )
     assert checked["decisions"] == cluster.router.decisions
-    assert checked["reconciles"] >= len(submitted)
     # The pool really churned under the cached candidate lists.
     assert "spawn" in {action for _, action, _ in cluster.scale_events}

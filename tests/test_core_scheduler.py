@@ -281,6 +281,60 @@ class TestPinningInScheduler:
             scheduler.task_completed(submitted[0])
 
 
+class TestRefusedHandOut:
+    """``CellTypeQueue.commit`` drops a member whose take is its last before
+    that member's ``commit``; a member that refuses the take must stay
+    queued exactly as before the call."""
+
+    @staticmethod
+    def _snapshot(queue, sg):
+        return (
+            list(queue.subgraphs), sg.owner, queue.num_ready_nodes(),
+            list(queue._entries), sg.unsubmitted, sg.ready_count(), sg.pinned,
+        )
+
+    def test_overdrawn_last_take_stays_queued_in_order(self):
+        model = LSTMChainModel()
+        scheduler, submitted = make_scheduler(
+            model, policies=bundle_from_names(placement="unpinned")
+        )
+        (sg,) = make_subgraphs(model, 2)
+        scheduler.add_subgraph(sg)
+        scheduler.schedule(FakeWorker(0))  # step 0 out; step 1 waits on it
+        assert len(submitted) == 1 and sg.unsubmitted == 1
+        (before,) = make_subgraphs(model, 1, request_id=1, start_id=1)
+        (after,) = make_subgraphs(model, 3, request_id=2, start_id=2)
+        scheduler.add_subgraph(before, after)
+        queue = scheduler._queues["lstm"]
+        members, owner, ready, entries, *rest = self._snapshot(queue, sg)
+        assert members == [sg.subgraph_id, 1, 2]
+
+        with pytest.raises(RuntimeError, match="planned 1 nodes"):
+            queue.commit([(before, 1), (sg, 1)], 0)
+        # ``before`` took its last node and left; ``sg`` is as it was.
+        assert before.owner is None and before.unsubmitted == 0
+        assert self._snapshot(queue, sg) == (
+            [sg.subgraph_id, 2], owner, ready - 1, entries, *rest
+        )
+        assert owner is queue
+        assert queue.plan(0, 4) == [(after, 1)]
+
+    def test_last_take_pinned_elsewhere_stays_queued(self):
+        model = LSTMChainModel()
+        scheduler, submitted = make_scheduler(model)
+        (sg,) = make_subgraphs(model, 6)
+        scheduler.add_subgraph(sg)
+        scheduler.schedule(FakeWorker(0))  # five tasks, one step each
+        assert len(submitted) == 5 and sg.unsubmitted == 1 and sg.pinned == 0
+        queue = scheduler._queues["lstm"]
+        snapshot = self._snapshot(queue, sg)
+
+        with pytest.raises(RuntimeError, match="already pinned to worker 0"):
+            queue.commit([(sg, 1)], 1)
+        assert self._snapshot(queue, sg) == snapshot
+        assert queue.plan(0, 4) == [(sg, 1)]
+
+
 class TestStats:
     def test_batch_size_histogram_and_mean(self):
         model = LSTMChainModel()

@@ -86,13 +86,15 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 256.9 per request and 10.13 per replica
-# (DESIGN.md §35; 260.9 per request before it, §34; 261.9 since §31; 284.2 and
-# 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
+# read when the rows were last set: 231.6 per request and 7.05 per replica
+# since each replica's engine hook folds its own outcomes (DESIGN.md §36;
+# 256.9 and 10.13 while every arrival compared three terminal-list lengths
+# per replica, §35; 260.9 per request before it, §34; 261.9 since §31; 284.2
+# and 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 321.2
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 12.7
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 289.6
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 8.8
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
 # with a closure per arrival.
