@@ -242,7 +242,8 @@ class Manager:
         for hook in self._on_task_submit:
             hook(task, worker)
         extra = self._place(task, worker)
-        worker.submit(task, extra_cost=extra, fault=self._draw_fault(task))
+        fault = None if self.fault_plan is None else self._draw_fault(task)
+        worker.submit(task, extra, fault)
 
     def _place(self, task: BatchedTask, worker: Worker) -> float:
         """The one walk over a task's members at submission, after the
@@ -266,8 +267,8 @@ class Manager:
         return cost
 
     def _draw_fault(self, task: BatchedTask):
-        if self.fault_plan is None:
-            return None
+        """The fault plan's verdict on this execution; callers ask only
+        when there is a plan."""
         fault = self.fault_plan.task_fault(task.task_id, task.attempt)
         if fault is not None:
             if fault.kind == KERNEL_FAIL:
@@ -364,7 +365,8 @@ class Manager:
         # the filter, so a member that left pays no copy.
         extra = self._place(task, target)
         self.scheduler.resubmit(task)
-        target.submit(task, extra_cost=extra, fault=self._draw_fault(task))
+        fault = None if self.fault_plan is None else self._draw_fault(task)
+        target.submit(task, extra, fault)
 
     def _device_failed(self, worker: Worker) -> None:
         """A device dropped out of the fault plan's sky."""
@@ -444,8 +446,10 @@ class Manager:
         return self.processor.live_request_count()
 
     def _poke_idle_workers(self) -> None:
+        """Schedule every live worker with nothing in flight (the scheduler
+        refills on idle)."""
         for worker in self.workers:
-            if worker.alive and worker.is_idle():
+            if worker.alive and not worker._inflight:
                 self.scheduler.schedule(worker)
 
 

@@ -151,8 +151,9 @@ class RequestProcessor:
             if done[node_id] and not terminal:
                 raise RuntimeError(f"node {node_id} completed twice")
             uncompleted = subgraph.uncompleted - 1
-            if uncompleted <= subgraph.unsubmitted:
-                if uncompleted < subgraph.unsubmitted:
+            unsubmitted = subgraph.unsubmitted
+            if uncompleted <= unsubmitted:
+                if uncompleted < unsubmitted:
                     raise RuntimeError(
                         f"subgraph {subgraph.subgraph_id}: completion underflow"
                     )

@@ -72,7 +72,7 @@ class CellTypeQueue:
     ``subgraphs`` is the authoritative FIFO (insertion-ordered) of queued
     subgraphs.  On top of it the queue maintains:
 
-    * ``_ready_total`` — sum of ``ready_count()`` over queued subgraphs,
+    * ``_ready_total`` — sum of ``ready_count`` over queued subgraphs,
       updated by deltas from :meth:`on_ready_delta`.
     * ``_entries`` — one list of ``(queue_seq, subgraph)`` entries sorted
       by ``queue_seq``, listing every queued subgraph with ready nodes, each
@@ -82,11 +82,16 @@ class CellTypeQueue:
       one by one: :meth:`plan` drops the ones whose subgraph left the queue
       or has nothing ready when it reads them, and the queue drops them all
       when its last subgraph leaves.
+
+    ``max_batch`` and ``min_batch`` are the config's, read once here: the
+    formation and the follow-up rule read them per task (DESIGN.md §37).
     """
 
     def __init__(self, cell_type: CellType, config: CellTypeConfig):
         self.cell_type = cell_type
         self.config = config
+        self.max_batch = config.max_batch
+        self.min_batch = config.min_batch
         self.subgraphs: Dict[int, Subgraph] = {}
         self.running_tasks = 0
         self._ready_total = 0
@@ -110,7 +115,7 @@ class CellTypeQueue:
             sg.owner = self
             sg.queue_seq = seq
             members[sg.subgraph_id] = sg
-            ready = sg.ready_count()
+            ready = sg.ready_count
             if ready > 0:
                 ready_total += ready
                 listed.append((seq, sg))
@@ -122,7 +127,7 @@ class CellTypeQueue:
     def remove(self, sg: Subgraph) -> None:
         """Drop an evicted subgraph and its ready count."""
         self.subgraphs.pop(sg.subgraph_id, None)
-        self._ready_total -= sg.ready_count()
+        self._ready_total -= sg.ready_count
         sg.owner = None
         if not self.subgraphs:
             # Every entry left is stale: an idle queue keeps no retired
@@ -138,9 +143,10 @@ class CellTypeQueue:
         before its ``commit``, which then tells the queue nothing: its
         membership and owner go first, its ready count — which a take of
         every node still to hand out equals — and an emptied queue's list
-        after the loop.  That is :meth:`remove` in place, without its
-        ``ready_count()`` call: every tree leaf takes this branch (DESIGN.md
-        §35).  Every member is queued here: :meth:`plan` lists only those.
+        after the loop.  That is :meth:`remove` in place, with one
+        subtraction for all of them: every tree leaf takes this branch
+        (DESIGN.md §35).  Every member is queued here: :meth:`plan` lists
+        only those.
 
         A member whose ``commit`` refuses the take (overdrawn, or pinned to
         another worker) stays queued exactly as before the call — its
@@ -177,7 +183,7 @@ class CellTypeQueue:
         rise from zero lists it; a fall leaves its entry to go stale, to be
         dropped when a plan next reads it."""
         self._ready_total += delta
-        if delta > 0 and sg.ready_count() == delta:
+        if delta > 0 and sg.ready_count == delta:
             self._insert(sg)
 
     def _insert(self, sg: Subgraph) -> None:
@@ -218,7 +224,7 @@ class CellTypeQueue:
             pinned = sg.pinned
             if pinned is not None and pinned != worker_id:
                 continue  # kept: the worker it is pinned to reads it
-            ready = sg.ready_count() if sg.owner is self else 0
+            ready = sg.ready_count if sg.owner is self else 0
             if ready <= 0:
                 stale.append(position)
                 continue
@@ -328,10 +334,15 @@ class Scheduler:
         last take), and the task built from it keeps the plan as its member
         list."""
         num_tasks = 0
+        min_batch = queue.min_batch
         while num_tasks < self.config.max_tasks_to_submit:
             plan = self.policies.formation.form(queue, worker)
-            batch_size = sum([count for _, count in plan])
-            if batch_size == 0 or (batch_size < queue.config.min_batch and num_tasks):
+            if not plan:
+                break
+            # A follow-up below the minimum batch is declined.  Every take
+            # is at least one node, so under a minimum of 1 (the default
+            # ``Bsizes``) no plan is summed.
+            if num_tasks and min_batch > 1 and sum([c for _, c in plan]) < min_batch:
                 break
             entries = queue.commit(plan, worker.worker_id)
             task = BatchedTask(self._next_task_id, queue.cell_type, entries, plan)

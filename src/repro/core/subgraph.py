@@ -28,6 +28,10 @@ class Subgraph:
     * ``ready``: nodes whose in-subgraph predecessors have all been
       *submitted* (the optimistic readiness of Algorithm 1's
       ``UpdateNodesDependency``), not yet submitted themselves.
+    * ``ready_count``: how many nodes are ready — a plain int every class
+      keeps current where its readiness moves (the hand-out, the
+      completion-ordered advance), so the queue reads it without a call
+      (DESIGN.md §37).
     * ``pinned``: worker id this subgraph is currently bound to; set when a
       task containing its nodes is submitted, cleared when the last
       submitted node retires (paper §4.3, last paragraph).  A plain field:
@@ -50,7 +54,7 @@ class Subgraph:
         "subgraph_id", "request", "cell_type_name", "graph",
         # How the generic subgraph tracks its nodes (subclasses have their own).
         "node_ids", "ready", "_internal_pending", "_external_edges",
-        "unsubmitted", "uncompleted", "released", "consumers",
+        "ready_count", "unsubmitted", "uncompleted", "released", "consumers",
         "pinned", "sticky", "optimistic", "last_worker",  # placement policies
         "owner", "queue_seq",  # the CellTypeQueue
         "resident_on", "resident_bytes",  # the manager's memory accounting
@@ -87,6 +91,7 @@ class Subgraph:
         self.ready: List[int] = [
             nid for nid in self.node_ids if self._internal_pending[nid] == 0
         ]
+        self.ready_count = len(self.ready)
         self.consumers = None
         self._init_scheduling(
             subgraph_id, request, cell_type_name, graph, len(self.node_ids)
@@ -172,9 +177,6 @@ class Subgraph:
 
     # -- scheduling bookkeeping (driven by the scheduler) -------------------
 
-    def ready_count(self) -> int:
-        return len(self.ready)
-
     def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         """Hand ``count`` ready nodes (FIFO within the subgraph) to a task on
         ``worker_id``: append ``(self, node_id)`` for each to the task's
@@ -194,13 +196,13 @@ class Subgraph:
         anything is taken.  The pin lasts while ``inflight`` is non-zero:
         the request processor clears it when the last submitted node
         retires."""
-        ready = self.ready
-        if not 0 < count <= len(ready):
+        if not 0 < count <= self.ready_count:
             raise self._overdrawn(count)
         if self.optimistic and self.pinned != worker_id:
             if self.pinned is not None:
                 raise self._refused(worker_id)
             self.pinned = worker_id
+        ready = self.ready
         node_ids = ready[:count]
         del ready[:count]
         entries += [(self, nid) for nid in node_ids]
@@ -209,13 +211,15 @@ class Subgraph:
         if self.optimistic:
             for nid in node_ids:
                 delta += self._advance_internal(nid)
-        if delta and self.owner is not None:
-            self.owner.on_ready_delta(self, delta)
+        if delta:
+            self.ready_count += delta
+            if self.owner is not None:
+                self.owner.on_ready_delta(self, delta)
 
     def _overdrawn(self, count: int) -> RuntimeError:
         return RuntimeError(
             f"subgraph {self.subgraph_id}: planned {count} nodes but "
-            f"only {self.ready_count()} were ready"
+            f"only {self.ready_count} were ready"
         )
 
     def _refused(self, worker_id: int) -> RuntimeError:
@@ -234,11 +238,16 @@ class Subgraph:
         newly_ready = 0
         for nid in node_ids:
             newly_ready += self._advance_internal(nid)
-        if newly_ready and self.owner is not None:
-            self.owner.on_ready_delta(self, newly_ready)
+        if newly_ready:
+            self.ready_count += newly_ready
+            if self.owner is not None:
+                self.owner.on_ready_delta(self, newly_ready)
         return newly_ready
 
     def _advance_internal(self, nid: int) -> int:
+        """Submit (optimistic) or complete ``nid``'s in-subgraph edges;
+        returns how many nodes became ready, which the caller adds to
+        ``ready_count`` once."""
         newly_ready = 0
         pending = self._internal_pending  # keyed by exactly our node ids
         for succ in self.graph.successors(nid):
@@ -252,7 +261,7 @@ class Subgraph:
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} {self.subgraph_id} type={self.cell_type_name!r} "
-            f"nodes={len(self.node_ids)} ready={self.ready_count()} "
+            f"nodes={len(self.node_ids)} ready={self.ready_count} "
             f"pinned={self.pinned}>"
         )
 
@@ -265,9 +274,10 @@ class RunSubgraph(Subgraph):
     node handed out, so readiness is a cursor rather than per-node
     predecessor counts: ``_cursor`` is the id of the ready node, or None
     while its predecessor has not been submitted (optimistic) or completed
-    (non-optimistic) yet, and once the run is handed out whole.  ``_last``
-    is the id of the last node: a leaf's is its own, so building or handing
-    out a leaf makes no int.
+    (non-optimistic) yet, and once the run is handed out whole;
+    ``ready_count`` is 1 exactly when it is not None.  ``_last`` is the id
+    of the last node: a leaf's is its own, so building or handing out a
+    leaf makes no int.
     """
 
     __slots__ = ("run", "_cursor", "_last")
@@ -282,6 +292,7 @@ class RunSubgraph(Subgraph):
             if not done[pred]:
                 self._external_edges.add((pred, run.first_id))
         self._cursor: Optional[int] = run.first_id
+        self.ready_count = 1
         self._last = run.stop - 1
         self.consumers = run.consumers
         self._init_scheduling(
@@ -292,9 +303,6 @@ class RunSubgraph(Subgraph):
         consumers = self.run.consumers.get(nid)  # nid + 1 is ours
         if consumers:
             self._satisfy(nid, consumers, release)
-
-    def ready_count(self) -> int:
-        return 0 if self._cursor is None else 1
 
     def commit(self, count: int, worker_id: int, entries: Entries) -> None:
         """:meth:`Subgraph.commit` for a cursor: one node, and the queue
@@ -315,6 +323,7 @@ class RunSubgraph(Subgraph):
             self._cursor = nid + 1
         else:
             self._cursor = None
+            self.ready_count = 0
             if self.owner is not None:
                 self.owner.on_ready_delta(self, -1)
 
@@ -352,6 +361,7 @@ class LeafSubgraph(RunSubgraph):
     ):
         self.tree = tree
         self._cursor = node_id
+        self.ready_count = 1
         self._last = node_id
         self.internal = internal
         self.consumers = None  # a completed leaf reports to ``internal``
@@ -390,6 +400,7 @@ class TreeSubgraph(Subgraph):
         # Filled in by ``_tree_subgraphs``, which is walking the tree anyway.
         self._pending = bytearray(tree.stop - tree.first_id)
         self.ready: List[int] = []
+        self.ready_count = 0
         leaves = tree.num_leaves
         self._leaves_outstanding = leaves
         self.consumers = tree.consumers
@@ -461,6 +472,7 @@ def _tree_subgraphs(
             internal._pending[index] = internal_children
         else:
             internal.ready.append(first + index)
+            internal.ready_count += 1
     return subgraphs
 
 

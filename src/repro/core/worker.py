@@ -100,10 +100,7 @@ class Worker:
         task.gather_time = cost_model.gather_overhead if needs_gather else 0.0
         task.migration_time = extra_cost
         duration = cost_model.task_time(
-            cell_type.name,
-            task.batch_size,
-            num_operators=cell_type.num_operators,
-            include_gather=needs_gather,
+            cell_type.name, task.batch_size, cell_type.num_operators, needs_gather
         ) + extra_cost
         if fault is not None and fault.kind == STRAGGLER:
             duration *= fault.slowdown
@@ -165,10 +162,6 @@ class Worker:
     def outstanding(self) -> int:
         """Submitted tasks not yet retired."""
         return len(self._inflight)
-
-    def is_idle(self) -> bool:
-        """No submitted-but-unretired tasks; the scheduler refills on idle."""
-        return not self._inflight
 
     def __repr__(self) -> str:
         state = "" if self.alive else " DEAD"

@@ -38,7 +38,8 @@ class LatencyTable:
         self._batches = [b for b, _ in points]
         self._times = [t * _US for _, t in points]
         # batch size -> seconds: the table is a pure function of the batch
-        # size, asked once per executed task, over a handful of sizes.
+        # size, asked per batch by the baselines and once per distinct
+        # argument by ``CostModel.task_time``'s memo, over a handful of sizes.
         self._memo: Dict[int, float] = {}
 
     def __call__(self, batch_size: int) -> float:
@@ -234,6 +235,13 @@ class CostModel:
     ``launch_gap`` models the residual per-kernel launch gap that remains
     even with asynchronous issue (§5); it multiplies the cell's operator
     count.
+
+    :meth:`task_time` is asked once per executed task, over a handful of
+    distinct arguments, so it is memoised per ``(cell, batch, operators,
+    gather)``: one dict lookup per task (DESIGN.md §37).  The tables and
+    overheads are fixed once a model serves; :meth:`register` clears the
+    memo, and a DVFS step swaps the whole model (:meth:`scaled`), memo and
+    all.
     """
 
     DEFAULT_PER_TASK_OVERHEAD = 35e-6
@@ -253,9 +261,11 @@ class CostModel:
         self.per_task_overhead = per_task_overhead
         self.gather_overhead = gather_overhead
         self.launch_gap = launch_gap
+        self._task_times: Dict[Tuple[str, int, int, bool], float] = {}
 
     def register(self, cell_name: str, table: LatencyTable) -> None:
         self._tables[cell_name] = table
+        self._task_times.clear()
 
     def tables(self) -> Dict[str, LatencyTable]:
         """The registered ``{cell name: table}`` map (a copy)."""
@@ -298,9 +308,14 @@ class CostModel:
         include_gather: bool = True,
     ) -> float:
         """Full task cost: kernel + scheduling (+ gather) + launch gaps."""
-        return (
+        key = (cell_name, batch_size, num_operators, include_gather)
+        memo = self._task_times
+        if key in memo:
+            return memo[key]
+        seconds = memo[key] = (
             self.kernel_time(cell_name, batch_size)
             + self.per_task_overhead
             + (self.gather_overhead if include_gather else 0.0)
             + self.launch_gap * max(num_operators, 1)
         )
+        return seconds

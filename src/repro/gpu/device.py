@@ -116,7 +116,9 @@ class GPUDevice:
             self._pending_signals = [
                 e for e in self._pending_signals if not (e.fired or e.cancelled)
             ]
-        start = max(self.loop.now(), self.free_at)
+        now, start = self.loop.now(), self.free_at
+        if now > start:
+            start = now
         end = start + duration
         if on_complete is not None:
             self._pending_signals.append(self.loop.call_at(end, on_complete))
@@ -155,9 +157,6 @@ class GPUDevice:
         return self.COPY_LATENCY + nbytes / self.COPY_BANDWIDTH
 
     # -- introspection -----------------------------------------------------
-
-    def is_idle(self) -> bool:
-        return self.free_at <= self.loop.now()
 
     def backlog(self) -> float:
         """Seconds of queued work not yet retired."""

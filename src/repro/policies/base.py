@@ -122,7 +122,8 @@ class BatchFormationPolicy:
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
         """Plan (without committing) ``(subgraph, node_count)`` takes, up to
         the queue's max batch: distinct subgraphs, each with at least that
-        many nodes ready.  Planning must leave the queue's observable state
+        many nodes ready, every count at least 1 (nothing to take is the
+        empty plan).  Planning must leave the queue's observable state
         unchanged — the caller may decline the plan under the min-batch
         rule.  ``CellTypeQueue.plan(worker_id, budget)`` is the read-only
         primitive to build on: it returns the eligible subgraphs in arrival

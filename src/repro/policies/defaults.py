@@ -34,7 +34,7 @@ class PaperQueuePriority(QueuePriorityPolicy):
         self, queues: Sequence["CellTypeQueue"]
     ) -> Optional["CellTypeQueue"]:
         candidates = [
-            q for q in queues if q.num_ready_nodes() >= q.config.max_batch
+            q for q in queues if q.num_ready_nodes() >= q.max_batch
         ]
         if not candidates:
             candidates = [
@@ -82,4 +82,4 @@ class PaperBatchFormation(BatchFormationPolicy):
     name = "paper"
 
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        return queue.plan(worker.worker_id, queue.config.max_batch)
+        return queue.plan(worker.worker_id, queue.max_batch)

@@ -103,7 +103,7 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
         if manager is None or not plan:
             return plan
         batch_size = sum(count for _, count in plan)
-        if batch_size >= queue.config.max_batch:
+        if batch_size >= queue.max_batch:
             # Full batch: waiting cannot make it denser.
             self.kicks += 1
             self.forced_full += 1

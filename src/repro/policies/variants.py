@@ -33,7 +33,7 @@ class FlatQueuePriority(QueuePriorityPolicy):
         self, queues: Sequence["CellTypeQueue"]
     ) -> Optional["CellTypeQueue"]:
         candidates = [
-            q for q in queues if q.num_ready_nodes() >= q.config.max_batch
+            q for q in queues if q.num_ready_nodes() >= q.max_batch
         ]
         if not candidates:
             candidates = [
@@ -137,4 +137,4 @@ class NoMixFormation(BatchFormationPolicy):
         if not first:
             return first
         sg = first[0][0]
-        return [(sg, min(sg.ready_count(), queue.config.max_batch))]
+        return [(sg, min(sg.ready_count, queue.max_batch))]

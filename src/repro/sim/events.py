@@ -85,10 +85,16 @@ class EventLoop:
       an external timer (asyncio in :mod:`repro.serve.bridge`) decides
       *when* to pump.  ``run`` refuses to run — it would fire future
       events early because a wall clock cannot be advanced.
+
+    ``now()`` is the clock's own ``now``, bound when the loop is built: a
+    time read is one call, not two (DESIGN.md §37).  A loop never swaps its
+    clock, and no subclass may define ``now`` — the bound attribute would
+    shadow it.
     """
 
     def __init__(self, clock: Optional[Clock] = None):
         self.clock: Clock = clock if clock is not None else VirtualClock()
+        self.now: Callable[[], float] = self.clock.now
         self._virtual = self.clock.is_virtual()
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
@@ -140,9 +146,6 @@ class EventLoop:
         return self.call_at(self.clock.now(), callback)
 
     # -- introspection ----------------------------------------------------
-
-    def now(self) -> float:
-        return self.clock.now()
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue (O(1))."""

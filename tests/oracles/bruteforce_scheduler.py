@@ -28,7 +28,7 @@ class BruteForceFormation(BatchFormationPolicy):
                 break
             if sg.pinned is not None and sg.pinned != worker.worker_id:
                 continue
-            take = min(sg.ready_count(), budget)
+            take = min(sg.ready_count, budget)
             if take > 0:
                 plan.append((sg, take))
                 budget -= take
@@ -37,7 +37,7 @@ class BruteForceFormation(BatchFormationPolicy):
 
 def recount_ready_nodes(queue) -> int:
     """``queue.num_ready_nodes()`` by rescanning the queue."""
-    return sum(sg.ready_count() for sg in queue.subgraphs.values())
+    return sum(sg.ready_count for sg in queue.subgraphs.values())
 
 
 def install_reference_scans(server):

@@ -168,7 +168,7 @@ def shape(sg):
         sg.subgraph_id,
         sg.cell_type_name,
         list(sg.node_ids),
-        sg.ready_count(),
+        sg.ready_count,
         sg.unsubmitted,
         sg.uncompleted,
         sg.external_pending,
@@ -389,7 +389,7 @@ def test_simulated_chain_builds_no_nodes(monkeypatch):
     (sg,) = partition_into_subgraphs(graph, request)
     assert built == NOTHING_BUILT
     assert len(graph._nodes) == len(graph._successors) == 0
-    assert len(sg.node_ids) == 300 and sg.ready_count() == 1
+    assert len(sg.node_ids) == 300 and sg.ready_count == 1
     entries = []
     sg.commit(1, 0, entries)
     assert entries == [(sg, 0)] and built == NOTHING_BUILT

@@ -373,7 +373,7 @@ class TestPartitioning:
         )
         # Bottom internal level (2 nodes) depends only on leaves (external),
         # so both are ready within the subgraph; the root is not.
-        assert internal.ready_count() == 2
+        assert internal.ready_count == 2
 
     def test_subgraph_ids_are_assigned(self):
         model = LSTMChainModel()

@@ -290,7 +290,7 @@ class TestRefusedHandOut:
     def _snapshot(queue, sg):
         return (
             list(queue.subgraphs), sg.owner, queue.num_ready_nodes(),
-            list(queue._entries), sg.unsubmitted, sg.ready_count(), sg.pinned,
+            list(queue._entries), sg.unsubmitted, sg.ready_count, sg.pinned,
         )
 
     def test_overdrawn_last_take_stays_queued_in_order(self):

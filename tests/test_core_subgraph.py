@@ -65,9 +65,9 @@ def retire(sg, node_ids):
 class TestOptimisticReadiness:
     def test_chain_exposes_one_ready_node_at_a_time(self):
         for sg in chain_subgraphs(3):
-            assert sg.ready_count() == 1
+            assert sg.ready_count == 1
             assert hand_out(sg) == [0]
-            assert sg.ready_count() == 1  # node 1 became ready optimistically
+            assert sg.ready_count == 1  # node 1 became ready optimistically
             assert hand_out(sg) == [1]
 
     def test_take_ready_respects_limit(self):
@@ -77,7 +77,7 @@ class TestOptimisticReadiness:
             for count in (0, 2, 10):
                 with pytest.raises(RuntimeError, match=f"subgraph 0: planned {count} nodes"):
                     hand_out(sg, count)
-            assert sg.ready_count() == 1 and sg.unsubmitted == 3
+            assert sg.ready_count == 1 and sg.unsubmitted == 3
             assert hand_out(sg, 1) == [0]
 
     def test_exhausted_after_all_submitted(self):
@@ -85,7 +85,7 @@ class TestOptimisticReadiness:
             for _ in range(2):
                 assert sg.unsubmitted > 0
                 hand_out(sg)
-            assert sg.unsubmitted == 0 and sg.ready_count() == 0
+            assert sg.unsubmitted == 0 and sg.ready_count == 0
 
     def test_oversubmission_raises(self):
         for sg in chain_subgraphs(1):
@@ -100,9 +100,9 @@ class TestNonOptimisticReadiness:
         for sg in chain_subgraphs(3):
             sg.optimistic = False
             nodes = hand_out(sg)
-            assert sg.ready_count() == 0  # submission alone does not advance
+            assert sg.ready_count == 0  # submission alone does not advance
             sg.mark_completed_internal(nodes)
-            assert sg.ready_count() == 1
+            assert sg.ready_count == 1
 
     def test_mark_completed_internal_requires_non_optimistic(self):
         for sg in chain_subgraphs(2):
@@ -135,7 +135,7 @@ def tree_subgraphs(placement=None):
 
 
 def refused_state(sg):
-    return (sg.ready_count(), sg.unsubmitted, sg.inflight, sg.pinned, sg.owner)
+    return (sg.ready_count, sg.unsubmitted, sg.inflight, sg.pinned, sg.owner)
 
 
 class TestPinning:
@@ -162,7 +162,7 @@ class TestPinning:
             with pytest.raises(RuntimeError, match="already pinned to worker 0"):
                 hand_out(sg, worker_id=1)
             assert (sg.pinned, sg.inflight) == (0, 1)
-            assert sg.ready_count() == 1 and sg.unsubmitted == 1
+            assert sg.ready_count == 1 and sg.unsubmitted == 1
 
     def test_non_optimistic_pin_only_counts_the_task(self):
         """Unpinned placement makes a subgraph non-optimistic at admission;

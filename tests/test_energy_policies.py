@@ -26,6 +26,7 @@ Same contract shape as ``tests/test_memory_policies.py``:
 import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
+from repro.core.worker import Worker
 from repro.faults import DeviceFailure, FaultPlan
 from repro.gpu.energy import EnergySpec
 from repro.models import LSTMChainModel
@@ -266,6 +267,37 @@ def test_worker_cost_model_follows_the_governor():
         frequency = worker.device.energy.frequency
         expected = server.energy.cost_models[frequency]
         assert worker.cost_model is expected
+
+
+def test_dvfs_task_durations_are_the_unmemoised_formula(monkeypatch):
+    """``CostModel.task_time`` is memoised on the model, and a DVFS step
+    swaps the worker's whole model (DESIGN.md §37): every task of a
+    governed run lasts exactly what the formula gives, through no memo,
+    for the model in effect at its submission — across at least two
+    frequencies."""
+    server = _server(energy=v100_energy_spec(governor="race_to_idle"))
+    seen = []
+    submit = Worker.submit
+
+    def recorded_submit(worker, task, extra_cost=0.0, fault=None):
+        model = worker.cost_model
+        submit(worker, task, extra_cost, fault)
+        seen.append((model, task, extra_cost, fault, task.duration))
+
+    monkeypatch.setattr(Worker, "submit", recorded_submit)
+    submitted = run_chaos(server, rate=2000.0, num_requests=300)
+    assert_invariants(server, submitted)
+    assert len({id(model) for model, *_ in seen}) >= 2, "the clock never moved"
+    for model, task, extra, fault, duration in seen:
+        cell = task.cell_type
+        formula = (
+            model.table_for(cell.name)._interpolate(task.batch_size)
+            + model.per_task_overhead
+            + (model.gather_overhead if task.gather_time else 0.0)
+            + model.launch_gap * max(cell.num_operators, 1)
+        ) + extra
+        assert fault is None
+        assert duration.hex() == formula.hex(), (task.task_id, model.tables())
 
 
 # -- 4. registry plumbing ---------------------------------------------------

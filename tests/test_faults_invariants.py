@@ -132,8 +132,8 @@ def test_device_loss_drops_the_victims_eligibility_bucket(seed):
             for owner, sg in stranded:
                 if owner is queue:
                     assert sg.pinned == survivor
-                    assert (sg in planned) == (sg.ready_count() > 0)
-        moved.extend(sg for _, sg in stranded if sg.ready_count() > 0)
+                    assert (sg in planned) == (sg.ready_count > 0)
+        moved.extend(sg for _, sg in stranded if sg.ready_count > 0)
         return count
 
     scheduler.repin_queued = checked_repin

@@ -204,3 +204,56 @@ def test_batch_below_one_raises_and_memoises_nothing():
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             table(batch)
     assert list(table._memo) == [8]
+
+
+def _task_time_formula(model, cell_name, batch, operators, gather):
+    """The formula ``CostModel.task_time`` memoises, computed through the
+    table's interpolation: no memo on either level."""
+    return (
+        model.table_for(cell_name)._interpolate(batch)
+        + model.per_task_overhead
+        + (model.gather_overhead if gather else 0.0)
+        + model.launch_gap * max(operators, 1)
+    )
+
+
+def test_memoised_task_time_is_the_formula_bit_for_bit():
+    """``CostModel.task_time`` answers each ``(cell, batch, operators,
+    gather)`` once from the formula and then from its memo (DESIGN.md
+    §37): on the first call and on every later one it reads the formula's
+    bits."""
+    model = CostModel(per_task_overhead=35e-6, gather_overhead=30e-6, launch_gap=1e-6)
+    model.register("lstm", v100_lstm_step_table())
+    model.register("decoder", seq2seq_decoder_step_table())
+    for cell_name in ("lstm", "decoder"):
+        for batch in (1, 3, 64, 100, 512, 1000):
+            for operators in (1, 11):
+                for gather in (True, False):
+                    formula = _task_time_formula(model, cell_name, batch, operators, gather)
+                    for _ in range(2):
+                        got = model.task_time(cell_name, batch, operators, gather)
+                        assert got.hex() == formula.hex(), (cell_name, batch, operators, gather)
+    assert model.task_time("lstm", 64) == model.task_time("lstm", 64, 1, True)
+
+
+def test_register_after_a_read_changes_the_next_task_time():
+    """The memo holds no answer past a new table: ``register`` clears it."""
+    model = CostModel()
+    model.register("lstm", v100_lstm_step_table())
+    first = model.task_time("lstm", 64)
+    assert model.task_time("lstm", 64) == first
+    model.register("lstm", v100_lstm_step_table().scale(2.0))
+    second = model.task_time("lstm", 64)
+    assert second.hex() == _task_time_formula(model, "lstm", 64, 1, True).hex()
+    assert second - first == pytest.approx(185e-6)
+    model.register("gru", cpu_lstm_step_table())  # another cell clears it too
+    assert model.task_time("lstm", 64) == second
+
+
+def test_task_time_of_an_unknown_cell_raises_every_time():
+    model = CostModel()
+    for _ in range(2):
+        with pytest.raises(KeyError, match="no latency table"):
+            model.task_time("nope", 1)
+    model.register("nope", v100_lstm_step_table())
+    assert model.task_time("nope", 1) > 0

@@ -39,8 +39,10 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (12.81 calls per
-# cell, DESIGN.md §35; 13.15 while each run left its queue through
+# 1.25x what this run read when the budget was last set (10.52 calls per
+# cell since a ready count is a slot, a time read one call and a task time
+# one memo lookup, DESIGN.md §37; 12.81 before it, §35; 13.15 while each
+# run left its queue through
 # ``CellTypeQueue.remove`` and pinned through ``Subgraph.pin``, §34; 13.19
 # while the scheduler removed an exhausted
 # subgraph after its commit and admitted it through four calls, §31; 16.68
@@ -51,21 +53,22 @@ REQUESTS = 300
 # one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 16.0
-# The same for trees, payload sampling included: 22.24 calls per cell when
-# the budget was last set (DESIGN.md §35; 22.39 with four hand-outs, §34;
+CALLS_PER_CELL_BUDGET = 13.2
+# The same for trees, payload sampling included: 19.06 calls per cell when
+# the budget was last set (DESIGN.md §37; 22.24 before it, §35; 22.39 with
+# four hand-outs, §34;
 # 27.93 while every leaf was
 # admitted and handed out through calls of its own, §32; 33.90
 # while the sampler built one ``TreeNodeSpec`` per node and unfold
 # flattened them, 38.90 before §31, 43.26 before §30, 47.80 before §27,
 # 48.7 before §23), 92.5 with one explicit node per tree node and
 # dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 27.8
+TREE_CALLS_PER_CELL_BUDGET = 23.8
 # Seq2Seq: the encoder is one run, and so is the static decoder; the
 # dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
-# time.  1.25x what the runs read when the rows were set: 47.01 static and
-# 91.75 dynamic calls per cell (DESIGN.md §35; 47.35 and 94.43 before it,
-# §34; 47.39 and 94.47 with four
+# time.  1.25x what the runs read when the rows were set: 35.95 static and
+# 78.52 dynamic calls per cell (DESIGN.md §37; 47.01 and 91.75 before it,
+# §35; 47.35 and 94.43 before that, §34; 47.39 and 94.47 with four
 # calls per admitted subgraph, §33; 96.09 and 117.49 while every
 # step was a ``CellNode`` found by the partition's component search and
 # ``extend`` normalised the payload for every completed cell, §32; 101.84
@@ -73,7 +76,7 @@ TREE_CALLS_PER_CELL_BUDGET = 27.8
 # before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 58.8, "dynamic": 114.7}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 44.9, "dynamic": 98.2}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 0.316 when the budget was set — a payload is three lists, whatever its
@@ -86,15 +89,16 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 231.6 per request and 7.05 per replica
-# since each replica's engine hook folds its own outcomes (DESIGN.md §36;
+# read when the rows were last set: 206.5 per request and 6.17 per replica
+# (DESIGN.md §37; 231.6 and 7.05 since each replica's engine hook folds
+# its own outcomes, §36;
 # 256.9 and 10.13 while every arrival compared three terminal-list lengths
 # per replica, §35; 260.9 per request before it, §34; 261.9 since §31; 284.2
 # and 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 289.6
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 8.8
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 258.1
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 7.7
 # Collector-tracked objects one ``submit`` allocates: 4 when set (the
 # request, the loop's event and its heap entry, the arrival heap entry); 7
 # with a closure per arrival.
@@ -124,7 +128,8 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 16.77, 17.58, 12.81 and 15.59 against 12.81 plain (DESIGN.md §35; 17.15,
+# 14.28, 15.30, 10.68 and 13.07 against 10.52 plain (DESIGN.md §37; 16.77,
+# 17.58, 12.81 and 15.59 against 12.81 plain, §35; 17.15,
 # 17.96, 13.19 and 15.97 against 13.19 plain, §31; 20.63,
 # 21.45, 16.61 and 19.46 against 16.68 before it, 28.30, 28.94, 24.79 and
 # 27.30 against 24.09 before §30, 32.9, 35.4, 29.4 and 31.6 against 28.8
@@ -135,25 +140,25 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        21.0,
+        17.8,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        22.0,
+        19.1,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        16.0,
+        13.3,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        19.5,
+        16.3,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }
@@ -360,7 +365,7 @@ def test_a_pin_moves_nothing_in_the_ready_list(make_run, monkeypatch):
 
     def counted_add(queue, subgraphs):
         nonlocal admitted_ready
-        admitted_ready += sum(sg.ready_count() > 0 for sg in subgraphs)
+        admitted_ready += sum(sg.ready_count > 0 for sg in subgraphs)
         add(queue, subgraphs)
 
     monkeypatch.setattr(CellTypeQueue, "add", counted_add)

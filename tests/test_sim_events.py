@@ -1,5 +1,9 @@
 """Tests for the deterministic event loop."""
 
+import ast
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.sim.clock import RealTimeClock, VirtualClock
@@ -291,3 +295,65 @@ class TestCancelDuringDrain:
         assert loop.pending() == 1 == recount_pending(loop)
         loop.run()
         assert seen == [3]
+
+
+class TestNowIsTheClocks:
+    """``EventLoop.now`` is the clock's own ``now``, bound when the loop is
+    built: one call per time read (DESIGN.md §37)."""
+
+    def test_follows_a_virtual_clock(self):
+        clock = VirtualClock(1.5)
+        loop = EventLoop(clock)
+        seen = []
+        loop.call_at(2.5, lambda: seen.append((loop.now(), clock.now())))
+        loop.run(until=4.0)
+        assert seen == [(2.5, 2.5)]
+        assert loop.now() == clock.now() == 4.0
+        assert loop.now == clock.now and loop.now.__self__ is clock
+
+    def test_follows_a_real_time_clock(self):
+        clock = RealTimeClock()
+        loop = EventLoop(clock)
+        before = loop.now()
+        deadline = time.monotonic() + 1.0
+        while loop.now() == before and time.monotonic() < deadline:
+            pass
+        after = loop.now()
+        assert before < after <= clock.now()
+        assert loop.now.__self__ is clock
+
+    def test_follows_the_live_event_loop_clock(self):
+        from repro.serve.bridge import LiveEventLoop
+
+        clock = RealTimeClock()
+        loop = LiveEventLoop(clock)
+        assert loop.now.__self__ is clock
+        assert loop.now() <= clock.now()
+        default = LiveEventLoop()  # builds its own wall clock
+        assert default.now.__self__ is default.clock
+        assert isinstance(default.clock, RealTimeClock)
+
+    def test_no_event_loop_class_defines_now(self):
+        """A method named ``now`` on the loop or a subclass would be
+        shadowed by the bound attribute: scan every class under
+        ``src/repro`` that derives from ``EventLoop``, by name through the
+        source, so no module needs importing."""
+        root = Path(__file__).resolve().parent.parent / "src" / "repro"
+        classes = {}  # name -> (base names, method names)
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                    methods = {
+                        item.name
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    }
+                    classes[node.name] = (bases, methods)
+        loops, grown = {"EventLoop"}, True
+        while grown:
+            derived = {name for name, (bases, _) in classes.items() if bases & loops}
+            grown = not derived <= loops
+            loops |= derived
+        assert loops >= {"EventLoop", "LiveEventLoop"}
+        assert [name for name in sorted(loops) if "now" in classes[name][1]] == []

@@ -7,7 +7,7 @@ repins on LSTM-chain, Seq2Seq and TreeLSTM partitions, these invariants
 must hold for every cell-type queue:
 
 1. the incremental counter equals a brute-force recount of
-   ``ready_count()`` over the queued subgraphs,
+   ``ready_count`` over the queued subgraphs,
 2. the indexed ``FormBatchedTask`` (``CellTypeQueue.plan``) plans exactly
    what the brute-force FIFO scan plans, for every worker,
 3. the queue's one list is sorted by ``queue_seq``, holds one entry per
@@ -19,7 +19,13 @@ must hold for every cell-type queue:
 5. every live subgraph's in-flight count — derived, ``uncompleted -
    unsubmitted`` — equals a brute-force count of its nodes in the tasks
    not yet completed, and an optimistic non-sticky subgraph is pinned
-   exactly when that count is non-zero (a non-optimistic one never is).
+   exactly when that count is non-zero (a non-optimistic one never is),
+   and
+6. every live subgraph's ``ready_count`` slot — queued, waiting for its
+   release or handed out whole — equals a recount from its own structures
+   (the ready list's length, the cursor, the tree's pending counters) and a
+   brute-force count of its nodes not handed out whose in-subgraph
+   predecessors all were (optimistic) or all completed (DESIGN.md §37).
 
 LSTM chains are run-backed subgraphs (``RunSubgraph``: readiness is a
 cursor, not per-node counts); the same invariants are asserted for them
@@ -96,7 +102,7 @@ def _observable(queue):
         list(queue.subgraphs),
         queue._ready_total,
         [
-            (sg.ready_count(), sg.pinned, sg.inflight, sg.unsubmitted)
+            (sg.ready_count, sg.pinned, sg.inflight, sg.unsubmitted)
             for sg in queue.subgraphs.values()
         ],
     )
@@ -146,6 +152,7 @@ class Harness:
         self.run_backed_checks = 0  # queued RunSubgraphs seen by assert_invariants
         self.tree_backed_checks = 0  # queued Leaf/TreeSubgraphs seen there
         self.generic_checks = 0  # queued generic Subgraphs seen there
+        self.slot_checks = 0  # live subgraphs whose slot was recounted
         self.declined_plans = 0  # formed by schedule() but not committed
         # A lazy-kick policy over the same queues, with just enough engine
         # behind it to be active: every request arrived at t=0 without a
@@ -215,17 +222,18 @@ class Harness:
 
     def assert_invariants(self):
         self.assert_in_flight()
+        self.assert_ready_slots()
         for queue in self.scheduler.queues:
             for sg in queue.subgraphs.values():
                 if isinstance(sg, LeafSubgraph):  # a RunSubgraph too
                     self.tree_backed_checks += 1
                     (node_id,) = sg.node_ids
                     handed_out = (sg.request.request_id, node_id) in self.handed_out
-                    assert sg.ready_count() == sg.unsubmitted == (not handed_out)
+                    assert sg.ready_count == sg.unsubmitted == (not handed_out)
                 elif isinstance(sg, RunSubgraph):
                     self.run_backed_checks += 1
-                    assert sg.ready_count() in (0, 1)
-                    if sg.ready_count():
+                    assert sg.ready_count in (0, 1)
+                    if sg.ready_count:
                         assert sg._cursor == sg.run.stop - sg.unsubmitted
                 elif isinstance(sg, TreeSubgraph):
                     self.tree_backed_checks += 1
@@ -270,6 +278,37 @@ class Harness:
                     pinned = in_flight[sg] > 0 and sg.optimistic
                     assert (sg.pinned is not None) == pinned, sg
 
+    def assert_ready_slots(self):
+        """Invariant 6, on every subgraph of every live request."""
+        for request in self.processor.live_requests():
+            for sg in request.subgraphs.values():
+                self.slot_checks += 1
+                recount = _recounted_ready(sg)
+                expected = self.expected_ready_count(sg)
+                assert sg.ready_count == recount == expected, (
+                    f"{sg!r}: slot {sg.ready_count}, recount {recount}, "
+                    f"brute force {expected}"
+                )
+
+    def expected_ready_count(self, sg):
+        """Brute force: the nodes not handed out whose predecessors inside
+        the subgraph were all handed out (optimistic) or all completed."""
+        if isinstance(sg, TreeSubgraph):
+            return len(self.expected_tree_ready(sg))
+        request_id, graph = sg.request.request_id, sg.graph
+        members = set(sg.node_ids)
+
+        def cleared(pred):
+            handed_out = (request_id, pred) in self.handed_out
+            return handed_out and (sg.optimistic or bool(graph.done[pred]))
+
+        return sum(
+            1
+            for node_id in members
+            if (request_id, node_id) not in self.handed_out
+            and all(cleared(p) for p in graph.predecessors(node_id) if p in members)
+        )
+
     def expected_tree_ready(self, sg):
         """Brute force: the internal nodes not handed out whose internal
         children all were (optimistic) or all completed (otherwise)."""
@@ -301,11 +340,25 @@ class Harness:
         listed = {id(sg) for _, sg in entries}
         assert len(listed) == len(entries), "the list holds a subgraph twice"
         for sg in queue.subgraphs.values():
-            if sg.ready_count() > 0:
+            if sg.ready_count > 0:
                 assert id(sg) in listed, (
                     f"subgraph {sg.subgraph_id} with ready nodes (pinned to "
                     f"{sg.pinned}) missing from the list"
                 )
+
+
+def _recounted_ready(sg):
+    """A subgraph's ready count from its own structures, not the slot: the
+    cursor of a run (or leaf), the internal positions of a tree whose
+    pending count reached zero less those handed out, the ready list of the
+    generic subgraph."""
+    if isinstance(sg, RunSubgraph):  # a LeafSubgraph too
+        return 0 if sg._cursor is None else 1
+    if isinstance(sg, TreeSubgraph):
+        internal = [i for i, child in enumerate(sg.tree.left) if child >= 0]
+        settled = sum(1 for i in internal if sg._pending[i] == 0)
+        return settled - (len(internal) - sg.unsubmitted)
+    return len(sg.ready)
 
 
 MODELS = [
@@ -385,6 +438,7 @@ def test_ready_count_invariants_under_random_interleavings(
         assert guard < 5000, "drain did not converge"
     for queue in harness.scheduler.queues:
         assert queue.num_ready_nodes() == 0
+    assert harness.slot_checks > 1000, "the ready slots were hardly recounted"
     if isinstance(model, ExplicitSeq2SeqModel):
         assert harness.run_backed_checks == 0
         assert harness.generic_checks > 100, "the generic path was not exercised"
@@ -487,7 +541,7 @@ def test_run_cursor_keeps_counter_exact_without_optimism_and_on_eviction():
         assert _hand_out(sg) == [nid]
         assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
         sg.mark_completed_internal([nid])
-    assert sg.unsubmitted == 0 and sg.ready_count() == 0
+    assert sg.unsubmitted == 0 and sg.ready_count == 0
     assert queue.num_ready_nodes() == 0 == recount_ready_nodes(queue)
     queue.remove(sg)
 
@@ -516,7 +570,7 @@ def _ready_ids(sg):
 def _commit_state(sg, queue):
     return {
         "ready": _ready_ids(sg),
-        "ready_count": sg.ready_count(),
+        "ready_count": sg.ready_count,
         "unsubmitted": sg.unsubmitted,
         "uncompleted": sg.uncompleted,
         "inflight": sg.inflight,
@@ -609,7 +663,7 @@ def test_run_commit_refuses_more_than_the_one_ready_node():
         entries = []
         with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
             sg.commit(2, 0, entries)
-        assert sg.ready_count() == 1 == queue.num_ready_nodes() and sg.pinned is None
+        assert sg.ready_count == 1 == queue.num_ready_nodes() and sg.pinned is None
         assert entries == [] and sg.inflight == 0
 
 
@@ -637,7 +691,7 @@ def test_generic_commit_tells_the_queue_one_net_delta():
     queue = scheduler._queues["tree_internal"]
     recorder = RecordingQueueCalls(queue)
     listed = list(queue._entries)
-    assert sg.ready_count() == 2
+    assert sg.ready_count == 2
     assert len(_hand_out(sg, 2, 1)) == 2
     assert recorder.calls == [("ready", sg.subgraph_id, -1)]
     assert queue._entries == listed == [(sg.queue_seq, sg)] and sg.pinned == 1
@@ -715,7 +769,7 @@ def test_tree_commit_matches_the_base_sequence(placement_cls, sticky):
 
     rounds, in_flight = 0, []
     while fast_sg.unsubmitted:
-        count = min(fast_sg.ready_count(), 3)
+        count = min(fast_sg.ready_count, 3)
         assert count > 0, "the tree stalled"
         node_ids = _hand_out(fast_sg, count, worker_id)
         assert node_ids == _hand_out(base_sg, count, worker_id) and len(node_ids) == count
@@ -764,7 +818,7 @@ def test_leaf_commit_and_take_keep_the_counter_exact():
         recorder = RecordingQueueCalls(queue)
         with pytest.raises(RuntimeError, match="planned 0 nodes but only 1 were ready"):
             _hand_out(first, 0)
-        assert _hand_out(first) == [0] and first.ready_count() == 0
+        assert _hand_out(first) == [0] and first.ready_count == 0
         assert recorder.calls == []
         assert first.unsubmitted == 0 and first.pinned == 0
         assert first.owner is None and first.subgraph_id not in queue.subgraphs
@@ -772,7 +826,7 @@ def test_leaf_commit_and_take_keep_the_counter_exact():
 
         with pytest.raises(RuntimeError, match="planned 2 nodes but only 1 were ready"):
             _hand_out(second, 2)
-        assert second.ready_count() == 1 and second.pinned is None
+        assert second.ready_count == 1 and second.pinned is None
 
         assert _hand_out(third) == [3] and third.cell_type_name == "tree_leaf"
         assert third.unsubmitted == 0 and third.pinned == 0 and third.inflight == 1

@@ -157,7 +157,7 @@ def shape(sg):
         sg.subgraph_id,
         sg.cell_type_name,
         list(sg.node_ids),
-        sg.ready_count(),
+        sg.ready_count,
         sg.unsubmitted,
         sg.uncompleted,
         sg.external_pending,

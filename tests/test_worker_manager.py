@@ -49,14 +49,13 @@ class TestWorker:
         worker = make_worker(loop, completions)
         task = make_task(LSTMChainModel())
         worker.submit(task)
-        assert worker.outstanding == 1
-        assert not worker.is_idle()
+        assert worker.outstanding == 1 and worker._inflight[0] is task
         loop.run()
         assert completions and completions[0][1] is task
         assert task.submit_time == 0.0
         assert task.finish_time == pytest.approx(1.0)
         assert task.duration == pytest.approx(1.0)
-        assert worker.is_idle()
+        assert worker.outstanding == 0 and not worker._inflight
         assert worker.tasks_executed == 1
         assert worker.busy_time == pytest.approx(1.0)
 
