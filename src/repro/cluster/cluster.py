@@ -40,7 +40,6 @@ from repro.core.request import InferenceRequest, RequestState
 from repro.faults import DeviceFailure
 from repro.faults.sla import SLAConfig
 from repro.gpu.memory import MemorySpec
-from repro.policies.predict import LatencyPredictor
 from repro.registry import build_server
 from repro.registry.specs import ClusterSpec
 from repro.server import InferenceServer, ensure_loop
@@ -200,12 +199,6 @@ class ClusterServer(InferenceServer):
         if cls is not None:
             replica.device_class = cls["name"]
             replica.class_rank = class_rank
-        # Per-replica predictor behind the predicted_delay routing metric —
-        # per replica (not the cluster's) so one completion moves one
-        # replica's key.  Left None otherwise: the metric then falls back to
-        # projected_delay and the replica's event stream is unchanged.
-        if self.router.name == "predicted_delay" or self.sla is not None:
-            replica.predictor = LatencyPredictor()
         self.replicas.append(replica)
         self._set_state(replica, state)
         if self.trace_recorder is not None:
@@ -386,9 +379,9 @@ class ClusterServer(InferenceServer):
         bound)."""
         sla = self.sla
         # Predicted completion wait of the best candidate (outstanding x
-        # EWMA inter-completion gap — Little's law — once the replica
-        # predictors have observations; projected queue delay before).  The
-        # deadline test waits for the first logical completion.
+        # EWMA inter-finish gap — Little's law — once the replica has seen
+        # a finish; projected queue delay before).  The deadline test waits
+        # for the first logical completion.
         best_wait = min(r.predicted_delay() for r in candidates)
         if sla.max_queue_delay is not None and best_wait > sla.max_queue_delay:
             return "sla_reject"
@@ -416,8 +409,9 @@ class ClusterServer(InferenceServer):
     def _fold(self, replica: Replica, logical: InferenceRequest, shadow) -> None:
         """``replica``'s shadow of ``logical`` just turned terminal (its
         ``on_terminal`` hook): copy progress and outcome onto the logical
-        request and file it; a finish also feeds the replica's predictor.
-        A draining replica may have served out its last shadow."""
+        request and file it (the replica has already folded a finish into
+        its Little's-law pair).  A draining replica may have served out its
+        last shadow."""
         if shadow.start_time is not None:
             logical.mark_started(shadow.start_time)
         logical.retries += shadow.retries
@@ -425,10 +419,6 @@ class ClusterServer(InferenceServer):
         if state is RequestState.FINISHED:
             logical.result = shadow.result
             logical.mark_finished(shadow.finish_time)
-            if replica.predictor is not None:
-                replica.observe_latency(
-                    shadow.finish_time - shadow.arrival_time, shadow.finish_time
-                )
             self.finished.append(logical)
         elif state is RequestState.TIMED_OUT:
             logical.mark_timed_out(shadow.terminal_time, reason=shadow.cancel_reason)

@@ -70,11 +70,13 @@ class Replica(EngineExtension):
         self.shadow_of: Dict[int, InferenceRequest] = {}
         self.routed = 0
         self._next_shadow_id = 0
-        # Optional per-replica LatencyPredictor behind the predicted_delay
-        # routing metric; per-replica (not cluster-shared) so a completion
-        # moves one replica's key, not all of them.  The previous
-        # completion instant turns finish times into inter-completion gaps.
-        self.predictor = None
+        # The Little's-law pair behind ``predicted_delay``: EWMAs (weight
+        # 0.05, the first sample taken whole) of a finished shadow's latency
+        # and of the gap between consecutive finishes here.  Per replica, so
+        # a finish moves one replica's key; the previous finish instant
+        # turns finish times into gaps, and is None until the first finish.
+        self.latency_ewma = 0.0
+        self.gap_ewma = 0.0
         self._last_finish: Optional[float] = None
         # Heterogeneous-fleet identity (repro.registry ClusterSpec
         # ``device_classes``): the class name and its rank in declaration
@@ -114,30 +116,39 @@ class Replica(EngineExtension):
 
     def predicted_delay(self) -> float:
         """Predicted seconds until a request newly routed here completes:
-        the outstanding shadow count times the per-replica predictor's EWMA
-        inter-completion gap (Little's law — the ``predicted_delay``
-        routing metric and the admission estimate), falling back to
-        :meth:`projected_delay` until the predictor has seen a completion."""
-        predictor = self.predictor
-        if predictor is not None and predictor.ready:
-            return predictor.predicted_queue_delay(self.outstanding())
-        return self.projected_delay()
-
-    def observe_latency(self, latency: float, finish_time: float) -> None:
-        """Feed a finished shadow to the replica's predictor (the caller
-        checks there is one)."""
-        self.predictor.observe_request(latency)
-        if self._last_finish is not None:
-            self.predictor.observe_gap(finish_time - self._last_finish)
-        self._last_finish = finish_time
+        the outstanding shadow count times the EWMA inter-finish gap
+        (Little's law — the ``predicted_delay`` routing metric and the
+        cluster's SLA admission estimate), or times the EWMA finished
+        latency while every finish so far shared one instant; before the
+        first finish, :meth:`projected_delay`."""
+        if self._last_finish is None:
+            return self.projected_delay()
+        gap = self.gap_ewma
+        return len(self.shadow_of) * (gap if gap > 0.0 else self.latency_ewma)
 
     # -- shadow lifecycle ------------------------------------------------------
 
     def on_terminal(self, shadow: InferenceRequest) -> None:
         """The engine hook: a shadow reached a terminal state, so its
-        logical request (if this replica still owns it) folds now."""
+        logical request (if this replica still owns it) folds now.  A
+        finish it owned also folds into :meth:`predicted_delay`'s pair."""
         logical = self.shadow_of.pop(shadow.request_id, None)
         if logical is not None:
+            finish = shadow.finish_time
+            if finish is not None:
+                latency = finish - shadow.arrival_time
+                if self.latency_ewma == 0.0:
+                    self.latency_ewma = latency
+                else:
+                    self.latency_ewma += 0.05 * (latency - self.latency_ewma)
+                last = self._last_finish
+                if last is not None:
+                    gap = finish - last
+                    if self.gap_ewma == 0.0:
+                        self.gap_ewma = gap
+                    else:
+                        self.gap_ewma += 0.05 * (gap - self.gap_ewma)
+                self._last_finish = finish
             self.fold(self, logical, shadow)
 
     def route(self, logical: InferenceRequest, now: float) -> InferenceRequest:

@@ -134,10 +134,11 @@ class ShortestQueueRouter(RoutingPolicy):
 
 class PredictedDelayRouter(RoutingPolicy):
     """Join the queue with the smallest *predicted* wait: each replica's
-    online :class:`~repro.policies.LatencyPredictor` (fed from observed
-    shadow latencies) scaled by its outstanding count.  Falls back to the
-    projected-delay estimate per replica until its predictor has seen a
-    completion, so the first decisions match ``shortest_queue``."""
+    EWMA inter-finish gap (its observed completion rate, folded from its
+    own finished shadows) times its outstanding count, by Little's law
+    (``Replica.predicted_delay``).  Falls back to the projected-delay
+    estimate per replica until it has seen a finish, so the first
+    decisions match ``shortest_queue``."""
 
     name = "predicted_delay"
 

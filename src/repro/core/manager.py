@@ -15,8 +15,8 @@ admission.  Every request reaches exactly one terminal state — FINISHED,
 TIMED_OUT or REJECTED — and the :class:`~repro.metrics.FaultCounters`
 reconcile with those outcomes.
 
-Everything else — memory accounting, energy and DVFS, the latency
-predictor, tracing, the owning server's terminal lists — reaches the
+Everything else — memory accounting, energy and DVFS, the lazy kick,
+tracing, the owning server's terminal lists — reaches the
 manager through one seam: :class:`~repro.extension.EngineExtension`
 objects handed to :meth:`Manager.install`, called at seven lifecycle hooks
 in installation order (DESIGN.md §22).
@@ -77,8 +77,11 @@ class Manager:
         # Used for failed tasks (and preemptions) even without an SLAConfig.
         self.retry = sla.retry if sla is not None else RetryPolicy()
         self.fault_counters = FaultCounters()
-        # Running per-node service-time estimate (EWMA): the projected
-        # queueing delay of load shedding, the cluster's energy metric.
+        # Running per-node service-time estimate (EWMA), the engine's one
+        # answer to "how long does a node take": the projected queueing
+        # delay of load shedding and of the shortest_queue router (and of
+        # predicted_delay before a replica's first finish), the lazy kick's
+        # remaining-service slack and the cluster's energy metric.
         self.node_time_estimate = 0.0
 
         self.scheduler = Scheduler(config, submit=self._submit_task, policies=policies)

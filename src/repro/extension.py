@@ -2,7 +2,7 @@
 
 Everything that observes or steers a :class:`~repro.core.manager.Manager`
 without being part of Figure 6 — memory accounting, energy + DVFS, the
-lazy kick's predictor, tracing, the server's terminal lists, a
+lazy kick, tracing, the server's terminal lists, a cluster replica, a
 device-attached model of your own — subclasses :class:`EngineExtension`,
 overrides the hooks it needs and goes through ``Manager.install``.  Per
 hook the manager keeps the bound methods that are *actually overridden*,

@@ -107,14 +107,6 @@ class TreePayload:
     def num_nodes(self) -> int:
         return len(self.left)
 
-    def depth(self) -> int:
-        """Levels from the root down to its deepest leaf: one pass, each
-        node after its children."""
-        levels: List[int] = []
-        for lhs, rhs in zip(self.left, self.right):
-            levels.append(1 if lhs < 0 else 1 + max(levels[lhs], levels[rhs]))
-        return levels[-1]
-
 
 class TreeLSTMModel(Model):
     """Binary TreeLSTM (Tai et al.) for sentence classification."""

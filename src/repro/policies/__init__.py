@@ -36,7 +36,6 @@ from repro.policies.defaults import (
     PinnedPlacement,
 )
 from repro.policies.memory import MemoryAwareFormation
-from repro.policies.predict import LatencyPredictor
 from repro.policies.slo import LazyKickPolicy
 from repro.policies.variants import (
     FixedPlacement,
@@ -121,7 +120,6 @@ __all__ = [
     "NoMixFormation",
     "LazyKickPolicy",
     "MemoryAwareFormation",
-    "LatencyPredictor",
     "PRIORITY_POLICIES",
     "PLACEMENT_POLICIES",
     "FORMATION_POLICIES",

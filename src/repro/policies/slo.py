@@ -24,9 +24,13 @@ workers through the engine's coalesced dispatch (``Manager.wake``) — so a
 held batch is kicked exactly when its tightest member runs out of
 headroom, without polling.
 
+The predicted remaining service time is ``remaining_nodes`` times the
+manager's per-node service-time EWMA (``Manager.node_time_estimate``),
+the engine's one running estimate of how long a node takes.
+
 The policy is an :class:`~repro.extension.EngineExtension`: the manager
-installs it, and ``attach`` switches it on (and installs the feed of its
-predictor) when the engine carries an :class:`~repro.faults.SLAConfig`.
+installs it, and ``attach`` switches it on when the engine carries an
+:class:`~repro.faults.SLAConfig`.
 Without an engine or an SLA, ``form`` delegates straight to the paper
 policy, and a server running this formation is fingerprint-bit-identical
 to the paper default (``tests/test_slo_policies.py``).
@@ -40,14 +44,13 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.extension import EngineExtension
 from repro.policies.base import BatchFormationPolicy, Plan
 from repro.policies.defaults import PaperBatchFormation
-from repro.policies.predict import LatencyPredictor, PredictorFeed
 
 if TYPE_CHECKING:
     from repro.core.scheduler import CellTypeQueue
     from repro.core.worker import Worker
 
 # Slack safety margin and default maximum hold (seconds; ``SLAConfig``'s
-# ``max_hold`` overrides the latter).  The margin absorbs predictor error;
+# ``max_hold`` overrides the latter).  The margin absorbs estimate error;
 # the hold bound caps the cumulative delay any request (with or without a
 # deadline) can accrue from holds, measured from its arrival.
 KICK_MARGIN = 500e-6
@@ -63,7 +66,6 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
         self.inner = PaperBatchFormation()
         # Set from the engine's SLA in ``attach``.
         self.max_hold: Optional[float] = None
-        self.predictor: Optional[LatencyPredictor] = None
         self._manager = None
         self._wake = None
         self._wake_at = math.inf
@@ -88,8 +90,6 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
             return
         self._manager = engine
         self.max_hold = sla.max_hold if sla.max_hold is not None else DEFAULT_MAX_HOLD
-        self.predictor = LatencyPredictor()
-        engine.install(PredictorFeed(self.predictor))
 
     @property
     def active(self) -> bool:
@@ -109,7 +109,7 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
             self.forced_full += 1
             return plan
         now = manager.loop.now()
-        predictor = self.predictor
+        node_time = manager.node_time_estimate
         # Per member, the latest acceptable kick instant: its slack expiry
         # (deadline minus predicted remaining service minus the margin),
         # clipped to ``arrival + max_hold`` — abundant slack never buys a
@@ -120,7 +120,7 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
             request = sg.request
             limit = request.arrival_time + self.max_hold
             if request.deadline is not None:
-                remaining = predictor.predicted_service(request.remaining_nodes)
+                remaining = request.remaining_nodes * node_time
                 slack_limit = request.deadline - remaining - KICK_MARGIN
                 if slack_limit < limit:
                     limit = slack_limit

@@ -10,10 +10,12 @@ list, the terminal lists those hooks fill, and the one-call key to these
 scans, so the code under test is never its own reference.
 """
 
+import weakref
 from typing import Dict, List, Set, Tuple
 
 from repro.cluster.replica import ALIVE, DRAINING
 from tests.oracles.bruteforce_scheduler import recount_ready_nodes
+from tests.oracles.latency_predictor import LatencyPredictor
 
 
 def projected_delay(replica) -> float:
@@ -30,10 +32,27 @@ def projected_delay(replica) -> float:
     return backlog + queued / manager.alive_devices
 
 
+# replica -> [its oracle predictor, finished shadows fed to it so far]
+_FED = weakref.WeakKeyDictionary()
+
+
 def predicted_delay(replica) -> float:
-    """``Replica.predicted_delay`` falling back to :func:`projected_delay`."""
-    predictor = replica.predictor
-    if predictor is not None and predictor.ready:
+    """``Replica.predicted_delay`` by the predictor it replaced: a
+    :class:`LatencyPredictor` fed, in finish order, the latency of every
+    shadow the replica's server filed as finished and the gaps between
+    their finish times (the cluster reads this key only on a live replica,
+    which still owns every shadow it served); :func:`projected_delay`
+    until it has seen one."""
+    entry = _FED.setdefault(replica, [LatencyPredictor(), 0])
+    predictor, fed = entry
+    finished = replica.server.finished
+    for index in range(fed, len(finished)):
+        shadow = finished[index]
+        predictor.observe_request(shadow.finish_time - shadow.arrival_time)
+        if index:
+            predictor.observe_gap(shadow.finish_time - finished[index - 1].finish_time)
+    entry[1] = len(finished)
+    if predictor.ready:
         return predictor.predicted_queue_delay(replica.outstanding())
     return projected_delay(replica)
 

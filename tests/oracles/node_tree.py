@@ -6,7 +6,9 @@ Until the payload became its post-order arrays (DESIGN.md §32) a
 walked it on every unfold, and the node class answered ``num_leaves`` /
 ``num_nodes`` / ``depth`` and built the complete trees.  Those walks live on
 here, for tests that build a tree node by node and for
-``tests/test_tree_runs.py``, which holds the flat payload to them.
+``tests/test_tree_runs.py``, which holds the flat payload to them.  So does
+:func:`depth`, the one-pass depth of the flat payload, which no engine code
+asks for.
 """
 
 from typing import Any, List, Optional, Tuple
@@ -61,6 +63,15 @@ def tree_shape(root: TreeNodeSpec) -> Tuple[int, int, int]:
             stack.append((spec.left, level + 1))
             stack.append((spec.right, level + 1))
     return leaves, 2 * leaves - 1, depth  # every internal node has two children
+
+
+def depth(payload: TreePayload) -> int:
+    """Levels from the payload's root down to its deepest leaf: one pass
+    over the post-order arrays, each node after its children."""
+    levels: List[int] = []
+    for lhs, rhs in zip(payload.left, payload.right):
+        levels.append(1 if lhs < 0 else 1 + max(levels[lhs], levels[rhs]))
+    return levels[-1]
 
 
 def complete_tree(num_leaves: int, token: int = 0) -> TreeNodeSpec:

@@ -128,7 +128,10 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 14.28, 15.30, 10.68 and 13.07 against 10.52 plain (DESIGN.md §37; 16.77,
+# 12.14, 15.30, 10.68 and 13.07 against 10.52 plain (lazy kick: DESIGN.md
+# §38, its slack reads the manager's per-node EWMA instead of a predictor
+# fed from every task and every terminal request; 14.28 before it; the
+# rest: DESIGN.md §37; 16.77,
 # 17.58, 12.81 and 15.59 against 12.81 plain, §35; 17.15,
 # 17.96, 13.19 and 15.97 against 13.19 plain, §31; 20.63,
 # 21.45, 16.61 and 19.46 against 16.68 before it, 28.30, 28.94, 24.79 and
@@ -140,7 +143,7 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        17.8,
+        15.2,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (

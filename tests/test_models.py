@@ -19,6 +19,8 @@ from repro.models.tree_lstm import TreeNodeSpec, TreePayload
 from repro.registry import build_server, presets
 from repro.workload import LoadGenerator, Seq2SeqDataset
 
+from tests.oracles.node_tree import depth
+
 
 def unfold(model, payload):
     graph = CellGraph()
@@ -250,7 +252,7 @@ class TestTreeModel:
         tree = TreePayload.complete(8)
         assert tree.num_leaves() == 8
         assert tree.num_nodes() == 15
-        assert tree.depth() == 4
+        assert depth(tree) == 4
 
     def test_complete_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -10,7 +10,7 @@ Three guarantees, checked differentially against the paper baseline:
 2. **No late dispatch** — when the policy holds a batch because its
    slack accounting said every member had headroom, no held request that
    eventually finished did so past its deadline: a hold may shift work,
-   never break a promise the predictor said was keepable.
+   never break a promise the slack estimate said was keepable.
 3. **Attainment dominance** — on the seeded fixed-length workload of
    ``repro.experiments.fig_slo``, lazy-kick SLO attainment is at least
    the paper's at 70-93% utilisation, and measurably higher near
@@ -161,3 +161,33 @@ def test_lazy_kick_attainment_dominates_paper():
     assert gains[5000] >= 0.01, (
         f"expected a measurable lazy win near saturation, got {gains}"
     )
+
+
+def test_predictor_runs_identical_serial_vs_forked_sweep():
+    """The lazy-kick config's outcomes (which flow through the predictor
+    on every kick decision) are bit-identical between a serial sweep and
+    a forked --jobs sweep."""
+    if not common.parallel_sweep_supported():
+        import pytest
+
+        pytest.skip("fork start method unavailable")
+    rates = (4400, 5000)
+
+    def factory():
+        return fig_slo._cluster_factory("lazy_kick")()
+
+    def one(jobs):
+        return common.sweep(
+            factory,
+            lambda: FixedLengthDataset(fig_slo.SEQUENCE_LENGTH),
+            rates,
+            lambda rate: 500,
+            seed=fig_slo.SEED,
+            jobs=jobs,
+        )
+
+    serial, forked = one(1), one(2)
+    for s, f in zip(serial, forked):
+        assert tuple(s.stats.latencies) == tuple(f.stats.latencies)
+        assert s.extras == f.extras
+        assert s.throughput == f.throughput

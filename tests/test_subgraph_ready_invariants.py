@@ -163,7 +163,7 @@ class Harness:
             SimpleNamespace(
                 sla=SLAConfig(),
                 loop=EventLoop(),
-                install=lambda extension: None,
+                node_time_estimate=0.0,
                 wake=lambda: None,
             )
         )

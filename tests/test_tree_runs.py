@@ -64,7 +64,13 @@ from tests.chaos_helpers import (
 )
 from tests.oracles.closure_parse_tree import closure_parse_tree
 from tests.oracles.explicit_tree import ExplicitTreeModel
-from tests.oracles.node_tree import complete_tree, flatten_tree, payload_of, tree_shape
+from tests.oracles.node_tree import (
+    complete_tree,
+    depth,
+    flatten_tree,
+    payload_of,
+    tree_shape,
+)
 from tests.test_chain_runs import (
     NOTHING_BUILT,
     assert_same_view,
@@ -492,13 +498,14 @@ def test_flatten_is_post_order_and_add_tree_accepts_it():
 def test_deep_tree_is_served_to_completion():
     """A 3000-leaf left-deep parse tree (depth 3000, three times the
     recursion limit) used to raise ``RecursionError`` in ``unfold`` and in
-    the payload's ``num_leaves`` / ``num_nodes`` / ``depth``."""
+    the payload's ``num_leaves`` / ``num_nodes`` / ``depth`` (now the
+    oracle's :func:`~tests.oracles.node_tree.depth`)."""
     leaves = 3000
     assert leaves > sys.getrecursionlimit()
     payload = payload_of(left_deep(leaves))
     assert payload.num_leaves() == leaves
     assert payload.num_nodes() == 2 * leaves - 1
-    assert payload.depth() == leaves
+    assert depth(payload) == leaves
     server = build_from_spec(presets.tree_batchmaker_spec())
     request = server.submit(payload, arrival_time=0.0)
     server.drain()
@@ -542,7 +549,7 @@ def test_flat_sampler_matches_the_recursive_oracle(seed):
             want = closure_parse_tree(theirs, leaves, 97)
             assert arrays(got) == flatten_tree(want)
             assert ours.bit_generator.state == theirs.bit_generator.state
-            assert (got.num_leaves(), got.num_nodes(), got.depth()) == tree_shape(want)
+            assert (got.num_leaves(), got.num_nodes(), depth(got)) == tree_shape(want)
             cases += 1
     assert cases >= 2000
 
@@ -563,17 +570,17 @@ def test_root_round_trips_to_the_arrays(name):
     assert tree_shape(payload.root) == (
         payload.num_leaves(),
         payload.num_nodes(),
-        payload.depth(),
+        depth(payload),
     )
     if name in DEEP:
-        assert payload.depth() == 3000
+        assert depth(payload) == 3000
 
 
 @pytest.mark.parametrize("num_leaves", [1, 2, 4, 16, 64])
 def test_complete_equals_the_flattened_oracle_tree(num_leaves):
     payload = TreePayload.complete(num_leaves, token=5)
     assert arrays(payload) == flatten_tree(complete_tree(num_leaves, token=5))
-    assert payload.depth() == num_leaves.bit_length()
+    assert depth(payload) == num_leaves.bit_length()
 
 
 def test_served_tree_run_builds_no_tree_node_spec(monkeypatch):
