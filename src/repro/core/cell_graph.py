@@ -78,13 +78,74 @@ class CellNode:
         return f"<CellNode {self.node_id} type={self.cell_type.name!r}>"
 
 
+class RunShape:
+    """What a model fixes about every chain it unfolds of one cell type,
+    checked once, here (DESIGN.md §39).
+
+    ``carried`` maps an input name to the output of the previous step that
+    feeds it, ``per_step`` names the inputs each step reads from the
+    request, and together they feed every input of ``cell_type`` exactly
+    once.  ``initial`` gives step 0's value for each carried input, all
+    :class:`ValueInput` values, when every request starts from the same
+    state; a model whose chains start from a node of the request's own
+    graph leaves it None and hands each :meth:`CellGraph.add_run` its own.
+    """
+
+    __slots__ = ("cell_type", "carried", "per_step", "initial")
+
+    def __init__(
+        self,
+        cell_type: CellType,
+        carried: Dict[str, str],
+        per_step: Sequence[str],
+        initial: Optional[Dict[str, ValueInput]] = None,
+    ):
+        missing = [
+            n for n in cell_type.input_names if n not in carried and n not in per_step
+        ]
+        if missing:
+            raise ValueError(
+                f"run of type {cell_type.name!r} missing inputs: {missing}"
+            )
+        for name, output in carried.items():
+            if name in per_step:
+                raise ValueError(f"run input {name!r} is both carried and per-step")
+            if output not in cell_type.output_names:
+                raise ValueError(
+                    f"run of type {cell_type.name!r} has no output {output!r} to carry"
+                )
+        if initial is not None:
+            _check_initial_names(carried, initial)
+            for ref in initial.values():
+                if not isinstance(ref, ValueInput):
+                    raise TypeError(
+                        f"a run shape's initial values must be ValueInputs, got {ref!r}"
+                    )
+        self.cell_type = cell_type
+        self.carried = carried
+        self.per_step = frozenset(per_step)
+        self.initial = initial
+
+
+def _check_initial_names(carried: Dict[str, str], initial: Dict[str, Any]) -> None:
+    """Raise unless ``initial`` gives a value for exactly the carried inputs."""
+    for name in carried:
+        if name not in initial:
+            raise ValueError(f"carried run input {name!r} has no initial value")
+    extra = [n for n in initial if n not in carried]
+    if extra:
+        raise ValueError(f"initial values for non-carried run inputs {extra}")
+
+
 class ChainRun:
     """``steps`` consecutive nodes of one cell type, kept as one record.
 
     Step ``k`` is node ``first_id + k``.  It reads ``per_step[name][k]`` for
     each per-step input and, for each carried input ``name``, the previous
     step's ``carried[name]`` output; step 0 reads ``initial[name]`` instead.
-    Built and validated by :meth:`CellGraph.add_run`.
+    Built and validated by :meth:`CellGraph.add_run`; ``producers`` are the
+    ids of the nodes step 0 reads from (``initial``'s NodeOutputs, each
+    once, first-seen order), the run's only in-edges.
     """
 
     __slots__ = (
@@ -103,24 +164,18 @@ class ChainRun:
         self,
         first_id: int,
         steps: int,
-        cell_type: CellType,
-        carried: Dict[str, str],
+        shape: RunShape,
         initial: Dict[str, Any],
         per_step: Dict[str, Sequence[Any]],
+        producers: Tuple[int, ...],
     ):
         self.first_id = first_id
         self.stop = first_id + steps  # one past the last node id
-        self.cell_type = cell_type
-        self.carried = carried
+        self.cell_type = shape.cell_type
+        self.carried = shape.carried
         self.initial = initial
         self.per_step = per_step
-        # Ids of the nodes step 0 reads from (``initial``'s NodeOutputs,
-        # each once, first-seen order): the run's only in-edges.
-        producers: List[int] = []
-        for ref in initial.values():
-            if isinstance(ref, NodeOutput) and ref.node_id not in producers:
-                producers.append(ref.node_id)
-        self.producers = tuple(producers)
+        self.producers = producers
         # Run node id -> ids of the explicit nodes (or later runs) that
         # consume its outputs.  The step-to-step edges are implicit.
         self.consumers: Dict[int, List[int]] = {}
@@ -327,20 +382,22 @@ class CellGraph:
 
     def add_run(
         self,
-        cell_type: CellType,
+        shape: RunShape,
         steps: int,
-        carried: Dict[str, str],
-        initial: Dict[str, Any],
         per_step: Dict[str, Sequence[Any]],
+        initial: Optional[Dict[str, Any]] = None,
     ) -> ChainRun:
-        """Append a chain of ``steps`` nodes of ``cell_type`` as one record.
+        """Append a chain of ``steps`` nodes of ``shape``'s cell type as one
+        record.
 
-        ``carried`` maps an input name to the output of the previous step
-        that feeds it, ``initial`` gives step 0's value for each carried
-        input (ValueInput or NodeOutput, checked as :meth:`add_node` checks
-        them) and ``per_step`` maps each remaining input to a sequence of
-        ``steps`` request-provided values.  Everything is validated here,
-        once; the three mappings are kept by reference, not copied.
+        ``per_step`` maps each of the shape's per-step inputs to a sequence
+        of ``steps`` request-provided values.  ``initial`` gives step 0's
+        carried values when the request brings its own (ValueInput or
+        NodeOutput, checked as :meth:`add_node` checks them); without it
+        the run starts from the shape's.  The shape was checked when the
+        model built it: here only what the request brings is — the step
+        count, the per-step names and lengths, and its own initial values
+        (DESIGN.md §39).  The mappings are kept by reference, not copied.
 
         The run is one subgraph.  An explicit node of the same cell type
         wired to it is not merged into that subgraph (it waits on an
@@ -349,34 +406,35 @@ class CellGraph:
         """
         if steps < 1:
             raise ValueError(f"a run needs at least one step, got {steps}")
-        missing = [
-            n for n in cell_type.input_names if n not in carried and n not in per_step
-        ]
-        if missing:
+        if per_step.keys() != shape.per_step:
             raise ValueError(
-                f"run of type {cell_type.name!r} missing inputs: {missing}"
+                f"run of type {shape.cell_type.name!r} takes per-step inputs "
+                f"{sorted(shape.per_step)}, got {sorted(per_step)}"
             )
-        for name, output in carried.items():
-            if name in per_step:
-                raise ValueError(f"run input {name!r} is both carried and per-step")
-            if output not in cell_type.output_names:
-                raise ValueError(
-                    f"run of type {cell_type.name!r} has no output {output!r} to carry"
-                )
-            if name not in initial:
-                raise ValueError(f"carried run input {name!r} has no initial value")
-            self._check_ref(initial[name])
-        extra = [n for n in initial if n not in carried]
-        if extra:
-            raise ValueError(f"initial values for non-carried run inputs {extra}")
         for name, values in per_step.items():
             if len(values) != steps:
                 raise ValueError(
                     f"per-step run input {name!r} has {len(values)} "
                     f"values for {steps} steps"
                 )
-        run = ChainRun(self._next_id, steps, cell_type, carried, initial, per_step)
-        for producer_id in run.producers:
+        if initial is None:
+            initial = shape.initial
+            if initial is None:
+                raise ValueError(
+                    f"run of type {shape.cell_type.name!r} has no initial values: "
+                    f"its shape fixes none and none were given"
+                )
+            producers: Tuple[int, ...] = ()
+        else:
+            _check_initial_names(shape.carried, initial)
+            found: List[int] = []
+            for ref in initial.values():
+                self._check_ref(ref)
+                if isinstance(ref, NodeOutput) and ref.node_id not in found:
+                    found.append(ref.node_id)
+            producers = tuple(found)
+        run = ChainRun(self._next_id, steps, shape, initial, per_step, producers)
+        for producer_id in producers:
             self._link(producer_id, run.first_id)
         self._runs += (run,)
         self._next_id = run.stop

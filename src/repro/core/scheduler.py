@@ -152,17 +152,29 @@ class CellTypeQueue:
         another worker) stays queued exactly as before the call — its
         membership, in queue order, its owner, its ready count and its
         list entry — and the refusal propagates; the members before it
-        stay committed."""
+        stay committed.  A member of another cell type is refused the
+        same way, with a ValueError, before anything of it is touched:
+        the task built from the plan does not walk it again (DESIGN.md
+        §39)."""
         entries: Entries = []
         members = self.subgraphs
+        name = self.cell_type.name
         left = 0
         try:
             for sg, count in plan:
+                if sg.cell_type_name != name:
+                    raise ValueError(
+                        f"subgraph {sg.subgraph_id} has type "
+                        f"{sg.cell_type_name!r}, expected {name!r}"
+                    )
                 if count == sg.unsubmitted:
                     del members[sg.subgraph_id]
                     sg.owner = None
                     left += count
                 sg.commit(count, worker_id, entries)
+        except ValueError:  # of another type: raised before it was touched
+            self._ready_total -= left
+            raise
         except RuntimeError:
             if sg.owner is None:  # dropped above as a last take
                 left -= count

@@ -29,7 +29,10 @@ class BatchedTask:
     ``plan`` is the scheduler's plan the task was committed from:
     ``(subgraph, node count)`` per distinct member, in the order the
     members' entries appear.  Submission and the extensions walk the
-    members from it; no stage rebuilds them from the entries.
+    members from it; no stage rebuilds them from the entries.  A plan's
+    members were checked to be of the task's cell type by the queue that
+    handed them out (:meth:`~repro.core.scheduler.CellTypeQueue.commit`);
+    a task built from bare entries checks its members here.
     """
 
     def __init__(
@@ -43,14 +46,14 @@ class BatchedTask:
             raise ValueError("a batched task needs at least one entry")
         if plan is None:
             plan = _plan_of(entries)
-        name = cell_type.name
-        for subgraph, _ in plan:
-            if subgraph.cell_type_name != name:
-                node_id = next(nid for sg, nid in entries if sg is subgraph)
-                raise ValueError(
-                    f"task {task_id}: node {node_id} has type "
-                    f"{subgraph.cell_type_name!r}, expected {name!r}"
-                )
+            name = cell_type.name
+            for subgraph, _ in plan:
+                if subgraph.cell_type_name != name:
+                    node_id = next(nid for sg, nid in entries if sg is subgraph)
+                    raise ValueError(
+                        f"task {task_id}: node {node_id} has type "
+                        f"{subgraph.cell_type_name!r}, expected {name!r}"
+                    )
         self.task_id = task_id
         self.cell_type = cell_type
         self.entries = entries

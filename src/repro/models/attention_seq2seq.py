@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cells.attention import AttentionDecoderCell, AttentionEncoderCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph, NodeOutput, RunShape, ValueInput
 from repro.core.request import PayloadError
 from repro.gpu.costmodel import (
     CostModel,
@@ -83,6 +83,9 @@ class AttentionSeq2SeqModel(Model):
                 ATTN_DECODER_CELL, ("ids", "h", "c", "mem", "mask"),
                 ("h", "c", "token"), num_operators=21,
             )
+        self._encoder_chain = RunShape(
+            self._encoder_type, _ENCODER_CARRIED, ("ids", "pos"), self._initial_state
+        )
 
     # -- Model interface ---------------------------------------------------------
 
@@ -102,11 +105,7 @@ class AttentionSeq2SeqModel(Model):
         spec = self._normalize(payload)
         src = spec["src"]
         encoder = graph.add_run(
-            self._encoder_type,
-            len(src),
-            carried=_ENCODER_CARRIED,
-            initial=self._initial_state,
-            per_step={"ids": src, "pos": range(len(src))},
+            self._encoder_chain, len(src), {"ids": src, "pos": range(len(src))}
         )
         last = encoder.last_id
 

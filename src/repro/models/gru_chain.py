@@ -15,7 +15,7 @@ from repro.cells.composite import CompositeCell
 from repro.cells.embedding import EmbeddingCell
 from repro.cells.gru import GRUCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, ValueInput
+from repro.core.cell_graph import CellGraph, RunShape, ValueInput
 from repro.gpu.costmodel import CostModel, v100_lstm_step_table
 from repro.models.base import Model, tokens_field
 from repro.tensor.parameters import ParameterStore
@@ -64,19 +64,16 @@ class GRUChainModel(Model):
         else:
             self._gru_cell = None
             self._step_type = CellType(GRU_CELL, ("ids", "h"), ("h",), num_operators=13)
+        self._chain = RunShape(
+            self._step_type, _CARRIED_STATE, ("ids",), self._initial_state
+        )
 
     def cell_types(self) -> Sequence[CellType]:
         return [self._step_type]
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         tokens = tokens_field(payload, "tokens")
-        run = graph.add_run(
-            self._step_type,
-            len(tokens),
-            carried=_CARRIED_STATE,
-            initial=self._initial_state,
-            per_step={"ids": tokens},
-        )
+        run = graph.add_run(self._chain, len(tokens), {"ids": tokens})
         graph.mark_result(run.last_id, "h")
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:

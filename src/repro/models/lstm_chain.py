@@ -17,7 +17,7 @@ from repro.cells.embedding import EmbeddingCell
 from repro.cells.lstm import LSTMCell
 from repro.cells.projection import ProjectionCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph, NodeOutput, RunShape, ValueInput
 from repro.gpu.costmodel import CostModel, v100_lstm_step_table
 from repro.models.base import Model, tokens_field
 from repro.tensor.parameters import ParameterStore
@@ -97,6 +97,9 @@ class LSTMChainModel(Model):
                 if project_output
                 else None
             )
+        self._chain = RunShape(
+            self._step_type, _CARRIED_STATE, ("ids",), self._initial_state
+        )
 
     # -- Model interface ---------------------------------------------------
 
@@ -108,13 +111,7 @@ class LSTMChainModel(Model):
 
     def unfold(self, graph: CellGraph, payload: Any) -> None:
         tokens = tokens_field(payload, "tokens")
-        run = graph.add_run(
-            self._step_type,
-            len(tokens),
-            carried=_CARRIED_STATE,
-            initial=self._initial_state,
-            per_step={"ids": tokens},
-        )
+        run = graph.add_run(self._chain, len(tokens), {"ids": tokens})
         if self._proj_type is not None:
             proj = graph.add_node(
                 self._proj_type, {"h": NodeOutput(run.last_id, "h")}

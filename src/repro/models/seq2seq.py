@@ -28,7 +28,7 @@ from repro.cells.embedding import EmbeddingCell
 from repro.cells.lstm import LSTMCell
 from repro.cells.projection import ProjectionCell
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, CellNode, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph, CellNode, NodeOutput, RunShape, ValueInput
 from repro.core.request import PayloadError
 from repro.gpu.costmodel import (
     CostModel,
@@ -135,6 +135,12 @@ class Seq2SeqModel(Model):
                 ("h", "c", "token"),
                 num_operators=15,
             )
+        self._encoder_chain = RunShape(
+            self._encoder_type, _ENCODER_CARRIED, ("ids",), self._initial_state
+        )
+        # The decoder starts from the encoder's last step: each request
+        # brings its own initial values.
+        self._decoder_chain = RunShape(self._decoder_type, _DECODER_CARRIED, ())
 
     def _build_real_cells(self) -> None:
         enc_embed = EmbeddingCell(
@@ -216,11 +222,7 @@ class Seq2SeqModel(Model):
             graph.mark_result(first_decoder.node_id, "token")
             return  # grows via extend()
         run = graph.add_run(
-            self._decoder_type,
-            spec["tgt_len"],
-            carried=_DECODER_CARRIED,
-            initial=decoder_initial,
-            per_step={},
+            self._decoder_chain, spec["tgt_len"], {}, initial=decoder_initial
         )
         for node_id in range(run.first_id, run.stop):
             graph.mark_result(node_id, "token")
@@ -295,13 +297,7 @@ class Seq2SeqModel(Model):
     def _encode(self, graph: CellGraph, src: List[int]) -> int:
         """Append the encoder over ``src`` as one run; returns the id of its
         last step, whose ``h`` and ``c`` the decoder starts from."""
-        run = graph.add_run(
-            self._encoder_type,
-            len(src),
-            carried=_ENCODER_CARRIED,
-            initial=self._initial_state,
-            per_step={"ids": src},
-        )
+        run = graph.add_run(self._encoder_chain, len(src), {"ids": src})
         return run.last_id
 
     def _reference_encode(self, src: List[int]) -> Tuple[Any, Any]:

@@ -71,8 +71,10 @@ class LiveEventLoop(EventLoop):
 
     # -- scheduling: every path funnels through call_at -------------------
 
-    def call_at(self, when: float, callback: Callable[[], Any]) -> Event:
-        event = super().call_at(when, callback)
+    def call_at(
+        self, when: float, callback: Callable[[], Any], seq: Optional[int] = None
+    ) -> Event:
+        event = super().call_at(when, callback, seq)
         # A new earliest deadline must pull the asyncio timer forward;
         # later deadlines leave it alone (the pump re-arms afterwards).
         if self._aio is not None and (

@@ -15,7 +15,7 @@ import math
 from typing import Any, Callable, List, Optional
 
 from repro.core.request import InferenceRequest
-from repro.sim.events import EventLoop
+from repro.sim.events import Event, EventLoop
 
 
 def ensure_loop(loop: Optional[EventLoop]) -> EventLoop:
@@ -66,10 +66,12 @@ class InferenceServer:
         self.timed_out: List[InferenceRequest] = []
         self.rejected: List[InferenceRequest] = []
         self._next_request_id = 0
-        # Submitted, not yet arrived: ``(time, seq, request)`` keyed like
-        # the loop's own heap, so the one arrival callback below always
-        # pops the request its event was scheduled for (DESIGN.md §26).
+        # Submitted, not yet arrived: ``(time, seq, request)``, ``seq``
+        # reserved from the loop at submit.  Only the earliest is armed on
+        # the loop, under its own key, so every arrival fires exactly where
+        # an event scheduled at its submit would have (DESIGN.md §26, §39).
         self._arrivals: List[tuple] = []
+        self._armed: Optional[Event] = None
         self._arrive = self._next_arrival
         # Tracing (repro.trace): a recorder plus this server's scope on it.
         # None by default — instrumentation sites guard on the scope, so an
@@ -150,15 +152,29 @@ class InferenceServer:
         if deadline is not None:
             request.deadline = when + deadline
         self._next_request_id += 1
-        event = self.loop.call_at(when, self._arrive)
-        heapq.heappush(self._arrivals, (event.time, event.seq, request))
+        arrivals = self._arrivals
+        entry = (when, self.loop.reserve_seq(), request)
+        heapq.heappush(arrivals, entry)
+        if arrivals[0] is entry:  # the new earliest: it takes the arming
+            if self._armed is not None:
+                self._armed.cancel()
+            self._armed = self.loop.call_at(when, self._arrive, entry[1])
         return request
 
     def _next_arrival(self) -> None:
-        """Every arrival event's callback (one bound method per server,
-        no closure per request): the loop fires arrival events in
-        ``(time, seq)`` order, the heap pops in the same order."""
-        self._accept(heapq.heappop(self._arrivals)[2])
+        """The armed arrival's callback (one bound method per server, no
+        closure per request): accept the earliest submitted request and
+        arm the next under its reserved key — before accepting, so a
+        submit made while accepting sees the arming it may have to
+        replace."""
+        arrivals = self._arrivals
+        request = heapq.heappop(arrivals)[2]
+        if arrivals:
+            when, seq, _ = arrivals[0]
+            self._armed = self.loop.call_at(when, self._arrive, seq)
+        else:
+            self._armed = None
+        self._accept(request)
 
     def terminal_requests(self) -> List[InferenceRequest]:
         """Every request that reached a terminal state, any status."""

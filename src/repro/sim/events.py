@@ -3,8 +3,9 @@
 Events sit in a binary heap as ``(time, sequence, event)`` triples.  The
 sequence number breaks ties so that events scheduled at the same virtual time
 fire in scheduling order, which makes every simulation run bit-reproducible
-for a given seed; it is unique, so the heap orders the triples by comparing
-floats and ints and never reaches the event object.
+for a given seed.  It is unique among live events, so the heap orders the
+triples by comparing floats and ints; only a cancelled event can share its
+key with a live one (``Event.__lt__``).
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ class Event:
             self._loop = None
         return True
 
+    def __lt__(self, other: "Event") -> bool:
+        # Reached only when two heap entries share a key: an arrival armed
+        # again under its reserved key while its cancelled twin still sits
+        # in the heap (DESIGN.md §39).  The twin is skipped when popped, so
+        # either order is right.
+        return False
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{state}>"
@@ -79,6 +87,8 @@ class EventLoop:
     * **Virtual** (the default :class:`VirtualClock`): :meth:`run` pops
       events and *advances* the clock to each event's time — the
       deterministic simulation mode every fingerprint suite pins down.
+      ``run`` stores each time in the :class:`VirtualClock`'s ``_now``
+      (DESIGN.md §39), so a virtual clock is a ``VirtualClock``.
     * **Wall** (a non-virtual clock such as
       :class:`~repro.sim.clock.RealTimeClock`): time moves on its own;
       :meth:`run_due` fires exactly the events whose time has arrived and
@@ -110,7 +120,9 @@ class EventLoop:
 
     # -- scheduling -------------------------------------------------------
 
-    def call_at(self, when: float, callback: Callable[[], Any]) -> Event:
+    def call_at(
+        self, when: float, callback: Callable[[], Any], seq: Optional[int] = None
+    ) -> Event:
         """Schedule ``callback`` to run at absolute time ``when``.
 
         Under a virtual clock a past ``when`` is a scheduling bug and
@@ -119,6 +131,12 @@ class EventLoop:
         fires on the next pump.  A non-finite ``when`` raises under both:
         the clock would advance to it and every later time would read NaN
         or infinity.
+
+        ``seq`` is a tie-break number taken earlier by :meth:`reserve_seq`:
+        the event then fires where an event scheduled at that moment
+        would have, and so keeps a passed ``when`` under a wall clock.  A
+        server keeps its future arrivals itself and arms only the earliest
+        this way (DESIGN.md §39).
         """
         now = self.clock.now()
         if not now <= when < math.inf:  # NaN fails every comparison
@@ -126,13 +144,23 @@ class EventLoop:
                 raise ValueError(f"cannot schedule event at non-finite time {when}")
             if self._virtual:
                 raise ValueError(f"cannot schedule event in the past: {when} < {now}")
-            when = now
-        event = Event(when, self._seq, callback)
+            if seq is None:
+                when = now
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        event = Event(when, seq, callback)
         event._loop = self
-        self._seq += 1
         self._live += 1
-        heapq.heappush(self._heap, (when, event.seq, event))
+        heapq.heappush(self._heap, (when, seq, event))
         return event
+
+    def reserve_seq(self) -> int:
+        """Take the next tie-break number without scheduling anything; a
+        later ``call_at(..., seq=...)`` fires in its place."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def call_after(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -176,7 +204,10 @@ class EventLoop:
         if self._running:
             raise RuntimeError("event loop is already running")
         self._running = True
-        heap, heappop, advance_to = self._heap, heapq.heappop, self.clock.advance_to
+        # The clock's time is stored, not advanced through a call: the
+        # heap pops times in order and ``call_at`` refuses a past one, so
+        # a popped time is never behind the clock (DESIGN.md §39).
+        heap, heappop, clock = self._heap, heapq.heappop, self.clock
         horizon = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
         executed = 0
@@ -191,7 +222,7 @@ class EventLoop:
                 event.fired = True
                 event._loop = None
                 self._live -= 1
-                advance_to(when)
+                clock._now = when
                 callback, event.callback = event.callback, None
                 callback()
                 executed += 1

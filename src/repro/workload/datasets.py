@@ -87,8 +87,9 @@ class Seq2SeqDataset:
 
     def sample_one(self) -> dict:
         src_len = self._lengths.sample_one()
-        ratio = float(np.clip(self._rng.normal(1.0, 0.15), 0.6, 1.6))
-        tgt_len = int(np.clip(round(src_len * ratio), 1, self.max_length))
+        # Clipped in Python: the bits of ``np.clip`` on these scalars.
+        ratio = min(max(self._rng.normal(1.0, 0.15), 0.6), 1.6)
+        tgt_len = min(max(round(src_len * ratio), 1), self.max_length)
         if self.dynamic:
             return {"src": src_len, "dynamic": True, "max_decode": tgt_len}
         return {"src": src_len, "tgt_len": tgt_len}

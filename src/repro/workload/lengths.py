@@ -28,6 +28,7 @@ class WMTLengthSampler:
     MEDIAN = 19.0
     SIGMA = 0.68
     HARD_MAX = 330
+    _LOG_MEDIAN = float(np.log(MEDIAN))  # the mean of the underlying normal
 
     def __init__(self, seed: int = 0, max_length: int = HARD_MAX):
         if not 1 <= max_length <= self.HARD_MAX:
@@ -45,7 +46,12 @@ class WMTLengthSampler:
         return np.clip(np.rint(raw), 1, self.max_length).astype(np.int64)
 
     def sample_one(self) -> int:
-        return int(self.sample(1)[0])
+        """One length: the draw :meth:`sample` would make for ``n = 1``,
+        rounded (half to even, as ``np.rint``) and clipped in Python —
+        the same bits without building three one-element arrays
+        (DESIGN.md §39)."""
+        raw = self._rng.lognormal(self._LOG_MEDIAN, self.SIGMA)
+        return min(max(round(raw), 1), self.max_length)
 
 
 def length_cdf(lengths: Sequence[int]) -> List[tuple]:

@@ -66,6 +66,7 @@ class TreeBankSampler:
 
     MEDIAN = 18.0
     SIGMA = 0.5
+    _LOG_MEDIAN = float(np.log(MEDIAN))
 
     def __init__(
         self,
@@ -85,6 +86,8 @@ class TreeBankSampler:
         if self.fixed_leaves is not None:
             count = self.fixed_leaves
         else:
-            raw = self._rng.lognormal(np.log(self.MEDIAN), self.SIGMA)
-            count = int(np.clip(np.rint(raw), 1, self.max_leaves))
+            # Rounded half to even and clipped in Python: the bits of
+            # ``np.clip(np.rint(raw), ...)`` without its scalar arrays.
+            raw = self._rng.lognormal(self._LOG_MEDIAN, self.SIGMA)
+            count = min(max(round(raw), 1), self.max_leaves)
         return random_parse_tree(self._rng, count, self.vocab_size)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellGraph, NodeOutput, ValueInput
+from repro.core.cell_graph import CellGraph, NodeOutput, RunShape, ValueInput
 from repro.core.request import InferenceRequest
 from repro.core.subgraph import partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
@@ -94,13 +94,16 @@ class TestGraphConstruction:
 
 
 def add_chain_run(graph, lstm_type, steps, **overrides):
+    """A chain run whose initial values the request brings, so that every
+    check — the shape's and the request's — runs on each call."""
     spec = dict(
         carried={"h": "h", "c": "c"},
         initial={"h": ValueInput(None), "c": ValueInput(None)},
         per_step={"ids": list(range(steps))},
     )
     spec.update(overrides)
-    return graph.add_run(lstm_type, steps, **spec)
+    shape = RunShape(lstm_type, spec["carried"], spec["per_step"])
+    return graph.add_run(shape, steps, spec["per_step"], initial=spec["initial"])
 
 
 class TestRuns:
@@ -244,6 +247,42 @@ class TestRuns:
         with pytest.raises(TypeError):
             add_chain_run(graph, lstm_type, 2, per_step={"ids": [0, 1]},
                           initial={"h": 0.0, "c": ValueInput(None)})
+
+    def test_a_shape_fixes_the_model_half_once(self, lstm_type):
+        """What a model fixes is checked when it builds its ``RunShape``;
+        ``add_run`` checks only what the request brings — the step count,
+        the per-step names and lengths, its own initial values."""
+        zeros = {"h": ValueInput(None), "c": ValueInput(None)}
+        shape = RunShape(lstm_type, {"h": "h", "c": "c"}, ("ids",), zeros)
+        graph = CellGraph()
+        run = graph.add_run(shape, 3, {"ids": [4, 5, 6]})
+        assert run.initial is zeros and run.producers == ()
+        assert (run.cell_type, run.carried) == (lstm_type, shape.carried)
+        assert graph.inputs_of(0)["h"] is zeros["h"]
+        with pytest.raises(ValueError, match="takes per-step inputs \\['ids'\\], got \\['pos'\\]"):
+            graph.add_run(shape, 1, {"pos": [0]})
+        with pytest.raises(ValueError, match="at least one step"):
+            graph.add_run(shape, 0, {"ids": []})
+        with pytest.raises(ValueError, match="1 values for 2 steps"):
+            graph.add_run(shape, 2, {"ids": [0]})
+        assert len(graph) == 3 and len(graph.runs()) == 1
+        # A shape's own initial values are the same for every request:
+        # ValueInputs only, and the carried names exactly.
+        with pytest.raises(TypeError, match="must be ValueInputs"):
+            RunShape(lstm_type, {"h": "h", "c": "c"}, ("ids",),
+                     {"h": NodeOutput(run.last_id, "h"), "c": ValueInput(None)})
+        with pytest.raises(ValueError, match="'c' has no initial value"):
+            RunShape(lstm_type, {"h": "h", "c": "c"}, ("ids",), {"h": ValueInput(None)})
+        # Without them, each request brings its own.
+        bare = RunShape(lstm_type, {"h": "h", "c": "c"}, ("ids",))
+        with pytest.raises(ValueError, match="no initial values"):
+            graph.add_run(bare, 1, {"ids": [0]})
+        follow = graph.add_run(
+            bare, 1, {"ids": [0]},
+            initial={"h": NodeOutput(run.last_id, "h"), "c": NodeOutput(run.last_id, "c")},
+        )
+        assert follow.producers == (run.last_id,)
+        assert graph.predecessors(follow.first_id) == [run.last_id]
 
 
 def add_small_tree(graph, **overrides):

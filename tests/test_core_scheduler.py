@@ -334,6 +334,28 @@ class TestRefusedHandOut:
         assert self._snapshot(queue, sg) == snapshot
         assert queue.plan(0, 4) == [(sg, 1)]
 
+    def test_member_of_another_cell_type_is_refused_untouched(self):
+        """The queue checks each member's cell type in its commit loop (the
+        task built from the plan does not walk it again): a foreign member
+        raises before anything of it changes, and the members before it
+        stay committed, their ready count given back."""
+        model = Seq2SeqModel()
+        scheduler, _ = make_scheduler(model)
+        encoder, decoder = make_subgraphs(model, {"src": 2, "tgt_len": 3})
+        (first, _) = make_subgraphs(model, {"src": 1, "tgt_len": 1}, request_id=1, start_id=2)
+        scheduler.add_subgraph(encoder, first)
+        queue = scheduler._queues["encoder"]
+        ready = queue.num_ready_nodes()
+        untouched = (decoder.owner, decoder.unsubmitted, decoder.ready_count, decoder.pinned)
+
+        with pytest.raises(ValueError, match="has type 'decoder', expected 'encoder'"):
+            queue.commit([(first, 1), (decoder, 1)], 0)
+        assert (decoder.owner, decoder.unsubmitted, decoder.ready_count, decoder.pinned) == untouched
+        assert first.owner is None and first.unsubmitted == 0
+        assert list(queue.subgraphs) == [encoder.subgraph_id]
+        assert queue.num_ready_nodes() == ready - 1
+        assert queue.plan(0, 4) == [(encoder, encoder.ready_count)]
+
 
 class TestStats:
     def test_batch_size_histogram_and_mean(self):

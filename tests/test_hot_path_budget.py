@@ -39,9 +39,12 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (10.52 calls per
-# cell since a ready count is a slot, a time read one call and a task time
-# one memo lookup, DESIGN.md §37; 12.81 before it, §35; 13.15 while each
+# 1.25x what this run read when the budget was last set (9.73 calls per
+# cell since a length is one scalar draw, an arrival waits in its server's
+# heap, a chain's fixed arguments are checked once per model and a task
+# does not re-walk its plan, DESIGN.md §39; 10.52 since a ready count is a
+# slot, a time read one call and a task time
+# one memo lookup, §37; 12.81 before it, §35; 13.15 while each
 # run left its queue through
 # ``CellTypeQueue.remove`` and pinned through ``Subgraph.pin``, §34; 13.19
 # while the scheduler removed an exhausted
@@ -53,9 +56,10 @@ REQUESTS = 300
 # one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 13.2
-# The same for trees, payload sampling included: 19.06 calls per cell when
-# the budget was last set (DESIGN.md §37; 22.24 before it, §35; 22.39 with
+CALLS_PER_CELL_BUDGET = 12.2
+# The same for trees, payload sampling included: 18.87 calls per cell when
+# the budget was last set (DESIGN.md §39; 19.06 before it, §37; 22.24
+# before that, §35; 22.39 with
 # four hand-outs, §34;
 # 27.93 while every leaf was
 # admitted and handed out through calls of its own, §32; 33.90
@@ -63,11 +67,12 @@ CALLS_PER_CELL_BUDGET = 13.2
 # flattened them, 38.90 before §31, 43.26 before §30, 47.80 before §27,
 # 48.7 before §23), 92.5 with one explicit node per tree node and
 # dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 23.8
+TREE_CALLS_PER_CELL_BUDGET = 23.6
 # Seq2Seq: the encoder is one run, and so is the static decoder; the
 # dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
-# time.  1.25x what the runs read when the rows were set: 35.95 static and
-# 78.52 dynamic calls per cell (DESIGN.md §37; 47.01 and 91.75 before it,
+# time.  1.25x what the runs read when the rows were set: 34.59 static and
+# 77.18 dynamic calls per cell (DESIGN.md §39; 35.95 and 78.52 before it,
+# §37; 47.01 and 91.75 before that,
 # §35; 47.35 and 94.43 before that, §34; 47.39 and 94.47 with four
 # calls per admitted subgraph, §33; 96.09 and 117.49 while every
 # step was a ``CellNode`` found by the partition's component search and
@@ -76,7 +81,7 @@ TREE_CALLS_PER_CELL_BUDGET = 23.8
 # before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 44.9, "dynamic": 98.2}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 43.3, "dynamic": 96.5}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 0.316 when the budget was set — a payload is three lists, whatever its
@@ -89,20 +94,22 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 206.5 per request and 6.17 per replica
-# (DESIGN.md §37; 231.6 and 7.05 since each replica's engine hook folds
+# read when the rows were last set: 193.5 per request and 6.12 per replica
+# (DESIGN.md §39, one armed arrival per server; 206.5 and 6.17 before it,
+# §37; 231.6 and 7.05 since each replica's engine hook folds
 # its own outcomes, §36;
 # 256.9 and 10.13 while every arrival compared three terminal-list lengths
 # per replica, §35; 260.9 per request before it, §34; 261.9 since §31; 284.2
 # and 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 258.1
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 7.7
-# Collector-tracked objects one ``submit`` allocates: 4 when set (the
-# request, the loop's event and its heap entry, the arrival heap entry); 7
-# with a closure per arrival.
-SUBMIT_TRACKED_BUDGET = 5.0
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 241.9
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 7.65
+# Collector-tracked objects one ``submit`` allocates: 2.001 when set (the
+# request and its arrival heap entry; the one armed event and its loop
+# entry are shared by all; DESIGN.md §39); 4 while every arrival was a loop
+# event with a heap entry of its own; 7 with a closure per arrival.
+SUBMIT_TRACKED_BUDGET = 2.51
 
 
 def _lstm_server(formation=None, **runtime):
@@ -128,9 +135,10 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 12.14, 15.30, 10.68 and 13.07 against 10.52 plain (lazy kick: DESIGN.md
+# 11.35, 14.51, 9.90 and 12.29 against 9.73 plain (DESIGN.md §39; 12.14,
+# 15.30, 10.68 and 13.07 against 10.52 before it — lazy kick: DESIGN.md
 # §38, its slack reads the manager's per-node EWMA instead of a predictor
-# fed from every task and every terminal request; 14.28 before it; the
+# fed from every task and every terminal request; 14.28 before that; the
 # rest: DESIGN.md §37; 16.77,
 # 17.58, 12.81 and 15.59 against 12.81 plain, §35; 17.15,
 # 17.96, 13.19 and 15.97 against 13.19 plain, §31; 20.63,
@@ -143,25 +151,25 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        15.2,
+        14.2,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        19.1,
+        18.2,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        13.3,
+        12.4,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        16.3,
+        15.4,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }

@@ -42,6 +42,21 @@ def test_wall_clock_past_scheduling_clamps_to_now():
     assert fired == [1]
 
 
+def test_wall_clock_reserved_seq_keeps_its_passed_time():
+    """An arrival armed under a reserved number keeps its own time once it
+    has passed, so it fires where its submit put it — ahead of an event
+    scheduled later, whose past time is clamped to now."""
+    loop = EventLoop(RealTimeClock())
+    fired = []
+    seq = loop.reserve_seq()
+    past = loop.now() - 5.0
+    loop.call_at(loop.now() - 1.0, lambda: fired.append("clamped"))
+    event = loop.call_at(past, lambda: fired.append("reserved"), seq)
+    assert event.time == past
+    assert loop.run_due() == 2
+    assert fired == ["reserved", "clamped"]
+
+
 def test_step_and_run_refuse_wall_clock():
     loop = EventLoop(RealTimeClock())
     loop.call_at(loop.now() + 60.0, lambda: None)

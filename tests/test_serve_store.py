@@ -253,3 +253,49 @@ def test_random_interleavings_replay_exactly(tmp_path, seed):
         assert copy.terminal_at == record.terminal_at
     assert replica.skipped_entries == 0
     replica.close()
+
+
+def _recount(store):
+    counts = {state: 0 for state in STATES}
+    for record in store.records.values():
+        counts[record.state] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kept_counts_equal_a_recount(tmp_path, seed):
+    """``counts()`` and ``terminal_count()`` are kept as records are
+    created and moved, not recounted per poll: after every step of a
+    random interleaving (illegal attempts, duplicate journal lines and an
+    abort of the live records included), after a replay of the journal and
+    after a replay of the journal written twice over, they equal a walk
+    over every record."""
+    rng = random.Random(seed)
+    path = tmp_path / "journal.jsonl"
+    store = RequestStore(str(path))
+    now = 0.0
+    for step in range(400):
+        now += rng.random()
+        if rng.random() < 0.3 or not store.records:
+            store.create(payload=step, now=now)
+        else:
+            try:
+                store.transition(rng.choice(list(store.records)), rng.choice(STATES), now)
+            except (IllegalTransition, ValueError):
+                pass
+        if step == 300:
+            store.abort_non_terminal(now, reason="shutdown")
+        recount = _recount(store)
+        assert store.counts() == recount
+        assert store.terminal_count() == sum(recount[s] for s in TERMINAL_STATES)
+    store.close()
+
+    replica = RequestStore(str(path))
+    assert replica.counts() == _recount(replica) == _recount(store)
+    replica.close()
+    path.write_text(path.read_text() * 2)  # every entry again: all skipped
+    twice = RequestStore(str(path))
+    assert twice.skipped_entries == twice.replayed_entries > 0
+    assert twice.counts() == _recount(twice) == _recount(store)
+    assert twice.terminal_count() == store.terminal_count()
+    twice.close()

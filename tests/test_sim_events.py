@@ -82,6 +82,23 @@ class TestOrdering:
         loop.run()
         assert seen == ["a", "b", "c"]
 
+    def test_a_reserved_seq_fires_where_it_was_taken(self):
+        """``reserve_seq`` takes a tie-break number now; an event scheduled
+        later under it fires ahead of same-time events scheduled after the
+        reservation — and may be armed again under the same key after a
+        cancel, its cancelled twin skipped."""
+        loop = EventLoop()
+        seen = []
+        seq = loop.reserve_seq()
+        loop.call_at(1.0, lambda: seen.append("after"))
+        first = loop.call_at(1.0, lambda: seen.append("cancelled"), seq)
+        assert first.cancel()
+        again = loop.call_at(1.0, lambda: seen.append("reserved"), seq)
+        assert again.seq == first.seq == seq and loop.pending() == 2
+        assert loop.run() == 2
+        assert seen == ["reserved", "after"]
+        assert recount_pending(loop) == loop.pending() == 0
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):

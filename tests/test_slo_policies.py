@@ -131,6 +131,60 @@ def test_full_batches_kick_immediately():
     assert policy.forced_full > 0
 
 
+def test_slack_term_binds_and_sets_every_kick_instant():
+    """A configuration where the slack, not ``arrival + max_hold``, decides:
+    a 50 ms hold bound against an 8 ms deadline.  Every decision on a
+    partial batch is recomputed here from the members it saw — ``deadline -
+    remaining_nodes * node_time_estimate - KICK_MARGIN``, clipped to
+    ``arrival + max_hold`` — and must equal the wake the policy armed (a
+    hold) or lie at or before ``now`` (a kick).  Most holds are set by the
+    slack of a member with service still to run, so a remaining-service
+    term scaled by any factor misses this equality."""
+    from repro.policies.slo import KICK_MARGIN
+
+    sla = SLAConfig(default_deadline=8e-3, max_hold=50e-3)
+    server = _server("lazy_kick", sla=sla)
+    manager = server.manager
+    policy = manager.policies.formation
+    decisions = []
+    inner_form, schedule_wake = policy.inner.form, policy._schedule_wake
+
+    def form(queue, worker):
+        plan = inner_form(queue, worker)
+        if plan and sum(count for _, count in plan) < queue.max_batch:
+            members = [
+                (sg.request.arrival_time, sg.request.deadline, sg.request.remaining_nodes)
+                for sg, _ in plan
+            ]
+            decisions.append([manager.loop.now(), manager.node_time_estimate, members])
+        return plan
+
+    def wake(when):
+        decisions[-1].append(when)
+        schedule_wake(when)
+
+    policy.inner.form, policy._schedule_wake = form, wake
+    submitted = run_chaos(server, rate=3000.0, num_requests=400)
+    assert_invariants(server, submitted)
+
+    held = slack_bound = 0
+    for now, node_time, members, *wake_at in decisions:
+        limits = []
+        for arrival, deadline, remaining_nodes in members:
+            hold_limit = arrival + policy.max_hold
+            slack_limit = deadline - remaining_nodes * node_time - KICK_MARGIN
+            limits.append((min(hold_limit, slack_limit), slack_limit < hold_limit, remaining_nodes * node_time))
+        kick_by, by_slack, service = min(limits)
+        if wake_at:
+            held += 1
+            assert wake_at == [kick_by] and kick_by > now
+            slack_bound += by_slack and service > 0
+        else:
+            assert kick_by <= now
+    assert held == policy.holds > 20
+    assert slack_bound > held // 2, (slack_bound, held)
+
+
 # -- 3. attainment dominance ----------------------------------------------
 
 

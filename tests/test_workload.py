@@ -170,6 +170,56 @@ class TestDatasets:
         assert a.num_nodes() == 31
 
 
+# -- one scalar draw per payload (DESIGN.md §39) ------------------------------
+# Each ``sample_one`` draws one scalar and rounds (half to even) and clips in
+# Python; the array path — ``np.rint`` / ``np.clip`` over a size-``n`` draw,
+# which is ``n`` scalar draws from the same stream — must give the same bits.
+# 10^5 draws per seed and cap, Fig. 11's caps of 50 and 100 included.
+
+DRAWS = 100_000
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+@pytest.mark.parametrize("cap", [50, 100, WMTLengthSampler.HARD_MAX])
+def test_length_scalar_draw_equals_the_array_path(seed, cap):
+    scalar = WMTLengthSampler(seed=seed, max_length=cap)
+    drawn = [scalar.sample_one() for _ in range(DRAWS)]
+    assert all(type(length) is int for length in drawn)
+    assert drawn == WMTLengthSampler(seed=seed, max_length=cap).sample(DRAWS).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+@pytest.mark.parametrize("cap", [20, 70, 100])
+def test_leaf_count_scalar_draw_equals_the_array_path(seed, cap, monkeypatch):
+    """The tree sampler's leaf count; the tree drawn from it is stubbed out
+    so the stream holds only the counts."""
+    from repro.workload import trees
+
+    monkeypatch.setattr(trees, "random_parse_tree", lambda rng, count, vocab: count)
+    scalar = TreeBankSampler(seed=seed, max_leaves=cap)
+    drawn = [scalar.sample_one() for _ in range(DRAWS)]
+    assert all(type(count) is int for count in drawn)
+    raw = np.random.default_rng(seed).lognormal(
+        np.log(TreeBankSampler.MEDIAN), TreeBankSampler.SIGMA, size=DRAWS
+    )
+    assert drawn == np.clip(np.rint(raw), 1, cap).astype(np.int64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+@pytest.mark.parametrize("cap", [50, 100, WMTLengthSampler.HARD_MAX])
+def test_seq2seq_ratio_and_target_scalar_draws_equal_the_array_path(seed, cap):
+    scalar = Seq2SeqDataset(seed=seed, max_length=cap)
+    drawn = [scalar.sample_one() for _ in range(DRAWS)]
+    src = WMTLengthSampler(seed=seed, max_length=cap).sample(DRAWS)
+    ratio = np.clip(np.random.default_rng(seed + 1).normal(1.0, 0.15, size=DRAWS), 0.6, 1.6)
+    tgt = np.clip(np.rint(src * ratio), 1, cap).astype(np.int64)
+    assert drawn == [
+        {"src": s, "tgt_len": t} for s, t in zip(src.tolist(), tgt.tolist())
+    ]
+    assert all(type(p["tgt_len"]) is int for p in drawn)
+    assert (ratio == 0.6).any() and (ratio == 1.6).any(), "no draw reached a clip"
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10000), n=st.integers(1, 200))
 def test_length_sampler_always_in_range(seed, n):
