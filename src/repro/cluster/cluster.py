@@ -332,7 +332,7 @@ class ClusterServer(InferenceServer):
             if reason is not None:
                 self._reject(request, reason)
                 return
-        replica = self.router.choose(request, candidates)
+        replica = self.router.choose(request, candidates, now)
         shadow = replica.route(request, now)
         if self._trace is not None:
             # The (replica, shadow) -> logical mapping: what lets the
@@ -382,7 +382,7 @@ class ClusterServer(InferenceServer):
         # EWMA inter-finish gap — Little's law — once the replica has seen
         # a finish; projected queue delay before).  The deadline test waits
         # for the first logical completion.
-        best_wait = min(r.predicted_delay() for r in candidates)
+        best_wait = min(r.predicted_delay(now) for r in candidates)
         if sla.max_queue_delay is not None and best_wait > sla.max_queue_delay:
             return "sla_reject"
         deadline = request.deadline
@@ -458,7 +458,7 @@ class ClusterServer(InferenceServer):
                 continue
             candidates = self._routable
             if candidates:
-                target = self.router.choose(logical, candidates)
+                target = self.router.choose(logical, candidates, now)
                 shadow = target.route(logical, now)
                 self.cluster_counters.requests_rerouted += 1
                 self._trace_lifecycle(

@@ -24,7 +24,6 @@ bit-identical to the standalone server (``tests/test_cluster_identity``).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Optional
 
 from repro.core.batchmaker import BatchMakerServer
@@ -91,15 +90,6 @@ class Replica(EngineExtension):
         """Shadows routed here that are not yet terminal."""
         return len(self.shadow_of)
 
-    def projected_delay(self) -> float:
-        """Seconds a new request would plausibly wait on this replica: the
-        manager's projected queueing delay (min device backlog + EWMA drain
-        time of queued ready nodes); infinite with no alive device."""
-        manager = self.manager
-        if not manager.alive_devices:
-            return math.inf
-        return manager.projected_queue_delay()
-
     def free_memory(self) -> float:
         """Free device-memory bytes over the engine's alive workers;
         infinite without a memory model (every replica then ties and the
@@ -114,15 +104,16 @@ class Replica(EngineExtension):
         energy = self.server.energy
         return 0.0 if energy is None else energy.joules_per_cell()
 
-    def predicted_delay(self) -> float:
-        """Predicted seconds until a request newly routed here completes:
-        the outstanding shadow count times the EWMA inter-finish gap
-        (Little's law — the ``predicted_delay`` routing metric and the
-        cluster's SLA admission estimate), or times the EWMA finished
-        latency while every finish so far shared one instant; before the
-        first finish, :meth:`projected_delay`."""
+    def predicted_delay(self, now: float) -> float:
+        """Predicted seconds until a request newly routed here at ``now``
+        completes: the outstanding shadow count times the EWMA
+        inter-finish gap (Little's law — the ``predicted_delay`` routing
+        metric and the cluster's SLA admission estimate), or times the
+        EWMA finished latency while every finish so far shared one
+        instant; before the first finish, the manager's projected queueing
+        delay (``Manager.projected_queue_delay``)."""
         if self._last_finish is None:
-            return self.projected_delay()
+            return self.manager.projected_queue_delay(now)
         gap = self.gap_ewma
         return len(self.shadow_of) * (gap if gap > 0.0 else self.latency_ewma)
 

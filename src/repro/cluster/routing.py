@@ -12,7 +12,7 @@ routing decision sequence bit for bit.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Sequence, Type
+from typing import Any, Dict, List, Sequence, Type
 
 from repro.cluster.replica import Replica
 from repro.core.request import InferenceRequest
@@ -54,13 +54,16 @@ class RoutingPolicy:
     """Picks one of the candidate replicas for an arriving request.
 
     ``candidates`` is non-empty and sorted by ``replica_id``; the policy
-    must not mutate it.  A policy may keep internal state (the round-robin
+    must not mutate it.  ``now`` is the decision's time, read once by the
+    caller.  A policy may keep internal state (the round-robin
     cursor), but that state must evolve only through ``choose`` calls so
     a fixed workload replays to the same decisions.
 
-    A load-aware policy is one key function over :meth:`_best`: every
-    decision reads each candidate's load afresh (DESIGN.md §13 has the
-    measurements behind "routing is a scan").
+    A load-aware policy is one key per candidate handed to :meth:`_best`:
+    every decision reads each candidate's load afresh, one call per
+    candidate (DESIGN.md §13 has the measurements behind "routing is a
+    scan"), and a key that depends on the time takes ``now`` instead of
+    reading the clock per candidate (DESIGN.md §40).
     """
 
     name = "?"
@@ -70,13 +73,13 @@ class RoutingPolicy:
         self.decisions = 0
 
     def choose(
-        self, request: InferenceRequest, candidates: List[Replica]
+        self, request: InferenceRequest, candidates: List[Replica], now: float
     ) -> Replica:
         self.decisions += 1
-        return self._choose(request, candidates)
+        return self._choose(request, candidates, now)
 
     def _choose(
-        self, request: InferenceRequest, candidates: List[Replica]
+        self, request: InferenceRequest, candidates: List[Replica], now: float
     ) -> Replica:
         raise NotImplementedError
 
@@ -84,14 +87,20 @@ class RoutingPolicy:
         self,
         request: InferenceRequest,
         candidates: List[Replica],
-        key: Callable[[Replica], float],
+        keys: List[float],
     ) -> Replica:
-        """Min-by-key with the seeded tie-break over all minimisers: one
-        key evaluation per candidate, then every minimiser in candidate
-        (= replica-id) order goes to :func:`tie_break`."""
-        keys = [key(replica) for replica in candidates]
-        best = min(keys)
-        tied = [replica for replica, k in zip(candidates, keys) if k == best]
+        """Min-by-key with the seeded tie-break over all minimisers:
+        ``keys`` holds each candidate's key in candidate order, and one
+        pass keeps every minimiser in candidate (= replica-id) order for
+        :func:`tie_break`."""
+        best = keys[0]
+        tied = []
+        for replica, k in zip(candidates, keys):
+            if k < best:
+                best = k
+                tied = [replica]
+            elif k == best:
+                tied.append(replica)
         return tie_break(self.seed, request.request_id, tied)
 
     def __repr__(self) -> str:
@@ -104,7 +113,7 @@ class RoundRobinRouter(RoutingPolicy):
 
     name = "round_robin"
 
-    def _choose(self, request, candidates):
+    def _choose(self, request, candidates, now):
         # decisions was already incremented; index with the pre-increment
         # value so the cycle starts at replica 0.
         return candidates[(self.decisions - 1) % len(candidates)]
@@ -116,8 +125,8 @@ class LeastOutstandingRouter(RoutingPolicy):
 
     name = "least_outstanding"
 
-    def _choose(self, request, candidates):
-        return self._best(request, candidates, Replica.outstanding)
+    def _choose(self, request, candidates, now):
+        return self._best(request, candidates, [r.outstanding() for r in candidates])
 
 
 class ShortestQueueRouter(RoutingPolicy):
@@ -128,8 +137,10 @@ class ShortestQueueRouter(RoutingPolicy):
 
     name = "shortest_queue"
 
-    def _choose(self, request, candidates):
-        return self._best(request, candidates, Replica.projected_delay)
+    def _choose(self, request, candidates, now):
+        return self._best(
+            request, candidates, [r.manager.projected_queue_delay(now) for r in candidates]
+        )
 
 
 class PredictedDelayRouter(RoutingPolicy):
@@ -142,8 +153,8 @@ class PredictedDelayRouter(RoutingPolicy):
 
     name = "predicted_delay"
 
-    def _choose(self, request, candidates):
-        return self._best(request, candidates, Replica.predicted_delay)
+    def _choose(self, request, candidates, now):
+        return self._best(request, candidates, [r.predicted_delay(now) for r in candidates])
 
 
 class MostFreeMemoryRouter(RoutingPolicy):
@@ -157,8 +168,8 @@ class MostFreeMemoryRouter(RoutingPolicy):
 
     name = "most_free_memory"
 
-    def _choose(self, request, candidates):
-        return self._best(request, candidates, lambda r: -r.free_memory())
+    def _choose(self, request, candidates, now):
+        return self._best(request, candidates, [-r.free_memory() for r in candidates])
 
 
 class CheapestEnergyRouter(RoutingPolicy):
@@ -173,8 +184,8 @@ class CheapestEnergyRouter(RoutingPolicy):
 
     name = "cheapest_energy"
 
-    def _choose(self, request, candidates):
-        return self._best(request, candidates, Replica.energy_cost)
+    def _choose(self, request, candidates, now):
+        return self._best(request, candidates, [r.energy_cost() for r in candidates])
 
 
 class LengthBucketedRouter(RoutingPolicy):
@@ -196,7 +207,7 @@ class LengthBucketedRouter(RoutingPolicy):
             raise ValueError("bucket_width must be >= 1")
         self.bucket_width = int(bucket_width)
 
-    def _choose(self, request, candidates):
+    def _choose(self, request, candidates, now):
         bucket = payload_length(request.payload) // self.bucket_width
         return candidates[bucket % len(candidates)]
 
@@ -220,7 +231,7 @@ class ClassAffinityRouter(LengthBucketedRouter):
 
     name = "class_affinity"
 
-    def _choose(self, request, candidates):
+    def _choose(self, request, candidates, now):
         bucket = payload_length(request.payload) // self.bucket_width
         ranks = sorted({replica.class_rank for replica in candidates})
         rank = ranks[min(bucket, len(ranks) - 1)]

@@ -169,7 +169,8 @@ class Manager:
 
         Scheduling is deferred to the end of the current timestamp so that
         simultaneously-arriving requests can be batched together instead of
-        the first one grabbing an idle worker alone.  A payload the model
+        the first one grabbing an idle worker alone, and is arranged only
+        while some worker is idle (``_kick_if_idle``).  A payload the model
         refuses at unfold is rejected (reason ``bad_payload: <why>``).
         """
         for gate in self._gates:
@@ -191,7 +192,7 @@ class Manager:
         except PayloadError as refusal:
             self._reject(request, f"{BAD_PAYLOAD}: {refusal}")
             return
-        self._poke.kick()
+        self._kick_if_idle()
 
     def reenter_request(self, request: InferenceRequest) -> None:
         """Unfold a preempted request afresh (its backoff elapsed) — unless
@@ -202,7 +203,7 @@ class Manager:
             return
         if self.alive_devices:
             self.processor.add_request(request)
-            self._poke.kick()
+            self._kick_if_idle()
         else:
             self.cancel_request(request, reason="no_devices")
 
@@ -218,16 +219,19 @@ class Manager:
         return None if self.alive_devices else "no_devices"
 
     def _gate_load_shed(self, request: InferenceRequest) -> Optional[str]:
-        over = self.projected_queue_delay() > self.sla.max_queue_delay
+        over = self.projected_queue_delay(self.loop.now()) > self.sla.max_queue_delay
         return "load_shed" if over else None
 
-    def projected_queue_delay(self) -> float:
-        """Seconds a new arrival would plausibly wait before computing:
-        the least-loaded surviving device's backlog plus the estimated
-        drain time of everything already queued in the scheduler.  Read
-        per candidate replica on every routed arrival: plain loops and one
-        clock read, not ``GPUDevice.backlog`` per device."""
-        now = self.loop.clock.now()
+    def projected_queue_delay(self, now: float) -> float:
+        """Seconds a new arrival at ``now`` would plausibly wait before
+        computing: the least-loaded surviving device's backlog plus the
+        estimated drain time of everything already queued in the
+        scheduler; infinite with no alive device.  Read per candidate
+        replica on every routed arrival, so the caller reads the clock
+        once per decision and this is plain loops (DESIGN.md §40)."""
+        alive = self.alive_devices
+        if not alive:
+            return math.inf
         backlog = math.inf
         for worker in self.workers:
             if worker.alive:
@@ -237,7 +241,7 @@ class Manager:
         ready = 0
         for queue in self.scheduler.queues:
             ready += queue.num_ready_nodes()
-        return backlog + ready * self.node_time_estimate / self.alive_devices
+        return backlog + ready * self.node_time_estimate / alive
 
     # -- scheduler -> worker -------------------------------------------------
 
@@ -436,17 +440,29 @@ class Manager:
     # -- idle-driven scheduling ------------------------------------------------
 
     def wake(self) -> None:
-        """Re-arm the coalesced dispatch kick.  The engine kicks itself on
-        every arrival and completion; extensions (a lazy-kick wake-up,
-        memory freed by a cancellation) and a live front end
-        (:mod:`repro.serve`: shutdown drains, journal-replay resumes) call
-        this after out-of-band changes, so formable work dispatches at the
-        end of the current timestamp."""
+        """Re-arm the coalesced dispatch kick, whatever the workers hold.
+        The engine schedules itself: an arrival kicks when some worker is
+        idle, and a completion or failure pokes the idle workers at once.
+        Extensions (a lazy-kick wake-up, memory freed by a cancellation)
+        and a live front end (:mod:`repro.serve`: shutdown drains,
+        journal-replay resumes) call this after out-of-band changes, so
+        formable work dispatches at the end of the current timestamp."""
         self._poke.kick()
 
     def outstanding(self) -> int:
         """Requests accepted but not yet terminal (live drain progress)."""
         return self.processor.live_request_count()
+
+    def _kick_if_idle(self) -> None:
+        """Arm the coalesced dispatch kick for new work when some alive
+        worker has nothing in flight.  With every worker busy the kick
+        would find no worker to schedule: each busy worker is scheduled
+        again by its own completion's poke, which sees this work
+        (DESIGN.md §40)."""
+        for worker in self.workers:
+            if worker.alive and not worker._inflight:
+                self._poke.kick()
+                return
 
     def _poke_idle_workers(self) -> None:
         """Schedule every live worker with nothing in flight (the scheduler

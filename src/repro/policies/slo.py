@@ -156,7 +156,9 @@ class LazyKickPolicy(BatchFormationPolicy, EngineExtension):
         self._wake = None
         self._wake_at = math.inf
         self.wakes += 1
-        # Coalesced end-of-timestamp dispatch, same as an arrival's poke.
+        # Coalesced end-of-timestamp dispatch.  ``wake`` kicks whatever the
+        # workers hold (an arrival's kick waits for an idle worker): the
+        # held batch waits for this wake-up, not for an arrival.
         self._manager.wake()
 
     def __repr__(self) -> str:

@@ -32,7 +32,10 @@ class DeferredKick:
     simultaneously-arriving requests can be batched together instead of
     the first one grabbing an idle device alone.  ``kick()`` arranges one
     ``fire`` at the current time via ``call_soon`` — further kicks before
-    it runs coalesce into that single firing.
+    it runs coalesce into that single firing.  The baselines kick on every
+    arrival; the manager kicks for an arrival only while some worker is
+    idle, since a busy worker is scheduled by its own completion
+    (DESIGN.md §40), and on every ``Manager.wake``.
     """
 
     __slots__ = ("loop", "fn", "_pending")

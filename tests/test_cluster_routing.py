@@ -23,14 +23,12 @@ from repro.sim.events import EventLoop
 
 
 class _StubManager:
-    """The two things ``Replica.projected_delay`` reads of a manager."""
-
-    alive_devices = 1
+    """What the ``shortest_queue`` key reads of a manager."""
 
     def __init__(self, delay):
         self.delay = delay
 
-    def projected_queue_delay(self):
+    def projected_queue_delay(self, now):
         return self.delay
 
 
@@ -56,28 +54,28 @@ def _request(request_id, payload=8):
 def test_round_robin_cycles_in_replica_order():
     router = make_router("round_robin")
     replicas = [_replica(i) for i in range(3)]
-    picks = [router.choose(_request(i), replicas).replica_id for i in range(7)]
+    picks = [router.choose(_request(i), replicas, 0.0).replica_id for i in range(7)]
     assert picks == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_least_outstanding_picks_min():
     router = make_router("least_outstanding")
     replicas = [_replica(0, 5), _replica(1, 2), _replica(2, 9)]
-    assert router.choose(_request(0), replicas).replica_id == 1
+    assert router.choose(_request(0), replicas, 0.0).replica_id == 1
 
 
 def test_shortest_queue_uses_projected_delay():
     router = make_router("shortest_queue")
     replicas = [_replica(0, 4, delay=8.0), _replica(1, 6, delay=3.0)]
-    assert router.choose(_request(0), replicas).replica_id == 1
+    assert router.choose(_request(0), replicas, 0.0).replica_id == 1
 
 
 def test_length_bucketed_groups_similar_lengths():
     router = make_router("length_bucketed", bucket_width=16)
     replicas = [_replica(0), _replica(1)]
-    short = router.choose(_request(0, payload=5), replicas)
-    also_short = router.choose(_request(1, payload=15), replicas)
-    longer = router.choose(_request(2, payload=20), replicas)
+    short = router.choose(_request(0, payload=5), replicas, 0.0)
+    also_short = router.choose(_request(1, payload=15), replicas, 0.0)
+    longer = router.choose(_request(2, payload=20), replicas, 0.0)
     assert short.replica_id == also_short.replica_id
     assert longer.replica_id != short.replica_id
 
@@ -189,13 +187,17 @@ def test_stop_routing_drains_every_alive_replica_and_retires_the_idle():
 
 # -- the per-decision oracle ------------------------------------------------
 
-# Policy -> (the key it routes by, read back per candidate; the oracle's key).
+# Policy -> (the key it routes by at the decision's time, read back per
+# candidate; the oracle's key).
 LOAD_AWARE = {
-    "least_outstanding": (Replica.outstanding, lambda r: r.outstanding()),
-    "shortest_queue": (Replica.projected_delay, bruteforce_cluster.projected_delay),
+    "least_outstanding": (lambda r, now: r.outstanding(), lambda r: r.outstanding()),
+    "shortest_queue": (
+        lambda r, now: r.manager.projected_queue_delay(now),
+        bruteforce_cluster.projected_delay,
+    ),
     "predicted_delay": (Replica.predicted_delay, bruteforce_cluster.predicted_delay),
-    "most_free_memory": (lambda r: -r.free_memory(), lambda r: -r.free_memory()),
-    "cheapest_energy": (Replica.energy_cost, lambda r: r.energy_cost()),
+    "most_free_memory": (lambda r, now: -r.free_memory(), lambda r: -r.free_memory()),
+    "cheapest_energy": (lambda r, now: r.energy_cost(), lambda r: r.energy_cost()),
 }
 
 
@@ -223,21 +225,22 @@ def _install_oracle(cluster, routed_key, key):
             "differ from a rebuild of every replica from scratch"
         )
 
-    def choose(request, candidates):
+    def choose(request, candidates, now):
         check_terminal_lists()
         assert candidates == bruteforce_cluster.scan_candidates(cluster), (
             f"decision {checked['decisions']}: candidates "
             f"{[r.replica_id for r in candidates]} are not a fresh scan"
         )
         keys = [key(replica) for replica in candidates]
-        assert [routed_key(replica) for replica in candidates] == keys, (
+        assert now == cluster.loop.now(), "the decision's time is not the clock's"
+        assert [routed_key(replica, now) for replica in candidates] == keys, (
             f"decision {checked['decisions']}: the policy's keys differ from "
             f"the oracle's {keys}"
         )
         best = min(keys)
         tied = [r for r, k in zip(candidates, keys) if k == best]
         expected = tie_break(router.seed, request.request_id, tied)
-        actual = original(request, candidates)
+        actual = original(request, candidates, now)
         assert actual is expected, (
             f"decision {checked['decisions']}: router chose replica "
             f"{actual.replica_id}, oracle chose {expected.replica_id} "

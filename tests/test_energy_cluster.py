@@ -124,12 +124,12 @@ def test_cheapest_energy_every_decision_matches_brute_force(seed):
     original = router.choose
     checked = {"decisions": 0}
 
-    def choose(request, candidates):
+    def choose(request, candidates, now):
         keys = [replica.energy_cost() for replica in candidates]
         best = min(keys)
         tied = [r for r, k in zip(candidates, keys) if k == best]
         expected = tie_break(router.seed, request.request_id, tied)
-        actual = original(request, candidates)
+        actual = original(request, candidates, now)
         assert actual is expected, (
             f"decision {checked['decisions']}: router chose "
             f"{actual.replica_id}, oracle chose {expected.replica_id}"
@@ -164,8 +164,8 @@ def test_class_affinity_maps_length_buckets_to_ranks():
     original = router.choose
     decisions = []
 
-    def choose(request, candidates):
-        chosen = original(request, candidates)
+    def choose(request, candidates, now):
+        chosen = original(request, candidates, now)
         decisions.append((payload_length(request.payload), chosen))
         return chosen
 

@@ -1,5 +1,7 @@
 """Graceful degradation: device loss re-pinning and SLA load shedding."""
 
+import math
+
 import pytest
 
 from tests.chaos_helpers import assert_invariants, build_server, run_chaos
@@ -151,10 +153,22 @@ class TestLoadShedding:
     def test_projected_queue_delay_tracks_backlog(self):
         server = build_server()
         manager = server.manager
-        assert manager.projected_queue_delay() == 0.0
+        assert manager.projected_queue_delay(server.loop.now()) == 0.0
         server.submit([1] * 40, arrival_time=0.0)
         # Advance into the run: the device now has a backlog.
         server.drain(until=1e-4)
-        assert manager.projected_queue_delay() >= 0.0
+        assert manager.projected_queue_delay(server.loop.now()) >= 0.0
         server.drain()
-        assert manager.projected_queue_delay() == 0.0
+        assert manager.projected_queue_delay(server.loop.now()) == 0.0
+
+    def test_projected_queue_delay_is_infinite_with_every_device_dead(self):
+        """No alive device: no backlog is finite and the drain term has
+        nothing to divide by — the delay reads ``inf``, not a
+        ``ZeroDivisionError``."""
+        server = build_server(num_gpus=2)
+        manager = server.manager
+        server.submit([1] * 40, arrival_time=0.0)
+        server.drain(until=1e-4)
+        manager.fail_all_devices()
+        assert manager.alive_devices == 0
+        assert manager.projected_queue_delay(server.loop.now()) == math.inf

@@ -39,10 +39,11 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (9.73 calls per
-# cell since a length is one scalar draw, an arrival waits in its server's
-# heap, a chain's fixed arguments are checked once per model and a task
-# does not re-walk its plan, DESIGN.md §39; 10.52 since a ready count is a
+# 1.25x what this run read when the budget was last set (9.36 calls per
+# cell since an arrival kicks the scheduler only while a worker is idle,
+# DESIGN.md §40; 9.73 since a length is one scalar draw, an arrival waits
+# in its server's heap, a chain's fixed arguments are checked once per
+# model and a task does not re-walk its plan, §39; 10.52 since a ready count is a
 # slot, a time read one call and a task time
 # one memo lookup, §37; 12.81 before it, §35; 13.15 while each
 # run left its queue through
@@ -56,9 +57,10 @@ REQUESTS = 300
 # one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 12.2
-# The same for trees, payload sampling included: 18.87 calls per cell when
-# the budget was last set (DESIGN.md §39; 19.06 before it, §37; 22.24
+CALLS_PER_CELL_BUDGET = 11.7
+# The same for trees, payload sampling included: 18.64 calls per cell when
+# the budget was last set (DESIGN.md §40; 18.87 before it, §39; 19.06
+# before that, §37; 22.24
 # before that, §35; 22.39 with
 # four hand-outs, §34;
 # 27.93 while every leaf was
@@ -67,11 +69,12 @@ CALLS_PER_CELL_BUDGET = 12.2
 # flattened them, 38.90 before §31, 43.26 before §30, 47.80 before §27,
 # 48.7 before §23), 92.5 with one explicit node per tree node and
 # dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 23.6
+TREE_CALLS_PER_CELL_BUDGET = 23.3
 # Seq2Seq: the encoder is one run, and so is the static decoder; the
 # dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
-# time.  1.25x what the runs read when the rows were set: 34.59 static and
-# 77.18 dynamic calls per cell (DESIGN.md §39; 35.95 and 78.52 before it,
+# time.  1.25x what the runs read when the rows were set: 34.43 static and
+# 77.02 dynamic calls per cell (DESIGN.md §40; 34.59 and 77.18 before it,
+# §39; 35.95 and 78.52 before that,
 # §37; 47.01 and 91.75 before that,
 # §35; 47.35 and 94.43 before that, §34; 47.39 and 94.47 with four
 # calls per admitted subgraph, §33; 96.09 and 117.49 while every
@@ -81,7 +84,7 @@ TREE_CALLS_PER_CELL_BUDGET = 23.6
 # before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 43.3, "dynamic": 96.5}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 43.0, "dynamic": 96.3}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
 # 0.316 when the budget was set — a payload is three lists, whatever its
@@ -94,8 +97,10 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 193.5 per request and 6.12 per replica
-# (DESIGN.md §39, one armed arrival per server; 206.5 and 6.17 before it,
+# read when the rows were last set: 167.6 per request and 4.81 per replica
+# (DESIGN.md §40, no kick for a busy engine and one key call per candidate;
+# 193.5 and 6.12 before it, §39, one armed arrival per server; 206.5 and
+# 6.17 before that,
 # §37; 231.6 and 7.05 since each replica's engine hook folds
 # its own outcomes, §36;
 # 256.9 and 10.13 while every arrival compared three terminal-list lengths
@@ -103,8 +108,8 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # and 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 241.9
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 7.65
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 209.4
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 6.01
 # Collector-tracked objects one ``submit`` allocates: 2.001 when set (the
 # request and its arrival heap entry; the one armed event and its loop
 # entry are shared by all; DESIGN.md §39); 4 while every arrival was a loop
@@ -135,7 +140,8 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 11.35, 14.51, 9.90 and 12.29 against 9.73 plain (DESIGN.md §39; 12.14,
+# 10.98, 14.13, 9.53 and 11.91 against 9.36 plain (DESIGN.md §40; 11.35,
+# 14.51, 9.90 and 12.29 against 9.73 before it, §39; 12.14,
 # 15.30, 10.68 and 13.07 against 10.52 before it — lazy kick: DESIGN.md
 # §38, its slack reads the manager's per-node EWMA instead of a predictor
 # fed from every task and every terminal request; 14.28 before that; the
@@ -151,25 +157,25 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        14.2,
+        13.7,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        18.2,
+        17.7,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        12.4,
+        11.9,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        15.4,
+        14.9,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }

@@ -88,12 +88,12 @@ def test_every_decision_matches_brute_force(seed):
     original = router.choose
     checked = {"decisions": 0}
 
-    def choose(request, candidates):
+    def choose(request, candidates, now):
         keys = [-replica.free_memory() for replica in candidates]
         best = min(keys)
         tied = [r for r, k in zip(candidates, keys) if k == best]
         expected = tie_break(router.seed, request.request_id, tied)
-        actual = original(request, candidates)
+        actual = original(request, candidates, now)
         assert actual is expected, (
             f"decision {checked['decisions']}: router chose "
             f"{actual.replica_id}, oracle chose {expected.replica_id}"

@@ -12,7 +12,7 @@ Both used to be read off a ``LatencyPredictor``, now
   bit — and the row still reproduces its committed fingerprint;
 * ``Replica.predicted_delay`` is finite, non-negative and monotone in the
   outstanding count, a pure function of the finishes it has folded, and
-  ``projected_delay`` until the first one.
+  the manager's ``projected_queue_delay`` until the first one.
 """
 
 import math
@@ -98,13 +98,13 @@ def _install_oracles(monkeypatch):
 
     predicted_delay = Replica.predicted_delay
 
-    def checked_predicted_delay(replica):
-        got = predicted_delay(replica)
+    def checked_predicted_delay(replica, now):
+        got = predicted_delay(replica, now)
         entry = replica_oracles.get(id(replica))
         if entry is not None and entry[0].ready:
             want = entry[0].predicted_queue_delay(replica.outstanding())
         else:
-            want = replica.projected_delay()
+            want = replica.manager.projected_queue_delay(now)
         assert _same(got, want), (
             f"replica {replica.replica_id}: predicted_delay {got!r} "
             f"!= oracle {want!r}"
@@ -165,7 +165,7 @@ PROJECTED = 0.125
 
 
 def _replica():
-    manager = SimpleNamespace(alive_devices=1, projected_queue_delay=lambda: PROJECTED)
+    manager = SimpleNamespace(projected_queue_delay=lambda now: PROJECTED)
     return Replica(0, SimpleNamespace(manager=manager), fold=lambda *args: None)
 
 
@@ -194,7 +194,7 @@ def _feed(replica, finishes):
 
 def _with_outstanding(replica, count):
     replica.shadow_of = {-1 - i: object() for i in range(count)}
-    return replica.predicted_delay()
+    return replica.predicted_delay(0.0)
 
 
 @settings(max_examples=120, deadline=None)
