@@ -41,7 +41,7 @@ class SequenceDataset:
         length = self._lengths.sample_one()
         if not self.emit_tokens:
             return length
-        return [int(t) for t in self._rng.integers(0, self.vocab_size, size=length)]
+        return self._rng.integers(0, self.vocab_size, size=length).tolist()
 
 
 class FixedLengthDataset:

@@ -58,7 +58,13 @@ REQUESTS = 300
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
 CALLS_PER_CELL_BUDGET = 11.7
-# The same for trees, payload sampling included: 18.64 calls per cell when
+# The same for trees, payload sampling included: 19.08 calls per cell since
+# the sampler takes its words in blocks (DESIGN.md §41: a block refill
+# counts 10 calls, 7 of them numpy's Python-level ``np.prod`` inside
+# ``integers(size=...)``, and a one-word refill 2, about 2.2 refills per
+# tree, while the ~33 scalar ``integers`` calls they replace per tree
+# counted none, numpy's Cython methods raising no profiler event; the
+# budget was not raised for it); 18.64 when
 # the budget was last set (DESIGN.md §40; 18.87 before it, §39; 19.06
 # before that, §37; 22.24
 # before that, §35; 22.39 with

@@ -116,7 +116,7 @@ class TestTrees:
             got = random_parse_tree(ours, leaves, 97)
             want = flatten_tree(closure_parse_tree(theirs, leaves, 97))
             assert (got.left, got.right, got.token) == want
-        assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_treebank_sampler_statistics(self):
         sampler = TreeBankSampler(seed=0)
@@ -130,6 +130,16 @@ class TestTrees:
             sampler.sample_one().num_leaves() == 12 for _ in range(5)
         )
 
+    @pytest.mark.parametrize("fixed_leaves", [0, -3])
+    def test_fixed_leaves_below_one_is_refused_at_construction(self, fixed_leaves):
+        with pytest.raises(ValueError, match="fixed_leaves"):
+            TreeBankSampler(seed=0, fixed_leaves=fixed_leaves)
+
+    @pytest.mark.parametrize("vocab_size", [0, 2**32 + 1])
+    def test_vocab_size_outside_the_32_bit_draw_is_refused_at_construction(self, vocab_size):
+        with pytest.raises(ValueError, match="vocab_size"):
+            TreeBankSampler(seed=0, vocab_size=vocab_size)
+
 
 class TestDatasets:
     def test_sequence_dataset_lengths(self):
@@ -142,6 +152,17 @@ class TestDatasets:
         sample = dataset.sample_one()
         assert isinstance(sample, list)
         assert all(0 <= t < 100 for t in sample)
+
+    def test_sequence_dataset_tokens_are_the_drawn_ints(self):
+        """``tolist`` gives the ints one ``int()`` per token gave."""
+        dataset = SequenceDataset(seed=5, emit_tokens=True, vocab_size=97)
+        lengths = WMTLengthSampler(seed=5)
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            want = [int(t) for t in rng.integers(0, 97, size=lengths.sample_one())]
+            got = dataset.sample_one()
+            assert got == want
+            assert all(type(t) is int for t in got)
 
     def test_fixed_length_dataset(self):
         dataset = FixedLengthDataset(24)
