@@ -37,9 +37,8 @@ def main():
             rate=rate, num_requests=min(4000 * num_gpus, 12000), seed=5
         )
         result = generator.run(server, Seq2SeqDataset(seed=5))
-        busy = [
-            w.device.timeline.busy_time() for w in server.manager.workers
-        ]
+        now = server.loop.now()
+        busy = [w.device.busy_time(now) for w in server.manager.workers]
         spread = (max(busy) - min(busy)) / max(busy) if max(busy) else 0.0
         rows.append(
             [

@@ -113,13 +113,12 @@ class GraphBatchingServer(InferenceServer):
                 )
             device.run_for(
                 duration,
-                on_complete=lambda reqs=requests, d=device_id: self._batch_done(
-                    reqs, d
-                ),
-                tag=(self.name, len(requests)),
+                lambda reqs=requests, d=device_id: self._batch_done(reqs, d),
             )
 
     def _batch_done(self, requests: List[InferenceRequest], device_id: int) -> None:
+        # One batch per device at a time: its signal fires now.
+        self.devices[device_id].retire(self.loop.now())
         self._device_busy[device_id] = False
         for request in requests:
             self._finish_request(request)

@@ -102,7 +102,6 @@ class Manager:
                 worker_id=device.device_id,
                 device=device,
                 cost_model=cost_model,
-                loop=loop,
                 on_task_complete=self._task_complete,
                 real_compute=real_compute,
                 on_task_failed=self._task_failed,

@@ -37,7 +37,7 @@ class ServerStats:
         self.total_joules = energy.total_joules() if self.energy_enabled else 0.0
         self.workers = []
         for worker in manager.workers:
-            busy = worker.device.timeline.busy_time(until=now)
+            busy = worker.device.busy_time(now)
             row = {
                 "worker_id": worker.worker_id,
                 "tasks": worker.tasks_executed,

@@ -21,6 +21,7 @@ from repro.tensor import ops
 
 if TYPE_CHECKING:  # typing only — policies are imported by core at runtime
     from repro.policies.base import Plan
+    from repro.sim.events import Event
 
 
 class BatchedTask:
@@ -60,8 +61,9 @@ class BatchedTask:
         self.plan = plan
         self.batch_size = len(entries)
         self.worker_id: Optional[int] = None
-        self.submit_time: Optional[float] = None
-        self.finish_time: Optional[float] = None
+        # The worker's signal for this execution: the event that reports its
+        # retire time (cancelled if the device dies first).
+        self.signal: Optional[Event] = None
         self.duration: Optional[float] = None
         # How much of ``duration`` went to the gather copy and to the
         # cross-device migration copy (set by the worker at submission;
@@ -76,8 +78,7 @@ class BatchedTask:
         """Reset per-execution state so the task can be submitted again."""
         self.attempt += 1
         self.worker_id = None
-        self.submit_time = None
-        self.finish_time = None
+        self.signal = None
         self.duration = None
         self.gather_time = 0.0
         self.migration_time = 0.0

@@ -23,7 +23,6 @@ from repro.core.task import BatchedTask
 from repro.faults.plan import KERNEL_FAIL, STRAGGLER, TaskFault
 from repro.gpu.costmodel import CostModel
 from repro.gpu.device import GPUDevice
-from repro.sim.events import EventLoop
 
 
 class Worker:
@@ -34,7 +33,6 @@ class Worker:
         worker_id: int,
         device: GPUDevice,
         cost_model: CostModel,
-        loop: EventLoop,
         on_task_complete: Callable[["Worker", BatchedTask], None],
         real_compute: bool = False,
         on_task_failed: Optional[
@@ -44,7 +42,6 @@ class Worker:
         self.worker_id = worker_id
         self.device = device
         self.cost_model = cost_model
-        self.loop = loop
         self._on_task_complete = on_task_complete
         self._on_task_failed = on_task_failed
         self.real_compute = real_compute
@@ -53,10 +50,10 @@ class Worker:
         self.tasks_failed = 0
         self.busy_time = 0.0
         self.gathers_performed = 0
-        # In-flight tasks in submission order.  The device's stream is FIFO,
-        # so tasks retire in this order: a retiring task is always the
-        # oldest, and device loss fails them in the order their completions
-        # would have fired.
+        # In-flight tasks in submission order, each holding its signal
+        # (``task.signal``).  The device's stream is FIFO, so tasks retire
+        # in this order: a retiring task is always the oldest, and device
+        # loss fails them in the order their completions would have fired.
         self._inflight: Deque[BatchedTask] = deque()
         # Batch composition (subgraph-id set) of the most recently submitted
         # task: an identical composition needs no gather copy (§4.3).
@@ -83,7 +80,6 @@ class Worker:
                 f"task {task.task_id} submitted to dead worker {self.worker_id}"
             )
         task.worker_id = self.worker_id
-        task.submit_time = self.loop.now()
         will_fail = fault is not None and fault.kind == KERNEL_FAIL
         if self.real_compute:
             # Even when the kernel is to fail: the fault withholds the
@@ -111,34 +107,32 @@ class Worker:
             # final wall duration is the right integrand.
             self.device.energy.charge_task(duration)
         self._inflight.append(task)
-        self.device.run_for(
-            duration,
-            on_complete=(lambda: self._fail(task, "kernel_fault"))
-            if will_fail
-            else self._complete,
-            tag=(cell_type.name, task.batch_size),
+        task.signal = self.device.run_for(
+            duration, self._kernel_fault if will_fail else self._complete
         )
 
     def _complete(self) -> None:
         """The oldest in-flight task retired (its completion signal)."""
         task = self._inflight.popleft()
-        task.finish_time = self.loop.now()
+        self.device.retire(task.signal.time)
         self.tasks_executed += 1
         self.busy_time += task.duration or 0.0
         self._on_task_complete(self, task)
 
-    def _fail(self, task: BatchedTask, reason: str) -> None:
-        """A task execution did not retire cleanly (kernel fault at its
-        retire time, or the device died under it).  Either way it is the
-        oldest in flight."""
-        if self._inflight.popleft() is not task:
-            raise RuntimeError(f"task {task.task_id} failed out of stream order")
+    def _kernel_fault(self) -> None:
+        """The oldest in-flight task's kernel failed.  The fault shows at
+        the retire time: the device time was consumed, and the task fails
+        instead of completing."""
+        task = self._inflight[0]
+        self.device.retire(task.signal.time)
+        self.busy_time += task.duration or 0.0
+        self._fail("kernel_fault")
+
+    def _fail(self, reason: str) -> None:
+        """The oldest in-flight task did not retire cleanly (a kernel
+        fault, or the device died under it)."""
+        task = self._inflight.popleft()
         self.tasks_failed += 1
-        if reason != "device_lost":
-            # A kernel fault is detected at retire time: the device time was
-            # consumed.  A lost device never retires the kernel; its
-            # timeline is truncated at the death instant instead.
-            self.busy_time += task.duration or 0.0
         if self._on_task_failed is None:
             raise RuntimeError(
                 f"task {task.task_id} failed ({reason}) but worker "
@@ -147,15 +141,17 @@ class Worker:
         self._on_task_failed(self, task, reason)
 
     def fail_device(self) -> List[BatchedTask]:
-        """The device died: cancel pending completions and fail every
-        in-flight task, in submission order.  Returns the failed tasks."""
+        """The device died: cancel every in-flight task's signal, then fail
+        the tasks in submission order.  Returns the failed tasks."""
         if not self.alive:
             return []
         self.alive = False
         self.device.fail()
         doomed = list(self._inflight)
         for task in doomed:
-            self._fail(task, "device_lost")
+            task.signal.cancel()
+        for _ in doomed:
+            self._fail("device_lost")
         return doomed
 
     @property

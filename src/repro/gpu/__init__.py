@@ -23,7 +23,7 @@ from repro.gpu.costmodel import (
     tree_leaf_step_table,
     v100_lstm_step_table,
 )
-from repro.gpu.device import DeviceTimeline, GPUDevice, make_devices
+from repro.gpu.device import GPUDevice, make_devices
 from repro.gpu.energy import GOVERNORS, EnergyModel, EnergySpec, make_governor
 from repro.gpu.memory import DEFAULT_STATE_BYTES, MemoryModel, MemorySpec
 
@@ -33,7 +33,6 @@ __all__ = [
     "NAMED_TABLES",
     "make_table",
     "GPUDevice",
-    "DeviceTimeline",
     "make_devices",
     "EnergyModel",
     "EnergySpec",

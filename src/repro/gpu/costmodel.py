@@ -101,10 +101,6 @@ class LatencyTable:
         }
         return LatencyTable(anchors, name or f"{self.name}@x{factor:g}")
 
-    def anchors(self) -> Tuple[Tuple[int, float], ...]:
-        """The (batch, seconds) anchor points, for inspection and tests."""
-        return tuple(zip(self._batches, self._times))
-
 
 def v100_lstm_step_table() -> LatencyTable:
     """One LSTM step, h=1024, on the simulated V100 (paper Fig 3, bottom)."""

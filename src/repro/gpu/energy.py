@@ -15,8 +15,9 @@ and core frequency.  This module adds the bookkeeping half of that trade:
     Strict per-device accounting attached to ``GPUDevice.energy`` (peer to
     ``GPUDevice.memory``).  Active energy is charged per batched kernel at
     submission — duration x dynamic watts at the frequency then in effect.
-    Idle energy is integrated against the device timeline at read time, so
-    integrated energy is exactly active + idle.  The per-request split of
+    Idle energy is integrated against the device's busy total at read
+    time, so integrated energy is exactly active + idle.  A dead device's
+    books stopped at its death: it reads 0.0 J.  The per-request split of
     the active joules is a test oracle (``tests/oracles/energy_attribution.py``),
     whose books telescope to the active total (DESIGN.md §28).
 
@@ -103,7 +104,7 @@ class EnergyModel:
 
     Active energy is charged per task via :meth:`charge_task`; idle energy
     is derived at read time from the wall-clock span minus the device's
-    busy time (the caller supplies busy time from the device timeline so
+    busy time (the caller supplies it from the device's busy total, so
     this class stays clock-free).  ``reset(now)`` zeroes the books when a
     device dies — a replacement device starts a fresh integration window,
     exactly like ``MemoryModel.reset()``.
@@ -402,16 +403,20 @@ class EnergyAccounting(EngineExtension):
         worker.device.energy.set_frequency(frequency)
 
     def device_joules(self, worker) -> float:
-        """Active charges plus idle power of one device's current
-        integration window, at the current sim time."""
-        model, now = worker.device.energy, self.engine.loop.now()
-        busy = worker.device.timeline.busy_time(since=model.start_time, until=now)
-        return model.integrated_joules(now, busy)
+        """Active charges plus idle power of one device's integration
+        window, at the current sim time; 0.0 for a dead device, whose books
+        stopped at its death."""
+        if not worker.alive:
+            return 0.0
+        # The window opened at attach, before the device ran anything, so
+        # the device's whole busy total falls inside it.
+        device, now = worker.device, self.engine.loop.now()
+        return device.energy.integrated_joules(now, device.busy_time(now))
 
     def total_joules(self) -> float:
-        """Integrated energy across the alive devices (a dead board's
-        books were reset with it)."""
-        return sum(self.device_joules(w) for w in self.engine.workers if w.alive)
+        """Integrated energy across the devices: the sum of their
+        :meth:`device_joules` rows."""
+        return sum(self.device_joules(w) for w in self.engine.workers)
 
     def joules_per_cell(self) -> float:
         """Estimated marginal joules to serve one cell: the cheapest alive

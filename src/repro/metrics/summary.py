@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.metrics.latency import LatencyStats
 
@@ -36,16 +36,6 @@ class RunSummary:
     @property
     def p99_ms(self) -> float:
         return self.stats.p_ms(99)
-
-    def row(self) -> List[str]:
-        return [
-            self.system,
-            f"{self.offered_rate:.0f}",
-            f"{self.throughput:.0f}",
-            f"{self.p50_ms:.2f}",
-            f"{self.p90_ms:.2f}",
-            f"{self.p99_ms:.2f}",
-        ]
 
     def __repr__(self) -> str:
         return (

@@ -108,22 +108,6 @@ class CriticalPath:
             b: sum(r.buckets[b] for r in self.requests) / n for b in ev.BUCKETS
         }
 
-    def format_table(self, percentiles: Tuple[float, ...] = (50.0, 90.0, 99.0)) -> str:
-        """Aligned text table of per-bucket percentiles in milliseconds."""
-        from repro.metrics.summary import format_table
-        from repro.sim.timebase import seconds_to_ms
-
-        headers = ["bucket"] + [f"p{p:g} (ms)" for p in percentiles] + ["mean (ms)"]
-        mean = self.mean_breakdown()
-        rows = []
-        for b in ev.BUCKETS:
-            rows.append(
-                [b]
-                + [f"{seconds_to_ms(self.bucket_percentile(b, p)):.3f}" for p in percentiles]
-                + [f"{seconds_to_ms(mean[b]):.3f}"]
-            )
-        return format_table(headers, rows)
-
 
 # ---------------------------------------------------------------------------
 # analysis internals

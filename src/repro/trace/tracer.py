@@ -76,8 +76,8 @@ class EngineTracer(EngineExtension):
 
     def on_task_failed(self, task, reason: str, retry_delay: Optional[float]) -> None:
         if reason == "device_lost":
-            # The kernel never retired (the device timeline is truncated at
-            # the death instant): no execution span, an instant marks it.
+            # The kernel never retired (the device's busy total is clipped
+            # at the death instant): no execution span, an instant marks it.
             self.scope.instant(
                 ev.TASK_DEVICE_LOST, ev.RETRY,
                 device_id=task.worker_id, task_id=task.task_id,

@@ -26,7 +26,8 @@ def projected_delay(replica) -> float:
     manager = replica.server.manager
     if not manager.alive_devices:
         return float("inf")
-    backlog = min(w.device.backlog() for w in manager.workers if w.alive)
+    now = manager.loop.now()
+    backlog = min(max(0.0, w.device.free_at - now) for w in manager.workers if w.alive)
     ready = sum(recount_ready_nodes(queue) for queue in manager.scheduler.queues)
     queued = ready * manager.node_time_estimate
     return backlog + queued / manager.alive_devices

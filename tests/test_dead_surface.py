@@ -12,8 +12,12 @@ gained one (or no longer exists) — the list only shrinks.
 Name-level and AST-only: a reference is an identifier read (``name``,
 ``obj.name``) or an identifier-shaped string constant (``getattr(x, "name")``,
 the hook names of ``repro.extension.HOOKS``, the method names
-``benchmarks/e2e/spans.py`` wraps).  Two definitions sharing a name vouch for
-each other; that is the price of not importing anything.
+``benchmarks/e2e/spans.py`` wraps).  A method is reached through an object,
+so only an attribute read (``obj.name``), a string constant or a CI word
+counts for it: a bare ``name`` — a local variable, a same-named function —
+does not, inside the method's own body or anywhere else.  Two methods
+sharing a name still vouch for each other; that is the price of not
+importing anything.
 """
 
 import ast
@@ -57,10 +61,12 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _scan(tree, referenced):
-    """One walk over a module: adds every name it reads to ``referenced`` and
+def _scan(tree, referenced, attribute_reads):
+    """One walk over a module: adds every name it reads to ``referenced``,
+    and those read as an attribute or a string to ``attribute_reads``, and
     returns, per definition of ``_definitions``, ``{qualified name: reads of
-    that name inside the definition itself}``."""
+    that name inside the definition itself}`` — for a method, only the
+    reads ``attribute_reads`` counts."""
     definitions = {id(node): (qualified, node.name) for qualified, node in _definitions(tree)}
     inside_itself = {qualified: 0 for qualified, _ in definitions.values()}
     exported = {  # the string constants of a top-level ``__all__ = [...]``
@@ -73,9 +79,9 @@ def _scan(tree, referenced):
     stack = [(tree, ())]  # (node, the definitions it sits in)
     while stack:
         node, enclosing = stack.pop()
-        name = None
+        name, bare = None, False
         if isinstance(node, ast.Name):
-            name = node.id
+            name, bare = node.id, True
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.Constant):
@@ -85,8 +91,10 @@ def _scan(tree, referenced):
             enclosing = (*enclosing, definitions[id(node)])
         if name is not None:
             referenced[name] += 1
+            if not bare:
+                attribute_reads[name] += 1
             for qualified, short in enclosing:
-                if short == name:
+                if short == name and not (bare and "." in qualified):
                     inside_itself[qualified] += 1
         stack += [(child, enclosing) for child in ast.iter_child_nodes(node)]
     return inside_itself
@@ -94,20 +102,24 @@ def _scan(tree, referenced):
 
 def unreferenced():
     """``{path under src/repro: {qualified names nothing but tests reach}}``."""
-    referenced = Counter()
+    referenced, attribute_reads = Counter(), Counter()
     defined = []
     for base in REFERENCED_UNDER:
         for path in sorted((ROOT / base).rglob("*.py")):
-            inside_itself = _scan(ast.parse(path.read_text()), referenced)
+            inside_itself = _scan(ast.parse(path.read_text()), referenced, attribute_reads)
             if (ROOT / DEFINED_UNDER) in path.parents:
                 where = path.relative_to(ROOT / DEFINED_UNDER).as_posix()
                 defined += [(where, q, n) for q, n in inside_itself.items()]
     for line in (ROOT / CI_WORKFLOW).read_text().splitlines():
         if "python -m repro" in line:
-            referenced.update(re.findall(r"[A-Za-z_]\w*", line))
+            words = re.findall(r"[A-Za-z_]\w*", line)
+            referenced.update(words)
+            attribute_reads.update(words)
     dead = {}
     for where, qualified, inside_itself in defined:
-        if referenced[qualified.rpartition(".")[2]] <= inside_itself:
+        owner, _, short = qualified.rpartition(".")
+        reads = attribute_reads if owner else referenced
+        if reads[short] <= inside_itself:
             dead.setdefault(where, set()).add(qualified)
     return dead
 
@@ -165,3 +177,25 @@ def test_the_scan_sees_a_name_only_tests_reach(tmp_path, monkeypatch):
     (tmp_path / CI_WORKFLOW).write_text("run: python -m repro.other --quick\n")
     monkeypatch.setattr("tests.test_dead_surface.ROOT", tmp_path)
     assert unreferenced() == {"mod.py": {"Thing.recursive", "orphan"}}
+
+
+def test_a_bare_name_does_not_vouch_for_a_method(tmp_path, monkeypatch):
+    """A local variable or a module function named like a method is no
+    caller of it: ``Thing.backlog`` and ``Thing.size`` are dead although
+    ``backlog`` and ``size`` are read, while the function ``size`` lives."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        "    def backlog(self):\n        return 0\n"
+        "    def size(self):\n        size = 1\n        return size\n"
+        "def size():\n    return 2\n"
+        "def helper():\n    backlog = size()\n    return backlog\n"
+    )
+    (package / "other.py").write_text(
+        "from repro.mod import Thing, helper\nprint(helper(), Thing)\n"
+    )
+    (tmp_path / ".github" / "workflows").mkdir(parents=True)
+    (tmp_path / CI_WORKFLOW).write_text("run: python -m repro.other\n")
+    monkeypatch.setattr("tests.test_dead_surface.ROOT", tmp_path)
+    assert unreferenced() == {"mod.py": {"Thing.backlog", "Thing.size"}}

@@ -97,9 +97,7 @@ def _telescope(server):
         assert abs(
             books.attributed + books.unattributed - model.active_joules
         ) < 1e-9, f"device {worker.worker_id} books don't telescope"
-        busy = worker.device.timeline.busy_time(
-            since=model.start_time, until=now
-        )
+        busy = worker.device.busy_time(now)
         assert model.integrated_joules(now, busy) == pytest.approx(
             model.active_joules + model.idle_joules(now, busy)
         )
@@ -195,18 +193,34 @@ def test_books_telescope_under_fault_storm(seed):
         assert worker.device.energy.active_joules == 0.0
         assert _books(server, worker).tasks_charged == 0
     # Fleet totals skip dead boards.
+    now = server.loop.now()
     assert server.energy_joules() == pytest.approx(
         sum(
-            w.device.energy.integrated_joules(
-                server.loop.now(),
-                w.device.timeline.busy_time(
-                    since=w.device.energy.start_time, until=server.loop.now()
-                ),
-            )
+            w.device.energy.integrated_joules(now, w.device.busy_time(now))
             for w in server.manager.workers
             if w.alive
         )
     )
+
+
+def test_dead_device_row_reads_zero_and_rows_sum_to_the_total():
+    """A dead board's books stopped at its death: its report row reads
+    0.0 J and stays there while the loop runs on, and the rows add up to
+    the report's total line."""
+    plan = FaultPlan(device_failures=[DeviceFailure(1e-3, 0)])
+    server = _server(energy=v100_energy_spec(), fault_plan=plan)
+    submitted = run_chaos(server, num_requests=50)
+    assert_invariants(server, submitted)
+    server.loop.run(until=1.0)
+    stats = server.stats()
+    rows = [w["joules"] for w in stats.workers]
+    assert not server.manager.workers[0].alive and rows[0] == 0.0
+    assert rows[1] > 0.0
+    assert sum(rows) == stats.total_joules == server.energy_joules()
+    server.loop.run(until=2.0)
+    later = server.stats()
+    assert later.workers[0]["joules"] == 0.0
+    assert later.total_joules > stats.total_joules  # the survivor idles on
 
 
 def test_per_request_attribution_sums_to_attributed():

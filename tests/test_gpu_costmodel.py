@@ -189,7 +189,7 @@ def test_memoised_table_is_the_formula_bit_for_bit():
     assert {"v100-lstm-step-h1024", "v100-lstm-step-h1024@x3"} <= names
     assert any("@x" in name and "x3" not in name for name in names), "no DVFS state"
     for table in tables:
-        last = table.anchors()[-1][0]
+        last = table._batches[-1]
         for batch in range(1, 2 * last + 1):
             formula = table._interpolate(batch).hex()
             assert table(batch).hex() == formula, (table.name, batch)

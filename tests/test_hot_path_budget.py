@@ -15,6 +15,12 @@ accounting, tracing) go through the same counter: switched off they must
 fit the plain budget — the guard costs nothing — and switched on a budget
 of their own (DESIGN.md §21; these rows replace the wall-clock ``slo`` /
 ``memory`` / ``energy`` / ``trace`` sections of the engine micro-bench).
+
+The counter sees Python-level calls and the C functions the interpreter
+calls directly; numpy's Cython-level methods (a scalar
+``Generator.integers``, say) raise no profiler event, so no row prices a
+numpy draw: a change that trades Python calls for draws, or back, moves
+these rows by the Python side only (DESIGN.md §41).
 """
 
 import gc
@@ -39,8 +45,10 @@ from repro.workload import (
 )
 
 REQUESTS = 300
-# 1.25x what this run read when the budget was last set (9.36 calls per
-# cell since an arrival kicks the scheduler only while a worker is idle,
+# 1.25x what this run read when the budget was last set (8.99 calls per
+# cell since the device keeps a busy total, not a tagged interval per
+# task, and its in-flight signals live with the worker's tasks, DESIGN.md
+# §42; 9.36 since an arrival kicks the scheduler only while a worker is idle,
 # DESIGN.md §40; 9.73 since a length is one scalar draw, an arrival waits
 # in its server's heap, a chain's fixed arguments are checked once per
 # model and a task does not re-walk its plan, §39; 10.52 since a ready count is a
@@ -57,15 +65,16 @@ REQUESTS = 300
 # one-pass-per-task change on the same run).  Lower it when the path
 # gets shorter; do not raise it without saying in DESIGN.md §19 what the
 # extra calls buy.
-CALLS_PER_CELL_BUDGET = 11.7
-# The same for trees, payload sampling included: 19.08 calls per cell since
-# the sampler takes its words in blocks (DESIGN.md §41: a block refill
+CALLS_PER_CELL_BUDGET = 11.2
+# The same for trees, payload sampling included, 1.25x rounded down: 18.62
+# calls per cell since the device keeps no interval per task (DESIGN.md
+# §42); 19.08 since the sampler takes its words in blocks (DESIGN.md §41: a block refill
 # counts 10 calls, 7 of them numpy's Python-level ``np.prod`` inside
 # ``integers(size=...)``, and a one-word refill 2, about 2.2 refills per
 # tree, while the ~33 scalar ``integers`` calls they replace per tree
 # counted none, numpy's Cython methods raising no profiler event; the
-# budget was not raised for it); 18.64 when
-# the budget was last set (DESIGN.md §40; 18.87 before it, §39; 19.06
+# budget was not raised for it); 18.64 before
+# the sampler change (DESIGN.md §40; 18.87 before it, §39; 19.06
 # before that, §37; 22.24
 # before that, §35; 22.39 with
 # four hand-outs, §34;
@@ -75,11 +84,12 @@ CALLS_PER_CELL_BUDGET = 11.7
 # flattened them, 38.90 before §31, 43.26 before §30, 47.80 before §27,
 # 48.7 before §23), 92.5 with one explicit node per tree node and
 # dict-backed subgraphs (DESIGN.md §20).
-TREE_CALLS_PER_CELL_BUDGET = 23.3
+TREE_CALLS_PER_CELL_BUDGET = 23.2
 # Seq2Seq: the encoder is one run, and so is the static decoder; the
 # dynamic row's decoder is explicit nodes grown one ``Model.extend`` at a
-# time.  1.25x what the runs read when the rows were set: 34.43 static and
-# 77.02 dynamic calls per cell (DESIGN.md §40; 34.59 and 77.18 before it,
+# time.  1.25x what the runs read when the rows were set: 31.47 static and
+# 74.15 dynamic calls per cell (DESIGN.md §42, no interval or tag tuple per
+# task; 34.43 and 77.02 before it, §40; 34.59 and 77.18 before it,
 # §39; 35.95 and 78.52 before that,
 # §37; 47.01 and 91.75 before that,
 # §35; 47.35 and 94.43 before that, §34; 47.39 and 94.47 with four
@@ -90,21 +100,24 @@ TREE_CALLS_PER_CELL_BUDGET = 23.3
 # before §31, 124.38 and 145.06 before §30, 129.8 and 176.7 while
 # ``extend`` was handed a node object and the dynamic decoder counted its
 # steps by census).
-SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 43.0, "dynamic": 96.3}
+SEQ2SEQ_CALLS_PER_CELL_BUDGET = {"static": 39.3, "dynamic": 92.7}
 # Objects the cyclic collector tracks that a run leaves behind, per executed
 # cell, each walked by every full collection.  Trees, payloads included:
-# 0.316 when the budget was set — a payload is three lists, whatever its
+# 0.144 when the budget was set — the device keeps no ``(start, end, tag)``
+# tuple per task (DESIGN.md §42) — 0.326 before it, 0.316 — a payload is three lists, whatever its
 # size (DESIGN.md §32) — 1.236 while it was one ``TreeNodeSpec`` per cell
 # (§24), 3.26 while served requests kept their graph, subgraphs and nodes,
-# 9.16 before flat trees (§20).  Chains: 0.20, 1.79 while served requests
-# kept their engine state.
-TREE_TRACKED_PER_CELL_BUDGET = 0.40
-CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
+# 9.16 before flat trees (§20).  Chains: 0.050 (§42), 0.20 while each
+# task left its interval on the device, 1.79 while served requests kept
+# their engine state.
+TREE_TRACKED_PER_CELL_BUDGET = 0.18
+CHAIN_TRACKED_PER_CELL_BUDGET = 0.063
 # The cluster front door, on the ledger's ``cluster_short`` shape at a tenth
 # of its requests: calls per request at 8 replicas, and the calls per request
 # each further replica adds ((64 replicas - 8) / 56).  1.25x what the run
-# read when the rows were last set: 167.6 per request and 4.81 per replica
-# (DESIGN.md §40, no kick for a busy engine and one key call per candidate;
+# read when the rows were last set: 162.7 per request and 4.54 per replica
+# (DESIGN.md §42, no interval or tag tuple per task; 167.6 and 4.81 before
+# it, §40, no kick for a busy engine and one key call per candidate;
 # 193.5 and 6.12 before it, §39, one armed arrival per server; 206.5 and
 # 6.17 before that,
 # §37; 231.6 and 7.05 since each replica's engine hook folds
@@ -114,8 +127,8 @@ CHAIN_TRACKED_PER_CELL_BUDGET = 0.26
 # and 10.54 before §31, 331.7 and 11.3 before §30, 351.7 when added, §26);
 # 462.6 and 25.3 while every arrival walked every replica.
 CLUSTER_REQUESTS = 2000
-CLUSTER_CALLS_PER_REQUEST_BUDGET = 209.4
-CLUSTER_CALLS_PER_REPLICA_BUDGET = 6.01
+CLUSTER_CALLS_PER_REQUEST_BUDGET = 203.4
+CLUSTER_CALLS_PER_REPLICA_BUDGET = 5.68
 # Collector-tracked objects one ``submit`` allocates: 2.001 when set (the
 # request and its arrival heap entry; the one armed event and its loop
 # entry are shared by all; DESIGN.md §39); 4 while every arrival was a loop
@@ -146,7 +159,8 @@ def _traced_server():
 # Subsystem -> (server with it wired in but switched off, or None where off
 # is the plain server of ``_lstm_run``; server with it on; calls per cell
 # allowed when on = 1.25x what the run read when the row was last set:
-# 10.98, 14.13, 9.53 and 11.91 against 9.36 plain (DESIGN.md §40; 11.35,
+# 10.62, 13.77, 9.10 and 11.55 against 8.99 plain (DESIGN.md §42; 10.98,
+# 14.13, 9.53 and 11.91 against 9.36 before it, §40; 11.35,
 # 14.51, 9.90 and 12.29 against 9.73 before it, §39; 12.14,
 # 15.30, 10.68 and 13.07 against 10.52 before it — lazy kick: DESIGN.md
 # §38, its slack reads the manager's per-node EWMA instead of a predictor
@@ -163,25 +177,25 @@ OPT_IN = {
     "lazy_kick": (
         lambda: _lstm_server("lazy_kick"),
         lambda: _lstm_server("lazy_kick", sla=SLAConfig(default_deadline=0.5)),
-        13.7,
+        13.3,
         lambda server: server.policies.formation.kicks > 0,
     ),
     "memory_aware": (
         lambda: _lstm_server("memory_aware"),
         lambda: _lstm_server("memory_aware", memory=MemorySpec(capacity=16 << 30)),
-        17.7,
+        17.2,
         lambda server: server.policies.formation.active,
     ),
     "energy": (
         None,
         lambda: build_server(presets.lstm_energy_spec(governor="headroom")),
-        11.9,
+        11.4,
         lambda server: server.energy_joules() > 0,
     ),
     "trace": (
         None,
         _traced_server,
-        14.9,
+        14.4,
         lambda server: len(server.trace_recorder) > REQUESTS,
     ),
 }

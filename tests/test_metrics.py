@@ -96,11 +96,6 @@ class TestSummary:
         assert summary.p90_ms >= summary.p50_ms
         assert summary.p99_ms >= summary.p90_ms
 
-    def test_row_format(self):
-        row = self.make_summary().row()
-        assert row[0] == "Sys"
-        assert row[1] == "100"
-
 
 class TestFormatTable:
     def test_alignment(self):

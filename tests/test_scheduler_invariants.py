@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BatchMakerServer, BatchingConfig
+from repro.extension import EngineExtension
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec
 from repro.policies import bundle_from_names
@@ -30,7 +31,8 @@ from tests.retention_helpers import keep_engine_state
 
 
 def instrument(server):
-    """Record (submit_index, submit_time, worker, task) for every task."""
+    """Record every task in submission order; returns the list and a
+    :class:`TaskTimes` observer installed on the engine."""
     records = []
     scheduler = server.manager.scheduler
     original = scheduler._submit
@@ -40,7 +42,24 @@ def instrument(server):
         original(task, worker)
 
     scheduler._submit = recording_submit
-    return records
+    times = TaskTimes()
+    server.manager.install(times)
+    return records, times
+
+
+class TaskTimes(EngineExtension):
+    """The instant each task was submitted and the instant it retired, read
+    at ``loop.now()`` as the engine's hooks report them."""
+
+    def attach(self, engine) -> None:
+        self.loop = engine.loop
+        self.submitted, self.retired = {}, {}
+
+    def on_task_submit(self, task, worker) -> None:
+        self.submitted[task] = self.loop.now()
+
+    def on_task_done(self, task) -> None:
+        self.retired[task] = self.loop.now()
 
 
 def payloads_for(kind, lengths, rng):
@@ -101,7 +120,7 @@ def test_serving_invariants(spec):
         num_gpus=spec["num_gpus"],
         policies=None if spec["pinning"] else bundle_from_names(placement="unpinned"),
     )
-    tasks = instrument(server)
+    tasks, times = instrument(server)
     keep = keep_engine_state(server)
 
     requests = []
@@ -144,7 +163,9 @@ def test_serving_invariants(spec):
                 if pred_task is task:
                     continue  # same task: impossible for dependent cells
                 same_worker = pred_task.worker_id == task.worker_id
-                retired_first = pred_task.finish_time <= task.submit_time + 1e-12
+                retired_first = (
+                    times.retired[pred_task] <= times.submitted[task] + 1e-12
+                )
                 if same_worker:
                     assert submit_index[id(pred_task)] < submit_index[id(task)]
                 else:

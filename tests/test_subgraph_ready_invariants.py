@@ -855,7 +855,7 @@ def test_filtered_retry_reports_the_filtered_subgraphs_and_gathers():
     loop = EventLoop()
     (device,) = make_devices(loop, 1)
     cost_model = model.default_cost_model()
-    worker = Worker(0, device, cost_model, loop, on_task_complete=lambda w, t: None)
+    worker = Worker(0, device, cost_model, on_task_complete=lambda w, t: None)
 
     scheduler.schedule(worker)
     task = submitted[0]

@@ -247,7 +247,3 @@ def test_no_fault_engine_run_has_empty_retry_and_routing():
         assert r.buckets[ev.RETRY] == 0.0
         assert r.buckets[ev.ROUTING] == 0.0
         assert abs(r.bucket_sum() - r.latency) <= TOLERANCE
-    # format_table renders without error and names every bucket.
-    table = path.format_table()
-    for bucket in ev.BUCKETS:
-        assert bucket in table

@@ -29,7 +29,9 @@ def make_task(model, length=1):
     return BatchedTask(0, graph.cell_type_of(entries[0][1]), entries)
 
 
-def make_worker(loop, completions, per_task_overhead=0.0):
+def make_worker(loop, completions, per_task_overhead=0.0, failures=None):
+    """A one-device worker that logs ``(worker, task, now)`` per completion
+    and ``(task, reason, now)`` per failure."""
     cost = CostModel(per_task_overhead=per_task_overhead, gather_overhead=0.0)
     cost.register("lstm", LatencyTable({1: 1e6, 512: 1e6}))  # 1 s per step
     device = GPUDevice(loop, 0)
@@ -37,8 +39,10 @@ def make_worker(loop, completions, per_task_overhead=0.0):
         worker_id=0,
         device=device,
         cost_model=cost,
-        loop=loop,
-        on_task_complete=lambda w, t: completions.append((w, t)),
+        on_task_complete=lambda w, t: completions.append((w, t, loop.now())),
+        on_task_failed=None
+        if failures is None
+        else lambda w, t, reason: failures.append((t, reason, loop.now())),
     )
 
 
@@ -52,12 +56,13 @@ class TestWorker:
         assert worker.outstanding == 1 and worker._inflight[0] is task
         loop.run()
         assert completions and completions[0][1] is task
-        assert task.submit_time == 0.0
-        assert task.finish_time == pytest.approx(1.0)
+        assert task.signal.time == completions[0][2] == pytest.approx(1.0)
+        assert task.signal.time - task.duration == 0.0  # reserved at submission
         assert task.duration == pytest.approx(1.0)
         assert worker.outstanding == 0 and not worker._inflight
         assert worker.tasks_executed == 1
         assert worker.busy_time == pytest.approx(1.0)
+        assert worker.device.busy_time(loop.now()) == worker.busy_time
 
     def test_double_submit_raises(self):
         loop = EventLoop()
@@ -74,7 +79,7 @@ class TestWorker:
         task = make_task(LSTMChainModel())
         worker.submit(task, extra_cost=0.5)
         loop.run()
-        assert task.finish_time == pytest.approx(1.5)
+        assert completions[0][2] == pytest.approx(1.5)
 
     def test_overhead_added(self):
         loop = EventLoop()
@@ -84,6 +89,29 @@ class TestWorker:
         worker.submit(task)
         loop.run()
         assert task.duration == pytest.approx(1.25)
+
+    def test_fail_device_cancels_the_in_flight_signals_in_order(self):
+        """Device loss: the worker cancels every signal it holds (the
+        device keeps none), fails the tasks in submission order at the
+        death instant, and the device's busy total stops there."""
+        loop = EventLoop()
+        completions, failures = [], []
+        worker = make_worker(loop, completions, failures=failures)
+        tasks = [make_task(LSTMChainModel()) for _ in range(3)]
+        for task in tasks:
+            worker.submit(task)
+        signals = [task.signal for task in tasks]
+        loop.run(until=1.5)
+        assert [c[1] for c in completions] == tasks[:1]
+        assert worker.fail_device() == tasks[1:]
+        assert [s.cancelled for s in signals] == [False, True, True]
+        assert failures == [(t, "device_lost", 1.5) for t in tasks[1:]]
+        assert loop.pending() == 0 and not worker._inflight
+        assert worker.fail_device() == []  # idempotent
+        loop.run()
+        assert len(completions) == 1
+        assert worker.device.busy_time(loop.now()) == 1.5
+        assert worker.busy_time == pytest.approx(1.0)  # retired work only
 
 
 class TestManagerWiring:
