@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from repro.core.request import InferenceRequest
 from repro.gpu.device import make_devices
 from repro.models.base import Model
-from repro.server import InferenceServer
+from repro.server import DeferredKick, InferenceServer
 from repro.sim.events import EventLoop
 
 
@@ -33,7 +33,7 @@ class GraphBatchingServer(InferenceServer):
         self.cost_model = model.default_cost_model()
         self.devices = make_devices(loop, num_gpus)
         self._device_busy = [False] * num_gpus
-        self._dispatch = self.deferred_kicker(self._dispatch_idle_devices)
+        self._dispatch = DeferredKick(loop, self._dispatch_idle_devices)
         self.batches_executed = 0
         self.batch_sizes: List[int] = []
         self._autotrace()
@@ -72,10 +72,6 @@ class GraphBatchingServer(InferenceServer):
         # simultaneously-arriving requests land in one batch rather than the
         # first of them grabbing an idle device alone.
         self._dispatch.kick()
-
-    def _deferred_dispatch(self) -> None:
-        # Retained entry point for timer-driven wake-ups (TimeoutPaddedServer).
-        self._dispatch.fire()
 
     def _dispatch_idle_devices(self) -> None:
         for device_id, device in enumerate(self.devices):

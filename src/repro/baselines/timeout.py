@@ -30,7 +30,6 @@ class TimeoutPaddedServer(PaddedServer):
         kwargs.setdefault("name", f"Padded(timeout={timeout * 1e3:g}ms)")
         super().__init__(*args, **kwargs)
         self.timeout = timeout
-        self._timer_scheduled = False
 
     # -- policy override -------------------------------------------------------
 
@@ -38,7 +37,7 @@ class TimeoutPaddedServer(PaddedServer):
         super()._enqueue(request)
         # Arrange a wake-up for when this request's timeout expires, since a
         # bucket below max batch is not dispatchable until then.
-        self.loop.call_after(self.timeout, self._deferred_dispatch)
+        self.loop.call_after(self.timeout, self._dispatch.fire)
 
     def _next_batch(self) -> Optional[Tuple[List[InferenceRequest], float]]:
         """Dispatch only full buckets, or buckets whose head timed out."""

@@ -17,8 +17,9 @@ Life of a request:
    materialises a *shadow* request that runs on its engine.
 3. When the shadow turns terminal, the replica — an extension of its own
    engine — hands the logical request to the cluster's fold, which copies
-   the outcome onto it and files it under ``finished`` / ``timed_out`` /
-   ``rejected`` (completion order; DESIGN.md §36).
+   the outcome onto it and files it (``InferenceServer._file``) under
+   ``finished`` / ``timed_out`` / ``rejected`` (completion order;
+   DESIGN.md §36, §43).
 4. If the replica dies first, the cluster re-routes the logical request
    as a fresh shadow on a survivor; only with no survivor is it rejected.
 
@@ -362,7 +363,7 @@ class ClusterServer(InferenceServer):
         field = counter or _REJECT_COUNTER[reason]
         counters = self.cluster_counters
         setattr(counters, field, getattr(counters, field) + 1)
-        self.rejected.append(request)
+        self._file(request)
         if self._trace is not None:
             self._trace.instant(
                 trace_events.REQUEST_REJECTED,
@@ -419,13 +420,11 @@ class ClusterServer(InferenceServer):
         if state is RequestState.FINISHED:
             logical.result = shadow.result
             logical.mark_finished(shadow.finish_time)
-            self.finished.append(logical)
         elif state is RequestState.TIMED_OUT:
             logical.mark_timed_out(shadow.terminal_time, reason=shadow.cancel_reason)
-            self.timed_out.append(logical)
         else:
             logical.mark_rejected(shadow.terminal_time, reason=shadow.cancel_reason)
-            self.rejected.append(logical)
+        self._file(logical)
         self._maybe_retire(replica)
 
     # -- replica loss --------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import BatchingConfig
 from repro.core.manager import Manager
-from repro.core.request import InferenceRequest, RequestState
+from repro.core.request import InferenceRequest
 from repro.extension import EngineExtension
 from repro.gpu.costmodel import CostModel
 from repro.gpu.energy import EnergyAccounting
@@ -29,9 +29,10 @@ class BatchMakerServer(InferenceServer, EngineExtension):
     """The cellular-batching inference server.
 
     The server is itself an extension of its engine (DESIGN.md §22): its
-    ``on_terminal`` hook files each request under ``finished`` /
-    ``timed_out`` / ``rejected``; ``memory`` / ``energy`` hold the
-    extension behind the optional subsystem of that name (or None).
+    ``on_terminal`` hook is ``InferenceServer._file``, which files each
+    request under ``finished`` / ``timed_out`` / ``rejected`` (§43);
+    ``memory`` / ``energy`` hold the extension behind the optional
+    subsystem of that name (or None).
 
     Parameters
     ----------
@@ -119,14 +120,7 @@ class BatchMakerServer(InferenceServer, EngineExtension):
             self._tracer = EngineTracer(scope)
             self.manager.install(self._tracer)
 
-    def on_terminal(self, request: InferenceRequest) -> None:
-        state = request.state
-        if state is RequestState.FINISHED:
-            self.finished.append(request)
-        elif state is RequestState.TIMED_OUT:
-            self.timed_out.append(request)
-        else:
-            self.rejected.append(request)
+    on_terminal = InferenceServer._file
 
     def _accept(self, request: InferenceRequest) -> None:
         if self._trace is not None:

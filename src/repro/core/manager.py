@@ -448,10 +448,6 @@ class Manager:
         formable work dispatches at the end of the current timestamp."""
         self._poke.kick()
 
-    def outstanding(self) -> int:
-        """Requests accepted but not yet terminal (live drain progress)."""
-        return self.processor.live_request_count()
-
     def _kick_if_idle(self) -> None:
         """Arm the coalesced dispatch kick for new work when some alive
         worker has nothing in flight.  With every worker busy the kick

@@ -84,22 +84,21 @@ def _format_tick(value: float) -> str:
 
 
 class Axis:
-    """An axis: label + scale + rendered tick labels."""
+    """An axis: scale + rendered tick labels (the chart draws its own
+    ``x_label`` / ``y_label``)."""
 
-    def __init__(self, label: str, scale, log: bool = False):
-        self.label = label
+    def __init__(self, scale):
         self.scale = scale
-        self.log = log
 
     @classmethod
-    def linear(cls, label: str, lo: float, hi: float) -> "Axis":
+    def linear(cls, lo: float, hi: float) -> "Axis":
         if hi == lo:
             hi = lo + 1.0
-        return cls(label, LinearScale(lo, hi))
+        return cls(LinearScale(lo, hi))
 
     @classmethod
-    def log(cls, label: str, lo: float, hi: float) -> "Axis":
-        return cls(label, LogScale(lo, hi), log=True)
+    def log(cls, lo: float, hi: float) -> "Axis":
+        return cls(LogScale(lo, hi))
 
     def fraction(self, value: float) -> float:
         return self.scale.fraction(value)

@@ -85,15 +85,15 @@ class Chart:
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if self.x_log:
-            x_axis = Axis.log(self.x_label, max(x_lo * 0.8, 1e-12), x_hi * 1.2)
+            x_axis = Axis.log(max(x_lo * 0.8, 1e-12), x_hi * 1.2)
         else:
             pad = 0.05 * (x_hi - x_lo or 1.0)
-            x_axis = Axis.linear(self.x_label, max(0.0, x_lo - pad), x_hi + pad)
+            x_axis = Axis.linear(max(0.0, x_lo - pad), x_hi + pad)
         if self.y_log:
-            y_axis = Axis.log(self.y_label, max(y_lo * 0.8, 1e-12), y_hi * 1.2)
+            y_axis = Axis.log(max(y_lo * 0.8, 1e-12), y_hi * 1.2)
         else:
             pad = 0.05 * (y_hi - y_lo or 1.0)
-            y_axis = Axis.linear(self.y_label, max(0.0, y_lo - pad), y_hi + pad)
+            y_axis = Axis.linear(max(0.0, y_lo - pad), y_hi + pad)
         return x_axis, y_axis
 
     def _to_pixel(self, x_axis, y_axis, x, y) -> Tuple[float, float]:

@@ -34,10 +34,10 @@ class LiveEventLoop(EventLoop):
     """An :class:`EventLoop` over wall time, pumped by asyncio timers.
 
     Create it, ``attach`` it to a running asyncio loop, then hand it to
-    any server constructor in place of a simulated loop.  ``after_pump``
-    (optional) runs after every pump that executed at least one event —
-    the serve front end hooks its store sync there, so request status
-    becomes visible the moment the engine's completion callbacks ran.
+    any server constructor in place of a simulated loop.  A pump runs the
+    due events and re-arms, nothing more: the serve front end learns of
+    each outcome from the server that files it (``on_outcome``,
+    DESIGN.md §43), not from the loop.
     """
 
     def __init__(self, clock: Optional[RealTimeClock] = None):
@@ -48,7 +48,6 @@ class LiveEventLoop(EventLoop):
         self._offset = 0.0  # aio.time() - clock.now(), constant once attached
         self._timer: Optional[asyncio.TimerHandle] = None
         self._timer_at: Optional[float] = None  # loop-time deadline of _timer
-        self.after_pump: Optional[Callable[[int], Any]] = None
         self.pumps = 0
         self.events_fired = 0
 
@@ -107,8 +106,6 @@ class LiveEventLoop(EventLoop):
         fired = self.run_due()
         self.pumps += 1
         self.events_fired += fired
-        if fired and self.after_pump is not None:
-            self.after_pump(fired)
         self._rearm()
 
     def pump_now(self) -> int:
@@ -119,8 +116,6 @@ class LiveEventLoop(EventLoop):
         if fired:
             self.pumps += 1
             self.events_fired += fired
-            if self.after_pump is not None:
-                self.after_pump(fired)
         self._rearm()
         return fired
 

@@ -22,15 +22,19 @@ third-party deps, keep-alive supported) exposes it:
 ``POST /v1/shutdown``        graceful drain (same path as SIGINT/SIGTERM)
 ===========================  ==========================================
 
-Engine outcomes map onto store states at the sync boundary (cursor walk
-over the server's terminal lists, run after every timer pump):
-``finished -> SUCCEEDED``, ``timed_out -> FAILED``, ``rejected ->
-FAILED`` (the reject reason is preserved), client cancels and shutdown
-drains -> ``ABORTED``.  A request cancelled out from under the engine is
-*detached*: its eventual engine outcome is counted
+Engine outcomes map onto store states where the engine files them: the
+app is the server's ``on_outcome``, so ``InferenceServer._file`` hands
+each terminal request to :meth:`ServeApp.sync` once, as it happens
+(DESIGN.md §43): ``finished -> SUCCEEDED``, ``timed_out -> FAILED``,
+``rejected -> FAILED`` (the reject reason is preserved), client cancels
+and shutdown drains -> ``ABORTED``.  A started request reads RUNNING at
+its fold, or earlier where a reader looks (``GET /v1/requests/<id>``,
+``/metrics``); nothing runs per timer pump.  A request cancelled out from
+under the engine is *detached*: its eventual engine outcome is counted
 (``late_terminals``) but can never illegally re-terminalise the record.
-A request whose ``Content-Length`` is not a non-negative integer gets 400
-and the connection closes.
+A request whose ``Content-Length`` is not a non-negative integer gets
+400, one above ``MAX_BODY_BYTES`` gets 413 before any of its body is
+read, and either way the connection closes.
 
 Graceful shutdown (SIGINT/SIGTERM or ``POST /v1/shutdown``): new submits
 get 503, cluster replicas flip to DRAINING (the autoscaler's
@@ -50,7 +54,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.cluster import build_cluster
-from repro.core.request import BAD_PAYLOAD
+from repro.core.request import BAD_PAYLOAD, RequestState
 from repro.registry import build_server
 from repro.registry.specs import ServeSpec
 from repro.serve import store as store_mod
@@ -73,7 +77,23 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     503: "Service Unavailable",
+}
+
+
+# The largest request body read; a longer declared one gets 413 unread.  A
+# payload is a bare length (a few bytes for any sequence) or token lists:
+# the workloads' longest is a 330-token WMT sentence (``HARD_MAX``) or a
+# 70-leaf tree, a few kB of JSON, and 1 MiB holds 100 000+ seven-byte
+# tokens.  It is what one connection can make the server buffer.
+MAX_BODY_BYTES = 1 << 20
+
+# Terminal engine state -> store state.
+_STORE_STATE = {
+    RequestState.FINISHED: store_mod.SUCCEEDED,
+    RequestState.TIMED_OUT: store_mod.FAILED,
+    RequestState.REJECTED: store_mod.FAILED,
 }
 
 
@@ -101,12 +121,12 @@ class ServeApp:
         self.recovered = self.store.abort_non_terminal(
             self.live.clock.now(), reason="crash_recovered"
         )
-        # Engine request id -> store rid, dropped at terminal sync or
-        # cancel; a dropped id's late engine outcome is counted, not applied.
+        # Engine request id -> store rid, dropped at the fold or a cancel;
+        # a dropped id's late engine outcome is counted, not applied.
         self._rid_of: Dict[int, int] = {}
-        # Store rid -> live engine request (RUNNING promotion + cancel).
+        # Store rid -> live engine request (RUNNING promotion, cancel,
+        # shutdown drain progress).
         self._inflight: Dict[int, Any] = {}
-        self._cursors = [0, 0, 0]
         self.late_terminals = 0
         self.http_requests = 0
         self.draining = False
@@ -114,65 +134,35 @@ class ServeApp:
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self.port: Optional[int] = spec.port or None
-        # Status becomes visible the moment the engine's callbacks ran:
-        # every pump (timer-driven or inline after a submit) ends in a sync.
-        self.live.after_pump = lambda fired: self.sync()
+        # The front door's one hook: the engine files each outcome here.
+        self.server.on_outcome = self.sync
 
     # -- engine <-> store sync --------------------------------------------
 
-    def sync(self) -> None:
-        """Fold newly terminal engine outcomes onto store records and
-        promote started-but-unfinished ones to RUNNING.  A cursor per
-        append-only terminal list of the server (a cluster's fill as
-        outcomes happen), so each outcome is visited once."""
-        buckets = (
-            (self.server.finished, store_mod.SUCCEEDED),
-            (self.server.timed_out, store_mod.FAILED),
-            (self.server.rejected, store_mod.FAILED),
+    def sync(self, request) -> None:
+        """Fold one filed engine outcome onto its store record (the
+        server's ``on_outcome``: called once per terminal request)."""
+        rid = self._rid_of.pop(request.request_id, None)
+        if rid is None:
+            # Detached (client cancel / shutdown abort): never
+            # re-terminalise.
+            self.late_terminals += 1
+            return
+        del self._inflight[rid]
+        self._promote(rid, request)
+        self.store.transition(
+            rid,
+            _STORE_STATE[request.state],
+            request.terminal_time,
+            reason=request.cancel_reason,  # None for a finish
+            result=request.result,
         )
-        for index, (bucket, state) in enumerate(buckets):
-            cursor = self._cursors[index]
-            while cursor < len(bucket):
-                request = bucket[cursor]
-                cursor += 1
-                rid = self._rid_of.pop(request.request_id, None)
-                if rid is None:
-                    # Detached (client cancel / shutdown abort) or from a
-                    # previous store epoch: never re-terminalise.
-                    self.late_terminals += 1
-                    continue
-                self._inflight.pop(rid, None)
-                record = self.store.get(rid)
-                if (
-                    record.state == store_mod.PENDING
-                    and request.start_time is not None
-                ):
-                    self.store.transition(
-                        rid, store_mod.RUNNING, request.start_time
-                    )
-                self.store.transition(
-                    rid,
-                    state,
-                    request.terminal_time,
-                    reason=request.cancel_reason
-                    if state == store_mod.FAILED
-                    else None,
-                    result=request.result,
-                )
-            self._cursors[index] = cursor
-        for rid, request in self._inflight.items():
-            if request.start_time is not None:
-                record = self.store.get(rid)
-                if record.state == store_mod.PENDING:
-                    self.store.transition(
-                        rid, store_mod.RUNNING, request.start_time
-                    )
 
-    def outstanding(self) -> int:
-        """Engine-side in-flight count (drain progress)."""
-        if self.spec.cluster is not None:
-            return sum(r.outstanding() for r in self.server.replicas)
-        return self.server.manager.outstanding()
+    def _promote(self, rid: int, request) -> None:
+        """PENDING -> RUNNING once the engine has started ``request``."""
+        started = request.start_time
+        if started is not None and self.store.get(rid).state == store_mod.PENDING:
+            self.store.transition(rid, store_mod.RUNNING, started)
 
     # -- request operations (transport-independent; the bench drives these
     # -- directly to price the front end without socket noise) -------------
@@ -208,7 +198,11 @@ class ServeApp:
         return record
 
     def status(self, rid: int) -> Dict[str, Any]:
-        return self._record(rid).to_dict()
+        record = self._record(rid)
+        request = self._inflight.get(rid)
+        if request is not None:
+            self._promote(rid, request)
+        return record.to_dict()
 
     def result(self, rid: int) -> Dict[str, Any]:
         record = self._record(rid)
@@ -231,6 +225,8 @@ class ServeApp:
         return self.store.get(rid).to_dict()
 
     def metrics(self) -> Dict[str, Any]:
+        for rid, request in self._inflight.items():
+            self._promote(rid, request)
         counts = self.store.counts()
         engine = {
             "finished": len(self.server.finished),
@@ -266,10 +262,9 @@ class ServeApp:
         else:
             self.server.manager.wake()
         deadline = time.monotonic() + self.spec.drain_grace
-        while self.outstanding() > 0 and time.monotonic() < deadline:
+        while self._inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
         self.live.pump_now()
-        self.sync()
         # Whatever is still non-terminal (queued, or mid-compute past the
         # grace) is aborted — exactly once, the store forbids more.
         for record in self.store.abort_non_terminal(
@@ -344,6 +339,10 @@ class ServeApp:
                     )
                     break
                 length = int(declared)
+                if length > MAX_BODY_BYTES:
+                    error = f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                    await self._respond(writer, 413, {"error": error})
+                    break
                 body = await reader.readexactly(length) if length else b""
                 self.http_requests += 1
                 try:

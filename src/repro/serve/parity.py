@@ -45,12 +45,10 @@ class WorldResult:
 
     def __init__(
         self,
-        world: str,
         outcomes: Dict[int, str],
         latencies: Dict[int, float],
         extras: Optional[Dict[str, Any]] = None,
     ):
-        self.world = world
         self.outcomes = outcomes
         self.latencies = latencies
         self.extras = dict(extras or {})
@@ -130,7 +128,7 @@ def run_sim(
         latencies[request.request_id] = request.finish_time - request.arrival_time
     for request in server.timed_out + server.rejected:
         outcomes[request.request_id] = FAILED
-    return WorldResult("sim", outcomes, latencies)
+    return WorldResult(outcomes, latencies)
 
 
 def run_live(
@@ -175,7 +173,7 @@ def run_live(
         "lost": report.lost,
         "wall_seconds": report.wall_seconds,
     }
-    return WorldResult("live", dict(report.outcomes), dict(report.latencies), extras)
+    return WorldResult(dict(report.outcomes), dict(report.latencies), extras)
 
 
 def compare(

@@ -134,7 +134,6 @@ class RequestStore:
     """
 
     def __init__(self, journal_path: Optional[str] = None):
-        self.journal_path = journal_path
         self.records: Dict[int, RequestRecord] = {}
         # Records per state, kept by ``_add`` and ``_move`` (every path
         # that creates or moves a record, replay included), so a status

@@ -14,7 +14,7 @@ import heapq
 import math
 from typing import Any, Callable, List, Optional
 
-from repro.core.request import InferenceRequest
+from repro.core.request import InferenceRequest, RequestState
 from repro.sim.events import Event, EventLoop
 
 
@@ -68,6 +68,9 @@ class InferenceServer:
         # run every request to completion.
         self.timed_out: List[InferenceRequest] = []
         self.rejected: List[InferenceRequest] = []
+        # Handed every request ``_file`` files, once, as it is filed: None
+        # in simulation; the live front door's fold (DESIGN.md §43).
+        self.on_outcome: Optional[Callable[[InferenceRequest], None]] = None
         self._next_request_id = 0
         # Submitted, not yet arrived: ``(time, seq, request)``, ``seq``
         # reserved from the loop at submit.  Only the earliest is armed on
@@ -119,12 +122,6 @@ class InferenceServer:
             self.attach_trace(session.recorder_for(self.loop))
 
     # -- shared machinery ------------------------------------------------------
-
-    def deferred_kicker(self, fn: Callable[[], None]) -> DeferredKick:
-        """A coalesced end-of-timestamp dispatcher bound to this server's
-        loop (see :class:`DeferredKick`); subclasses kick it from
-        ``_accept`` instead of hand-rolling a pending flag."""
-        return DeferredKick(self.loop, fn)
 
     def submit(
         self,
@@ -183,9 +180,23 @@ class InferenceServer:
         """Every request that reached a terminal state, any status."""
         return self.finished + self.timed_out + self.rejected
 
+    def _file(self, request: InferenceRequest) -> None:
+        """The one place a terminal request is filed: under ``finished`` /
+        ``timed_out`` / ``rejected`` by its state, then handed to
+        ``on_outcome`` (DESIGN.md §43)."""
+        state = request.state
+        if state is RequestState.FINISHED:
+            self.finished.append(request)
+        elif state is RequestState.TIMED_OUT:
+            self.timed_out.append(request)
+        else:
+            self.rejected.append(request)
+        if self.on_outcome is not None:
+            self.on_outcome(request)
+
     def _finish_request(self, request: InferenceRequest) -> None:
         request.mark_finished(self.loop.now())
-        self.finished.append(request)
+        self._file(request)
         if self._trace is not None:
             from repro.trace import events as trace_events
 

@@ -9,6 +9,13 @@ is either deleted or listed in ``ALLOWED`` with the reason it stays.  The
 test fails on a name that has no caller, and on an allowlist entry that has
 gained one (or no longer exists) — the list only shrinks.
 
+Beside it, the same walk over stores: an attribute a method stores
+(``self.name = ...``, ``self.name += ...``) under ``src/repro`` must be
+read somewhere, as an attribute load (``obj.name``) or an
+identifier-shaped string constant in ``src/``, ``tests/``, ``examples/``
+or ``benchmarks/``; a store nothing reads is deleted with the value
+computed for it.
+
 Name-level and AST-only: a reference is an identifier read (``name``,
 ``obj.name``) or an identifier-shaped string constant (``getattr(x, "name")``,
 the hook names of ``repro.extension.HOOKS``, the method names
@@ -122,6 +129,65 @@ def unreferenced():
         if reads[short] <= inside_itself:
             dead.setdefault(where, set()).add(qualified)
     return dead
+
+
+def write_only_attributes():
+    """``{path under src/repro: {names}}`` of the attributes a method there
+    stores on ``self`` that no module under ``src``, ``tests``,
+    ``examples`` or ``benchmarks`` loads or names in a string."""
+    read, stored = set(), {}
+    for base in (*REFERENCED_UNDER, "tests"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            in_src = (ROOT / DEFINED_UNDER) in path.parents
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+                elif not isinstance(node, ast.Attribute):
+                    continue
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    in_src
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    where = path.relative_to(ROOT / DEFINED_UNDER).as_posix()
+                    stored.setdefault(where, set()).add(node.attr)
+    return {
+        where: names - read for where, names in stored.items() if names - read
+    }
+
+
+def test_every_attribute_a_method_stores_is_read():
+    assert write_only_attributes() == {}
+
+
+def test_the_scan_sees_an_attribute_nothing_reads(tmp_path, monkeypatch):
+    """A store read through another object, by ``getattr`` or from a test
+    lives; one only ever stored or incremented does not, nor does a local
+    variable's read vouch for an attribute of its name."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        "    def __init__(self, label):\n"
+        "        self.label = label\n"
+        "        self.count = 0\n"
+        "        self.size = 1\n"
+        "        self.kind = 'x'\n"
+        "        self.seen = 0\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        label = 2\n"
+        "        return label, getattr(self, 'kind')\n"
+        "def size_of(thing):\n    return thing.size\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("def test_seen(thing):\n    assert thing.seen == 0\n")
+    monkeypatch.setattr("tests.test_dead_surface.ROOT", tmp_path)
+    assert write_only_attributes() == {"mod.py": {"label", "count"}}
 
 
 def test_every_public_name_has_a_caller_or_a_stated_reason():

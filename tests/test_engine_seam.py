@@ -187,7 +187,7 @@ def test_arrival_after_total_device_loss_is_rejected_no_devices(plan, sla):
     late = server.submit(5, arrival_time=5e-3)
     server.drain()
     assert (late.state, late.cancel_reason) == (RequestState.REJECTED, "no_devices")
-    assert server.manager.outstanding() == 0
+    assert server.manager.processor.live_request_count() == 0
     assert server.manager.alive_devices == 0
     assert_invariants(server, [early, late])
 
@@ -202,7 +202,7 @@ def test_a_preempted_request_re_entering_a_dead_engine_is_cancelled():
     server.manager.fail_all_devices()
     server.drain()
     assert (victim.state, victim.cancel_reason) == (RequestState.TIMED_OUT, "no_devices")
-    assert server.manager.outstanding() == 0
+    assert server.manager.processor.live_request_count() == 0
     assert_invariants(server, [victim])
 
 

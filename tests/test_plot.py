@@ -66,7 +66,7 @@ class TestScales:
         assert ticks == [0.1, 1.0, 10.0, 100.0, 1000.0]
 
     def test_axis_tick_labels_format(self):
-        axis = Axis.linear("x", 0, 20000)
+        axis = Axis.linear(0, 20000)
         labels = dict(axis.tick_labels())
         assert any("k" in text for text in labels.values())
 

@@ -154,22 +154,6 @@ def test_live_loop_rearms_for_earlier_deadline():
     assert asyncio.run(go()) == ["early"]
 
 
-@pytest.mark.timing
-def test_after_pump_hook_runs_on_fires():
-    async def go():
-        live = LiveEventLoop()
-        seen = []
-        live.after_pump = seen.append
-        live.attach()
-        live.call_at(live.now() + 0.005, lambda: None)
-        await asyncio.sleep(0.05)
-        live.detach()
-        return seen
-
-    seen = asyncio.run(go())
-    assert sum(seen) == 1
-
-
 def test_detach_cancels_pending_timer():
     async def go():
         live = LiveEventLoop()

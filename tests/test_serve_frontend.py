@@ -145,6 +145,25 @@ def test_malformed_content_length_gets_400_and_the_server_lives_on(live_server):
     assert status == 200 and payload["status"] == "ok"
 
 
+def test_an_oversized_body_gets_413_before_it_is_read(live_server):
+    """A declared length was read whatever it said: 1 GB declared made the
+    server wait to buffer 1 GB.  Now it answers 413 on the headers alone
+    and closes; another connection is served as before."""
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/requests HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 1000000000\r\n\r\n{}"
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n"), reply
+    assert b"Connection: close" in reply
+    status, payload = _call(live_server.port, "GET", "/healthz")
+    assert status == 200 and payload["status"] == "ok"
+    assert len(live_server.app.store) == 0  # nothing of it was submitted
+
+
 def test_refused_payload_gets_400_and_leaves_nothing_pending(live_server):
     """A payload the model refuses at unfold used to answer 500 and leave
     its record PENDING until shutdown, the engine request in ``_inflight``
